@@ -193,7 +193,7 @@ class Sba200Adapter:
                 payload_bytes=chunk_bytes,
                 is_final=is_final and last_train,
                 payload=payload if (is_final and last_train) else None,
-                enqueued_at=self.sim.now,
+                enqueued_at=self.sim.now, vpi=vc.vpi,
             )
             self._emit(vc, burst)
             remaining_cells -= take

@@ -15,12 +15,12 @@ primitives chunk by chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..hosts import Host
 from ..sim import Activity, Event, Store
 from .adapter import Sba200Adapter
-from .signaling import VirtualChannel
+from .signaling import Service, VirtualChannel
 
 __all__ = ["AtmApi", "AtmMessage", "MAX_PDU_BYTES"]
 
@@ -47,6 +47,8 @@ class AtmApi:
         self.adapter: Sba200Adapter = host.interface("atm")
         #: per-VC receive queues, keyed by vc_id
         self._rx: dict[int, Store] = {}
+        #: service -> (consumer generator function, process label)
+        self._servers: dict[Service, tuple[Callable[..., Any], str]] = {}
         #: messages straddling several PDUs: (vc_id, first msg_id) state
         self._partial: dict[int, tuple[int, int, int]] = {}
         if self.adapter.rx_handler is not None:
@@ -55,11 +57,29 @@ class AtmApi:
         self.adapter.rx_handler = self._on_message
 
     # -------------------------------------------------------------- receive
+    def serve(self, service: Service, consumer: Callable[..., Any],
+              label: str) -> None:
+        """Run ``consumer(queue, first_message)`` — a generator draining
+        ``queue.get()`` — for every ``service`` circuit that terminates
+        here, each started by its circuit's first message
+        (:meth:`repro.sim.Store.start_on_first_put`): no queue and no
+        coroutine per *possible* peer."""
+        if service in self._servers:
+            raise RuntimeError(
+                f"{service.name} circuits on {self.host.name} already "
+                "have a consumer")
+        self._servers[service] = (consumer, label)
+
     def rx_queue(self, vc: VirtualChannel) -> Store:
         """Per-VC receive queue, created on first use."""
         q = self._rx.get(vc.vc_id)
         if q is None:
             q = self._rx[vc.vc_id] = Store(self.sim, name=f"atmrx:{vc.vc_id}")
+            server = self._servers.get(vc.service)
+            if server is not None:
+                consumer, label = server
+                q.start_on_first_put(lambda msg: consumer(q, msg),
+                                     name=f"{label}:{vc.vc_id}")
         return q
 
     def _on_message(self, vc: VirtualChannel, payload: Any, nbytes: int,

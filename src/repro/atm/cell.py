@@ -84,7 +84,7 @@ class CellBurst:
     """
 
     vc: Any                      # VirtualChannel (kept opaque to avoid cycles)
-    vci: int                     # hop-local VCI, rewritten by each switch
+    vci: int                     # VCI half of the hop label (switch-rewritable)
     msg_id: int
     n_cells: int
     payload_bytes: int           # application bytes carried by this burst
@@ -92,6 +92,7 @@ class CellBurst:
     payload: Any = None
     corrupted: bool = False
     enqueued_at: float = field(default=0.0)
+    vpi: int = 0                 # VPI half of the hop label
 
     def __post_init__(self) -> None:
         if self.n_cells < 1:

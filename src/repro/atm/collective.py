@@ -8,11 +8,13 @@ host MTS threads sleep from submission to completion — no send/receive
 system-thread activity, no error-control ACK chatter, no per-hop host
 wakeups.  The wire topology is a star rooted at process 0's adapter:
 
-* every member adapter owns an **up VC** to the root adapter and a
-  **down VC** from it (ordinary PVCs);
-* the root owns one **multicast VC** whose replication tree is
+* every member adapter has an **up VC** to the root adapter and a
+  **down VC** from it (ordinary PVCs of their own
+  :class:`~repro.atm.signaling.Service`, established the first time
+  the member takes part in a collective);
+* the root has one **multicast VC** whose replication tree is
   programmed into the switches' multicast group tables
-  (:meth:`repro.atm.signaling.SignalingController.create_multicast`),
+  (:meth:`repro.atm.signaling.SignalingController.broadcast_tree`),
   so a release/result/broadcast payload is transmitted exactly once.
 
 Reliability is timer-at-the-owner: the *submitting* member retransmits
@@ -41,7 +43,7 @@ from typing import Any, Callable, Optional
 
 from ..sim import Simulator
 from .adapter import Sba200Adapter
-from .signaling import MulticastChannel, SignalingController, VirtualChannel
+from .signaling import Service, SignalingController
 
 __all__ = ["NicPdu", "NicCollectiveEngine", "NicCollectiveFabric",
            "CONTROL_PDU_BYTES"]
@@ -55,6 +57,10 @@ FIRMWARE_OP_S = 5e-6
 #: default retransmission cadence and give-up budget for member requests
 DEFAULT_RTO_S = 0.05
 DEFAULT_MAX_RETRIES = 10
+
+#: the circuits whose PDUs the firmware consumes (never the host)
+_COLLECTIVE_SERVICES = (Service.COLLECTIVE_UP, Service.COLLECTIVE_DOWN,
+                        Service.MULTICAST)
 
 #: give-up budget for *accepted* requests still probing for completion
 #: (10 s at the default cadence — far beyond any healthy collective)
@@ -150,12 +156,9 @@ class NicCollectiveEngine:
         self._r_bc_pdu: dict[tuple, NicPdu] = {}
         self._r_bc_needed: dict[tuple, frozenset] = {}
         self._r_bc_done: set[tuple] = set()
-        # wiring (populated by NicCollectiveFabric)
-        self._up_vc: Optional[VirtualChannel] = None          # me -> root
-        self._down_vc: Optional[VirtualChannel] = None        # root -> me
-        self._mcast_vc: Optional[MulticastChannel] = None     # root only
-        self._down_ucast: dict[int, VirtualChannel] = {}      # root only
-        self._rx_vcs: set[int] = set()
+        self._signaling: SignalingController = fabric.signaling
+        self._host = adapter.host_name
+        self._root_host = fabric.root_host
         if adapter.collective_rx is not None:
             raise RuntimeError(
                 f"adapter {adapter.host_name} already has a collective_rx "
@@ -317,7 +320,9 @@ class NicCollectiveEngine:
                              lambda: root._process(pdu))
             return
         self._m_fw_sends.inc()
-        self.adapter.send_pdu(self._up_vc, self._pdu_bytes(pdu),
+        vc = self._signaling.circuit(self._host, self._root_host,
+                                     Service.COLLECTIVE_UP)
+        self.adapter.send_pdu(vc, self._pdu_bytes(pdu),
                               self.adapter.alloc_msg_id(), payload=pdu)
 
     def _send_down(self, pid: int, pdu: NicPdu) -> None:
@@ -327,13 +332,16 @@ class NicCollectiveEngine:
                              lambda: self._process(pdu))
             return
         self._m_fw_sends.inc()
-        self.adapter.send_pdu(self._down_ucast[pid], self._pdu_bytes(pdu),
+        vc = self._signaling.circuit(self._host, self.fabric.hosts[pid],
+                                     Service.COLLECTIVE_DOWN)
+        self.adapter.send_pdu(vc, self._pdu_bytes(pdu),
                               self.adapter.alloc_msg_id(), payload=pdu)
 
     def _mcast(self, pdu: NicPdu) -> None:
         """Root -> every member (switch-replicated), plus itself."""
         self._m_fw_sends.inc()
-        self.adapter.send_pdu(self._mcast_vc, self._pdu_bytes(pdu),
+        self.adapter.send_pdu(self._signaling.broadcast_tree(self._host),
+                              self._pdu_bytes(pdu),
                               self.adapter.alloc_msg_id(), payload=pdu)
         # the root's own member side is not a leaf of the multicast
         # tree; loop the PDU back through local firmware
@@ -344,7 +352,7 @@ class NicCollectiveEngine:
     def _rx_hook(self, vc: Any, payload: Any, nbytes: int, msg_id: int,
                  corrupted: bool) -> bool:
         """The adapter's ``collective_rx`` firmware intercept."""
-        if id(vc) not in self._rx_vcs:
+        if vc.service not in _COLLECTIVE_SERVICES:
             return False
         self._m_fw_pdus.inc()
         if corrupted or not isinstance(payload, NicPdu):
@@ -497,9 +505,10 @@ class NicCollectiveFabric:
     """Cluster-wide wiring for the NIC collective engines.
 
     Built once per runtime (when a scenario selects
-    ``collectives = "nic"``): provisions the up/down PVCs and the root
-    multicast tree, then instantiates one
-    :class:`NicCollectiveEngine` per host adapter.
+    ``collectives = "nic"``): instantiates one
+    :class:`NicCollectiveEngine` per host adapter.  The star's up/down
+    PVCs and the root's multicast tree are the signaling controller's
+    on-demand circuits, so a member that never takes part costs nothing.
     """
 
     def __init__(self, cluster: Any, rto_s: float = DEFAULT_RTO_S,
@@ -517,28 +526,19 @@ class NicCollectiveFabric:
         if cluster.n_hosts < 2:
             raise ValueError("NIC collectives need at least 2 hosts")
         self.cluster = cluster
+        self.signaling = signaling
         self.rto_s = rto_s
         self.max_retries = max_retries
         self.max_probes = max_probes
         self.firmware_op_s = firmware_op_s
         adapters = [cluster.host(i).interface("atm")
                     for i in range(cluster.n_hosts)]
-        names = [a.host_name for a in adapters]
+        #: host names in pid order; the root engine is pid 0's
+        self.hosts = [a.host_name for a in adapters]
+        self.root_host = self.hosts[0]
         self.engines = [NicCollectiveEngine(self, pid, a)
                         for pid, a in enumerate(adapters)]
-        root = self.engines[0]
-        self.root_engine = root
-        mcast = signaling.create_multicast(names[0], names[1:])
-        root._mcast_vc = mcast
-        for pid in range(1, cluster.n_hosts):
-            up = signaling.create_pvc(names[pid], names[0])
-            down = signaling.create_pvc(names[0], names[pid])
-            member = self.engines[pid]
-            member._up_vc = up
-            member._down_vc = down
-            member._rx_vcs = {id(down), id(mcast)}
-            root._down_ucast[pid] = down
-            root._rx_vcs.add(id(up))
+        self.root_engine = self.engines[0]
 
     def engine(self, pid: int) -> NicCollectiveEngine:
         """The engine on process ``pid``'s adapter."""

@@ -1,32 +1,55 @@
 """Virtual-channel management over an ATM fabric.
 
 :class:`AtmFabric` owns the graph of adapters, switches and duplex links;
-:class:`SignalingController` sets up virtual channels along shortest
-paths, allocating a hop-local VCI on every channel and programming each
-switch's VC table — the PVC configuration the paper's NYNET experiments
-ran over (setup happens at cluster build time, so its cost never pollutes
-application timings; a timed ``setup_vc`` generator exists for the QoS
-examples that open channels at runtime).
+:class:`SignalingController` establishes virtual channels along shortest
+paths and programs each switch's VC table.
+
+**Circuits come into being on first use.**  The paper's NYNET runs used
+PVCs configured ahead of time; configuring them costs no simulated time,
+so nothing observable depends on *when* a PVC's switch-table rows are
+written.  The controller therefore programs a pair's circuit the first
+time something asks for it (:meth:`SignalingController.circuit`) or the
+first time a cell of it shows up somewhere it is not yet known
+(:meth:`SignalingController.resolve` — a switch-table miss, or a burst
+imported across a shard cut).  Building a cluster provisions nothing per
+pair; a workload pays only for the pairs it touches.
+
+**Circuit identity is a pure function of** ``(src, dst, service)``::
+
+    vc_id = service << 20 | src_index << 10 | dst_index
+
+with ``service`` one of :class:`Service` and the indices taken from
+:attr:`AtmFabric.hosts` (pid order; at most :data:`MAX_HOSTS`).  The id
+is invertible (:func:`circuit_key`), independent of the order circuits
+are established in, and identical in every shard universe of the
+sharded kernel — which is what lets a burst crossing a shard cut be
+re-bound by ``vc_id`` alone.  Every hop of a circuit carries the same
+label, the id split across the cell header's 8-bit VPI and 16-bit VCI
+(:func:`vc_label`): labels are globally unique, so no two circuits can
+collide on any directed channel.  VPI 0 is left to ad-hoc circuits
+(:meth:`SignalingController.create_pvc` /
+:meth:`~SignalingController.create_multicast` — QoS contracts, AAL3/4
+side channels), whose ids are a plain sequence.
 
 Two kinds of channel come out of the controller:
 
-* :class:`VirtualChannel` — the ordinary point-to-point PVC
-  (:meth:`SignalingController.create_pvc`);
-* :class:`MulticastChannel` — a point-to-multipoint VC
-  (:meth:`SignalingController.create_multicast`): one source adapter,
-  a replication *tree* programmed into the switches' multicast group
-  tables (:meth:`repro.atm.switch.AtmSwitch.program_multicast`), and a
-  leaf set of destination adapters.  This is the wire primitive the
-  NIC-offloaded collectives (:mod:`repro.atm.collective`) broadcast
+* :class:`VirtualChannel` — the ordinary point-to-point PVC;
+* :class:`MulticastChannel` — a point-to-multipoint VC: one source
+  adapter, a replication *tree* programmed into the switches' multicast
+  group tables (:meth:`repro.atm.switch.AtmSwitch.program_multicast`),
+  and a leaf set of destination adapters.  This is the wire primitive
+  the NIC-offloaded collectives (:mod:`repro.atm.collective`) broadcast
   over.
 
-Shortest paths are cached per source adapter (invalidated whenever the
-graph mutates): the O(n²) PVC meshes of the LAN builders would
-otherwise spend minutes in Dijkstra at 256 hosts.
+Routing runs on :attr:`AtmFabric.routes`, a name-keyed replica of the
+topology that also covers nodes a partial (per-shard) universe did not
+materialize: every universe computes the same shortest paths over the
+same graph, and programs only the switches it owns.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -39,28 +62,103 @@ from .adapter import Sba200Adapter
 from .link import Channel, DuplexLink, LinkSpec
 from .switch import AtmSwitch
 
-__all__ = ["VirtualChannel", "MulticastChannel", "AtmFabric",
-           "SignalingController"]
+__all__ = ["Service", "VirtualChannel", "MulticastChannel", "AtmFabric",
+           "SignalingController", "circuit_id", "circuit_key", "vc_label",
+           "label_vc", "MAX_HOSTS"]
 
 #: first VCI available for user traffic (0-31 are reserved in UNI)
 FIRST_USER_VCI = 32
+#: user VCIs per VPI
+_VCIS_PER_VPI = 65536 - FIRST_USER_VCI
+#: host indices are 10-bit fields of the circuit id
+MAX_HOSTS = 1024
+_SERVICE_SHIFT = 20
 
 Node = Union[Sba200Adapter, AtmSwitch]
 
 
+class Service(enum.IntEnum):
+    """What a circuit between two hosts is for (part of its identity)."""
+
+    #: classical IP over ATM (RFC 1577): TCP, p4 and NCS Normal Speed Mode
+    IP = 1
+    #: raw PVC for NCS High Speed Mode
+    HSM = 2
+    #: NIC collectives, member adapter -> root adapter
+    COLLECTIVE_UP = 3
+    #: NIC collectives, root adapter -> one member adapter
+    COLLECTIVE_DOWN = 4
+    #: switch-replicated tree from ``src`` to every other host
+    #: (``dst`` is ``src`` in the id)
+    MULTICAST = 5
+
+
+def circuit_id(src: int, dst: int, service: Service) -> int:
+    """The ``vc_id`` of the ``service`` circuit from host index ``src``
+    to host index ``dst``."""
+    if not (0 <= src < MAX_HOSTS and 0 <= dst < MAX_HOSTS):
+        raise ValueError(
+            f"host index out of range for a circuit id: {src}->{dst} "
+            f"(at most {MAX_HOSTS} hosts per fabric)")
+    return (int(service) << _SERVICE_SHIFT) | (src << 10) | dst
+
+
+def circuit_key(vc_id: int) -> tuple[int, int, Service]:
+    """Invert :func:`circuit_id`: ``(src, dst, service)``.
+
+    Raises ``KeyError`` for an ad-hoc id (those are a sequence, not a
+    function of their endpoints)."""
+    try:
+        service = Service(vc_id >> _SERVICE_SHIFT)
+    except ValueError:
+        raise KeyError(f"VC {vc_id} is not an on-demand circuit") from None
+    return (vc_id >> 10) & (MAX_HOSTS - 1), vc_id & (MAX_HOSTS - 1), service
+
+
+def vc_label(vc_id: int) -> tuple[int, int]:
+    """The ``(VPI, VCI)`` every hop of circuit ``vc_id`` carries.
+
+    Ad-hoc ids (below ``1 << 20``) live in VPI 0; on-demand circuits
+    fill VPIs 1.. in id order, skipping each VPI's reserved VCIs."""
+    if vc_id >> _SERVICE_SHIFT == 0:
+        vpi, n = 0, vc_id
+    else:
+        vpi, n = divmod(vc_id - (1 << _SERVICE_SHIFT), _VCIS_PER_VPI)
+        vpi += 1
+    if n >= _VCIS_PER_VPI or vpi > 255:
+        raise ValueError(f"VC id {vc_id} does not fit a VPI/VCI label")
+    return vpi, FIRST_USER_VCI + n
+
+
+def label_vc(vpi: int, vci: int) -> int:
+    """Invert :func:`vc_label`."""
+    n = vci - FIRST_USER_VCI
+    if vpi == 0:
+        return n
+    return (vpi - 1) * _VCIS_PER_VPI + n + (1 << _SERVICE_SHIFT)
+
+
 @dataclass
 class VirtualChannel:
-    """An established VC between two adapters."""
+    """An established VC between two adapters.
+
+    In a partial (per-shard) universe ``src``/``dst`` are ``None`` for
+    endpoints that live in another shard, and ``hops`` holds only the
+    channels this universe materialized.
+    """
 
     vc_id: int
-    src: Sba200Adapter
-    dst: Sba200Adapter
+    src: Optional[Sba200Adapter]
+    dst: Optional[Sba200Adapter]
     src_vci: int
     hops: list[Channel]
     hop_vcis: list[int] = field(default_factory=list)
     aal: Aal = field(default_factory=lambda: AAL5)
     #: peak cell rate in cells/s (QoS traffic contract; None = best effort)
     pcr_cells_s: Optional[float] = None
+    vpi: int = 0
+    #: what the circuit is for (None: ad-hoc)
+    service: Optional[Service] = None
 
     @property
     def n_switches(self) -> int:
@@ -68,8 +166,9 @@ class VirtualChannel:
         return len(self.hops) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<VC {self.vc_id} {self.src.host_name}->{self.dst.host_name} "
-                f"hops={len(self.hops)}>")
+        ends = "->".join(a.host_name if a is not None else "?"
+                         for a in (self.src, self.dst))
+        return f"<VC {self.vc_id} {ends} hops={len(self.hops)}>"
 
 
 @dataclass
@@ -78,13 +177,13 @@ class MulticastChannel:
 
     Quacks enough like :class:`VirtualChannel` for
     :meth:`repro.atm.adapter.Sba200Adapter.send_pdu` — it has a
-    ``vc_id``, a ``src_vci`` for the first hop and an ``aal`` — but
-    fans out at every switch whose multicast group table carries an
-    entry for it, terminating at each adapter in ``leaves``.
+    ``vc_id``, a ``vpi``/``src_vci`` label and an ``aal`` — but fans
+    out at every switch whose multicast group table carries an entry
+    for it, terminating at each adapter in ``leaves``.
     """
 
     vc_id: int
-    src: Sba200Adapter
+    src: Optional[Sba200Adapter]
     src_vci: int
     leaves: list[Sba200Adapter]
     #: every directed channel in the replication tree
@@ -92,50 +191,80 @@ class MulticastChannel:
     aal: Aal = field(default_factory=lambda: AAL5)
     #: peak cell rate in cells/s (None = best effort, like PVCs)
     pcr_cells_s: Optional[float] = None
+    vpi: int = 0
+    service: Optional[Service] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<MulticastVC {self.vc_id} {self.src.host_name}->"
-                f"{len(self.leaves)} leaves>")
+        return f"<MulticastVC {self.vc_id} ->{len(self.leaves)} leaves>"
 
 
 class AtmFabric:
-    """The physical ATM network: nodes and duplex links as a graph."""
+    """The physical ATM network: nodes and duplex links as a graph.
 
-    def __init__(self, sim: Simulator):
+    ``graph`` holds the node *objects* this universe materialized;
+    ``routes`` is the name-keyed routing view of the **whole** topology,
+    which a partial universe completes with :meth:`add_remote` /
+    :meth:`connect_remote` for the nodes it left out.  Both are filled
+    in the same order with the same weights in every universe, so
+    Dijkstra breaks ties identically everywhere.  (An all-remote fabric
+    needs no simulator: that is what the shard planner plans on.)
+    """
+
+    def __init__(self, sim: Optional[Simulator]):
         self.sim = sim
         self.graph = nx.Graph()
+        self.routes = nx.Graph()
         self.adapters: dict[str, Sba200Adapter] = {}
         self.switches: dict[str, AtmSwitch] = {}
-        # single-source shortest-path cache: id(src) -> {dst: [nodes]}.
-        # One Dijkstra per source instead of one per (src, dst) pair —
-        # the difference between seconds and minutes when the LAN
-        # builders provision their O(n^2) PVC meshes at 256 hosts.
-        self._path_cache: dict[int, dict] = {}
+        #: every host of the topology in pid order, materialized or not:
+        #: the index space of :func:`circuit_id`
+        self.hosts: list[str] = []
+        self._host_index: dict[str, int] = {}
+        #: (upstream node name, downstream node name) -> directed channel
+        self._channels: dict[tuple[str, str], Channel] = {}
+        #: the controller that establishes circuits on a switch miss
+        self.signaling: Optional["SignalingController"] = None
+        # single-source shortest paths, computed lazily per source host
+        # and kept: source name -> {node name: [node names]}.  One
+        # Dijkstra per *source that ever sends* instead of one per
+        # (src, dst) pair.
+        self._path_cache: dict[str, dict[str, list[str]]] = {}
 
     # -------------------------------------------------------------- building
+    def add_remote(self, name: str, host: bool = False) -> None:
+        """Name a node for routing only (another shard materializes it)."""
+        if name in self.routes:
+            raise ValueError(f"duplicate fabric node name {name!r}")
+        self.routes.add_node(name)
+        self._path_cache.clear()
+        if host:
+            self._host_index[name] = len(self.hosts)
+            self.hosts.append(name)
+
     def add_adapter(self, adapter: Sba200Adapter) -> Sba200Adapter:
         """Register an adapter as a fabric node."""
         if adapter.host_name in self.adapters:
             raise ValueError(f"duplicate adapter for host {adapter.host_name}")
+        self.add_remote(adapter.host_name, host=True)
         self.adapters[adapter.host_name] = adapter
         self.graph.add_node(adapter)
-        self._path_cache.clear()
         return adapter
 
     def add_switch(self, switch: AtmSwitch) -> AtmSwitch:
         """Register a switch as a fabric node."""
         if switch.name in self.switches:
             raise ValueError(f"duplicate switch {switch.name}")
+        self.add_remote(switch.name)
         self.switches[switch.name] = switch
         self.graph.add_node(switch)
-        self._path_cache.clear()
+        switch.on_miss = self._on_switch_miss
         return switch
 
     def connect(self, a: Node, b: Node, spec: LinkSpec,
                 rng_a=None, rng_b=None) -> DuplexLink:
         """Create a duplex link between two nodes and wire endpoints."""
-        name = f"{_node_name(a)}--{_node_name(b)}"
-        link = DuplexLink(self.sim, name, spec, rng_a, rng_b)
+        a_name, b_name = _node_name(a), _node_name(b)
+        link = DuplexLink(self.sim, f"{a_name}--{b_name}", spec, rng_a, rng_b)
         link.fwd.connect(b)   # a -> b terminates at b
         link.rev.connect(a)   # b -> a terminates at a
         if isinstance(a, Sba200Adapter):
@@ -144,95 +273,166 @@ class AtmFabric:
             b.attach_uplink(link.rev)
         self.graph.add_edge(a, b, link=link,
                             weight=spec.prop_delay_s + 1e-9)
-        self._path_cache.clear()
+        self._channels[a_name, b_name] = link.fwd
+        self._channels[b_name, a_name] = link.rev
+        self.connect_remote(a_name, b_name, spec,
+                            noisy=rng_a is not None or rng_b is not None)
         return link
 
+    def connect_remote(self, a: str, b: str, spec: LinkSpec,
+                       noisy: bool = False) -> None:
+        """Route over a link this universe did not materialize.
+
+        Besides the routing weight the edge records what a shard planner
+        asks of a link: its ``spec``, its ``ends`` in connect order (the
+        forward channel ``a--b>`` runs a -> b, ``a--b<`` back) and
+        whether it draws bit errors from an rng (``noisy``)."""
+        self.routes.add_edge(a, b, weight=spec.prop_delay_s + 1e-9,
+                             spec=spec, ends=(a, b), noisy=noisy)
+        self._path_cache.clear()
+
     # --------------------------------------------------------------- queries
-    def path_nodes(self, src: Sba200Adapter, dst: Sba200Adapter) -> list[Node]:
-        """Shortest path (by propagation delay) from adapter to adapter."""
-        cache = self._path_cache.get(id(src))
+    @property
+    def switch_names(self) -> list[str]:
+        """Every switch of the topology, materialized here or not."""
+        return [n for n in self.routes if n not in self._host_index]
+
+    def host_index(self, host: str) -> int:
+        """Position of ``host`` in :attr:`hosts` (its circuit-id field)."""
+        try:
+            return self._host_index[host]
+        except KeyError:
+            raise KeyError(
+                f"no host {host!r} on this fabric; hosts: "
+                f"{', '.join(self.hosts[:8])}"
+                f"{', ...' if len(self.hosts) > 8 else ''}") from None
+
+    def path_nodes(self, src, dst) -> list[str]:
+        """Shortest path (by propagation delay) between two hosts, as
+        node names.  ``src``/``dst`` may be adapters or host names."""
+        src, dst = _node_name(src), _node_name(dst)
+        cache = self._path_cache.get(src)
         if cache is None:
-            cache = self._path_cache[id(src)] = nx.shortest_path(
-                self.graph, src, weight="weight")
+            cache = self._path_cache[src] = nx.shortest_path(
+                self.routes, src, weight="weight")
         try:
             return cache[dst]
         except KeyError:
             raise nx.NetworkXNoPath(
-                f"no path between {_node_name(src)} and "
-                f"{_node_name(dst)}") from None
+                f"no path between {src} and {dst}") from None
 
-    def directed_channels(self, nodes: list[Node]) -> list[Channel]:
-        """The directed channel for each consecutive node pair."""
-        out = []
-        for a, b in itertools.pairwise(nodes):
-            link: DuplexLink = self.graph.edges[a, b]["link"]
-            # fwd was created a->b at connect() time; figure out direction
-            if link.fwd.endpoint is b:
-                out.append(link.fwd)
-            elif link.rev.endpoint is b:
-                out.append(link.rev)
-            else:  # pragma: no cover - wiring invariant
-                raise RuntimeError(f"link {link.name} endpoints inconsistent")
-        return out
+    def channel(self, a: str, b: str) -> Optional[Channel]:
+        """The directed channel ``a -> b``, if this universe has it."""
+        return self._channels.get((a, b))
+
+    def directed_channels(self, nodes: list[str]) -> list[Channel]:
+        """The materialized directed channel of each consecutive pair."""
+        chans = (self._channels.get(pair)
+                 for pair in itertools.pairwise(nodes))
+        return [ch for ch in chans if ch is not None]
+
+    def _on_switch_miss(self, vpi: int, vci: int) -> bool:
+        """A switch saw a label it has no row for: establish the
+        circuit it names, if it names one."""
+        if self.signaling is None:
+            return False
+        try:
+            self.signaling.resolve(label_vc(vpi, vci))
+        except KeyError:
+            return False
+        return True
 
 
-def _node_name(node: Node) -> str:
+def _node_name(node) -> str:
+    if isinstance(node, str):
+        return node
     return node.host_name if isinstance(node, Sba200Adapter) else node.name
 
 
 class SignalingController:
-    """Allocates VCIs and programs switch tables along fabric paths."""
+    """Establishes circuits on first use and programs the switch tables
+    of whatever part of the fabric this universe owns."""
 
     #: per-hop signaling processing latency for timed setup
     PER_HOP_SETUP_S = 750e-6
 
     def __init__(self, fabric: AtmFabric):
         self.fabric = fabric
-        self._vc_seq = 0
-        # next free VCI per directed channel
-        self._next_vci: dict[int, int] = {}
+        fabric.signaling = self
+        self._adhoc_ids = itertools.count(1)
         self.open_vcs: dict[int, VirtualChannel] = {}
         self.open_mcast: dict[int, MulticastChannel] = {}
+        #: on-demand circuits torn down on purpose: a stray cell must
+        #: not bring them back
+        self._released: set[int] = set()
 
-    def _alloc_vci(self, channel: Channel) -> int:
-        """Allocate the next free VCI on one directed channel."""
-        nxt = self._next_vci.get(id(channel), FIRST_USER_VCI)
-        self._next_vci[id(channel)] = nxt + 1
-        return nxt
+    # ------------------------------------------------------------- on demand
+    def circuit(self, src_host: str, dst_host: str,
+                service: Service) -> VirtualChannel:
+        """The ``service`` PVC from ``src_host`` to ``dst_host``,
+        established now if nothing used it before (at zero simulated
+        cost, like any PVC configuration)."""
+        fabric = self.fabric
+        src, dst = fabric.host_index(src_host), fabric.host_index(dst_host)
+        if src == dst:
+            raise ValueError(
+                f"cannot open a VC from host {src_host} to itself")
+        vc_id = circuit_id(src, dst, service)
+        vc = self.open_vcs.get(vc_id)
+        if vc is None:
+            vc = self._establish(vc_id, src_host, dst_host, service=service)
+        return vc
 
-    # ----------------------------------------------------------------- setup
+    def broadcast_tree(self, src_host: str) -> MulticastChannel:
+        """The multicast VC from ``src_host`` to every other host."""
+        src = self.fabric.host_index(src_host)
+        vc_id = circuit_id(src, src, Service.MULTICAST)
+        mvc = self.open_mcast.get(vc_id)
+        if mvc is None:
+            leaves = [h for h in self.fabric.hosts if h != src_host]
+            mvc = self._establish_tree(vc_id, src_host, leaves,
+                                       service=Service.MULTICAST)
+        return mvc
+
+    def resolve(self, vc_id: int):
+        """The open channel with this id, establishing the on-demand
+        circuit it encodes if this universe has not seen it yet.
+
+        This is the data plane's entry (switch-table miss, cross-shard
+        burst import).  ``KeyError`` for ids that name nothing
+        establishable: unknown ad-hoc ids and released circuits."""
+        vc = self.open_vcs.get(vc_id) or self.open_mcast.get(vc_id)
+        if vc is not None:
+            return vc
+        if vc_id in self._released:
+            raise KeyError(f"VC {vc_id} was torn down")
+        src, dst, service = circuit_key(vc_id)
+        hosts = self.fabric.hosts
+        multicast = service is Service.MULTICAST
+        if max(src, dst) >= len(hosts) or (src == dst) != multicast:
+            raise KeyError(f"VC {vc_id} names no circuit of this fabric")
+        if multicast:
+            return self.broadcast_tree(hosts[src])
+        return self.circuit(hosts[src], hosts[dst], service)
+
+    # --------------------------------------------------------------- ad hoc
     def create_pvc(self, src_host: str, dst_host: str,
                    aal: Optional[Aal] = None,
                    pcr_cells_s: Optional[float] = None) -> VirtualChannel:
-        """Instantly provision a permanent VC (build-time configuration)."""
-        src = self.fabric.adapters[src_host]
-        dst = self.fabric.adapters[dst_host]
-        if src is dst:
+        """Provision one more VC between two hosts, next to their
+        on-demand circuits — a QoS contract, another AAL."""
+        if self.fabric.host_index(src_host) == \
+                self.fabric.host_index(dst_host):
             raise ValueError("cannot open a VC from a host to itself")
-        nodes = self.fabric.path_nodes(src, dst)
-        hops = self.fabric.directed_channels(nodes)
-        vcis = [self._alloc_vci(ch) for ch in hops]
-        # program each switch on the path: nodes[1:-1] are switches
-        for i, node in enumerate(nodes[1:-1], start=0):
-            switch = node
-            assert isinstance(switch, AtmSwitch)
-            switch.program(hops[i], vcis[i], hops[i + 1], vcis[i + 1])
-        self._vc_seq += 1
-        vc = VirtualChannel(
-            vc_id=self._vc_seq, src=src, dst=dst, src_vci=vcis[0],
-            hops=hops, hop_vcis=vcis, aal=aal or AAL5,
-            pcr_cells_s=pcr_cells_s)
-        self.open_vcs[vc.vc_id] = vc
-        return vc
+        return self._establish(next(self._adhoc_ids), src_host, dst_host,
+                               aal=aal, pcr_cells_s=pcr_cells_s)
 
     def setup_vc(self, src_host: str, dst_host: str,
                  aal: Optional[Aal] = None,
                  pcr_cells_s: Optional[float] = None):
         """Generator: timed SVC setup (per-hop signaling latency), returns
         the established VC."""
-        src = self.fabric.adapters[src_host]
-        dst = self.fabric.adapters[dst_host]
-        nodes = self.fabric.path_nodes(src, dst)
+        nodes = self.fabric.path_nodes(src_host, dst_host)
         # one round trip of per-hop processing, like UNI 3.0 SETUP/CONNECT
         delay = 2 * len(nodes) * self.PER_HOP_SETUP_S + 2 * sum(
             ch.spec.prop_delay_s for ch in self.fabric.directed_channels(nodes))
@@ -244,69 +444,98 @@ class SignalingController:
                          pcr_cells_s: Optional[float] = None
                          ) -> MulticastChannel:
         """Provision a point-to-multipoint VC from ``src_host`` to every
-        host in ``dst_hosts`` (build-time configuration, like PVCs).
+        host in ``dst_hosts``.
 
         The union of the shortest paths to each destination forms the
-        replication tree.  One VCI is allocated per directed channel in
-        the tree, and every switch on it gets a **multicast group
-        entry** (:meth:`repro.atm.switch.AtmSwitch.program_multicast`)
-        mapping its incoming (channel, VCI) to the set of outgoing
-        legs — cell replication happens at the switch output ports, so
-        the source transmits each PDU exactly once no matter how many
-        leaves listen.
+        replication tree, and every switch on it gets a **multicast
+        group entry** (:meth:`repro.atm.switch.AtmSwitch.program_multicast`)
+        mapping its incoming channel to the set of outgoing legs — cell
+        replication happens at the switch output ports, so the source
+        transmits each PDU exactly once no matter how many leaves
+        listen.
         """
-        src = self.fabric.adapters[src_host]
-        leaves = []
-        for name in dst_hosts:
-            dst = self.fabric.adapters[name]
-            if dst is src:
-                raise ValueError(
-                    f"multicast from {src_host} cannot include itself")
-            leaves.append(dst)
-        if not leaves:
+        if src_host in dst_hosts:
+            raise ValueError(
+                f"multicast from {src_host} cannot include itself")
+        if not dst_hosts:
             raise ValueError("multicast needs at least one destination")
-        # tree as parent links: every directed channel in the union of
-        # the per-leaf paths, plus, per switch, the incoming channel
-        # that feeds it (shortest-path trees give each node one parent)
-        tree_hops: list[Channel] = []
-        vcis: dict[int, int] = {}           # id(channel) -> VCI
-        in_channel: dict[AtmSwitch, Channel] = {}
-        fanout: dict[AtmSwitch, list[Channel]] = {}
-        for dst in leaves:
-            nodes = self.fabric.path_nodes(src, dst)
-            hops = self.fabric.directed_channels(nodes)
-            for i, ch in enumerate(hops):
-                if id(ch) not in vcis:
-                    vcis[id(ch)] = self._alloc_vci(ch)
-                    tree_hops.append(ch)
-                    if i > 0:
-                        sw = nodes[i]
-                        assert isinstance(sw, AtmSwitch)
-                        fanout.setdefault(sw, []).append(ch)
-                if i > 0:
-                    sw = nodes[i]
-                    prev = in_channel.setdefault(sw, hops[i - 1])
-                    if prev is not hops[i - 1]:  # pragma: no cover
-                        raise RuntimeError(
-                            f"multicast tree through {sw.name} is not a "
-                            "tree: two different incoming channels")
-        for sw, legs in fanout.items():
-            ch_in = in_channel[sw]
-            sw.program_multicast(
-                ch_in, vcis[id(ch_in)],
-                [(ch, vcis[id(ch)]) for ch in legs])
-        self._vc_seq += 1
+        for dst in dst_hosts:
+            self.fabric.host_index(dst)                 # KeyError if unknown
+        return self._establish_tree(next(self._adhoc_ids), src_host,
+                                    dst_hosts, aal=aal,
+                                    pcr_cells_s=pcr_cells_s)
+
+    # ------------------------------------------------------------- mechanics
+    def _establish(self, vc_id: int, src_host: str, dst_host: str,
+                   service: Optional[Service] = None,
+                   aal: Optional[Aal] = None,
+                   pcr_cells_s: Optional[float] = None) -> VirtualChannel:
+        """Program the owned switches along the path and open the VC."""
+        fabric = self.fabric
+        vpi, vci = vc_label(vc_id)
+        nodes = fabric.path_nodes(src_host, dst_host)
+        for prev, name, nxt in zip(nodes, nodes[1:], nodes[2:]):
+            switch = fabric.switches.get(name)
+            if switch is not None:
+                switch.program(fabric.channel(prev, name), vci,
+                               fabric.channel(name, nxt), vci, vpi=vpi)
+        hops = fabric.directed_channels(nodes)
+        vc = VirtualChannel(
+            vc_id=vc_id, src=fabric.adapters.get(src_host),
+            dst=fabric.adapters.get(dst_host), src_vci=vci, hops=hops,
+            hop_vcis=[vci] * len(hops), aal=aal or AAL5,
+            pcr_cells_s=pcr_cells_s, vpi=vpi, service=service)
+        self.open_vcs[vc_id] = vc
+        self._released.discard(vc_id)
+        return vc
+
+    def _establish_tree(self, vc_id: int, src_host: str,
+                        dst_hosts: list[str],
+                        service: Optional[Service] = None,
+                        aal: Optional[Aal] = None,
+                        pcr_cells_s: Optional[float] = None
+                        ) -> MulticastChannel:
+        """Program the owned switches of the replication tree and open
+        the multicast VC.  The tree is the union of the shortest paths
+        to each leaf; every node of it has one parent, so every switch
+        has one incoming channel."""
+        fabric = self.fabric
+        vpi, vci = vc_label(vc_id)
+        edges = dict.fromkeys(                          # insertion-ordered
+            edge for dst in dst_hosts
+            for edge in itertools.pairwise(fabric.path_nodes(src_host, dst)))
+        parent = {name: prev for prev, name in edges}
+        if len(parent) != len(edges):  # pragma: no cover - wiring invariant
+            raise RuntimeError(
+                f"multicast tree from {src_host} is not a tree: a node "
+                "has two different incoming channels")
+        fanout: dict[str, list[str]] = {}               # switch -> next hops
+        for prev, name in edges:
+            if prev != src_host:
+                fanout.setdefault(prev, []).append(name)
+        for name, nexts in fanout.items():
+            switch = fabric.switches.get(name)
+            if switch is not None:
+                switch.program_multicast(
+                    fabric.channel(parent[name], name), vci,
+                    [(fabric.channel(name, nxt), vci) for nxt in nexts],
+                    vpi=vpi)
         mvc = MulticastChannel(
-            vc_id=self._vc_seq, src=src, src_vci=vcis[id(tree_hops[0])],
-            leaves=leaves, hops=tree_hops, aal=aal or AAL5,
-            pcr_cells_s=pcr_cells_s)
-        self.open_mcast[mvc.vc_id] = mvc
+            vc_id=vc_id, src=fabric.adapters.get(src_host), src_vci=vci,
+            leaves=[fabric.adapters[d] for d in dst_hosts
+                    if d in fabric.adapters],
+            hops=[ch for ch in map(fabric._channels.get, edges)
+                  if ch is not None],
+            aal=aal or AAL5, pcr_cells_s=pcr_cells_s, vpi=vpi,
+            service=service)
+        self.open_mcast[vc_id] = mvc
         return mvc
 
     def teardown(self, vc: VirtualChannel) -> None:
         """Release a VC's switch-table entries."""
         self.open_vcs.pop(vc.vc_id, None)
-        nodes = self.fabric.path_nodes(vc.src, vc.dst)
-        for i, node in enumerate(nodes[1:-1], start=0):
-            assert isinstance(node, AtmSwitch)
-            node.unprogram(vc.hops[i], vc.hop_vcis[i])
+        if vc.service is not None:
+            self._released.add(vc.vc_id)
+        for ch in vc.hops:
+            if isinstance(ch.endpoint, AtmSwitch):
+                ch.endpoint.unprogram(ch, vc.src_vci, vpi=vc.vpi)

@@ -1,7 +1,10 @@
 """Output-buffered ATM switch (the FORE switch of the paper's testbed).
 
 The switch terminates some set of incoming channels and forwards bursts
-according to its VC table: ``(in_channel, vci) -> (out_channel, out_vci)``.
+according to its VC table: ``(in_channel, vpi, vci) -> (out_channel,
+out_vci)``.  A label with no row is first offered to
+:attr:`AtmSwitch.on_miss` — the fabric's hook that establishes an
+on-demand circuit at its first cell (:mod:`repro.atm.signaling`).
 Forwarding charges a fixed cut-through latency per burst and respects a
 per-output-port buffer budget measured in cells; bursts that would
 overflow the buffer are dropped (and counted), which AAL5 reassembly at
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..sim import Simulator
 from .cell import CellBurst
@@ -53,9 +56,12 @@ class AtmSwitch:
         self.name = name
         self.switching_latency_s = switching_latency_s
         self.output_buffer_cells = output_buffer_cells
-        self._table: dict[tuple[int, int], VcRoute] = {}
-        #: multicast group table: (in_channel, vci) -> replication legs
-        self._mcast: dict[tuple[int, int], tuple[VcRoute, ...]] = {}
+        self._table: dict[tuple[int, int, int], VcRoute] = {}
+        #: multicast group table: (in_channel, vpi, vci) -> replication legs
+        self._mcast: dict[tuple[int, int, int], tuple[VcRoute, ...]] = {}
+        #: ``fn(vpi, vci) -> bool``: asked to program the circuit an
+        #: unknown label names; True means "look it up again"
+        self.on_miss: Optional[Callable[[int, int], bool]] = None
         #: fault state: a failed switch discards everything it receives
         self.up = True
         #: counters
@@ -103,31 +109,34 @@ class AtmSwitch:
 
     # ------------------------------------------------------------- VC table
     def program(self, in_channel: Channel, in_vci: int,
-                out_channel: Channel, out_vci: int) -> None:
+                out_channel: Channel, out_vci: int, vpi: int = 0) -> None:
         """Install a VC-table entry (done by signaling / PVC setup)."""
-        key = (id(in_channel), in_vci)
+        key = (id(in_channel), vpi, in_vci)
         if key in self._table:
             raise ValueError(
                 f"switch {self.name}: VCI {in_vci} already mapped on "
                 f"{in_channel.name}")
         self._table[key] = VcRoute(out_channel, out_vci)
 
-    def unprogram(self, in_channel: Channel, in_vci: int) -> None:
+    def unprogram(self, in_channel: Channel, in_vci: int,
+                  vpi: int = 0) -> None:
         """Remove a VC-table entry (idempotent)."""
-        self._table.pop((id(in_channel), in_vci), None)
+        self._table.pop((id(in_channel), vpi, in_vci), None)
 
-    def lookup(self, in_channel: Channel, in_vci: int) -> VcRoute:
-        """The unicast route for an incoming ``(channel, vci)``."""
+    def lookup(self, in_channel: Channel, in_vci: int,
+               vpi: int = 0) -> VcRoute:
+        """The unicast route for an incoming ``(channel, vpi, vci)``."""
         try:
-            return self._table[(id(in_channel), in_vci)]
+            return self._table[(id(in_channel), vpi, in_vci)]
         except KeyError:
             raise KeyError(
-                f"switch {self.name}: no VC route for VCI {in_vci} "
-                f"on {in_channel.name}") from None
+                f"switch {self.name}: no VC route for VPI/VCI "
+                f"{vpi}/{in_vci} on {in_channel.name}") from None
 
     # ------------------------------------------------------- multicast table
     def program_multicast(self, in_channel: Channel, in_vci: int,
-                          legs: Sequence[tuple[Channel, int]]) -> None:
+                          legs: Sequence[tuple[Channel, int]],
+                          vpi: int = 0) -> None:
         """Install a multicast group entry: an arriving burst on
         ``(in_channel, in_vci)`` is replicated onto every ``(out_channel,
         out_vci)`` leg.  Legs may not repeat an output channel (one copy
@@ -142,7 +151,7 @@ class AtmSwitch:
                     f"switch {self.name}: duplicate multicast leg on "
                     f"{out_channel.name}")
             seen.add(id(out_channel))
-        key = (id(in_channel), in_vci)
+        key = (id(in_channel), vpi, in_vci)
         if key in self._mcast or key in self._table:
             raise ValueError(
                 f"switch {self.name}: VCI {in_vci} already mapped on "
@@ -159,9 +168,10 @@ class AtmSwitch:
                 help="burst copies fanned out by the multicast group table",
                 switch=self.name)
 
-    def unprogram_multicast(self, in_channel: Channel, in_vci: int) -> None:
+    def unprogram_multicast(self, in_channel: Channel, in_vci: int,
+                            vpi: int = 0) -> None:
         """Remove a multicast group entry (idempotent)."""
-        self._mcast.pop((id(in_channel), in_vci), None)
+        self._mcast.pop((id(in_channel), vpi, in_vci), None)
 
     # ------------------------------------------------------------ forwarding
     def receive_burst(self, burst: CellBurst, channel: Channel) -> None:
@@ -171,7 +181,13 @@ class AtmSwitch:
             self.bursts_faulted += 1
             self._m_sw_faulted.inc()
             return
-        legs = self._mcast.get((id(channel), burst.vci))
+        key = (id(channel), burst.vpi, burst.vci)
+        legs = self._mcast.get(key)
+        route = self._table.get(key)
+        if legs is None and route is None and self.on_miss is not None \
+                and self.on_miss(burst.vpi, burst.vci):
+            legs = self._mcast.get(key)
+            route = self._table.get(key)
         if legs is not None:
             self._m_mcast_in.inc()
             for leg in legs:
@@ -190,9 +206,7 @@ class AtmSwitch:
                 self.sim.process(self._forward_later(replica, out),
                                  name=f"switch-fwd:{self.name}")
             return
-        try:
-            route = self.lookup(channel, burst.vci)
-        except KeyError:
+        if route is None:
             # cells on an unprovisioned/torn-down VC are silently
             # discarded, as real switches do
             self.bursts_unroutable += 1

@@ -50,7 +50,7 @@ def _run_perf(out_dir: Path, check: bool, tolerance: float) -> int:
     return 0
 
 
-def _run_construction(out_dir: Path, check: bool, tolerance: float) -> int:
+def _run_construction(out_dir: Path, check: bool) -> int:
     path = out_dir / construction.CONSTRUCTION_BENCH_FILE
     if check:
         try:
@@ -60,17 +60,17 @@ def _run_construction(out_dir: Path, check: bool, tolerance: float) -> int:
                   "run --construction without --check first",
                   file=sys.stderr)
             return 2
-        print("measuring shard 0 (traced) ...")
-        failures = construction.check_construction(baseline,
-                                                   tolerance=tolerance)
+        print("measuring the full build and shard 0 (traced) ...")
+        failures = construction.check_construction(baseline)
         if failures:
-            print("\nconstruction memory check FAILED:", file=sys.stderr)
+            print("\nconstruction check FAILED:", file=sys.stderr)
             for failure in failures:
                 print(f"  - {failure}", file=sys.stderr)
             return 1
-        print(f"construction memory check passed "
-              f"(shard0/full ratio {baseline['shard0_traced_ratio']:.2%}, "
-              f"ceiling {construction.RATIO_CEILING:.0%})")
+        print(f"construction check passed (full 1024-host build under "
+              f"{construction.FULL_WALL_CEILING_S:g} s and "
+              f"{construction.FULL_RSS_CEILING_BYTES / 1e6:.0f} MB, every "
+              f"shard below it)")
         return 0
     doc = construction.run_construction_bench(
         progress=lambda what: print(f"  measuring {what} ..."))
@@ -100,7 +100,7 @@ def main(argv: list[str]) -> int:
                              "regression")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="fractional wall-clock growth allowed by "
-                             "--check (default 0.25)")
+                             "--perf --check (default 0.25)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="directory for the BENCH files (default: cwd)")
     args = parser.parse_args(argv)
@@ -111,7 +111,7 @@ def main(argv: list[str]) -> int:
     if args.perf:
         return _run_perf(args.out, args.check, args.tolerance)
     if args.construction:
-        return _run_construction(args.out, args.check, args.tolerance)
+        return _run_construction(args.out, args.check)
     if args.check:
         parser.error("--check only makes sense with --perf or "
                      "--construction")

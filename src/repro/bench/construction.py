@@ -1,26 +1,27 @@
-"""Construction bench: memory-proportional workers at WAN scale.
+"""Construction bench: O(hosts) builds at WAN scale.
 
-The blueprint layer's whole point is that a shard worker materializes
-only what it owns.  This bench proves it at the scale the sharded
-kernel targets — the 1024-host ``wan-ring`` (8 sites x 128 hosts) —
-by measuring the full single-kernel build against each shard's partial
-build at ``shards = 8``:
+Nothing is provisioned per host pair when a topology is built — virtual
+circuits, TCP connections and receive pumps come into being on first
+use — so construction cost is linear in the host count, and a shard
+worker that materializes only what it owns pays less still.  This bench
+holds both to numbers at the scale the sharded kernel targets, the
+1024-host ``wan-ring`` (8 sites x 128 hosts), measuring the full
+single-kernel build and each shard's partial build at ``shards = 8``:
 
 * ``wall_s`` / ``rss_peak_bytes`` — construction time and the child
   process's resident high-water mark.  Each build runs in a forked
-  child so one shard's footprint never pollutes the next measurement
+  child so one build's footprint never pollutes the next measurement
   (in-process fallback where ``fork`` is unavailable).
 * ``traced_peak_bytes`` — ``tracemalloc`` peak of the Python heap
-  during construction, measured for the full build and shard 0.  It is
-  allocator- and machine-independent, which makes it the committed
-  ceiling CI checks against; it is only sampled where needed because
-  tracing slows construction roughly an order of magnitude.
+  during construction, measured for the full build and shard 0: what
+  the build itself allocates, without the interpreter and the imported
+  program that dominate a small build's RSS.
 
-Results land in ``BENCH_construction.json``.  ``--check`` re-measures
-shard 0's traced peak and fails if it blew past the committed ceiling,
-or if the committed shard/full ratio ever exceeds
-:data:`RATIO_CEILING` — the acceptance bar for memory-proportional
-construction.
+Results land in ``BENCH_construction.json``.  ``--check`` holds the
+committed document *and* a fresh measurement of the full build and
+shard 0 to the absolute targets — the full 1024-host build under
+:data:`FULL_WALL_CEILING_S` and :data:`FULL_RSS_CEILING_BYTES`, every
+shard's build below the full build's.
 
 Run with ``python -m repro.bench --construction [--check]``.
 """
@@ -34,16 +35,18 @@ from pathlib import Path
 from typing import Callable, Optional
 
 __all__ = [
-    "CONSTRUCTION_BENCH_FILE", "RATIO_CEILING", "SCENARIO",
+    "CONSTRUCTION_BENCH_FILE", "FULL_WALL_CEILING_S",
+    "FULL_RSS_CEILING_BYTES", "SCENARIO",
     "run_construction_bench", "measure_build", "check_construction",
     "render_construction", "load_construction", "write_construction",
 ]
 
 CONSTRUCTION_BENCH_FILE = "BENCH_construction.json"
 
-#: acceptance bar: one shard of eight may use at most this fraction of
-#: the full build's construction memory
-RATIO_CEILING = 0.35
+#: acceptance bars for the full 1024-host build (the ROADMAP's targets
+#: for O(hosts) construction)
+FULL_WALL_CEILING_S = 10.0
+FULL_RSS_CEILING_BYTES = 1_000_000_000
 
 #: the committed measurement scenario — scenarios/scale/wan_ring_1024.toml.
 #: ``metrics`` is off, as in the scenario: per-link meters blow the
@@ -126,10 +129,9 @@ def run_construction_bench(
     """Measure the full build and every shard's partial build.
 
     Traced (tracemalloc) peaks are sampled for the full build and
-    shard 0 only — the two numbers the committed ceiling and the
-    acceptance ratio are made of; the other shards contribute wall and
-    RSS rows (they are symmetric in the ring by construction, which the
-    RSS column documents rather than assumes).
+    shard 0 only; the other shards contribute wall and RSS rows (they
+    are symmetric in the ring by construction, which the RSS column
+    documents rather than assumes).
     """
     from .perf import _suite_meta
     scenario = dict(SCENARIO, **(scenario or {}))
@@ -157,19 +159,14 @@ def run_construction_bench(
         row["owned_switches"] = sorted(_owned(plan, shard))
         per_shard.append(row)
 
-    ratio = (per_shard[0]["traced_peak_bytes"]
-             / full["traced_peak_bytes"])
-    rss_ratio = (max(r["rss_peak_bytes"] for r in per_shard)
-                 / full["rss_peak_bytes"])
     return {
-        "schema": 1,
+        "schema": 2,
         "meta": _suite_meta(),
         "scenario": scenario,
         "full": full,
         "per_shard": per_shard,
-        "shard0_traced_ratio": round(ratio, 4),
-        "max_shard_rss_ratio": round(rss_ratio, 4),
-        "ratio_ceiling": RATIO_CEILING,
+        "targets": {"full_wall_s": FULL_WALL_CEILING_S,
+                    "full_rss_bytes": FULL_RSS_CEILING_BYTES},
     }
 
 
@@ -179,39 +176,44 @@ def write_construction(doc: dict, path) -> None:
 
 def load_construction(path) -> dict:
     doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != 1:
+    if doc.get("schema") != 2:
         raise ValueError(f"{path}: unsupported schema {doc.get('schema')!r}")
     return doc
 
 
-def check_construction(baseline: dict, tolerance: float = 0.25,
+def check_construction(baseline: dict,
                        fresh: Optional[dict] = None) -> list[str]:
-    """The RSS-ceiling smoke: is shard 0 still memory-proportional?
+    """Hold the committed ladder and a fresh measurement to the targets.
 
-    Re-measures shard 0's traced peak (cheap next to a full build) and
-    fails when it exceeds the committed peak by more than ``tolerance``,
-    or when the committed shard/full ratio itself breaks
-    :data:`RATIO_CEILING`.  ``fresh`` injects a pre-made measurement
-    (tests).
+    Both documents must show the full build under the absolute wall and
+    RSS ceilings and every measured shard below the full build on wall,
+    RSS and (where sampled) traced peak.  ``fresh`` defaults to a new
+    measurement of the full build and shard 0 — a second or so now that
+    construction is O(hosts); tests inject a pre-made ``{"full": ...,
+    "per_shard": [...]}``.
     """
-    failures: list[str] = []
-    ratio = baseline.get("shard0_traced_ratio", float("inf"))
-    if ratio > RATIO_CEILING:
-        failures.append(
-            f"committed shard0/full construction-memory ratio {ratio:.2%} "
-            f"exceeds the {RATIO_CEILING:.0%} ceiling — partial "
-            f"construction is no longer memory-proportional")
     if fresh is None:
         bp, plan = _blueprint_and_plan(baseline["scenario"])
-        fresh = measure_build(bp, _owned(plan, 0), traced=True)
-    base_peak = baseline["per_shard"][0]["traced_peak_bytes"]
-    cur_peak = fresh["traced_peak_bytes"]
-    if cur_peak is not None and cur_peak > base_peak * (1.0 + tolerance):
-        failures.append(
-            f"shard 0 traced construction peak {cur_peak / 1e6:.1f} MB vs "
-            f"committed {base_peak / 1e6:.1f} MB "
-            f"(+{cur_peak / base_peak - 1.0:.0%}, tolerance "
-            f"{tolerance:.0%})")
+        fresh = {"full": measure_build(bp, None, traced=True),
+                 "per_shard": [dict(measure_build(bp, _owned(plan, 0),
+                                                  traced=True), shard=0)]}
+    failures: list[str] = []
+    for label, doc in (("committed", baseline), ("fresh", fresh)):
+        full = doc["full"]
+        for key, ceiling in (("wall_s", FULL_WALL_CEILING_S),
+                             ("rss_peak_bytes", FULL_RSS_CEILING_BYTES)):
+            if full[key] >= ceiling:
+                failures.append(
+                    f"{label} full build {key} = {full[key]:g} misses the "
+                    f"target of under {ceiling:g}")
+        for row in doc["per_shard"]:
+            for key in ("wall_s", "rss_peak_bytes", "traced_peak_bytes"):
+                if (row.get(key) is not None and full.get(key) is not None
+                        and row[key] >= full[key]):
+                    failures.append(
+                        f"{label} shard {row['shard']} {key} = {row[key]:g} "
+                        f"is not below the full build's {full[key]:g} — "
+                        f"partial construction is no longer proportional")
     return failures
 
 
@@ -222,19 +224,16 @@ def render_construction(doc: dict) -> str:
              f"({s['n_sites'] * s['hosts_per_site']} hosts), "
              f"shards={s['shards']}")
     lines = [title, "-" * len(title)]
-    full = doc["full"]
-    lines.append(
-        f"{'full build':<12} {full['wall_s']:>8.2f} s   "
-        f"rss {full['rss_peak_bytes'] / 1e6:>8.1f} MB   "
-        f"traced {full['traced_peak_bytes'] / 1e6:>8.1f} MB")
-    for row in doc["per_shard"]:
+    for label, row in [("full build", doc["full"])] + [
+            (f"shard {row['shard']}", row) for row in doc["per_shard"]]:
         traced = (f"traced {row['traced_peak_bytes'] / 1e6:>8.1f} MB"
                   if row.get("traced_peak_bytes") is not None else "")
         lines.append(
-            f"{'shard ' + str(row['shard']):<12} {row['wall_s']:>8.2f} s   "
+            f"{label:<12} {row['wall_s']:>8.2f} s   "
             f"rss {row['rss_peak_bytes'] / 1e6:>8.1f} MB   {traced}")
+    t = doc["targets"]
     lines.append(
-        f"shard0/full traced ratio {doc['shard0_traced_ratio']:.2%} "
-        f"(ceiling {doc['ratio_ceiling']:.0%}); max shard RSS ratio "
-        f"{doc['max_shard_rss_ratio']:.2%}")
+        f"targets: full build < {t['full_wall_s']:g} s and "
+        f"< {t['full_rss_bytes'] / 1e6:.0f} MB resident, every shard "
+        f"below the full build")
     return "\n".join(lines)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ...atm.signaling import Service
 from ...hosts import Host
 from ...net.topology import Cluster, NodeStack
 from ...p4.api import LibraryStream, P4Message, P4Params
@@ -127,23 +128,24 @@ class SocketTransport(NcsTransport):
     name = "socket"
     datapath: DatapathModel = SOCKET_DATAPATH
 
-    def __init__(self, cluster: Cluster, pid: int):
-        super().__init__(cluster, pid)
-
     def _conn(self, peer_pid: int):
         return self.stack.tcp.connection(self.cluster.host(peer_pid).name)
 
     def _start_pumps(self) -> None:
-        for peer in range(self.cluster.n_hosts):
-            if peer != self.pid:
-                self.sim.process(self._pump(self._conn(peer)),
-                                 name=f"ncs-sock-pump:{self.pid}<-{peer}")
+        # one pump per peer that ever talks to us, started by that
+        # peer's first message
+        self.stack.tcp.serve_messages(self._pump, "ncs-sock-pump")
 
-    def _pump(self, conn):
+    def _unwrap(self, payload) -> Optional[NcsMessage]:
+        """The NCS message a received TCP message carries, if any."""
+        return payload if isinstance(payload, NcsMessage) else None
+
+    def _pump(self, conn, item):
         while True:
-            payload, _ = yield conn.recv_message()
-            if isinstance(payload, NcsMessage) and self._deliver is not None:
-                self._deliver(payload)
+            msg = self._unwrap(item[0])
+            if msg is not None and self._deliver is not None:
+                self._deliver(msg)
+            item = yield conn.recv_message()
 
     def start_send(self, msg: NcsMessage) -> Event:
         accepted = self.sim.event(name="ncs-sock-accepted")
@@ -198,12 +200,10 @@ class P4Transport(SocketTransport):
                 self.stack.socket, self._conn(dest))
         return stream
 
-    def _pump(self, conn):
-        while True:
-            payload, _ = yield conn.recv_message()
-            if isinstance(payload, P4Message) and payload.type == NCS_P4_TYPE \
-                    and self._deliver is not None:
-                self._deliver(payload.data)
+    def _unwrap(self, payload) -> Optional[NcsMessage]:
+        if isinstance(payload, P4Message) and payload.type == NCS_P4_TYPE:
+            return payload.data
+        return None
 
     def _send_path(self, msg: NcsMessage):
         # p4's buffered send: marshal + library copy in the send thread's
@@ -233,7 +233,7 @@ def _build_p4_transport(runtime, pid: int) -> "P4Transport":
 class AtmTransport(NcsTransport):
     """Approach 2 / HSM: straight onto the ATM API.
 
-    Uses the cluster's dedicated HSM PVC mesh, the Fig 2 buffer pipeline
+    Uses the cluster's dedicated HSM PVCs, the Fig 2 buffer pipeline
     and the Fig 3b three-access datapath.  This is the implementation the
     paper describes in §4.2 as "not fully operational" at submission
     time — built out here as designed, and benchmarked against Approach 1
@@ -256,17 +256,16 @@ class AtmTransport(NcsTransport):
                                        datapath=datapath)
 
     def _start_pumps(self) -> None:
-        for (src, dst), vc in self.cluster.hsm_vcs.items():
-            if dst == self.pid:
-                self.sim.process(self._pump(vc),
-                                 name=f"ncs-atm-pump:{dst}<-{src}")
+        # one pump per HSM circuit that ever terminates here, started
+        # by the circuit's first message
+        self.atm_api.serve(Service.HSM, self._pump, "ncs-atm-pump")
 
-    def _pump(self, vc):
+    def _pump(self, queue, atm_msg):
         while True:
-            atm_msg = yield self.atm_api.recv(vc)
             payload = atm_msg.payload
             if isinstance(payload, NcsMessage) and self._deliver is not None:
                 self._deliver(payload)
+            atm_msg = yield queue.get()
 
     def start_send(self, msg: NcsMessage) -> Event:
         accepted = self.sim.event(name="ncs-atm-accepted")

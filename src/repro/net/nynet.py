@@ -11,8 +11,9 @@ We model a parameterizable version: a set of *sites*, each a FORE switch
 with some hosts on TAXI links, connected to a WAN backbone.  Upstate
 sites hang off an OC-48 backbone switch; the downstate region connects
 through the DS-3 bottleneck.  Every host gets the same dual stack as
-:func:`repro.net.topology.build_atm_cluster` (classical-IP PVC mesh +
-raw HSM PVC mesh), so any experiment can run unchanged over the WAN.
+:func:`repro.net.topology.build_atm_cluster` (a classical-IP PVC and a
+raw HSM PVC to any peer, established on first use), so any experiment
+can run unchanged over the WAN.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def build_wan_ring(n_sites: int = 8,
     propagation and no error RNG, the sharded kernel can cut the ring
     anywhere: each site becomes its own shard group and the DS-3 delay
     is the conservative lookahead.  Hosts get the same dual stack
-    (classical-IP PVC mesh + raw HSM PVC mesh) as every other topology.
+    (classical-IP PVCs + raw HSM PVCs) as every other topology.
     """
     return materialize(blueprint_wan_ring(
         n_sites=n_sites, hosts_per_site=hosts_per_site, params=params,

@@ -5,9 +5,9 @@ Two build-outs mirror the paper's experimental environment (§2):
 * :func:`build_ethernet_cluster` — SPARCstation ELCs on one shared
   10 Mbps Ethernet (the *SUN/Ethernet* platform).
 * :func:`build_atm_cluster` — SPARCstation IPXs star-wired to a FORE
-  switch over 140 Mbps TAXI (the *SUN/ATM LAN* platform), with both a
-  classical-IP PVC mesh (for TCP/p4/NSM traffic) and a raw PVC mesh
-  (for NCS High Speed Mode).
+  switch over 140 Mbps TAXI (the *SUN/ATM LAN* platform); any pair of
+  hosts has a classical-IP PVC (for TCP/p4/NSM traffic) and a raw PVC
+  (for NCS High Speed Mode), each established on first use.
 
 The NYNET wide-area testbed of Fig 1 is in :mod:`repro.net.nynet`.
 
@@ -21,11 +21,11 @@ by the perf-lock and determinism goldens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..atm import (
-    AtmApi, AtmFabric, AtmSwitch, LinkSpec, Sba200Adapter,
+    AtmApi, AtmFabric, AtmSwitch, LinkSpec, Sba200Adapter, Service,
     SignalingController, TAXI_140, VirtualChannel,
 )
 from ..ethernet import EthernetLan, EthernetNic
@@ -70,8 +70,6 @@ class Cluster:
     lan: Optional[EthernetLan] = None
     fabric: Optional[AtmFabric] = None
     signaling: Optional[SignalingController] = None
-    #: raw PVCs for NCS HSM traffic: (src_idx, dst_idx) -> VC
-    hsm_vcs: dict[tuple[int, int], VirtualChannel] = field(default_factory=dict)
 
     @property
     def n_hosts(self) -> int:
@@ -92,22 +90,23 @@ class Cluster:
         return self.stacks[pid].process
 
     def hsm_vc(self, src: int, dst: int) -> VirtualChannel:
-        try:
-            return self.hsm_vcs[(src, dst)]
-        except KeyError:
+        """The raw PVC carrying NCS HSM traffic from pid ``src`` to pid
+        ``dst`` (established on first use, at no simulated cost)."""
+        if self.signaling is None:
             raise KeyError(
-                f"no HSM VC {src}->{dst}; is this an ATM cluster?") from None
-
-    def preestablish_tcp_mesh(self) -> None:
-        """Mark every pairwise TCP connection established, modelling the
-        connection setup p4 performs during ``p4_create_procgroup`` —
-        which the paper's timed regions exclude."""
+                f"no HSM VC {src}->{dst}: topology {self.medium!r} has no "
+                "ATM fabric (use atm-lan, atm-dual or an NYNET topology)")
         n = self.n_hosts
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    conn = self.stacks[i].tcp.connection(self.host(j).name)
-                    conn.established = True
+        if not (0 <= src < n and 0 <= dst < n):
+            raise KeyError(
+                f"no HSM VC {src}->{dst}: topology {self.medium!r} has "
+                f"pids 0..{n - 1}")
+        if src == dst:
+            raise ValueError(
+                f"no HSM VC {src}->{dst}: a process does not reach itself "
+                f"over the {self.medium!r} fabric")
+        return self.signaling.circuit(self.host(src).name,
+                                      self.host(dst).name, Service.HSM)
 
 
 def _host_name(i: int) -> str:

@@ -135,9 +135,15 @@ class P4Process:
         self.stack: NodeStack = self.cluster.stack(pid)
         self.host = self.stack.host
         self.mailbox = self.stack.process.mailbox
-        self._pumps_started = False
         self._streams: dict[int, LibraryStream] = {}
-        self._start_pumps()
+        # Pump completed TCP messages from each peer connection into the
+        # process mailbox, one pump per peer that ever talks to us,
+        # started by that peer's first message.  Pumps charge no CPU:
+        # kernel-side costs were charged by the TCP stack, and the
+        # user-side copy is charged by ``recv`` in the *receiver's*
+        # context (that is what makes a blocking recv expensive for p4
+        # and cheap for NCS threads).
+        self.stack.tcp.serve_messages(self._pump, "p4pump")
 
     def _stream(self, dest: int) -> LibraryStream:
         stream = self._streams.get(dest)
@@ -155,25 +161,10 @@ class P4Process:
         return self.runtime.num_procs
 
     # ------------------------------------------------------------ transport
-    def _start_pumps(self) -> None:
-        """Pump completed TCP messages from each peer connection into the
-        process mailbox.  Pumps charge no CPU: kernel-side costs were
-        charged by the TCP stack, and the user-side copy is charged by
-        ``recv`` in the *receiver's* context (that is what makes a
-        blocking recv expensive for p4 and cheap for NCS threads)."""
-        if self._pumps_started:
-            return
-        self._pumps_started = True
-        for peer in range(self.cluster.n_hosts):
-            if peer == self.pid:
-                continue
-            conn = self.stack.tcp.connection(self.cluster.host(peer).name)
-            self.sim.process(self._pump(conn), name=f"p4pump:{self.pid}<-{peer}")
-
-    def _pump(self, conn):
+    def _pump(self, conn, item):
         while True:
-            payload, nbytes = yield conn.recv_message()
-            self.mailbox.deliver(payload)
+            self.mailbox.deliver(item[0])
+            item = yield conn.recv_message()
 
     # ----------------------------------------------------------------- send
     def send(self, type_: int, dest: int, data: Any, size: int

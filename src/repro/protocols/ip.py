@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..atm.signaling import Service
 from ..sim import Simulator
 
 __all__ = [
@@ -192,35 +193,25 @@ class EthernetIpAdapter(LinkAdapter):
 class AtmIpAdapter(LinkAdapter):
     """Classical IP over ATM: one AAL5 PDU per datagram on a per-peer VC.
 
-    VCs to every peer are provisioned by the topology builder (PVC mesh);
-    ``register_vc`` installs them.
+    The per-peer PVCs are ``Service.IP`` circuits of the fabric's
+    signaling controller, established the first time a datagram is sent
+    to a peer; the receive loop of a peer's VC starts when its first
+    datagram arrives.
     """
 
-    def __init__(self, atm_api, mtu: int = ATM_IP_MTU):
+    def __init__(self, atm_api, signaling, mtu: int = ATM_IP_MTU):
         self.atm_api = atm_api
+        self.signaling = signaling
         self.mtu = mtu
-        self._vcs: dict[str, Any] = {}
         self._ip: Optional[IpLayer] = None
         self.sim = atm_api.sim
+        atm_api.serve(Service.IP, self._rx_loop, "ipoa-rx")
 
     def bind(self, ip: IpLayer) -> None:
         self._ip = ip
 
-    def register_vc(self, dst_host: str, vc) -> None:
-        """Install the outgoing VC used for datagrams to ``dst_host``."""
-        if dst_host in self._vcs:
-            raise ValueError(f"VC to {dst_host} already registered")
-        self._vcs[dst_host] = vc
-
-    def add_rx_vc(self, vc) -> None:
-        """Listen for incoming datagrams on ``vc`` (a peer's VC that
-        terminates at this host)."""
-        self.sim.process(self._rx_loop(vc), name=f"ipoa-rx:{vc.vc_id}")
-
     def send(self, dst_host: str, packet: IpPacket) -> None:
-        vc = self._vcs.get(dst_host)
-        if vc is None:
-            raise KeyError(f"no VC from {packet.src} to {dst_host}")
+        vc = self.signaling.circuit(packet.src, dst_host, Service.IP)
         adapter = self.atm_api.adapter
         msg_id = adapter.alloc_msg_id()
         # LLC/SNAP + IP header + payload in one AAL5 PDU; hardware path,
@@ -234,8 +225,8 @@ class AtmIpAdapter(LinkAdapter):
         self.atm_api.adapter.send_pdu(vc, nbytes, msg_id=msg_id,
                                       is_final=True, payload=packet)
 
-    def _rx_loop(self, vc):
+    def _rx_loop(self, queue, msg):
         while True:
-            msg = yield self.atm_api.recv(vc)
             if self._ip is not None and msg.payload is not None:
                 self._ip.receive(msg.payload)
+            msg = yield queue.get()

@@ -27,7 +27,7 @@ WAN bandwidth-delay-product behaviour the latency/bandwidth discussion
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..sim import Activity, Event, Store
 from .ip import IpLayer
@@ -117,7 +117,10 @@ class TcpConnection:
         self.remote = remote
         self.cid = cid
         self.params = stack.params
-        self.established = False
+        #: p4 sets its connections up inside ``p4_create_procgroup``,
+        #: which the paper's timed regions exclude: on a preconnected
+        #: stack a connection is born established
+        self.established = stack.preconnect
         self._established_ev: Optional[Event] = None
         # ---- sender state
         self.snd_nxt = 0
@@ -343,12 +346,16 @@ class TcpStack:
     """Per-host TCP: demultiplexes segments to connections and charges
     receive-side protocol processing to the host CPU."""
 
-    def __init__(self, host, ip: IpLayer, params: Optional[TcpParams] = None):
+    def __init__(self, host, ip: IpLayer, params: Optional[TcpParams] = None,
+                 preconnect: bool = False):
         self.host = host
         self.sim = host.sim
         self.ip = ip
         self.params = params or TcpParams()
+        self.preconnect = preconnect
         self._conns: dict[tuple[str, int], TcpConnection] = {}
+        #: (pump generator function, process label) per message server
+        self._servers: list[tuple[Callable[..., Any], str]] = []
         self._rx_q: Store = Store(self.sim, name=f"tcprx:{host.name}")
         # telemetry handles: connections publish through their stack so
         # the per-host aggregate is maintained, not recomputed
@@ -370,7 +377,25 @@ class TcpStack:
         conn = self._conns.get(key)
         if conn is None:
             conn = self._conns[key] = TcpConnection(self, remote, cid)
+            for pump, label in self._servers:
+                self._serve(conn, pump, label)
         return conn
+
+    def serve_messages(self, pump: Callable[..., Any], label: str) -> None:
+        """Run ``pump(conn, first_item)`` — a generator draining
+        ``conn.recv_message()`` — for every connection of this stack,
+        present and future, each started by its connection's first
+        complete message (:meth:`repro.sim.Store.start_on_first_put`):
+        no connection and no coroutine per *possible* peer."""
+        self._servers.append((pump, label))
+        for conn in self._conns.values():
+            self._serve(conn, pump, label)
+
+    @staticmethod
+    def _serve(conn: TcpConnection, pump, label: str) -> None:
+        conn._rx_msgs.start_on_first_put(
+            lambda item: pump(conn, item),
+            name=f"{label}:{conn.local}<-{conn.remote}")
 
     def connections(self) -> list["TcpConnection"]:
         """The live connection objects (read-only view)."""

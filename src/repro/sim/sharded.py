@@ -14,10 +14,13 @@ carries no fault plan, resilience, or NIC collectives, each worker
 *materializes only its own shard* —
 ``materialize(blueprint, owned_switches)`` builds real hosts and
 switches for owned sites, ghost rows (tid-mirroring, event-silent) for
-foreign hosts and boundary stubs for foreign switches at the cut, while
-replaying the global VC mesh so vc ids, VCIs and switch tables agree
-with every other universe bit for bit.  Worker memory and construction
-time then scale with the shard, not the cluster.  Runs outside that
+foreign hosts and boundary stubs for foreign switches at the cut.
+Virtual circuits are established on first use in each universe that
+meets them — a sender's, or one that imports a burst (:func:`_inject`)
+— and agree bit for bit because a circuit's id and labels are a pure
+function of ``(src, dst, service)`` (:mod:`repro.atm.signaling`).
+Worker memory and construction time then scale with the shard, not the
+cluster.  Runs outside that
 gate (or topologies without a blueprint) fall back to the PR 8
 *replicated* scheme: every worker builds the full cluster from the same
 spec and only its own shard's host schedulers start.  Either way the
@@ -79,6 +82,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from ..config.build import (ScenarioResult, ScenarioRun, _export_obs,
@@ -157,7 +161,6 @@ class CutEvent:
     dest_shard: int
     channel: str            # cut channel name (identical in every universe)
     vc_id: int
-    is_mcast: bool
     vci: int
     msg_id: int
     n_cells: int
@@ -225,11 +228,6 @@ class ShardPlan:
         return sorted(p for p, s in self.pid_shard.items() if s == shard)
 
 
-def _node_label(node) -> str:
-    """Graph-node name: adapters carry ``host_name``, switches ``name``."""
-    return getattr(node, "host_name", None) or node.name
-
-
 def plan_shards(cluster, shards: int, shard_hints=None,
                 pid_weights=None) -> ShardPlan:
     """Partition ``cluster`` into at most ``shards`` host-group shards.
@@ -246,23 +244,29 @@ def plan_shards(cluster, shards: int, shard_hints=None,
 
     ``cluster`` may be a real built :class:`~repro.net.topology.Cluster`
     or a :class:`~repro.net.blueprint.PlanView` over an unmaterialized
-    blueprint — both produce the identical plan.
+    blueprint — both produce the identical plan, because the plan reads
+    only the fabric's name-level routing graph
+    (:attr:`repro.atm.AtmFabric.routes`), which both fill identically.
     """
     hints = dict(shard_hints or {})
     weights = pid_weights or {}
     n = cluster.n_hosts
     host_names = [cluster.host(pid).name for pid in range(n)]
     fabric = getattr(cluster, "fabric", None)
+    routes = fabric.routes if fabric is not None else None
+    switches = set(fabric.switch_names) if fabric is not None else set()
+
+    def channels():
+        """``(name, upstream, downstream, edge data)`` per directed channel."""
+        for _u, _v, data in routes.edges(data=True):
+            a, b = data["ends"]
+            yield f"{a}--{b}>", a, b, data
+            yield f"{a}--{b}<", b, a, data
 
     def trivial() -> ShardPlan:
-        switch_shard = ({name: 0 for name in fabric.switches}
-                        if fabric is not None else {})
-        channel_shard = {}
-        if fabric is not None:
-            for _a, _b, data in fabric.graph.edges(data=True):
-                link = data["link"]
-                channel_shard[link.fwd.name] = 0
-                channel_shard[link.rev.name] = 0
+        switch_shard = dict.fromkeys(switches, 0)
+        channel_shard = ({name: 0 for name, _up, _down, _d in channels()}
+                         if fabric is not None else {})
         return ShardPlan(
             n_shards=1, lookahead=math.inf,
             pid_shard={pid: 0 for pid in range(n)},
@@ -276,9 +280,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     # ---- host groups keyed by the adapter's sorted switch neighborhood
     groups: dict[tuple[str, ...], list[int]] = {}
     for pid, hname in enumerate(host_names):
-        adapter = fabric.adapters[hname]
-        key = tuple(sorted(_node_label(nb)
-                           for nb in fabric.graph.neighbors(adapter)))
+        key = tuple(sorted(routes.neighbors(hname)))
         groups.setdefault(key, []).append(pid)
     ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
     eff = min(shards, len(ordered))
@@ -286,10 +288,10 @@ def plan_shards(cluster, shards: int, shard_hints=None,
         return trivial()
 
     for sw, s in hints.items():
-        if sw not in fabric.switches:
+        if sw not in switches:
             raise SpecError(
                 f"runtime.shard_hints names unknown switch {sw!r}; "
-                f"switches: {', '.join(sorted(fabric.switches))}")
+                f"switches: {', '.join(sorted(switches))}")
         if not (0 <= s < eff):
             raise SpecError(
                 f"runtime.shard_hints[{sw!r}] = {s} is out of range for "
@@ -344,15 +346,13 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     # neighbor, preferring the shard with the smallest member pid
     shard_min_pid = {s: min(p for p, ps in pid_shard.items() if ps == s)
                      for s in set(pid_shard.values())}
-    remaining = sorted(set(fabric.switches) - set(switch_shard))
+    remaining = sorted(switches - set(switch_shard))
     while remaining:
         snapshot = dict(switch_shard)
         progressed = []
         for swn in remaining:
-            sw = fabric.switches[swn]
             cands = set()
-            for nb in fabric.graph.neighbors(sw):
-                label = _node_label(nb)
+            for label in routes.neighbors(swn):
                 if label in snapshot:
                     cands.add(snapshot[label])
                 elif label in host_shard:
@@ -367,8 +367,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
             break
         remaining = [swn for swn in remaining if swn not in progressed]
 
-    def node_shard(node) -> int:
-        label = _node_label(node)
+    def node_shard(label: str) -> int:
         if label in switch_shard and label not in host_shard:
             return switch_shard[label]
         return host_shard[label]
@@ -376,35 +375,31 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     # ---- channel ownership + the cut set
     channel_shard: dict[str, int] = {}
     cut_dest: dict[str, int] = {}
-    for a, b, data in fabric.graph.edges(data=True):
-        link = data["link"]
-        for ch in (link.fwd, link.rev):
-            up, down = (a, b) if ch.endpoint is b else (b, a)
-            su, sd = node_shard(up), node_shard(down)
-            channel_shard[ch.name] = su
-            if su != sd:
-                if (_node_label(up) not in fabric.switches
-                        or _node_label(down) not in fabric.switches):
-                    raise SpecError(
-                        f"shard plan cuts {ch.name!r}, a host link: hosts "
-                        "can never straddle a shard boundary — an HSM "
-                        "fabric may only be split across a switch-to-"
-                        "switch WAN trunk (adjust runtime.shard_hints)")
-                if ch._rng is not None:
-                    raise SpecError(
-                        f"shard plan cuts {ch.name!r}, which models bit "
-                        "errors with a shared rng; only error-free WAN "
-                        "trunks can bridge shards")
-                if ch.spec.prop_delay_s <= 0:
-                    raise SpecError(
-                        f"shard plan cuts {ch.name!r} with zero "
-                        "propagation delay: the conservative window "
-                        "needs positive lookahead on every cut")
-                cut_dest[ch.name] = sd
     lookahead = math.inf
-    if cut_dest:
-        by_name = _index_channels(fabric)
-        lookahead = min(by_name[name].spec.prop_delay_s for name in cut_dest)
+    for name, up, down, data in channels():
+        su, sd = node_shard(up), node_shard(down)
+        channel_shard[name] = su
+        if su == sd:
+            continue
+        if up not in switches or down not in switches:
+            raise SpecError(
+                f"shard plan cuts {name!r}, a host link: hosts "
+                "can never straddle a shard boundary — an HSM "
+                "fabric may only be split across a switch-to-"
+                "switch WAN trunk (adjust runtime.shard_hints)")
+        if data["noisy"]:
+            raise SpecError(
+                f"shard plan cuts {name!r}, which models bit "
+                "errors with a shared rng; only error-free WAN "
+                "trunks can bridge shards")
+        prop_delay_s = data["spec"].prop_delay_s
+        if prop_delay_s <= 0:
+            raise SpecError(
+                f"shard plan cuts {name!r} with zero "
+                "propagation delay: the conservative window "
+                "needs positive lookahead on every cut")
+        cut_dest[name] = sd
+        lookahead = min(lookahead, prop_delay_s)
     return ShardPlan(n_shards=eff, lookahead=lookahead,
                      pid_shard=pid_shard, host_shard=host_shard,
                      switch_shard=switch_shard, channel_shard=channel_shard,
@@ -519,7 +514,6 @@ def _index_channels(fabric) -> dict[str, Any]:
 
 def _make_export(ch, dest_shard: int, state: _WorkerState) -> Callable:
     """An owned cut channel's ``_dispatch`` override: serialize + export."""
-    from ..atm.signaling import MulticastChannel
 
     def _export(burst) -> None:
         state.seq += 1
@@ -527,7 +521,6 @@ def _make_export(ch, dest_shard: int, state: _WorkerState) -> Callable:
             arrival=ch.sim.now + ch.spec.prop_delay_s,
             src_shard=state.shard_id, seq=state.seq, dest_shard=dest_shard,
             channel=ch.name, vc_id=burst.vc.vc_id,
-            is_mcast=isinstance(burst.vc, MulticastChannel),
             vci=burst.vci, msg_id=burst.msg_id, n_cells=burst.n_cells,
             payload_bytes=burst.payload_bytes, is_final=burst.is_final,
             corrupted=burst.corrupted, enqueued_at=burst.enqueued_at,
@@ -539,19 +532,21 @@ def _inject(state: _WorkerState, cluster, rec: CutEvent) -> None:
     """Re-materialize an imported burst at exactly ``rec.arrival``.
 
     The burst's VC is rebound to this universe's replica (reassembly is
-    keyed by VC object identity) and delivery skips the replica
-    channel's queue: serialization was already simulated upstream, only
-    the propagation instant matters here.  ``schedule_at`` plants the
-    arrival at the exported float exactly — no delay re-arithmetic.
+    keyed by VC object identity) — established here and now if this is
+    the first this universe sees of the circuit — and delivery skips
+    the replica channel's queue: serialization was already simulated
+    upstream, only the propagation instant matters here.
+    ``schedule_at`` plants the arrival at the exported float exactly —
+    no delay re-arithmetic.
     """
     from ..atm.cell import CellBurst
-    sig = cluster.signaling
-    vc = (sig.open_mcast if rec.is_mcast else sig.open_vcs)[rec.vc_id]
+    vc = cluster.signaling.resolve(rec.vc_id)
     ch = state.channels[rec.channel]
     burst = CellBurst(vc=vc, vci=rec.vci, msg_id=rec.msg_id,
                       n_cells=rec.n_cells, payload_bytes=rec.payload_bytes,
                       is_final=rec.is_final, payload=rec.payload,
-                      corrupted=rec.corrupted, enqueued_at=rec.enqueued_at)
+                      corrupted=rec.corrupted, enqueued_at=rec.enqueued_at,
+                      vpi=vc.vpi)
     sim = cluster.sim
     ev = Event(sim, name=f"cut-arrival:{rec.channel}")
     ev.add_callback(lambda _e: ch.endpoint.receive_burst(burst, ch))
@@ -662,11 +657,12 @@ def _patch_runtime(rt, cluster, plan: ShardPlan, state: _WorkerState) -> None:
     rt.run = run
 
 
-def _serialize_result(value, cluster) -> dict:
+def _serialize_result(value, cluster, rt) -> dict:
     """A worker's contribution, flattened to plain picklable structures."""
     tracer = cluster.tracer
     return {
         "value": value,
+        "view": ShardedClusterView(cluster, rt),
         "snapshot": cluster.metrics.snapshot(),
         "trace": {
             "timelines": {
@@ -766,7 +762,7 @@ def _run_worker(spec: ScenarioSpec, shard_id: int, ctl,
                 "(self-contained apps build their own cluster)")
         cluster.sim._now = state.t_final
         cluster.tracer.close_all()
-        payload = _serialize_result(value, cluster)
+        payload = _serialize_result(value, cluster, rt)
         try:
             ctl.send(("done", payload))
         except Exception as exc:
@@ -1189,13 +1185,36 @@ class MergedTracer:
                 and (entity is None or e[1] == entity)]
 
 
-@dataclass
 class ShardedClusterView:
-    """The slice of ``Cluster`` the post-run consumers actually touch."""
+    """The slice of ``Cluster`` the post-run consumers actually touch:
+    the merged telemetry (filled in by the coordinator) plus the entity
+    names :func:`repro.diagnostics.cluster_report` is keyed by.
 
-    tracer: MergedTracer
-    metrics: MergedMetrics
-    n_hosts: int
+    A worker builds it from its own universe, which knows every name
+    (ghost rows and route-only switches carry theirs; a topology is
+    homogeneous in host rail and transport), and ships it home.
+    """
+
+    def __init__(self, cluster, rt):
+        ns = SimpleNamespace
+        real = next(n for n in rt.nodes if n.transport is not None)
+        atm_api = True if cluster.stacks[real.pid].atm_api else None
+        self.tracer: Optional[MergedTracer] = None
+        self.metrics: Optional[MergedMetrics] = None
+        self.medium = cluster.medium
+        self.lan = True if cluster.lan is not None else None
+        self.fabric = (None if cluster.fabric is None else ns(
+            switches=dict.fromkeys(cluster.fabric.switch_names)))
+        self.stacks = [ns(host=ns(name=s.host.name), atm_api=atm_api)
+                       for s in cluster.stacks]
+        #: the ``runtime`` twin: what the report reads of each NCS node
+        self.runtime = ns(nodes=[
+            ns(pid=pid, transport=ns(name=real.transport.name))
+            for pid in range(len(self.stacks))])
+
+    @property
+    def n_hosts(self) -> int:
+        return len(self.stacks)
 
 
 # --------------------------------------------------------------------------
@@ -1343,9 +1362,8 @@ def run_scenario_sharded(spec: ScenarioSpec,
     bp = _blueprint_for(spec)
     if bp is not None:
         from ..net.blueprint import PlanView
-        n_hosts = bp.n_hosts
         plan = plan_shards(PlanView(bp), spec.shards, spec.shard_hints,
-                           pid_weights=_pid_weights(spec, n_hosts))
+                           pid_weights=_pid_weights(spec, bp.n_hosts))
     else:
         try:
             probe = build_cluster(spec.cluster, spec.obs)
@@ -1359,9 +1377,8 @@ def run_scenario_sharded(spec: ScenarioSpec,
                 spec, "partial-cluster",
                 "the spec's cluster table is partial (self-contained "
                 "drivers build their own cluster)")
-        n_hosts = probe.n_hosts
         plan = plan_shards(probe, spec.shards, spec.shard_hints,
-                           pid_weights=_pid_weights(spec, n_hosts))
+                           pid_weights=_pid_weights(spec, probe.n_hosts))
     if plan.n_shards <= 1:
         return _fallback_single(
             spec, "trivial-plan",
@@ -1433,9 +1450,9 @@ def run_scenario_sharded(spec: ScenarioSpec,
         stamp_recovery_snapshot(snapshot, failures, retries=attempt)
         events.extend((0.0, SUPERVISOR_ENTITY, "kernel.recovery", str(f))
                       for f in failures)
-    view = ShardedClusterView(tracer=MergedTracer(timelines, events),
-                              metrics=MergedMetrics(snapshot),
-                              n_hosts=n_hosts)
-    result = ScenarioResult(spec, value, view, None)
+    view = payloads[0]["view"]
+    view.tracer = MergedTracer(timelines, events)
+    view.metrics = MergedMetrics(snapshot)
+    result = ScenarioResult(spec, value, view, view.runtime)
     _export_obs(result)
     return result

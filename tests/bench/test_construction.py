@@ -1,11 +1,12 @@
 """The construction bench + the committed BENCH_construction.json.
 
-Pins the acceptance bar of blueprint-partitioned construction: the
-committed 1024-host wan-ring ladder must show one shard of eight
-building in at most :data:`~repro.bench.construction.RATIO_CEILING` of
-the full build's memory — and the check/ceiling machinery CI relies on
-must actually flag violations.  The real 1024-host measurement is too
-heavy for a unit test; the harness itself is exercised at toy scale.
+Pins the acceptance bars of O(hosts) construction: the committed
+1024-host wan-ring ladder must show the full build under
+:data:`~repro.bench.construction.FULL_WALL_CEILING_S` and
+:data:`~repro.bench.construction.FULL_RSS_CEILING_BYTES`, and every
+shard of eight building for less than the full build — and the check
+machinery CI relies on must actually flag violations.  The harness
+itself is exercised at toy scale.
 """
 
 import json
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.bench.construction import (CONSTRUCTION_BENCH_FILE,
-                                      RATIO_CEILING, SCENARIO,
+                                      FULL_RSS_CEILING_BYTES,
+                                      FULL_WALL_CEILING_S, SCENARIO,
                                       check_construction,
                                       render_construction,
                                       run_construction_bench)
@@ -33,20 +35,23 @@ def load_baseline() -> dict:
 class TestCommittedLadder:
     def test_scenario_and_schema(self):
         doc = load_baseline()
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["scenario"] == SCENARIO
         assert doc["full"]["n_hosts"] == 1024
         assert len(doc["per_shard"]) == SCENARIO["shards"]
 
     def test_memory_proportional_ceiling_holds(self):
-        """The acceptance bar: shard 0 of 8 builds in <= 35% of the
-        full build's construction memory."""
+        """The acceptance bars: the full 1024-host build under 10 s and
+        1 GB, and every shard of 8 cheaper than the full build."""
         doc = load_baseline()
-        assert doc["shard0_traced_ratio"] <= RATIO_CEILING
-        full = doc["full"]["traced_peak_bytes"]
-        shard0 = doc["per_shard"][0]["traced_peak_bytes"]
-        assert shard0 / full == pytest.approx(doc["shard0_traced_ratio"],
-                                              abs=1e-3)
+        full = doc["full"]
+        assert full["wall_s"] < FULL_WALL_CEILING_S
+        assert full["rss_peak_bytes"] < FULL_RSS_CEILING_BYTES
+        for row in doc["per_shard"]:
+            assert row["wall_s"] < full["wall_s"]
+            assert row["rss_peak_bytes"] < full["rss_peak_bytes"]
+        assert (doc["per_shard"][0]["traced_peak_bytes"]
+                < full["traced_peak_bytes"])
 
     def test_every_shard_row_has_rss_and_wall(self):
         doc = load_baseline()
@@ -62,39 +67,51 @@ class TestCommittedLadder:
 
     def test_baseline_passes_self_check(self):
         doc = load_baseline()
-        assert check_construction(doc, fresh=doc["per_shard"][0]) == []
+        assert check_construction(doc, fresh=doc) == []
 
 
 class TestCheckMachinery:
     BASE = {
-        "schema": 1,
+        "schema": 2,
         "scenario": dict(SCENARIO),
         "full": {"traced_peak_bytes": 1000, "rss_peak_bytes": 2000,
                  "wall_s": 1.0, "n_hosts": 1024},
         "per_shard": [{"shard": 0, "traced_peak_bytes": 200,
                        "rss_peak_bytes": 500, "wall_s": 0.2,
                        "owned_switches": ["sw-r0"]}],
-        "shard0_traced_ratio": 0.2,
-        "max_shard_rss_ratio": 0.25,
-        "ratio_ceiling": RATIO_CEILING,
     }
 
+    @staticmethod
+    def _fresh(**full_overrides):
+        base = TestCheckMachinery.BASE
+        return {"full": dict(base["full"], **full_overrides),
+                "per_shard": base["per_shard"]}
+
     def test_fresh_peak_within_tolerance_passes(self):
-        fresh = {"traced_peak_bytes": 240}
-        assert check_construction(self.BASE, tolerance=0.25,
-                                  fresh=fresh) == []
+        fresh = self._fresh(wall_s=FULL_WALL_CEILING_S * 0.9,
+                            rss_peak_bytes=FULL_RSS_CEILING_BYTES - 1)
+        assert check_construction(self.BASE, fresh=fresh) == []
 
     def test_blown_ceiling_fails(self):
-        fresh = {"traced_peak_bytes": 600}
-        failures = check_construction(self.BASE, tolerance=0.25,
-                                      fresh=fresh)
-        assert len(failures) == 1 and "traced construction peak" in \
-            failures[0]
+        fresh = self._fresh(rss_peak_bytes=FULL_RSS_CEILING_BYTES * 2)
+        failures = check_construction(self.BASE, fresh=fresh)
+        assert len(failures) == 1 and \
+            "fresh full build rss_peak_bytes" in failures[0]
+        fresh = self._fresh(wall_s=FULL_WALL_CEILING_S + 1)
+        failures = check_construction(self.BASE, fresh=fresh)
+        assert len(failures) == 1 and "fresh full build wall_s" in failures[0]
 
-    def test_bad_committed_ratio_fails(self):
-        doc = dict(self.BASE, shard0_traced_ratio=0.8)
-        failures = check_construction(doc, fresh={"traced_peak_bytes": 200})
-        assert any("no longer memory-proportional" in f for f in failures)
+    def test_committed_build_over_target_fails(self):
+        doc = dict(self.BASE, full=dict(self.BASE["full"], wall_s=132.7))
+        failures = check_construction(doc, fresh=self.BASE)
+        assert any("committed full build wall_s = 132.7 misses" in f
+                   for f in failures)
+
+    def test_shard_not_below_full_build_fails(self):
+        row = dict(self.BASE["per_shard"][0], rss_peak_bytes=2000)
+        doc = dict(self.BASE, per_shard=[row])
+        failures = check_construction(doc, fresh=self.BASE)
+        assert any("no longer proportional" in f for f in failures)
 
 
 class TestHarnessAtToyScale:
@@ -105,9 +122,8 @@ class TestHarnessAtToyScale:
         assert [r["shard"] for r in doc["per_shard"]] == [0, 1, 2]
         assert doc["full"]["traced_peak_bytes"] > 0
         assert doc["per_shard"][0]["traced_peak_bytes"] > 0
-        # at toy scale fixed costs dominate — the ratio bar only means
-        # something at the committed 1024-host scenario
-        assert 0 < doc["shard0_traced_ratio"] <= 1.5
+        # at toy scale fixed costs dominate — the shard-below-full bar
+        # only means something at the committed 1024-host scenario
         assert "wan-ring 3x2" in render_construction(doc)
 
 

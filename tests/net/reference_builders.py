@@ -1,12 +1,14 @@
-"""Verbatim pre-blueprint topology builders, kept as test oracles.
+"""Pre-blueprint imperative topology builders, kept as test oracles.
 
-These are byte-for-byte copies of the imperative construction functions
-as they stood *before* the blueprint refactor (`repro.net.blueprint`).
-The equivalence suite (`test_blueprint_properties.py`) holds the
+These are the imperative construction functions as they stood *before*
+the blueprint refactor (`repro.net.blueprint`), minus the per-pair PVC
+and TCP meshes they used to provision (circuits, connections and pumps
+now come into being on first use, so there is no mesh to build).  The
+equivalence suite (`test_blueprint_properties.py`) holds the
 blueprint-materialized builders to an identical construction signature
 against these references for every registered topology, so the
-refactor can never silently reorder a VC id, a VCI allocation, a
-switch-table entry or a host stack.
+blueprint path can never silently reorder a host stack, a link, an RNG
+stream or a routing-graph edge.
 
 Do not "modernize" this module: its value is that it does not change.
 """
@@ -59,14 +61,12 @@ def reference_ethernet_cluster(
         adapter = EthernetIpAdapter(nic)
         ip = IpLayer(sim, name, adapter)
         adapter.bind(ip)
-        tcp = TcpStack(host, ip, tcp_params)
+        tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
         stacks.append(NodeStack(
             host=host, process=OsProcess(host, pid=i), ip=ip, tcp=tcp,
             socket=SocketLayer(host, tcp), udp=UdpStack(host, ip)))
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="ethernet", lan=lan)
-    if preconnect:
-        cluster.preestablish_tcp_mesh()
     return cluster
 
 
@@ -87,6 +87,7 @@ def reference_atm_cluster(
     rngs = RngRegistry(seed)
     tracer = Tracer(sim) if trace else NullTracer(sim)
     fabric = AtmFabric(sim)
+    sig = SignalingController(fabric)
     switch = fabric.add_switch(AtmSwitch(sim, "fore-sw",
                                          switching_latency_s=switch_latency_s))
     stacks = []
@@ -99,30 +100,16 @@ def reference_atm_cluster(
         rng = rngs.stream(f"link.{name}")
         fabric.connect(sba, switch, link_spec, rng_a=rng, rng_b=rng)
         atm_api = AtmApi(host)
-        ip_adapter = AtmIpAdapter(atm_api)
+        ip_adapter = AtmIpAdapter(atm_api, sig)
         ip = IpLayer(sim, name, ip_adapter)
         ip_adapter.bind(ip)
-        tcp = TcpStack(host, ip, tcp_params)
+        tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
         stacks.append(NodeStack(
             host=host, process=OsProcess(host, pid=i), ip=ip, tcp=tcp,
             socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
             atm_api=atm_api))
-    sig = SignalingController(fabric)
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="atm-lan", fabric=fabric, signaling=sig)
-    for i in range(n_hosts):
-        for j in range(n_hosts):
-            if i != j:
-                vc = sig.create_pvc(_host_name(i), _host_name(j))
-                stacks[i].ip.adapter.register_vc(_host_name(j), vc)
-                stacks[j].ip.adapter.add_rx_vc(vc)
-    for i in range(n_hosts):
-        for j in range(n_hosts):
-            if i != j:
-                cluster.hsm_vcs[(i, j)] = sig.create_pvc(
-                    _host_name(i), _host_name(j))
-    if preconnect:
-        cluster.preestablish_tcp_mesh()
     return cluster
 
 
@@ -147,6 +134,7 @@ def reference_atm_dual_cluster(
     lan = EthernetLan(sim, bandwidth_bps=bandwidth_bps,
                       collisions=collisions, rngs=rngs)
     fabric = AtmFabric(sim)
+    sig = SignalingController(fabric)
     switch = fabric.add_switch(AtmSwitch(sim, "fore-sw",
                                          switching_latency_s=switch_latency_s))
     stacks = []
@@ -164,22 +152,14 @@ def reference_atm_dual_cluster(
         eth_adapter = EthernetIpAdapter(nic)
         ip = IpLayer(sim, name, eth_adapter)
         eth_adapter.bind(ip)
-        tcp = TcpStack(host, ip, tcp_params)
+        tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
         stacks.append(NodeStack(
             host=host, process=OsProcess(host, pid=i), ip=ip, tcp=tcp,
             socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
             atm_api=atm_api))
-    sig = SignalingController(fabric)
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="atm-dual", lan=lan, fabric=fabric,
                       signaling=sig)
-    for i in range(n_hosts):
-        for j in range(n_hosts):
-            if i != j:
-                cluster.hsm_vcs[(i, j)] = sig.create_pvc(
-                    _host_name(i), _host_name(j))
-    if preconnect:
-        cluster.preestablish_tcp_mesh()
     return cluster
 
 
@@ -199,6 +179,7 @@ def reference_nynet(sites: list[SiteSpec],
     rngs = RngRegistry(seed)
     tracer = Tracer(sim) if trace else NullTracer(sim)
     fabric = AtmFabric(sim)
+    sig = SignalingController(fabric)
 
     upstate_bb = fabric.add_switch(AtmSwitch(sim, "bb-upstate"))
     downstate_bb = fabric.add_switch(AtmSwitch(sim, "bb-downstate"))
@@ -220,29 +201,18 @@ def reference_nynet(sites: list[SiteSpec],
             rng = rngs.stream(f"link.{name}")
             fabric.connect(sba, sw, TAXI_140, rng_a=rng, rng_b=rng)
             atm_api = AtmApi(host)
-            ip_adapter = AtmIpAdapter(atm_api)
+            ip_adapter = AtmIpAdapter(atm_api, sig)
             ip = IpLayer(sim, name, ip_adapter)
             ip_adapter.bind(ip)
-            tcp = TcpStack(host, ip, tcp_params)
+            tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
             stacks.append(NodeStack(
                 host=host, process=OsProcess(host, pid=pid), ip=ip, tcp=tcp,
                 socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
                 atm_api=atm_api))
             pid += 1
 
-    sig = SignalingController(fabric)
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="nynet", fabric=fabric, signaling=sig)
-    names = [s.host.name for s in stacks]
-    for i, src in enumerate(names):
-        for j, dst in enumerate(names):
-            if i != j:
-                vc = sig.create_pvc(src, dst)
-                stacks[i].ip.adapter.register_vc(dst, vc)
-                stacks[j].ip.adapter.add_rx_vc(vc)
-                cluster.hsm_vcs[(i, j)] = sig.create_pvc(src, dst)
-    if preconnect:
-        cluster.preestablish_tcp_mesh()
     return cluster
 
 
@@ -263,6 +233,7 @@ def reference_wan_ring(n_sites: int = 8,
     rngs = RngRegistry(seed)
     tracer = Tracer(sim) if trace else NullTracer(sim)
     fabric = AtmFabric(sim)
+    sig = SignalingController(fabric)
 
     switches = [fabric.add_switch(AtmSwitch(sim, f"sw-r{i}"))
                 for i in range(n_sites)]
@@ -285,27 +256,16 @@ def reference_wan_ring(n_sites: int = 8,
             rng = rngs.stream(f"link.{name}")
             fabric.connect(sba, sw, TAXI_140, rng_a=rng, rng_b=rng)
             atm_api = AtmApi(host)
-            ip_adapter = AtmIpAdapter(atm_api)
+            ip_adapter = AtmIpAdapter(atm_api, sig)
             ip = IpLayer(sim, name, ip_adapter)
             ip_adapter.bind(ip)
-            tcp = TcpStack(host, ip, tcp_params)
+            tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
             stacks.append(NodeStack(
                 host=host, process=OsProcess(host, pid=pid), ip=ip, tcp=tcp,
                 socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
                 atm_api=atm_api))
             pid += 1
 
-    sig = SignalingController(fabric)
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="wan-ring", fabric=fabric, signaling=sig)
-    names = [s.host.name for s in stacks]
-    for i, src in enumerate(names):
-        for j, dst in enumerate(names):
-            if i != j:
-                vc = sig.create_pvc(src, dst)
-                stacks[i].ip.adapter.register_vc(dst, vc)
-                stacks[j].ip.adapter.add_rx_vc(vc)
-                cluster.hsm_vcs[(i, j)] = sig.create_pvc(src, dst)
-    if preconnect:
-        cluster.preestablish_tcp_mesh()
     return cluster

@@ -1,30 +1,36 @@
-"""Blueprint equivalence and shard-coverage properties (ISSUE 9).
+"""Blueprint equivalence and shard-coverage properties (ISSUE 9, 12).
 
 Two families of guarantees over :mod:`repro.net.blueprint`:
 
 * **Equivalence** — for every registered topology,
   ``materialize(blueprint)`` produces a cluster whose *construction
-  signature* (host rows, fabric graph, VC ids/VCIs, switch tables,
-  allocator state, IP wiring, TCP mesh, full metrics snapshot) is
-  identical to the verbatim pre-refactor builder kept in
+  signature* (host rows, fabric graph, routing graph, host directory,
+  TCP state, full metrics snapshot — and, once every pair's circuits
+  have been asked for, every VC id, label and switch-table row) is
+  identical to the imperative builder kept in
   :mod:`tests.net.reference_builders`.  Trace-level byte identity is
   additionally gated by the perf-lock and sharded-determinism goldens.
 * **Coverage** — the union of per-shard partial materializations covers
   every blueprint host and switch exactly once (ghosts and boundary
-  stubs excluded), and every materialized VC/switch-table entry agrees
-  with the full build's identity, for any shard count.
+  stubs excluded), every universe routes every pair identically, and
+  every VC a partial universe establishes equals the full universe's VC
+  for that pair on the switches the shard owns, for any shard count.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.blueprint import PlanView, _shadow_graph, materialize
+from repro.atm import Service
+from repro.atm.signaling import label_vc
+from repro.net.blueprint import PlanView, materialize
 from repro.net.nynet import SiteSpec
 from repro.registry import BLUEPRINTS, TOPOLOGIES
 from repro.sim.sharded import plan_shards
+
+from tests.atm.test_circuit_identity import (described as vc_signature,
+                                             tables as switch_tables)
 
 from .reference_builders import (
     reference_atm_cluster, reference_atm_dual_cluster,
@@ -42,51 +48,35 @@ def _label(node) -> str:
     return getattr(node, "host_name", None) or node.name
 
 
-def _channel_names(fabric) -> dict[int, str]:
-    names: dict[int, str] = {}
-    for _a, _b, data in fabric.graph.edges(data=True):
-        for ch in (data["link"].fwd, data["link"].rev):
-            names[id(ch)] = ch.name
-    return names
-
-
 def construction_signature(cluster) -> dict:
     """Everything structurally observable about a built cluster."""
     sig: dict = {
         "medium": cluster.medium,
         "hosts": [s.host.name for s in cluster.stacks],
         "lan": cluster.lan is not None,
-        "tcp": [
-            sorted((c.remote, c.cid, c.established)
-                   for c in s.tcp.connections())
-            for s in cluster.stacks],
+        "tcp": [(s.tcp.preconnect, len(s.tcp.connections()))
+                for s in cluster.stacks],
         "metrics": cluster.metrics.snapshot(),
     }
     fabric = cluster.fabric
     if fabric is not None:
-        ch_names = _channel_names(fabric)
-        sc = cluster.signaling
         sig["graph_nodes"] = [_label(n) for n in fabric.graph.nodes]
         sig["graph_edges"] = [
             (d["link"].fwd.name, d["link"].fwd.spec.name, d["weight"])
             for _a, _b, d in fabric.graph.edges(data=True)]
-        sig["vc_seq"] = sc._vc_seq
-        sig["open_vcs"] = {
-            vcid: (vc.src.host_name, vc.dst.host_name, vc.src_vci,
-                   tuple(vc.hop_vcis), tuple(ch.name for ch in vc.hops))
-            for vcid, vc in sc.open_vcs.items()}
-        sig["next_vci"] = sorted(
-            (ch_names[chid], nxt) for chid, nxt in sc._next_vci.items())
-        sig["switch_tables"] = {
-            name: sorted(
-                ((ch_names[cid], vci), (r.out_channel.name, r.out_vci))
-                for (cid, vci), r in sw._table.items())
-            for name, sw in fabric.switches.items()}
-        sig["hsm_vcs"] = {k: v.vc_id for k, v in cluster.hsm_vcs.items()}
-        sig["ip_vcs"] = [
-            sorted((dst, vc.vc_id) for dst, vc in
-                   getattr(s.ip.adapter, "_vcs", {}).items())
-            for s in cluster.stacks]
+        sig["route_nodes"] = list(fabric.routes.nodes)
+        sig["route_edges"] = list(fabric.routes.edges(data="weight"))
+        sig["fabric_hosts"] = list(fabric.hosts)
+        # nothing is provisioned per pair at construction ...
+        sig["open_at_build"] = len(cluster.signaling.open_vcs)
+        # ... and asking for every pair's circuits programs the same
+        # ids, labels and switch rows on both sides
+        names = sig["hosts"]
+        sig["vcs"] = [
+            vc_signature(cluster.signaling.circuit(src, dst, service))
+            for service in (Service.IP, Service.HSM)
+            for src in names for dst in names if src != dst]
+        sig["switch_tables"] = switch_tables(fabric)
     return sig
 
 
@@ -186,30 +176,40 @@ def test_blueprint_validation_errors_match():
 
 
 # --------------------------------------------------------------------------
-# shadow graph fidelity
+# routing fidelity: a partial universe's routes == the full universe's
 # --------------------------------------------------------------------------
 
-def _assert_shadow_paths_match(bp):
-    cluster = materialize(bp)
-    shadow = _shadow_graph(bp)
-    fabric = cluster.fabric
-    for src_name, src in fabric.adapters.items():
-        expected = nx.shortest_path(shadow, src_name, weight="weight")
-        for dst_name, dst in fabric.adapters.items():
-            if src_name == dst_name:
-                continue
-            real = [_label(n) for n in fabric.path_nodes(src, dst)]
-            assert real == expected[dst_name], (src_name, dst_name)
+def _shard_universes(bp, shards):
+    plan = plan_shards(PlanView(bp), shards)
+    for shard in range(plan.n_shards):
+        owned = {swn for swn, s in plan.switch_shard.items() if s == shard}
+        yield owned, materialize(bp, owned_switches=owned)
+
+
+def _assert_shadow_paths_match(bp, shards):
+    """The name-level routing graph a shard universe fills in for nodes
+    it did not materialize yields exactly the full universe's paths
+    (same insertion order and weights, so same Dijkstra tie-breaks)."""
+    full = materialize(bp).fabric
+    hosts = full.hosts
+    for _owned, part in _shard_universes(bp, shards):
+        assert part.fabric.hosts == hosts
+        assert list(part.fabric.routes.nodes) == list(full.routes.nodes)
+        for src in hosts:
+            for dst in hosts:
+                if src != dst:
+                    assert (part.fabric.path_nodes(src, dst)
+                            == full.path_nodes(src, dst)), (src, dst)
 
 
 def test_shadow_paths_match_wan_ring():
     _assert_shadow_paths_match(
-        BLUEPRINTS.get("wan-ring")(n_sites=5, hosts_per_site=2))
+        BLUEPRINTS.get("wan-ring")(n_sites=5, hosts_per_site=2), shards=3)
 
 
 def test_shadow_paths_match_nynet():
     _assert_shadow_paths_match(BLUEPRINTS.get("nynet-testbed")(
-        n_upstate=3, n_downstate=2))
+        n_upstate=3, n_downstate=2), shards=2)
 
 
 # --------------------------------------------------------------------------
@@ -223,12 +223,9 @@ def test_shard_union_covers_every_node_exactly_once(
         n_sites, hosts_per_site, shards):
     bp = BLUEPRINTS.get("wan-ring")(n_sites=n_sites,
                                     hosts_per_site=hosts_per_site)
-    plan = plan_shards(PlanView(bp), shards)
     seen_hosts: list[str] = []
     seen_switches: list[str] = []
-    for shard in range(plan.n_shards):
-        owned = {swn for swn, s in plan.switch_shard.items() if s == shard}
-        part = materialize(bp, owned_switches=owned)
+    for _owned, part in _shard_universes(bp, shards):
         assert len(part.stacks) == bp.n_hosts       # pid-stable rows
         real = [s for s in part.stacks if not getattr(s, "ghost", False)]
         seen_hosts.extend(s.host.name for s in real)
@@ -241,37 +238,49 @@ def test_shard_union_covers_every_node_exactly_once(
 
 @SMALL
 @given(n_sites=st.integers(2, 4), hosts_per_site=st.integers(1, 2),
-       shards=st.integers(2, 4))
+       shards=st.integers(2, 4), data=st.data())
 def test_partial_identities_match_full_build(n_sites, hosts_per_site,
-                                             shards):
-    """Every VC, VCI, allocator and switch-table entry a shard does
-    materialize is identical to the full build's."""
+                                             shards, data):
+    """Every VC a partial universe establishes equals the full
+    universe's VC for that pair on the switches the shard owns —
+    whichever pairs it is asked for, in whatever order, and whether the
+    request comes from an endpoint (``circuit``) or from a burst in
+    transit (``resolve``)."""
     bp = BLUEPRINTS.get("wan-ring")(n_sites=n_sites,
                                     hosts_per_site=hosts_per_site)
     full = materialize(bp)
-    full_sig = construction_signature(full)
-    plan = plan_shards(PlanView(bp), shards)
-    for shard in range(plan.n_shards):
-        owned = {swn for swn, s in plan.switch_shard.items() if s == shard}
-        part = materialize(bp, owned_switches=owned)
-        assert part.signaling._vc_seq == full_sig["vc_seq"]
-        ch_names = _channel_names(part.fabric)
-        for vcid, vc in part.signaling.open_vcs.items():
-            ref = full_sig["open_vcs"][vcid]
-            if hasattr(vc, "src"):               # endpoint-relevant VC
-                assert (vc.src.host_name, vc.dst.host_name, vc.src_vci,
-                        tuple(vc.hop_vcis)) == ref[:4]
-        for name, sw in part.fabric.switches.items():
-            entries = sorted(
-                ((ch_names[cid], vci), (r.out_channel.name, r.out_vci))
-                for (cid, vci), r in sw._table.items())
-            assert entries == full_sig["switch_tables"][name]
-        next_vci = {ch_names[chid]: nxt
-                    for chid, nxt in part.signaling._next_vci.items()}
-        assert next_vci == dict(
-            (n, v) for n, v in full_sig["next_vci"] if n in next_vci)
-        for key, vc in part.hsm_vcs.items():
-            assert full_sig["hsm_vcs"][key] == vc.vc_id
+    names = full.fabric.hosts
+    pairs = [(s, d, svc) for s in names for d in names if s != d
+             for svc in (Service.IP, Service.HSM)]
+    full_vcs = {key: full.signaling.circuit(*key) for key in pairs}
+    full_tables = switch_tables(full.fabric)
+    for owned, part in _shard_universes(bp, shards):
+        assert not part.signaling.open_vcs          # nothing pre-provisioned
+        have = {ch.name for ch in part.fabric._channels.values()}
+        asked = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   max_size=len(pairs)))
+        for key in asked:
+            ref = full_vcs[key]
+            if data.draw(st.booleans()):
+                vc = part.signaling.circuit(*key)
+            else:
+                vc = part.signaling.resolve(ref.vc_id)
+            assert (vc.vc_id, vc.vpi, vc.src_vci) == \
+                (ref.vc_id, ref.vpi, ref.src_vci)
+            assert [ch.name for ch in vc.hops] == \
+                [ch.name for ch in ref.hops if ch.name in have]
+            for end, ref_end in ((vc.src, ref.src), (vc.dst, ref.dst)):
+                assert end is None or end.host_name == ref_end.host_name
+        asked_ids = {full_vcs[key].vc_id for key in asked}
+        for name, rows in switch_tables(part.fabric).items():
+            assert name in owned
+            assert rows == [row for row in full_tables[name]
+                            if _row_vc_id(row) in asked_ids]
+
+
+def _row_vc_id(row) -> int:
+    (_ch, vpi, vci), _out = row
+    return label_vc(vpi, vci)
 
 
 def test_plan_from_planview_matches_plan_from_cluster():

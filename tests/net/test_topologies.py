@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.atm import Service
 from repro.net import (
     SiteSpec, build_atm_cluster, build_ethernet_cluster, build_nynet,
     nynet_testbed,
@@ -55,8 +56,30 @@ class TestAtmCluster:
 
     def test_hsm_and_ip_vcs_distinct(self):
         c = build_atm_cluster(2)
-        ip_vc = c.stack(0).ip.adapter._vcs["n1"]
+        ip_vc = c.signaling.circuit("n0", "n1", Service.IP)
         assert c.hsm_vc(0, 1) is not ip_vc
+        assert c.hsm_vc(0, 1).src_vci != ip_vc.src_vci
+
+
+    def test_hsm_vc_errors_name_the_pair_and_the_topology(self):
+        c = build_atm_cluster(3)
+        with pytest.raises(ValueError, match=r"1->1.*atm-lan"):
+            c.hsm_vc(1, 1)
+        for src, dst in ((0, 3), (-1, 0), (7, 1)):
+            with pytest.raises(KeyError, match=rf"{src}->{dst}.*atm-lan"):
+                c.hsm_vc(src, dst)
+        with pytest.raises(KeyError, match=r"0->1.*ethernet.*no ATM fabric"):
+            build_ethernet_cluster(2).hsm_vc(0, 1)
+        assert not c.signaling.open_vcs         # failures establish nothing
+
+    def test_path_cache_is_keyed_by_name_not_object_identity(self):
+        c = build_atm_cluster(3)
+        c.hsm_vc(0, 1)
+        assert set(c.fabric._path_cache) == {"n0"}
+        assert c.fabric.path_nodes("n0", "n2") == ["n0", "fore-sw", "n2"]
+        assert c.fabric.path_nodes(c.fabric.adapters["n0"],
+                                   c.fabric.adapters["n2"]) \
+            == c.fabric.path_nodes("n0", "n2")
 
 
 class TestNynet:

@@ -28,7 +28,7 @@ from repro.sim.sharded import (CutEvent, merge_cut_events, merge_key,
 def _ev(arrival: float, src_shard: int, seq: int) -> CutEvent:
     """A cut event with only the ordering-relevant fields varying."""
     return CutEvent(arrival=arrival, src_shard=src_shard, seq=seq,
-                    dest_shard=0, channel="c", vc_id=1, is_mcast=False,
+                    dest_shard=0, channel="c", vc_id=1,
                     vci=32, msg_id=7, n_cells=1, payload_bytes=48,
                     is_final=True, corrupted=False, enqueued_at=arrival)
 

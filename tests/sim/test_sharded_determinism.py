@@ -107,6 +107,20 @@ def test_wan_ring_four_shards_match_single_kernel():
     assert single["chrome"], "trace comparison must not be vacuous"
 
 
+def test_sharded_report_matches_single_kernel():
+    """``ScenarioResult.report()`` used to raise ``AttributeError`` on
+    any sharded result (the merged view had no ``medium``).  A sharded
+    and a single-kernel run of one spec return the same report, up to
+    the provenance stamp (``shards`` is part of the spec digest)."""
+    single = run_scenario(_ring_spec(shards=1)).report()
+    sharded = run_scenario(_ring_spec(shards=2)).report()
+    assert single.pop("scenario")["name"] == sharded.pop("scenario")["name"]
+    assert sharded == single
+    assert sharded["medium"] == "wan-ring"
+    assert sharded["ncs"]["pid0"]["data_sent"] > 0
+    assert list(sharded["atm_switches"]) == list(single["atm_switches"])
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="process mode needs fork()")
 def test_thread_and_process_modes_agree():
