@@ -19,6 +19,20 @@ def test_kernel_event_loop(sim_bench):
     assert sim["sim_time_s"] == 0.05
 
 
+def test_kernel_compute_hold_alone(sim_bench):
+    sim = sim_bench(perf.KERNEL_BENCHMARKS["kernel.compute_hold.alone"])
+    assert sim["events_processed"] < 64 * sim["n_hosts"]
+    assert sim["compute_done_s"] == 10.0
+
+
+def test_kernel_compute_hold_contended(sim_bench):
+    sim = sim_bench(perf.KERNEL_BENCHMARKS["kernel.compute_hold.contended"])
+    # what a request/timeout/release round per quantum took: 2 events a
+    # quantum for the compute, 3 per lap of the contender
+    assert sim["events_processed"] <= 50_009
+    assert sim["compute_done_s"] == 10.5
+
+
 def test_mts_context_switch(sim_bench):
     sim = sim_bench(perf.bench_mts_context_switch)
     # two threads x 5000 yields, plus scheduler entry/exit switches

@@ -47,11 +47,11 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads bits msb-first from a bytes object."""
+    """Reads bits msb-first from a bytes object, from bit ``start`` on."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, start: int = 0):
         self._data = data
-        self._pos = 0
+        self._pos = start
 
     def read(self, nbits: int) -> int:
         out = 0
@@ -68,17 +68,27 @@ class BitReader:
         return self.read(1)
 
 
+_NO_SYMBOL = object()
+
+
 class HuffmanCode:
     """A canonical Huffman code over a symbol alphabet."""
+
+    #: widest window the decode table is indexed by; longer codes (the
+    #: rarest symbols of a very skewed alphabet) are matched bit by bit
+    TABLE_BITS = 16
 
     def __init__(self, lengths: dict[Any, int]):
         if not lengths:
             raise ValueError("empty alphabet")
         self.lengths = dict(lengths)
         self.codes = self._canonical_codes(self.lengths)
-        # decode table: (length, code) -> symbol
+        # (length, code) -> symbol, for the bit-by-bit matcher
         self._decode = {(l, c): s for s, (c, l) in self.codes.items()}
         self.max_len = max(self.lengths.values())
+        # window of the next min(max_len, TABLE_BITS) bits -> (symbol,
+        # length); built by the first decode()
+        self._table: Optional[list] = None
 
     # ------------------------------------------------------------ building
     @classmethod
@@ -131,22 +141,73 @@ class HuffmanCode:
             w.write(code, length)
         return w.getvalue()
 
+    def _prefix_table(self) -> list:
+        table = self._table
+        if table is None:
+            bits = min(self.max_len, self.TABLE_BITS)
+            table = [None] * (1 << bits)
+            for sym, (code, length) in self.codes.items():
+                # a code too wide for its length (an over-subscribed
+                # alphabet) can never be read back
+                if 0 < length <= bits and not code >> length:
+                    pad = bits - length
+                    table[code << pad:(code + 1) << pad] = (
+                        [(sym, length)] * (1 << pad))
+            self._table = table
+        return table
+
     def decode(self, data: bytes, n_symbols: int) -> list:
-        reader = BitReader(data)
-        out = []
+        """The first ``n_symbols`` symbols of ``data``.
+
+        Raises ``EOFError("bitstream exhausted")`` when the data ends
+        inside a symbol and ``ValueError`` when ``max_len + 1`` bits
+        match no code.
+        """
+        table = self._prefix_table()
+        bits = len(table).bit_length() - 1
+        out: list = []
+        append = out.append
+        acc = nbits = 0  # the low nbits of acc: read from data, not yet used
+        pos = 0          # next byte of data to read
         for _ in range(n_symbols):
-            code = 0
-            length = 0
-            while True:
-                code = (code << 1) | reader.read_bit()
-                length += 1
-                sym = self._decode.get((length, code))
-                if sym is not None:
-                    out.append(sym)
-                    break
-                if length > self.max_len:
-                    raise ValueError("invalid bitstream (no code matches)")
+            if nbits < bits:
+                chunk = data[pos:pos + 4]
+                pos += len(chunk)
+                acc = (acc << (8 * len(chunk))) | int.from_bytes(chunk, "big")
+                nbits += 8 * len(chunk)
+            # past the end of data the window is padded with zeros; an
+            # entry reaching into the padding does not count
+            entry = table[acc >> (nbits - bits) if nbits >= bits
+                          else acc << (bits - nbits)]
+            if entry is not None and entry[1] <= nbits:
+                nbits -= entry[1]
+                acc &= (1 << nbits) - 1
+                append(entry[0])
+                continue
+            # a code longer than the window, the end of the data, or bits
+            # that match nothing: settle it one bit at a time
+            start = pos * 8 - nbits
+            sym, length = self._match_bitwise(BitReader(data, start))
+            append(sym)
+            pos, used = divmod(start + length, 8)
+            acc = nbits = 0
+            if used:
+                nbits = 8 - used
+                acc = data[pos] & ((1 << nbits) - 1)
+                pos += 1
         return out
+
+    def _match_bitwise(self, reader: BitReader) -> tuple[Any, int]:
+        code = 0
+        length = 0
+        while True:
+            code = (code << 1) | reader.read_bit()
+            length += 1
+            sym = self._decode.get((length, code), _NO_SYMBOL)
+            if sym is not _NO_SYMBOL:
+                return sym, length
+            if length > self.max_len:
+                raise ValueError("invalid bitstream (no code matches)")
 
     def encoded_bit_length(self, symbols: Iterable[Any]) -> int:
         return sum(self.codes[s][1] for s in symbols)

@@ -6,6 +6,8 @@ times the hot paths a profiler shows dominating every experiment —
 
 * ``kernel.event_loop`` — the :class:`~repro.sim.Simulator` calendar
   (schedule/pop/fire for a long timeout chain);
+* ``kernel.compute_hold.*`` — one 10 s COMPUTE holding a host CPU, alone
+  and preempted at every quantum boundary;
 * ``mts.context_switch`` — the MTS scheduler's thread-switch path
   (two threads trading ``yield_cpu`` slices);
 * ``mps.pingpong`` — the full MPS send/recv path end to end over the
@@ -112,6 +114,40 @@ def bench_mps_pingpong(n_roundtrips: int = 200, size: int = 1024) -> dict:
             "makespan_s": round(makespan, 9)}
 
 
+def bench_kernel_compute_hold(contended: bool, n_hosts: int = 1,
+                              seconds: float = 10.0) -> dict:
+    """A COMPUTE of ``seconds`` (10 000 quanta) on each of ``n_hosts``
+    hosts: both ends of the event-driven quantum trade.  Left alone it
+    sleeps on a handful of timers; ``contended``, a 2 kHz stream of
+    50 us OVERHEAD charges per host preempts it at every quantum
+    boundary, which must cost no more than a request/timeout/release
+    round per quantum would."""
+    from ..hosts import Host
+    from ..sim import Activity, Simulator
+
+    sim = Simulator()
+    done: dict[str, float] = {}
+
+    def computer(host):
+        yield from host.cpu_busy(seconds)
+        done[host.name] = sim.now
+
+    def contender(host):
+        while host.name not in done:
+            yield sim.timeout(0.5e-3)
+            yield from host.cpu_busy(50e-6, Activity.OVERHEAD)
+
+    for i in range(n_hosts):
+        host = Host(sim, f"h{i}")
+        sim.process(computer(host), name=f"perf-compute:{i}")
+        if contended:
+            sim.process(contender(host), name=f"perf-contender:{i}")
+    sim.run()
+    return {"n_hosts": n_hosts,
+            "events_processed": sim.metrics.value("sim.events_processed"),
+            "compute_done_s": round(max(done.values()), 9)}
+
+
 def bench_kernel_sharded(shards: int, n_sites: int = 8,
                          rounds: int = 10) -> dict:
     """The sharded kernel's scaling ladder: a dense all-to-all workload
@@ -175,6 +211,10 @@ def bench_app_fft(m: int = 64, n_sets: int = 2, n_nodes: int = 2) -> dict:
 #: the two suites; order is the report order
 KERNEL_BENCHMARKS: dict[str, Callable[[], dict]] = {
     "kernel.event_loop": bench_kernel_event_loop,
+    # 32 hosts: one is under a millisecond of wall, too short to gate on
+    "kernel.compute_hold.alone":
+        lambda: bench_kernel_compute_hold(False, n_hosts=32),
+    "kernel.compute_hold.contended": lambda: bench_kernel_compute_hold(True),
     "mts.context_switch": bench_mts_context_switch,
     "mps.pingpong": bench_mps_pingpong,
     "kernel.sharded_events.s1": lambda: bench_kernel_sharded(1),

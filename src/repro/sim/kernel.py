@@ -303,6 +303,26 @@ class SimProcess(Event):
         self.sim._schedule(poke, 0.0)
         poke.callbacks.append(self._resume_cb)
 
+    def wake_at(self, when: float) -> None:
+        """Wake the process at the absolute instant ``when`` instead of at
+        the later timer it is parked on.
+
+        The timer must be the process's own (nobody else waits on it): it
+        is cancelled (:meth:`KernelCore.cancel`), so it can neither resume
+        the process a second time nor show up in ``peek()``, and the
+        process is re-parked on a fresh event scheduled float-exactly at
+        ``when`` that carries the timer's value.
+        """
+        timer = self._waiting_on
+        if self._value is not PENDING or timer is None or timer._processed:
+            raise SimulationError(
+                f"{self!r} is not parked on a pending timer")
+        sim = self.sim
+        sim.cancel(timer)
+        early = sim.at(when, timer._value)
+        early.callbacks.append(self._resume_cb)
+        self._waiting_on = early
+
     def _resume(self, ev: Event) -> None:
         if self._value is not PENDING or self._waiting_on is not ev:
             return  # finished, or a stale wakeup (e.g. interrupted)
@@ -405,14 +425,41 @@ class KernelCore:
         seq = self._seq = self._seq + 1
         heapq.heappush(self._heap, (when, seq, event))
 
+    def cancel(self, event: Event) -> None:
+        """Withdraw a scheduled, not yet processed ``event`` for good.
+
+        Its calendar entry stays where it is and is dropped when it
+        surfaces (removing it from the middle of the heap would cost
+        O(calendar) per cancellation): a cancelled entry runs no
+        callback, does not move the clock, is not counted in
+        ``sim.events_processed`` and is invisible to :meth:`peek`.  The
+        mark is ``callbacks is None`` on an unprocessed event — distinct
+        from *processed*, so :meth:`Simulator.recycle` refuses a
+        cancelled event and its object can never be handed out again
+        while the dead entry still points at it.  Only the event's sole
+        owner may cancel it; anybody else waiting on it would wait
+        forever.
+        """
+        if event._processed:
+            raise SimulationError(f"cannot cancel {event!r}: already processed")
+        event.callbacks = None
+
     # ------------------------------------------------------------------- run
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        heap = self._heap
+        while heap:
+            if heap[0][2].callbacks is not None:
+                return heap[0][0]
+            heapq.heappop(heap)  # cancelled
+        return float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        t, _, event = heapq.heappop(self._heap)
+        while True:
+            t, _, event = heapq.heappop(self._heap)
+            if event.callbacks is not None:
+                break
         if t < self._now:  # pragma: no cover - kernel invariant
             raise SimulationError("time went backwards")
         self._now = t
@@ -437,10 +484,13 @@ class KernelCore:
             # the common full-drain run: the tightest possible loop
             while heap:
                 entry = pop(heap)
+                event = entry[2]
+                if event.callbacks is None:
+                    continue  # cancelled
                 self._now = entry[0]
                 if inc is not None:
                     inc()
-                entry[2]._process()
+                event._process()
             return
         count = 0
         while heap:
@@ -448,10 +498,13 @@ class KernelCore:
                 self._now = until
                 return
             entry = pop(heap)
+            event = entry[2]
+            if event.callbacks is None:
+                continue  # cancelled
             self._now = entry[0]
             if inc is not None:
                 inc()
-            entry[2]._process()
+            event._process()
             count += 1
             if max_events is not None and count >= max_events:
                 raise SimulationError(
@@ -474,10 +527,13 @@ class KernelCore:
         n = 0
         while heap and heap[0][0] < limit:
             entry = pop(heap)
+            event = entry[2]
+            if event.callbacks is None:
+                continue  # cancelled
             self._now = entry[0]
             if inc is not None:
                 inc()
-            entry[2]._process()
+            event._process()
             n += 1
         return n
 
@@ -529,6 +585,15 @@ class Simulator(KernelCore):
             self._schedule(ev, delay)
             return ev
         return Timeout(self, delay, value)
+
+    def at(self, when: float, value: Any = None) -> Event:
+        """An event firing with ``value`` at the absolute instant ``when``
+        — float-exactly, where ``timeout(when - now)`` can land one ulp
+        off (see :meth:`KernelCore.schedule_at`)."""
+        ev = self.event(name="at")
+        ev._value = value
+        self.schedule_at(ev, when)
+        return ev
 
     def recycle(self, ev: Event) -> None:
         """Return a one-shot event to the allocation pool.

@@ -30,14 +30,21 @@ class Resource:
         yield req
         ...  # critical section
         resource.release()
+
+    ``on_contend`` is called (no arguments) each time a request has to
+    queue, after it has joined the wait queue — the hook a holder that
+    would otherwise keep the slot for a long time uses to learn that
+    somebody is waiting.  A request granted at once never calls it.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
+    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "",
+                 on_contend: Optional[Callable[[], None]] = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self.on_contend = on_contend
         self._req_name = f"req:{name}"
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
@@ -58,6 +65,8 @@ class Resource:
             ev.succeed(self)
         else:
             self._waiters.append(ev)
+            if self.on_contend is not None:
+                self.on_contend()
         return ev
 
     def release(self) -> None:

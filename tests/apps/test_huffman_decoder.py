@@ -1,0 +1,173 @@
+"""The prefix-table Huffman decoder against the bit-by-bit one it replaced.
+
+``reference_decode`` below is the old decoder, kept as the oracle: for
+any code and any byte string — well-formed, truncated or corrupted — the
+table decoder must return the same symbols or raise the same error.
+``jpeg_parent_payloads.json`` pins the encoder: SHA-256 of what commit
+``cce7575`` produced for the bands of the benchmark image (re-capture at
+that commit only: ``PYTHONPATH=<parent>/src python
+tests/apps/test_huffman_decoder.py OUT.json``).
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.apps.jpeg import BitReader, HuffmanCode, benchmark_image, compress
+from repro.apps.jpeg.distributed import band_slices
+
+PARENT = Path(__file__).with_name("jpeg_parent_payloads.json")
+BAND_COUNTS = (1, 4)
+
+
+def reference_decode(code: HuffmanCode, data: bytes, n_symbols: int) -> list:
+    """One ``read_bit`` per bit, one dict probe per code length."""
+    by_code = {(l, c): s for s, (c, l) in code.codes.items()}
+    reader = BitReader(data)
+    out = []
+    for _ in range(n_symbols):
+        value = length = 0
+        while True:
+            value = (value << 1) | reader.read_bit()
+            length += 1
+            if (length, value) in by_code:
+                out.append(by_code[length, value])
+                break
+            if length > code.max_len:
+                raise ValueError("invalid bitstream (no code matches)")
+    return out
+
+
+def outcome(decode, *args):
+    try:
+        return decode(*args)
+    except (EOFError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def fibonacci_stream(n_symbols: int) -> list:
+    """Frequencies 1, 1, 2, 3, 5, ...: the most skewed code there is,
+    ``max_len == n_symbols - 1``."""
+    a, b, out = 1, 1, []
+    for sym in range(n_symbols):
+        out += [sym] * a
+        a, b = b, a + b
+    return out
+
+
+alphabets = st.one_of(
+    st.just(["only"]),
+    st.just(["zero", "one"]),
+    st.integers(3, 40).map(lambda n: list(range(n))),
+)
+
+
+@st.composite
+def streams(draw):
+    alphabet = draw(alphabets)
+    weights = draw(st.lists(st.integers(1, 50), min_size=len(alphabet),
+                            max_size=len(alphabet)))
+    symbols = [s for s, w in zip(alphabet, weights) for _ in range(w)]
+    return draw(st.permutations(symbols))
+
+
+class TestDecoderMatchesReference:
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip(self, symbols):
+        code = HuffmanCode.from_symbols(symbols)
+        data = code.encode(symbols)
+        assert code.decode(data, len(symbols)) == list(symbols)
+        assert reference_decode(code, data, len(symbols)) == list(symbols)
+
+    @pytest.mark.parametrize("n", [14, 17, 24])
+    def test_skewed_alphabet(self, n):
+        """max_len 13 fits the table; 16 and 23 go past TABLE_BITS, so
+        the rarest symbols take the bit-by-bit route mid-stream."""
+        symbols = fibonacci_stream(n)
+        code = HuffmanCode.from_symbols(symbols)
+        assert code.max_len == n - 1
+        # rare symbols first, last and in between
+        symbols = symbols[::-1][:200] + symbols[:40] + symbols[::7]
+        data = code.encode(symbols)
+        assert code.decode(data, len(symbols)) == symbols
+
+    @given(streams(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_by_one_byte(self, symbols, data):
+        code = HuffmanCode.from_symbols(symbols)
+        short = code.encode(symbols)[:-1]
+        n = data.draw(st.integers(0, len(symbols)))
+        assert (outcome(code.decode, short, n)
+                == outcome(reference_decode, code, short, n))
+
+    @given(streams(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_flipped(self, symbols, data):
+        code = HuffmanCode.from_symbols(symbols)
+        blob = bytearray(code.encode(symbols))
+        bit = data.draw(st.integers(0, len(blob) * 8 - 1))
+        blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        blob = bytes(blob)
+        assert (outcome(code.decode, blob, len(symbols))
+                == outcome(reference_decode, code, blob, len(symbols)))
+
+    @given(st.dictionaries(st.integers(0, 30), st.integers(0, 20),
+                           min_size=1, max_size=12),
+           st.binary(max_size=24), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_lengths_and_bytes(self, lengths, blob, n):
+        """Hand-made length tables: incomplete, over-subscribed,
+        zero-length codes.  Whatever the old decoder made of them."""
+        code = HuffmanCode(lengths)
+        assert (outcome(code.decode, blob, n)
+                == outcome(reference_decode, code, blob, n))
+
+
+class TestErrors:
+    def test_data_ending_inside_a_symbol_is_eof(self):
+        symbols = fibonacci_stream(14)
+        code = HuffmanCode.from_symbols(symbols)
+        data = code.encode(symbols)
+        with pytest.raises(EOFError, match="^bitstream exhausted$"):
+            code.decode(data, len(symbols) + 8)
+        with pytest.raises(EOFError, match="^bitstream exhausted$"):
+            code.decode(b"", 1)
+
+    def test_bits_matching_no_code_are_a_value_error(self):
+        code = HuffmanCode.from_symbols(["x"] * 3)  # the one code: "0"
+        assert code.decode(b"\x00", 8) == ["x"] * 8
+        with pytest.raises(ValueError, match="no code matches"):
+            code.decode(b"\x20", 8)  # 0 0 1 ...
+        # the verdict needs max_len + 1 bits; short of them it is an EOF
+        with pytest.raises(EOFError, match="^bitstream exhausted$"):
+            code.decode(b"\x01", 8)
+
+
+class TestEncoderUnchanged:
+    def test_benchmark_image_bands(self):
+        assert band_digests() == json.loads(PARENT.read_text())
+
+
+def band_digests() -> dict:
+    image = benchmark_image()
+    out = {}
+    for parts in BAND_COUNTS:
+        digests = []
+        for band in band_slices(image.shape[0], parts):
+            comp = compress(image[band])
+            digest = hashlib.sha256(comp.payload)
+            digest.update(repr(sorted(comp.code_lengths.items(),
+                                      key=repr)).encode())
+            digests.append(f"{comp.n_symbols}:{digest.hexdigest()}")
+        out[str(parts)] = digests
+    return out
+
+
+if __name__ == "__main__":
+    Path(sys.argv[1]).write_text(
+        json.dumps(band_digests(), indent=1, sort_keys=True) + "\n")

@@ -217,6 +217,79 @@ class TestInterrupts:
         assert log == [("int", 1.0), ("done", 11.0)]
 
 
+class TestCancelAndWakeAt:
+    def test_cancelled_event_never_happened(self, sim):
+        """No callback, no clock movement, no count, not in peek()."""
+        fired = []
+        dead = sim.timeout(5.0)
+        dead.add_callback(fired.append)
+        sim.timeout(2.0)
+        sim.cancel(dead)
+        assert sim.peek() == 2.0
+        sim.run()
+        assert fired == [] and sim.now == 2.0
+        assert sim.metrics.value("sim.events_processed") == 1
+        assert sim.peek() == float("inf")
+
+    def test_cancelled_head_is_skipped_by_every_loop(self, sim):
+        for run in (lambda: sim.run(until=10.0), lambda: sim.run_below(10.0),
+                    sim.step, lambda: sim.run(max_events=5)):
+            sim.cancel(sim.timeout(1.0))
+            live = sim.timeout(2.0)
+            before = sim.metrics.value("sim.events_processed")
+            run()
+            assert live.processed
+            assert sim.metrics.value("sim.events_processed") == before + 1
+
+    def test_cancelled_timeout_is_not_recycled(self, sim):
+        """A pooled object handed out again while its dead calendar entry
+        still points at it would fire early."""
+        dead = sim.timeout(5.0)
+        sim.cancel(dead)
+        sim.recycle(dead)
+        assert sim.timeout(7.0) is not dead
+
+    def test_cancel_processed_event_raises(self, sim):
+        ev = sim.timeout(1.0)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.cancel(ev)
+
+    def test_at_fires_at_the_exact_float(self, sim):
+        when = 0.1 + 0.2  # 0.30000000000000004
+        seen = []
+        def proc(sim):
+            yield sim.timeout(0.1)
+            seen.append((yield sim.at(when, "v")))
+            seen.append(sim.now)
+        sim.run_process(proc(sim))
+        assert seen == ["v", when]
+
+    def test_wake_at_moves_a_parked_process_up(self, sim):
+        log = []
+        def sleeper(sim):
+            log.append((yield sim.timeout(50.0, "late")))
+            log.append(sim.now)
+            yield sim.timeout(100.0)
+            log.append(sim.now)
+        p = sim.process(sleeper(sim))
+        sim.call_in(1.0, lambda: p.wake_at(3.0))
+        sim.run(until=10.0)
+        # woken once, with the timer's value; the timer at t=50 is gone
+        assert log == ["late", 3.0]
+        assert sim.peek() == 103.0
+        sim.run()
+        assert log == ["late", 3.0, 103.0] and sim.now == 103.0
+
+    def test_wake_at_needs_a_parked_process(self, sim):
+        def quick(sim):
+            yield sim.timeout(1.0)
+        p = sim.process(quick(sim))
+        sim.run()
+        with pytest.raises(SimulationError):
+            p.wake_at(2.0)
+
+
 class TestConditions:
     def test_any_of_first_wins(self, sim):
         def proc(sim):

@@ -76,6 +76,20 @@ class TestResource:
         assert res.in_use == 1 and res.queue_length == 1
 
 
+    def test_on_contend_fires_for_queued_requests_only(self, sim):
+        calls = []
+        res = Resource(sim, capacity=1,
+                       on_contend=lambda: calls.append(res.queue_length))
+        res.request()
+        assert calls == []
+        res.request()
+        res.request()
+        assert calls == [1, 2]
+        res.release()
+        res.request()
+        assert calls == [1, 2, 2]
+
+
 class TestStore:
     def test_put_then_get(self, sim):
         st = Store(sim)
