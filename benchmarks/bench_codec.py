@@ -3,14 +3,19 @@
 Unlike the simulation benchmarks (whose 'time' is virtual), these
 measure the host interpreter doing the real work — DCT, quantization,
 entropy coding — on the paper's 600 KB image, with correctness asserted
-alongside.
+alongside.  The entropy coder is timed stage by stage as well, so a
+regression lands on RLE or Huffman, encode or decode, not on "compress".
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.jpeg import (
-    benchmark_image, blockify, compress, dct2, decompress, psnr,
+    HuffmanCode, benchmark_image, blockify, compress, dct2, decompress, psnr,
+    quality_table, quantize, to_zigzag,
+)
+from repro.apps.jpeg.rle import (
+    decode_block_keys, encode_block_keys, symbol_of,
 )
 
 
@@ -40,6 +45,51 @@ def test_bench_decompress_600k(benchmark, image, compressed):
     rec = benchmark.pedantic(decompress, args=(compressed,), rounds=3,
                              iterations=1)
     assert psnr(image, rec) > 30.0
+
+
+@pytest.fixture(scope="module")
+def stages(image, compressed):
+    """What each entropy stage of ``compress(image)`` is handed."""
+    zz = to_zigzag(quantize(
+        dct2(blockify(image.astype(np.float64) - 128.0)), quality_table(75)))
+    keys, stream, counts = np.unique(
+        encode_block_keys(zz), return_inverse=True, return_counts=True)
+    freqs = dict(zip(map(symbol_of, keys.tolist()), counts.tolist()))
+    code = HuffmanCode.from_frequencies(freqs)
+    indices = code.index(freqs)[stream]
+    assert code.lengths == compressed.code_lengths
+    return {"zz": zz, "freqs": freqs, "code": code, "indices": indices,
+            "keys": keys[stream]}
+
+
+def test_bench_rle_encode(benchmark, stages):
+    keys = benchmark(encode_block_keys, stages["zz"])
+    assert np.array_equal(keys, stages["keys"])
+
+
+def test_bench_huffman_build(benchmark, stages, compressed):
+    code = benchmark(HuffmanCode.from_frequencies, stages["freqs"])
+    assert code.lengths == compressed.code_lengths
+
+
+def test_bench_huffman_encode(benchmark, stages, compressed):
+    payload = benchmark(stages["code"].encode_indices, stages["indices"])
+    assert payload == compressed.payload
+
+
+def test_bench_huffman_decode(benchmark, stages, compressed):
+    def decode():
+        # a fresh code: building the prefix table is part of every
+        # decompress
+        return HuffmanCode(compressed.code_lengths).decode_indices(
+            compressed.payload, compressed.n_symbols)
+    indices = benchmark.pedantic(decode, rounds=5, iterations=1)
+    assert np.array_equal(indices, stages["indices"])
+
+
+def test_bench_rle_decode(benchmark, stages):
+    zz = benchmark(decode_block_keys, stages["keys"], len(stages["zz"]))
+    assert np.array_equal(zz, stages["zz"])
 
 
 def test_bench_sim_event_rate(benchmark):

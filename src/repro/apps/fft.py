@@ -143,22 +143,21 @@ class DifWorkerState:
         """Run the remaining stages on the worker's contiguous 2r chunk;
         returns the chunk in virtual (pre-bit-reversal) order."""
         u = np.concatenate([self.a, self.b])
-        size = len(u)
         total_stages = int(math.log2(self.m))
         for step in range(self.comm_stages, total_stages):
             m_blk = self.m >> step          # current block size (global)
             h = m_blk // 2
-            # within our chunk, blocks are contiguous and h <= r
-            for start in range(0, size, m_blk):
-                j = np.arange(h)
-                k = (j * (1 << step)) % (self.m // 2)
-                w = np.exp(-2j * np.pi * k / self.m)
-                top = u[start:start + h]
-                bot = u[start + h:start + m_blk]
-                x = top + bot
-                y = (top - bot) * w
-                u[start:start + h] = x
-                u[start + h:start + m_blk] = y
+            k = (np.arange(h) * (1 << step)) % (self.m // 2)
+            w = np.exp(-2j * np.pi * k / self.m)
+            # within our chunk, blocks are contiguous and h <= r: one row
+            # per block, every block under the same twiddles
+            blocks = u.reshape(-1, m_blk)
+            top = blocks[:, :h]
+            bot = blocks[:, h:]
+            x = top + bot
+            y = (top - bot) * w
+            blocks[:, :h] = x
+            blocks[:, h:] = y
         return u
 
     def n_butterflies(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from .dct import BLOCK, blockify, dct2, idct2, unblockify
 from .huffman import HuffmanCode
 from .quant import dequantize, quality_table, quantize
-from .rle import decode_blocks, encode_blocks
+from .rle import decode_block_keys, encode_block_keys, key_of, symbol_of
 from .zigzag import from_zigzag, to_zigzag
 
 __all__ = ["CompressedImage", "compress", "decompress", "psnr"]
@@ -52,18 +52,23 @@ def compress(image: np.ndarray, quality: int = 75) -> CompressedImage:
     coeffs = dct2(blocks)
     quantized = quantize(coeffs, table)
     zz = to_zigzag(quantized)
-    symbols = encode_blocks(zz)
-    code = HuffmanCode.from_symbols(symbols)
-    payload = code.encode(symbols)
-    return CompressedImage(h, w, quality, len(symbols),
+    # the symbol stream stays an array of packed keys; only its distinct
+    # symbols become the tuples the code is keyed (and ordered) by
+    keys, stream, counts = np.unique(encode_block_keys(zz),
+                                     return_inverse=True, return_counts=True)
+    symbols = [symbol_of(key) for key in keys.tolist()]
+    code = HuffmanCode.from_frequencies(dict(zip(symbols, counts.tolist())))
+    payload = code.encode_indices(code.index(symbols)[stream])
+    return CompressedImage(h, w, quality, len(stream),
                            code.lengths, payload)
 
 
 def decompress(data: CompressedImage) -> np.ndarray:
     """Reconstruct the image from a :class:`CompressedImage`."""
     code = HuffmanCode(data.code_lengths)
-    symbols = code.decode(data.payload, data.n_symbols)
-    zz = decode_blocks(symbols, data.n_blocks)
+    keys = np.array([key_of(sym) for sym in code.alphabet], dtype=np.int64)
+    stream = code.decode_indices(data.payload, data.n_symbols)
+    zz = decode_block_keys(keys[stream], data.n_blocks)
     quantized = from_zigzag(zz)
     table = quality_table(data.quality)
     blocks = idct2(dequantize(quantized, table))

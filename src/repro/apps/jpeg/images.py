@@ -9,6 +9,8 @@ realistic rather than degenerate.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["benchmark_image", "IMAGE_HEIGHT", "IMAGE_WIDTH"]
@@ -19,7 +21,16 @@ IMAGE_WIDTH = 960
 
 def benchmark_image(height: int = IMAGE_HEIGHT, width: int = IMAGE_WIDTH,
                     seed: int = 1995) -> np.ndarray:
-    """A deterministic grayscale test image (uint8, 600 KiB by default)."""
+    """A deterministic grayscale test image (uint8, 600 KiB by default).
+
+    Every call with the same arguments returns the same read-only array
+    (each Table 2 cell asks for the same image); copy it to write to it.
+    """
+    return _render(height, width, seed)
+
+
+@lru_cache(maxsize=8)
+def _render(height: int, width: int, seed: int) -> np.ndarray:
     if height % 8 or width % 8:
         raise ValueError("image dimensions must be multiples of 8")
     rng = np.random.default_rng(seed)
@@ -32,4 +43,6 @@ def benchmark_image(height: int = IMAGE_HEIGHT, width: int = IMAGE_WIDTH,
     img[int(height * 0.6): int(height * 0.8),
         int(width * 0.55): int(width * 0.9)] -= 55
     img += rng.normal(0, 3.0, size=(height, width))
-    return np.clip(img, 0, 255).astype(np.uint8)
+    out = np.clip(img, 0, 255).astype(np.uint8)
+    out.setflags(write=False)
+    return out

@@ -13,8 +13,9 @@ times the hot paths a profiler shows dominating every experiment —
 * ``mps.pingpong`` — the full MPS send/recv path end to end over the
   simulated Ethernet (system threads, flow/error control, TCP/IP);
 
-— plus the paper's three applications at reduced problem sizes
-(``apps.*``).  Results are written as JSON (``BENCH_kernel.json`` /
+— plus the paper's three applications (``apps.*``: matmul and the FFT
+at reduced sizes, the JPEG pipeline and its bare codec on the 600 KB
+image).  Results are written as JSON (``BENCH_kernel.json`` /
 ``BENCH_apps.json`` at the repo root) and checked against the committed
 baseline by CI: :func:`check_regression` fails any benchmark whose
 wall-clock grew more than ``tolerance`` (default 25 %).
@@ -190,14 +191,25 @@ def bench_app_matmul(n: int = 32, n_nodes: int = 2) -> dict:
             "makespan_s": round(res.makespan_s, 9)}
 
 
-def bench_app_jpeg(side: int = 64, n_nodes: int = 2) -> dict:
+def bench_app_jpeg(n_nodes: int = 2) -> dict:
+    """A Table 2 cell as the paper runs it: the 600 KB image through
+    the NCS pipeline."""
     from ..apps.jpeg.distributed import run_jpeg_ncs
-    from ..apps.jpeg.images import benchmark_image
 
-    image = benchmark_image(side, side)
-    res = run_jpeg_ncs("ethernet", n_nodes, image=image)
-    return {"image": f"{side}x{side}", "n_nodes": n_nodes,
+    res = run_jpeg_ncs("ethernet", n_nodes)
+    return {"image_bytes": res.details["image_bytes"], "n_nodes": n_nodes,
             "correct": bool(res.correct), "makespan_s": round(res.makespan_s, 9)}
+
+
+def bench_app_jpeg_codec() -> dict:
+    """``compress`` + ``decompress`` of the 600 KB image with no
+    simulator around them: the host compute every Table 2 cell carries."""
+    from ..apps.jpeg import benchmark_image, compress, decompress, psnr
+
+    image = benchmark_image()
+    comp = compress(image)
+    return {"payload_bytes": len(comp.payload), "n_symbols": comp.n_symbols,
+            "correct": bool(psnr(image, decompress(comp)) > 30.0)}
 
 
 def bench_app_fft(m: int = 64, n_sets: int = 2, n_nodes: int = 2) -> dict:
@@ -225,6 +237,7 @@ KERNEL_BENCHMARKS: dict[str, Callable[[], dict]] = {
 APP_BENCHMARKS: dict[str, Callable[[], dict]] = {
     "apps.matmul_ncs": bench_app_matmul,
     "apps.jpeg_ncs": bench_app_jpeg,
+    "apps.jpeg_codec_600k": bench_app_jpeg_codec,
     "apps.fft_ncs": bench_app_fft,
 }
 

@@ -60,6 +60,28 @@ class TestMatmul:
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
+def local_stages_per_block(m, comm_stages, a, b):
+    """``DifWorkerState.run_local_stages`` as it was at commit
+    ``ef0bf93``, frozen: the twiddles re-derived for every block of
+    every stage."""
+    u = np.concatenate([a, b])
+    size = len(u)
+    for step in range(comm_stages, int(np.log2(m))):
+        m_blk = m >> step
+        h = m_blk // 2
+        for start in range(0, size, m_blk):
+            j = np.arange(h)
+            k = (j * (1 << step)) % (m // 2)
+            w = np.exp(-2j * np.pi * k / m)
+            top = u[start:start + h]
+            bot = u[start + h:start + m_blk]
+            x = top + bot
+            y = (top - bot) * w
+            u[start:start + h] = x
+            u[start + h:start + m_blk] = y
+    return u
+
+
 class TestFftAlgorithm:
     @pytest.mark.parametrize("m,p", [(16, 2), (64, 4), (256, 8), (512, 16)])
     def test_reference_matches_numpy(self, m, p):
@@ -75,6 +97,21 @@ class TestFftAlgorithm:
             DifWorkerState(0, 3, 16, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
             DifWorkerState(0, 2, 12, np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("m", [64, 128, 256, 512])
+    @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
+    def test_local_stages_equal_per_block_loop(self, m, p):
+        """Every worker count of Table 3 (p4: 1-8 nodes, NCS: two threads
+        each).  ``==``, not ``allclose``: one twiddle vector per stage is
+        the same arithmetic, element for element."""
+        r = m // (2 * p)
+        a, b = make_samples(r, 2, seed=m + p)
+        state = DifWorkerState(p - 1, p, m, a, b)
+        expected = local_stages_per_block(m, state.comm_stages, a, b)
+        out = state.run_local_stages()
+        assert out.dtype == expected.dtype and out.shape == (2 * r,)
+        assert (out == expected).all()
+        assert np.array_equal(state.a, a) and np.array_equal(state.b, b)
 
     def test_butterfly_counts(self):
         st = DifWorkerState(0, 4, 64, np.zeros(8, complex),

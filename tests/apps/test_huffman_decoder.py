@@ -4,9 +4,12 @@
 any code and any byte string — well-formed, truncated or corrupted — the
 table decoder must return the same symbols or raise the same error.
 ``jpeg_parent_payloads.json`` pins the encoder: SHA-256 of what commit
-``cce7575`` produced for the bands of the benchmark image (re-capture at
-that commit only: ``PYTHONPATH=<parent>/src python
-tests/apps/test_huffman_decoder.py OUT.json``).
+``ef0bf93`` — the last one with the per-coefficient Python encoder,
+whose output ``cce7575``'s equals — produced for the bands of the
+benchmark image, for every band split Table 2 runs (p4: 1, 2, 4 bands;
+NCS: 2, 4, 8 sub-bands).  Re-capture at that commit only:
+``PYTHONPATH=<parent>/src python tests/apps/test_huffman_decoder.py
+OUT.json``.
 """
 
 import hashlib
@@ -21,7 +24,7 @@ from repro.apps.jpeg import BitReader, HuffmanCode, benchmark_image, compress
 from repro.apps.jpeg.distributed import band_slices
 
 PARENT = Path(__file__).with_name("jpeg_parent_payloads.json")
-BAND_COUNTS = (1, 4)
+BAND_COUNTS = (1, 2, 4, 8)
 
 
 def reference_decode(code: HuffmanCode, data: bytes, n_symbols: int) -> list:

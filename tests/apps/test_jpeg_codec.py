@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.apps.jpeg import (
-    BitReader, BitWriter, HuffmanCode, LUMINANCE_TABLE, benchmark_image,
+    BitReader, BitWriter, EOB, HuffmanCode, LUMINANCE_TABLE, benchmark_image,
     blockify, compress, decompress, dct2, decode_blocks, dequantize,
     encode_blocks, from_zigzag, idct2, psnr, quality_table, quantize,
     to_zigzag, unblockify, zigzag_indices,
@@ -109,6 +109,69 @@ class TestRle:
     def test_roundtrip_property(self, zz):
         assert np.array_equal(decode_blocks(encode_blocks(zz), 4), zz)
 
+    def test_stream_ending_early_names_the_block(self):
+        """Used to leak StopIteration, which an MTS thread body (itself
+        a generator) turns into a RuntimeError with no block index."""
+        zz = np.zeros((3, 64), dtype=np.int32)
+        zz[:, 0], zz[2, 7] = 9, 4
+        syms = encode_blocks(zz)
+        for cut, block in ((len(syms) - 1, 2), (len(syms) - 3, 2), (2, 1),
+                           (1, 0), (0, 0)):
+            with pytest.raises(ValueError,
+                               match=f"^block {block}: symbol stream ended"):
+                decode_blocks(syms[:cut], 3)
+        with pytest.raises(ValueError, match="^block 3: symbol stream ended"):
+            decode_blocks(iter(syms), 4)
+
+    def test_surplus_symbols_rejected(self):
+        zz = np.zeros((2, 64), dtype=np.int32)
+        zz[1, 3] = 1
+        syms = encode_blocks(zz)
+        assert len(syms) == 5
+        with pytest.raises(ValueError, match="3 surplus symbols after block 0"):
+            decode_blocks(syms, 1)
+        with pytest.raises(ValueError, match="1 surplus symbols after block 1"):
+            decode_blocks(syms + [("DC", 0)], 2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+    def test_non_integer_stack_rejected(self, dtype):
+        """``int()`` used to truncate 2.9 to 2 without a word."""
+        zz = np.full((2, 64), 2.9).astype(dtype)
+        with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}"):
+            encode_blocks(zz)
+
+    def test_coefficients_wider_than_int32_rejected(self):
+        zz = np.zeros((1, 64), dtype=np.int64)
+        zz[0, 1] = 2 ** 31
+        with pytest.raises(ValueError, match="fit in int32"):
+            encode_blocks(zz)
+        with pytest.raises(ValueError, match="AC coefficient does not fit"):
+            decode_blocks([("DC", 0), ("AC", 0, 2 ** 31), EOB], 1)
+        with pytest.raises(ValueError, match="DC coefficient does not fit"):
+            decode_blocks([("DC", 2 ** 31 - 1), EOB, ("DC", 1), EOB], 2)
+
+    def test_misplaced_symbols_name_block_and_symbol(self):
+        with pytest.raises(ValueError, match=r"^block 0: expected DC symbol, "
+                                             r"got \('AC', 0, 1\)$"):
+            decode_blocks([("AC", 0, 1), EOB], 1)
+        with pytest.raises(ValueError, match=r"^block 1: expected AC symbol, "
+                                             r"got \('DC', 2\)$"):
+            decode_blocks([("DC", 1), EOB, ("DC", 1), ("DC", 2), EOB], 2)
+        with pytest.raises(ValueError, match=r"^block 1: expected DC symbol, "
+                                             r"got \('EOB',\)$"):
+            decode_blocks([("DC", 1), EOB, EOB], 2)
+        with pytest.raises(ValueError,
+                           match="^block 1: AC run overflows the block$"):
+            decode_blocks([("DC", 1), EOB, ("DC", 1), ("AC", 30, 1),
+                           ("AC", 32, 1), EOB], 2)
+        # the first fault in stream order is the one reported
+        with pytest.raises(ValueError, match="^block 0: AC run overflows"):
+            decode_blocks([("DC", 1), ("AC", 63, 1), ("DC", 1)], 2)
+        for junk in ("DC", ("DC",), ("AC", 1), ("AC", -1, 1), ("DC", 1.5),
+                     None):
+            with pytest.raises(ValueError, match="^not an RLE symbol: "):
+                decode_blocks([("DC", 1), junk, EOB], 1)
+
 
 class TestHuffman:
     def test_bitwriter_reader_roundtrip(self):
@@ -125,6 +188,19 @@ class TestHuffman:
     def test_bitwriter_rejects_oversize(self):
         with pytest.raises(ValueError):
             BitWriter().write(4, 2)
+
+    def test_bitwriter_rejects_value_in_zero_bits(self):
+        """``nbits and value >> nbits`` let any value through at width
+        0 and ORed it into the pending bits."""
+        w = BitWriter()
+        w.write(0, 1)
+        with pytest.raises(ValueError, match="value 5 does not fit in 0 bits"):
+            w.write(5, 0)
+        w.write(0, 0)
+        assert w.bit_length == 1
+        assert w.getvalue() == b"\x00"
+        with pytest.raises(ValueError):
+            w.write(-1, 3)
 
     def test_roundtrip(self):
         symbols = list("abracadabra") * 5
@@ -186,6 +262,21 @@ class TestCodec:
         img = benchmark_image()
         assert img.nbytes == 600 * 1024
         assert img.dtype == np.uint8
+
+    def test_benchmark_image_is_memoised_and_read_only(self):
+        img = benchmark_image(64, 96, seed=7)
+        assert benchmark_image(64, 96, 7) is img
+        assert benchmark_image(seed=7, width=96, height=64) is img
+        assert not np.array_equal(benchmark_image(64, 96, seed=8), img)
+        with pytest.raises(ValueError, match="read-only"):
+            img[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            img[:8] += 1
+        mine = img.copy()
+        mine[0, 0] ^= 1
+        assert benchmark_image(64, 96, seed=7)[0, 0] != mine[0, 0]
+        with pytest.raises(ValueError, match="multiples of 8"):
+            benchmark_image(60, 96)
 
     def test_flat_image_compresses_extremely(self):
         img = np.full((64, 64), 128, dtype=np.uint8)
