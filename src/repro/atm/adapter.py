@@ -153,9 +153,10 @@ class Sba200Adapter:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         sim = self.sim
-        req = self._dma.request()
-        yield req
-        sim.recycle(req)
+        if not self._dma.try_acquire():
+            req = self._dma.request()
+            yield req
+            sim.recycle(req)
         try:
             tick = sim.timeout(self.dma_time(nbytes))
             yield tick
@@ -285,7 +286,7 @@ class Sba200Adapter:
                     self.sim, name=f"adapter-rx:{self.host_name}")
                 self.sim.process(self._rx_drain(),
                                  name=f"adapter-rx:{self.host_name}")
-            jobs.put((vc, st.payload, st.bytes_ok, burst.msg_id))
+            jobs.try_put((vc, st.payload, st.bytes_ok, burst.msg_id))
 
     def _rx_drain(self):
         """Deliver completed PDUs: adapter memory -> host kernel buffers

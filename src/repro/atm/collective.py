@@ -246,14 +246,12 @@ class NicCollectiveEngine:
                               "collective-submit", (kind,) + pdu.key)
         # the host->adapter doorbell costs one firmware op, then the
         # request goes up the wire (or straight into the root machine)
-        self.sim.call_in(self.firmware_op_s,
-                         lambda: self._send_up(pdu))
+        self.sim.call_in(self.firmware_op_s, self._send_up, pdu)
         self._arm(pkey, p)
 
     # --------------------------------------------------------- timers
     def _arm(self, pkey: tuple, p: _PendingOp) -> None:
-        gen = p.gen
-        self.sim.call_in(self.rto_s, lambda: self._retx(pkey, gen))
+        self.sim.call_in(self.rto_s, self._retx, pkey, p.gen)
 
     def _retx(self, pkey: tuple, gen: int) -> None:
         p = self._pending.get(pkey)
@@ -316,8 +314,7 @@ class NicCollectiveEngine:
         """Member -> root (local machine call on the root's own engine)."""
         root = self.fabric.root_engine
         if self.is_root:
-            self.sim.call_in(self.firmware_op_s,
-                             lambda: root._process(pdu))
+            self.sim.call_in(self.firmware_op_s, root._process, pdu)
             return
         self._m_fw_sends.inc()
         vc = self._signaling.circuit(self._host, self._root_host,
@@ -328,8 +325,7 @@ class NicCollectiveEngine:
     def _send_down(self, pid: int, pdu: NicPdu) -> None:
         """Root -> one member (``accept`` / ``done``)."""
         if pid == self.pid:
-            self.sim.call_in(self.firmware_op_s,
-                             lambda: self._process(pdu))
+            self.sim.call_in(self.firmware_op_s, self._process, pdu)
             return
         self._m_fw_sends.inc()
         vc = self._signaling.circuit(self._host, self.fabric.hosts[pid],
@@ -345,8 +341,7 @@ class NicCollectiveEngine:
                               self.adapter.alloc_msg_id(), payload=pdu)
         # the root's own member side is not a leaf of the multicast
         # tree; loop the PDU back through local firmware
-        self.sim.call_in(self.firmware_op_s,
-                         lambda: self._process(pdu))
+        self.sim.call_in(self.firmware_op_s, self._process, pdu)
 
     # ---------------------------------------------------------- receive
     def _rx_hook(self, vc: Any, payload: Any, nbytes: int, msg_id: int,
@@ -359,8 +354,7 @@ class NicCollectiveEngine:
             # a poisoned collective PDU is simply lost; the owning
             # member's timer recovers (or surfaces MessageLost)
             return True
-        self.sim.call_in(self.firmware_op_s,
-                         lambda: self._process(payload))
+        self.sim.call_in(self.firmware_op_s, self._process, payload)
         return True
 
     def _process(self, pdu: NicPdu) -> None:

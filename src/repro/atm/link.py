@@ -184,19 +184,14 @@ class Channel:
     def _dispatch(self, burst: CellBurst) -> None:
         """Hand one serialized burst to the propagation leg.
 
-        This is the sharded-kernel seam: the default launches the usual
-        in-universe propagation process, while ``repro.sim.sharded``
+        This is the sharded-kernel seam: the default arms the one timer
+        of the in-universe propagation leg, while ``repro.sim.sharded``
         overrides it per-instance on channels that cross a shard cut so
         the burst is exported to the owning worker's outbox instead of
         being delivered locally.
         """
-        self.sim.process(self._deliver_later(burst),
-                         name=f"chan-deliver:{self.name}")
-
-    def _deliver_later(self, burst: CellBurst):
-        yield self.sim.timeout(self.spec.prop_delay_s)
-        assert self.endpoint is not None
-        self.endpoint.receive_burst(burst, self)
+        self.sim.call_in(self.spec.prop_delay_s,
+                         self.endpoint.receive_burst, burst, self)
 
 
 class DuplexLink:

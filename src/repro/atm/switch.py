@@ -203,8 +203,7 @@ class AtmSwitch:
                 self.mcast_replicas += 1
                 self._m_forwarded.inc()
                 self._m_mcast_replicas.inc()
-                self.sim.process(self._forward_later(replica, out),
-                                 name=f"switch-fwd:{self.name}")
+                self.sim.call_in(self.switching_latency_s, out.send, replica)
             return
         if route is None:
             # cells on an unprovisioned/torn-down VC are silently
@@ -220,9 +219,4 @@ class AtmSwitch:
         burst.vci = route.out_vci
         self.bursts_forwarded += 1
         self._m_forwarded.inc()
-        self.sim.process(self._forward_later(burst, out),
-                         name=f"switch-fwd:{self.name}")
-
-    def _forward_later(self, burst: CellBurst, out: Channel):
-        yield self.sim.timeout(self.switching_latency_s)
-        out.send(burst)
+        self.sim.call_in(self.switching_latency_s, out.send, burst)

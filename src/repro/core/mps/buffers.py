@@ -74,9 +74,10 @@ class BufferPipeline:
         for i, chunk in enumerate(chunks):
             # wait for a free output buffer (with k buffers, copy i+1
             # overlaps the DMA/SAR/wire of chunk i)
-            req = self._buffers.request()
-            yield req
-            self.sim.recycle(req)
+            if not self._buffers.try_acquire():
+                req = self._buffers.request()
+                yield req
+                self.sim.recycle(req)
             yield from self.host.cpu_busy(
                 self.datapath.comm_copy_time(cpu, chunk),
                 Activity.COMMUNICATE, "ncs:fill-buffer")
@@ -84,8 +85,9 @@ class BufferPipeline:
             self.chunks_in_flight += 1
             self.max_chunks_in_flight = max(self.max_chunks_in_flight,
                                             self.chunks_in_flight)
-            jobs.put((vc, chunk, msg_id, is_final,
-                      payload if is_final else None, all_submitted, pending))
+            jobs.try_put((vc, chunk, msg_id, is_final,
+                          payload if is_final else None, all_submitted,
+                          pending))
         return all_submitted
 
     def _ensure_drain(self) -> Store:

@@ -162,7 +162,7 @@ class NicCollectives(CollectiveStrategy):
                 lambda value, exc: self._finish(
                     tid, value, exc, ControlKind.DATA))
 
-        mps.sim.process(_submit(), name=f"nic-bcast:{mps.pid}")
+        mps.sim.spawn(_submit(), name=f"nic-bcast:{mps.pid}")
         return True
 
     def _deliver_data(self, origin: tuple, data: Any, size: int,
@@ -183,7 +183,7 @@ class NicCollectives(CollectiveStrategy):
             yield from adapter.dma_transfer(size)
             mps.mailbox.deliver(msg)
 
-        mps.sim.process(_land(), name=f"nic-deliver:{mps.pid}")
+        mps.sim.spawn(_land(), name=f"nic-deliver:{mps.pid}")
 
     # ------------------------------------------------------------ reduce
     def handle_reduce(self, thread: NcsThread,

@@ -118,7 +118,7 @@ class NcsTransport:
             yield from gen
             if not accepted.triggered:
                 accepted.succeed(None)
-        self.sim.process(runner(), name=label)
+        self.sim.spawn(runner(), name=label)
         return accepted
 
 

@@ -110,9 +110,11 @@ class EthernetLan:
         if frame.dst not in self.nics:
             raise KeyError(f"no NIC with address {frame.dst!r} on this LAN")
         attempt = 0
+        medium = self.medium
         while True:
-            contended = self.medium.in_use > 0
-            yield self.medium.request()
+            contended = not medium.try_acquire()
+            if contended:
+                yield medium.request()
             if self.collisions and contended and attempt < 16:
                 # We deferred behind someone: with the paper-era loads this
                 # is when real CSMA/CD would have collided.  Charge a jam
@@ -121,19 +123,20 @@ class EthernetLan:
                 self._m_collisions.inc()
                 attempt += 1
                 yield self.sim.timeout(SLOT_BITS / self.bandwidth_bps)
-                self.medium.release()
+                medium.release()
                 yield self.sim.timeout(self._backoff_time(attempt))
                 continue
             break
         yield self.sim.timeout(self.tx_time(frame.wire_bytes))
         # Schedule delivery at the far end after propagation; the medium is
-        # held a further inter-frame gap before the next sender may start.
-        self.sim.process(self._deliver_later(frame), name="ether-deliver")
-        yield self.sim.timeout(self.ifg_time)
-        self.medium.release()
+        # held a further inter-frame gap before the next sender may start
+        # (should the two ever tie, the gap ends first).
+        gap = self.sim.timeout(self.ifg_time)
+        self.sim.call_in(self.prop_delay_s, self._deliver, frame)
+        yield gap
+        medium.release()
 
-    def _deliver_later(self, frame: EthernetFrame):
-        yield self.sim.timeout(self.prop_delay_s)
+    def _deliver(self, frame: EthernetFrame) -> None:
         nic = self.nics[frame.dst]
         if not self.up or not nic.up:
             self.frames_dropped += 1

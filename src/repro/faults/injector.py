@@ -78,10 +78,9 @@ class FaultInjector:
         if needs_runtime:
             self._install_mps_filters()
         for i, ev in enumerate(self.plan):
-            self.sim.call_at(ev.at, lambda ev=ev, i=i: self._begin(ev, i))
+            self.sim.call_at(ev.at, self._begin, ev, i)
             if ev.ends_at is not None:
-                self.sim.call_at(ev.ends_at,
-                                 lambda ev=ev, i=i: self._end(ev, i))
+                self.sim.call_at(ev.ends_at, self._end, ev, i)
         self._armed = True
         return self
 

@@ -167,11 +167,13 @@ class Host:
         if not self._frozen and (quantum is None or seconds <= quantum):
             # Single uninterrupted slice — the overwhelmingly common case
             # (every protocol/OS overhead charge, every short compute).
-            # The grant and timeout are consumed right here, so they go
-            # back to the simulator's pool on the way out.
-            req = res.request()
-            yield req
-            sim.recycle(req)
+            # A free CPU is taken without an event; a grant waited for
+            # and the timeout are consumed right here, so they go back
+            # to the simulator's pool on the way out.
+            if not res.try_acquire():
+                req = res.request()
+                yield req
+                sim.recycle(req)
             if traced:
                 tracer.begin(self.name, activity, label)
             try:
@@ -190,9 +192,10 @@ class Host:
         while remaining > 0:
             while self._frozen:
                 yield self._thaw
-            req = res.request()
-            yield req
-            sim.recycle(req)
+            if not res.try_acquire():
+                req = res.request()
+                yield req
+                sim.recycle(req)
             if traced:
                 tracer.begin(self.name, activity, label)
             hold.t = sim.now

@@ -216,7 +216,7 @@ class AtmIpAdapter(LinkAdapter):
         msg_id = adapter.alloc_msg_id()
         # LLC/SNAP + IP header + payload in one AAL5 PDU; hardware path,
         # no host CPU charged here (TCP charges its own processing).
-        self.sim.process(
+        self.sim.spawn(
             self._tx(vc, packet, msg_id), name=f"ipoa-tx:{dst_host}")
 
     def _tx(self, vc, packet: IpPacket, msg_id: int):

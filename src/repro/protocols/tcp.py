@@ -275,8 +275,8 @@ class TcpConnection:
             self._ack_now()
         elif not self._delack_running:
             self._delack_running = True
-            self.sim.process(self._delayed_ack(),
-                             name=f"delack:{self.local}<-{self.remote}")
+            self.sim.spawn(self._delayed_ack(),
+                           name=f"delack:{self.local}<-{self.remote}")
 
     def _ack_now(self) -> None:
         self._segs_unacked = 0
@@ -323,8 +323,8 @@ class TcpConnection:
     def _ensure_rto_timer(self) -> None:
         if not self._rto_running:
             self._rto_running = True
-            self.sim.process(self._rto_loop(),
-                             name=f"rto:{self.local}>{self.remote}")
+            self.sim.spawn(self._rto_loop(),
+                           name=f"rto:{self.local}>{self.remote}")
 
     def _rto_loop(self):
         while self._inflight:

@@ -123,9 +123,10 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
+        # first: a rejected delay must leave the event untriggered
+        self.sim._schedule(self, delay)
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -134,9 +135,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._schedule(self, delay)
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay)
         return self
 
     # -------------------------------------------------------------- callbacks
@@ -177,7 +178,7 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise ValueError(f"negative timeout delay {delay!r}")
         self.sim = sim
         self.callbacks = []
@@ -263,14 +264,17 @@ class SimProcess(Event):
     each other.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_resume_cb")
+    __slots__ = ("_gen", "_waiting_on", "_resume_cb", "_detached")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any],
-                 name: str = ""):
+                 name: str = "", detached: bool = False):
         if not hasattr(gen, "send"):
             raise TypeError(f"process target must be a generator, got {gen!r}")
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
+        #: nobody holds the handle (:meth:`Simulator.spawn`), so nobody
+        #: can wait for the end: finishing schedules nothing
+        self._detached = detached
         # The one resume callback this process ever registers.  ``_resume``
         # ignores any event that is not the current ``_waiting_on``, so a
         # single bound method replaces the per-yield closure the kernel
@@ -334,12 +338,16 @@ class SimProcess(Event):
             else:
                 nxt = self._gen.throw(ev._value)
         except StopIteration as si:
-            self.succeed(si.value)
+            if self._detached:
+                self._value = si.value
+            else:
+                self.succeed(si.value)
             return
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
                 raise
-            self.fail(_attach_context(exc, self))
+            self.fail(_attach_context(exc, f"process {self.name!r}",
+                                      self.sim))
             return
         finally:
             self.sim._active_process = None
@@ -356,13 +364,26 @@ class SimProcess(Event):
             nxt.callbacks.append(self._resume_cb)
 
 
-def _attach_context(exc: BaseException, proc: "SimProcess") -> BaseException:
-    note = f"(in simulated process {proc.name!r} at t={proc.sim.now:.9g})"
+def _attach_context(exc: BaseException, what: str,
+                    sim: "KernelCore") -> BaseException:
+    note = f"(in simulated {what} at t={sim.now:.9g})"
     try:
         exc.add_note(note)  # Python 3.11+
     except AttributeError:  # pragma: no cover
         pass
     return exc
+
+
+def _run_call(timer: Event) -> None:
+    """The one callback behind every :meth:`Simulator.call_in` timer."""
+    fn, args = timer._value
+    timer._value = None  # the pool must not keep a delivered burst alive
+    try:
+        fn(*args)
+    except Exception as exc:
+        name = getattr(fn, "__qualname__", None) or repr(fn)
+        raise _attach_context(exc, f"call {name!r}", timer.sim)
+    timer.sim.recycle(timer)
 
 
 class KernelCore:
@@ -404,7 +425,7 @@ class KernelCore:
 
     # ------------------------------------------------------------- scheduling
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"cannot schedule {delay!r}s in the past")
         seq = self._seq = self._seq + 1
         heapq.heappush(self._heap, (self._now + delay, seq, event))
@@ -419,7 +440,7 @@ class KernelCore:
         the source universe computed — the sharded kernel pushes them
         onto the calendar with this absolute form instead.
         """
-        if when < self._now:
+        if not when >= self._now:  # in the past, or NaN
             raise SimulationError(
                 f"cannot schedule at t={when!r} before now={self._now!r}")
         seq = self._seq = self._seq + 1
@@ -456,8 +477,11 @@ class KernelCore:
 
     def step(self) -> None:
         """Process exactly one event."""
+        heap = self._heap
         while True:
-            t, _, event = heapq.heappop(self._heap)
+            if not heap:
+                raise SimulationError("step(): no scheduled event")
+            t, _, event = heapq.heappop(heap)
             if event.callbacks is not None:
                 break
         if t < self._now:  # pragma: no cover - kernel invariant
@@ -574,7 +598,7 @@ class Simulator(KernelCore):
         """An event firing after ``delay`` simulated seconds."""
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
+            if not delay >= 0:  # negative or NaN
                 raise ValueError(f"negative timeout delay {delay!r}")
             ev = pool.pop()
             ev.callbacks = []
@@ -622,24 +646,36 @@ class Simulator(KernelCore):
         self._m_procs.inc()
         return SimProcess(self, gen, name=name)
 
-    def call_in(self, delay: float, fn: Callable[[], Any]) -> Timeout:
-        """Run ``fn()`` after ``delay`` simulated seconds.
+    def spawn(self, gen: Generator[Event, Any, Any], name: str = "") -> None:
+        """Start a fire-and-forget coroutine: :meth:`process` for a body
+        whose handle the caller would drop.  No handle comes back, so
+        nobody can wait for the end and the end is not an event; a body
+        that raises dies as a dropped process does (the failure, with
+        its context note, is scheduled and finds no listener)."""
+        self._m_procs.inc()
+        SimProcess(self, gen, name=name, detached=True)
 
-        The callback hook the fault-injection machinery builds on: unlike
-        a process, a call carries no generator overhead and cannot block,
-        which keeps scheduled state flips (link down/up, host crash)
-        strictly ordered and deterministic.
+    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds.
+
+        One pooled timer and no coroutine: the form for a delivery whose
+        whole life is "wait, then hand over" (a burst crossing a link, a
+        frame crossing the segment) and for scheduled state flips (fault
+        injection: link down/up, host crash), which stay strictly
+        ordered because a call cannot block.  Calls armed for the same
+        instant run in the order they were armed.  There is no handle:
+        a call cannot be waited on, and an exception in ``fn`` is not
+        swallowed — it propagates out of :meth:`run`, annotated with
+        the call and the simulated time.
         """
-        ev = Timeout(self, delay)
-        ev.add_callback(lambda _ev: fn())
-        return ev
+        self.timeout(delay, (fn, args)).callbacks.append(_run_call)
 
-    def call_at(self, when: float, fn: Callable[[], Any]) -> Timeout:
-        """Run ``fn()`` at absolute simulated time ``when`` (>= now)."""
-        if when < self._now:
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``when`` (>= now)."""
+        if not when >= self._now:  # in the past, or NaN
             raise SimulationError(
                 f"cannot schedule a call at t={when:.9g} < now={self._now:.9g}")
-        return self.call_in(when - self._now, fn)
+        self.call_in(when - self._now, fn, *args)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

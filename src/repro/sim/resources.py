@@ -31,6 +31,10 @@ class Resource:
         ...  # critical section
         resource.release()
 
+    A caller that would consume the grant on the spot asks
+    :meth:`try_acquire` first and falls back to :meth:`request` only when
+    it has to queue: a free slot is taken without an event.
+
     ``on_contend`` is called (no arguments) each time a request has to
     queue, after it has joined the wait queue — the hook a holder that
     would otherwise keep the slot for a long time uses to learn that
@@ -56,6 +60,16 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
+
+    def try_acquire(self) -> bool:
+        """Take a free slot here and now; False when every slot is held
+        (then :meth:`request` queues).  Waiters exist only while every
+        slot is held — a released slot passes straight to the first of
+        them — so this can neither overtake one nor reorder the queue."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
 
     def request(self) -> Event:
         """An event that fires once a slot is granted to the caller."""
@@ -132,32 +146,31 @@ class Store:
     def items(self) -> tuple:
         return tuple(self._items)
 
-    def put(self, item: Any) -> Event:
-        """An event that fires once the item has been accepted."""
-        ev = self.sim.event(name=self._put_name)
+    def try_put(self, item: Any) -> bool:
+        """Non-blocking put; False when a bounded store is full.  The
+        item goes to a parked getter, starts the deferred consumer or
+        joins the queue; nothing is scheduled for the caller."""
         if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
+            self._getters.popleft().succeed(item)
         elif self._consumer is not None:
             (consumer, name), self._consumer = self._consumer, None
             self.sim.process(consumer(item), name=name)
-            ev.succeed(None)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
+        else:
+            return False
+        return True
+
+    def put(self, item: Any) -> Event:
+        """An event that fires once the item has been accepted — for a
+        caller that waits on it; one that would drop it calls
+        :meth:`try_put`."""
+        ev = self.sim.event(name=self._put_name)
+        if self.try_put(item):
             ev.succeed(None)
         else:
             self._putters.append((ev, item))
         return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; False when a bounded store is full."""
-        if (self._getters or self._consumer is not None
-                or self.capacity is None
-                or len(self._items) < self.capacity):
-            self.put(item)
-            return True
-        return False
 
     def get(self) -> Event:
         """An event that fires with the next item."""

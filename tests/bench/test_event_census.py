@@ -1,0 +1,33 @@
+"""Smoke test of ``benchmarks/event_census.py``: it measures from outside
+(by wrapping two kernel methods), so a kernel refactor can break it
+without any other test noticing."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "event_census.py"
+
+
+def test_census_accounts_for_every_event_of_a_quick_cell():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "msg_small.eth_nsm", "a2a_wan.a2a",
+         "--quick", "--top", "5"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    heads = re.findall(r"^#### `(\S+)` — (\d+) messages, (\d+) events "
+                       r"processed .*?, (\d+) scheduled", proc.stdout, re.M)
+    assert [h[0] for h in heads] == ["msg_small.eth_nsm", "a2a_wan.a2a"]
+    for _cell, msgs, processed, scheduled in heads:
+        # a drained run processes what was scheduled (nothing cancelled
+        # or left over in these cells), and the wrapper saw all of it
+        assert int(msgs) > 0 and int(processed) == int(scheduled)
+    # rows name the model's scheduling site and the kernel primitive
+    assert "`hosts/host.py:cpu_busy`" in proc.stdout
+    assert "`Simulator.call_in`" in proc.stdout
+    for table in proc.stdout.split("####")[1:]:
+        per_msg = [float(x) for x in re.findall(r"^\| (\d+\.\d+) \|",
+                                                table, re.M)]
+        total = float(re.search(r"\((\d+\.\d+) per message\)", table)[1])
+        assert abs(sum(per_msg) - total) < 0.06 * len(per_msg)

@@ -105,7 +105,10 @@ def run_script(script, traced=False):
     host.compute_quantum = q = script["quantum"]
     grants, done = {}, {}
 
+    # the two ways onto the CPU: a free one is taken on the spot
+    # (``try_acquire``), a busy one is queued for (``request``)
     plain_request = host.cpu_res.request
+    plain_try_acquire = host.cpu_res.try_acquire
 
     def logged_request():
         ev = plain_request()
@@ -115,7 +118,15 @@ def run_script(script, traced=False):
                 lambda _e: grants.setdefault(who, []).append(sim.now))
         return ev
 
+    def logged_try_acquire():
+        got = plain_try_acquire()
+        who = sim.active_process.name
+        if got and not who.startswith("compute"):
+            grants.setdefault(who, []).append(sim.now)
+        return got
+
     host.cpu_res.request = logged_request
+    host.cpu_res.try_acquire = logged_try_acquire
     job_started = [Event(sim) for _ in script["ties"]]
 
     def computer(name, spec):

@@ -1,0 +1,58 @@
+"""The per-message event budget: a ceiling, so a hop cannot creep back.
+
+``sim.events_processed`` is an implementation odometer — the goldens
+next door exempt it on purpose — which means nothing else notices when a
+change puts an unobservable hand-off (an acknowledgement nobody holds,
+the boot and completion of a process nobody kept, the grant of a free
+resource; ARCHITECTURE.md, "What may go on the calendar") back on the
+calendar.  These ceilings do.  The counts are exact and repeatable; each
+ceiling sits 1–2 events above today's figure, where one extra zero-delay
+hop per message (a ping-pong message crosses ~4 frames or bursts) trips
+it.  The cells are the ``benchmarks/e2e`` shapes: ``msg_small``'s two
+legs (at 100 round trips instead of 325) and ``a2a_wan`` whole.
+
+A ceiling that fails because the *model* now does more per message (a
+new protocol step) is raised in the PR that adds the step, with the
+census (``benchmarks/event_census.py``) that shows where the events go.
+"""
+
+import json
+
+import pytest
+
+from repro.config import loads_scenario, run_scenario
+from repro.obs import counter_total
+
+#: cell -> (cluster, runtime, driver, params, events per message <=);
+#: before the unobservable hand-offs were removed: 102.1, 101.6, 79.0
+BUDGETS = {
+    "pingpong-256B-ethernet-nsm": (
+        {"topology": "ethernet", "n_hosts": 2},
+        {"mode": "nsm", "error": "ack"},
+        "pingpong", {"messages": 100, "nbytes": 256}, 66.0),
+    "pingpong-256B-atm-lan-hsm": (
+        {"topology": "atm-lan", "n_hosts": 2},
+        {"mode": "hsm", "error": "ack"},
+        "pingpong", {"messages": 100, "nbytes": 256}, 62.0),
+    "alltoall-1KiB-wan-ring-8x4-hsm": (
+        {"topology": "wan-ring",
+         "options": {"n_sites": 8, "hosts_per_site": 4}},
+        {"mode": "hsm"},
+        "alltoall", {"rounds": 6, "nbytes": 1024}, 47.0),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(BUDGETS))
+def test_events_per_delivered_message_stay_under_the_ceiling(cell):
+    cluster, runtime, driver, params, ceiling = BUDGETS[cell]
+    spec = loads_scenario(json.dumps({
+        "name": cell, "cluster": {**cluster, "seed": 1995},
+        "runtime": runtime,
+        "app": {"driver": driver, "params": params}}), "json")
+    snapshot = run_scenario(spec).cluster.metrics.snapshot()
+    events = counter_total(snapshot, "sim.events_processed")
+    delivered = counter_total(snapshot, "mps.data_received")
+    assert delivered > 0
+    assert events / delivered <= ceiling, (
+        f"{cell}: {events} events for {delivered} messages = "
+        f"{events / delivered:.1f} per message, ceiling {ceiling}")

@@ -47,6 +47,33 @@ class TestClockAndTimeouts:
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_delay_rejected_at_every_entry_point(self, sim, bad):
+        """Negative and NaN alike (``nan < 0`` is False: a NaN timer used
+        to fire with ``now == nan`` and run the clock backwards), pooled
+        timer or fresh, and the rejected event stays untouched."""
+        from repro.sim import Timeout
+        with pytest.raises(ValueError):
+            Timeout(sim, bad)
+        with pytest.raises(ValueError):
+            sim.timeout(bad)            # nothing pooled yet: fresh path
+        spent = sim.timeout(0.0)
+        sim.run()
+        sim.recycle(spent)
+        with pytest.raises(ValueError):
+            sim.timeout(bad)            # pooled path
+        assert sim.timeout(1.0) is spent  # ... which left the pool alone
+        ev = sim.event()
+        with pytest.raises(SimulationError):
+            sim._schedule(ev, bad)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(ev, bad)
+        with pytest.raises(SimulationError):
+            sim.call_at(bad, lambda: None)
+        assert not ev.triggered
+        sim.run()
+        assert sim.now == 1.0 and sim.peek() == float("inf")
+
     def test_timeout_value_passthrough(self, sim):
         def proc(sim):
             got = yield sim.timeout(1.0, value="payload")
@@ -102,6 +129,29 @@ class TestEvents:
         ev.fail(Boom())
         sim.run()
         assert p.value == "caught"
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_rejected_delay_leaves_the_event_untriggered(self, sim, bad):
+        """``succeed``/``fail`` used to set the value before the calendar
+        refused the delay: triggered, unscheduled, un-retriggerable —
+        every waiter hung."""
+        ev, doomed = sim.event(), sim.event()
+        with pytest.raises(SimulationError):
+            ev.succeed("v", delay=bad)
+        with pytest.raises(SimulationError):
+            doomed.fail(RuntimeError("x"), delay=bad)
+        assert not ev.triggered and not doomed.triggered
+        assert sim.peek() == float("inf")
+
+        def waiter(sim):
+            got = yield ev
+            with pytest.raises(RuntimeError):
+                yield doomed
+            return got
+        ev.succeed("v", delay=1.0)
+        doomed.fail(RuntimeError("x"), delay=2.0)
+        assert sim.run_process(waiter(sim)) == "v"
+        assert sim.now == 2.0
 
     def test_fail_requires_exception(self, sim):
         with pytest.raises(TypeError):
@@ -241,6 +291,20 @@ class TestCancelAndWakeAt:
             assert live.processed
             assert sim.metrics.value("sim.events_processed") == before + 1
 
+    def test_step_with_nothing_to_process_says_so(self, sim):
+        """Empty, or holding only cancelled entries: not heapq's bare
+        ``IndexError: index out of range``."""
+        with pytest.raises(SimulationError, match="no scheduled event"):
+            sim.step()
+        sim.cancel(sim.timeout(1.0))
+        sim.cancel(sim.timeout(2.0))
+        with pytest.raises(SimulationError, match="no scheduled event"):
+            sim.step()
+        assert sim.now == 0.0
+        live = sim.timeout(3.0)
+        sim.step()
+        assert live.processed and sim.now == 3.0
+
     def test_cancelled_timeout_is_not_recycled(self, sim):
         """A pooled object handed out again while its dead calendar entry
         still points at it would fire early."""
@@ -288,6 +352,37 @@ class TestCancelAndWakeAt:
         sim.run()
         with pytest.raises(SimulationError):
             p.wake_at(2.0)
+
+
+class TestCallsAndSpawn:
+    def test_call_in_passes_arguments_and_reuses_its_timer(self, sim):
+        seen = []
+        assert sim.call_in(1.0, lambda *a: seen.append((sim.now, a)),
+                           "burst", 7) is None
+        assert sim.call_at(2.5, seen.append, "flip") is None
+        sim.run()
+        assert seen == [(1.0, ("burst", 7)), "flip"]
+        # one event per call, and the spent timers are back in the pool
+        assert sim.metrics.value("sim.events_processed") == 2
+        assert len(sim._timeout_pool) == 2
+
+    def test_spawn_hands_out_no_handle_and_schedules_no_completion(self, sim):
+        log = []
+
+        def body(sim):
+            yield sim.timeout(1.0)
+            log.append(sim.now)
+        assert sim.spawn(body(sim), name="bg") is None
+        kept = sim.process(body(sim), name="kept")
+        sim.run()
+        assert log == [1.0, 1.0] and kept.processed
+        # boot + timer for each, a completion for the kept one only
+        assert sim.metrics.value("sim.events_processed") == 5
+        assert sim.metrics.value("sim.processes_started") == 2
+
+    def test_spawn_rejects_a_non_generator(self, sim):
+        with pytest.raises(TypeError):
+            sim.spawn(lambda: None)
 
 
 class TestConditions:

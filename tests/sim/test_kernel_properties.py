@@ -12,10 +12,17 @@ ordering laws:
 Each law is checked against a trivial executable reference model over
 random schedules, plus a same-seed determinism replay that exercises the
 event pools (recycled objects must behave exactly like fresh ones).
+
+The primitives that keep unobservable hand-offs off the calendar obey
+the same laws: a ``call_in`` timer is one more same-instant event, a
+``try_acquire`` of a free slot is a grant that needed no event, and a
+``spawn``ed body is a process whose handle was dropped.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import pytest
 
 from repro.sim import Resource, Simulator, Store
 
@@ -79,6 +86,76 @@ class TestEqualTimestampFifo:
         assert run_once() == run_once()
 
 
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.001, 0.002, 0.003, 0.01]), st.booleans()),
+        min_size=1, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_calls_fire_in_schedule_order_among_same_instant_timers(
+            self, schedule):
+        """``call_in`` callbacks and plain timeouts armed for one instant
+        run in the order they were armed, pooled timers included."""
+        sim = Simulator()
+        fired = []
+        for _round in range(2):     # the second round draws from the pool
+            del fired[:]
+            for idx, (delay, as_call) in enumerate(schedule):
+                if as_call:
+                    sim.call_in(delay, fired.append, idx)
+                else:
+                    sim.timeout(delay).add_callback(
+                        lambda ev, i=idx: fired.append(i))
+            sim.run()
+            assert fired == [i for _, i in sorted(
+                (d, i) for i, (d, _) in enumerate(schedule))]
+
+
+class TestDetachedBodies:
+    @given(st.lists(st.sampled_from([0.0, 0.001, 0.002]), max_size=5),
+           st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_spawn_is_process_with_the_handle_dropped(self, delays, raises):
+        """Whatever the body does — finish or raise, at once or after a
+        few waits — ``spawn`` has the side effects of ``process`` with
+        its handle dropped: same log, same clock, the failure as silent
+        (and as annotated), bystanders undisturbed.  The only difference
+        is the completion event nobody could have waited for."""
+        def play(start):
+            sim = Simulator()
+            log, errors = [], []
+
+            def body():
+                for delay in delays:
+                    yield sim.timeout(delay)
+                    log.append(("body", sim.now))
+                if raises:
+                    errors.append(ValueError("boom"))
+                    raise errors[0]
+
+            def bystander():
+                yield sim.timeout(0.0015)
+                log.append(("bystander", sim.now))
+            start(sim, body())
+            sim.process(bystander())
+            sim.run()
+            notes = [n for e in errors for n in e.__notes__]
+            return (log, sim.now, notes,
+                    sim.metrics.value("sim.events_processed"))
+
+        def dropped(sim, gen):
+            sim.process(gen, name="bg")
+
+        def spawned(sim, gen):
+            assert sim.spawn(gen, name="bg") is None
+        *want, want_events = play(dropped)
+        *got, got_events = play(spawned)
+        assert got == want
+        if raises:
+            assert "in simulated process 'bg'" in got[2][0]
+        # a failure is still scheduled (and still finds no listener);
+        # a normal end is not an event any more
+        assert got_events == want_events - (0 if raises else 1)
+
+
 class TestResourceFifoFairness:
     @given(st.integers(1, 3),
            st.lists(st.sampled_from([0.0, 0.0005, 0.002]),
@@ -104,6 +181,54 @@ class TestResourceFifoFairness:
         sim.run()
         assert granted == list(range(len(holds)))
         assert res.in_use == 0 and res.queue_length == 0
+
+    @given(st.integers(1, 3),
+           st.lists(st.tuples(st.sampled_from([0.0, 0.001, 0.002, 0.004]),
+                              st.sampled_from([0.0, 0.0005, 0.002, 0.003]),
+                              st.booleans()),
+                    min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_try_acquire_neither_overtakes_nor_reorders(self, capacity, users):
+        """Users arrive at a few shared instants; some take a free slot
+        with ``try_acquire`` and queue only when they must, the rest
+        always ``request``.  Nobody is ever handed a slot while somebody
+        waits, waiters are served in the order they queued, and every
+        user holds its slot from and to the very instants it does when
+        everybody goes through ``request`` — a free slot needed no
+        event.  Every hold spans a calendar hop, as every model's does
+        (one that took and released within a single callback would let
+        a same-instant arrival find the slot free instead of queueing
+        behind it: the same instants, but one waiter fewer)."""
+        def play(eager_allowed):
+            sim = Simulator()
+            res = Resource(sim, capacity=capacity)
+            queued, served, log = [], [], []
+
+            def user(idx, arrive, hold, eager):
+                yield sim.timeout(arrive)
+                waiting = res.queue_length
+                if eager and eager_allowed and res.try_acquire():
+                    assert waiting == 0
+                else:
+                    req = res.request()
+                    if not req.triggered:
+                        queued.append(idx)
+                    yield req
+                    if idx in queued:
+                        served.append(idx)
+                assert res.in_use <= capacity
+                log.append((idx, "grant", sim.now))
+                yield sim.timeout(hold)
+                log.append((idx, "release", sim.now))
+                res.release()
+
+            for idx, spec in enumerate(users):
+                sim.process(user(idx, *spec))
+            sim.run()
+            assert served == queued
+            assert res.in_use == 0 and res.queue_length == 0
+            return sorted(log), queued
+        assert play(eager_allowed=True) == play(eager_allowed=False)
 
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)

@@ -90,7 +90,45 @@ class TestResource:
         assert calls == [1, 2, 2]
 
 
+    def test_try_acquire_takes_a_free_slot_without_an_event(self, sim):
+        calls = []
+        res = Resource(sim, capacity=2, on_contend=lambda: calls.append(1))
+        assert res.try_acquire() and res.try_acquire()
+        assert res.in_use == 2 and sim.peek() == float("inf")
+        assert not res.try_acquire()
+        assert res.in_use == 2 and res.queue_length == 0 and calls == []
+        waiter = res.request()
+        assert calls == [1] and not res.try_acquire()
+        res.release()                   # passes straight to the waiter
+        assert waiter.triggered and res.in_use == 2
+        assert not res.try_acquire()
+        res.release()
+        res.release()
+        assert res.in_use == 0 and res.try_acquire()
+
+
 class TestStore:
+    def test_try_put_schedules_nothing_for_the_caller(self, sim):
+        """Queued: no event at all; to a parked getter or a deferred
+        consumer: that one's wake-up, and no acknowledgement."""
+        st = Store(sim)
+        assert st.try_put("a") and sim.peek() == float("inf")
+        assert st.try_get() == (True, "a")
+        getter = st.get()
+        assert st.try_put("b")
+        sim.run()
+        assert getter.value == "b"
+        assert sim.metrics.value("sim.events_processed") == 1
+        got = []
+
+        def consumer(first):
+            got.append(first)
+            got.append((yield st.get()))
+        st.start_on_first_put(consumer, name="pump")
+        assert st.try_put("c") and st.try_put("d")
+        sim.run()
+        assert got == ["c", "d"]
+
     def test_put_then_get(self, sim):
         st = Store(sim)
         def proc(sim):
