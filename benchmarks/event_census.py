@@ -1,15 +1,15 @@
 """Where do a message's calendar events come from?
 
-    python3 benchmarks/event_census.py                # all six cells
+    python3 benchmarks/event_census.py                # all seven cells
     python3 benchmarks/event_census.py msg_small.eth_nsm --top 12
     PYTHONPATH=<other checkout>/src python3 benchmarks/event_census.py
     python3 benchmarks/event_census.py --quick        # ~1/20 size, smoke
 
-Runs one cell of every leg shape of the ``msg_small``, ``msg_bulk`` and
-``a2a_wan`` workloads of ``benchmarks/e2e`` (same cluster, runtime,
-driver and size; the cell tables are read from its ``workloads.py``) and
-prints the events put on the calendar per delivered message, broken
-down by
+Runs one cell of every leg shape of the ``msg_small``, ``msg_bulk``,
+``a2a_wan`` and ``coll_256`` workloads of ``benchmarks/e2e`` (same
+cluster, runtime, driver and size; the cell tables are read from its
+``workloads.py``) and prints the events put on the calendar per
+delivered message, broken down by
 
 * *site* — the first frame outside ``repro/sim/`` on the scheduling
   call's stack, i.e. the model code that asked (for the completion of a
@@ -41,7 +41,8 @@ HERE = Path(__file__).resolve().parent
 
 #: one cell of every leg shape: ``workload.leg``
 CELLS = ("msg_small.eth_nsm", "msg_small.atm_hsm", "msg_bulk.eth_nsm",
-         "msg_bulk.atm_nsm", "msg_bulk.atm_hsm", "a2a_wan.a2a")
+         "msg_bulk.atm_nsm", "msg_bulk.atm_hsm", "a2a_wan.a2a",
+         "coll_256.coll")
 SEED = 1995
 
 

@@ -44,7 +44,9 @@ Two kinds of channel come out of the controller:
 Routing runs on :attr:`AtmFabric.routes`, a name-keyed replica of the
 topology that also covers nodes a partial (per-shard) universe did not
 materialize: every universe computes the same shortest paths over the
-same graph, and programs only the switches it owns.
+same graph, and programs only the switches it owns.  A host is a leaf
+whose route is its switch's, so shortest paths are computed once per
+switch, over the switches (:meth:`AtmFabric.path_nodes`).
 """
 
 from __future__ import annotations
@@ -224,10 +226,10 @@ class AtmFabric:
         self._channels: dict[tuple[str, str], Channel] = {}
         #: the controller that establishes circuits on a switch miss
         self.signaling: Optional["SignalingController"] = None
-        # single-source shortest paths, computed lazily per source host
-        # and kept: source name -> {node name: [node names]}.  One
-        # Dijkstra per *source that ever sends* instead of one per
-        # (src, dst) pair.
+        # shortest paths over the non-leaf core, computed lazily per
+        # gateway and kept: gateway -> {core node: [node names]}.  One
+        # Dijkstra per *switch whose hosts ever send*, not one per host
+        # or per (src, dst) pair.
         self._path_cache: dict[str, dict[str, list[str]]] = {}
 
     # -------------------------------------------------------------- building
@@ -307,19 +309,35 @@ class AtmFabric:
                 f"{', '.join(self.hosts[:8])}"
                 f"{', ...' if len(self.hosts) > 8 else ''}") from None
 
+    def _gateway(self, node: str) -> str:
+        """A leaf's only neighbour (a host's switch), else ``node``: where
+        routing on its behalf starts.  The ends of a bare two-node
+        fabric are no leaves, there would be no core left to route on."""
+        nbrs = self.routes.adj[node]
+        gateway = next(iter(nbrs)) if len(nbrs) == 1 else node
+        return gateway if len(self.routes.adj[gateway]) > 1 else node
+
     def path_nodes(self, src, dst) -> list[str]:
         """Shortest path (by propagation delay) between two hosts, as
-        node names.  ``src``/``dst`` may be adapters or host names."""
+        node names.  ``src``/``dst`` may be adapters or host names.
+
+        A leaf's route is its gateway's.  Dijkstra runs from gateways
+        only, over ``routes`` with every leaf edge hidden: core nodes
+        are met in the order a run from the leaf meets them, so ties
+        (the opposite site of an even ring) break the same way."""
         src, dst = _node_name(src), _node_name(dst)
-        cache = self._path_cache.get(src)
+        if src == dst:
+            return [src]
+        via, to = self._gateway(src), self._gateway(dst)
+        cache = self._path_cache.get(via)
         if cache is None:
-            cache = self._path_cache[src] = nx.shortest_path(
-                self.routes, src, weight="weight")
-        try:
-            return cache[dst]
-        except KeyError:
-            raise nx.NetworkXNoPath(
-                f"no path between {src} and {dst}") from None
+            gateway = self._gateway
+            cache = self._path_cache[via] = nx.shortest_path(
+                self.routes, via, weight=lambda _u, v, data:
+                data["weight"] if gateway(v) == v else None)
+        if to not in cache:
+            raise nx.NetworkXNoPath(f"no path between {src} and {dst}")
+        return [src] * (via != src) + cache[to] + [dst] * (to != dst)
 
     def channel(self, a: str, b: str) -> Optional[Channel]:
         """The directed channel ``a -> b``, if this universe has it."""

@@ -5,11 +5,12 @@ according to its VC table: ``(in_channel, vpi, vci) -> (out_channel,
 out_vci)``.  A label with no row is first offered to
 :attr:`AtmSwitch.on_miss` — the fabric's hook that establishes an
 on-demand circuit at its first cell (:mod:`repro.atm.signaling`).
-Forwarding charges a fixed cut-through latency per burst and respects a
-per-output-port buffer budget measured in cells; bursts that would
-overflow the buffer are dropped (and counted), which AAL5 reassembly at
-the receiving adapter turns into a lost PDU for the error-control layer
-to recover.
+Forwarding charges a fixed cut-through latency per burst — no calendar
+entry of its own: the output channel is told when the burst reaches it
+(``Channel.send(at=...)``) — and respects a per-output-port buffer
+budget measured in cells; bursts that would overflow the buffer are
+dropped (and counted), which AAL5 reassembly at the receiving adapter
+turns into a lost PDU for the error-control layer to recover.
 
 A second, **multicast group table** maps an incoming ``(channel, vci)``
 to a *set* of output legs: a matching burst is replicated once per leg
@@ -181,6 +182,8 @@ class AtmSwitch:
             self.bursts_faulted += 1
             self._m_sw_faulted.inc()
             return
+        # when the burst reaches its output port(s)
+        arrives = self.sim.now + self.switching_latency_s
         key = (id(channel), burst.vpi, burst.vci)
         legs = self._mcast.get(key)
         route = self._table.get(key)
@@ -203,7 +206,7 @@ class AtmSwitch:
                 self.mcast_replicas += 1
                 self._m_forwarded.inc()
                 self._m_mcast_replicas.inc()
-                self.sim.call_in(self.switching_latency_s, out.send, replica)
+                out.send(replica, at=arrives)
             return
         if route is None:
             # cells on an unprovisioned/torn-down VC are silently
@@ -219,4 +222,4 @@ class AtmSwitch:
         burst.vci = route.out_vci
         self.bursts_forwarded += 1
         self._m_forwarded.inc()
-        self.sim.call_in(self.switching_latency_s, out.send, burst)
+        out.send(burst, at=arrives)

@@ -25,6 +25,7 @@ draw — the foundation of the bit-identical-trace guarantee.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from typing import Any, Optional
 
 from ..atm.link import DuplexLink
@@ -54,6 +55,10 @@ class FaultInjector:
         self._partitions: list[tuple[tuple[int, ...], ...]] = []
         #: currently active message-loss events
         self._msgloss: list[MessageLoss] = []
+        #: open windows per fault hook, ``id(target)`` -> depth
+        self._depth: Counter = Counter()
+        #: open BER spikes, latest last
+        self._spikes: list[BerSpike] = []
         self._armed = False
         # telemetry handles (no-ops when the registry is disabled)
         _m = self.sim.metrics
@@ -115,77 +120,82 @@ class FaultInjector:
 
     def _begin(self, ev: FaultEvent, index: int) -> None:
         self._record("begin", ev, index)
-        if isinstance(ev, LinkOutage):
-            if ev.scope in ("all", "atm"):
-                self._for_links(ev.host, lambda link: link.fail())
-            if ev.scope in ("all", "nic"):
-                nic = self._nic(ev.host)
-                if nic is not None:
-                    nic.fail()
-        elif isinstance(ev, BerSpike):
-            if self.cluster.fabric is not None:
-                def spike(link, ber=ev.ber):
-                    link.fwd.ber_override = ber
-                    link.rev.ber_override = ber
-                self._for_links(ev.host, spike)
-            if self.cluster.lan is not None:
-                self.cluster.lan.set_fault_ber(ev.ber)
-        elif isinstance(ev, HostCrash):
-            host = self.cluster.host(ev.host)
-            host.freeze()
-            for iface in host.interfaces.values():
-                iface.fail()
-        elif isinstance(ev, SwitchPortStall):
-            switch, channel = self._switch_port(ev.host)
-            switch.stall_port(channel)
+        if isinstance(ev, BerSpike):
+            self._spikes.append(ev)
+            self._apply_ber(ev.host)
         elif isinstance(ev, Partition):
             self._partitions.append(ev.groups)
         elif isinstance(ev, MessageLoss):
             self._msgloss.append(ev)
-        else:  # pragma: no cover - plan types are closed
-            raise TypeError(f"unknown fault event {ev!r}")
+        else:
+            for target, down, _up in self._hooks(ev):
+                self._depth[id(target)] += 1
+                if self._depth[id(target)] == 1:
+                    down()
 
     def _end(self, ev: FaultEvent, index: int) -> None:
         self._record("end", ev, index)
-        if isinstance(ev, LinkOutage):
-            if ev.scope in ("all", "atm"):
-                self._for_links(ev.host, lambda link: link.restore())
-            if ev.scope in ("all", "nic"):
-                nic = self._nic(ev.host)
-                if nic is not None:
-                    nic.restore()
-        elif isinstance(ev, BerSpike):
-            if self.cluster.fabric is not None:
-                def clear(link):
-                    link.fwd.ber_override = None
-                    link.rev.ber_override = None
-                self._for_links(ev.host, clear)
-            if self.cluster.lan is not None:
-                self.cluster.lan.clear_fault_ber()
-        elif isinstance(ev, HostCrash):
-            host = self.cluster.host(ev.host)
-            for iface in host.interfaces.values():
-                iface.restore()
-            host.unfreeze()
-        elif isinstance(ev, SwitchPortStall):
-            switch, channel = self._switch_port(ev.host)
-            switch.unstall_port(channel)
+        if isinstance(ev, BerSpike):
+            self._spikes.remove(ev)
+            self._apply_ber(ev.host)
         elif isinstance(ev, Partition):
             self._partitions.remove(ev.groups)
         elif isinstance(ev, MessageLoss):
             self._msgloss.remove(ev)
+        else:
+            for target, _down, up in self._hooks(ev):
+                self._depth[id(target)] -= 1
+                if self._depth[id(target)] == 0:
+                    up()
+
+    def _hooks(self, ev: FaultEvent):
+        """``(target, down, up)`` for every hook ``ev`` holds down while
+        its window is open.  Windows that overlap on a target — of one
+        kind or of two (a host crash and a NIC outage) — are counted
+        per target: it goes down with the first and heals with the
+        last."""
+        if isinstance(ev, LinkOutage):
+            if ev.scope in ("all", "atm"):
+                for link in self._links(ev.host):
+                    yield link, link.fail, link.restore
+            nic = self._nic(ev.host)
+            if ev.scope in ("all", "nic") and nic is not None:
+                yield nic, nic.fail, nic.restore
+        elif isinstance(ev, HostCrash):
+            host = self.cluster.host(ev.host)
+            yield host, host.freeze, host.unfreeze
+            for iface in host.interfaces.values():
+                yield iface, iface.fail, iface.restore
+        elif isinstance(ev, SwitchPortStall):
+            switch, channel = self._switch_port(ev.host)
+            yield (channel, lambda: switch.stall_port(channel),
+                   lambda: switch.unstall_port(channel))
+        else:  # pragma: no cover - plan types are closed
+            raise TypeError(f"unknown fault event {ev!r}")
+
+    def _apply_ber(self, host_idx: int) -> None:
+        """Put the latest open spike's rate in force (none open: clear
+        it) on the host's ATM links and on the one Ethernet segment."""
+        ber = next((ev.ber for ev in reversed(self._spikes)
+                    if ev.host == host_idx), None)
+        for link in self._links(host_idx):
+            link.fwd.ber_override = link.rev.ber_override = ber
+        lan = self.cluster.lan
+        if lan is not None and self._spikes:
+            lan.set_fault_ber(self._spikes[-1].ber)
+        elif lan is not None:
+            lan.clear_fault_ber()
 
     # -------------------------------------------------------- fabric lookup
-    def _for_links(self, host_idx: int, fn) -> None:
-        """Apply ``fn`` to every duplex link attached to the host's ATM
-        adapter (on the star topology, exactly the host↔switch TAXI)."""
+    def _links(self, host_idx: int) -> list[DuplexLink]:
+        """Every duplex link attached to the host's ATM adapter (on the
+        star topology, exactly the host↔switch TAXI)."""
         fabric = self.cluster.fabric
         if fabric is None:
-            return
+            return []
         adapter = fabric.adapters[self.cluster.host(host_idx).name]
-        for _, _, data in fabric.graph.edges(adapter, data=True):
-            link: DuplexLink = data["link"]
-            fn(link)
+        return [data["link"] for _, _, data
+                in fabric.graph.edges(adapter, data=True)]
 
     def _nic(self, host_idx: int):
         return self.cluster.host(host_idx).interfaces.get("ethernet")

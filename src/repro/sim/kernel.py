@@ -375,7 +375,7 @@ def _attach_context(exc: BaseException, what: str,
 
 
 def _run_call(timer: Event) -> None:
-    """The one callback behind every :meth:`Simulator.call_in` timer."""
+    """The one callback behind every ``call_in`` / ``call_at`` timer."""
     fn, args = timer._value
     timer._value = None  # the pool must not keep a delivered burst alive
     try:
@@ -670,12 +670,15 @@ class Simulator(KernelCore):
         """
         self.timeout(delay, (fn, args)).callbacks.append(_run_call)
 
-    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` at absolute simulated time ``when`` (>= now)."""
-        if not when >= self._now:  # in the past, or NaN
-            raise SimulationError(
-                f"cannot schedule a call at t={when:.9g} < now={self._now:.9g}")
-        self.call_in(when - self._now, fn, *args)
+    def call_at(self, when: float, fn: Callable[..., Any],
+                *args: Any) -> Event:
+        """Run ``fn(*args)`` at the absolute instant ``when`` (>= now),
+        float-exactly like :meth:`at`.  The timer comes back for one
+        purpose: its sole owner may :meth:`~KernelCore.cancel` it until
+        the call runs (then it is pooled: drop the reference)."""
+        timer = self.at(when, (fn, args))
+        timer.callbacks.append(_run_call)
+        return timer
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

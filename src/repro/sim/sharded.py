@@ -27,11 +27,13 @@ spec and only its own shard's host schedulers start.  Either way the
 only coupling between workers is the set of *cut
 channels* — directed ATM trunk channels whose upstream node lives in one
 shard and whose downstream node lives in another.  On the upstream side
-the channel's :meth:`~repro.atm.link.Channel._dispatch` seam is
-overridden to export the serialized burst (as a :class:`CutEvent`) at
-``now + prop_delay`` instead of delivering locally; the coordinator
-routes it to the downstream worker, which re-materializes the burst on
-its replica channel and delivers it at exactly the exported instant.
+the channel's one calendar entry per burst is moved up from its arrival
+to the end of its serialization (``_lag = 0``) and the
+:meth:`~repro.atm.link.Channel._dispatch` seam it ends in is overridden
+to export the burst (as a :class:`CutEvent`) for ``now + prop_delay``
+instead of delivering locally; the coordinator routes it to the
+downstream worker, which re-materializes the burst on its replica
+channel and delivers it at exactly the exported instant.
 
 Windows: each round every worker reports its next local event time and
 its outbox; the coordinator computes ``gm = min(peeks, pending
@@ -92,7 +94,7 @@ from ..faults.plan import WorkerCrash, WorkerStall
 from ..obs.recovery import (SUPERVISOR_ENTITY, stamp_recovery,
                             stamp_recovery_snapshot)
 from ..registry import APP_DRIVERS, KERNELS
-from .kernel import Event, SimulationError
+from .kernel import SimulationError
 from .trace import Activity, Interval, Timeline
 
 __all__ = [
@@ -535,9 +537,8 @@ def _inject(state: _WorkerState, cluster, rec: CutEvent) -> None:
     keyed by VC object identity) — established here and now if this is
     the first this universe sees of the circuit — and delivery skips
     the replica channel's queue: serialization was already simulated
-    upstream, only the propagation instant matters here.
-    ``schedule_at`` plants the arrival at the exported float exactly —
-    no delay re-arithmetic.
+    upstream, only the propagation instant matters here.  ``call_at``
+    plants the arrival at the exported float exactly, like a local hop.
     """
     from ..atm.cell import CellBurst
     vc = cluster.signaling.resolve(rec.vc_id)
@@ -547,10 +548,7 @@ def _inject(state: _WorkerState, cluster, rec: CutEvent) -> None:
                       is_final=rec.is_final, payload=rec.payload,
                       corrupted=rec.corrupted, enqueued_at=rec.enqueued_at,
                       vpi=vc.vpi)
-    sim = cluster.sim
-    ev = Event(sim, name=f"cut-arrival:{rec.channel}")
-    ev.add_callback(lambda _e: ch.endpoint.receive_burst(burst, ch))
-    sim.schedule_at(ev, rec.arrival)
+    cluster.sim.call_at(rec.arrival, ch.endpoint.receive_burst, burst, ch)
 
 
 def _patch_runtime(rt, cluster, plan: ShardPlan, state: _WorkerState) -> None:
@@ -564,6 +562,7 @@ def _patch_runtime(rt, cluster, plan: ShardPlan, state: _WorkerState) -> None:
         if plan.channel_shard[name] == shard:
             ch = state.channels[name]
             ch._dispatch = _make_export(ch, dest, state)
+            ch._lag = 0.0   # export when serialization ends, as ever
 
     def start():
         if rt._started:

@@ -226,10 +226,10 @@ class TestErrors:
         assert fabric.switches["sw0"].bursts_dropped > 0
 
     def test_a_delivery_that_raises_is_not_swallowed(self):
-        """A burst crosses a link on one ``call_in`` timer, not inside a
-        throw-away process that would die silently with the exception:
-        a failing error handler stops the run, annotated with the call
-        and the simulated instant."""
+        """A burst crosses a link on one timer (the channel's landing
+        call), not inside a throw-away process that would die silently
+        with the exception: a failing error handler stops the run,
+        annotated with the call and the simulated instant."""
         sim, fabric, sig, hosts, apis = build_lan()
         vc = sig.create_pvc("h0", "h1")
         hosts[1].interface("atm").fail()    # every PDU reassembles corrupted
@@ -244,6 +244,6 @@ class TestErrors:
         with pytest.raises(LookupError, match="no handler state") as err:
             sim.run(max_events=10000)
         notes = "".join(err.value.__notes__)
-        assert "in simulated call 'Sba200Adapter.receive_burst'" in notes
+        assert "in simulated call 'Channel._land'" in notes
         assert f"t={sim.now:.9g}" in notes and sim.now > 0
 

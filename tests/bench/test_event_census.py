@@ -25,7 +25,9 @@ def test_census_accounts_for_every_event_of_a_quick_cell():
         assert int(msgs) > 0 and int(processed) == int(scheduled)
     # rows name the model's scheduling site and the kernel primitive
     assert "`hosts/host.py:cpu_busy`" in proc.stdout
-    assert "`Simulator.call_in`" in proc.stdout
+    # ... a burst's one entry per hop is the channel's landing call
+    assert "| abs | at | `Simulator.call_at` | `atm/link.py:_serve` |" \
+        in proc.stdout
     for table in proc.stdout.split("####")[1:]:
         per_msg = [float(x) for x in re.findall(r"^\| (\d+\.\d+) \|",
                                                 table, re.M)]

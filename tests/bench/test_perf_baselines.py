@@ -59,3 +59,18 @@ class TestPerfBaselines:
             doc = load(fname)
             failures = check_regression(doc, doc, tolerance=0.25)
             assert failures == []
+
+    def test_check_gates_on_behaviour_not_on_the_odometers(self):
+        """An event count that moved is not drift (the per-message
+        ceilings in ``tests/perf_lock`` gate it); a makespan is."""
+        import copy
+        doc = load(KERNEL_BENCH_FILE)
+        row = "kernel.sharded_events.s1"
+        fewer = copy.deepcopy(doc)
+        fewer["benchmarks"][row]["sim"]["events_processed"] -= 5000
+        assert check_regression(fewer, doc) == []
+        moved = copy.deepcopy(doc)
+        moved["benchmarks"][row]["sim"]["makespan_s"] += 1e-9
+        (failure,) = check_regression(moved, doc)
+        assert row in failure and "makespan_s" in failure
+        assert "events_processed" not in failure

@@ -100,6 +100,107 @@ class TestSwitchPortStall:
         assert all(node.mps.ec.gave_up == 0 for node in rt.nodes)
 
 
+class TestOverlappingWindows:
+    """Windows that overlap on one target end at the *last* heal (they
+    used to end at the first: a silently different answer, and
+    ``FaultPlan.random`` can draw such plans)."""
+
+    @staticmethod
+    def probe(plan, n_hosts=2, builder=None):
+        """Arm ``plan`` on an idle cluster; ``states[ms]`` is what the
+        test's ``read`` saw at that millisecond."""
+        if builder is None:
+            cluster, _rt = make_runtime(n_hosts, ServiceMode.HSM)
+        else:
+            cluster = builder(n_hosts, seed=3)
+        FaultInjector(cluster, FaultPlan(tuple(plan))).arm()
+        return cluster
+
+    @staticmethod
+    def sample(cluster, read, until_ms=8):
+        states = {}
+        for ms in range(until_ms + 1):
+            # half a millisecond off every edge: no ties with the plan
+            cluster.sim.call_at(ms * 1e-3 + 5e-4,
+                                lambda ms=ms: states.__setitem__(ms, read()))
+        cluster.sim.run()
+        return states
+
+    def test_link_outage_ends_at_the_last_heal(self):
+        cluster = self.probe([LinkOutage(at=1e-3, duration=4e-3, host=0),
+                              LinkOutage(at=2e-3, duration=6e-3, host=0,
+                                         scope="atm")])
+        (link,) = (d["link"] for _, _, d in cluster.fabric.graph.edges(
+            cluster.fabric.adapters["n0"], data=True))
+        up = self.sample(cluster, lambda: (link.fwd.up, link.rev.up), 9)
+        assert up[0] == (True, True)
+        assert all(up[ms] == (False, False) for ms in range(1, 8)), up
+        assert up[8] == (True, True)
+
+    def test_switch_port_stall_ends_at_the_last_heal(self):
+        from repro.atm.cell import CellBurst
+        cluster = self.probe([SwitchPortStall(at=1e-3, duration=4e-3, host=1),
+                              SwitchPortStall(at=2e-3, duration=5e-3, host=1)])
+        sim = cluster.sim
+        port = cluster.fabric.channel("fore-sw", "n1")
+        landed = {}
+        port._dispatch = lambda burst: landed.__setitem__(burst.msg_id,
+                                                          sim.now)
+        for ms in (0.5, 4.5, 5.5, 7.5):     # before, inside x 2, after
+            sim.call_at(ms * 1e-3, port.send, CellBurst(
+                vc=None, vci=40, msg_id=int(ms * 10), n_cells=1,
+                payload_bytes=48, is_final=True))
+        sim.run()
+        crossing = port.tx_time(CellBurst(None, 40, 0, 1, 48, True)) \
+            + port.spec.prop_delay_s
+        assert landed[5] == pytest.approx(0.5e-3 + crossing)
+        # both held to the end of the second window, then in order
+        assert landed[45] == pytest.approx(7e-3 + crossing)
+        assert landed[55] > landed[45]
+        assert landed[75] == pytest.approx(7.5e-3 + crossing)
+
+    def test_host_crash_ends_at_the_last_heal_even_across_kinds(self):
+        from repro.net.topology import build_atm_dual_cluster
+        cluster = self.probe(
+            [HostCrash(at=1e-3, duration=2e-3, host=1),
+             HostCrash(at=2e-3, duration=4e-3, host=1),
+             LinkOutage(at=5e-3, duration=2e-3, host=1, scope="nic")],
+            builder=build_atm_dual_cluster)
+        host = cluster.host(1)
+        nic, adapter = host.interfaces["ethernet"], host.interfaces["atm"]
+        seen = self.sample(cluster,
+                           lambda: (host.frozen, adapter.up, nic.up))
+        assert seen[0] == (False, True, True)
+        assert all(seen[ms] == (True, False, False) for ms in range(1, 6))
+        # the crash is over at 6 ms, the NIC outage it overlapped at 7 ms
+        assert seen[6] == (False, True, False)
+        assert seen[7] == (False, True, True)
+
+    def test_latest_open_ber_spike_applies(self):
+        cluster = self.probe([BerSpike(at=1e-3, duration=6e-3, host=0,
+                                       ber=1e-6),
+                              BerSpike(at=2e-3, duration=2e-3, host=0,
+                                       ber=1e-4),
+                              BerSpike(at=3e-3, duration=2e-3, host=1,
+                                       ber=1e-5)])
+        uplink = cluster.fabric.channel("n0", "fore-sw")
+        other = cluster.fabric.channel("n1", "fore-sw")
+        seen = self.sample(cluster, lambda: (uplink.ber_override,
+                                             other.ber_override))
+        assert [seen[ms][0] for ms in range(9)] == [
+            None, 1e-6, 1e-4, 1e-4, 1e-6, 1e-6, 1e-6, None, None]
+        assert [seen[ms][1] for ms in range(9)] == [
+            None, None, None, 1e-5, 1e-5, None, None, None, None]
+
+    def test_ethernet_segment_keeps_the_latest_open_spike(self):
+        cluster = self.probe([BerSpike(at=1e-3, duration=6e-3, ber=1e-6),
+                              BerSpike(at=2e-3, duration=2e-3, ber=1e-4)],
+                             builder=build_ethernet_cluster)
+        seen = self.sample(cluster, lambda: cluster.lan.fault_ber)
+        assert [seen[ms] for ms in range(9)] == [
+            0.0, 1e-6, 1e-4, 1e-4, 1e-6, 1e-6, 1e-6, 0.0, 0.0]
+
+
 class TestMessageLevelFaults:
     def test_message_loss_is_retransmitted_through(self):
         cluster, rt = make_runtime(2, ServiceMode.HSM, seed=11)

@@ -359,12 +359,15 @@ class TestCallsAndSpawn:
         seen = []
         assert sim.call_in(1.0, lambda *a: seen.append((sim.now, a)),
                            "burst", 7) is None
-        assert sim.call_at(2.5, seen.append, "flip") is None
+        # call_at hands its timer out, for its owner to cancel
+        timer = sim.call_at(2.5, seen.append, "flip")
+        assert not timer.processed
         sim.run()
         assert seen == [(1.0, ("burst", 7)), "flip"]
-        # one event per call, and the spent timers are back in the pool
+        # one event per call, and the spent timers are back in the pools
         assert sim.metrics.value("sim.events_processed") == 2
-        assert len(sim._timeout_pool) == 2
+        assert len(sim._timeout_pool) == 1
+        assert sim._event_pool == [timer]
 
     def test_spawn_hands_out_no_handle_and_schedules_no_completion(self, sim):
         log = []

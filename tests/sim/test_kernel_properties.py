@@ -16,10 +16,11 @@ event pools (recycled objects must behave exactly like fresh ones).
 The primitives that keep unobservable hand-offs off the calendar obey
 the same laws: a ``call_in`` timer is one more same-instant event, a
 ``try_acquire`` of a free slot is a grant that needed no event, and a
-``spawn``ed body is a process whose handle was dropped.
+``spawn``ed body is a process whose handle was dropped.  ``call_at`` is
+``call_in`` at an exact absolute instant whose owner may cancel it.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -107,6 +108,81 @@ class TestEqualTimestampFifo:
             sim.run()
             assert fired == [i for _, i in sorted(
                 (d, i) for i, (d, _) in enumerate(schedule))]
+
+
+class TestAbsoluteCalls:
+    """``call_at`` is the exact, cancellable form of ``call_in``."""
+
+    finite = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+
+    @given(finite, finite)
+    @example(0.3, 0.9)      # 0.3 + (0.9 - 0.3) != 0.9
+    @settings(max_examples=200, deadline=None)
+    def test_call_at_fires_at_exactly_when(self, first, second):
+        """... for any ``now``: ``now + (when - now)`` can be an ulp off
+        ``when``, which is why the absolute form does no delay
+        arithmetic."""
+        now, when = sorted((first, second))
+        sim = Simulator()
+        fired = []
+        sim.call_at(now, lambda: sim.call_at(
+            when, lambda: fired.append(sim.now)))
+        sim.run()
+        assert fired == [when] and sim.now == when
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.001, 0.002, 0.003, 0.01]), st.booleans()),
+        min_size=1, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_call_in_and_call_at_share_one_arming_order(self, schedule):
+        sim = Simulator()
+        fired = []
+        for _round in range(2):     # the second round draws from the pools
+            del fired[:]
+            start = sim.now
+            for idx, (delay, absolute) in enumerate(schedule):
+                if absolute:
+                    sim.call_at(start + delay, fired.append, idx)
+                else:
+                    sim.call_in(delay, fired.append, idx)
+            sim.run()
+            # ``start + delay`` is what call_in computes too
+            assert fired == [i for _, i in sorted(
+                (start + d, i) for i, (d, _) in enumerate(schedule))]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.001, 0.002, 0.003]), st.booleans()),
+        min_size=1, max_size=30), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_a_cancelled_call_is_as_if_never_armed(self, schedule, windowed):
+        """It never runs, is not counted, is invisible to ``peek()``,
+        ``run_below`` skips it like ``run`` does, and its timer is not
+        handed out again while the dead entry is on the heap."""
+        sim = Simulator()
+        sim.call_in(0.0, lambda: None)
+        sim.run()                       # something in the pools to reuse
+        fired, dead = [], []
+        for idx, (when, cancel) in enumerate(schedule):
+            timer = sim.call_at(when, fired.append, idx)
+            if cancel:
+                sim.cancel(timer)
+                dead.append(timer)
+        live = sorted((when, i) for i, (when, cancel)
+                      in enumerate(schedule) if not cancel)
+        assert sim.peek() == (live[0][0] if live else float("inf"))
+        # armed while dead entries are still on the heap: fresh timers
+        fresh = [sim.call_at(0.004, fired.append, "late") for _ in dead]
+        assert not {id(t) for t in fresh} & {id(t) for t in dead}
+        before = sim.metrics.value("sim.events_processed")
+        if windowed:
+            counted = sim.run_below(0.0025) + sim.run_below(1.0)
+        else:
+            sim.run()
+            counted = len(live) + len(fresh)
+        assert fired == [i for _, i in live] + ["late"] * len(dead)
+        assert counted == len(live) + len(fresh)
+        assert sim.metrics.value("sim.events_processed") - before == counted
+        assert all(not t.processed for t in dead)
 
 
 class TestDetachedBodies:
