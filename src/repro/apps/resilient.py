@@ -90,6 +90,11 @@ def run_resilient_matmul(runtime: Any, n: int = 48, units: int = 12,
 
     stats = {"reassigned_units": 0, "duplicate_results": 0, "polls": 0,
              "stalled_out_of_quorum": 0, "dead_workers": 0}
+    #: workers declared DEAD since the last reassignment.  What they held
+    #: is stranded even if they rejoin before the coordinator next looks:
+    #: error control abandoned their unit messages at the declaration.
+    stranded: set[int] = set()
+    detector.on_peer_dead.append(stranded.add)
 
     def worker(ctx, pid):
         b = None
@@ -139,8 +144,10 @@ def run_resilient_matmul(runtime: Any, n: int = 48, units: int = 12,
                 survivors = [w for w in workers if not detector.is_dead(w)]
                 if not survivors:
                     raise RuntimeError("every worker is dead")
+                lost = set(stranded)    # a send below may see another death
+                stranded.clear()
                 for uid, w in sorted(assigned.items()):
-                    if uid in done or not detector.is_dead(w):
+                    if uid in done or w not in lost:
                         continue
                     nw = survivors[uid % len(survivors)]
                     lo, hi = bounds[uid]

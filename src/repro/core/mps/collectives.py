@@ -43,7 +43,7 @@ class CollectiveStrategy:
 
     ``offloads`` tells the group helpers whether to emit offload ops
     (``CollectiveBcast``/``CollectiveReduce``) instead of composing
-    Send/Recv trees.  Handlers follow the ``NcsMps.handle_op``
+    Send/Recv trees.  Handlers follow the ``MtsScheduler.op_handlers``
     convention: return True when the thread was blocked.
     """
 
@@ -181,7 +181,7 @@ class NicCollectives(CollectiveStrategy):
 
         def _land():
             yield from adapter.dma_transfer(size)
-            mps.mailbox.deliver(msg)
+            mps.deliver_data(msg)
 
         mps.sim.spawn(_land(), name=f"nic-deliver:{mps.pid}")
 

@@ -11,6 +11,12 @@ the highest priority — exactly the architecture of Fig 8:
   ``NCS_recv`` requests, charges the kernel→user copy, and wakes the
   requester.
 
+A system thread with nothing to do *parks* (``ops.PARK``); whoever gives
+it work — ``_enqueue_send``, a posted receive, :meth:`NcsMps.deliver_data`
+— makes it runnable on the spot (``MtsScheduler.signal``): the paper's
+"activate" moves a descriptor from the blocked to the runnable queue of
+one address space, and costs no calendar entry here either.
+
 Optional **flow-control** and **error-control** threads (Fig 5/Fig 8)
 are installed when the chosen strategies need background work.
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 from ...net.topology import Cluster
-from ...sim import Activity, Event, Mailbox
+from ...sim import Activity, Mailbox
 from ..mts import ops
 from ..mts.scheduler import MtsScheduler, SYSTEM_PRIORITY
 from ..mts.thread import NcsThread
@@ -68,9 +74,10 @@ class SendRequest:
     notify: Optional[Callable[[], None]] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class RecvRequest:
-    """One posted ``NCS_recv``."""
+    """One posted ``NCS_recv``.  Compared by identity: a thread's next
+    receive may equal this one field by field and is still another."""
 
     thread: NcsThread
     from_thread: int
@@ -101,12 +108,8 @@ class NcsMps:
         self.collectives.bind(self)
         # message plumbing
         self.mailbox = Mailbox(self.sim, name=f"ncs:{self.pid}")
-        self._sendsig_name = f"sendsig:{self.pid}"
-        self._recvsig_name = f"recvsig:{self.pid}"
         self.send_q: Deque[SendRequest] = deque()
         self.recv_reqs: list[RecvRequest] = []
-        self._send_signal: Optional[Event] = None
-        self._recv_signal: Optional[Event] = None
         self._send_inflight = 0
         self._msg_seq = 0
         #: injected arrival filter (repro.faults): ``fn(msg) -> True``
@@ -153,20 +156,24 @@ class NcsMps:
             buckets=LATENCY_BUCKETS, pid=self.pid)
         # wire up
         transport.set_delivery_handler(self._on_arrival)
-        self.send_tid = scheduler.t_create(
-            self._send_body, (), SYSTEM_PRIORITY, name="sys-send",
-            is_system=True)
-        self.recv_tid = scheduler.t_create(
-            self._recv_body, (), SYSTEM_PRIORITY, name="sys-recv",
-            is_system=True)
-        fc_body = self.fc.thread_body(None, self)
-        if fc_body is not None:
-            self.fc_tid = scheduler.t_create(
-                fc_body, (), SYSTEM_PRIORITY, name="sys-fc", is_system=True)
-        ec_body = self.ec.thread_body(None, self)
-        if ec_body is not None:
-            self.ec_tid = scheduler.t_create(
-                ec_body, (), SYSTEM_PRIORITY, name="sys-ec", is_system=True)
+        scheduler.op_handlers.update({
+            ops.Send: self._handle_send, ops.Recv: self._handle_recv,
+            ops.Probe: self._handle_probe, ops.Bcast: self._handle_bcast,
+            ops.Throw: self._handle_throw,
+            ops.Barrier: self.collectives.handle_barrier,
+            ops.CollectiveBcast: self.collectives.handle_bcast,
+            ops.CollectiveReduce: self.collectives.handle_reduce})
+        self._send_thread = self._system_thread(self._send_body, "sys-send")
+        self._recv_thread = self._system_thread(self._recv_body, "sys-recv")
+        for strategy, name in ((self.fc, "sys-fc"), (self.ec, "sys-ec")):
+            body = strategy.thread_body(None, self)
+            if body is not None:
+                strategy.thread = self._system_thread(body, name)
+
+    def _system_thread(self, body: Callable, name: str) -> NcsThread:
+        scheduler = self.scheduler
+        return scheduler.threads[scheduler.t_create(
+            body, (), SYSTEM_PRIORITY, name=name, is_system=True)]
 
     @property
     def has_pending_work(self) -> bool:
@@ -178,59 +185,42 @@ class NcsMps:
                 or self.ec.has_pending())
 
     # ------------------------------------------------------------ op handling
-    def handle_op(self, thread: NcsThread, op: Any) -> bool:
-        """Dispatch an MPS op from the scheduler.  Returns True when the
-        thread was blocked."""
-        if isinstance(op, ops.Send):
-            return self._handle_send(thread, op)
-        if isinstance(op, ops.Recv):
-            return self._handle_recv(thread, op)
-        if isinstance(op, ops.Probe):
-            return self._handle_probe(thread, op)
-        if isinstance(op, ops.Bcast):
-            return self._handle_bcast(thread, op)
-        if isinstance(op, ops.Barrier):
-            return self.collectives.handle_barrier(thread, op)
-        if isinstance(op, ops.Throw):
-            return self._handle_throw(thread, op)
-        if isinstance(op, ops.CollectiveBcast):
-            return self.collectives.handle_bcast(thread, op)
-        if isinstance(op, ops.CollectiveReduce):
-            return self.collectives.handle_reduce(thread, op)
-        raise TypeError(f"not an MPS op: {op!r}")
-
     def _next_uid(self) -> tuple[int, int]:
         self._msg_seq += 1
         return (self.pid, self._msg_seq)
 
-    def _handle_send(self, thread: NcsThread, op: ops.Send) -> bool:
-        if not (0 <= op.to_process < self.cluster.n_hosts):
-            raise ValueError(f"NCS_send: no such process {op.to_process}")
-        msg = NcsMessage(
-            from_thread=thread.tid, from_process=self.pid,
-            to_thread=op.to_thread, to_process=op.to_process,
-            data=op.data, size=op.size, tag=op.tag,
-            msg_uid=self._next_uid(), deadline=op.deadline,
-            sent_at=self.sim.now)
+    def _queue_data(self, thread: NcsThread, to_thread: int, to_process: int,
+                    op: Any, notify: Callable[[], None],
+                    deadline: Optional[float] = None) -> None:
+        """Count one DATA message of a Send/Bcast op and queue it."""
         self.data_sent += 1
         self._m_sent.inc()
         self._m_bytes.observe(op.size)
+        self._enqueue_send(SendRequest(NcsMessage(
+            from_thread=thread.tid, from_process=self.pid,
+            to_thread=to_thread, to_process=to_process,
+            data=op.data, size=op.size, tag=op.tag, msg_uid=self._next_uid(),
+            deadline=deadline, sent_at=self.sim.now), notify))
+
+    def _handle_send(self, thread: NcsThread, op: ops.Send) -> bool:
+        if not (0 <= op.to_process < self.cluster.n_hosts):
+            raise ValueError(f"NCS_send: no such process {op.to_process}")
         tid = thread.tid
-        self._enqueue_send(SendRequest(
-            msg, notify=lambda: self.scheduler.wake_from_op(tid)))
+        self._queue_data(thread, op.to_thread, op.to_process, op,
+                         lambda: self.scheduler.wake_from_op(tid), op.deadline)
         self.scheduler._block(thread, "ncs-send", Activity.COMMUNICATE)
         return True
 
     def _handle_bcast(self, thread: NcsThread, op: ops.Bcast) -> bool:
         targets = list(op.targets)
         if op.dedup_processes:
-            seen: set[int] = set()
-            deduped = []
-            for ttid, tpid in targets:
-                if tpid not in seen:
-                    seen.add(tpid)
-                    deduped.append((ANY_THREAD, tpid))
-            targets = deduped
+            targets = [(ANY_THREAD, tpid) for tpid in dict.fromkeys(
+                tpid for _ttid, tpid in targets)]
+        # the whole list before the first message: a rejected broadcast
+        # must not have reached the targets listed ahead of the bad one
+        for _ttid, tpid in targets:
+            if not (0 <= tpid < self.cluster.n_hosts):
+                raise ValueError(f"NCS_bcast: no such process {tpid}")
         if not targets:
             thread.resume_value = None
             return False
@@ -243,17 +233,7 @@ class NcsMps:
                 self.scheduler.wake_from_op(tid)
 
         for ttid, tpid in targets:
-            if not (0 <= tpid < self.cluster.n_hosts):
-                raise ValueError(f"NCS_bcast: no such process {tpid}")
-            msg = NcsMessage(
-                from_thread=thread.tid, from_process=self.pid,
-                to_thread=ttid, to_process=tpid,
-                data=op.data, size=op.size, tag=op.tag,
-                msg_uid=self._next_uid(), sent_at=self.sim.now)
-            self.data_sent += 1
-            self._m_sent.inc()
-            self._m_bytes.observe(op.size)
-            self._enqueue_send(SendRequest(msg, notify=one_done))
+            self._queue_data(thread, ttid, tpid, op, one_done)
         self.scheduler._block(thread, "ncs-send", Activity.COMMUNICATE)
         return True
 
@@ -265,7 +245,7 @@ class NcsMps:
         req = RecvRequest(thread, op.from_thread, op.from_process, op.tag)
         self.recv_reqs.append(req)
         self.scheduler._block(thread, "ncs-recv", Activity.COMMUNICATE)
-        self._signal_recv()
+        self.scheduler.signal(self._recv_thread)
         if op.timeout is not None:
             def _expire(ev, req=req, seconds=op.timeout):
                 if req in self.recv_reqs:
@@ -333,8 +313,7 @@ class NcsMps:
                 req.notify()
             return
         self.send_q.append(req)
-        if self._send_signal is not None and not self._send_signal.triggered:
-            self._send_signal.succeed(None)
+        self.scheduler.signal(self._send_thread)
 
     def send_control_credit(self, dest_pid: int, nbytes: int) -> None:
         """Receive-side window FC: hand a credit back to the sender."""
@@ -379,9 +358,7 @@ class NcsMps:
         """The send system thread (Fig 8)."""
         while True:
             if not self.send_q:
-                self._send_signal = self.sim.event(name=self._sendsig_name)
-                yield ops.WaitEvent(self._send_signal)
-                self._send_signal = None
+                yield ops.PARK
                 continue
             req = self.send_q.popleft()
             self._send_inflight += 1
@@ -410,9 +387,11 @@ class NcsMps:
                 self._send_inflight -= 1
 
     # ------------------------------------------------------------- receiving
-    def _signal_recv(self) -> None:
-        if self._recv_signal is not None and not self._recv_signal.triggered:
-            self._recv_signal.succeed(None)
+    def deliver_data(self, msg: NcsMessage) -> None:
+        """A DATA message landed here (from a transport or the adapter's
+        collective engine): queue it and wake the receive thread."""
+        self.mailbox.deliver(msg)
+        self.scheduler.signal(self._recv_thread)
 
     def _on_arrival(self, msg: NcsMessage) -> None:
         """Transport delivery (no CPU charged here; pumps are free)."""
@@ -439,7 +418,7 @@ class NcsMps:
         if msg.kind is not ControlKind.DATA:
             self._handle_control(msg)
             return
-        self.mailbox.deliver(msg)
+        self.deliver_data(msg)
 
     def _handle_control(self, msg: NcsMessage) -> None:
         kind = msg.kind
@@ -502,11 +481,7 @@ class NcsMps:
         while True:
             match = self._find_match()
             if match is None:
-                arrival = self.mailbox.arrival_event()
-                self._recv_signal = self.sim.event(name=self._recvsig_name)
-                combined = self.sim.any_of([arrival, self._recv_signal])
-                yield ops.WaitEvent(combined)
-                self._recv_signal = None
+                yield ops.PARK
                 continue
             req, msg = match
             self.recv_reqs.remove(req)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ...registry import ERROR_CONTROLS
-from ...sim import Event
 from ..mts import ops
 
 __all__ = ["ErrorControl", "NoErrorControl", "AckRetransmitErrorControl",
@@ -47,6 +46,8 @@ class ErrorControl:
     name = "base"
     #: does the receiver need to ACK data messages?
     wants_acks = False
+    #: the system thread the MPS created from :meth:`thread_body`, if any
+    thread = None
 
     def bind(self, mps: Any) -> None:
         self.mps = mps
@@ -123,7 +124,6 @@ class AckRetransmitErrorControl(ErrorControl):
         #: insertion-ordered dedup set (dict keys; oldest evicted first)
         self._seen: dict[tuple, None] = {}
         self._nacked: list[tuple] = []
-        self._signal: Optional[Event] = None
         #: statistics
         self.retransmissions = 0
         self.gave_up = 0
@@ -190,8 +190,8 @@ class AckRetransmitErrorControl(ErrorControl):
         return len(doomed)
 
     def _kick(self) -> None:
-        if self._signal is not None and not self._signal.triggered:
-            self._signal.succeed(None)
+        if self.thread is not None:
+            self.mps.scheduler.signal(self.thread)
 
     # --------------------------------------------------------- receiver side
     def is_duplicate(self, msg) -> bool:
@@ -214,8 +214,7 @@ class AckRetransmitErrorControl(ErrorControl):
                     if entry is not None:
                         yield from self._retransmit(uid, entry)
                 if not self._unacked:
-                    self._signal = self.sim.event(name="ec-signal")
-                    yield ops.WaitEvent(self._signal)
+                    yield ops.PARK
                     continue
                 yield ops.Sleep(self.check_interval_s)
                 now = self.sim.now

@@ -38,6 +38,8 @@ class FlowControl:
     name = "base"
     #: does this strategy need the receiver to send credits back?
     wants_credits = False
+    #: the system thread the MPS created from :meth:`thread_body`, if any
+    thread = None
 
     def bind(self, mps: Any) -> None:
         self.mps = mps
@@ -64,6 +66,10 @@ class FlowControl:
     def thread_body(self, ctx, mps):
         """Optional FC system-thread body; None means no thread needed."""
         return None
+
+    def _kick(self) -> None:
+        if self.thread is not None:
+            self.mps.scheduler.signal(self.thread)
 
 
 @FLOW_CONTROLS.register("none")
@@ -97,7 +103,6 @@ class WindowFlowControl(FlowControl):
         self._waiters: Deque[tuple[int, int, Event]] = deque()
         #: credits queued for the FC thread to apply
         self._credit_q: Deque[tuple[int, int]] = deque()
-        self._credit_signal: Optional[Event] = None
 
     def outstanding(self, dest_pid: int) -> int:
         return self._outstanding.get(dest_pid, 0)
@@ -119,8 +124,7 @@ class WindowFlowControl(FlowControl):
 
     def on_credit(self, from_pid: int, nbytes: int) -> None:
         self._credit_q.append((from_pid, nbytes))
-        if self._credit_signal is not None and not self._credit_signal.triggered:
-            self._credit_signal.succeed(None)
+        self._kick()
 
     def _apply_credits(self) -> None:
         while self._credit_q:
@@ -145,8 +149,7 @@ class WindowFlowControl(FlowControl):
                 if self._credit_q:
                     self._apply_credits()
                     continue
-                self._credit_signal = self.sim.event(name="fc-credit-signal")
-                yield ops.WaitEvent(self._credit_signal)
+                yield ops.PARK
         return body
 
 
@@ -167,7 +170,6 @@ class RateFlowControl(FlowControl):
         self._tokens = float(bucket_bytes)
         self._last_refill = 0.0
         self._waiters: Deque[tuple[int, Event]] = deque()
-        self._wake: Optional[Event] = None
 
     #: token-grant tolerance: refill arithmetic accumulates float error,
     #: so "within a microbyte" counts as having the tokens (a strict
@@ -194,8 +196,7 @@ class RateFlowControl(FlowControl):
         ev = self.sim.event(name="fc-rate-wait")
         self._waiters.append((need, ev))
         self._m_stalls.inc()
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
+        self._kick()
         return ev
 
     def thread_body(self, ctx, mps):
@@ -204,8 +205,7 @@ class RateFlowControl(FlowControl):
         def body(tctx):
             while True:
                 if not self._waiters:
-                    self._wake = self.sim.event(name="fc-rate-signal")
-                    yield ops.WaitEvent(self._wake)
+                    yield ops.PARK
                     continue
                 self._refill()
                 need, ev = self._waiters[0]

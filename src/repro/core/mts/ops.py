@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence
 from ...sim import Event
 
 __all__ = [
-    "Op", "NoOp", "Compute", "YieldCpu", "Sleep", "WaitEvent",
+    "Op", "NoOp", "Compute", "YieldCpu", "Sleep", "WaitEvent", "Park", "PARK",
     "BlockSelf", "Unblock", "Join", "Spawn",
     "Send", "Recv", "Probe", "Bcast", "Barrier", "Throw",
     "CollectiveBcast", "CollectiveReduce",
@@ -78,11 +78,27 @@ class Sleep(Op):
 class WaitEvent(Op):
     """Block until a raw simulation event fires; resumes with its value.
 
-    This is the escape hatch system threads use to wait on transport
-    completions and mailbox arrivals.
+    The escape hatch for waiting on something *outside* the scheduler:
+    a transport's ``accepted`` completion, a flow-control gate, the sync
+    primitives.  Waiting for work from a sibling is :class:`Park`.
     """
 
     event: Event
+
+
+@dataclass(frozen=True)
+class Park(Op):
+    """Block until somebody calls ``MtsScheduler.signal`` on this thread.
+
+    How a system thread waits for work (Fig 8's blocked queue): it finds
+    its queue empty and parks; whoever fills the queue signals it.  No
+    wake-up is lost (non-preemptive: nothing runs between the look and
+    the ``yield``); a signal to a thread that is not parked is dropped.
+    """
+
+
+#: ``Park`` has no arguments: one shared instance serves every thread
+PARK = Park()
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,10 @@ __all__ = ["MtsScheduler", "SchedulerError", "SYSTEM_PRIORITY",
 SYSTEM_PRIORITY = 0
 DEFAULT_PRIORITY = 8
 
+#: ops an attached MPS executes; their errors surface in the yielding thread
+MPS_OPS = (ops.Send, ops.Recv, ops.Probe, ops.Bcast, ops.Barrier, ops.Throw,
+           ops.CollectiveBcast, ops.CollectiveReduce)
+
 
 class SchedulerError(RuntimeError):
     """Scheduler misuse: bad tids, double starts, illegal unblocks..."""
@@ -62,6 +66,15 @@ class MtsScheduler:
         self._live_users = 0
         #: pending unblock permits for not-yet-blocked threads
         self._permits: set[int] = set()
+        #: exact op type -> ``handler(thread, op)``, True when the thread
+        #: left RUNNING.  ``Compute``, the one op that spends simulated
+        #: time, maps to None (``_run_slice`` runs it); an MPS adds its own.
+        self.op_handlers: dict[type, Optional[Callable[..., bool]]] = {
+            ops.Compute: None, ops.NoOp: self._op_noop,
+            ops.YieldCpu: self._op_yield_cpu, ops.Sleep: self._op_sleep,
+            ops.WaitEvent: self._op_wait_event, ops.Park: self._op_park,
+            ops.BlockSelf: self._op_block_self, ops.Unblock: self._op_unblock,
+            ops.Join: self._op_join, ops.Spawn: self._op_spawn}
         #: statistics
         self.context_switches = 0
         # telemetry handles (no-ops when the registry is disabled)
@@ -136,11 +149,20 @@ class MtsScheduler:
         if self.host.tracer.enabled:
             self.host.tracer.end(self._entity(thread))
         thread.state = ThreadState.RUNNABLE
+        thread.parked = False
         thread.resume_value = value
         thread.resume_exc = exc
         self.runnable.enqueue(thread, thread.priority)
         if self._idle_ev is not None and not self._idle_ev.triggered:
             self._idle_ev.succeed(None)
+
+    def signal(self, thread: NcsThread) -> None:
+        """Wake a thread blocked in ``ops.Park``, here and now (Fig 8:
+        blocked queue -> runnable queue).  Any other thread — not parked
+        yet, signalled already, waiting on something else, gone — is left
+        alone and no permit is kept: a parking thread checks its queue."""
+        if thread.parked:
+            self._make_runnable(thread, None)
 
     def unblock(self, tid: int, value: Any = None,
                 exc: Optional[BaseException] = None) -> None:
@@ -193,12 +215,13 @@ class MtsScheduler:
         metrics_on = sim.metrics.enabled
         switch_time = os.thread_switch_time
         while True:
-            # Settle same-instant wakeups before picking a thread: a
-            # system-thread signal raised in the slice that just ended
-            # travels signal -> condition -> wakeup through the event
-            # calendar (depth <= 2); without this, a lower-priority
+            # Settle same-instant wakeups before picking a thread.  What
+            # the slice that just ended gave a sibling is runnable already
+            # (``signal``); what completes *outside* the scheduler at this
+            # instant — ``accepted``, an arrival, a timer — is still up to
+            # two zero-delay hops away on the calendar, and a lower-priority
             # compute thread could grab the CPU for a long non-preemptive
-            # slice while the receive thread's wakeup sat one event away.
+            # slice while a system thread's wakeup sat one event away.
             for _ in range(2):
                 if peek() <= sim.now:
                     settle = timeout(0)
@@ -231,6 +254,7 @@ class MtsScheduler:
         """Run one thread until it blocks, yields or finishes."""
         thread.state = ThreadState.RUNNING
         self.current = thread
+        handlers = self.op_handlers
         try:
             while True:
                 try:
@@ -247,100 +271,103 @@ class MtsScheduler:
                     self._finish(thread, error=exc)
                     return
 
-                verdict = yield from self._dispatch(thread, op)
-                if verdict == "break":
-                    return
+                try:
+                    handler = handlers[type(op)]
+                except KeyError:
+                    handler = self._resolve(thread, op)
+                if handler is None:     # Compute
+                    activity = op.activity or Activity.COMPUTE
+                    start = self.sim.now
+                    yield from self.host.cpu_busy(op.seconds, activity,
+                                                  f"{thread.name}:{op.label}")
+                    if self.host.tracer.enabled and self.sim.now > start:
+                        tl = self.host.tracer.timeline(self._entity(thread))
+                        tl.begin(start, activity, op.label)
+                        tl.end(self.sim.now)
+                    continue
+                try:
+                    if handler(thread, op):
+                        return
+                except Exception as exc:
+                    if not isinstance(op, MPS_OPS):
+                        raise
+                    # op-validation errors surface inside the thread, so the
+                    # application can handle (or die of) them like any error
+                    thread.resume_exc = exc
         finally:
             self.current = None
 
-    def _dispatch(self, thread: NcsThread, op: Any
-                  ) -> Generator[Event, Any, str]:
-        """Execute one op; returns "continue" or "break" (thread left the
-        RUNNING state)."""
-        if isinstance(op, ops.NoOp):
-            thread.resume_value = op.value
-            return "continue"
+    def _resolve(self, thread: NcsThread, op: Any
+                 ) -> Optional[Callable[..., bool]]:
+        """First op of a type the table does not hold: a subclass takes
+        (and keeps) the handler of its nearest base class."""
+        handlers = self.op_handlers
+        for cls in type(op).__mro__:
+            if cls in handlers:
+                handlers[type(op)] = handlers[cls]
+                return handlers[cls]
+        if isinstance(op, MPS_OPS):
+            raise SchedulerError(
+                "message-passing op used without an MPS "
+                "(call ncs_init / attach an NcsMps first)")
+        raise SchedulerError(f"thread {thread.name} yielded unknown op {op!r}")
 
-        if isinstance(op, ops.Compute):
-            activity = op.activity or Activity.COMPUTE
-            start = self.sim.now
-            yield from self.host.cpu_busy(op.seconds, activity,
-                                          f"{thread.name}:{op.label}")
-            if self.host.tracer.enabled and self.sim.now > start:
-                tl = self.host.tracer.timeline(self._entity(thread))
-                tl.begin(start, activity, op.label)
-                tl.end(self.sim.now)
-            return "continue"
+    # one handler per op: True when the thread left the RUNNING state
+    def _op_noop(self, thread: NcsThread, op: ops.NoOp) -> bool:
+        thread.resume_value = op.value
+        return False
 
-        if isinstance(op, ops.YieldCpu):
-            thread.state = ThreadState.RUNNABLE
-            self.runnable.enqueue(thread, thread.priority)
-            return "break"
+    def _op_yield_cpu(self, thread: NcsThread, op: ops.YieldCpu) -> bool:
+        thread.state = ThreadState.RUNNABLE
+        self.runnable.enqueue(thread, thread.priority)
+        return True
 
-        if isinstance(op, ops.Sleep):
-            ev = self.sim.timeout(op.seconds)
-            self._block(thread, "sleep")
-            ev.add_callback(
-                lambda e, t=thread: self._make_runnable(t, None))
-            return "break"
+    def _op_sleep(self, thread: NcsThread, op: ops.Sleep) -> bool:
+        ev = self.sim.timeout(op.seconds)
+        self._block(thread, "sleep")
+        ev.add_callback(lambda e, t=thread: self._make_runnable(t, None))
+        return True
 
-        if isinstance(op, ops.WaitEvent):
-            self._block(thread, "wait-event")
-            def _on_fire(ev, t=thread):
-                if ev.ok:
-                    self._make_runnable(t, ev._value)
-                else:
-                    self._make_runnable(t, None, exc=ev._value)
-            op.event.add_callback(_on_fire)
-            return "break"
+    def _op_wait_event(self, thread: NcsThread, op: ops.WaitEvent) -> bool:
+        self._block(thread, "wait-event")
+        def _on_fire(ev, t=thread):
+            if ev.ok:
+                self._make_runnable(t, ev._value)
+            else:
+                self._make_runnable(t, None, exc=ev._value)
+        op.event.add_callback(_on_fire)
+        return True
 
-        if isinstance(op, ops.BlockSelf):
-            if thread.tid in self._permits:
-                self._permits.discard(thread.tid)
-                return "continue"
-            self._block(thread, "explicit")
-            return "break"
+    def _op_park(self, thread: NcsThread, op: ops.Park) -> bool:
+        # the reason a wait on a signal event gave: traces do not move
+        self._block(thread, "wait-event")
+        thread.parked = True
+        return True
 
-        if isinstance(op, ops.Unblock):
-            self.unblock(op.tid, op.value)
-            return "continue"
+    def _op_block_self(self, thread: NcsThread, op: ops.BlockSelf) -> bool:
+        if thread.tid in self._permits:
+            self._permits.discard(thread.tid)
+            return False
+        self._block(thread, "explicit")
+        return True
 
-        if isinstance(op, ops.Join):
-            target = self.thread(op.tid)
-            if not target.alive:
-                if target.error is not None:
-                    thread.resume_exc = target.error
-                else:
-                    thread.resume_value = target.result
-                return "continue"
+    def _op_unblock(self, thread: NcsThread, op: ops.Unblock) -> bool:
+        self.unblock(op.tid, op.value)
+        return False
+
+    def _op_join(self, thread: NcsThread, op: ops.Join) -> bool:
+        target = self.thread(op.tid)
+        if target.alive:
             target.joiners.append(thread.tid)
             self._block(thread, "join")
-            return "break"
+            return True
+        thread.resume_value, thread.resume_exc = target.result, target.error
+        return False
 
-        if isinstance(op, ops.Spawn):
-            tid = self.t_create(op.fn, op.args, op.priority, op.name)
-            thread.resume_value = tid
-            return "continue"
-
-        if isinstance(op, (ops.Send, ops.Recv, ops.Probe, ops.Bcast,
-                           ops.Barrier, ops.Throw,
-                           ops.CollectiveBcast, ops.CollectiveReduce)):
-            if self.mps is None:
-                raise SchedulerError(
-                    "message-passing op used without an MPS "
-                    "(call ncs_init / attach an NcsMps first)")
-            try:
-                blocked = self.mps.handle_op(thread, op)
-            except Exception as exc:
-                # op-validation errors surface inside the thread, so the
-                # application can handle (or die of) them like any error
-                thread.resume_exc = exc
-                return "continue"
-            if blocked:
-                return "break"
-            return "continue"
-
-        raise SchedulerError(f"thread {thread.name} yielded unknown op {op!r}")
+    def _op_spawn(self, thread: NcsThread, op: ops.Spawn) -> bool:
+        thread.resume_value = self.t_create(op.fn, op.args, op.priority,
+                                            op.name)
+        return False
 
     def _finish(self, thread: NcsThread, result: Any = None,
                 error: Optional[BaseException] = None) -> None:

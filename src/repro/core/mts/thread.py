@@ -59,6 +59,9 @@ class NcsThread:
         self.joiners: list[int] = []
         #: why the thread is blocked (diagnostics)
         self.block_reason: str = ""
+        #: blocked in ``ops.Park``, the one state ``signal`` acts on (a
+        #: wait on an external event has the same reason, "wait-event")
+        self.parked = False
 
     @property
     def alive(self) -> bool:

@@ -211,12 +211,8 @@ class Mailbox:
         self.sim = sim
         self.name = name
         self._recv_name = f"recv:{name}"
-        self._arrival_name = f"arrival:{name}"
         self._messages: list[Any] = []
         self._receivers: list[tuple[Callable[[Any], bool], Event]] = []
-        #: observers fire on every arrival (used by polling loops such as
-        #: the NCS receive system thread and p4_messages_available)
-        self._arrival_watchers: list[Event] = []
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -231,10 +227,8 @@ class Mailbox:
             if pred(message):
                 del self._receivers[i]
                 ev.succeed(message)
-                self._fire_watchers()
                 return
         self._messages.append(message)
-        self._fire_watchers()
 
     def receive(self, pred: Callable[[Any], bool]) -> Event:
         """An event that fires with the first message matching ``pred``."""
@@ -260,15 +254,3 @@ class Mailbox:
                 del self._messages[i]
                 return msg
         return None
-
-    def arrival_event(self) -> Event:
-        """An event firing at the next message arrival (level-triggered
-        helpers should combine with :meth:`poll`)."""
-        ev = self.sim.event(name=self._arrival_name)
-        self._arrival_watchers.append(ev)
-        return ev
-
-    def _fire_watchers(self) -> None:
-        watchers, self._arrival_watchers = self._arrival_watchers, []
-        for ev in watchers:
-            ev.succeed(None)

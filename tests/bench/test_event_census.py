@@ -33,3 +33,18 @@ def test_census_accounts_for_every_event_of_a_quick_cell():
                                                 table, re.M)]
         total = float(re.search(r"\((\d+\.\d+) per message\)", table)[1])
         assert abs(sum(per_msg) - total) < 0.06 * len(per_msg)
+
+
+def test_no_cell_wakes_a_sibling_thread_through_the_calendar():
+    """The five signal events (ARCHITECTURE.md, "What may go on the
+    calendar", fifth class) are in no row of any of the seven cells."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--quick", "--top", "1000"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("####") == 7
+    labels = set(re.findall(r"^\| \d+\.\d+ \| \w+ \| (\S+) \|",
+                            proc.stdout, re.M))
+    assert {"timeout", "boot", "get"} <= labels
+    assert not labels & {"sendsig", "recvsig", "arrival", "AnyOf",
+                         "ec-signal", "fc-credit-signal", "fc-rate-signal"}

@@ -200,6 +200,49 @@ class TestBcastAndCollectives:
         assert "finished" in results and "blocked" in results
         assert rt.nodes[0].mps.data_sent == 1
 
+    def test_rejected_bcast_sends_nothing(self):
+        """A bad target anywhere in the list fails the whole broadcast
+        before anything is queued: nobody receives what the sender was
+        told failed, nothing is counted, and the thread carries on."""
+        cluster, rt = make_runtime(3)
+        def root(ctx, t1, t2):
+            try:
+                yield ctx.bcast([(t1, 1), (t2, 2), (-1, 99)], "B", 4096)
+            except ValueError as e:
+                verdict = str(e)
+            yield ctx.bcast([(t1, 1), (t2, 2)], "after", 128)
+            return verdict
+        def leaf(ctx):
+            msg = yield ctx.recv()
+            return msg.data
+        t1 = rt.t_create(1, leaf)
+        t2 = rt.t_create(2, leaf)
+        t0 = rt.t_create(0, root, (t1, t2))
+        rt.run(max_events=2_000_000)
+        assert rt.thread_result(0, t0) == "NCS_bcast: no such process 99"
+        assert rt.thread_result(1, t1) == "after"
+        assert rt.thread_result(2, t2) == "after"
+        mps = rt.nodes[0].mps
+        assert mps.data_sent == 2
+        snapshot = cluster.metrics.snapshot()
+        assert snapshot["mps.data_sent"]["pid=0"] == 2
+        assert snapshot["mps.message_bytes"]["pid=0"]["sum"] == 2 * 128
+        assert [n.mps.data_received for n in rt.nodes] == [0, 1, 1]
+
+    def test_rejected_bcast_checks_the_deduplicated_list(self):
+        cluster, rt = make_runtime(2)
+        def root(ctx):
+            try:
+                yield ctx.bcast([(-1, 1), (7, 1), (3, -2)], "B", 64,
+                                dedup_processes=True)
+            except ValueError as e:
+                return str(e)
+        t0 = rt.t_create(0, root)
+        rt.run(max_events=2_000_000)
+        assert rt.thread_result(0, t0) == "NCS_bcast: no such process -2"
+        assert rt.nodes[0].mps.data_sent == 0
+        assert len(rt.nodes[1].mps.mailbox) == 0
+
     def test_gather_collective(self):
         from repro.core.mps.group import gather
         cluster, rt = make_runtime(3)

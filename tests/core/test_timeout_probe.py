@@ -73,6 +73,81 @@ class TestRecvTimeout:
         assert rt.thread_result(0, tid) == "instant"
 
 
+class TestStaleTimeoutTimers:
+    """A receive that completed leaves its timer armed; when it fires it
+    must not mistake the thread's *next* receive — equal field by field —
+    for the one it was armed for."""
+
+    @staticmethod
+    def _two_sends_three_seconds_apart(rt, rtid):
+        def sender(ctx):
+            yield ctx.send(rtid, 0, "first", 64)
+            yield ctx.sleep(3.0)
+            yield ctx.send(rtid, 0, "second", 64)
+        rt.t_create(1, sender)
+
+    def test_second_receive_without_timeout(self):
+        cluster, rt = make()
+        def receiver(ctx):
+            first = yield ctx.recv(timeout=1.0)     # arrives at once
+            second = yield ctx.recv()               # waits ~3 s
+            return (first.data, second.data, ctx.now > 3.0)
+        rtid = rt.t_create(0, receiver)
+        self._two_sends_three_seconds_apart(rt, rtid)
+        rt.run(max_events=500_000)
+        assert rt.thread_result(0, rtid) == ("first", "second", True)
+
+    def test_second_receive_with_a_longer_timeout(self):
+        cluster, rt = make()
+        def receiver(ctx):
+            first = yield ctx.recv(timeout=1.0)
+            second = yield ctx.recv(timeout=5.0)
+            return (first.data, second.data, ctx.now > 3.0)
+        rtid = rt.t_create(0, receiver)
+        self._two_sends_three_seconds_apart(rt, rtid)
+        rt.run(max_events=500_000)
+        assert rt.thread_result(0, rtid) == ("first", "second", True)
+
+    def test_second_receive_still_times_out_on_its_own_timer(self):
+        cluster, rt = make()
+        def receiver(ctx):
+            yield ctx.recv(timeout=1.0)
+            try:
+                yield ctx.recv(timeout=1.5)
+            except RecvTimeout as e:
+                return (e.seconds, ctx.now > 1.5)
+        rtid = rt.t_create(0, receiver)
+        self._two_sends_three_seconds_apart(rt, rtid)
+        rt.run(max_events=500_000)
+        assert rt.thread_result(0, rtid) == (1.5, True)
+
+    def test_two_threads_equal_wildcards(self):
+        """Two threads post receives that differ in nothing but who
+        posted them; one message arrives: the first poster gets it, the
+        other runs into its own timeout — and its next receive is not
+        hit by the winner's stale timer."""
+        cluster, rt = make()
+        def waiter(ctx, seconds):
+            try:
+                msg = yield ctx.recv(timeout=seconds)
+                got = msg.data
+            except RecvTimeout as e:
+                got = ("timed-out", e.seconds)
+            late = yield ctx.recv()
+            return (got, late.data)
+        a = rt.t_create(0, waiter, (1.0,), name="a")
+        b = rt.t_create(0, waiter, (2.0,), name="b")
+        def sender(ctx):
+            yield ctx.send(-1, 0, "only", 64)
+            yield ctx.sleep(3.0)
+            yield ctx.send(a, 0, "late-a", 64)
+            yield ctx.send(b, 0, "late-b", 64)
+        rt.t_create(1, sender)
+        rt.run(max_events=500_000)
+        assert rt.thread_result(0, a) == ("only", "late-a")
+        assert rt.thread_result(0, b) == (("timed-out", 2.0), "late-b")
+
+
 class TestProbe:
     def test_probe_false_then_true(self):
         cluster, rt = make()

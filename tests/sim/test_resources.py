@@ -241,19 +241,6 @@ class TestMailbox:
         assert mb.take(lambda m: True) == "z"
         assert len(mb) == 0
 
-    def test_arrival_event_fires_on_next_delivery(self, sim):
-        mb = Mailbox(sim)
-        def watcher(sim):
-            yield mb.arrival_event()
-            return sim.now
-        def sender(sim):
-            yield sim.timeout(4.0)
-            mb.deliver("m")
-        p = sim.process(watcher(sim))
-        sim.process(sender(sim))
-        sim.run()
-        assert p.value == 4.0
-
     def test_two_receivers_matched_in_registration_order(self, sim):
         mb = Mailbox(sim)
         got = {}
