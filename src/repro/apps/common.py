@@ -6,22 +6,27 @@ ATM LAN); :func:`build_platform_cluster` builds the matching simulated
 cluster, and :func:`platform_costs` returns the calibrated compute
 constants.  The applications use the paper's host-node model: process 0
 is the host, processes 1..N are the nodes, so an "N node" table row
-runs on an (N+1)-host cluster.
+runs on an (N+1)-host cluster.  The two platforms are registered
+topologies too (``platform-ethernet`` / ``platform-nynet``), blueprints
+like every other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..hosts import SUN_ELC, SUN_IPX
-from ..net import Cluster, build_atm_cluster, build_ethernet_cluster
+from ..net import Cluster
+from ..net.blueprint import (TopologyBlueprint, blueprint_atm_lan,
+                             blueprint_ethernet, materialize)
 from ..protocols import TcpParams
 from ..registry import TOPOLOGIES
 from .costs import AppCosts, ELC_COSTS, IPX_COSTS
 
-__all__ = ["PLATFORMS", "AppResult", "build_platform_cluster",
-           "platform_costs", "ELC_TCP", "IPX_TCP"]
+__all__ = ["PLATFORMS", "AppResult", "blueprint_platform",
+           "build_platform_cluster", "platform_costs", "ELC_TCP", "IPX_TCP"]
 
 #: 1995 SunOS TCP: ~5 KB socket buffers on the Ethernet ELCs (per-message
 #: tail segments stall on the 50 ms delayed-ACK timer), and the larger
@@ -62,34 +67,30 @@ class AppResult:
                 f"N={self.n_nodes}: {self.makespan_s:.3f}s {ok}>")
 
 
-def build_platform_cluster(platform: str, n_hosts: int,
-                           trace: bool = False, seed: int = 1995,
-                           **kw) -> Cluster:
-    """An (n_hosts)-host cluster of the named benchmark platform."""
+def blueprint_platform(platform: str, n_hosts: int,
+                       **kw) -> TopologyBlueprint:
+    """An (n_hosts)-host blueprint of the named benchmark platform."""
     if platform == "ethernet":
         kw.setdefault("tcp_params", ELC_TCP)
-        return build_ethernet_cluster(n_hosts, params=SUN_ELC, trace=trace,
-                                      seed=seed, **kw)
+        return blueprint_ethernet(n_hosts, params=SUN_ELC, **kw)
     if platform in ("nynet", "atm"):
         kw.setdefault("tcp_params", IPX_TCP)
-        return build_atm_cluster(n_hosts, params=SUN_IPX, trace=trace,
-                                 seed=seed, **kw)
+        return blueprint_atm_lan(n_hosts, params=SUN_IPX, **kw)
     raise ValueError(f"unknown platform {platform!r}; "
                      f"expected one of {PLATFORMS}")
 
 
-@TOPOLOGIES.register(
-    "platform-ethernet",
+def build_platform_cluster(platform: str, n_hosts: int, **kw) -> Cluster:
+    """An (n_hosts)-host cluster of the named benchmark platform."""
+    return materialize(blueprint_platform(platform, n_hosts, **kw))
+
+
+TOPOLOGIES.register(
+    "platform-ethernet", partial(blueprint_platform, "ethernet"),
     help="Benchmark platform: SPARC ELCs + 1995 SunOS TCP on Ethernet")
-def _build_platform_ethernet(n_hosts: int, **kw) -> Cluster:
-    return build_platform_cluster("ethernet", n_hosts, **kw)
-
-
-@TOPOLOGIES.register(
-    "platform-nynet",
+TOPOLOGIES.register(
+    "platform-nynet", partial(blueprint_platform, "nynet"),
     help="Benchmark platform: SPARC IPXs + FORE-tuned TCP on the ATM LAN")
-def _build_platform_nynet(n_hosts: int, **kw) -> Cluster:
-    return build_platform_cluster("nynet", n_hosts, **kw)
 
 
 def run_p4_programs(cluster: Cluster, procs,

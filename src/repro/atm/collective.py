@@ -164,7 +164,7 @@ class NicCollectiveEngine:
                 f"adapter {adapter.host_name} already has a collective_rx "
                 "hook; only one collective engine per adapter")
         adapter.collective_rx = self._rx_hook
-        # telemetry (get-or-create: kind-labelled series are shared)
+        # telemetry: every series is labelled with its owner (pid or host)
         _m = self.sim.metrics
         host = adapter.host_name
         self._m_ops = {
@@ -178,7 +178,7 @@ class NicCollectiveEngine:
                 "collective.latency_s",
                 help="NIC collective submit-to-complete, simulated seconds",
                 buckets=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
-                         1e-1, 3e-1, 1.0, 3.0), kind=kind)
+                         1e-1, 3e-1, 1.0, 3.0), pid=pid, kind=kind)
             for kind in ("barrier", "bcast", "reduce")}
         self._m_fw_pdus = _m.counter(
             "collective.fw_pdus",
@@ -312,9 +312,8 @@ class NicCollectiveEngine:
 
     def _send_up(self, pdu: NicPdu) -> None:
         """Member -> root (local machine call on the root's own engine)."""
-        root = self.fabric.root_engine
         if self.is_root:
-            self.sim.call_in(self.firmware_op_s, root._process, pdu)
+            self.sim.call_in(self.firmware_op_s, self._process, pdu)
             return
         self._m_fw_sends.inc()
         vc = self._signaling.circuit(self._host, self._root_host,
@@ -500,9 +499,10 @@ class NicCollectiveFabric:
 
     Built once per runtime (when a scenario selects
     ``collectives = "nic"``): instantiates one
-    :class:`NicCollectiveEngine` per host adapter.  The star's up/down
-    PVCs and the root's multicast tree are the signaling controller's
-    on-demand circuits, so a member that never takes part costs nothing.
+    :class:`NicCollectiveEngine` per host adapter this universe has (a
+    shard worker, only its own).  The star's up/down PVCs and the root's
+    multicast tree are the signaling controller's on-demand circuits,
+    so a member that never takes part costs nothing.
     """
 
     def __init__(self, cluster: Any, rto_s: float = DEFAULT_RTO_S,
@@ -525,14 +525,12 @@ class NicCollectiveFabric:
         self.max_retries = max_retries
         self.max_probes = max_probes
         self.firmware_op_s = firmware_op_s
-        adapters = [cluster.host(i).interface("atm")
-                    for i in range(cluster.n_hosts)]
         #: host names in pid order; the root engine is pid 0's
-        self.hosts = [a.host_name for a in adapters]
+        self.hosts = [cluster.host(i).name for i in range(cluster.n_hosts)]
         self.root_host = self.hosts[0]
-        self.engines = [NicCollectiveEngine(self, pid, a)
-                        for pid, a in enumerate(adapters)]
-        self.root_engine = self.engines[0]
+        self.engines = {pid: NicCollectiveEngine(self, pid, fabric.adapters[h])
+                        for pid, h in enumerate(self.hosts)
+                        if h in fabric.adapters}
 
     def engine(self, pid: int) -> NicCollectiveEngine:
         """The engine on process ``pid``'s adapter."""

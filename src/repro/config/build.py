@@ -4,7 +4,8 @@ The construction pipeline every example, benchmark and ``python -m
 repro.run`` invocation now shares::
 
     ScenarioSpec
-        -> build_cluster()     TOPOLOGIES[spec.cluster.topology](...)
+        -> build_blueprint()   TOPOLOGIES[spec.cluster.topology](...)
+        -> build_cluster()     materialize(blueprint)
         -> build_runtime()     NcsRuntime(mode/flow/error by name)
                                + declared barriers
         -> build_fault_plan()  FaultSpec -> FaultPlan, armed via
@@ -16,7 +17,8 @@ Everything resolves through :mod:`repro.registry`, and the composition
 is *exactly* the calls the hand-wired experiments used to make — the
 golden-equality tests in ``tests/config`` hold a spec-built run to
 bit-identical timestamps, traces and metrics against the committed
-``tests/perf_lock`` goldens.
+``tests/perf_lock`` goldens.  The sharded kernel's workers start from
+the same :func:`build_blueprint` and materialize only their own shard.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from typing import Any, Optional
 from ..registry import APP_DRIVERS, KERNELS, TOPOLOGIES
 from .spec import ClusterSpec, ObsSpec, ScenarioSpec, SpecError
 
-__all__ = ["ensure_components", "build_cluster", "build_fault_plan",
-           "build_runtime", "run_scenario", "ScenarioRun", "ScenarioResult"]
+__all__ = ["ensure_components", "build_blueprint", "build_cluster",
+           "build_fault_plan", "build_runtime", "run_scenario",
+           "ScenarioRun", "ScenarioResult"]
 
 _COMPONENT_MODULES = (
     "repro.core.api",        # transports + flow/error controls (via mps)
-    "repro.net.topology",    # LAN builders
-    "repro.net.nynet",       # WAN builders
+    "repro.net.blueprint",   # topologies
     "repro.faults.plan",     # fault kinds
     "repro.resilience",      # hsm-failover transport + adaptive EC
     "repro.apps.drivers",    # app drivers (imports the apps themselves)
@@ -54,12 +56,14 @@ def ensure_components() -> None:
         importlib.import_module(mod)
 
 
-def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
-    """Build the cluster a spec describes via the topology registry.
+def build_blueprint(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
+    """The :class:`~repro.net.blueprint.TopologyBlueprint` a spec's
+    cluster table describes, via the topology registry.
 
-    Registered builders must accept ``seed``/``trace``/``metrics``
+    Registered topologies must accept ``seed``/``trace``/``metrics``
     keyword arguments (and ``n_hosts`` where it applies); everything in
-    ``cluster.options`` is forwarded verbatim.
+    ``cluster.options`` is forwarded verbatim.  Arguments the topology
+    does not take are a :class:`SpecError`.
     """
     ensure_components()
     builder = TOPOLOGIES.get(cluster.topology)
@@ -75,6 +79,12 @@ def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
         raise SpecError(
             f"cluster.topology {cluster.topology!r} rejected its "
             f"arguments: {e}") from None
+
+
+def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
+    """Build the whole cluster a spec describes."""
+    from ..net.blueprint import materialize
+    return materialize(build_blueprint(cluster, obs))
 
 
 def build_fault_plan(spec: ScenarioSpec):

@@ -155,22 +155,16 @@ class NcsRuntime:
             if getattr(cluster.stacks[pid], "ghost", False)
             else NcsNode(self, pid)
             for pid in range(cluster.n_hosts)]
-        ghosts = [n for n in self.nodes if getattr(n, "ghost", False)]
-        if ghosts:
-            if resilience is not None:
-                raise ValueError(
-                    "resilience requires every host to be materialized; "
-                    "partially constructed clusters cannot run the "
-                    "failure detector")
-            # mirror the system-thread tid burn-in of a real node, so
-            # subsequent t_create calls agree across shards
-            real = next((n for n in self.nodes
-                         if not getattr(n, "ghost", False)), None)
-            if real is not None:
-                for node in ghosts:
-                    node.scheduler._tid_seq = real.scheduler._tid_seq
         if resilience is not None:
             resilience.attach(self)
+        # mirror the system-thread tid burn-in of a real node (the
+        # heartbeat thread included), so that t_create calls made after
+        # bring-up agree across shards
+        real = next((n for n in self.nodes
+                     if not getattr(n, "ghost", False)), None)
+        for node in self.nodes:
+            if real is not None and getattr(node, "ghost", False):
+                node.scheduler._tid_seq = real.scheduler._tid_seq
         self._started = False
         self._procs: list[SimProcess] = []
 

@@ -20,6 +20,10 @@ physical faults work on a bare cluster.  All randomness comes from
 dedicated per-process streams of the cluster's seeded registry
 (``faults.msgloss.<pid>``), so arming a plan never perturbs any other
 draw — the foundation of the bit-identical-trace guarantee.
+
+Each shard of the sharded kernel arms the whole plan, but a hook only
+touches what its universe built: a ghost row (a host another shard
+owns) has no link, port or filter here, and a crash only freezes it.
 """
 
 from __future__ import annotations
@@ -167,9 +171,11 @@ class FaultInjector:
             for iface in host.interfaces.values():
                 yield iface, iface.fail, iface.restore
         elif isinstance(ev, SwitchPortStall):
-            switch, channel = self._switch_port(ev.host)
-            yield (channel, lambda: switch.stall_port(channel),
-                   lambda: switch.unstall_port(channel))
+            port = self._switch_port(ev.host)
+            if port is not None:
+                switch, channel = port
+                yield (channel, lambda: switch.stall_port(channel),
+                       lambda: switch.unstall_port(channel))
         else:  # pragma: no cover - plan types are closed
             raise TypeError(f"unknown fault event {ev!r}")
 
@@ -187,26 +193,32 @@ class FaultInjector:
             lan.clear_fault_ber()
 
     # -------------------------------------------------------- fabric lookup
+    def _adapter(self, host_idx: int):
+        fabric = self.cluster.fabric
+        if fabric is None:
+            return None
+        return fabric.adapters.get(self.cluster.host(host_idx).name)
+
     def _links(self, host_idx: int) -> list[DuplexLink]:
         """Every duplex link attached to the host's ATM adapter (on the
         star topology, exactly the host↔switch TAXI)."""
-        fabric = self.cluster.fabric
-        if fabric is None:
+        adapter = self._adapter(host_idx)
+        if adapter is None:
             return []
-        adapter = fabric.adapters[self.cluster.host(host_idx).name]
         return [data["link"] for _, _, data
-                in fabric.graph.edges(adapter, data=True)]
+                in self.cluster.fabric.graph.edges(adapter, data=True)]
 
     def _nic(self, host_idx: int):
         return self.cluster.host(host_idx).interfaces.get("ethernet")
 
     def _switch_port(self, host_idx: int):
         """The switch output channel feeding ``host`` (endpoint = its
-        adapter)."""
-        fabric = self.cluster.fabric
-        assert fabric is not None
-        adapter = fabric.adapters[self.cluster.host(host_idx).name]
-        for _, other, data in fabric.graph.edges(adapter, data=True):
+        adapter), or None for a ghost row."""
+        adapter = self._adapter(host_idx)
+        if adapter is None:
+            return None
+        for _, other, data in self.cluster.fabric.graph.edges(
+                adapter, data=True):
             link: DuplexLink = data["link"]
             for channel in (link.fwd, link.rev):
                 if channel.endpoint is adapter:
@@ -216,6 +228,8 @@ class FaultInjector:
     # -------------------------------------------------- message-level hooks
     def _install_mps_filters(self) -> None:
         for node in self.runtime.nodes:
+            if getattr(node, "ghost", False):
+                continue
             if node.mps.rx_fault is not None:
                 raise RuntimeError(
                     f"process {node.pid} already has an rx_fault filter")

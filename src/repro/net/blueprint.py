@@ -1,15 +1,16 @@
 """Two-phase topology construction: declarative blueprints + materialize.
 
-Phase 1 — a registered blueprint builder (:data:`repro.registry.BLUEPRINTS`,
-same name and signature as the matching :data:`~repro.registry.TOPOLOGIES`
-entry) produces a :class:`TopologyBlueprint`: a cheap, frozen description
-of every switch, trunk, host and LAN segment, in **exact global
-construction order**.  Building a blueprint allocates no simulator and
-no processes, so a coordinator can plan a 1024-host WAN in microseconds.
+This is the one way a cluster is built.  Phase 1 — a registered
+topology (:data:`repro.registry.TOPOLOGIES`) produces a
+:class:`TopologyBlueprint`: a cheap, frozen description of every
+switch, trunk, host and LAN segment, in **exact global construction
+order**.  Building a blueprint allocates no simulator and no processes,
+so a coordinator can plan a 1024-host WAN in microseconds.
 
 Phase 2 — :func:`materialize` instantiates a blueprint, item by item:
 
-* ``materialize(bp)`` builds the whole universe;
+* ``materialize(bp)`` builds the whole universe (the single kernel,
+  ``repro.config.build_cluster`` and every ``build_*`` helper);
 * ``materialize(bp, owned_switches=...)`` builds a *partial* universe
   for one shard of the sharded kernel: only hosts behind owned switches
   (and the owned switches themselves) become real simulation objects.
@@ -32,15 +33,16 @@ in the same item order, so every universe routes a pair identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Optional
 
 from ..atm.link import DS3, LinkSpec, OC3, TAXI_140
 from ..hosts import HostParams, SUN_ELC, SUN_IPX
-from ..registry import BLUEPRINTS
+from ..registry import TOPOLOGIES
 
 __all__ = [
     "SwitchItem", "TrunkItem", "HostItem", "LanItem", "TopologyBlueprint",
-    "materialize", "PlanView", "GhostStack",
+    "SiteSpec", "materialize", "PlanView", "GhostStack",
 ]
 
 
@@ -53,7 +55,6 @@ class SwitchItem:
     """One ATM switch: create ``AtmSwitch(sim, name, latency_s)``."""
 
     name: str
-    site: Optional[str] = None
     latency_s: float = 10e-6
 
 
@@ -64,8 +65,6 @@ class TrunkItem:
     a: str
     b: str
     spec: LinkSpec
-    #: deterministic WAN trunk the sharded kernel may cut
-    cut_eligible: bool = False
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class HostItem:
 
     name: str
     pid: int
-    site: Optional[str] = None
     switch: Optional[str] = None
     link_spec: Optional[LinkSpec] = None
 
@@ -92,8 +90,8 @@ class TopologyBlueprint:
     """A topology, fully described but not yet instantiated.
 
     ``items`` holds :class:`SwitchItem`/:class:`TrunkItem`/:class:`HostItem`
-    rows in the **exact order** the imperative builder would create them —
-    materializing the whole tuple builds the same universe, to the byte.
+    rows in the **exact order** they are created — every universe, whole
+    or one shard's, walks the same tuple, so all agree to the byte.
     """
 
     medium: str                  # "ethernet" | "atm-lan" | "atm-dual" | ...
@@ -117,12 +115,8 @@ class TopologyBlueprint:
         return [it for it in self.items if isinstance(it, SwitchItem)]
 
     @property
-    def trunks(self) -> list[TrunkItem]:
-        return [it for it in self.items if isinstance(it, TrunkItem)]
-
-    @property
     def n_hosts(self) -> int:
-        return sum(1 for it in self.items if isinstance(it, HostItem))
+        return len(self.hosts)
 
 
 # --------------------------------------------------------------------------
@@ -146,12 +140,21 @@ class _StubSwitch:
 
 
 class _GhostHost:
-    """The ``.host`` of a :class:`GhostStack`: name + liveness flag."""
+    """The ``.host`` of a :class:`GhostStack`: a name and the liveness
+    flag a host crash flips (no interfaces to fail)."""
 
     __slots__ = ("name", "frozen")
 
+    interfaces = MappingProxyType({})
+
     def __init__(self, name: str):
         self.name = name
+        self.frozen = False
+
+    def freeze(self) -> None:
+        self.frozen = True
+
+    def unfreeze(self) -> None:
         self.frozen = False
 
 
@@ -318,18 +321,15 @@ class PlanView:
 
 
 # --------------------------------------------------------------------------
-# registered blueprint builders (mirror the TOPOLOGIES signatures)
+# the registered topologies
 # --------------------------------------------------------------------------
 
-def _host_items(n_hosts, switch, link_spec, start_pid=0, site=None,
-                name=None):
-    return tuple(
-        HostItem(name=(name(i) if name else f"n{i}"), pid=start_pid + i,
-                 site=site, switch=switch, link_spec=link_spec)
-        for i in range(n_hosts))
+def _host_items(n_hosts, switch, link_spec):
+    return tuple(HostItem(name=f"n{i}", pid=i, switch=switch,
+                          link_spec=link_spec) for i in range(n_hosts))
 
 
-@BLUEPRINTS.register(
+@TOPOLOGIES.register(
     "ethernet", help="N workstations on one shared 10 Mbps Ethernet (§2)")
 def blueprint_ethernet(n_hosts: int,
                        params: HostParams = SUN_ELC,
@@ -340,7 +340,8 @@ def blueprint_ethernet(n_hosts: int,
                        collisions: bool = False,
                        bandwidth_bps: float = 10e6,
                        preconnect: bool = True) -> TopologyBlueprint:
-    """Blueprint twin of :func:`repro.net.topology.build_ethernet_cluster`."""
+    """N workstations on one shared Ethernet segment: the paper's
+    *SUN/Ethernet* platform (SPARCstation ELCs, §2)."""
     if n_hosts < 1:
         raise ValueError("need at least one host")
     return TopologyBlueprint(
@@ -351,7 +352,7 @@ def blueprint_ethernet(n_hosts: int,
         items=_host_items(n_hosts, None, None))
 
 
-@BLUEPRINTS.register(
+@TOPOLOGIES.register(
     "atm-lan", help="N workstations star-wired to a FORE switch (§2)")
 def blueprint_atm_lan(n_hosts: int,
                       params: HostParams = SUN_IPX,
@@ -363,7 +364,10 @@ def blueprint_atm_lan(n_hosts: int,
                       switch_latency_s: float = 10e-6,
                       train_cells: int = 256,
                       preconnect: bool = True) -> TopologyBlueprint:
-    """Blueprint twin of :func:`repro.net.topology.build_atm_cluster`."""
+    """N workstations star-wired to one FORE switch over TAXI links: the
+    paper's *SUN/ATM LAN* platform (SPARCstation IPXs, §2).  Any pair of
+    hosts has a classical-IP PVC (TCP/p4/NSM traffic) and a raw PVC (NCS
+    High Speed Mode), each established on first use."""
     if n_hosts < 1:
         raise ValueError("need at least one host")
     items = ((SwitchItem("fore-sw", latency_s=switch_latency_s),)
@@ -375,7 +379,7 @@ def blueprint_atm_lan(n_hosts: int,
         items=items)
 
 
-@BLUEPRINTS.register(
+@TOPOLOGIES.register(
     "atm-dual",
     help="ATM fabric for HSM + separate Ethernet for NSM/TCP (dual-rail)")
 def blueprint_atm_dual(n_hosts: int,
@@ -390,7 +394,17 @@ def blueprint_atm_dual(n_hosts: int,
                        bandwidth_bps: float = 10e6,
                        collisions: bool = False,
                        preconnect: bool = True) -> TopologyBlueprint:
-    """Blueprint twin of :func:`repro.net.topology.build_atm_dual_cluster`."""
+    """Dual-rail cluster: every host has an SBA-200 on the ATM star *and*
+    an Ethernet NIC on a shared segment.
+
+    Unlike ``atm-lan`` — where classical-IP and the raw HSM PVCs share
+    the same TAXI links, so a link outage kills both service tiers at
+    once — here IP/TCP (and with it NSM and p4) runs over the Ethernet
+    while only HSM uses the fabric.  This is the topology that makes
+    HSM→NSM failover meaningful: the fast path can die while the slow
+    path survives.  (The paper's own testbed kept its Ethernet alongside
+    the ATM gear for exactly this kind of fallback.)
+    """
     if n_hosts < 1:
         raise ValueError("need at least one host")
     items = ((SwitchItem("fore-sw", latency_s=switch_latency_s),)
@@ -403,50 +417,22 @@ def blueprint_atm_dual(n_hosts: int,
         items=items)
 
 
-def _blueprint_nynet_sites(sites, params, tcp_params, seed, trace, metrics,
-                           train_cells, preconnect) -> TopologyBlueprint:
-    """Shared body for the NYNET blueprints (Fig 1 shape)."""
-    if not sites or all(s.n_hosts == 0 for s in sites):
-        raise ValueError("need at least one site with hosts")
-    if len({s.name for s in sites}) != len(sites):
-        raise ValueError("site names must be unique")
-    items: list[Any] = [
-        SwitchItem("bb-upstate"), SwitchItem("bb-downstate"),
-        TrunkItem("bb-upstate", "bb-downstate", DS3, cut_eligible=True),
-    ]
-    pid = 0
-    for site in sites:
-        swn = f"sw-{site.name}"
-        backbone = ("bb-upstate" if site.region == "upstate"
-                    else "bb-downstate")
-        items.append(SwitchItem(swn, site=site.name))
-        items.append(TrunkItem(swn, backbone, OC3, cut_eligible=True))
-        for k in range(site.n_hosts):
-            items.append(HostItem(name=f"{site.name}{k}", pid=pid,
-                                  site=site.name, switch=swn,
-                                  link_spec=TAXI_140))
-            pid += 1
-    return TopologyBlueprint(
-        medium="nynet", seed=seed, trace=trace, metrics=metrics,
-        params=params, tcp_params=tcp_params, train_cells=train_cells,
-        preconnect=preconnect, host_rail="atm",
-        items=tuple(items))
+@dataclass(frozen=True)
+class SiteSpec:
+    """One NYNET site: a name, how many hosts, and which region it's in."""
+
+    name: str
+    n_hosts: int
+    region: str = "upstate"      # "upstate" | "downstate"
+
+    def __post_init__(self) -> None:
+        if self.n_hosts < 0:
+            raise ValueError("n_hosts must be non-negative")
+        if self.region not in ("upstate", "downstate"):
+            raise ValueError(f"unknown region {self.region!r}")
 
 
-@BLUEPRINTS.register(
-    "nynet-testbed",
-    help="Two-region NYNET: upstate + downstate sites over the DS-3 (Fig 1)")
-def blueprint_nynet_testbed(n_upstate: int = 4, n_downstate: int = 2,
-                            **kw) -> TopologyBlueprint:
-    """Blueprint twin of :func:`repro.net.nynet.nynet_testbed`."""
-    from .nynet import SiteSpec
-    return blueprint_nynet([
-        SiteSpec("syr", n_upstate, "upstate"),
-        SiteSpec("nyc", n_downstate, "downstate"),
-    ], **kw)
-
-
-@BLUEPRINTS.register(
+@TOPOLOGIES.register(
     "nynet", help="The Fig 1 NYNET WAN from declarative site tables")
 def blueprint_nynet(sites: list,
                     params: HostParams = SUN_IPX,
@@ -456,8 +442,14 @@ def blueprint_nynet(sites: list,
                     metrics: bool = True,
                     train_cells: int = 256,
                     preconnect: bool = True) -> TopologyBlueprint:
-    """Blueprint twin of :func:`repro.net.nynet.build_nynet_from_spec`."""
-    from .nynet import SiteSpec
+    """The Fig 1 testbed with the given sites.
+
+    Wiring: ``host --TAXI-- site switch --OC-3-- regional backbone``;
+    the two regional backbones (the upstate OC-48 ring collapsed to one
+    switch, and downstate) connect through the DS-3 link.  ``sites`` are
+    :class:`SiteSpec` rows or plain tables (``{name = ..., n_hosts = ...,
+    region = ...}``), so a scenario file can declare the whole WAN.
+    """
     site_specs = []
     for i, site in enumerate(sites):
         if isinstance(site, SiteSpec):
@@ -473,11 +465,46 @@ def blueprint_nynet(sites: list,
             raise ValueError(
                 f"cluster.options.sites[{i}]: expected a table, "
                 f"got {site!r}")
-    return _blueprint_nynet_sites(site_specs, params, tcp_params, seed,
-                                  trace, metrics, train_cells, preconnect)
+    if not site_specs or all(s.n_hosts == 0 for s in site_specs):
+        raise ValueError("need at least one site with hosts")
+    if len({s.name for s in site_specs}) != len(site_specs):
+        raise ValueError("site names must be unique")
+    items: list[Any] = [
+        SwitchItem("bb-upstate"), SwitchItem("bb-downstate"),
+        TrunkItem("bb-upstate", "bb-downstate", DS3),
+    ]
+    pid = 0
+    for site in site_specs:
+        swn = f"sw-{site.name}"
+        backbone = ("bb-upstate" if site.region == "upstate"
+                    else "bb-downstate")
+        items.append(SwitchItem(swn))
+        items.append(TrunkItem(swn, backbone, OC3))
+        for k in range(site.n_hosts):
+            items.append(HostItem(name=f"{site.name}{k}", pid=pid,
+                                  switch=swn, link_spec=TAXI_140))
+            pid += 1
+    return TopologyBlueprint(
+        medium="nynet", seed=seed, trace=trace, metrics=metrics,
+        params=params, tcp_params=tcp_params, train_cells=train_cells,
+        preconnect=preconnect, host_rail="atm",
+        items=tuple(items))
 
 
-@BLUEPRINTS.register(
+@TOPOLOGIES.register(
+    "nynet-testbed",
+    help="Two-region NYNET: upstate + downstate sites over the DS-3 (Fig 1)")
+def blueprint_nynet_testbed(n_upstate: int = 4, n_downstate: int = 2,
+                            **kw) -> TopologyBlueprint:
+    """The canonical two-region instance used by the Fig 1 benchmark:
+    a Syracuse-like upstate site and an NYC-like downstate site."""
+    return blueprint_nynet([
+        SiteSpec("syr", n_upstate, "upstate"),
+        SiteSpec("nyc", n_downstate, "downstate"),
+    ], **kw)
+
+
+@TOPOLOGIES.register(
     "wan-ring",
     help="N site switches in a DS-3 ring, one shardable site per switch")
 def blueprint_wan_ring(n_sites: int = 8,
@@ -489,25 +516,30 @@ def blueprint_wan_ring(n_sites: int = 8,
                        metrics: bool = True,
                        train_cells: int = 256,
                        preconnect: bool = True) -> TopologyBlueprint:
-    """Blueprint twin of :func:`repro.net.nynet.build_wan_ring`."""
+    """A ring of NYNET-style sites for kernel-scaling experiments.
+
+    ``n_sites`` FORE switches sit on a DS-3 ring (each trunk is
+    deterministic and carries the full 2 ms propagation delay), with
+    ``hosts_per_site`` TAXI hosts behind each switch.  Because every
+    inter-site trunk is a switch-to-switch link with non-zero
+    propagation and no error RNG, the sharded kernel can cut the ring
+    anywhere: each site becomes its own shard group and the DS-3 delay
+    is the conservative lookahead.  Hosts get the same dual stack
+    (classical-IP PVCs + raw HSM PVCs) as every other topology.
+    """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if hosts_per_site < 1:
         raise ValueError("hosts_per_site must be >= 1")
-    items: list[Any] = [SwitchItem(f"sw-r{i}", site=f"r{i}")
-                        for i in range(n_sites)]
+    items: list[Any] = [SwitchItem(f"sw-r{i}") for i in range(n_sites)]
     if n_sites == 2:            # a 2-ring would double the single trunk
-        items.append(TrunkItem("sw-r0", "sw-r1", DS3, cut_eligible=True))
+        items.append(TrunkItem("sw-r0", "sw-r1", DS3))
     elif n_sites > 2:
-        for i in range(n_sites):
-            items.append(TrunkItem(f"sw-r{i}", f"sw-r{(i + 1) % n_sites}",
-                                   DS3, cut_eligible=True))
-    pid = 0
-    for i in range(n_sites):
-        for k in range(hosts_per_site):
-            items.append(HostItem(name=f"r{i}h{k}", pid=pid, site=f"r{i}",
-                                  switch=f"sw-r{i}", link_spec=TAXI_140))
-            pid += 1
+        items += [TrunkItem(f"sw-r{i}", f"sw-r{(i + 1) % n_sites}", DS3)
+                  for i in range(n_sites)]
+    items += [HostItem(name=f"r{i}h{k}", pid=i * hosts_per_site + k,
+                       switch=f"sw-r{i}", link_spec=TAXI_140)
+              for i in range(n_sites) for k in range(hosts_per_site)]
     return TopologyBlueprint(
         medium="wan-ring", seed=seed, trace=trace, metrics=metrics,
         params=params, tcp_params=tcp_params, train_cells=train_cells,

@@ -1,22 +1,10 @@
-"""Cluster builders: wire hosts, NICs, protocol stacks and fabrics.
+"""The built cluster, and helpers that build the paper's LANs (§2).
 
-Two build-outs mirror the paper's experimental environment (§2):
-
-* :func:`build_ethernet_cluster` — SPARCstation ELCs on one shared
-  10 Mbps Ethernet (the *SUN/Ethernet* platform).
-* :func:`build_atm_cluster` — SPARCstation IPXs star-wired to a FORE
-  switch over 140 Mbps TAXI (the *SUN/ATM LAN* platform); any pair of
-  hosts has a classical-IP PVC (for TCP/p4/NSM traffic) and a raw PVC
-  (for NCS High Speed Mode), each established on first use.
-
-The NYNET wide-area testbed of Fig 1 is in :mod:`repro.net.nynet`.
-
-Since the blueprint refactor, the registered builders here are thin
-wrappers: each delegates to its declarative twin in
-:mod:`repro.net.blueprint` and materializes the result — the same
-two-phase path the sharded kernel uses for partial (per-shard)
-construction, held to byte identity against the old imperative bodies
-by the perf-lock and determinism goldens.
+Every :class:`Cluster` is what :func:`repro.net.blueprint.materialize`
+makes of a registered topology blueprint — the whole universe on the
+single kernel, one shard of it in each sharded-kernel worker.  The
+``build_*`` helpers below are that one path with the blueprint named in
+Python; the NYNET WAN of Fig 1 is in :mod:`repro.net.nynet`.
 """
 
 from __future__ import annotations
@@ -24,19 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..atm import (
-    AtmApi, AtmFabric, AtmSwitch, LinkSpec, Sba200Adapter, Service,
-    SignalingController, TAXI_140, VirtualChannel,
-)
-from ..ethernet import EthernetLan, EthernetNic
-from ..hosts import Host, HostParams, OsProcess, SUN_ELC, SUN_IPX
-from ..obs.registry import MetricsRegistry, NULL_REGISTRY
-from ..protocols import (
-    AtmIpAdapter, EthernetIpAdapter, IpLayer, SocketLayer, TcpParams,
-    TcpStack, UdpStack,
-)
-from ..registry import TOPOLOGIES
-from ..sim import NullTracer, RngRegistry, Simulator, Tracer
+from ..atm import (AtmApi, AtmFabric, Service, SignalingController,
+                   VirtualChannel)
+from ..ethernet import EthernetLan
+from ..hosts import Host, OsProcess
+from ..obs.registry import MetricsRegistry
+from ..protocols import IpLayer, SocketLayer, TcpStack, UdpStack
+from ..sim import RngRegistry, Simulator, Tracer
 from .blueprint import (
     blueprint_atm_dual, blueprint_atm_lan, blueprint_ethernet, materialize,
 )
@@ -109,81 +91,16 @@ class Cluster:
                                       self.host(dst).name, Service.HSM)
 
 
-def _host_name(i: int) -> str:
-    return f"n{i}"
+def build_ethernet_cluster(n_hosts: int, **kw) -> Cluster:
+    """The ``ethernet`` topology, built: see :func:`.blueprint_ethernet`."""
+    return materialize(blueprint_ethernet(n_hosts, **kw))
 
 
-@TOPOLOGIES.register(
-    "ethernet", help="N workstations on one shared 10 Mbps Ethernet (§2)")
-def build_ethernet_cluster(
-        n_hosts: int,
-        params: HostParams = SUN_ELC,
-        tcp_params: Optional[TcpParams] = None,
-        seed: int = 1995,
-        trace: bool = False,
-        metrics: bool = True,
-        collisions: bool = False,
-        bandwidth_bps: float = 10e6,
-        preconnect: bool = True) -> Cluster:
-    """N workstations on one shared Ethernet segment."""
-    return materialize(blueprint_ethernet(
-        n_hosts, params=params, tcp_params=tcp_params, seed=seed,
-        trace=trace, metrics=metrics, collisions=collisions,
-        bandwidth_bps=bandwidth_bps, preconnect=preconnect))
+def build_atm_cluster(n_hosts: int, **kw) -> Cluster:
+    """The ``atm-lan`` topology, built: see :func:`.blueprint_atm_lan`."""
+    return materialize(blueprint_atm_lan(n_hosts, **kw))
 
 
-@TOPOLOGIES.register(
-    "atm-lan", help="N workstations star-wired to a FORE switch (§2)")
-def build_atm_cluster(
-        n_hosts: int,
-        params: HostParams = SUN_IPX,
-        tcp_params: Optional[TcpParams] = None,
-        seed: int = 1995,
-        trace: bool = False,
-        metrics: bool = True,
-        link_spec: LinkSpec = TAXI_140,
-        switch_latency_s: float = 10e-6,
-        train_cells: int = 256,
-        preconnect: bool = True) -> Cluster:
-    """N workstations star-wired to one FORE switch over TAXI links."""
-    return materialize(blueprint_atm_lan(
-        n_hosts, params=params, tcp_params=tcp_params, seed=seed,
-        trace=trace, metrics=metrics, link_spec=link_spec,
-        switch_latency_s=switch_latency_s, train_cells=train_cells,
-        preconnect=preconnect))
-
-
-@TOPOLOGIES.register(
-    "atm-dual",
-    help="ATM fabric for HSM + separate Ethernet for NSM/TCP (dual-rail)")
-def build_atm_dual_cluster(
-        n_hosts: int,
-        params: HostParams = SUN_IPX,
-        tcp_params: Optional[TcpParams] = None,
-        seed: int = 1995,
-        trace: bool = False,
-        metrics: bool = True,
-        link_spec: LinkSpec = TAXI_140,
-        switch_latency_s: float = 10e-6,
-        train_cells: int = 256,
-        bandwidth_bps: float = 10e6,
-        collisions: bool = False,
-        preconnect: bool = True) -> Cluster:
-    """Dual-rail cluster: every host has an SBA-200 on the ATM star *and*
-    an Ethernet NIC on a shared segment.
-
-    Unlike :func:`build_atm_cluster` — where classical-IP and the raw
-    HSM PVCs share the same TAXI links, so a link outage kills both
-    service tiers at once — here IP/TCP (and with it NSM and p4) runs
-    over the Ethernet while only HSM uses the fabric.  This is the
-    topology that makes HSM→NSM failover meaningful: the fast path can
-    die while the slow path survives.  (The paper's own testbed kept
-    its Ethernet alongside the ATM gear for exactly this kind of
-    fallback.)
-    """
-    return materialize(blueprint_atm_dual(
-        n_hosts, params=params, tcp_params=tcp_params, seed=seed,
-        trace=trace, metrics=metrics, link_spec=link_spec,
-        switch_latency_s=switch_latency_s, train_cells=train_cells,
-        bandwidth_bps=bandwidth_bps, collisions=collisions,
-        preconnect=preconnect))
+def build_atm_dual_cluster(n_hosts: int, **kw) -> Cluster:
+    """The ``atm-dual`` topology, built: see :func:`.blueprint_atm_dual`."""
+    return materialize(blueprint_atm_dual(n_hosts, **kw))

@@ -4,12 +4,15 @@ The paper's architecture is explicitly compositional: two service tiers
 (NSM/HSM, Fig 6), swappable message-passing filters, and per-application
 flow/error control "invoked dynamically at runtime" (§3).  This module
 is the machinery that makes each of those seams a *named*, extensible
-plug point instead of an ``if/elif`` chain:
+plug point instead of an ``if/elif`` chain — eight registries, one per
+concept:
 
 * :data:`TRANSPORTS` — service-mode name -> transport factory
   (``repro.core.mps.transports``);
-* :data:`TOPOLOGIES` — topology name -> cluster builder
-  (``repro.net.topology`` / ``repro.net.nynet``);
+* :data:`TOPOLOGIES` — topology name -> blueprint builder
+  (``repro.net.blueprint``, ``repro.apps.common``): the declarative
+  description :func:`repro.net.blueprint.materialize` builds a whole
+  cluster, or one shard of it, from;
 * :data:`FLOW_CONTROLS` / :data:`ERROR_CONTROLS` — policy name ->
   strategy class (``repro.core.mps.flow_control`` / ``error_control``);
 * :data:`APP_DRIVERS` — driver name -> scenario app driver
@@ -21,13 +24,7 @@ plug point instead of an ``if/elif`` chain:
   NIC-offloaded barrier/bcast/reduce;
 * :data:`KERNELS` — simulation-kernel name -> scenario executor
   (``repro.config.build`` / ``repro.sim.sharded``): the ``single``
-  in-process event loop vs the ``sharded`` multi-worker kernel;
-* :data:`BLUEPRINTS` — topology name -> blueprint builder
-  (``repro.net.blueprint``): the declarative phase-1 description a
-  topology materializes from, enabling cost-model shard planning and
-  partial (per-shard) construction.  Topologies without a blueprint
-  still build imperatively; the sharded kernel then falls back to
-  replicated construction.
+  in-process event loop vs the ``sharded`` multi-worker kernel.
 
 Components register themselves at import time::
 
@@ -53,8 +50,7 @@ from typing import Any, Callable, Iterator, Optional
 __all__ = [
     "Registry", "UnknownNameError", "DuplicateNameError",
     "TRANSPORTS", "TOPOLOGIES", "FLOW_CONTROLS", "ERROR_CONTROLS",
-    "APP_DRIVERS", "FAULT_KINDS", "COLLECTIVES", "KERNELS", "BLUEPRINTS",
-    "all_registries",
+    "APP_DRIVERS", "FAULT_KINDS", "COLLECTIVES", "KERNELS", "all_registries",
 ]
 
 
@@ -154,7 +150,7 @@ class Registry:
 #: service-mode name -> transport factory ``(runtime, pid) -> NcsTransport``
 TRANSPORTS = Registry("transport")
 
-#: topology name -> cluster builder ``(**kwargs) -> Cluster``
+#: topology name -> blueprint builder ``(**kwargs) -> TopologyBlueprint``
 TOPOLOGIES = Registry("topology builder")
 
 #: policy name -> :class:`~repro.core.mps.flow_control.FlowControl` class
@@ -176,10 +172,6 @@ COLLECTIVES = Registry("collective strategy")
 #: kernel name -> scenario executor ``(spec) -> ScenarioResult``
 KERNELS = Registry("simulation kernel")
 
-#: topology name -> blueprint builder ``(**kwargs) -> TopologyBlueprint``
-#: (same signature as the matching :data:`TOPOLOGIES` entry)
-BLUEPRINTS = Registry("topology blueprint")
-
 
 def all_registries() -> dict[str, Registry]:
     """Every registry, keyed by a stable section name (``--list`` order).
@@ -197,5 +189,4 @@ def all_registries() -> dict[str, Registry]:
         "fault-kinds": FAULT_KINDS,
         "collectives": COLLECTIVES,
         "kernels": KERNELS,
-        "blueprints": BLUEPRINTS,
     }

@@ -8,10 +8,8 @@ lookahead.
 
 Design
 ------
-Construction is blueprint-partitioned: when the topology has a
-registered blueprint (:data:`repro.registry.BLUEPRINTS`) and the run
-carries no fault plan, resilience, or NIC collectives, each worker
-*materializes only its own shard* —
+Every worker *materializes only its own shard* of the scenario's
+topology blueprint (:func:`repro.config.build.build_blueprint`) —
 ``materialize(blueprint, owned_switches)`` builds real hosts and
 switches for owned sites, ghost rows (tid-mirroring, event-silent) for
 foreign hosts and boundary stubs for foreign switches at the cut.
@@ -19,12 +17,15 @@ Virtual circuits are established on first use in each universe that
 meets them — a sender's, or one that imports a burst (:func:`_inject`)
 — and agree bit for bit because a circuit's id and labels are a pure
 function of ``(src, dst, service)`` (:mod:`repro.atm.signaling`).
-Worker memory and construction time then scale with the shard, not the
-cluster.  Runs outside that
-gate (or topologies without a blueprint) fall back to the PR 8
-*replicated* scheme: every worker builds the full cluster from the same
-spec and only its own shard's host schedulers start.  Either way the
-only coupling between workers is the set of *cut
+Everything built per entity is built for owned entities only: failure
+detectors and message-fault filters for owned pids, NIC collective
+engines for owned adapters (the root engine where pid 0 lives).  Every
+universe arms the whole fault plan at the same instants, so shard 0
+holds the complete ``faults.*`` / ``fault:<i>`` record; a fault whose
+target another shard owns touches nothing here, except that a crashed
+ghost host is marked frozen for the resilience layer to read.  Worker
+memory and construction time scale with the shard, not the cluster.
+The only coupling between workers is the set of *cut
 channels* — directed ATM trunk channels whose upstream node lives in one
 shard and whose downstream node lives in another.  On the upstream side
 the channel's one calendar entry per burst is moved up from its arrival
@@ -88,7 +89,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from ..config.build import (ScenarioResult, ScenarioRun, _export_obs,
-                            build_cluster)
+                            build_blueprint)
 from ..config.spec import ScenarioSpec, SpecError, SupervisionSpec
 from ..faults.plan import WorkerCrash, WorkerStall
 from ..obs.recovery import (SUPERVISOR_ENTITY, stamp_recovery,
@@ -673,39 +674,6 @@ def _serialize_result(value, cluster, rt) -> dict:
     }
 
 
-def _partial_eligible(spec: ScenarioSpec) -> bool:
-    """Whether this run may materialize only its own shard.
-
-    Partial construction is gated to runs whose extra machinery never
-    touches foreign entities: fault plans arm timers on every host,
-    resilience runs a cluster-wide failure detector, and NIC collectives
-    program multicast groups on foreign adapters — those replicate.
-    """
-    return (spec.faults is None and spec.resilience is None
-            and spec.collectives != "nic")
-
-
-def _blueprint_for(spec: ScenarioSpec):
-    """The spec topology's blueprint, or ``None`` to plan imperatively.
-
-    Mirrors ``build_cluster``'s kwarg forwarding exactly.  *Any* failure
-    (no registered blueprint, rejected options) returns ``None`` so the
-    imperative probe path keeps its original error semantics.
-    """
-    from ..registry import BLUEPRINTS
-    try:
-        builder = BLUEPRINTS.get(spec.cluster.topology)
-        kw = dict(spec.cluster.options)
-        if spec.cluster.n_hosts is not None:
-            kw["n_hosts"] = spec.cluster.n_hosts
-        kw["seed"] = spec.cluster.seed
-        kw["trace"] = spec.obs.trace
-        kw["metrics"] = spec.obs.metrics
-        return builder(**kw)
-    except Exception:
-        return None
-
-
 def _pid_weights(spec: ScenarioSpec, n_hosts: int):
     """Blueprint cost model: estimated event weight per pid.
 
@@ -720,10 +688,19 @@ def _pid_weights(spec: ScenarioSpec, n_hosts: int):
     return None
 
 
+def _plan(spec: ScenarioSpec, bp) -> ShardPlan:
+    """The shard plan for ``bp``: computed from the blueprint alone,
+    identically in the coordinator and in every worker."""
+    from ..net.blueprint import PlanView
+    return plan_shards(PlanView(bp), spec.shards, spec.shard_hints,
+                       pid_weights=_pid_weights(spec, bp.n_hosts))
+
+
 def _run_worker(spec: ScenarioSpec, shard_id: int, ctl,
                 attempt: int = 0, transport: str = "thread") -> None:
-    """One shard worker: materialize the owned shard (or replicate the
-    full universe when the partial gate fails), drive it by windows."""
+    """One shard worker: materialize the owned shard, drive it by
+    windows."""
+    from ..net.blueprint import materialize
     try:
         driver = APP_DRIVERS.get(spec.app.driver)
         run = ScenarioRun(spec)
@@ -733,25 +710,13 @@ def _run_worker(spec: ScenarioSpec, shard_id: int, ctl,
             state.worker_faults = tuple(
                 ev for ev in spec.faults.to_plan().worker_events
                 if ev.shard == shard_id and ev.attempt == attempt)
-        plan = None
-        bp = _blueprint_for(spec) if _partial_eligible(spec) else None
-        if bp is not None:
-            from ..net.blueprint import PlanView, materialize
-            bp_plan = plan_shards(
-                PlanView(bp), spec.shards, spec.shard_hints,
-                pid_weights=_pid_weights(spec, bp.n_hosts))
-            if bp_plan.n_shards > 1:
-                owned = {swn for swn, s in bp_plan.switch_shard.items()
-                         if s == shard_id}
-                # pre-seeding run.cluster routes the partial cluster
-                # through build_runtime's normal bring-up
-                run.cluster = materialize(bp, owned_switches=owned)
-                plan = bp_plan
-        rt = run.runtime                    # cluster + faults + barriers
-        cluster = run.cluster
-        if plan is None:                    # replicated full universe
-            plan = plan_shards(cluster, spec.shards, spec.shard_hints,
-                               pid_weights=_pid_weights(spec, cluster.n_hosts))
+        bp = build_blueprint(spec.cluster, spec.obs)
+        plan = _plan(spec, bp)
+        # pre-seeding run.cluster routes the partial cluster through
+        # build_runtime's normal bring-up (faults, barriers)
+        run.cluster = cluster = materialize(bp, owned_switches={
+            swn for swn, s in plan.switch_shard.items() if s == shard_id})
+        rt = run.runtime
         _patch_runtime(rt, cluster, plan, state)
         value = driver(run)
         if not state.ran:
@@ -1029,8 +994,10 @@ def _merge_leaf(name: str, label_str: str, snaps: list[dict],
     elif name.startswith("faults."):
         owner = 0
     else:
-        # partial construction: only shards that materialized the
-        # entity publish the series, so merge over present values
+        # no owner label: only shards that materialized the entity
+        # publish the series, so take the largest present value — right
+        # for a series one shard writes, which is why every per-entity
+        # series carries its owner (pid, host, switch or link) as a label
         vals = [s[name][label_str] for s in snaps
                 if label_str in s.get(name, {})]
         if vals and all(isinstance(v, (int, float)) for v in vals):
@@ -1045,13 +1012,11 @@ def _merge_snapshots(snaps: list[dict], plan: ShardPlan) -> dict:
     """Rebuild the single-kernel metric snapshot from per-shard views.
 
     Each series is taken wholesale from the shard that owns its labeled
-    entity.  Under replicated construction every shard publishes every
-    series; under partial construction a shard only publishes what it
-    materialized, so the merged snapshot is the union across shards
-    (first-seen order — identical to shard 0's order when replicated).
-    Unlabeled ``sim.*`` meters are summed (each worker counts its own
-    calendar), ``faults.*`` come from shard 0 (fault timers fire
-    identically everywhere).
+    entity.  A shard only publishes what it materialized, so the merged
+    snapshot is the union across shards in first-seen order.  Unlabeled
+    ``sim.*`` meters are summed (each worker counts its own calendar),
+    ``faults.*`` come from shard 0 (fault timers fire identically
+    everywhere).
     """
     out: dict[str, dict[str, Any]] = {}
     for snap in snaps:
@@ -1345,11 +1310,11 @@ def run_scenario_sharded(spec: ScenarioSpec,
     byte-identical to an undisturbed one, with the recovery itself
     visible in ``kernel.recovery.*``.
 
-    Planning is blueprint-first: when the topology has a registered
-    blueprint the plan comes from a :class:`~repro.net.blueprint.
-    PlanView` over the declarative graph — no cluster is ever built in
-    the coordinator.  Topologies without one fall back to probing an
-    imperatively built cluster, exactly as before.
+    Planning reads only the topology blueprint (a
+    :class:`~repro.net.blueprint.PlanView` over the declarative graph):
+    no cluster is built in the coordinator.  A spec whose cluster table
+    names no complete blueprint (the self-contained table apps build
+    their own platform cluster) runs on the single kernel.
     """
     from ..config.build import ensure_components
     ensure_components()
@@ -1358,37 +1323,26 @@ def run_scenario_sharded(spec: ScenarioSpec,
             f"scenario {spec.name!r} has no [app] table; nothing to run "
             "(specs without an app can still be built via build_runtime)")
     APP_DRIVERS.get(spec.app.driver)          # fail fast on unknown names
-    bp = _blueprint_for(spec)
-    if bp is not None:
-        from ..net.blueprint import PlanView
-        plan = plan_shards(PlanView(bp), spec.shards, spec.shard_hints,
-                           pid_weights=_pid_weights(spec, bp.n_hosts))
-    else:
-        try:
-            probe = build_cluster(spec.cluster, spec.obs)
-        except SpecError:
-            # Self-contained drivers (the paper's table apps) build
-            # their own platform cluster and leave the spec's cluster
-            # table partial — there is nothing to partition, so the
-            # single kernel runs (and re-raises if the spec is
-            # genuinely broken).
-            return _fallback_single(
-                spec, "partial-cluster",
-                "the spec's cluster table is partial (self-contained "
-                "drivers build their own cluster)")
-        plan = plan_shards(probe, spec.shards, spec.shard_hints,
-                           pid_weights=_pid_weights(spec, probe.n_hosts))
+    try:
+        bp = build_blueprint(spec.cluster, spec.obs)
+    except SpecError:
+        # self-contained drivers leave the spec's cluster table partial
+        # — there is nothing to partition, so the single kernel runs
+        # (and re-raises if the spec is genuinely broken)
+        return _fallback_single(
+            spec, "partial-cluster",
+            "the spec's cluster table is partial (self-contained "
+            "drivers build their own cluster)")
+    plan = _plan(spec, bp)
     if plan.n_shards <= 1:
         return _fallback_single(
             spec, "trivial-plan",
             "the topology collapses to one shard (a shared LAN "
             "medium, no ATM fabric, or a single host group)")
-    partial = bp is not None and _partial_eligible(spec)
     logger.info(
-        "scenario %r: %d shard(s), lookahead %.6gs, loads %s, %s "
-        "construction", spec.name, plan.n_shards, plan.lookahead,
-        [round(w, 3) for w in plan.shard_loads],
-        "partial" if partial else "replicated")
+        "scenario %r: %d shard(s), lookahead %.6gs, loads %s",
+        spec.name, plan.n_shards, plan.lookahead,
+        [round(w, 3) for w in plan.shard_loads])
     mode = mode or DEFAULT_MODE
     if mode not in ("thread", "process"):
         raise SpecError(f"unknown sharded-kernel mode {mode!r}; "
@@ -1435,7 +1389,6 @@ def run_scenario_sharded(spec: ScenarioSpec,
     snapshot = _merge_snapshots([p["snapshot"] for p in payloads], plan)
     # KPI-stamp the plan choice (behavior walls strip "kernel." names)
     snapshot["kernel.shards"] = {"": plan.n_shards}
-    snapshot["kernel.partial_construction"] = {"": 1 if partial else 0}
     if math.isfinite(plan.lookahead):
         snapshot["kernel.lookahead_s"] = {"": plan.lookahead}
     snapshot["kernel.shard_load"] = {

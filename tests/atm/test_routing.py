@@ -17,7 +17,7 @@ from repro.atm import AtmFabric, AtmSwitch, Sba200Adapter, TAXI_140
 from repro.config import ensure_components
 from repro.net.blueprint import PlanView, materialize
 from repro.net.nynet import SiteSpec
-from repro.registry import BLUEPRINTS, TOPOLOGIES
+from repro.registry import TOPOLOGIES
 from repro.sim import Simulator
 from repro.sim.sharded import plan_shards
 
@@ -52,7 +52,8 @@ def assert_routes_are_networkx_routes(fabric):
 
 @pytest.mark.parametrize("name,kw", BUILDS, ids=IDS)
 def test_full_universe_routes(name, kw):
-    assert_routes_are_networkx_routes(TOPOLOGIES.get(name)(**kw).fabric)
+    assert_routes_are_networkx_routes(
+        materialize(TOPOLOGIES.get(name)(**kw)).fabric)
 
 
 @pytest.mark.parametrize("name,kw", [
@@ -62,7 +63,7 @@ def test_full_universe_routes(name, kw):
 def test_partial_universe_routes(name, kw):
     """A shard's universe names the nodes it did not build
     (``add_remote`` / ``connect_remote``) and routes over them alike."""
-    bp = BLUEPRINTS.get(name)(**kw)
+    bp = TOPOLOGIES.get(name)(**kw)
     full = materialize(bp).fabric
     plan = plan_shards(PlanView(bp), 3)
     for shard in range(plan.n_shards):
@@ -77,7 +78,8 @@ def test_partial_universe_routes(name, kw):
 
 def test_even_ring_ties_break_as_from_the_host():
     """The case the oracle is for: both ways round are equally long."""
-    fabric = TOPOLOGIES.get("wan-ring")(n_sites=6, hosts_per_site=1).fabric
+    fabric = materialize(TOPOLOGIES.get("wan-ring")(
+        n_sites=6, hosts_per_site=1)).fabric
     src, opposite = fabric.hosts[0], fabric.hosts[3]
     ways = list(nx.all_shortest_paths(fabric.routes, src, opposite,
                                       weight="weight"))
@@ -102,7 +104,7 @@ def dijkstra_runs(monkeypatch):
 
 def test_a_star_all_to_all_runs_dijkstra_once(dijkstra_runs):
     """64 hosts, 4 032 circuits, one switch: one route computation."""
-    cluster = TOPOLOGIES.get("atm-lan")(n_hosts=64)
+    cluster = materialize(TOPOLOGIES.get("atm-lan")(n_hosts=64))
     for src in range(64):
         for dst in range(64):
             if src != dst:
@@ -111,7 +113,8 @@ def test_a_star_all_to_all_runs_dijkstra_once(dijkstra_runs):
 
 
 def test_a_ring_runs_dijkstra_once_per_switch(dijkstra_runs):
-    fabric = TOPOLOGIES.get("wan-ring")(n_sites=4, hosts_per_site=3).fabric
+    fabric = materialize(TOPOLOGIES.get("wan-ring")(
+        n_sites=4, hosts_per_site=3)).fabric
     for src in fabric.hosts:
         for dst in fabric.hosts:
             fabric.path_nodes(src, dst)

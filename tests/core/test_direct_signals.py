@@ -241,9 +241,13 @@ TOTALS = ("mps.data_received", "ec.retransmissions", "fc.send_stalls",
 
 def _outcome(outcome, snapshot):
     """What every cell pins: how the run ended and its final metrics;
-    ``events`` is the odometer, kept for the record and never compared."""
+    ``events`` is the odometer, kept for the record and never compared.
+    The sharded kernel's ``kernel.*`` stamps say how it ran, not what
+    the model did, and are dropped as ``behavior_snapshot`` drops them."""
     events = counter_total(snapshot, ODOMETERS[0])
     for key in ODOMETERS:
+        snapshot.pop(key)
+    for key in [key for key in snapshot if key.startswith("kernel.")]:
         snapshot.pop(key)
     slice_seconds = snapshot.pop(SLICES, {})
     return {**outcome, "events": events,

@@ -6,6 +6,7 @@ import pytest
 from repro import NcsRuntime, build_atm_cluster, build_ethernet_cluster
 from repro.config import ScenarioSpec, run_scenario
 from repro.core.mps import group
+from repro.obs import merge_histograms
 from repro.registry import COLLECTIVES
 
 N = 4
@@ -94,7 +95,12 @@ class TestHostBypass:
         assert ops["kind=barrier,pid=0"] == 2
         assert ops["kind=bcast,pid=0"] == 2
         assert ops["kind=reduce,pid=1"] == 2
-        assert snap["collective.latency_s"]["kind=barrier"]["count"] == N * 2
+        # one latency series per (kind, pid), folded over the pids
+        latency = snap["collective.latency_s"]
+        barrier = merge_histograms({labels: hist for labels, hist
+                                    in latency.items()
+                                    if labels.startswith("kind=barrier,")})
+        assert barrier["count"] == N * 2
         assert sum(snap["collective.lost"].values()) == 0
 
     def test_host_runs_create_no_collective_metrics(self):

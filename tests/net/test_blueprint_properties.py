@@ -2,7 +2,7 @@
 
 Two families of guarantees over :mod:`repro.net.blueprint`:
 
-* **Equivalence** — for every registered topology,
+* **Equivalence** — every registered topology returns a blueprint, and
   ``materialize(blueprint)`` produces a cluster whose *construction
   signature* (host rows, fabric graph, routing graph, host directory,
   TCP state, full metrics snapshot — and, once every pair's circuits
@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from repro.atm import Service
 from repro.atm.signaling import label_vc
-from repro.net.blueprint import PlanView, materialize
+from repro.config import ensure_components
+from repro.net.blueprint import PlanView, TopologyBlueprint, materialize
 from repro.net.nynet import SiteSpec
-from repro.registry import BLUEPRINTS, TOPOLOGIES
+from repro.registry import TOPOLOGIES
 from repro.sim.sharded import plan_shards
 
 from tests.atm.test_circuit_identity import (described as vc_signature,
@@ -81,15 +82,24 @@ def construction_signature(cluster) -> dict:
 
 
 def _bp_cluster(name: str, **kw):
-    return materialize(BLUEPRINTS.get(name)(**kw))
+    return materialize(TOPOLOGIES.get(name)(**kw))
 
 
 # --------------------------------------------------------------------------
 # equivalence: materialize(blueprint) == pre-refactor builder
 # --------------------------------------------------------------------------
 
-def test_every_blueprint_has_a_topology_twin():
-    assert set(BLUEPRINTS.names()) <= set(TOPOLOGIES.names())
+#: arguments that build a small instance of each registered topology
+_SMALL_ARGS = {"nynet": {"sites": [SiteSpec("s", 2)]},
+               "nynet-testbed": {}, "wan-ring": {}}
+
+
+def test_every_registered_topology_returns_a_blueprint():
+    ensure_components()
+    assert len(TOPOLOGIES) == 8
+    for name in TOPOLOGIES:
+        bp = TOPOLOGIES.get(name)(**_SMALL_ARGS.get(name, {"n_hosts": 2}))
+        assert isinstance(bp, TopologyBlueprint), name
 
 
 @SMALL
@@ -170,8 +180,6 @@ def test_blueprint_validation_errors_match():
              "site names must be unique"),
     ]:
         with pytest.raises(ValueError, match=msg):
-            BLUEPRINTS.get(name)(**kw)
-        with pytest.raises(ValueError, match=msg):
             TOPOLOGIES.get(name)(**kw)
 
 
@@ -204,11 +212,11 @@ def _assert_shadow_paths_match(bp, shards):
 
 def test_shadow_paths_match_wan_ring():
     _assert_shadow_paths_match(
-        BLUEPRINTS.get("wan-ring")(n_sites=5, hosts_per_site=2), shards=3)
+        TOPOLOGIES.get("wan-ring")(n_sites=5, hosts_per_site=2), shards=3)
 
 
 def test_shadow_paths_match_nynet():
-    _assert_shadow_paths_match(BLUEPRINTS.get("nynet-testbed")(
+    _assert_shadow_paths_match(TOPOLOGIES.get("nynet-testbed")(
         n_upstate=3, n_downstate=2), shards=2)
 
 
@@ -221,7 +229,7 @@ def test_shadow_paths_match_nynet():
        shards=st.integers(2, 4))
 def test_shard_union_covers_every_node_exactly_once(
         n_sites, hosts_per_site, shards):
-    bp = BLUEPRINTS.get("wan-ring")(n_sites=n_sites,
+    bp = TOPOLOGIES.get("wan-ring")(n_sites=n_sites,
                                     hosts_per_site=hosts_per_site)
     seen_hosts: list[str] = []
     seen_switches: list[str] = []
@@ -246,7 +254,7 @@ def test_partial_identities_match_full_build(n_sites, hosts_per_site,
     whichever pairs it is asked for, in whatever order, and whether the
     request comes from an endpoint (``circuit``) or from a burst in
     transit (``resolve``)."""
-    bp = BLUEPRINTS.get("wan-ring")(n_sites=n_sites,
+    bp = TOPOLOGIES.get("wan-ring")(n_sites=n_sites,
                                     hosts_per_site=hosts_per_site)
     full = materialize(bp)
     names = full.fabric.hosts
@@ -286,7 +294,7 @@ def _row_vc_id(row) -> int:
 def test_plan_from_planview_matches_plan_from_cluster():
     """Cost-model planning off the blueprint must agree with planning
     off the fully materialized cluster."""
-    bp = BLUEPRINTS.get("wan-ring")(n_sites=6, hosts_per_site=2)
+    bp = TOPOLOGIES.get("wan-ring")(n_sites=6, hosts_per_site=2)
     from_view = plan_shards(PlanView(bp), 3)
     from_real = plan_shards(materialize(bp), 3)
     assert from_view.n_shards == from_real.n_shards
@@ -298,9 +306,9 @@ def test_plan_from_planview_matches_plan_from_cluster():
 
 def test_partial_requires_pure_atm_rail():
     import pytest
-    bp = BLUEPRINTS.get("atm-dual")(n_hosts=2)
+    bp = TOPOLOGIES.get("atm-dual")(n_hosts=2)
     with pytest.raises(ValueError, match="pure ATM-rail"):
         materialize(bp, owned_switches={"fore-sw"})
-    bp = BLUEPRINTS.get("wan-ring")(n_sites=2, hosts_per_site=1)
+    bp = TOPOLOGIES.get("wan-ring")(n_sites=2, hosts_per_site=1)
     with pytest.raises(ValueError, match="unknown switches"):
         materialize(bp, owned_switches={"sw-r0", "nope"})

@@ -1,19 +1,28 @@
 """Blueprint-partitioned construction under the sharded kernel.
 
-The tentpole contract: an eligible sharded run materializes only its
-own shard per worker (ghost rows + boundary stubs for the rest) and
-still produces results byte-identical to the single kernel — the
-determinism wall (test_sharded_determinism) locks the bytes, this file
-locks the *mechanism*: that partial construction actually engaged, that
-ineligible runs replicate, that ghost nodes mirror tids, that the cost
-model shapes the plan, and that degraded runs are loud.
+Every sharded run materializes only its own shard per worker (ghost
+rows + boundary stubs for the rest) and still produces results
+byte-identical to the single kernel — the determinism and chaos walls
+(test_sharded_determinism, tests/faults/test_sharded_chaos) lock the
+bytes, this file locks the *mechanism*: that every worker of a run with
+faults, resilience and NIC collectives builds ghost rows, that failure
+detectors and collective engines exist only for owned pids, that ghost
+nodes mirror tids, that a fault aimed at a ghost touches nothing but
+its ``frozen`` flag, that the cost model shapes the plan, and that
+degraded runs are loud.
 """
 
 import pytest
 
 from repro.config import ensure_components
 from repro.config.spec import ScenarioSpec
+from repro.core.api import NcsRuntime
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import BerSpike, HostCrash, LinkOutage, SwitchPortStall
+from repro.net.blueprint import blueprint_wan_ring, materialize
 from repro.registry import KERNELS
+from repro.resilience import ClusterResilience
+from repro.sim import sharded
 from repro.sim.sharded import (ShardFallbackWarning, _pid_weights,
                                plan_shards)
 
@@ -34,12 +43,11 @@ def _sharded(doc: dict):
     return KERNELS.get("sharded")(spec, mode="thread")
 
 
-def test_partial_construction_engages_on_wan_ring():
-    """An eligible wan-ring run reports partial construction and the
-    plan stamps (shard count, lookahead, per-shard loads)."""
+def test_plan_stamps_on_wan_ring():
+    """A wan-ring run stamps its plan: shard count, lookahead and
+    per-shard loads."""
     result = _sharded(WAN_RING_DOC)
     snap = result.cluster.metrics.snapshot()
-    assert snap["kernel.partial_construction"] == {"": 1}
     assert snap["kernel.shards"] == {"": 4}
     assert snap["kernel.lookahead_s"][""] == pytest.approx(0.002)
     loads = snap["kernel.shard_load"]
@@ -47,57 +55,105 @@ def test_partial_construction_engages_on_wan_ring():
     assert all(w == pytest.approx(2.0) for w in loads.values())
 
 
-def test_faults_force_replicated_construction():
-    """A fault plan arms timers on every host, so the workers must
-    build the full universe — and say so in the stamp."""
-    doc = dict(WAN_RING_DOC, name="wr-replicated")
-    doc["runtime"] = dict(doc["runtime"], error="ack")
-    doc["faults"] = {"events": [{"kind": "link-outage", "at": 0.004,
-                                 "duration": 0.002, "host": 3}]}
-    result = _sharded(doc)
-    snap = result.cluster.metrics.snapshot()
-    assert snap["kernel.partial_construction"] == {"": 0}
-    assert snap["kernel.shards"] == {"": 4}
+def _ghost_pids(cluster) -> set:
+    return {pid for pid, stack in enumerate(cluster.stacks)
+            if getattr(stack, "ghost", False)}
+
+
+def test_every_worker_builds_only_its_shard(monkeypatch):
+    """Faults, resilience and NIC collectives no longer make a worker
+    build the whole cluster: each holds ghost rows for the pids it does
+    not own, and detectors and collective engines for those it does."""
+    seen, patch = [], sharded._patch_runtime
+
+    def spy(rt, cluster, plan, state):
+        seen.append((set(plan.owned_pids(state.shard_id)), cluster, rt))
+        return patch(rt, cluster, plan, state)
+    monkeypatch.setattr(sharded, "_patch_runtime", spy)
+    _sharded({**WAN_RING_DOC, "resilience": {},
+              "runtime": {"mode": "hsm", "shards": 2, "error": "ack",
+                          "collectives": "nic"},
+              "faults": {"events": [{"kind": "link-outage", "at": 0.004,
+                                     "duration": 0.002, "host": 3}]}})
+    assert [len(owned) for owned, _c, _rt in seen] == [4, 4]
+    for owned, cluster, rt in seen:
+        assert _ghost_pids(cluster) == set(range(8)) - owned
+        assert set(rt.resilience.detectors) == owned
+        assert set(rt._nic_collective_fabric.engines) == owned
+
+
+def _partial():
+    """The universe of the shard that owns pids 0/1 of a 2 x 2 ring."""
+    bp = blueprint_wan_ring(n_sites=2, hosts_per_site=2)
+    return bp, materialize(bp, owned_switches={"sw-r0"})
+
+
+def test_detectors_exist_only_for_owned_pids():
+    _bp, part = _partial()
+    rt = NcsRuntime(part, mode="hsm", resilience=ClusterResilience())
+    assert set(rt.resilience.detectors) == {0, 1}
+    assert _ghost_pids(part) == {2, 3}
 
 
 def test_ghost_nodes_mirror_real_tid_allocation():
-    """t_create on a ghost pid hands out the tid the real node would,
-    so cross-shard tid-based identities agree; ghosts can never start."""
-    from repro.core.api import NcsRuntime
-    from repro.net.blueprint import blueprint_wan_ring, materialize
-
-    bp = blueprint_wan_ring(n_sites=2, hosts_per_site=2)
-    rt_full = NcsRuntime(materialize(bp), mode="hsm")
-    part = materialize(bp, owned_switches={"sw-r0"})
-    rt_part = NcsRuntime(part, mode="hsm")
-
+    """t_create on a ghost pid hands out the tid the real node would —
+    with resilience attached, its heartbeat system thread counted — so
+    cross-shard tid-based identities agree; ghosts can never start."""
     def fn(_arg=None):
         yield
 
-    for pid in range(bp.n_hosts):
-        assert rt_part.t_create(pid, fn) == rt_full.t_create(pid, fn)
-    foreign = next(pid for pid in range(bp.n_hosts)
-                   if getattr(part.stacks[pid], "ghost", False))
-    with pytest.raises(RuntimeError, match="ghost node cannot start"):
-        rt_part.nodes[foreign].scheduler.start()
+    for resilience in (None, ClusterResilience):
+        bp, part = _partial()
+        rt_full, rt_part = (
+            NcsRuntime(cluster, mode="hsm",
+                       resilience=resilience and resilience())
+            for cluster in (materialize(bp), part))
+        for pid in range(bp.n_hosts):
+            assert rt_part.t_create(pid, fn) == rt_full.t_create(pid, fn)
+        with pytest.raises(RuntimeError, match="ghost node cannot start"):
+            rt_part.nodes[2].scheduler.start()
 
 
-def test_resilience_rejects_partial_cluster():
-    from repro.core.api import NcsRuntime
-    from repro.net.blueprint import blueprint_wan_ring, materialize
-    from repro.resilience import ClusterResilience
+def _arm_on_ghosts(*events):
+    """Arm ``events`` (aimed at pids 2/3, which this universe does not
+    own) and run into their windows."""
+    _bp, part = _partial()
+    rt = NcsRuntime(part, mode="hsm")
+    injector = FaultInjector(part, FaultPlan(events), runtime=rt).arm()
+    part.sim.run(until=0.0015)
+    return part, injector
 
-    bp = blueprint_wan_ring(n_sites=2, hosts_per_site=2)
-    part = materialize(bp, owned_switches={"sw-r0"})
-    with pytest.raises(ValueError, match="every host to be materialized"):
-        NcsRuntime(part, mode="hsm", resilience=ClusterResilience())
+
+def test_host_crash_on_a_ghost_sets_only_frozen():
+    part, injector = _arm_on_ghosts(HostCrash(at=0.001, duration=0.002,
+                                              host=2))
+    assert [part.host(pid).frozen for pid in range(4)] == [0, 0, 1, 0]
+    # the one hook held down is the ghost's flag: it has no interfaces
+    assert dict(injector._depth) == {id(part.host(2)): 1}
+    part.sim.run(until=0.004)
+    assert not part.host(2).frozen
+
+
+def test_physical_faults_on_a_ghost_touch_no_object():
+    """A link outage, a switch-port stall and a BER spike aimed at hosts
+    another shard owns are recorded like any other and change no
+    channel of this universe."""
+    part, injector = _arm_on_ghosts(
+        LinkOutage(at=0.001, duration=0.002, host=3),
+        SwitchPortStall(at=0.001, duration=0.002, host=2),
+        BerSpike(at=0.001, duration=0.002, host=3, ber=1e-3))
+    assert [edge for _t, edge, _d in injector.log] == ["begin"] * 3
+    assert not +injector._depth
+    for _a, _b, data in part.fabric.graph.edges(data=True):
+        for ch in (data["link"].fwd, data["link"].rev):
+            assert ch._flips == [(0.0, True, None)] and ch._held is None
 
 
 def test_cost_model_isolates_point_to_point_hotspot():
     """pingpong loads only pids 0/1: the cost model gives their site a
     shard of its own and packs the bystander sites together, instead of
     splitting them evenly."""
-    from repro.net.blueprint import PlanView, blueprint_wan_ring
+    from repro.net.blueprint import PlanView
 
     spec = ScenarioSpec.from_dict({
         "name": "wr-pingpong",
