@@ -106,6 +106,10 @@ class Sba200Adapter:
         #: completed-PDU delivery queue, drained by one persistent rx
         #: coroutine instead of one short-lived process per PDU
         self._rx_jobs: Optional[Store] = None
+        #: deliveries whose handler raised, and the first error (which
+        #: ``NcsRuntime.run`` raises); the drain goes on with the next PDU
+        self.delivery_errors = 0
+        self.first_delivery_error: Optional[BaseException] = None
         # telemetry handles (no-ops when the registry is disabled)
         _m = sim.metrics
         self._m_pdus_sent = _m.counter(
@@ -296,7 +300,7 @@ class Sba200Adapter:
         FIFO resource, so delivery DMAs serialized in completion order
         before too; each hand-off still costs one zero-delay calendar
         hop, exactly like the process boot it replaces — timestamps are
-        unchanged."""
+        unchanged.  The handler runs the receiving side's consumer here."""
         jobs = self._rx_jobs
         sim = self.sim
         recycle = sim.recycle
@@ -309,7 +313,8 @@ class Sba200Adapter:
                 yield from self.dma_transfer(nbytes)
                 if self.rx_handler is not None:
                     self.rx_handler(vc, payload, nbytes, msg_id)
-            except Exception:
-                # the per-PDU delivery process this replaces failed
-                # silently; one poisoned delivery must not stall the rest
-                continue
+            except Exception as exc:
+                # one poisoned delivery must not stall the rest
+                self.delivery_errors += 1
+                if self.first_delivery_error is None:
+                    self.first_delivery_error = exc

@@ -45,46 +45,44 @@ class AtmApi:
         self.host = host
         self.sim = host.sim
         self.adapter: Sba200Adapter = host.interface("atm")
-        #: per-VC receive queues, keyed by vc_id
+        #: per-VC receive queues of unserved circuits, keyed by vc_id
         self._rx: dict[int, Store] = {}
-        #: service -> (consumer generator function, process label)
-        self._servers: dict[Service, tuple[Callable[..., Any], str]] = {}
-        #: messages straddling several PDUs: (vc_id, first msg_id) state
-        self._partial: dict[int, tuple[int, int, int]] = {}
+        #: service -> consumer of every message on its circuits
+        self._servers: dict[Service, Callable[[AtmMessage], None]] = {}
         if self.adapter.rx_handler is not None:
             raise RuntimeError(
                 f"adapter on {host.name} already claimed by another API")
         self.adapter.rx_handler = self._on_message
 
     # -------------------------------------------------------------- receive
-    def serve(self, service: Service, consumer: Callable[..., Any],
-              label: str) -> None:
-        """Run ``consumer(queue, first_message)`` — a generator draining
-        ``queue.get()`` — for every ``service`` circuit that terminates
-        here, each started by its circuit's first message
-        (:meth:`repro.sim.Store.start_on_first_put`): no queue and no
-        coroutine per *possible* peer."""
+    def serve(self, service: Service,
+              consumer: Callable[[AtmMessage], None]) -> None:
+        """Call ``consumer(message)`` for every message on a ``service``
+        circuit that terminates here, from the adapter's delivery, at
+        the instant its DMA into host memory completes: no queue and no
+        process per circuit."""
         if service in self._servers:
             raise RuntimeError(
                 f"{service.name} circuits on {self.host.name} already "
                 "have a consumer")
-        self._servers[service] = (consumer, label)
+        self._servers[service] = consumer
 
     def rx_queue(self, vc: VirtualChannel) -> Store:
-        """Per-VC receive queue, created on first use."""
+        """Receive queue of a circuit whose service has no consumer,
+        created on first use."""
         q = self._rx.get(vc.vc_id)
         if q is None:
             q = self._rx[vc.vc_id] = Store(self.sim, name=f"atmrx:{vc.vc_id}")
-            server = self._servers.get(vc.service)
-            if server is not None:
-                consumer, label = server
-                q.start_on_first_put(lambda msg: consumer(q, msg),
-                                     name=f"{label}:{vc.vc_id}")
         return q
 
     def _on_message(self, vc: VirtualChannel, payload: Any, nbytes: int,
                     msg_id: int) -> None:
-        self.rx_queue(vc).try_put(AtmMessage(vc.vc_id, payload, nbytes, msg_id))
+        msg = AtmMessage(vc.vc_id, payload, nbytes, msg_id)
+        consumer = self._servers.get(vc.service)
+        if consumer is not None:
+            consumer(msg)
+        else:
+            self.rx_queue(vc).try_put(msg)
 
     def recv(self, vc: VirtualChannel) -> Event:
         """Event firing with the next :class:`AtmMessage` on this VC.

@@ -93,9 +93,9 @@ def fig2_buffer_sweep(nbytes: int = 256 * 1024,
         done_meta = {}
 
         def sender():
-            submitted = yield from pipeline.pipelined_send(vc, None, nbytes)
+            yield from pipeline.pipelined_send(vc, None, nbytes)
             done_meta["caller_free"] = sim.now
-            yield submitted
+            yield pipeline.drained()
             done_meta["all_submitted"] = sim.now
 
         def receiver():

@@ -249,6 +249,11 @@ class NcsRuntime:
         for proc in self._procs:
             if proc.triggered and not proc.ok:
                 _ = proc.value   # re-raise the scheduler's own failure
+        # ... and a delivery that died on its way up to a receiver
+        for node in self.nodes:
+            adapter = node.mps.host.interfaces.get("atm")
+            if getattr(adapter, "first_delivery_error", None) is not None:
+                raise adapter.first_delivery_error
         if raise_message_lost:
             lost = [m for node in self.nodes
                     for m in node.mps.lost_messages]

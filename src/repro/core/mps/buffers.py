@@ -48,15 +48,18 @@ class BufferPipeline:
         #: one long-lived drain coroutine serves every message instead of
         #: one short-lived process per chunk; created on first send
         self._jobs: Optional[Store] = None
+        #: :meth:`drained` events waiting for the last chunk in flight
+        self._drained: list[Event] = []
 
     def pipelined_send(self, vc, payload: Any, nbytes: int
-                       ) -> Generator[Event, Any, Event]:
+                       ) -> Generator[Event, Any, None]:
         """Generator (caller's CPU context): send ``nbytes`` on ``vc``.
 
         Returns when the *user buffer is free* (every chunk copied into a
         kernel buffer) — the point at which ``NCS_send`` may unblock the
-        sending thread.  The returned event fires when the final chunk
-        has been handed to the SAR engine (fully accepted by hardware).
+        sending thread.  The chunks drain in the background; a caller
+        that wants to know when the last one was handed to the SAR
+        engine asks :meth:`drained`.
         """
         chunks = self.pool.chunks(nbytes)
         msg_id = self.adapter.alloc_msg_id()
@@ -65,8 +68,6 @@ class BufferPipeline:
         # mmap()ed (no syscall per buffer — paper §4.2)
         yield from self.host.cpu_busy(self.datapath.entry_cost(os_),
                                       Activity.OVERHEAD, "ncs:trap")
-        all_submitted = self.sim.event(name=f"submitted:{msg_id}")
-        pending = {"n": len(chunks)}
         jobs = self._jobs
         if jobs is None:
             jobs = self._ensure_drain()
@@ -86,9 +87,17 @@ class BufferPipeline:
             self.max_chunks_in_flight = max(self.max_chunks_in_flight,
                                             self.chunks_in_flight)
             jobs.try_put((vc, chunk, msg_id, is_final,
-                          payload if is_final else None, all_submitted,
-                          pending))
-        return all_submitted
+                          payload if is_final else None))
+
+    def drained(self) -> Event:
+        """An event that fires once no chunk is in flight (at once, if
+        none is): for a caller that times the pipeline."""
+        ev = self.sim.event(name=f"drained:{self.host.name}")
+        if self.chunks_in_flight:
+            self._drained.append(ev)
+        else:
+            ev.succeed(None)
+        return ev
 
     def _ensure_drain(self) -> Store:
         """Start the pipeline's one background drain coroutine.
@@ -115,7 +124,7 @@ class BufferPipeline:
             get_ev = jobs.get()
             job = yield get_ev
             recycle(get_ev)
-            vc, chunk_bytes, msg_id, is_final, payload, all_submitted, pending = job
+            vc, chunk_bytes, msg_id, is_final, payload = job
             try:
                 yield from self.adapter.dma_transfer(chunk_bytes)
                 self.adapter.send_pdu(vc, chunk_bytes, msg_id=msg_id,
@@ -128,6 +137,6 @@ class BufferPipeline:
             finally:
                 self.chunks_in_flight -= 1
                 self._buffers.release()
-                pending["n"] -= 1
-                if pending["n"] <= 0 and not all_submitted.triggered:
-                    all_submitted.succeed(None)
+                if not self.chunks_in_flight:
+                    while self._drained:
+                        self._drained.pop(0).succeed(None)

@@ -4,9 +4,9 @@ One ``NcsMps`` per OS process.  It installs two **system threads** at
 the highest priority — exactly the architecture of Fig 8:
 
 * the **send thread** drains the send-request queue: flow-control gate,
-  hand the message to the transport, then wake the compute thread that
-  issued ``NCS_send`` (which was blocked, but only *it*, never the
-  process);
+  hand the message to the transport until it calls back, then wake the
+  compute thread that issued ``NCS_send`` (which was blocked, but only
+  *it*, never the process);
 * the **receive thread** matches arrived messages against posted
   ``NCS_recv`` requests, charges the kernel→user copy, and wakes the
   requester.
@@ -377,8 +377,9 @@ class NcsMps:
                         label="ncs:local-copy", activity=Activity.COMMUNICATE)
                     self._on_arrival(msg)
                 else:
-                    accepted = self.transport.start_send(msg)
-                    yield ops.WaitEvent(accepted)
+                    accepted = ops.WaitCall()
+                    self.transport.start_send(msg, accepted.done)
+                    yield accepted
                     if self.ec.wants_acks and msg.kind in RELIABLE_KINDS:
                         self.ec.on_sent(msg)
                 if req.notify is not None:
@@ -394,7 +395,8 @@ class NcsMps:
         self.scheduler.signal(self._recv_thread)
 
     def _on_arrival(self, msg: NcsMessage) -> None:
-        """Transport delivery (no CPU charged here; pumps are free)."""
+        """Transport delivery (no CPU charged here; the receive thread
+        charges the copy)."""
         if msg.from_process != self.pid:
             if self.rx_fault is not None and self.rx_fault(msg):
                 # injected network loss: the message simply never arrives

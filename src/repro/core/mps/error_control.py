@@ -248,8 +248,9 @@ class AckRetransmitErrorControl(ErrorControl):
         self.mps.host.tracer.point(
             f"ec:{self.mps.pid}", "retransmit", uid)
         self.mps.transport.on_path_suspect(msg)
-        accepted = self.mps.transport.start_send(msg)
-        yield ops.WaitEvent(accepted)
+        accepted = ops.WaitCall()
+        self.mps.transport.start_send(msg, accepted.done)
+        yield accepted
 
 
 def make_error_control(spec: Optional[str | ErrorControl],

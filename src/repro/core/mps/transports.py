@@ -15,12 +15,14 @@ of the benchmarks:
   kernel buffers, traps, the 3-access datapath and the Fig 2
   multiple-buffer pipeline.
 
-A transport's contract: ``start_send(msg)`` returns an *accepted* event
-(fires when the sender's user buffer is free — the point NCS_send
-unblocks); delivery happens by calling the handler installed with
-``set_delivery_handler`` with the reassembled message; ``recv_cost``
-is the CPU time the receive system thread charges to move a received
-message from kernel to user space.
+A transport's contract: ``start_send(msg, then)`` runs the send path in
+the background and calls ``then()`` at the instant the sender's user
+buffer is free — the point NCS_send unblocks — or ``then(exc)`` if the
+path raised; delivery happens by calling the handler installed with
+``set_delivery_handler`` with the reassembled message, wherever it
+completes (the ATM adapter's delivery, a TCP connection's pump);
+``recv_cost`` is the CPU time the receive system thread charges to move
+a received message from kernel to user space.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ...hosts import Host
 from ...net.topology import Cluster, NodeStack
 from ...p4.api import LibraryStream, P4Message, P4Params
 from ...registry import TRANSPORTS
-from ...sim import Activity, Event
+from ...sim import Activity
 from .buffers import BufferPipeline
 from .datapath import DatapathModel, NCS_DATAPATH, SOCKET_DATAPATH
 from .message import NcsMessage
@@ -51,6 +53,8 @@ class NcsTransport:
     """Base class: local bookkeeping plus the delivery-handler plumbing."""
 
     name = "base"
+    #: name of the background process that runs one message's send path
+    tx_label = "ncs-tx"
 
     def __init__(self, cluster: Cluster, pid: int):
         self.cluster = cluster
@@ -72,22 +76,39 @@ class NcsTransport:
             "transport.bytes_sent", help="NCS payload bytes handed to the wire",
             pid=pid, transport=self.name)
 
-    def _count_send(self, msg: NcsMessage) -> None:
+    def set_delivery_handler(self, fn: Callable[[NcsMessage], None]) -> None:
+        self._deliver = fn
+        self._listen()
+
+    def _listen(self) -> None:
+        """Start handing arriving messages to ``self._deliver``."""
+        raise NotImplementedError
+
+    def start_send(self, msg: NcsMessage,
+                   then: Optional[Callable[..., None]] = None) -> None:
+        """Run :meth:`_send_path` in background simulated time; call
+        ``then()`` when the user buffer is reusable, ``then(exc)`` if
+        the path raised ``exc``."""
         self.messages_sent += 1
         self.bytes_sent += msg.size
         self._m_messages.inc()
         self._m_bytes.inc(msg.size)
+        path = self._send_path(msg)
 
-    def set_delivery_handler(self, fn: Callable[[NcsMessage], None]) -> None:
-        self._deliver = fn
-        self._start_pumps()
+        def runner():
+            try:
+                yield from path
+            except Exception as exc:
+                if then is None:
+                    raise
+                then(exc)
+                return
+            if then is not None:
+                then()
+        self.sim.spawn(runner(), name=f"{self.tx_label}:{self.pid}")
 
-    def _start_pumps(self) -> None:
-        raise NotImplementedError
-
-    def start_send(self, msg: NcsMessage) -> Event:
-        """Launch the send path in background simulated time; the
-        returned event fires when the user buffer is reusable."""
+    def _send_path(self, msg: NcsMessage):
+        """Generator: the send, up to the instant the buffer is free."""
         raise NotImplementedError
 
     def recv_cost(self, nbytes: int) -> float:
@@ -112,26 +133,18 @@ class NcsTransport:
     def on_delivery_confirmed(self, msg: NcsMessage) -> None:
         """The receiver acknowledged ``msg``."""
 
-    # helper shared by subclasses
-    def _spawn(self, gen, accepted: Event, label: str) -> Event:
-        def runner():
-            yield from gen
-            if not accepted.triggered:
-                accepted.succeed(None)
-        self.sim.spawn(runner(), name=label)
-        return accepted
-
 
 class SocketTransport(NcsTransport):
     """NSM: NCS messages as framed TCP messages (Fig 3a datapath)."""
 
     name = "socket"
+    tx_label = "ncs-sock-tx"
     datapath: DatapathModel = SOCKET_DATAPATH
 
     def _conn(self, peer_pid: int):
         return self.stack.tcp.connection(self.cluster.host(peer_pid).name)
 
-    def _start_pumps(self) -> None:
+    def _listen(self) -> None:
         # one pump per peer that ever talks to us, started by that
         # peer's first message
         self.stack.tcp.serve_messages(self._pump, "ncs-sock-pump")
@@ -146,12 +159,6 @@ class SocketTransport(NcsTransport):
             if msg is not None and self._deliver is not None:
                 self._deliver(msg)
             item = yield conn.recv_message()
-
-    def start_send(self, msg: NcsMessage) -> Event:
-        accepted = self.sim.event(name="ncs-sock-accepted")
-        self._count_send(msg)
-        return self._spawn(self._send_path(msg), accepted,
-                           f"ncs-sock-tx:{self.pid}")
 
     def _send_path(self, msg: NcsMessage):
         host = self.host
@@ -241,6 +248,7 @@ class AtmTransport(NcsTransport):
     """
 
     name = "atm"
+    tx_label = "ncs-atm-tx"
     datapath: DatapathModel = NCS_DATAPATH
 
     def __init__(self, cluster: Cluster, pid: int,
@@ -255,25 +263,19 @@ class AtmTransport(NcsTransport):
         self.pipeline = BufferPipeline(self.host, self.atm_api.adapter,
                                        datapath=datapath)
 
-    def _start_pumps(self) -> None:
-        # one pump per HSM circuit that ever terminates here, started
-        # by the circuit's first message
-        self.atm_api.serve(Service.HSM, self._pump, "ncs-atm-pump")
+    def _listen(self) -> None:
+        # every HSM circuit that terminates here: the adapter's delivery
+        # calls us as the DMA into host memory completes
+        self.atm_api.serve(Service.HSM, self._on_atm_message)
 
-    def _pump(self, queue, atm_msg):
-        while True:
-            payload = atm_msg.payload
-            if isinstance(payload, NcsMessage) and self._deliver is not None:
-                self._deliver(payload)
-            atm_msg = yield queue.get()
+    def _on_atm_message(self, atm_msg) -> None:
+        payload = atm_msg.payload
+        if isinstance(payload, NcsMessage):
+            self._deliver(payload)
 
-    def start_send(self, msg: NcsMessage) -> Event:
-        accepted = self.sim.event(name="ncs-atm-accepted")
-        self._count_send(msg)
+    def _send_path(self, msg: NcsMessage):
         vc = self.cluster.hsm_vc(self.pid, msg.to_process)
-        return self._spawn(
-            self.pipeline.pipelined_send(vc, msg, msg.wire_bytes),
-            accepted, f"ncs-atm-tx:{self.pid}")
+        return self.pipeline.pipelined_send(vc, msg, msg.wire_bytes)
 
     def recv_cost(self, nbytes: int) -> float:
         host = self.host

@@ -20,7 +20,8 @@ from typing import Any, Optional, Sequence
 from ...sim import Event
 
 __all__ = [
-    "Op", "NoOp", "Compute", "YieldCpu", "Sleep", "WaitEvent", "Park", "PARK",
+    "Op", "NoOp", "Compute", "YieldCpu", "Sleep", "WaitEvent", "WaitCall",
+    "Park", "PARK",
     "BlockSelf", "Unblock", "Join", "Spawn",
     "Send", "Recv", "Probe", "Bcast", "Barrier", "Throw",
     "CollectiveBcast", "CollectiveReduce",
@@ -79,11 +80,31 @@ class WaitEvent(Op):
     """Block until a raw simulation event fires; resumes with its value.
 
     The escape hatch for waiting on something *outside* the scheduler:
-    a transport's ``accepted`` completion, a flow-control gate, the sync
-    primitives.  Waiting for work from a sibling is :class:`Park`.
+    a flow-control gate, the sync primitives.  Waiting for work from a
+    sibling is :class:`Park`, for a transport's call :class:`WaitCall`.
     """
 
     event: Event
+
+
+class WaitCall(Op):
+    """Block until :meth:`done` is called; ``done(exc)`` throws ``exc`` in.
+
+    The send and EC threads pass ``wait.done`` to ``start_send`` and
+    yield ``wait``.  A ``done`` before the block is kept, a second one is
+    ignored, and ``MtsScheduler.signal`` does not end the wait.
+    """
+
+    __slots__ = ("called", "exc", "wake")
+
+    def __init__(self) -> None:
+        self.called, self.exc, self.wake = False, None, None
+
+    def done(self, exc: Optional[BaseException] = None) -> None:
+        if not self.called:
+            self.called, self.exc = True, exc
+            if self.wake is not None:
+                self.wake(exc)
 
 
 @dataclass(frozen=True)

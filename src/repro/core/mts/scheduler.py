@@ -72,7 +72,8 @@ class MtsScheduler:
         self.op_handlers: dict[type, Optional[Callable[..., bool]]] = {
             ops.Compute: None, ops.NoOp: self._op_noop,
             ops.YieldCpu: self._op_yield_cpu, ops.Sleep: self._op_sleep,
-            ops.WaitEvent: self._op_wait_event, ops.Park: self._op_park,
+            ops.WaitEvent: self._op_wait_event,
+            ops.WaitCall: self._op_wait_call, ops.Park: self._op_park,
             ops.BlockSelf: self._op_block_self, ops.Unblock: self._op_unblock,
             ops.Join: self._op_join, ops.Spawn: self._op_spawn}
         #: statistics
@@ -218,7 +219,7 @@ class MtsScheduler:
             # Settle same-instant wakeups before picking a thread.  What
             # the slice that just ended gave a sibling is runnable already
             # (``signal``); what completes *outside* the scheduler at this
-            # instant — ``accepted``, an arrival, a timer — is still up to
+            # instant — a buffer fill, a landing, a timer — is still up to
             # two zero-delay hops away on the calendar, and a lower-priority
             # compute thread could grab the CPU for a long non-preemptive
             # slice while a system thread's wakeup sat one event away.
@@ -336,6 +337,15 @@ class MtsScheduler:
             else:
                 self._make_runnable(t, None, exc=ev._value)
         op.event.add_callback(_on_fire)
+        return True
+
+    def _op_wait_call(self, thread: NcsThread, op: ops.WaitCall) -> bool:
+        if op.called:
+            thread.resume_exc = op.exc
+            return False
+        # the reason a wait on an ``accepted`` event gave: traces do not move
+        self._block(thread, "wait-event")
+        op.wake = lambda exc: self._make_runnable(thread, None, exc)
         return True
 
     def _op_park(self, thread: NcsThread, op: ops.Park) -> bool:

@@ -195,8 +195,8 @@ class AtmIpAdapter(LinkAdapter):
 
     The per-peer PVCs are ``Service.IP`` circuits of the fabric's
     signaling controller, established the first time a datagram is sent
-    to a peer; the receive loop of a peer's VC starts when its first
-    datagram arrives.
+    to a peer; an arriving datagram goes up to IP from the ATM API's
+    delivery, whatever circuit it came on.
     """
 
     def __init__(self, atm_api, signaling, mtu: int = ATM_IP_MTU):
@@ -205,7 +205,7 @@ class AtmIpAdapter(LinkAdapter):
         self.mtu = mtu
         self._ip: Optional[IpLayer] = None
         self.sim = atm_api.sim
-        atm_api.serve(Service.IP, self._rx_loop, "ipoa-rx")
+        atm_api.serve(Service.IP, self._on_pdu)
 
     def bind(self, ip: IpLayer) -> None:
         self._ip = ip
@@ -225,8 +225,6 @@ class AtmIpAdapter(LinkAdapter):
         self.atm_api.adapter.send_pdu(vc, nbytes, msg_id=msg_id,
                                       is_final=True, payload=packet)
 
-    def _rx_loop(self, queue, msg):
-        while True:
-            if self._ip is not None and msg.payload is not None:
-                self._ip.receive(msg.payload)
-            msg = yield queue.get()
+    def _on_pdu(self, msg) -> None:
+        if self._ip is not None and msg.payload is not None:
+            self._ip.receive(msg.payload)

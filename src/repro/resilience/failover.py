@@ -35,7 +35,6 @@ from ..core.mps.message import NcsMessage
 from ..core.mps.transports import AtmTransport, NcsTransport, SocketTransport
 from ..net.topology import Cluster
 from ..registry import TRANSPORTS
-from ..sim import Event
 from .breaker import BreakerState, CircuitBreaker
 
 __all__ = ["FailoverTransport", "HSM_PATH", "NSM_PATH"]
@@ -118,7 +117,8 @@ class FailoverTransport(NcsTransport):
             del table[next(iter(table))]
 
     # -------------------------------------------------------------- sending
-    def start_send(self, msg: NcsMessage) -> Event:
+    def start_send(self, msg: NcsMessage,
+                   then: Optional[Callable[..., None]] = None) -> None:
         breaker = self.breakers[msg.to_process]
         if breaker.allow():
             path, transport = HSM_PATH, self.primary
@@ -130,7 +130,7 @@ class FailoverTransport(NcsTransport):
             # only EC-tracked kinds ever report back; remembering a
             # heartbeat's path would just age out of the table
             self._remember(self._tx_path, tuple(msg.msg_uid), path)
-        return transport.start_send(msg)
+        transport.start_send(msg, then)
 
     # --------------------------------------------------- EC delivery feedback
     def on_path_suspect(self, msg: NcsMessage) -> None:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "event_census.py"
 
 
@@ -35,16 +37,38 @@ def test_census_accounts_for_every_event_of_a_quick_cell():
         assert abs(sum(per_msg) - total) < 0.06 * len(per_msg)
 
 
-def test_no_cell_wakes_a_sibling_thread_through_the_calendar():
-    """The five signal events (ARCHITECTURE.md, "What may go on the
-    calendar", fifth class) are in no row of any of the seven cells."""
+@pytest.fixture(scope="module")
+def every_quick_cell():
+    """The census of all seven cells, every row: ``(event, site)``."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--quick", "--top", "1000"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("####") == 7
-    labels = set(re.findall(r"^\| \d+\.\d+ \| \w+ \| (\S+) \|",
-                            proc.stdout, re.M))
+    return set(re.findall(r"^\| \d+\.\d+ \| \w+ \| (\S+) \| .*? \| `([^`]+)` \|$",
+                          proc.stdout, re.M))
+
+
+def test_no_cell_wakes_a_sibling_thread_through_the_calendar(every_quick_cell):
+    """The five signal events (ARCHITECTURE.md, "What may go on the
+    calendar", fifth class) are in no row of any of the seven cells."""
+    labels = {event for event, _site in every_quick_cell}
     assert {"timeout", "boot", "get"} <= labels
     assert not labels & {"sendsig", "recvsig", "arrival", "AnyOf",
                          "ec-signal", "fc-credit-signal", "fc-rate-signal"}
+
+
+def test_no_cell_hands_a_message_over_through_the_calendar(every_quick_cell):
+    """Sixth class: no transport acceptance event, no per-message
+    ``submitted`` event of the Fig 2 pipeline, no pump process behind
+    the ATM API (its boots and ``get`` s were scheduled by the API's
+    delivery) in any row of any of the seven cells."""
+    labels = {event for event, _site in every_quick_cell}
+    assert not labels & {"ncs-atm-accepted", "ncs-sock-accepted",
+                         "submitted"}
+    assert not {site for _event, site in every_quick_cell
+                if site.startswith("atm/api.py:")}
+    # what is left of the chain: the runner's boot and the two drains
+    assert {("boot", "core/mps/transports.py:start_send"),
+            ("get", "core/mps/buffers.py:pipelined_send"),
+            ("get", "atm/adapter.py:receive_burst")} <= every_quick_cell

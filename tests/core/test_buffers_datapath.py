@@ -53,9 +53,9 @@ class TestBufferPipeline:
         meta = {}
 
         def sender():
-            ev = yield from pipeline.pipelined_send(vc, payload, nbytes)
+            yield from pipeline.pipelined_send(vc, payload, nbytes)
             meta["caller_free"] = sim.now
-            yield ev
+            yield pipeline.drained()
 
         def receiver():
             got = 0
@@ -111,7 +111,7 @@ class TestBufferPipeline:
 
     def test_all_submitted_fires_once_when_fault_kills_chunk(self):
         """A chunk dying mid-drain (adapter fault) must not lose the
-        message's completion: all_submitted still fires exactly once,
+        message's completion: ``drained()`` still fires exactly once,
         every buffer is released, and the pipeline keeps working."""
         cluster, pipeline = make_pipeline(k=2, buffer_bytes=4096)
         sim = cluster.sim
@@ -129,7 +129,8 @@ class TestBufferPipeline:
         fired = []
 
         def sender():
-            ev = yield from pipeline.pipelined_send(vc, "m", 16 * 1024)
+            yield from pipeline.pipelined_send(vc, "m", 16 * 1024)
+            ev = pipeline.drained()
             ev.add_callback(lambda e: fired.append(sim.now))
             yield ev
 
@@ -146,7 +147,8 @@ class TestBufferPipeline:
         fired2 = []
 
         def sender2():
-            ev = yield from pipeline.pipelined_send(vc, "m2", 8192)
+            yield from pipeline.pipelined_send(vc, "m2", 8192)
+            ev = pipeline.drained()
             ev.add_callback(lambda e: fired2.append(True))
             yield ev
 

@@ -42,7 +42,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import build_runtime, loads_scenario, run_scenario
+from repro.config import (build_cluster, build_runtime, loads_scenario,
+                          run_scenario)
 from repro.core.mps import group
 from repro.obs import counter_total
 
@@ -256,10 +257,13 @@ def _outcome(outcome, snapshot):
             "slice_seconds": slice_seconds, "digest": _digest(snapshot)}
 
 
-def run_cell(name):
-    """Play one cell; returns everything the parent file pins about it.
-    A run that does not end is pinned too, with its message."""
-    cluster_table, runtime, faults, workload, nbytes, traced = CELLS[name]
+def run_cell(name, cells=CELLS, prepare=None):
+    """Play one cell of ``cells``; returns everything the parent file
+    pins about it.  A run that does not end is pinned too, with its
+    message.  A cell's workload is a :data:`WORKLOADS` name or the
+    workload function itself; ``prepare(cluster)`` runs between building
+    the cluster and building the runtime on it."""
+    cluster_table, runtime, faults, workload, nbytes, traced = cells[name]
     doc = {"name": name, "cluster": {**cluster_table, "seed": SEED},
            "runtime": runtime}
     if faults is not None:
@@ -270,14 +274,19 @@ def run_cell(name):
         result = run_scenario(loads_scenario(json.dumps(doc), "json"))
         return _outcome({"makespan": repr(result.value["makespan_s"])},
                         result.cluster.metrics.snapshot())
-    cluster, rt = build_runtime(loads_scenario(json.dumps(doc), "json"))
+    spec = loads_scenario(json.dumps(doc), "json")
+    cluster = build_cluster(spec.cluster, spec.obs)
+    if prepare is not None:
+        prepare(cluster)
+    cluster, rt = build_runtime(spec, cluster)
     n = cluster.n_hosts
     rt.register_barrier(0, n)
     deliveries = {pid: [] for pid in range(n)}
     slices = {pid: [] for pid in traced}
     for pid, log in slices.items():
         _tap_slices(rt.nodes[pid].scheduler, log)
-    WORKLOADS[workload](rt, n, nbytes, deliveries)
+    play = WORKLOADS[workload] if isinstance(workload, str) else workload
+    play(rt, n, nbytes, deliveries)
     try:
         outcome = {"makespan": repr(rt.run(max_events=2_000_000))}
     except Exception as exc:

@@ -3,6 +3,11 @@
 Dedup must be exact (a uid is a duplicate iff it was seen before), the
 retransmission backoff must double per retry, and exhausting the retry
 budget must surface MessageLost all the way through NcsRuntime.run().
+
+A retransmission, like the send thread's first transmission, blocks
+until the transport calls it back (``ops.WaitCall``); that block has its
+laws at the end: a signal does not end it, an early call is not lost,
+and it reads ``"wait-event"`` in traces like the event wait it replaced.
 """
 
 from types import SimpleNamespace
@@ -13,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro import MessageLost, ServiceMode
 from repro.core.mps import AckRetransmitErrorControl
-from repro.sim import Event, NullTracer, Simulator
+from repro.core.mts import MtsScheduler, ThreadState, ops
+from repro.hosts import Host, OsProcess
+from repro.sim import NullTracer, Simulator
 
 from .util import FAST_EC, make_runtime
 
@@ -29,7 +36,7 @@ def make_ec(timeout_s=0.05, max_retries=3):
         sim=sim, pid=0,
         host=SimpleNamespace(tracer=NullTracer(sim)),
         transport=SimpleNamespace(
-            start_send=lambda msg: Event(sim, name="accepted"),
+            start_send=lambda msg, then: then(),
             # the NcsTransport delivery-feedback hooks (no-ops by default)
             on_path_suspect=lambda msg: None,
             on_delivery_confirmed=lambda msg: None),
@@ -159,3 +166,98 @@ class TestExactlyOnceUnderLoss:
         assert rt.nodes[1].mps.data_received == n
         assert (rt.nodes[0].mps.ec.retransmissions > 0
                 or rt.nodes[1].mps.messages_faulted > 0)
+
+
+class TestAcceptanceWaitLaws:
+    """``ops.WaitCall``: how the send and EC threads wait for a transport
+    to take a message, checked on a real scheduler with the EC thread's
+    own retransmission as the waiter."""
+
+    def _env(self, start_send):
+        sim = Simulator()
+        host = Host(sim, "h0")
+        sched = MtsScheduler(OsProcess(host, pid=0))
+        ec = AckRetransmitErrorControl(timeout_s=0.05, max_retries=3)
+        stub = SimpleNamespace(
+            sim=sim, pid=0, host=host, scheduler=sched,
+            transport=SimpleNamespace(
+                start_send=start_send, on_path_suspect=lambda msg: None,
+                on_delivery_confirmed=lambda msg: None))
+        ec.bind(stub)
+        msg = SimpleNamespace(msg_uid=(0, 1), deadline=None)
+        ec.on_sent(msg)
+        log = []
+
+        def body(ctx):
+            try:
+                yield from ec._retransmit((0, 1), ec._unacked[(0, 1)])
+            except RuntimeError as exc:
+                log.append((ctx.now, "raised", str(exc)))
+                return
+            log.append((ctx.now, "accepted"))
+        tid = sched.t_create(body, priority=0, name="sys-ec", is_system=True)
+
+        def anchor(ctx):            # keeps the scheduler from shutting down
+            yield ctx.block()
+        sched.t_create(anchor, priority=15)
+        sched.start()
+        return sim, sched, sched.thread(tid), log
+
+    #: what resuming the waiter costs: the anchor ran since it blocked
+    SWITCH = Host(Simulator(), "h").os.thread_switch_time
+
+    @given(st.integers(1, 3), st.floats(1e-4, 0.1))
+    @settings(max_examples=15, deadline=None)
+    def test_a_signal_does_not_end_the_wait(self, n, at):
+        calls = []
+        sim, sched, thread, log = self._env(
+            lambda msg, then: calls.append(then))
+        sim.run(until=at / 2)
+        assert thread.state is ThreadState.BLOCKED and not thread.parked
+        assert thread.block_reason == "wait-event"
+        for _ in range(n):
+            sched.signal(thread)
+        sim.run(until=at)
+        assert log == [] and thread.state is ThreadState.BLOCKED
+        sim.call_at(at, calls.pop())
+        sim.run(until=2 * at)
+        assert log == [(at + self.SWITCH, "accepted")]
+
+    @given(st.sampled_from(["at-once", "twice"]))
+    @settings(max_examples=4, deadline=None)
+    def test_a_call_before_the_block_is_not_lost(self, how):
+        def start_send(msg, then):
+            then()                   # the transport took it on the spot
+            if how == "twice":
+                then()
+        sim, sched, thread, log = self._env(start_send)
+        sim.run(until=0.01)
+        # the waiter went straight through in its first slice: never
+        # blocked, so the anchor never ran before it
+        assert log == [(self.SWITCH, "accepted")]
+        assert sched.context_switches == 2
+
+    @given(st.sampled_from(["before", "after"]))
+    @settings(max_examples=4, deadline=None)
+    def test_a_call_with_an_exception_throws_it_into_the_waiter(self, when):
+        calls = []
+
+        def start_send(msg, then):
+            if when == "before":
+                then(RuntimeError("path died"))
+            else:
+                calls.append(then)
+        sim, sched, thread, log = self._env(start_send)
+        if when == "after":
+            sim.run(until=0.001)
+            sim.call_at(0.002, calls.pop(), RuntimeError("path died"))
+        sim.run(until=0.01)
+        at = 0.0 if when == "before" else 0.002
+        assert log == [(at + self.SWITCH, "raised", "path died")]
+
+    def test_the_block_is_not_a_park(self):
+        op = ops.WaitCall()
+        assert not isinstance(op, ops.Park)
+        op.done()
+        op.done()                    # a second call is ignored
+        assert op.called and op.exc is None

@@ -290,9 +290,9 @@ def scenario_buffer_pipeline() -> dict:
     out: dict = {}
 
     def sender():
-        ev = yield from pipeline.pipelined_send(vc, "payload", 96 * 1024)
+        yield from pipeline.pipelined_send(vc, "payload", 96 * 1024)
         out["caller_free_s"] = round(sim.now, 9)
-        yield ev
+        yield pipeline.drained()
         out["all_submitted_s"] = round(sim.now, 9)
 
     def receiver():

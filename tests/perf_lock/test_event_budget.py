@@ -5,8 +5,9 @@ next door exempt it on purpose — which means nothing else notices when a
 change puts an unobservable hand-off (an acknowledgement nobody holds,
 the boot and completion of a process nobody kept, the grant of a free
 resource, a timer per stage of a hop nobody contends for, a kernel
-event to wake a sibling thread; ARCHITECTURE.md, "What may go on the
-calendar") back on the calendar.
+event to wake a sibling thread, a transport's hand-over made through an
+event or a pump; ARCHITECTURE.md, "What may go on the calendar") back on
+the calendar.
 These ceilings do.  The counts are exact and repeatable; each ceiling
 sits 1–2 events above today's figure, where one extra zero-delay hop per
 message (a ping-pong message crosses ~4 frames or bursts) trips it.  The
@@ -30,21 +31,22 @@ from repro.obs import counter_total
 #: before the unobservable hand-offs were removed: 102.1, 101.6, 79.0;
 #: before a burst crossed a hop on one entry: 65.0, 60.5, 45.7, 96.1;
 #: before system threads parked and were signalled directly: 64.9, 50.3,
-#: 34.4, 60.6 (today: 55.6, 39.4, 26.2, 56.0)
+#: 34.4, 60.6; before the transport handed over by calling: 55.6, 39.4,
+#: 26.2, 56.0 (today: 53.6, 33.4, 23.2, 56.0)
 BUDGETS = {
     "pingpong-256B-ethernet-nsm": (
         {"topology": "ethernet", "n_hosts": 2},
         {"mode": "nsm", "error": "ack"},
-        "pingpong", {"messages": 100, "nbytes": 256}, 57.0),
+        "pingpong", {"messages": 100, "nbytes": 256}, 55.0),
     "pingpong-256B-atm-lan-hsm": (
         {"topology": "atm-lan", "n_hosts": 2},
         {"mode": "hsm", "error": "ack"},
-        "pingpong", {"messages": 100, "nbytes": 256}, 40.5),
+        "pingpong", {"messages": 100, "nbytes": 256}, 34.5),
     "alltoall-1KiB-wan-ring-8x4-hsm": (
         {"topology": "wan-ring",
          "options": {"n_sites": 8, "hosts_per_site": 4}},
         {"mode": "hsm"},
-        "alltoall", {"rounds": 6, "nbytes": 1024}, 27.5),
+        "alltoall", {"rounds": 6, "nbytes": 1024}, 24.5),
     "collective-1KiB-atm-lan-64-nic": (
         {"topology": "atm-lan", "n_hosts": 64},
         {"mode": "nsm", "collectives": "nic"},
