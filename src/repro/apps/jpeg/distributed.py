@@ -142,7 +142,7 @@ def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
     # two sub-bands per compressor: index = (node_i - 1) * T + t
     slices = band_slices(image.shape[0], half * T)
     assembled = np.zeros_like(image)
-    write_ready = ThreadEvent(cluster.sim)
+    write_ready = ThreadEvent()
 
     host_tids: dict[int, int] = {}
     node_tids: dict[tuple[int, int], int] = {}

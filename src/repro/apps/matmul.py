@@ -143,7 +143,7 @@ def run_matmul_ncs(platform: str, n_nodes: int, n: int = 128,
     # per-node shared address space: B arrives once, threads share it
     shared: dict[int, dict] = {i: {} for i in range(1, n_nodes + 1)}
     b_ready: dict[int, ThreadEvent] = {
-        i: ThreadEvent(cluster.sim) for i in range(1, n_nodes + 1)}
+        i: ThreadEvent() for i in range(1, n_nodes + 1)}
 
     # tid maps filled during creation, read by bodies at run time
     host_tids: dict[int, int] = {}

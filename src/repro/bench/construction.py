@@ -1,10 +1,10 @@
 """Construction bench: O(hosts) builds at WAN scale.
 
 Nothing is provisioned per host pair when a topology is built — virtual
-circuits, TCP connections and receive pumps come into being on first
-use — so construction cost is linear in the host count, and a shard
-worker that materializes only what it owns pays less still.  This bench
-holds both to numbers at the scale the sharded kernel targets, the
+circuits and TCP connections come into being on first use — so
+construction cost is linear in the host count, and a shard worker
+that materializes only what it owns pays less still.  This bench holds
+both to numbers at the scale the sharded kernel targets, the
 1024-host ``wan-ring`` (8 sites x 128 hosts), measuring the full
 single-kernel build and each shard's partial build at ``shards = 8``:
 

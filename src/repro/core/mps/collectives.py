@@ -112,7 +112,7 @@ class NicCollectives(CollectiveStrategy):
 
     # ----------------------------------------------------------- barrier
     def handle_barrier(self, thread: NcsThread, op: ops.Barrier) -> bool:
-        """Park the thread and ring the adapter's barrier doorbell."""
+        """Block the thread and ring the adapter's barrier doorbell."""
         mps = self.mps
         parties = mps.barrier_parties.get(op.barrier_id, op.parties)
         if parties < 1:
@@ -120,11 +120,12 @@ class NicCollectives(CollectiveStrategy):
                 f"barrier {op.barrier_id} has no registered parties; "
                 "use NcsRuntime.register_barrier or pass parties=")
         tid = thread.tid
-        mps.scheduler._block(thread, "nic-barrier", Activity.IDLE)
+        handle = ops.Wake("nic-barrier")
+        mps.scheduler.block(thread, handle)
         self.engine.barrier(
             op.barrier_id, parties, (mps.pid, tid),
             lambda value, exc: self._finish(
-                tid, value, exc, ControlKind.BARRIER_ARRIVE))
+                tid, handle, value, exc, ControlKind.BARRIER_ARRIVE))
         return True
 
     # ------------------------------------------------------------- bcast
@@ -147,7 +148,8 @@ class NicCollectives(CollectiveStrategy):
             mps._m_sent.inc()
             mps._m_bytes.observe(op.size)
         tid = thread.tid
-        mps.scheduler._block(thread, "nic-bcast", Activity.COMMUNICATE)
+        handle = ops.Wake("nic-bcast", Activity.COMMUNICATE)
+        mps.scheduler.block(thread, handle)
         host = mps.host
         engine = self.engine
 
@@ -160,7 +162,7 @@ class NicCollectives(CollectiveStrategy):
             engine.bcast(
                 (mps.pid, tid), op.data, op.size, op.tag, tuple(targets),
                 lambda value, exc: self._finish(
-                    tid, value, exc, ControlKind.DATA))
+                    tid, handle, value, exc, ControlKind.DATA))
 
         mps.sim.spawn(_submit(), name=f"nic-bcast:{mps.pid}")
         return True
@@ -188,23 +190,24 @@ class NicCollectives(CollectiveStrategy):
     # ------------------------------------------------------------ reduce
     def handle_reduce(self, thread: NcsThread,
                       op: ops.CollectiveReduce) -> bool:
-        """Park the thread and contribute to the firmware reduction."""
+        """Block the thread and contribute to the firmware reduction."""
         mps = self.mps
         root_tid, root_pid = op.root
         tid = thread.tid
-        mps.scheduler._block(thread, "nic-reduce", Activity.IDLE)
+        handle = ops.Wake("nic-reduce")
+        mps.scheduler.block(thread, handle)
         self.engine.reduce(
             op.tag, len(op.members), (mps.pid, tid), op.data, op.op,
             (root_pid, root_tid),
             lambda value, exc: self._finish(
-                tid, value, exc, ControlKind.DATA))
+                tid, handle, value, exc, ControlKind.DATA))
         return True
 
     # -------------------------------------------------------- completion
-    def _finish(self, tid: int, value: Any,
+    def _finish(self, tid: int, handle: ops.Wake, value: Any,
                 exc: Optional[BaseException],
                 kind: ControlKind) -> None:
-        """NIC completion interrupt: wake the parked thread.
+        """NIC completion interrupt: wake the blocked thread.
 
         A permanently-lost request is recorded exactly like a host-path
         loss (``mps.lost_messages`` + ``mps.messages_lost``), so
@@ -221,7 +224,7 @@ class NicCollectives(CollectiveStrategy):
             mps._m_lost.inc()
             mps.host.tracer.point(f"ncs:{mps.pid}", "message-lost",
                                   (kind.value, "nic-collective"))
-        mps.scheduler.wake_from_op(tid, value=value, exc=exc)
+        handle.wake(value, exc)
 
 
 @COLLECTIVES.register(

@@ -11,11 +11,14 @@ the highest priority — exactly the architecture of Fig 8:
   ``NCS_recv`` requests, charges the kernel→user copy, and wakes the
   requester.
 
-A system thread with nothing to do *parks* (``ops.PARK``); whoever gives
-it work — ``_enqueue_send``, a posted receive, :meth:`NcsMps.deliver_data`
-— makes it runnable on the spot (``MtsScheduler.signal``): the paper's
-"activate" moves a descriptor from the blocked to the runnable queue of
-one address space, and costs no calendar entry here either.
+A system thread with nothing to do *parks* (``ctx.park()``); whoever
+gives it work — ``_enqueue_send``, a posted receive,
+:meth:`NcsMps.deliver_data` — makes it runnable on the spot
+(``MtsScheduler.signal``): the paper's "activate" moves a descriptor
+from the blocked to the runnable queue of one address space, and costs
+no calendar entry here either.  A thread blocked in an op (``NCS_send``,
+``NCS_recv``, a barrier) waits on a wake handle its op handler queued
+and the completion path wakes.
 
 Optional **flow-control** and **error-control** threads (Fig 5/Fig 8)
 are installed when the chosen strategies need background work.
@@ -76,13 +79,15 @@ class SendRequest:
 
 @dataclass(eq=False)
 class RecvRequest:
-    """One posted ``NCS_recv``.  Compared by identity: a thread's next
-    receive may equal this one field by field and is still another."""
+    """One posted ``NCS_recv`` and the handle its thread waits on.
+    Compared by identity: a thread's next receive may equal this one
+    field by field and is still another."""
 
     thread: NcsThread
     from_thread: int
     from_process: int
     tag: int
+    handle: ops.Wake
 
 
 class NcsMps:
@@ -124,7 +129,9 @@ class NcsMps:
         # barrier service state (only used on the coordinator)
         self.barrier_parties: dict[int, int] = {}
         self._barrier_arrived: dict[int, list[tuple[int, int]]] = {}
-        self._barrier_blocked: dict[int, int] = {}   # tid -> barrier_id
+        #: tid -> the handle a thread waiting for a barrier release
+        #: blocks on
+        self._barrier_blocked: dict[int, ops.Wake] = {}
         #: messages error control gave up on
         self.lost_messages: list[NcsMessage] = []
         # statistics
@@ -205,11 +212,10 @@ class NcsMps:
     def _handle_send(self, thread: NcsThread, op: ops.Send) -> bool:
         if not (0 <= op.to_process < self.cluster.n_hosts):
             raise ValueError(f"NCS_send: no such process {op.to_process}")
-        tid = thread.tid
+        handle = ops.Wake("ncs-send", Activity.COMMUNICATE)
         self._queue_data(thread, op.to_thread, op.to_process, op,
-                         lambda: self.scheduler.wake_from_op(tid), op.deadline)
-        self.scheduler._block(thread, "ncs-send", Activity.COMMUNICATE)
-        return True
+                         handle.wake, op.deadline)
+        return self.scheduler.block(thread, handle)
 
     def _handle_bcast(self, thread: NcsThread, op: ops.Bcast) -> bool:
         targets = list(op.targets)
@@ -225,35 +231,35 @@ class NcsMps:
             thread.resume_value = None
             return False
         remaining = {"n": len(targets)}
-        tid = thread.tid
+        handle = ops.Wake("ncs-send", Activity.COMMUNICATE)
 
         def one_done():
             remaining["n"] -= 1
             if remaining["n"] == 0:
-                self.scheduler.wake_from_op(tid)
+                handle.wake()
 
         for ttid, tpid in targets:
             self._queue_data(thread, ttid, tpid, op, one_done)
-        self.scheduler._block(thread, "ncs-send", Activity.COMMUNICATE)
-        return True
+        return self.scheduler.block(thread, handle)
 
     def _handle_recv(self, thread: NcsThread, op: ops.Recv) -> bool:
         poison = self._poison.pop(thread.tid, None)
         if poison is not None:
             thread.resume_exc = poison
             return False
-        req = RecvRequest(thread, op.from_thread, op.from_process, op.tag)
+        req = RecvRequest(thread, op.from_thread, op.from_process, op.tag,
+                          ops.Wake("ncs-recv", Activity.COMMUNICATE))
         self.recv_reqs.append(req)
-        self.scheduler._block(thread, "ncs-recv", Activity.COMMUNICATE)
+        self.scheduler.block(thread, req.handle)
         self.scheduler.signal(self._recv_thread)
         if op.timeout is not None:
-            def _expire(ev, req=req, seconds=op.timeout):
-                if req in self.recv_reqs:
-                    self.recv_reqs.remove(req)
-                    self.scheduler.wake_from_op(
-                        req.thread.tid, exc=RecvTimeout(seconds))
-            self.sim.timeout(op.timeout).add_callback(_expire)
+            self.sim.call_in(op.timeout, self._expire_recv, req, op.timeout)
         return True
+
+    def _expire_recv(self, req: RecvRequest, seconds: float) -> None:
+        if req in self.recv_reqs:
+            self.recv_reqs.remove(req)
+            req.handle.wake(exc=RecvTimeout(seconds))
 
     def _handle_probe(self, thread: NcsThread, op: ops.Probe) -> bool:
         thread.resume_value = self.mailbox.poll(
@@ -267,15 +273,14 @@ class NcsMps:
             raise ValueError(
                 f"barrier {op.barrier_id} has no registered parties; "
                 "use NcsRuntime.register_barrier or pass parties=")
-        self._barrier_blocked[thread.tid] = op.barrier_id
+        handle = self._barrier_blocked[thread.tid] = ops.Wake("ncs-barrier")
         self._enqueue_send(SendRequest(NcsMessage(
             from_thread=thread.tid, from_process=self.pid,
             to_thread=ANY_THREAD, to_process=BARRIER_COORDINATOR,
             data=(op.barrier_id, parties, self.pid, thread.tid),
             size=CONTROL_BYTES, kind=ControlKind.BARRIER_ARRIVE,
             msg_uid=self._next_uid())))
-        self.scheduler._block(thread, "ncs-barrier", Activity.IDLE)
-        return True
+        return self.scheduler.block(thread, handle)
 
     def _handle_throw(self, thread: NcsThread, op: ops.Throw) -> bool:
         self._enqueue_send(SendRequest(NcsMessage(
@@ -346,19 +351,20 @@ class NcsMps:
         for i, req in enumerate(self.recv_reqs):
             if req.thread.tid == tid:
                 del self.recv_reqs[i]
-                self.scheduler.wake_from_op(tid, exc=exc)
+                req.handle.wake(exc=exc)
                 return
-        if (msg.kind is ControlKind.BARRIER_ARRIVE
-                and self._barrier_blocked.pop(tid, None) is not None):
-            self.scheduler.wake_from_op(tid, exc=exc)
-            return
+        if msg.kind is ControlKind.BARRIER_ARRIVE:
+            handle = self._barrier_blocked.pop(tid, None)
+            if handle is not None:
+                handle.wake(exc=exc)
+                return
         self._poison.setdefault(tid, exc)
 
     def _send_body(self, ctx):
         """The send system thread (Fig 8)."""
         while True:
             if not self.send_q:
-                yield ops.PARK
+                yield ctx.park()
                 continue
             req = self.send_q.popleft()
             self._send_inflight += 1
@@ -368,7 +374,7 @@ class NcsMps:
                         and msg.to_process != self.pid):
                     gate = self.fc.acquire(msg.to_process, msg.size)
                     if gate is not None:
-                        yield ops.WaitEvent(gate)
+                        yield gate
                 if msg.to_process == self.pid:
                     # intra-process: one memcpy, no transport (the FFT's
                     # last exchange step is local for exactly this reason)
@@ -377,8 +383,9 @@ class NcsMps:
                         label="ncs:local-copy", activity=Activity.COMMUNICATE)
                     self._on_arrival(msg)
                 else:
-                    accepted = ops.WaitCall()
-                    self.transport.start_send(msg, accepted.done)
+                    # reason "wait-event": what the trace golden pins
+                    accepted = ops.Wake()
+                    self.transport.start_send(msg, accepted.wake)
                     yield accepted
                     if self.ec.wants_acks and msg.kind in RELIABLE_KINDS:
                         self.ec.on_sent(msg)
@@ -437,8 +444,9 @@ class NcsMps:
             self._coordinate_barrier(msg)
         elif kind is ControlKind.BARRIER_RELEASE:
             barrier_id, tid = msg.data
-            if self._barrier_blocked.pop(tid, None) is not None:
-                self.scheduler.wake_from_op(tid, value=None)
+            handle = self._barrier_blocked.pop(tid, None)
+            if handle is not None:
+                handle.wake()
         elif kind is ControlKind.THROW:
             self._deliver_throw(msg)
         else:  # pragma: no cover - enum is closed
@@ -464,7 +472,7 @@ class NcsMps:
         for i, req in enumerate(self.recv_reqs):
             if msg.to_thread in (ANY_THREAD, req.thread.tid):
                 del self.recv_reqs[i]
-                self.scheduler.wake_from_op(req.thread.tid, exc=exc)
+                req.handle.wake(exc=exc)
                 return
         if msg.to_thread != ANY_THREAD:
             self._poison[msg.to_thread] = exc
@@ -483,7 +491,7 @@ class NcsMps:
         while True:
             match = self._find_match()
             if match is None:
-                yield ops.PARK
+                yield ctx.park()
                 continue
             req, msg = match
             self.recv_reqs.remove(req)
@@ -499,7 +507,7 @@ class NcsMps:
             self._m_received.inc()
             if msg.sent_at is not None:
                 self._m_latency.observe(self.sim.now - msg.sent_at)
-            self.scheduler.wake_from_op(req.thread.tid, value=msg)
+            req.handle.wake(msg)
 
     # --------------------------------------------------------------- cleanup
     def on_thread_exit(self, thread: NcsThread) -> None:

@@ -214,7 +214,7 @@ class AckRetransmitErrorControl(ErrorControl):
                     if entry is not None:
                         yield from self._retransmit(uid, entry)
                 if not self._unacked:
-                    yield ops.PARK
+                    yield tctx.park()
                     continue
                 yield ops.Sleep(self.check_interval_s)
                 now = self.sim.now
@@ -248,8 +248,8 @@ class AckRetransmitErrorControl(ErrorControl):
         self.mps.host.tracer.point(
             f"ec:{self.mps.pid}", "retransmit", uid)
         self.mps.transport.on_path_suspect(msg)
-        accepted = ops.WaitCall()
-        self.mps.transport.start_send(msg, accepted.done)
+        accepted = ops.Wake()
+        self.mps.transport.start_send(msg, accepted.wake)
         yield accepted
 
 

@@ -9,8 +9,8 @@ want none at all.
 Each strategy plugs into the MPS at two points:
 
 * the **send thread** calls :meth:`acquire` before pushing a message to
-  the transport — the returned event (if any) is what the FC thread will
-  fire when the message may proceed;
+  the transport — the returned wake handle (if any) is what the send
+  thread blocks on and the FC thread wakes when the message may proceed;
 * the **receive thread** calls :meth:`on_data_delivered` so window
   strategies can return credits to the sender (as MPS control traffic).
 
@@ -25,7 +25,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from ...registry import FLOW_CONTROLS
-from ...sim import Event, Simulator
+from ...sim import Simulator
 from ..mts import ops
 
 __all__ = ["FlowControl", "NoFlowControl", "WindowFlowControl",
@@ -53,8 +53,9 @@ class FlowControl:
             "fc.credits_applied", help="credit messages applied",
             pid=mps.pid)
 
-    def acquire(self, dest_pid: int, nbytes: int) -> Optional[Event]:
-        """None: proceed now.  Event: the send thread must wait on it."""
+    def acquire(self, dest_pid: int, nbytes: int) -> Optional[ops.Wake]:
+        """None: proceed now.  A handle: the send thread must block on
+        it (the strategy wakes it)."""
         raise NotImplementedError
 
     def on_data_delivered(self, msg) -> None:
@@ -78,7 +79,8 @@ class NoFlowControl(FlowControl):
 
     name = "none"
 
-    def acquire(self, dest_pid: int, nbytes: int) -> Optional[Event]:
+    def acquire(self, dest_pid: int, nbytes: int) -> Optional[ops.Wake]:
+        """Always proceed."""
         return None
 
 
@@ -100,22 +102,23 @@ class WindowFlowControl(FlowControl):
             raise ValueError("window must be positive")
         self.window_bytes = window_bytes
         self._outstanding: dict[int, int] = {}
-        self._waiters: Deque[tuple[int, int, Event]] = deque()
+        self._waiters: Deque[tuple[int, int, ops.Wake]] = deque()
         #: credits queued for the FC thread to apply
         self._credit_q: Deque[tuple[int, int]] = deque()
 
     def outstanding(self, dest_pid: int) -> int:
         return self._outstanding.get(dest_pid, 0)
 
-    def acquire(self, dest_pid: int, nbytes: int) -> Optional[Event]:
+    def acquire(self, dest_pid: int, nbytes: int) -> Optional[ops.Wake]:
+        """Proceed while the window has room, else queue (FIFO)."""
         take = min(nbytes, self.window_bytes)  # one oversized msg still fits
         if self.outstanding(dest_pid) + take <= self.window_bytes:
             self._outstanding[dest_pid] = self.outstanding(dest_pid) + take
             return None
-        ev = self.sim.event(name="fc-window-wait")
-        self._waiters.append((dest_pid, take, ev))
+        handle = ops.Wake()
+        self._waiters.append((dest_pid, take, handle))
         self._m_stalls.inc()
-        return ev
+        return handle
 
     def on_data_delivered(self, msg) -> None:
         # receiver side: hand a credit back to the sender
@@ -132,14 +135,14 @@ class WindowFlowControl(FlowControl):
             self._m_credits.inc()
             self._outstanding[pid] = max(0, self.outstanding(pid) - nbytes)
         # admit as many waiters as now fit, FIFO per arrival
-        still_waiting: Deque[tuple[int, int, Event]] = deque()
+        still_waiting: Deque[tuple[int, int, ops.Wake]] = deque()
         while self._waiters:
-            dest, take, ev = self._waiters.popleft()
+            dest, take, handle = self._waiters.popleft()
             if self.outstanding(dest) + take <= self.window_bytes:
                 self._outstanding[dest] = self.outstanding(dest) + take
-                ev.succeed(None)
+                handle.wake()
             else:
-                still_waiting.append((dest, take, ev))
+                still_waiting.append((dest, take, handle))
         self._waiters = still_waiting
 
     def thread_body(self, ctx, mps):
@@ -149,7 +152,7 @@ class WindowFlowControl(FlowControl):
                 if self._credit_q:
                     self._apply_credits()
                     continue
-                yield ops.PARK
+                yield tctx.park()
         return body
 
 
@@ -169,7 +172,7 @@ class RateFlowControl(FlowControl):
         self.bucket = bucket_bytes
         self._tokens = float(bucket_bytes)
         self._last_refill = 0.0
-        self._waiters: Deque[tuple[int, Event]] = deque()
+        self._waiters: Deque[tuple[float, ops.Wake]] = deque()
 
     #: token-grant tolerance: refill arithmetic accumulates float error,
     #: so "within a microbyte" counts as having the tokens (a strict
@@ -187,17 +190,18 @@ class RateFlowControl(FlowControl):
     def _grantable(self, need: float) -> bool:
         return self._tokens >= need - self.EPS_BYTES
 
-    def acquire(self, dest_pid: int, nbytes: int) -> Optional[Event]:
+    def acquire(self, dest_pid: int, nbytes: int) -> Optional[ops.Wake]:
+        """Proceed when the bucket holds the tokens and nobody queues."""
         self._refill()
         need = min(nbytes, self.bucket)
         if not self._waiters and self._grantable(need):
             self._tokens = max(0.0, self._tokens - need)
             return None
-        ev = self.sim.event(name="fc-rate-wait")
-        self._waiters.append((need, ev))
+        handle = ops.Wake()
+        self._waiters.append((need, handle))
         self._m_stalls.inc()
         self._kick()
-        return ev
+        return handle
 
     def thread_body(self, ctx, mps):
         """The FC thread sleeps exactly until the head waiter's tokens
@@ -205,14 +209,14 @@ class RateFlowControl(FlowControl):
         def body(tctx):
             while True:
                 if not self._waiters:
-                    yield ops.PARK
+                    yield tctx.park()
                     continue
                 self._refill()
-                need, ev = self._waiters[0]
+                need, handle = self._waiters[0]
                 if self._grantable(need):
                     self._waiters.popleft()
                     self._tokens = max(0.0, self._tokens - need)
-                    ev.succeed(None)
+                    handle.wake()
                     continue
                 deficit = need - self._tokens
                 yield ops.Sleep(max(deficit / self.rate, self.MIN_SLEEP_S))

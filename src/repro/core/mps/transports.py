@@ -17,10 +17,10 @@ of the benchmarks:
 
 A transport's contract: ``start_send(msg, then)`` runs the send path in
 the background and calls ``then()`` at the instant the sender's user
-buffer is free — the point NCS_send unblocks — or ``then(exc)`` if the
-path raised; delivery happens by calling the handler installed with
+buffer is free — the point NCS_send unblocks — or ``then(exc=exc)`` if
+the path raised; delivery happens by calling the handler installed with
 ``set_delivery_handler`` with the reassembled message, wherever it
-completes (the ATM adapter's delivery, a TCP connection's pump);
+completes (the ATM adapter's delivery, TCP's message consumer);
 ``recv_cost`` is the CPU time the receive system thread charges to move
 a received message from kernel to user space.
 """
@@ -87,8 +87,8 @@ class NcsTransport:
     def start_send(self, msg: NcsMessage,
                    then: Optional[Callable[..., None]] = None) -> None:
         """Run :meth:`_send_path` in background simulated time; call
-        ``then()`` when the user buffer is reusable, ``then(exc)`` if
-        the path raised ``exc``."""
+        ``then()`` when the user buffer is reusable, ``then(exc=exc)``
+        if the path raised ``exc``."""
         self.messages_sent += 1
         self.bytes_sent += msg.size
         self._m_messages.inc()
@@ -101,7 +101,7 @@ class NcsTransport:
             except Exception as exc:
                 if then is None:
                     raise
-                then(exc)
+                then(exc=exc)
                 return
             if then is not None:
                 then()
@@ -145,20 +145,16 @@ class SocketTransport(NcsTransport):
         return self.stack.tcp.connection(self.cluster.host(peer_pid).name)
 
     def _listen(self) -> None:
-        # one pump per peer that ever talks to us, started by that
-        # peer's first message
-        self.stack.tcp.serve_messages(self._pump, "ncs-sock-pump")
+        self.stack.tcp.serve_messages(self._on_tcp_message)
 
     def _unwrap(self, payload) -> Optional[NcsMessage]:
         """The NCS message a received TCP message carries, if any."""
         return payload if isinstance(payload, NcsMessage) else None
 
-    def _pump(self, conn, item):
-        while True:
-            msg = self._unwrap(item[0])
-            if msg is not None and self._deliver is not None:
-                self._deliver(msg)
-            item = yield conn.recv_message()
+    def _on_tcp_message(self, payload) -> None:
+        msg = self._unwrap(payload)
+        if msg is not None and self._deliver is not None:
+            self._deliver(msg)
 
     def _send_path(self, msg: NcsMessage):
         host = self.host

@@ -6,6 +6,16 @@ manage other threads.  This is the moral equivalent of the QuickThreads
 context switch: the thread's stack (the generator frame) is suspended
 and the scheduler decides what runs next.
 
+There is one way to block: yield a :class:`Wake` handle, the paper's
+``NCS_block`` over the blocked queue of Fig 9, and stay blocked until
+somebody calls the handle's :meth:`Wake.wake`.  Every wait is a
+spelling of it: :class:`Sleep` is a handle the scheduler wakes after a
+delay; ``ctx.block()`` / ``NCS_unblock`` and ``ctx.park()`` /
+``MtsScheduler.signal`` use the two handles each thread owns;
+``ctx.join`` puts a handle in the target's ``joiners``; the message
+passing ops, the flow-control gates and the sync primitives queue a
+handle and wake it when the wait is over.
+
 The message-passing ops mirror the paper's Fig 7 primitives:
 ``NCS_send(from_thread, from_process, to_thread, to_process, data, size)``
 and friends.  Thread-management ops mirror §4.1
@@ -17,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from ...sim import Event
+from ...sim import Activity
 
 __all__ = [
-    "Op", "NoOp", "Compute", "YieldCpu", "Sleep", "WaitEvent", "WaitCall",
-    "Park", "PARK",
-    "BlockSelf", "Unblock", "Join", "Spawn",
+    "Op", "NoOp", "Compute", "YieldCpu", "Wake", "Sleep",
+    "Unblock", "Spawn",
     "Send", "Recv", "Probe", "Bcast", "Barrier", "Throw",
     "CollectiveBcast", "CollectiveReduce",
 ]
@@ -55,8 +64,9 @@ class Compute(Op):
     activity: Any = None  # Activity enum; None -> COMPUTE
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("compute time must be non-negative")
+        if not self.seconds >= 0:  # negative or NaN
+            raise ValueError(
+                f"compute time must be >= 0, got {self.seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -64,67 +74,57 @@ class YieldCpu(Op):
     """Voluntarily return to the back of this priority's round-robin."""
 
 
-@dataclass(frozen=True)
-class Sleep(Op):
+class Wake(Op):
+    """A wake handle: yielding it blocks the thread until :meth:`wake`.
+
+    ``reason`` and ``activity`` name the block in diagnostics and
+    traces.  A wake that comes while no thread is blocked on the handle
+    is kept when ``keep`` is true — the next block on the handle returns
+    at once with its value (a permit) — and dropped otherwise; a wake
+    while one is kept is ignored.  ``after``: the scheduler wakes the
+    handle itself that many seconds after the block.
+
+    A handle serves one thread at a time and may be blocked on again
+    once it has woken it: each thread owns two, ``blocker`` (kept early:
+    ``NCS_block``) and ``parker`` (dropped early: how a system thread
+    waits for work).
+    """
+
+    __slots__ = ("reason", "activity", "keep", "after", "waiter", "kept",
+                 "value", "exc")
+
+    def __init__(self, reason: str = "wait-event",
+                 activity: Activity = Activity.IDLE, keep: bool = True,
+                 after: Optional[float] = None):
+        self.reason, self.activity = reason, activity
+        self.keep, self.after = keep, after
+        #: the thread blocked on this handle, if any
+        self.waiter: Any = None
+        #: a wake came early and was kept: ``value`` / ``exc`` wait for it
+        self.kept = False
+        self.value: Any = None
+        self.exc: Optional[BaseException] = None
+
+    def wake(self, value: Any = None,
+             exc: Optional[BaseException] = None) -> None:
+        """Resume the blocked thread with ``value``, or throw ``exc`` in."""
+        thread = self.waiter
+        if thread is not None:
+            self.waiter = None
+            thread.ctx.scheduler._make_runnable(thread, value, exc)
+        elif self.keep and not self.kept:
+            self.kept, self.value, self.exc = True, value, exc
+
+
+class Sleep(Wake):
     """Block for a fixed simulated duration."""
 
-    seconds: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("sleep time must be non-negative")
-
-
-@dataclass(frozen=True)
-class WaitEvent(Op):
-    """Block until a raw simulation event fires; resumes with its value.
-
-    The escape hatch for waiting on something *outside* the scheduler:
-    a flow-control gate, the sync primitives.  Waiting for work from a
-    sibling is :class:`Park`, for a transport's call :class:`WaitCall`.
-    """
-
-    event: Event
-
-
-class WaitCall(Op):
-    """Block until :meth:`done` is called; ``done(exc)`` throws ``exc`` in.
-
-    The send and EC threads pass ``wait.done`` to ``start_send`` and
-    yield ``wait``.  A ``done`` before the block is kept, a second one is
-    ignored, and ``MtsScheduler.signal`` does not end the wait.
-    """
-
-    __slots__ = ("called", "exc", "wake")
-
-    def __init__(self) -> None:
-        self.called, self.exc, self.wake = False, None, None
-
-    def done(self, exc: Optional[BaseException] = None) -> None:
-        if not self.called:
-            self.called, self.exc = True, exc
-            if self.wake is not None:
-                self.wake(exc)
-
-
-@dataclass(frozen=True)
-class Park(Op):
-    """Block until somebody calls ``MtsScheduler.signal`` on this thread.
-
-    How a system thread waits for work (Fig 8's blocked queue): it finds
-    its queue empty and parks; whoever fills the queue signals it.  No
-    wake-up is lost (non-preemptive: nothing runs between the look and
-    the ``yield``); a signal to a thread that is not parked is dropped.
-    """
-
-
-#: ``Park`` has no arguments: one shared instance serves every thread
-PARK = Park()
-
-
-@dataclass(frozen=True)
-class BlockSelf(Op):
-    """``NCS_block()``: park this thread until someone unblocks it."""
+    def __init__(self, seconds: float):
+        if not seconds >= 0:  # negative or NaN
+            raise ValueError(f"sleep time must be >= 0, got {seconds!r}")
+        super().__init__("sleep", after=seconds)
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,6 @@ class Unblock(Op):
 
     tid: int
     value: Any = None
-
-
-@dataclass(frozen=True)
-class Join(Op):
-    """Block until thread ``tid`` finishes; resumes with its return value."""
-
-    tid: int
 
 
 @dataclass(frozen=True)
@@ -202,8 +195,8 @@ class Recv(Op):
     timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError("timeout must be non-negative")
+        if self.timeout is not None and not self.timeout >= 0:
+            raise ValueError(f"timeout must be >= 0, got {self.timeout!r}")
 
 
 @dataclass(frozen=True)

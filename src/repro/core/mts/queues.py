@@ -134,12 +134,14 @@ class MultilevelPriorityQueue:
         return self._size
 
     def check_priority(self, priority: int) -> int:
+        """``priority`` itself; ValueError if there is no such level."""
         if not (0 <= priority < self.levels):
             raise ValueError(
                 f"priority {priority} out of range [0, {self.levels})")
         return priority
 
     def enqueue(self, item: Any, priority: int) -> QueueNode[Any]:
+        """Append ``item`` at the tail of its level; the node removes it."""
         node = self._queues[self.check_priority(priority)].append(item)
         self._occupied |= 1 << priority
         self._size += 1
@@ -159,6 +161,7 @@ class MultilevelPriorityQueue:
         return item
 
     def remove(self, node: QueueNode[Any]) -> None:
+        """Unlink ``node`` from whichever level holds it, in O(1)."""
         q = node.owner
         if not isinstance(q, CircularQueue) or self._queues[
                 q.level if q.level < self.levels else 0] is not q:
@@ -169,6 +172,7 @@ class MultilevelPriorityQueue:
         self._size -= 1
 
     def level_sizes(self) -> list[int]:
+        """Queued items per level, highest priority first."""
         return [len(q) for q in self._queues]
 
 
@@ -187,11 +191,13 @@ class BlockedQueue:
         return key in self._nodes
 
     def add(self, key: int, item: Any) -> None:
+        """Append ``item`` under ``key``; ValueError if the key is taken."""
         if key in self._nodes:
             raise ValueError(f"key {key} already blocked")
         self._nodes[key] = self._queue.append(item)
 
     def remove(self, key: int) -> Any:
+        """Unlink and return the item under ``key`` (KeyError if none)."""
         node = self._nodes.pop(key, None)
         if node is None:
             raise KeyError(f"key {key} is not blocked")
@@ -199,4 +205,5 @@ class BlockedQueue:
         return node.item
 
     def items(self) -> list[Any]:
+        """The blocked items, oldest first."""
         return list(self._queue)

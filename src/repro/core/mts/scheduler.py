@@ -64,18 +64,14 @@ class MtsScheduler:
         #: kept in t_create/_finish so user_threads_done is O(1) on the
         #: per-slice shutdown check instead of a scan over all threads
         self._live_users = 0
-        #: pending unblock permits for not-yet-blocked threads
-        self._permits: set[int] = set()
         #: exact op type -> ``handler(thread, op)``, True when the thread
         #: left RUNNING.  ``Compute``, the one op that spends simulated
-        #: time, maps to None (``_run_slice`` runs it); an MPS adds its own.
+        #: time, maps to None (``_run_slice`` runs it); ``Wake``, the one
+        #: op that blocks, to :meth:`block`; an MPS adds its own.
         self.op_handlers: dict[type, Optional[Callable[..., bool]]] = {
             ops.Compute: None, ops.NoOp: self._op_noop,
-            ops.YieldCpu: self._op_yield_cpu, ops.Sleep: self._op_sleep,
-            ops.WaitEvent: self._op_wait_event,
-            ops.WaitCall: self._op_wait_call, ops.Park: self._op_park,
-            ops.BlockSelf: self._op_block_self, ops.Unblock: self._op_unblock,
-            ops.Join: self._op_join, ops.Spawn: self._op_spawn}
+            ops.YieldCpu: self._op_yield_cpu, ops.Wake: self.block,
+            ops.Unblock: self._op_unblock, ops.Spawn: self._op_spawn}
         #: statistics
         self.context_switches = 0
         # telemetry handles (no-ops when the registry is disabled)
@@ -126,6 +122,7 @@ class MtsScheduler:
         return self._proc
 
     def thread(self, tid: int) -> NcsThread:
+        """The thread with id ``tid``; SchedulerError if there is none."""
         try:
             return self.threads[tid]
         except KeyError:
@@ -135,13 +132,28 @@ class MtsScheduler:
     def _entity(self, thread: NcsThread) -> str:
         return f"{self.host.name}/{thread.name}"
 
-    def _block(self, thread: NcsThread, reason: str,
-               activity: Activity = Activity.IDLE) -> None:
+    def block(self, thread: NcsThread, handle: ops.Wake) -> bool:
+        """Block ``thread`` on ``handle`` until the handle is woken (Fig
+        9: runnable -> blocked queue).  A wake the handle kept resumes
+        the thread at once instead; True when the thread blocked.
+
+        The handler of every ``Wake`` a thread yields, and how an op
+        handler (an MPS send, receive, barrier...) blocks the thread
+        whose op it takes."""
+        if handle.kept:
+            thread.resume_value, thread.resume_exc = handle.value, handle.exc
+            handle.kept, handle.value, handle.exc = False, None, None
+            return False
+        if handle.after is not None:
+            self.sim.call_in(handle.after, handle.wake)
         thread.state = ThreadState.BLOCKED
-        thread.block_reason = reason
+        thread.block_reason = handle.reason
         self.blocked.add(thread.tid, thread)
         if self.host.tracer.enabled:
-            self.host.tracer.begin(self._entity(thread), activity, reason)
+            self.host.tracer.begin(self._entity(thread), handle.activity,
+                                   handle.reason)
+        handle.waiter = thread
+        return True
 
     def _make_runnable(self, thread: NcsThread, value: Any,
                        exc: Optional[BaseException] = None) -> None:
@@ -150,7 +162,6 @@ class MtsScheduler:
         if self.host.tracer.enabled:
             self.host.tracer.end(self._entity(thread))
         thread.state = ThreadState.RUNNABLE
-        thread.parked = False
         thread.resume_value = value
         thread.resume_exc = exc
         self.runnable.enqueue(thread, thread.priority)
@@ -158,44 +169,32 @@ class MtsScheduler:
             self._idle_ev.succeed(None)
 
     def signal(self, thread: NcsThread) -> None:
-        """Wake a thread blocked in ``ops.Park``, here and now (Fig 8:
+        """Wake a thread blocked in ``ctx.park()``, here and now (Fig 8:
         blocked queue -> runnable queue).  Any other thread — not parked
         yet, signalled already, waiting on something else, gone — is left
         alone and no permit is kept: a parking thread checks its queue."""
-        if thread.parked:
-            self._make_runnable(thread, None)
+        thread.parker.wake()
 
     def unblock(self, tid: int, value: Any = None,
                 exc: Optional[BaseException] = None) -> None:
-        """``NCS_unblock``: wake a thread parked by ``NCS_block`` (or by a
-        system-thread hand-off).  Waking a thread that has not blocked
-        yet leaves a permit so the next ``NCS_block`` is a no-op —
-        otherwise the Fig 17 host program would have a lost-wakeup race.
-        """
+        """``NCS_unblock``: wake a thread blocked in ``NCS_block``.
+        Waking a thread that has not blocked yet leaves a permit so the
+        next ``NCS_block`` is a no-op — otherwise the Fig 17 host program
+        would have a lost-wakeup race."""
         thread = self.thread(tid)
         if not thread.alive:
             return
-        if thread.state is ThreadState.BLOCKED:
-            if thread.block_reason not in ("explicit", "handoff"):
-                raise SchedulerError(
-                    f"cannot NCS_unblock thread {tid}: it is blocked in "
-                    f"{thread.block_reason!r}, not NCS_block()")
-            self._make_runnable(thread, value, exc)
-        else:
-            self._permits.add(tid)
-
-    def wake_from_op(self, tid: int, value: Any = None,
-                     exc: Optional[BaseException] = None) -> None:
-        """Used by MPS system threads to complete a Send/Recv/Barrier."""
-        thread = self.thread(tid)
-        if thread.state is not ThreadState.BLOCKED:
+        if (thread.state is ThreadState.BLOCKED
+                and thread.blocker.waiter is None):
             raise SchedulerError(
-                f"thread {tid} is not blocked on an MPS op")
-        self._make_runnable(thread, value, exc)
+                f"cannot NCS_unblock thread {tid}: it is blocked in "
+                f"{thread.block_reason!r}, not NCS_block()")
+        thread.blocker.wake(value, exc)
 
     # ---------------------------------------------------------------- loop
     @property
     def user_threads_done(self) -> bool:
+        """Every user (non-system) thread has finished or failed."""
         return self._live_users == 0
 
     @property
@@ -323,55 +322,8 @@ class MtsScheduler:
         self.runnable.enqueue(thread, thread.priority)
         return True
 
-    def _op_sleep(self, thread: NcsThread, op: ops.Sleep) -> bool:
-        ev = self.sim.timeout(op.seconds)
-        self._block(thread, "sleep")
-        ev.add_callback(lambda e, t=thread: self._make_runnable(t, None))
-        return True
-
-    def _op_wait_event(self, thread: NcsThread, op: ops.WaitEvent) -> bool:
-        self._block(thread, "wait-event")
-        def _on_fire(ev, t=thread):
-            if ev.ok:
-                self._make_runnable(t, ev._value)
-            else:
-                self._make_runnable(t, None, exc=ev._value)
-        op.event.add_callback(_on_fire)
-        return True
-
-    def _op_wait_call(self, thread: NcsThread, op: ops.WaitCall) -> bool:
-        if op.called:
-            thread.resume_exc = op.exc
-            return False
-        # the reason a wait on an ``accepted`` event gave: traces do not move
-        self._block(thread, "wait-event")
-        op.wake = lambda exc: self._make_runnable(thread, None, exc)
-        return True
-
-    def _op_park(self, thread: NcsThread, op: ops.Park) -> bool:
-        # the reason a wait on a signal event gave: traces do not move
-        self._block(thread, "wait-event")
-        thread.parked = True
-        return True
-
-    def _op_block_self(self, thread: NcsThread, op: ops.BlockSelf) -> bool:
-        if thread.tid in self._permits:
-            self._permits.discard(thread.tid)
-            return False
-        self._block(thread, "explicit")
-        return True
-
     def _op_unblock(self, thread: NcsThread, op: ops.Unblock) -> bool:
         self.unblock(op.tid, op.value)
-        return False
-
-    def _op_join(self, thread: NcsThread, op: ops.Join) -> bool:
-        target = self.thread(op.tid)
-        if target.alive:
-            target.joiners.append(thread.tid)
-            self._block(thread, "join")
-            return True
-        thread.resume_value, thread.resume_exc = target.result, target.error
         return False
 
     def _op_spawn(self, thread: NcsThread, op: ops.Spawn) -> bool:
@@ -391,10 +343,8 @@ class MtsScheduler:
             self._live_users -= 1
         if self.host.tracer.enabled:
             self.host.tracer.end(self._entity(thread))
-        for jtid in thread.joiners:
-            joiner = self.threads.get(jtid)
-            if joiner is not None and joiner.state is ThreadState.BLOCKED:
-                self._make_runnable(joiner, thread.result, exc=thread.error)
+        for handle in thread.joiners:
+            handle.wake(thread.result, thread.error)
         thread.joiners.clear()
         if self.mps is not None:
             self.mps.on_thread_exit(thread)

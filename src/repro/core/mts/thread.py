@@ -19,10 +19,11 @@ __all__ = ["ThreadState", "NcsThread", "ThreadContext"]
 # Argument-less ops are frozen dataclasses, so a single shared instance
 # serves every thread — yielding one is hot-path (every context switch).
 _YIELD_CPU = ops.YieldCpu()
-_BLOCK_SELF = ops.BlockSelf()
 
 
 class ThreadState(enum.Enum):
+    """Where a thread is in its lifecycle."""
+
     NEW = "new"
     RUNNABLE = "runnable"
     RUNNING = "running"
@@ -55,16 +56,21 @@ class NcsThread:
         self.result: Any = None
         #: exception that killed the thread once FAILED
         self.error: Optional[BaseException] = None
-        #: tids waiting in Join on this thread
-        self.joiners: list[int] = []
+        #: handles of the threads waiting in ``join`` on this one
+        self.joiners: list[ops.Wake] = []
         #: why the thread is blocked (diagnostics)
         self.block_reason: str = ""
-        #: blocked in ``ops.Park``, the one state ``signal`` acts on (a
-        #: wait on an external event has the same reason, "wait-event")
-        self.parked = False
+        #: ``NCS_block`` / ``NCS_unblock``: an unblock that comes first
+        #: is kept, so the next block returns at once
+        self.blocker = ops.Wake("explicit")
+        #: ``park`` / ``MtsScheduler.signal``: a signal to a thread that
+        #: is not parked is dropped (the traces' reason for the wait a
+        #: signal event used to be)
+        self.parker = ops.Wake("wait-event", keep=False)
 
     @property
     def alive(self) -> bool:
+        """Not FINISHED or FAILED yet."""
         return self.state not in (ThreadState.FINISHED, ThreadState.FAILED)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -92,52 +98,78 @@ class ThreadContext:
 
     # thin sugar over the op dataclasses --------------------------------
     def compute(self, seconds: float, label: str = "compute"):
+        """Op: consume ``seconds`` of CPU."""
         return ops.Compute(seconds, label)
 
     def send(self, to_thread: int, to_process: int, data: Any, size: int,
              tag: int = 0, deadline=None):
+        """Op: ``NCS_send``."""
         return ops.Send(to_thread, to_process, data, size, tag, deadline)
 
     def recv(self, from_thread: int = -1, from_process: int = -1,
              tag: int = -1, timeout=None):
+        """Op: ``NCS_recv``."""
         return ops.Recv(from_thread, from_process, tag, timeout)
 
     def probe(self, from_thread: int = -1, from_process: int = -1,
               tag: int = -1):
+        """Op: is a matching message waiting?"""
         return ops.Probe(from_thread, from_process, tag)
 
     def bcast(self, targets, data: Any, size: int, tag: int = 0,
               dedup_processes: bool = False):
+        """Op: ``NCS_bcast``."""
         return ops.Bcast(tuple(targets), data, size, tag, dedup_processes)
 
     def barrier(self, barrier_id: int = 0, parties: int = 0):
+        """Op: cluster-wide barrier."""
         return ops.Barrier(barrier_id, parties)
 
-    def block(self):
-        return _BLOCK_SELF
+    def block(self) -> ops.Wake:
+        """``NCS_block()``: the handle ``NCS_unblock`` wakes."""
+        return self.scheduler.threads[self.my_tid].blocker
+
+    def park(self) -> ops.Wake:
+        """Wait for work: the handle ``MtsScheduler.signal`` wakes."""
+        return self.scheduler.threads[self.my_tid].parker
 
     def unblock(self, tid: int, value: Any = None):
+        """Op: ``NCS_unblock(tid)``."""
         return ops.Unblock(tid, value)
 
     def yield_cpu(self):
+        """Op: go to the back of this priority's round-robin."""
         return _YIELD_CPU
 
     def sleep(self, seconds: float):
+        """Op: block for ``seconds`` of simulated time."""
         return ops.Sleep(seconds)
 
-    def join(self, tid: int):
-        return ops.Join(tid)
+    def join(self, tid: int) -> ops.Wake:
+        """A handle woken with thread ``tid``'s return value (or its
+        exception) when it finishes — at once if it already has."""
+        target = self.scheduler.thread(tid)
+        handle = ops.Wake("join")
+        if target.alive:
+            target.joiners.append(handle)
+        else:
+            handle.wake(target.result, target.error)
+        return handle
 
     def spawn(self, fn, *args, priority: int = 8, name: str = ""):
+        """Op: create a thread; resumes with its tid."""
         return ops.Spawn(fn, args, priority, name)
 
     def throw(self, to_thread: int, to_process: int, exc: BaseException):
+        """Op: raise ``exc`` in a (possibly remote) thread's receive."""
         return ops.Throw(to_thread, to_process, exc)
 
     @property
     def sim(self):
+        """The simulator the thread runs on."""
         return self.scheduler.sim
 
     @property
     def now(self) -> float:
+        """Current simulated time."""
         return self.scheduler.sim.now

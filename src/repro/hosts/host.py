@@ -154,8 +154,8 @@ class Host:
         boundaries than the compute has already run through.  With a
         tracer on, the timeline still gets one interval per quantum.
         """
-        if seconds < 0:
-            raise ValueError("cannot consume negative CPU time")
+        if not seconds >= 0:  # negative or NaN
+            raise ValueError(f"CPU time must be >= 0, got {seconds!r}")
         if seconds == 0:
             return
         quantum = (self._compute_quantum

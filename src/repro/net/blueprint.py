@@ -21,8 +21,8 @@ Phase 2 — :func:`materialize` instantiates a blueprint, item by item:
   keep ``cluster.stacks`` full-length and pid-stable.
 
 Either way construction is O(hosts): nothing is provisioned per host
-*pair*.  Virtual circuits, TCP connections and receive pumps come into
-being when a pair first talks (:mod:`repro.atm.signaling`), and because
+*pair*.  Virtual circuits and TCP connections come into being when a
+pair first talks (:mod:`repro.atm.signaling`), and because
 a circuit's identifier and labels are a pure function of
 ``(src, dst, service)``, a partial universe needs no knowledge of what
 other shards established — only the name-level routing graph

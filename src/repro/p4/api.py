@@ -136,14 +136,12 @@ class P4Process:
         self.host = self.stack.host
         self.mailbox = self.stack.process.mailbox
         self._streams: dict[int, LibraryStream] = {}
-        # Pump completed TCP messages from each peer connection into the
-        # process mailbox, one pump per peer that ever talks to us,
-        # started by that peer's first message.  Pumps charge no CPU:
-        # kernel-side costs were charged by the TCP stack, and the
-        # user-side copy is charged by ``recv`` in the *receiver's*
-        # context (that is what makes a blocking recv expensive for p4
-        # and cheap for NCS threads).
-        self.stack.tcp.serve_messages(self._pump, "p4pump")
+        # Completed TCP messages go straight into the process mailbox at
+        # no CPU cost: kernel-side costs were charged by the TCP stack,
+        # and the user-side copy is charged by ``recv`` in the
+        # *receiver's* context (that is what makes a blocking recv
+        # expensive for p4 and cheap for NCS threads).
+        self.stack.tcp.serve_messages(self.mailbox.deliver)
 
     def _stream(self, dest: int) -> LibraryStream:
         stream = self._streams.get(dest)
@@ -159,12 +157,6 @@ class P4Process:
 
     def num_total_ids(self) -> int:
         return self.runtime.num_procs
-
-    # ------------------------------------------------------------ transport
-    def _pump(self, conn, item):
-        while True:
-            self.mailbox.deliver(item[0])
-            item = yield conn.recv_message()
 
     # ----------------------------------------------------------------- send
     def send(self, type_: int, dest: int, data: Any, size: int

@@ -302,7 +302,11 @@ class TcpConnection:
             asm.payload = seg.payload
         if asm.got >= max(asm.total, 1):
             del self._assembly[seg.msg_id]
-            self._rx_msgs.try_put((asm.payload, asm.total))
+            consumer = self.stack._consumer
+            if consumer is not None:
+                self.sim.call_in(0.0, consumer, asm.payload)
+            else:
+                self._rx_msgs.try_put((asm.payload, asm.total))
 
     def _emit_ack(self) -> None:
         self._emit(TcpSegment(self.local, self.remote, self.cid,
@@ -354,8 +358,8 @@ class TcpStack:
         self.params = params or TcpParams()
         self.preconnect = preconnect
         self._conns: dict[tuple[str, int], TcpConnection] = {}
-        #: (pump generator function, process label) per message server
-        self._servers: list[tuple[Callable[..., Any], str]] = []
+        #: what every complete message goes to, if anybody serves them
+        self._consumer: Optional[Callable[[Any], None]] = None
         self._rx_q: Store = Store(self.sim, name=f"tcprx:{host.name}")
         # telemetry handles: connections publish through their stack so
         # the per-host aggregate is maintained, not recomputed
@@ -377,25 +381,22 @@ class TcpStack:
         conn = self._conns.get(key)
         if conn is None:
             conn = self._conns[key] = TcpConnection(self, remote, cid)
-            for pump, label in self._servers:
-                self._serve(conn, pump, label)
         return conn
 
-    def serve_messages(self, pump: Callable[..., Any], label: str) -> None:
-        """Run ``pump(conn, first_item)`` — a generator draining
-        ``conn.recv_message()`` — for every connection of this stack,
-        present and future, each started by its connection's first
-        complete message (:meth:`repro.sim.Store.start_on_first_put`):
-        no connection and no coroutine per *possible* peer."""
-        self._servers.append((pump, label))
-        for conn in self._conns.values():
-            self._serve(conn, pump, label)
+    def serve_messages(self, consumer: Callable[[Any], None]) -> None:
+        """Call ``consumer(payload)`` for every complete message any
+        connection of this stack receives, at the instant its last
+        segment is accepted: no queue and no process per connection.
+        Without a consumer, messages queue for ``recv_message``.
 
-    @staticmethod
-    def _serve(conn: TcpConnection, pump, label: str) -> None:
-        conn._rx_msgs.start_on_first_put(
-            lambda item: pump(conn, item),
-            name=f"{label}:{conn.local}<-{conn.remote}")
+        The call goes through one zero-delay timer, the calendar slot
+        the wake-up of a per-connection pump process had: a direct call
+        runs ahead of same-instant events and reorders ties on a busy
+        Ethernet segment."""
+        if self._consumer is not None:
+            raise RuntimeError(
+                f"TCP on {self.host.name} already has a message consumer")
+        self._consumer = consumer
 
     def connections(self) -> list["TcpConnection"]:
         """The live connection objects (read-only view)."""

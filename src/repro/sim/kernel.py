@@ -179,7 +179,7 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if not delay >= 0:  # negative or NaN
-            raise ValueError(f"negative timeout delay {delay!r}")
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -599,7 +599,7 @@ class Simulator(KernelCore):
         pool = self._timeout_pool
         if pool:
             if not delay >= 0:  # negative or NaN
-                raise ValueError(f"negative timeout delay {delay!r}")
+                raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
             ev = pool.pop()
             ev.callbacks = []
             ev._value = value

@@ -115,32 +115,9 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
-        #: deferred consumer: (generator function, process name)
-        self._consumer: Optional[tuple[Callable[[Any], Any], str]] = None
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def start_on_first_put(self, consumer: Callable[[Any], Any],
-                           name: str = "") -> None:
-        """Defer this store's consumer until there is something to consume.
-
-        ``consumer(first_item)`` returns a generator; the first
-        :meth:`put` starts it as a process (at once, if an item is
-        already queued) and it drains the rest with ``yield store.get()``.
-        Its boot takes the calendar position the wake-up of a consumer
-        parked in ``get()`` would have had, and the first item costs no
-        extra zero-delay hop: a fed queue behaves bit-identically to one
-        with an eagerly started consumer, an unfed one costs no coroutine.
-        """
-        if self._consumer is not None:
-            raise SimulationError(
-                f"store {self.name!r} already has a deferred consumer")
-        if self._items:
-            self.sim.process(consumer(self._items.popleft()), name=name)
-            self._admit_putter()
-        else:
-            self._consumer = (consumer, name)
 
     @property
     def items(self) -> tuple:
@@ -148,13 +125,10 @@ class Store:
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; False when a bounded store is full.  The
-        item goes to a parked getter, starts the deferred consumer or
-        joins the queue; nothing is scheduled for the caller."""
+        item goes to a parked getter or joins the queue; nothing is
+        scheduled for the caller."""
         if self._getters:
             self._getters.popleft().succeed(item)
-        elif self._consumer is not None:
-            (consumer, name), self._consumer = self._consumer, None
-            self.sim.process(consumer(item), name=name)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
         else:

@@ -6,7 +6,7 @@ thread, ``recvsig`` + ``arrival`` joined by an ``AnyOf`` for the receive
 thread, ``ec-signal`` / ``fc-credit-signal`` / ``fc-rate-signal`` for
 the error- and flow-control threads.  Each wake-up cost two to four
 calendar entries that no model term accounts for.  Now such a thread
-*parks* (``ops.Park``) and is made runnable on the spot
+*parks* (``ctx.park()``) and is made runnable on the spot
 (``MtsScheduler.signal``; ARCHITECTURE.md, "What may go on the
 calendar", fifth class).  Nothing a model can observe may move.
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.mts import (
     MtsScheduler, SchedulerError, ThreadBarrier, ThreadCondition,
-    ThreadEvent, ThreadMutex, ThreadSemaphore, ThreadState,
+    ThreadEvent, ThreadMutex, ThreadSemaphore, ThreadState, ops,
 )
 from repro.hosts import Host, OsProcess
 from repro.sim import Simulator
@@ -218,26 +218,23 @@ class TestBlockUnblock:
         run(sim, sched)
         assert log[0][0] == "worker" and log[0][1] < 2.0
 
-    def test_wait_event_resumes_with_value(self, env):
+    def test_wake_handle_resumes_with_value(self, env):
         sim, host, sched = env
-        ev = sim.event()
+        handle = ops.Wake()
         def body(ctx):
-            from repro.core.mts import ops
-            val = yield ops.WaitEvent(ev)
+            val = yield handle
             return val
         tid = sched.t_create(body)
-        def trigger():
-            yield sim.timeout(1.0)
-            ev.succeed("payload")
-        sim.process(trigger())
+        sim.call_at(1.0, handle.wake, "payload")
         run(sim, sched)
         assert sched.thread(tid).result == "payload"
+        assert sim.now == 1.0
 
 
 class TestSyncPrimitives:
     def test_mutex_mutual_exclusion(self, env):
         sim, host, sched = env
-        mutex = ThreadMutex(sim)
+        mutex = ThreadMutex()
         trace = []
         def body(ctx, tag):
             yield mutex.acquire()
@@ -255,11 +252,11 @@ class TestSyncPrimitives:
     def test_mutex_release_unheld_raises(self, env):
         sim, host, sched = env
         with pytest.raises(RuntimeError):
-            ThreadMutex(sim).release()
+            ThreadMutex().release()
 
     def test_semaphore_counts(self, env):
         sim, host, sched = env
-        sem = ThreadSemaphore(sim, value=2)
+        sem = ThreadSemaphore(value=2)
         inside = []
         peak = []
         def body(ctx, tag):
@@ -276,7 +273,7 @@ class TestSyncPrimitives:
 
     def test_thread_event_wait_signal(self, env):
         sim, host, sched = env
-        tev = ThreadEvent(sim)
+        tev = ThreadEvent()
         log = []
         def waiter(ctx, tag):
             yield tev.wait()
@@ -292,8 +289,8 @@ class TestSyncPrimitives:
 
     def test_condition_variable(self, env):
         sim, host, sched = env
-        mutex = ThreadMutex(sim)
-        cond = ThreadCondition(sim, mutex)
+        mutex = ThreadMutex()
+        cond = ThreadCondition(mutex)
         shared = {"items": 0}
         got = []
         def consumer(ctx):
@@ -316,7 +313,7 @@ class TestSyncPrimitives:
 
     def test_barrier_releases_together(self, env):
         sim, host, sched = env
-        bar = ThreadBarrier(sim, parties=3)
+        bar = ThreadBarrier(parties=3)
         after = []
         def body(ctx, delay):
             yield ctx.compute(delay)
@@ -327,3 +324,125 @@ class TestSyncPrimitives:
         run(sim, sched)
         assert len(after) == 3
         assert min(after) >= 2.0  # nobody passes before the slowest arrives
+
+    @pytest.mark.parametrize("primitive", [
+        "semaphore", "event", "condition", "barrier"])
+    def test_waking_a_waiter_schedules_nothing(self, env, primitive):
+        """A release is a queue operation: the waiter becomes runnable
+        on the spot, and the calendar does not see it."""
+        sim, host, sched = env
+        mutex = ThreadMutex()
+        sem, tev = ThreadSemaphore(value=0), ThreadEvent()
+        cond, bar = ThreadCondition(mutex), ThreadBarrier(parties=2)
+        wait = {"semaphore": lambda: (yield sem.acquire()),
+                "event": lambda: (yield tev.wait()),
+                "condition": lambda: (yield from _locked(mutex, cond)),
+                "barrier": lambda: (yield bar.arrive())}[primitive]
+        release = {"semaphore": sem.release, "event": tev.signal,
+                   "condition": cond.notify, "barrier": bar.arrive}[primitive]
+        log, scheduled = [], []
+
+        def waiter(ctx):
+            yield from wait()
+            log.append(ctx.now)
+
+        def waker(ctx):
+            yield ctx.compute(1.0)
+            plain = {hook: getattr(sim, hook)
+                     for hook in ("_schedule", "schedule_at")}
+            for hook, fn in plain.items():
+                setattr(sim, hook, lambda event, arg=0.0, fn=fn: (
+                    scheduled.append(event), fn(event, arg)))
+            release()
+            log.append(ctx.now)
+            for hook, fn in plain.items():
+                setattr(sim, hook, fn)
+            assert sched.thread(tid).state is ThreadState.RUNNABLE
+        tid = sched.t_create(waiter)
+        sched.t_create(waker)
+        run(sim, sched)
+        released, resumed = log
+        assert scheduled == []
+        assert resumed == released + host.os.thread_switch_time
+
+    @pytest.mark.parametrize("primitive", ["semaphore", "condition"])
+    def test_hand_off_is_fifo(self, env, primitive):
+        sim, host, sched = env
+        mutex = ThreadMutex()
+        sem, cond = ThreadSemaphore(value=0), ThreadCondition(mutex)
+        order = []
+
+        def waiter(ctx, tag):
+            if primitive == "semaphore":
+                yield sem.acquire()
+            else:
+                yield from _locked(mutex, cond)
+            order.append(tag)
+
+        def waker(ctx):
+            yield ctx.compute(1.0)
+            for _ in range(4):
+                if primitive == "semaphore":
+                    sem.release()
+                else:
+                    cond.notify()
+                yield ctx.yield_cpu()
+        for tag in (3, 1, 4, 2):
+            sched.t_create(waiter, (tag,), priority=4)
+        sched.t_create(waker, priority=6)
+        run(sim, sched)
+        assert order == [3, 1, 4, 2]            # the order they queued in
+
+
+def _locked(mutex, cond):
+    """Wait on ``cond`` once under ``mutex`` and let go of the mutex."""
+    yield mutex.acquire()
+    yield from cond.wait()
+    mutex.release()
+
+
+class TestNanIsRejected:
+    """NaN slips through ``x < 0``: a NaN compute used to cost no CPU,
+    and a NaN sleep or receive timeout failed later with the kernel's
+    "negative timeout delay nan"."""
+
+    NAN = float("nan")
+
+    def test_ops_reject_nan_where_they_are_built(self, env):
+        sim, host, sched = env
+        ctx = sched.thread(sched.t_create(lambda ctx: (yield))).ctx
+        for build in (lambda: ctx.compute(self.NAN),
+                      lambda: ctx.sleep(self.NAN),
+                      lambda: ctx.recv(timeout=self.NAN)):
+            with pytest.raises(ValueError, match=r"must be >= 0, got nan"):
+                build()
+
+    def test_cpu_busy_rejects_nan(self, env):
+        sim, host, sched = env
+        with pytest.raises(ValueError, match=r"must be >= 0, got nan"):
+            next(host.cpu_busy(self.NAN))
+
+    def test_kernel_timeout_says_what_it_wants(self, env):
+        sim, host, sched = env
+        with pytest.raises(ValueError,
+                           match=r"timeout delay must be >= 0, got nan"):
+            sim.timeout(self.NAN)               # fresh
+        done = sim.timeout(0.0)
+        sim.run()
+        sim.recycle(done)
+        with pytest.raises(ValueError,
+                           match=r"timeout delay must be >= 0, got nan"):
+            sim.timeout(self.NAN)               # from the pool
+
+    def test_a_nan_compute_fails_the_thread(self):
+        from repro.core import NcsRuntime
+        from repro.net import build_ethernet_cluster
+        rt = NcsRuntime(build_ethernet_cluster(2))
+
+        def body(ctx):
+            yield ctx.compute(self.NAN)
+        tid = rt.t_create(0, body)
+        rt.t_create(1, body)
+        with pytest.raises(ValueError, match=r"must be >= 0, got nan"):
+            rt.run()
+        assert rt.nodes[0].scheduler.thread(tid).state is ThreadState.FAILED

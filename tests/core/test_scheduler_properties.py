@@ -3,9 +3,12 @@
 Random workloads of compute/yield/sleep/spawn ops must always drain,
 priorities must always be respected at dispatch, and total charged CPU
 must equal the sum of compute requests (conservation of simulated work).
-``ops.Park`` / ``MtsScheduler.signal`` — how a system thread waits for
-work from a sibling — have their laws at the end: a signal acts on a
-parked thread only, once, in order, at its instant, and is never lost.
+The one blocking primitive, the wake handle (``ops.Wake``), has its laws
+at the end: a keep-early handle resumes its thread once however often it
+is woken, a drop-early one forgets a wake that came before the block;
+``ctx.park()`` / ``MtsScheduler.signal`` — how a system thread waits for
+work from a sibling — acts on a parked thread only, once, in order, at
+its instant, and is never lost.
 """
 
 import pytest
@@ -15,7 +18,10 @@ from hypothesis import strategies as st
 from repro.core import NcsRuntime
 from repro.core.mps.core import SendRequest
 from repro.core.mps.message import ANY_THREAD, NcsMessage
-from repro.core.mts import MtsScheduler, ThreadState, ops
+from repro.core.mts import (
+    MtsScheduler, SchedulerError, ThreadEvent, ThreadSemaphore, ThreadState,
+    ops,
+)
 from repro.hosts import Host, OsProcess
 from repro.net import build_atm_cluster
 from repro.sim import Activity, Simulator, Tracer
@@ -154,7 +160,7 @@ class TestSchedulerProperties:
 
 
 # --------------------------------------------------------------------------
-# ops.Park / MtsScheduler.signal
+# ops.Wake: the one way to block; ctx.park() / MtsScheduler.signal
 # --------------------------------------------------------------------------
 
 def parker(log):
@@ -162,32 +168,41 @@ def parker(log):
     def body(ctx, name):
         while True:
             log.append((ctx.now, name))
-            yield ops.PARK
+            yield ctx.park()
     return body
+
+
+def parked(thread):
+    """``thread`` waits on its own drop-early handle."""
+    return thread.parker.waiter is thread
 
 
 def shape(sched):
     """Everything a signal could disturb, short of the threads' own
-    resume slots: who is where, and what was promised to whom."""
-    return ({tid: (t.state, t.block_reason, t.parked, t.resume_value,
-                   t.resume_exc) for tid, t in sched.threads.items()},
-            sched.runnable.level_sizes(), len(sched.blocked),
-            set(sched._permits))
+    resume slots: who is where, which handle holds whom, and which
+    wake was kept for later."""
+    return ({tid: (t.state, t.block_reason, t.resume_value, t.resume_exc,
+                   parked(t), t.blocker.waiter is t, t.blocker.kept)
+             for tid, t in sched.threads.items()},
+            sched.runnable.level_sizes(), len(sched.blocked))
 
 
 class TestDirectSignalLaws:
     #: victim state -> the op that puts it there (given the tid of a
     #: sibling that never finishes)
     BLOCKERS = {
-        "wait-event": lambda ctx, other: ops.WaitEvent(ctx.sim.event()),
+        "wait-event": lambda ctx, other: ops.Wake(),
+        "drop-early": lambda ctx, other: ops.Wake("ncs-recv", keep=False),
         "sleep": lambda ctx, other: ctx.sleep(1.0),
         "join": lambda ctx, other: ctx.join(other),
         "ncs-block": lambda ctx, other: ctx.block(),
+        "semaphore": lambda ctx, other: ThreadSemaphore(value=0).acquire(),
+        "thread-event": lambda ctx, other: ThreadEvent().wait(),
     }
 
-    @given(st.sampled_from(sorted(BLOCKERS)), st.integers(1, 3))
-    @settings(max_examples=20, deadline=None)
-    def test_signal_leaves_a_thread_blocked_elsewhere_alone(self, how, n):
+    def _blocked_victim(self, how):
+        """A scheduler at t = 0.5 with one thread blocked ``how`` (and
+        a sibling blocked in ``NCS_block``)."""
         sim, host, sched = make_env()
         resumed = []
 
@@ -203,7 +218,14 @@ class TestDirectSignalLaws:
         sched.start()
         sim.run(until=0.5)
         thread = sched.thread(tid)
-        assert thread.state is ThreadState.BLOCKED and not thread.parked
+        assert thread.state is ThreadState.BLOCKED
+        return sim, sched, thread, resumed
+
+    @given(st.sampled_from(sorted(BLOCKERS)), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_signal_leaves_a_thread_blocked_elsewhere_alone(self, how, n):
+        sim, sched, thread, resumed = self._blocked_victim(how)
+        assert not parked(thread)
         before = shape(sched)
         for _ in range(n):
             sched.signal(thread)
@@ -214,7 +236,72 @@ class TestDirectSignalLaws:
         log = []
         late = sched.thread(sched.t_create(parker(log), ("late",)))
         sim.run(until=0.95)
-        assert late.parked and len(log) == 1
+        assert parked(late) and len(log) == 1
+
+    @given(st.sampled_from(sorted(set(BLOCKERS) - {"ncs-block"})),
+           st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_unblock_leaves_a_thread_blocked_elsewhere_alone(self, how, n):
+        """``NCS_unblock`` wakes ``NCS_block`` only: on a thread blocked
+        on any other handle it raises, and keeps no permit."""
+        sim, sched, thread, resumed = self._blocked_victim(how)
+        before = shape(sched)
+        for _ in range(n):
+            with pytest.raises(SchedulerError, match="blocked in"):
+                sched.unblock(thread.tid)
+        assert shape(sched) == before
+        sim.run(until=0.9)
+        assert not resumed and not thread.blocker.kept
+
+    @given(st.lists(st.sampled_from([1e-3, 2e-3, 8e-3, 9e-3]), min_size=1,
+                    max_size=6), st.sampled_from(["value", "exc"]))
+    @settings(max_examples=30, deadline=None)
+    def test_a_keep_early_handle_resumes_once(self, wakes, how):
+        """However many wakes, before or after the block at ~5 ms: the
+        thread resumes once, with the first wake's value (or exception),
+        at the later of the first wake and the block."""
+        sim, host, sched = make_env()
+        handle = ops.Wake()
+        log, blocked_at = [], []
+
+        def body(ctx):
+            yield ctx.sleep(5e-3)
+            blocked_at.append(ctx.now)
+            try:
+                value = yield handle
+            except LookupError as exc:
+                value = exc.args[0]
+            log.append((ctx.now, value))
+            yield ctx.block()                   # and stay
+        sched.t_create(body)
+        for i, at in enumerate(wakes):
+            if how == "value":
+                sim.call_at(at, handle.wake, i)
+            else:
+                sim.call_at(at, lambda i=i: handle.wake(exc=LookupError(i)))
+        sched.start()
+        sim.run()
+        first = min(range(len(wakes)), key=lambda i: (wakes[i], i))
+        assert log == [(max(blocked_at[0], wakes[first]), first)]
+
+    @given(st.integers(1, 3))
+    @settings(max_examples=5, deadline=None)
+    def test_a_drop_early_handle_forgets_a_wake_before_the_block(self, n):
+        sim, host, sched = make_env()
+        handle = ops.Wake(keep=False)
+        log = []
+
+        def body(ctx):
+            yield ctx.sleep(5e-3)
+            value = yield handle
+            log.append((ctx.now, value))
+        sched.t_create(body)
+        for _ in range(n):
+            sim.call_at(1e-3, handle.wake, "early")
+        sim.call_at(8e-3, handle.wake, "late")
+        sched.start()
+        sim.run()
+        assert log == [(8e-3, "late")]
 
     def test_signal_leaves_a_thread_in_an_mps_op_alone(self):
         cluster = build_atm_cluster(2)
@@ -255,7 +342,7 @@ class TestDirectSignalLaws:
                 sched.signal(sched.current)
             assert shape(sched) == before
             log.append("ran")
-            yield ops.PARK                          # no permit: it parks
+            yield ctx.park()                        # no permit: it parks
             log.append("woken")
 
         thread = sched.thread(sched.t_create(body))
@@ -269,7 +356,7 @@ class TestDirectSignalLaws:
             sched.signal(thread)
         assert shape(sched) == before
         sim.run()
-        assert log == ["ran"] and thread.parked
+        assert log == ["ran"] and parked(thread)
         sched.signal(thread)
         sim.run()
         assert log == ["ran", "woken"]
@@ -298,7 +385,7 @@ class TestDirectSignalLaws:
                 sched.signal(thread)
         sim.call_at(at, burst)
         sim.run()
-        assert len(log) == 2 and thread.parked
+        assert len(log) == 2 and parked(thread)
         # at the instant — or, non-preemptive, once the compute is over
         assert log[1][0] == at if loop == "idle" else log[1][0] > 0.02
 
@@ -347,7 +434,7 @@ class TestDirectSignalLaws:
         sched.t_create(anchor, priority=0)
         sched.start()
         sim.run()
-        assert thread.parked and sched._idle_ev is not None
+        assert parked(thread) and sched._idle_ev is not None
         scheduled = []
         for hook in ("_schedule", "schedule_at"):
             def tap(event, arg=0.0, plain=getattr(sim, hook)):
@@ -360,7 +447,7 @@ class TestDirectSignalLaws:
         # the parked thread was the last to run (the anchor has priority
         # over it), so no switch is charged: it runs at the instant, and
         # the whole wake-up is the loop's one idle entry
-        assert log[1:] == [(at, "p")] and thread.parked
+        assert log[1:] == [(at, "p")] and parked(thread)
         assert scheduled == [(at, f"idle:{sched.process.name}")]
 
 
@@ -439,4 +526,4 @@ class TestNoLostWakeup:
         assert not (mps.recv_reqs and len(mps.mailbox))
         for thread in rt.nodes[0].scheduler.threads.values():
             if thread.is_system:
-                assert thread.parked, thread.name
+                assert parked(thread), thread.name

@@ -5,9 +5,10 @@ retransmission backoff must double per retry, and exhausting the retry
 budget must surface MessageLost all the way through NcsRuntime.run().
 
 A retransmission, like the send thread's first transmission, blocks
-until the transport calls it back (``ops.WaitCall``); that block has its
-laws at the end: a signal does not end it, an early call is not lost,
-and it reads ``"wait-event"`` in traces like the event wait it replaced.
+until the transport calls it back (a wake handle, :class:`ops.Wake`);
+that block has its laws at the end: a signal does not end it, an early
+call is not lost, and it reads ``"wait-event"`` in traces like the event
+wait it replaced.
 """
 
 from types import SimpleNamespace
@@ -169,7 +170,7 @@ class TestExactlyOnceUnderLoss:
 
 
 class TestAcceptanceWaitLaws:
-    """``ops.WaitCall``: how the send and EC threads wait for a transport
+    """``ops.Wake``: how the send and EC threads wait for a transport
     to take a message, checked on a real scheduler with the EC thread's
     own retransmission as the waiter."""
 
@@ -213,7 +214,8 @@ class TestAcceptanceWaitLaws:
         sim, sched, thread, log = self._env(
             lambda msg, then: calls.append(then))
         sim.run(until=at / 2)
-        assert thread.state is ThreadState.BLOCKED and not thread.parked
+        assert thread.state is ThreadState.BLOCKED
+        assert thread.parker.waiter is None
         assert thread.block_reason == "wait-event"
         for _ in range(n):
             sched.signal(thread)
@@ -244,20 +246,20 @@ class TestAcceptanceWaitLaws:
 
         def start_send(msg, then):
             if when == "before":
-                then(RuntimeError("path died"))
+                then(exc=RuntimeError("path died"))
             else:
                 calls.append(then)
         sim, sched, thread, log = self._env(start_send)
         if when == "after":
             sim.run(until=0.001)
-            sim.call_at(0.002, calls.pop(), RuntimeError("path died"))
+            sim.call_at(0.002, lambda: calls.pop()(exc=RuntimeError("path died")))
         sim.run(until=0.01)
         at = 0.0 if when == "before" else 0.002
         assert log == [(at + self.SWITCH, "raised", "path died")]
 
     def test_the_block_is_not_a_park(self):
-        op = ops.WaitCall()
-        assert not isinstance(op, ops.Park)
-        op.done()
-        op.done()                    # a second call is ignored
-        assert op.called and op.exc is None
+        handle = ops.Wake()
+        assert handle.keep           # a park drops an early wake
+        handle.wake()
+        handle.wake(exc=RuntimeError("late"))   # a second call is ignored
+        assert handle.kept and handle.exc is None

@@ -109,8 +109,8 @@ class TestResource:
 
 class TestStore:
     def test_try_put_schedules_nothing_for_the_caller(self, sim):
-        """Queued: no event at all; to a parked getter or a deferred
-        consumer: that one's wake-up, and no acknowledgement."""
+        """Queued: no event at all; to a parked getter: that one's
+        wake-up, and no acknowledgement."""
         st = Store(sim)
         assert st.try_put("a") and sim.peek() == float("inf")
         assert st.try_get() == (True, "a")
@@ -119,15 +119,6 @@ class TestStore:
         sim.run()
         assert getter.value == "b"
         assert sim.metrics.value("sim.events_processed") == 1
-        got = []
-
-        def consumer(first):
-            got.append(first)
-            got.append((yield st.get()))
-        st.start_on_first_put(consumer, name="pump")
-        assert st.try_put("c") and st.try_put("d")
-        sim.run()
-        assert got == ["c", "d"]
 
     def test_put_then_get(self, sim):
         st = Store(sim)
