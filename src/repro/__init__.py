@@ -19,8 +19,8 @@ deterministic discrete-event-simulated system:
   BER spikes, host crashes, partitions) for the chaos test suite;
 * :mod:`repro.obs` — unified telemetry: the metrics registry every
   layer publishes into, and Chrome-trace/JSONL span export;
-* :mod:`repro.bench` — the harness regenerating every table and figure,
-  plus the wall-clock perf harness (``python -m repro.bench --perf``).
+* :mod:`repro.bench` — the harness regenerating every table and figure
+  (``python -m repro.bench``).
 
 Quickstart::
 

@@ -16,11 +16,15 @@ A driver is a callable ``driver(run) -> value`` where ``run`` is a
   faults armed and barriers registered) and create NCS threads on it.
   Their bodies are byte-for-byte the hand-wired loops the perf-lock
   goldens were captured from, which is what the spec-equivalence tests
-  in ``tests/config`` assert.
+  in ``tests/config`` assert.  They read ``[app.params]`` through
+  :func:`_params`, so a key they do not know is rejected.
 """
 
 from __future__ import annotations
 
+from inspect import signature
+
+from ..config.spec import SpecError
 from ..core.api import ServiceMode
 from ..registry import APP_DRIVERS
 from . import (run_fft_ncs, run_fft_p4, run_jpeg_ncs, run_jpeg_p4,
@@ -32,6 +36,19 @@ __all__ = []  # everything is reached through the APP_DRIVERS registry
 def _mode(spec_mode):
     """The spec's runtime mode as the enum the app signatures take."""
     return ServiceMode(spec_mode) if isinstance(spec_mode, str) else spec_mode
+
+
+def _params(run, **defaults) -> dict:
+    """``[app.params]`` over ``defaults``, each value cast to its
+    default's type.  A key the driver does not read is a
+    :class:`SpecError`, not a silently ignored setting."""
+    unknown = sorted(set(run.params) - set(defaults))
+    if unknown:
+        raise SpecError(
+            f"app driver {run.spec.app.driver!r}: unknown [app.params] "
+            f"key(s) {', '.join(unknown)}; accepted: "
+            f"{', '.join(sorted(defaults))}")
+    return {k: type(d)(run.params.get(k, d)) for k, d in defaults.items()}
 
 
 def _app_params(run) -> dict:
@@ -111,11 +128,9 @@ def _fft_ncs(run):
     help="Two-host request/reply over the full MPS datapath")
 def _pingpong(run):
     """The perf-lock ``pingpong_ethernet`` body, parameterized."""
-    p = run.params
-    messages = int(p.get("messages", 30))
-    nbytes = int(p.get("nbytes", 2048))
-    data_tag = int(p.get("data_tag", 1))
-    reply_tag = int(p.get("reply_tag", 2))
+    p = _params(run, messages=30, nbytes=2048, data_tag=1, reply_tag=2)
+    messages, nbytes = p["messages"], p["nbytes"]
+    data_tag, reply_tag = p["data_tag"], p["reply_tag"]
     rt = run.runtime
     replies = []
 
@@ -149,11 +164,9 @@ def _ring(run):
     when it isn't, the driver registers it for all hosts itself, so a
     matrix sweep over ``cluster.n_hosts`` needs no per-cell barrier
     table."""
-    p = run.params
-    rounds = int(p.get("rounds", 2))
-    nbytes = int(p.get("nbytes", 4096))
-    tag_base = int(p.get("tag_base", 10))
-    barrier_id = int(p.get("barrier", 0))
+    p = _params(run, rounds=2, nbytes=4096, tag_base=10, barrier=0)
+    rounds, nbytes = p["rounds"], p["nbytes"]
+    tag_base, barrier_id = p["tag_base"], p["barrier"]
     rt = run.runtime
     n = run.cluster.n_hosts
     if barrier_id not in rt.nodes[0].mps.barrier_parties:
@@ -189,11 +202,9 @@ def _alltoall(run):
     Returns per-pid *counts* rather than message lists so the result
     merges cleanly across shard universes (a ghost pid's count is 0 and
     the owner's count wins under the numeric-max merge rule)."""
-    p = run.params
-    rounds = int(p.get("rounds", 2))
-    nbytes = int(p.get("nbytes", 1024))
-    tag_base = int(p.get("tag_base", 100))
-    barrier_id = int(p.get("barrier", 0))
+    p = _params(run, rounds=2, nbytes=1024, tag_base=100, barrier=0)
+    rounds, nbytes = p["rounds"], p["nbytes"]
+    tag_base, barrier_id = p["tag_base"], p["barrier"]
     rt = run.runtime
     n = run.cluster.n_hosts
     if barrier_id not in rt.nodes[0].mps.barrier_parties:
@@ -232,11 +243,9 @@ def _collective(run):
     ``+`` — commutative, so host arrival-order and NIC sorted-order
     folds agree and the correctness flags are strategy-independent."""
     from ..core.mps import group
-    p = run.params
-    rounds = int(p.get("rounds", 2))
-    nbytes = int(p.get("nbytes", 1024))
-    tag_base = int(p.get("tag_base", 20))
-    barrier_id = int(p.get("barrier", 0))
+    p = _params(run, rounds=2, nbytes=1024, tag_base=20, barrier=0)
+    rounds, nbytes = p["rounds"], p["nbytes"]
+    tag_base, barrier_id = p["tag_base"], p["barrier"]
     rt = run.runtime
     n = run.cluster.n_hosts
     if barrier_id not in rt.nodes[0].mps.barrier_parties:
@@ -282,9 +291,10 @@ def _matmul_resilient(run):
     [resilience] table; mode/faults/topology come from the spec (use
     ``hsm-failover`` on ``atm-dual`` for the degradation scenarios)."""
     from .resilient import run_resilient_matmul
-    p = run.params
-    kwargs = {k: p[k] for k in ("n", "units", "seed", "poll_s",
-                                "compute_s_per_unit", "max_polls") if k in p}
+    kwargs = _params(run, **{
+        k: v.default for k, v in
+        signature(run_resilient_matmul).parameters.items()
+        if v.default is not v.empty})
     return run_resilient_matmul(run.runtime, **kwargs)
 
 
@@ -295,11 +305,9 @@ def _stream(run):
     """Host 0 streams ``frames`` messages of ``nbytes`` to host 1, which
     takes ``consumer_sleep`` seconds per frame — the mismatch that flow
     control (``runtime.flow``) exists to absorb."""
-    p = run.params
-    frames = int(p.get("frames", 30))
-    nbytes = int(p.get("nbytes", 32 * 1024))
-    consumer_sleep = float(p.get("consumer_sleep", 0.0))
-    tag = int(p.get("tag", 7))
+    p = _params(run, frames=30, nbytes=32 * 1024, consumer_sleep=0.0, tag=7)
+    frames, nbytes = p["frames"], p["nbytes"]
+    consumer_sleep, tag = p["consumer_sleep"], p["tag"]
     rt = run.runtime
     latencies = []
 

@@ -366,7 +366,7 @@ class SupervisionSpec:
         for name in ("barrier_deadline_s", "worker_grace_s",
                      "liveness_poll_s"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or v <= 0:
+            if not isinstance(v, (int, float)) or not v > 0:  # or NaN
                 raise _err(f"supervision.{name}",
                            f"must be a positive number of wall-clock "
                            f"seconds (got {v!r})")

@@ -11,9 +11,9 @@ ordering; :mod:`~repro.fleet.kpis` reduces each run's metrics snapshot
 to a typed KPI row and renders/persists the resulting document;
 :mod:`~repro.fleet.diff` compares a fresh fleet against a checked-in
 ``KPIS_<fleet>.json`` baseline with per-KPI tolerance windows.  The
-wall-clock ``BENCH_*.json`` files guard *implementation speed*; the
-KPI goldens guard *simulated behavior* — together they pin both axes
-of "did this change break anything".
+KPI goldens guard *simulated behavior*; ``benchmarks/e2e`` measures
+*implementation speed* — together they cover both axes of "did this
+change break anything".
 """
 
 from .kpis import (KPI_SCHEMA, KpiRow, extract_kpis, goodput, kpi_doc,

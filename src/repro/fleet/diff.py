@@ -1,11 +1,10 @@
 """KPI regression diffing: current fleet results vs a checked-in baseline.
 
-The same contract as the wall-clock ``BENCH_*.json`` mechanism
-(:func:`repro.bench.perf.check_regression`), generalized to whole KPI
-documents: a handful of *derived* KPIs get per-key relative tolerance
-windows (quantiles interpolate inside histogram buckets, goodput
-divides by makespan — both legitimately wiggle a few percent when
-unrelated code changes shift a boundary observation across a bucket),
+A fresh fleet is held to a committed baseline, KPI by KPI: a handful
+of *derived* KPIs get per-key relative tolerance windows (quantiles
+interpolate inside histogram buckets, goodput divides by makespan —
+both legitimately wiggle a few percent when unrelated code changes
+shift a boundary observation across a bucket),
 while everything else — message counts, fault counts, digests — is
 bit-exact, because the simulation is deterministic and any drift there
 is a real behavior change.

@@ -209,11 +209,11 @@ def run_fleet(fleet: FleetSpec, jobs: int = 1,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (got {jobs})")
-    if timeout_s is not None and timeout_s <= 0:
+    if timeout_s is not None and not timeout_s > 0:  # or NaN
         raise ValueError(f"timeout_s must be positive (got {timeout_s})")
     if retries < 0:
         raise ValueError(f"retries must be >= 0 (got {retries})")
-    if backoff_s < 0:
+    if not backoff_s >= 0:  # negative or NaN
         raise ValueError(f"backoff_s must be >= 0 (got {backoff_s})")
     if results_dir is not None:
         results_dir = str(Path(results_dir))

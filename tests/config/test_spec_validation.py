@@ -122,6 +122,52 @@ def test_scenario_without_app_cannot_run():
     assert "appless" in msg and "app" in msg
 
 
+# ------------------------------------------------------------- app parameters
+@pytest.mark.parametrize("driver,accepted", [
+    ("pingpong", "messages"), ("ring", "rounds"), ("alltoall", "rounds"),
+    ("collective", "rounds"), ("stream", "frames"),
+    ("matmul-resilient", "units")])
+def test_unknown_app_param_names_driver_key_and_accepted(driver, accepted):
+    spec = ScenarioSpec(
+        name="x", cluster=ClusterSpec(topology="ethernet", n_hosts=2),
+        app=AppSpec(driver=driver, params={"rounds_": 3}))
+    with pytest.raises(SpecError) as exc:
+        run_scenario(spec)
+    msg = str(exc.value)
+    assert repr(driver) in msg and "rounds_" in msg and accepted in msg
+
+
+#: the payload key the 1024-host scenario once used: alltoall reads nbytes
+A2A_TYPO = """
+name = "a2a-typo"
+[cluster]
+topology = "wan-ring"
+[cluster.options]
+n_sites = 4
+hosts_per_site = 1
+[runtime]
+mode = "hsm"
+[app]
+driver = "alltoall"
+[app.params]
+payload_bytes = 64
+"""
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_unknown_app_param_is_rejected_on_both_kernels(shards, tmp_path,
+                                                       capsys):
+    from repro.run import main
+    path = tmp_path / "a2a_typo.toml"
+    path.write_text(A2A_TYPO)
+    spec = loads_scenario(A2A_TYPO, format="toml").replace(shards=shards)
+    with pytest.raises(SpecError, match="payload_bytes"):
+        run_scenario(spec)
+    assert main(["--shards", str(shards), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'alltoall'" in err and "payload_bytes" in err and "nbytes" in err
+
+
 # ----------------------------------------------- NcsNode transport dispatch
 def test_ncsnode_none_mode_raises_clear_error():
     from repro.core.api import NcsRuntime

@@ -267,6 +267,11 @@ class TestFleetSupervision:
             run_fleet(fleet, retries=-1)
         with pytest.raises(ValueError):
             run_fleet(fleet, backoff_s=-0.1)
+        # a NaN timeout would never expire
+        with pytest.raises(ValueError, match="timeout_s"):
+            run_fleet(fleet, timeout_s=float("nan"))
+        with pytest.raises(ValueError, match="backoff_s"):
+            run_fleet(fleet, backoff_s=float("nan"))
 
     def test_cli_retry_flags_require_fleet(self):
         for argv in (["--retries", "1", "x.toml"],

@@ -16,11 +16,19 @@ per transport, that
   message;
 
 and that what a build leaves behind grows with the host count, not its
-square.
+square — up to the 1024-host scale scenario, whose full build meets
+absolute time and memory targets and whose shard builds cost less.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.atm import Service
 from repro.atm.signaling import circuit_key
 from repro.config import ClusterSpec, ScenarioSpec, build_runtime
@@ -149,3 +157,57 @@ def test_construction_is_linear_in_hosts(mode, collectives):
     for key in ("processes", "calendar"):
         assert 0 < big[key] <= 2.2 * small[key], (key, small, big)
         assert big[key] <= 8 * 128
+
+
+SCALE_SCENARIO = (Path(__file__).resolve().parents[2]
+                  / "scenarios" / "scale" / "wan_ring_1024.toml")
+
+#: builds the scenario's blueprint in full, then shard 0 of its plan and
+#: the full build again under tracemalloc; prints one JSON line
+_BUILD_1024 = """
+import gc, json, resource, sys, time, tracemalloc
+from repro.config import load_scenario
+from repro.config.build import build_blueprint
+from repro.net.blueprint import materialize
+from repro.sim.sharded import _plan
+
+spec = load_scenario(sys.argv[1])
+bp = build_blueprint(spec.cluster, spec.obs)
+plan = _plan(spec, bp)
+t0 = time.perf_counter()
+n_hosts = materialize(bp).n_hosts
+wall_s = time.perf_counter() - t0
+rss_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+gc.collect()
+
+def traced_peak(owned):
+    tracemalloc.start()
+    materialize(bp, owned_switches=owned)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    gc.collect()
+    return peak
+
+shard0 = {swn for swn, s in plan.switch_shard.items() if s == 0}
+print(json.dumps({"n_hosts": n_hosts, "shards": plan.n_shards,
+                  "wall_s": wall_s, "rss_bytes": rss_bytes,
+                  "shard0_peak": traced_peak(shard0),
+                  "full_peak": traced_peak(None)}))
+"""
+
+
+def test_1024_host_build_meets_its_targets():
+    """In a fresh process, the full build of the 1024-host wan-ring
+    takes under 10 s and stays under 1 GB resident, and shard 0 of its
+    8-way plan allocates less than the full build at its peak."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILD_1024, str(SCALE_SCENARIO)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert (got["n_hosts"], got["shards"]) == (1024, 8)
+    assert got["wall_s"] < 10.0, got
+    assert got["rss_bytes"] < 1_000_000_000, got
+    assert got["shard0_peak"] < got["full_peak"], got

@@ -33,7 +33,7 @@ WAN_RING_DOC = {
     "cluster": {"topology": "wan-ring", "seed": 7,
                 "options": {"n_sites": 4, "hosts_per_site": 2}},
     "runtime": {"mode": "hsm", "shards": 4, "kernel": "sharded"},
-    "app": {"driver": "alltoall", "params": {"payload_bytes": 512}},
+    "app": {"driver": "alltoall", "params": {"nbytes": 512}},
     "obs": {"metrics": True},
 }
 

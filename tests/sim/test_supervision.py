@@ -113,10 +113,22 @@ class TestSupervisionSpec:
         {"liveness_poll_s": 0}, {"policy": "pray"}, {"max_retries": -1},
         {"max_retries": 1.5},
         {"barrier_deadline_s": 0.01, "liveness_poll_s": 1.0},
+        # NaN compares false with everything: a hung worker would never
+        # run out of time
+        {"barrier_deadline_s": float("nan")},
+        {"worker_grace_s": float("nan")}, {"liveness_poll_s": float("nan")},
     ])
     def test_validation(self, bad):
         with pytest.raises(SpecError):
             SupervisionSpec.from_dict(bad)
+
+    def test_cli_rejects_nan_barrier_deadline(self, tmp_path, capsys):
+        from repro.config import dump_scenario
+        from repro.run import main
+        path = tmp_path / "ring.toml"
+        dump_scenario(ScenarioSpec.from_dict(BASE_DOC), path)
+        assert main(["--barrier-deadline", "nan", str(path)]) == 2
+        assert "supervision.barrier_deadline_s" in capsys.readouterr().err
 
     def test_policy_ladder_properties(self):
         assert SupervisionSpec(policy="retry").retries_allowed == 1
