@@ -329,9 +329,8 @@ class SupervisionSpec:
     progress at all), and worker liveness is polled every
     ``liveness_poll_s`` while waiting, so a crashed worker is detected
     long before the barrier deadline expires.  ``worker_grace_s``
-    bounds teardown: how long an aborted worker gets to acknowledge
-    and join before it is terminated (processes) or reported as leaked
-    (threads cannot be killed).
+    bounds teardown: how long an aborted worker process gets to
+    acknowledge and join before it is terminated.
 
     ``policy`` is the recovery ladder applied after all workers are
     torn down:

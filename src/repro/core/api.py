@@ -60,12 +60,6 @@ class _GhostScheduler:
         self._tid_seq += 1
         return self._tid_seq
 
-    def start(self):
-        raise RuntimeError(
-            "ghost node cannot start; a partially materialized cluster "
-            "only runs under the sharded kernel, which starts owned "
-            "schedulers only")
-
 
 class _GhostMps:
     """Just enough MPS surface for cluster-wide bookkeeping calls
@@ -166,7 +160,8 @@ class NcsRuntime:
             if real is not None and getattr(node, "ghost", False):
                 node.scheduler._tid_seq = real.scheduler._tid_seq
         self._started = False
-        self._procs: list[SimProcess] = []
+        self._procs: dict[int, SimProcess] = {}
+        self._finish_times: dict[int, float] = {}
 
     # each node needs its own strategy instances (they hold per-node state)
     def make_fc(self) -> FlowControl:
@@ -207,17 +202,37 @@ class NcsRuntime:
 
     # ------------------------------------------------------------------ run
     def start(self) -> list[SimProcess]:
-        """``NCS_start`` on every process."""
+        """``NCS_start`` on every process this universe materialized
+        (all of them, except in a sharded worker, whose ghost nodes run
+        in another worker)."""
         if self._started:
             raise RuntimeError("runtime already started")
         self._started = True
-        self._procs = [node.scheduler.start() for node in self.nodes]
-        self._finish_times = [None] * len(self._procs)
-        for i, proc in enumerate(self._procs):
+        for node in self.nodes:
+            if getattr(node, "ghost", False):
+                continue
+            proc = self._procs[node.pid] = node.scheduler.start()
             proc.add_callback(
-                lambda ev, i=i: self._finish_times.__setitem__(
-                    i, self.sim.now))
-        return self._procs
+                lambda ev, pid=node.pid: self._finish_times.__setitem__(
+                    pid, self.sim.now))
+        return list(self._procs.values())
+
+    def advance(self, until: Optional[float] = None,
+                max_events: Optional[int] = None) -> float:
+        """Run the calendar for :meth:`run`; return the makespan.
+
+        This is the one step of :meth:`run` that depends on the kernel.
+        A sharded worker replaces it on its runtime with the window
+        protocol (:class:`repro.sim.sharded.worker.ShardWorker`), and
+        every check :meth:`run` makes afterwards is the same on both
+        kernels.
+        """
+        if any(getattr(node, "ghost", False) for node in self.nodes):
+            raise RuntimeError(
+                "a partially materialized cluster only runs under the "
+                "sharded kernel, whose workers run their own shard")
+        self.sim.run(until=until, max_events=max_events)
+        return max(self._finish_times.values(), default=self.sim.now)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None,
@@ -241,12 +256,12 @@ class NcsRuntime:
         """
         if not self._started:
             self.start()
-        self.sim.run(until=until, max_events=max_events)
+        makespan = self.advance(until, max_events)
         # surface application failures first: a crashed thread is usually
         # the *cause* of any peers left waiting
         if raise_thread_errors:
             self.raise_thread_errors()
-        for proc in self._procs:
+        for proc in self._procs.values():
             if proc.triggered and not proc.ok:
                 _ = proc.value   # re-raise the scheduler's own failure
         # ... and a delivery that died on its way up to a receiver
@@ -267,19 +282,18 @@ class NcsRuntime:
                     f"{len(lost)} message(s) permanently lost (first: "
                     f"{m.kind.value} {m.msg_uid} from process "
                     f"{m.from_process} to process {m.to_process})")
-        unfinished = [p for p in self._procs if not p.triggered]
+        unfinished = [p for p in self._procs.values() if not p.triggered]
         if self.resilience is not None:
             # a crashed (frozen) host's scheduler can never finish; with
             # resilience armed that is a survived failure, not a deadlock
             unfinished = [
-                p for i, p in enumerate(self._procs)
-                if not p.triggered and not self.nodes[i].mps.host.frozen]
+                p for pid, p in self._procs.items()
+                if not p.triggered and not self.nodes[pid].mps.host.frozen]
         if unfinished and until is None:
             names = ", ".join(p.name for p in unfinished)
             raise SimulationError(
                 f"deadlock: schedulers never finished: {names}")
-        times = [t for t in getattr(self, "_finish_times", []) if t is not None]
-        return max(times) if times else self.sim.now
+        return makespan
 
     def raise_thread_errors(self) -> None:
         for node in self.nodes:

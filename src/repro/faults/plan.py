@@ -20,6 +20,7 @@ the generator behind the chaos sweep tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,9 +47,10 @@ class FaultEvent:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        # written so that NaN, which compares false, fails them too
+        if not self.at >= 0:
             raise ValueError("fault time must be non-negative")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and not self.duration > 0:
             raise ValueError("fault duration must be positive (or None)")
 
     @property
@@ -282,7 +284,7 @@ class WorkerFault(FaultEvent):
 
     Unlike every other fault kind, these do not perturb the simulated
     cluster at all — they kill or wedge the **execution substrate**
-    (the sharded kernel's worker process/thread for shard ``shard``)
+    (the sharded kernel's worker process for shard ``shard``)
     so the supervision layer itself can sit under the chaos suite.
     They are therefore invisible to the single kernel and to the
     :class:`~repro.faults.injector.FaultInjector` (``build_fault_plan``
@@ -339,9 +341,9 @@ class WorkerFault(FaultEvent):
 @dataclass(frozen=True)
 class WorkerCrash(WorkerFault):
     """Kill shard ``shard``'s worker dead at window ``window``: the
-    process exits without a word (``os._exit``), the thread returns
-    without reporting.  The coordinator sees silence + a dead worker
-    and classifies the failure as ``crashed``."""
+    process exits without a word (``os._exit``).  The coordinator sees
+    silence + a dead worker and classifies the failure as
+    ``crashed``."""
 
     def describe(self) -> str:
         return (f"worker-crash(shard={self.shard}, window={self.window}, "
@@ -360,10 +362,13 @@ class WorkerStall(WorkerFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not isinstance(self.stall_s, (int, float)) or self.stall_s <= 0:
+        # NaN compares false with everything and an infinite sleep
+        # overflows: both used to pass and kill the worker mid-protocol
+        if (not isinstance(self.stall_s, (int, float))
+                or not 0 < self.stall_s < math.inf):
             raise ValueError(
-                f"worker stall duration must be a positive number of "
-                f"wall-clock seconds (got {self.stall_s!r})")
+                f"worker stall duration must be a positive, finite number "
+                f"of wall-clock seconds (got {self.stall_s!r})")
 
     def describe(self) -> str:
         return (f"worker-stall(shard={self.shard}, window={self.window}, "

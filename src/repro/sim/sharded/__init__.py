@@ -1,0 +1,221 @@
+"""Sharded conservative parallel simulation kernel.
+
+``runtime.kernel = "sharded"`` partitions a spec-built cluster across
+forked worker processes — one :class:`~repro.sim.KernelCore` calendar
+per host group — and synchronizes them with the classic conservative
+window scheme, using cross-shard link propagation delay as lookahead.
+The output is held byte-identical to the single kernel's.
+
+The package follows the run's seams:
+
+* :mod:`.plan` — which shard owns each pid, host, switch and channel,
+  computed from the topology blueprint alone;
+* :mod:`.worker` — one shard's universe: it materializes only its own
+  shard and runs the app driver unchanged, with
+  :meth:`NcsRuntime.advance <repro.core.api.NcsRuntime.advance>`
+  replaced by the window protocol, so every check ``rt.run()`` makes
+  at the end is the single kernel's;
+* :mod:`.protocol` — cross-shard events, their merge order and the
+  coordinator's window barrier;
+* :mod:`.supervise` — wall-clock watchdogs that classify a crashed,
+  hung or poisoned worker as :class:`ShardWorkerError`;
+* :mod:`.merge` — per-shard metrics, traces and driver values merged
+  into one :class:`~repro.config.build.ScenarioResult`;
+* this module — the registered ``sharded`` kernel: plan, fork, run the
+  protocol, recover per ``[runtime.supervision]``, merge.
+
+Virtual circuits are established on first use in each universe that
+meets them — a sender's, or one that imports a burst — and agree bit
+for bit because a circuit's id and labels are a pure function of
+``(src, dst, service)`` (:mod:`repro.atm.signaling`).  Everything built
+per entity is built for owned entities only: failure detectors and
+message-fault filters for owned pids, NIC collective engines for owned
+adapters (the root engine where pid 0 lives).  Every universe arms the
+whole fault plan at the same instants, so shard 0 holds the complete
+``faults.*`` / ``fault:<i>`` record; a fault whose target another shard
+owns touches nothing here, except that a crashed ghost host is marked
+frozen for the resilience layer to read.
+
+Constraints: a shard cut must be a switch-to-switch WAN trunk — host
+TAXI links share a BER rng across both directions and a host can never
+be split from its own adapter/switch, so plans that would cut one raise
+:class:`~repro.config.spec.SpecError`.  Drivers must drive the
+spec-built runtime (``rt.run()``); self-contained apps and drivers that
+aggregate cross-pid state locally (``collective``, ``stream``) are
+rejected or unsupported.
+"""
+
+from __future__ import annotations
+
+import logging
+import multiprocessing
+import os
+import warnings
+
+from ...config.build import ScenarioResult, build_blueprint
+from ...config.spec import ScenarioSpec, SpecError
+from ...obs.recovery import stamp_recovery
+from ...registry import APP_DRIVERS, KERNELS
+from .merge import (MergedMetrics, MergedTracer, ShardedClusterView,
+                    merged_result)
+from .plan import ShardPlan, plan_for, plan_shards
+from .protocol import (CutEvent, coordinate, merge_cut_events, merge_key,
+                       next_window)
+from .supervise import ShardWorkerError, Supervisor
+from .worker import run_worker
+
+__all__ = [
+    "CutEvent", "ShardPlan", "ShardFallbackWarning", "ShardWorkerError",
+    "plan_shards", "merge_key", "merge_cut_events", "next_window",
+    "run_scenario_sharded", "MergedMetrics", "MergedTracer",
+    "ShardedClusterView",
+]
+
+logger = logging.getLogger(__name__)
+
+
+class ShardFallbackWarning(UserWarning):
+    """``runtime.shards > 1`` degraded to the single kernel."""
+
+
+def launch(spec: ScenarioSpec, n: int, attempt: int = 0) -> Supervisor:
+    """Fork one worker per shard; the coordinator keeps a control pipe
+    to each, under a fresh :class:`Supervisor`."""
+    ctx = multiprocessing.get_context("fork")
+    ctls, workers = [], []
+    for s in range(n):
+        parent_conn, child_conn = ctx.Pipe()
+        ctls.append(parent_conn)
+        workers.append(ctx.Process(target=run_worker,
+                                   args=(spec, s, child_conn, attempt),
+                                   name=f"shard-{s}"))
+    for p in workers:
+        p.start()
+    return Supervisor(ctls, workers, spec.supervision)
+
+
+def _fallback_single(spec: ScenarioSpec, reason: str, detail: str,
+                     failures=(), retries: int = 0) -> ScenarioResult:
+    """Run the single kernel — loudly when ``shards > 1`` degrades.
+
+    ``reason`` is a short slug (``"trivial-plan"``, ``"partial-cluster"``,
+    ``"worker-crashed"``, ...) stamped as the ``reason=`` label on the
+    ``kernel.shard_fallback`` counter, so fleets can tell a topology
+    that legitimately collapses apart from a recovery degradation;
+    ``detail`` is the human sentence for the warning.  When the
+    fallback *recovers* from worker failures, the ``kernel.recovery.*``
+    family is stamped too.
+    """
+    degraded = spec.shards > 1
+    if degraded:
+        warnings.warn(ShardFallbackWarning(
+            f"scenario {spec.name!r}: runtime.shards = {spec.shards} "
+            f"falls back to the single kernel [{reason}]: {detail}"),
+            stacklevel=3)
+        logger.info("scenario %r: shard fallback [%s]: %s",
+                    spec.name, reason, detail)
+    result = KERNELS.get("single")(spec)
+    if degraded:
+        metrics = getattr(result.cluster, "metrics", None)
+        if metrics is not None and hasattr(metrics, "counter"):
+            metrics.counter(
+                "kernel.shard_fallback",
+                help="sharded-kernel runs degraded to the single kernel",
+                reason=reason).inc()
+        if failures:
+            stamp_recovery(metrics, getattr(result.cluster, "tracer", None),
+                           failures, retries=retries, fallback_reason=reason)
+    return result
+
+
+@KERNELS.register(
+    "sharded",
+    help="conservative parallel kernel: one worker universe per host group")
+def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
+    """Execute ``spec`` across forked shard workers and merge one
+    result view.
+
+    When the plan collapses to one shard, or the platform cannot fork,
+    the registered ``single`` kernel runs instead, bit-identically
+    (with a :class:`ShardFallbackWarning` if the spec asked for more).
+
+    Execution is supervised: worker failures (crash, hang, poisoned
+    channel) are classified into :class:`ShardWorkerError` and handled
+    per ``spec.supervision.policy`` — relaunch the sharded run up to
+    ``max_retries`` times, degrade to the single kernel, or raise.
+    Either recovery is deterministic; a recovered run's behaviour is
+    byte-identical to an undisturbed one, with the recovery itself
+    visible in ``kernel.recovery.*``.
+
+    Planning reads only the topology blueprint: no cluster is built in
+    the coordinator.  A spec whose cluster table names no complete
+    blueprint (the self-contained table apps build their own platform
+    cluster) runs on the single kernel.
+    """
+    from ...config.build import ensure_components
+    ensure_components()
+    if spec.app is None:
+        raise SpecError(
+            f"scenario {spec.name!r} has no [app] table; nothing to run "
+            "(specs without an app can still be built via build_runtime)")
+    APP_DRIVERS.get(spec.app.driver)          # fail fast on unknown names
+    try:
+        bp = build_blueprint(spec.cluster, spec.obs)
+    except SpecError:
+        # self-contained drivers leave the spec's cluster table partial
+        # — there is nothing to partition, so the single kernel runs
+        # (and re-raises if the spec is genuinely broken)
+        return _fallback_single(
+            spec, "partial-cluster",
+            "the spec's cluster table is partial (self-contained "
+            "drivers build their own cluster)")
+    plan = plan_for(spec, bp)
+    if plan.n_shards <= 1:
+        return _fallback_single(
+            spec, "trivial-plan",
+            "the topology collapses to one shard (a shared LAN "
+            "medium, no ATM fabric, or a single host group)")
+    worker_faults = (spec.faults.to_plan().worker_events
+                     if spec.faults is not None else ())
+    for ev in worker_faults:
+        if ev.shard >= plan.n_shards:
+            raise SpecError(
+                f"scenario {spec.name!r}: {ev.describe()} can never fire: "
+                f"the plan has {plan.n_shards} shard(s), 0 to "
+                f"{plan.n_shards - 1}")
+    if not hasattr(os, "fork"):
+        return _fallback_single(
+            spec, "no-fork", "shard workers are forked processes and "
+            "this platform cannot fork")
+    logger.info(
+        "scenario %r: %d shard(s), lookahead %.6gs, loads %s",
+        spec.name, plan.n_shards, plan.lookahead,
+        [round(w, 3) for w in plan.shard_loads])
+    supervision = spec.supervision
+    failures: list[ShardWorkerError] = []
+    attempt = 0
+    while True:
+        sup = launch(spec, plan.n_shards, attempt)
+        try:
+            payloads = coordinate(sup, plan)
+        except ShardWorkerError as err:
+            sup.shutdown()
+            failures.append(err)
+            logger.warning("scenario %r: attempt %d: %s",
+                           spec.name, attempt, err)
+            if attempt < supervision.retries_allowed:
+                attempt += 1
+                continue
+            if supervision.falls_back:
+                return _fallback_single(
+                    spec, f"worker-{err.reason}", str(err),
+                    failures=failures, retries=attempt)
+            raise
+        except BaseException:
+            # worker-reported errors (driver bugs, spec violations) and
+            # coordinator crashes: tear down and re-raise untouched —
+            # recovery is only for substrate failures
+            sup.shutdown()
+            raise
+        sup.shutdown()
+        return merged_result(spec, plan, payloads, failures, retries=attempt)

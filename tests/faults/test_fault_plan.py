@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import (
     BerSpike, FaultPlan, HostCrash, LinkOutage, MessageLoss, Partition,
-    SwitchPortStall,
+    SwitchPortStall, WorkerStall,
 )
 
 
@@ -18,6 +18,19 @@ class TestEventValidation:
             LinkOutage(at=0.1, duration=0.0, host=0)
         with pytest.raises(ValueError):
             HostCrash(at=0.1, duration=-1.0, host=0)
+
+    def test_nan_and_endless_times_rejected(self):
+        """NaN compares false with everything, so ``at < 0`` and
+        ``duration <= 0`` let it through; a NaN or infinite worker stall
+        raised inside the worker instead of stalling it."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="fault time"):
+            LinkOutage(at=nan, duration=0.1, host=0)
+        with pytest.raises(ValueError, match="fault duration"):
+            HostCrash(at=0.1, duration=nan, host=0)
+        for stall_s in (nan, float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                WorkerStall(shard=0, window=1, stall_s=stall_s)
 
     def test_permanent_is_none_duration(self):
         ev = LinkOutage(at=0.1, host=0)

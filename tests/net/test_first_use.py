@@ -169,11 +169,11 @@ import gc, json, resource, sys, time, tracemalloc
 from repro.config import load_scenario
 from repro.config.build import build_blueprint
 from repro.net.blueprint import materialize
-from repro.sim.sharded import _plan
+from repro.sim.sharded.plan import plan_for
 
 spec = load_scenario(sys.argv[1])
 bp = build_blueprint(spec.cluster, spec.obs)
-plan = _plan(spec, bp)
+plan = plan_for(spec, bp)
 t0 = time.perf_counter()
 n_hosts = materialize(bp).n_hosts
 wall_s = time.perf_counter() - t0
@@ -188,7 +188,7 @@ def traced_peak(owned):
     gc.collect()
     return peak
 
-shard0 = {swn for swn, s in plan.switch_shard.items() if s == 0}
+shard0 = plan.owned_switches(0)
 print(json.dumps({"n_hosts": n_hosts, "shards": plan.n_shards,
                   "wall_s": wall_s, "rss_bytes": rss_bytes,
                   "shard0_peak": traced_peak(shard0),

@@ -22,9 +22,9 @@ from repro.faults.plan import BerSpike, HostCrash, LinkOutage, SwitchPortStall
 from repro.net.blueprint import blueprint_wan_ring, materialize
 from repro.registry import KERNELS
 from repro.resilience import ClusterResilience
-from repro.sim import sharded
-from repro.sim.sharded import (ShardFallbackWarning, _pid_weights,
-                               plan_shards)
+from repro.sim.sharded import ShardFallbackWarning, plan_shards
+from repro.sim.sharded.plan import pid_weights
+from repro.sim.sharded.worker import ShardWorker
 
 ensure_components()
 
@@ -40,7 +40,7 @@ WAN_RING_DOC = {
 
 def _sharded(doc: dict):
     spec = ScenarioSpec.from_dict(doc)
-    return KERNELS.get("sharded")(spec, mode="thread")
+    return KERNELS.get("sharded")(spec)
 
 
 def test_plan_stamps_on_wan_ring():
@@ -60,26 +60,24 @@ def _ghost_pids(cluster) -> set:
             if getattr(stack, "ghost", False)}
 
 
-def test_every_worker_builds_only_its_shard(monkeypatch):
+def test_every_worker_builds_only_its_shard():
     """Faults, resilience and NIC collectives no longer make a worker
     build the whole cluster: each holds ghost rows for the pids it does
     not own, and detectors and collective engines for those it does."""
-    seen, patch = [], sharded._patch_runtime
-
-    def spy(rt, cluster, plan, state):
-        seen.append((set(plan.owned_pids(state.shard_id)), cluster, rt))
-        return patch(rt, cluster, plan, state)
-    monkeypatch.setattr(sharded, "_patch_runtime", spy)
-    _sharded({**WAN_RING_DOC, "resilience": {},
-              "runtime": {"mode": "hsm", "shards": 2, "error": "ack",
-                          "collectives": "nic"},
-              "faults": {"events": [{"kind": "link-outage", "at": 0.004,
-                                     "duration": 0.002, "host": 3}]}})
-    assert [len(owned) for owned, _c, _rt in seen] == [4, 4]
-    for owned, cluster, rt in seen:
-        assert _ghost_pids(cluster) == set(range(8)) - owned
-        assert set(rt.resilience.detectors) == owned
-        assert set(rt._nic_collective_fabric.engines) == owned
+    doc = {**WAN_RING_DOC, "resilience": {},
+           "runtime": {"mode": "hsm", "shards": 2, "error": "ack",
+                       "collectives": "nic"},
+           "faults": {"events": [{"kind": "link-outage", "at": 0.004,
+                                  "duration": 0.002, "host": 3}]}}
+    spec = ScenarioSpec.from_dict(doc)
+    workers = [ShardWorker(spec, shard) for shard in range(2)]
+    owned = [set(w.plan.owned_pids(w.shard_id)) for w in workers]
+    assert [len(pids) for pids in owned] == [4, 4]
+    for pids, w in zip(owned, workers):
+        assert _ghost_pids(w.cluster) == set(range(8)) - pids
+        assert set(w.rt.resilience.detectors) == pids
+        assert set(w.rt._nic_collective_fabric.engines) == pids
+    _sharded(doc)               # and the forked workers run to the end
 
 
 def _partial():
@@ -98,7 +96,8 @@ def test_detectors_exist_only_for_owned_pids():
 def test_ghost_nodes_mirror_real_tid_allocation():
     """t_create on a ghost pid hands out the tid the real node would —
     with resilience attached, its heartbeat system thread counted — so
-    cross-shard tid-based identities agree; ghosts can never start."""
+    cross-shard tid-based identities agree; only a sharded worker
+    can run a universe with ghosts."""
     def fn(_arg=None):
         yield
 
@@ -110,8 +109,9 @@ def test_ghost_nodes_mirror_real_tid_allocation():
             for cluster in (materialize(bp), part))
         for pid in range(bp.n_hosts):
             assert rt_part.t_create(pid, fn) == rt_full.t_create(pid, fn)
-        with pytest.raises(RuntimeError, match="ghost node cannot start"):
-            rt_part.nodes[2].scheduler.start()
+        with pytest.raises(RuntimeError, match="only runs under the "
+                           "sharded kernel"):
+            rt_part.run()
 
 
 def _arm_on_ghosts(*events):
@@ -161,7 +161,7 @@ def test_cost_model_isolates_point_to_point_hotspot():
                     "options": {"n_sites": 4, "hosts_per_site": 2}},
         "app": {"driver": "pingpong"}})
     bp = blueprint_wan_ring(n_sites=4, hosts_per_site=2)
-    weights = _pid_weights(spec, bp.n_hosts)
+    weights = pid_weights(spec, bp.n_hosts)
     assert weights[0] == 1.0 and weights[2] < 1.0
     plan = plan_shards(PlanView(bp), 2, pid_weights=weights)
     assert plan.n_shards == 2
@@ -184,7 +184,7 @@ def test_trivial_plan_falls_back_loudly():
     spec = ScenarioSpec.from_dict(doc)
     with pytest.warns(ShardFallbackWarning, match="falls back to the "
                       "single kernel"):
-        result = KERNELS.get("sharded")(spec, mode="thread")
+        result = KERNELS.get("sharded")(spec)
     snap = result.cluster.metrics.snapshot()
     assert snap["kernel.shard_fallback"] == {"reason=trivial-plan": 1}
 

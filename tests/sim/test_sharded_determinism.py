@@ -21,7 +21,6 @@ Two comparison details matter:
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -29,8 +28,9 @@ import pytest
 from repro.config import load_scenario
 from repro.config.build import run_scenario
 from repro.config.spec import AppSpec, ClusterSpec, ObsSpec, ScenarioSpec
+from repro.core.mps import core
 from repro.obs.export import to_chrome_events
-from repro.sim.sharded import plan_shards, run_scenario_sharded
+from repro.sim.sharded import plan_shards
 from tests.perf_lock.scenarios import behavior_snapshot
 from tests.perf_lock.test_golden_lock import _diff_paths
 
@@ -121,16 +121,21 @@ def test_sharded_report_matches_single_kernel():
     assert list(sharded["atm_switches"]) == list(single["atm_switches"])
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"),
-                    reason="process mode needs fork()")
-def test_thread_and_process_modes_agree():
-    """The worker transport (in-process threads vs forked processes) is
-    an implementation detail: both produce the identical document."""
-    threaded = _doc(run_scenario_sharded(_wan_spec(shards=2),
-                                         mode="thread"))
-    forked = _doc(run_scenario_sharded(_wan_spec(shards=2),
-                                       mode="process"))
-    assert not _diff_paths(threaded, forked)
+def test_a_raise_in_a_delivery_is_raised_on_both_kernels(monkeypatch):
+    """A consumer that raises in the adapter's delivery surfaces as
+    itself on both kernels: a shard worker's ``rt.run()`` ends in the
+    single kernel's checks.  (The worker used to skip the delivery
+    check and report ``deadlock: schedulers never finished``.)"""
+    plain = core.NcsMps._on_arrival
+
+    def broken(self, msg):
+        if self.pid == 0:
+            raise RuntimeError("probe: the arrival broke")
+        plain(self, msg)
+    monkeypatch.setattr(core.NcsMps, "_on_arrival", broken)
+    for shards in (1, 4):
+        with pytest.raises(RuntimeError, match="the arrival broke"):
+            run_scenario(_ring_spec(shards=shards))
 
 
 def test_perturbed_run_is_detected_and_named():

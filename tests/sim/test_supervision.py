@@ -11,9 +11,7 @@ time.  The chaos seam (``worker-crash`` / ``worker-stall`` fault kinds)
 is what puts all of this under deterministic test.
 """
 
-import os
-import queue
-import threading
+import multiprocessing
 import time
 
 import pytest
@@ -23,11 +21,10 @@ from repro.config.spec import ScenarioSpec, SpecError, SupervisionSpec
 from repro.faults import FaultPlan, WorkerCrash, WorkerStall
 from repro.obs.export import to_chrome_events
 from repro.sim.sharded import (ShardFallbackWarning, ShardWorkerError,
-                               _shutdown_workers, run_scenario_sharded)
+                               run_scenario_sharded)
+from repro.sim.sharded.supervise import Supervisor
 from tests.perf_lock.scenarios import behavior_snapshot
 from tests.perf_lock.test_golden_lock import _diff_paths
-
-HAS_FORK = hasattr(os, "fork")
 
 #: a 3-host NYNET ring split 2/1 across the WAN trunk — small enough to
 #: run in milliseconds, sharded enough to have a real window protocol
@@ -73,8 +70,8 @@ def _behavior(result) -> dict:
             "chrome": to_chrome_events(tracer)}
 
 
-def _run(doc: dict, mode="thread"):
-    return run_scenario_sharded(ScenarioSpec.from_dict(doc), mode=mode)
+def _run(doc: dict):
+    return run_scenario_sharded(ScenarioSpec.from_dict(doc))
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +159,15 @@ class TestWorkerFaultPlan:
         # the injector never sees them: nothing to arm on the cluster
         assert build_fault_plan(spec) is None
 
+    def test_a_fault_on_a_shard_the_plan_lacks_is_rejected(self):
+        """The ring splits into two shards; a crash of shard 2 would
+        never fire, and the run used to pass as if it had been tested."""
+        doc = _doc(BASE_DOC, faults=[
+            {"kind": "worker-crash", "shard": 2, "window": 2}])
+        with pytest.raises(SpecError, match=r"can never fire: the plan "
+                           r"has 2 shard\(s\)"):
+            _run(doc)
+
     def test_worker_faults_inert_on_single_kernel(self, single_kernel_doc):
         doc = _doc(BASE_DOC, faults=[
             {"kind": "worker-crash", "shard": 1, "window": 2}])
@@ -172,7 +178,7 @@ class TestWorkerFaultPlan:
 
 
 class TestCrashRecovery:
-    def test_thread_crash_retries_byte_identically(self, single_kernel_doc):
+    def test_process_crash_retries_byte_identically(self, single_kernel_doc):
         doc = _doc(BASE_DOC, faults=[
             {"kind": "worker-crash", "shard": 1, "window": 2}])
         result = _run(doc)
@@ -186,17 +192,6 @@ class TestCrashRecovery:
         assert not diffs, (
             f"recovered run diverged ({len(diffs)}):\n  "
             + "\n  ".join(diffs[:20]))
-
-    @pytest.mark.skipif(not HAS_FORK, reason="fork unavailable")
-    def test_process_crash_retries_byte_identically(self, single_kernel_doc):
-        doc = _doc(BASE_DOC, faults=[
-            {"kind": "worker-crash", "shard": 1, "window": 2}])
-        result = _run(doc, mode="process")
-        snap = result.cluster.metrics.snapshot()
-        assert snap["kernel.recovery.worker_failures"] == {
-            "reason=crashed,shard=1": 1}
-        assert snap["kernel.recovery.retries"] == {"": 1}
-        assert not _diff_paths(single_kernel_doc, _behavior(result))
 
     def test_fallback_policy_degrades_byte_identically(self,
                                                        single_kernel_doc):
@@ -271,14 +266,8 @@ class TestHangDetection:
         assert snap["kernel.recovery.worker_failures"] == {
             "reason=hung,shard=0": 1}
         assert not _diff_paths(single_kernel_doc, _behavior(result))
-        # the stalled thread wakes, reads its abort, and exits: no leak
-        deadline = time.monotonic() + 5.0
-        while (any(t.name.startswith("shard-")
-                   for t in threading.enumerate())
-               and time.monotonic() < deadline):
-            time.sleep(0.02)
-        assert not [t.name for t in threading.enumerate()
-                    if t.name.startswith("shard-")]
+        # every worker of both launches was joined or reaped: no leak
+        assert not multiprocessing.active_children()
 
     def test_stall_below_deadline_is_invisible(self, single_kernel_doc):
         doc = _doc(BASE_DOC, faults=[
@@ -291,57 +280,28 @@ class TestHangDetection:
         assert not _diff_paths(single_kernel_doc, _behavior(result))
 
 
+def _forked(target, *args):
+    proc = multiprocessing.get_context("fork").Process(
+        target=target, args=args, daemon=True)
+    proc.start()
+    return proc
+
+
 class TestShutdownWorkers:
-    def test_leaked_thread_is_reported_not_ignored(self):
-        """A thread worker that ignores its abort past the grace period
-        comes back as a leaked shard id (the structured-teardown
-        satellite: the old code joined silently and leaked)."""
-        release = threading.Event()
-        t = threading.Thread(target=release.wait, name="stuck-shard",
-                             daemon=True)
-        t.start()
-        ch = type("Ch", (), {"send": lambda self, m: None})()
-        try:
-            leaked = _shutdown_workers([ch], [t], "thread", grace=0.05)
-            assert leaked == [0]
-        finally:
-            release.set()
-            t.join(timeout=2.0)
-
-    def test_joined_threads_leak_nothing(self):
-        q_in: queue.Queue = queue.Queue()
-
-        def worker():
-            q_in.get()              # the abort releases the worker
-
-        from repro.sim.sharded import _QueueChannel
-        ch = _QueueChannel(q_in, queue.Queue())
-        t = threading.Thread(target=worker, daemon=True)
-        t.start()
-        assert _shutdown_workers([ch], [t], "thread", grace=2.0) == []
-
-
-class TestQueueChannelPoll:
-    def test_poll_timeout_and_buffering(self):
-        from repro.sim.sharded import _QueueChannel
-        recv_q: queue.Queue = queue.Queue()
-        ch = _QueueChannel(queue.Queue(), recv_q)
+    def test_a_worker_that_ignores_its_abort_is_killed(self):
+        """A worker that ignores its abort past the grace period is
+        terminated: teardown never leaves a process behind."""
+        ours, _theirs = multiprocessing.get_context("fork").Pipe()
+        proc = _forked(time.sleep, 30.0)
+        sup = Supervisor([ours], [proc],
+                         SupervisionSpec(worker_grace_s=0.05))
         t0 = time.monotonic()
-        assert ch.poll(0.05) is False
-        assert time.monotonic() - t0 >= 0.04
-        assert ch.poll(0) is False
-        recv_q.put(("msg", 1))
-        assert ch.poll(0) is True
-        assert ch.poll(0.5) is True     # buffered: no second consume
-        assert ch.recv() == ("msg", 1)
-        assert ch.poll(0) is False
+        sup.shutdown()
+        assert time.monotonic() - t0 < 2.0
+        assert not proc.is_alive() and proc.exitcode != 0
 
-    def test_recv_drains_buffer_in_order(self):
-        from repro.sim.sharded import _QueueChannel
-        recv_q: queue.Queue = queue.Queue()
-        ch = _QueueChannel(queue.Queue(), recv_q)
-        recv_q.put("a")
-        assert ch.poll(0)
-        recv_q.put("b")
-        assert ch.recv() == "a"
-        assert ch.recv() == "b"
+    def test_a_worker_that_reads_its_abort_exits_cleanly(self):
+        ours, theirs = multiprocessing.get_context("fork").Pipe()
+        proc = _forked(theirs.recv)     # the abort releases the worker
+        Supervisor([ours], [proc], SupervisionSpec()).shutdown()
+        assert proc.exitcode == 0
