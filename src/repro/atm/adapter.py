@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..sim import Resource, Simulator, Store
+from ..sim import Resource, Simulator, Store, check_param
 from .aal import Aal, AAL5
 from .cell import CellBurst
 from .link import Channel
@@ -71,10 +71,8 @@ class Sba200Adapter:
                  dma_bandwidth_bps: float = 160e6,
                  train_cells: int = 256):
         """Model one SBA-200: i960 SAR engine + SBus DMA + TAXI uplink."""
-        if i960_per_cell_s < 0:
-            raise ValueError("i960 per-cell time must be non-negative")
-        if dma_bandwidth_bps <= 0:
-            raise ValueError("DMA bandwidth must be positive")
+        check_param("i960_per_cell_s", i960_per_cell_s)
+        check_param("dma_bandwidth_bps", dma_bandwidth_bps, positive=True)
         if train_cells < 1:
             raise ValueError("train_cells must be >= 1")
         self.sim = sim

@@ -38,7 +38,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from ..sim import Simulator
+from ..sim import Simulator, check_param
 from .cell import CellBurst
 
 __all__ = ["LinkSpec", "Channel", "DuplexLink",
@@ -55,10 +55,8 @@ class LinkSpec:
     ber: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.prop_delay_s < 0:
-            raise ValueError("propagation delay must be non-negative")
+        check_param("bandwidth_bps", self.bandwidth_bps, positive=True)
+        check_param("prop_delay_s", self.prop_delay_s)
         if not (0.0 <= self.ber < 1.0):
             raise ValueError("bit error rate must be in [0, 1)")
 

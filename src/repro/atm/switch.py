@@ -28,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..sim import Simulator
+from ..sim import Simulator, check_param
 from .cell import CellBurst
 from .link import Channel
 
@@ -49,8 +49,7 @@ class AtmSwitch:
     def __init__(self, sim: Simulator, name: str,
                  switching_latency_s: float = 10e-6,
                  output_buffer_cells: Optional[int] = 8192):
-        if switching_latency_s < 0:
-            raise ValueError("switching latency must be non-negative")
+        check_param("switching_latency_s", switching_latency_s)
         if output_buffer_cells is not None and output_buffer_cells < 1:
             raise ValueError("output buffer must hold at least one cell")
         self.sim = sim

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -110,6 +111,10 @@ class ClusterSpec:
             raise _err("cluster.seed", f"must be an integer (got {self.seed!r})")
         object.__setattr__(self, "options",
                            _plain_dict(self.options, "cluster.options"))
+        for key, value in self.options.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _err(f"cluster.options.{key}",
+                           f"must be a finite number (got {value!r})")
 
     def to_dict(self) -> dict:
         return _prune({"topology": self.topology, "n_hosts": self.n_hosts,

@@ -6,19 +6,27 @@ the p4 JPEG times of Table 2 *grow* with node count — is that the medium
 serializes all transmissions: while any NIC transmits, everyone else
 defers.
 
-The model is 1-persistent CSMA with FIFO deferral (a capacity-1
-:class:`~repro.sim.Resource`), an inter-frame gap, and an optional
-collision model that charges a jam + binary-exponential-backoff penalty
-when several stations were queued at transmit time.  The default is the
+The model is 1-persistent CSMA with FIFO deferral, an inter-frame gap,
+and an optional collision model that charges a jam + binary-exponential-
+backoff penalty when a station had to defer.  The default is the
 deterministic collision-free variant; the collision model exists as an
 ablation (and is exercised by the tests).
+
+The medium is a FIFO server whose departures are floats, like
+:class:`repro.atm.link.Channel`; no process runs per NIC.  A NIC asks
+for it in the call that hands it a frame; a frame that starts at ``S``
+arms its delivery at ``E + prop`` and its gap end at ``E + ifg``
+(``E = S + tx``), which picks the next holder, as a jam end and a
+backoff retry do.  A request made at an instant where one of those is
+still due runs after it.  Faults are read at delivery.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from collections import deque
+from typing import Any, Callable, Optional
 
-from ..sim import Event, Resource, RngRegistry, Simulator, Store
+from ..sim import RngRegistry, Simulator, check_param
 from .frame import ETHERNET_IFG_BITS, EthernetFrame
 
 __all__ = ["EthernetLan", "EthernetNic"]
@@ -34,10 +42,8 @@ class EthernetLan:
                  prop_delay_s: float = 10e-6,
                  collisions: bool = False,
                  rngs: Optional[RngRegistry] = None):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if prop_delay_s < 0:
-            raise ValueError("propagation delay must be non-negative")
+        check_param("bandwidth_bps", bandwidth_bps, positive=True)
+        check_param("prop_delay_s", prop_delay_s)
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
         self.prop_delay_s = prop_delay_s
@@ -45,8 +51,14 @@ class EthernetLan:
         rngs = rngs or RngRegistry()
         self._rng = rngs.stream("ethernet.backoff")
         self._fault_rng = rngs.stream("ethernet.faults")
-        self.medium = Resource(sim, capacity=1, name="ether-medium")
         self.nics: dict[str, "EthernetNic"] = {}
+        #: the medium: held by a frame or a jam until its end's entry,
+        #: which hands it to the first NIC that found it held
+        self.busy = False
+        self._waiters: deque = deque()
+        #: instant -> entries still due then; requests held back for them
+        self._due: dict[float, int] = {}
+        self._later: list = []
         #: fault state: segment outage / transient BER (frames are lost
         #: whole — TCP above retransmits, as it would on real coax)
         self.up = True
@@ -104,37 +116,87 @@ class EthernetLan:
         slots = int(self._rng.integers(0, 2 ** k))
         return slots * SLOT_BITS / self.bandwidth_bps
 
-    # ------------------------------------------------------------- transmit
-    def transmit(self, frame: EthernetFrame) -> Generator[Event, Any, None]:
-        """Occupy the medium for one frame and deliver it (generator)."""
-        if frame.dst not in self.nics:
-            raise KeyError(f"no NIC with address {frame.dst!r} on this LAN")
-        attempt = 0
-        medium = self.medium
-        while True:
-            contended = not medium.try_acquire()
-            if contended:
-                yield medium.request()
-            if self.collisions and contended and attempt < 16:
-                # We deferred behind someone: with the paper-era loads this
-                # is when real CSMA/CD would have collided.  Charge a jam
-                # time plus backoff, release, and retry.
-                self.collision_events += 1
-                self._m_collisions.inc()
-                attempt += 1
-                yield self.sim.timeout(SLOT_BITS / self.bandwidth_bps)
-                medium.release()
-                yield self.sim.timeout(self._backoff_time(attempt))
-                continue
-            break
-        yield self.sim.timeout(self.tx_time(frame.wire_bytes))
-        # Schedule delivery at the far end after propagation; the medium is
-        # held a further inter-frame gap before the next sender may start
-        # (should the two ever tie, the gap ends first).
-        gap = self.sim.timeout(self.ifg_time)
-        self.sim.call_in(self.prop_delay_s, self._deliver, frame)
-        yield gap
-        medium.release()
+    # ---------------------------------------------------------------- medium
+    def _request(self, nic: "EthernetNic") -> None:
+        """``nic`` has taken a frame: drop it (and what is queued behind
+        it) if the NIC is down, else ask for the medium."""
+        if self.sim.now in self._due:
+            self._later.append((self._request, nic))
+            return
+        while not nic.up:
+            # a crashed host's queued frames never make the wire
+            self.frames_dropped += 1
+            self._m_dropped.inc()
+            if not nic._next():
+                return
+        self._ask(nic)
+
+    def _ask(self, nic: "EthernetNic") -> None:
+        if self.busy:
+            self._waiters.append(nic)
+        else:
+            self.busy = True
+            self._seize(nic, contended=False)
+
+    def _seize(self, nic: "EthernetNic", contended: bool) -> None:
+        now = self.sim.now
+        if contended and self.collisions and nic._attempt < 16:
+            # We deferred behind someone: with the paper-era loads this
+            # is when real CSMA/CD would have collided.  Charge a jam
+            # time plus backoff, then retry.
+            self.collision_events += 1
+            self._m_collisions.inc()
+            nic._attempt += 1
+            self._arm(now + SLOT_BITS / self.bandwidth_bps, self._jam_end, nic)
+            return
+        nic._attempt = 0
+        frame = nic._frame
+        end = now + self.tx_time(frame.wire_bytes)
+        # should the gap end and the delivery ever tie, the gap ends first
+        self._arm(end + self.ifg_time, self._gap_end, nic)
+        self._arm(end + self.prop_delay_s, self._deliver, frame, due=False)
+
+    def _arm(self, when: float, fn: Callable, arg: Any,
+             due: bool = True) -> None:
+        """The segment's calendar entries: ``fn(arg)`` at ``when``; a
+        gap end, jam end or retry counts as due there until it has run."""
+        if due:
+            self._due[when] = self._due.get(when, 0) + 1
+            fn, arg = self._fire, (fn, arg)
+        self.sim.call_at(when, fn, arg)
+
+    def _fire(self, entry: tuple) -> None:
+        fn, arg = entry
+        fn(arg)
+        due, now = self._due, self.sim.now
+        left = due.pop(now) - 1
+        if left:
+            due[now] = left
+        else:
+            while self._later:
+                fn, arg = self._later.pop(0)
+                fn(arg)
+
+    def _release(self) -> None:
+        if self._waiters:
+            self._seize(self._waiters.popleft(), contended=True)
+        else:
+            self.busy = False
+
+    def _gap_end(self, nic: "EthernetNic") -> None:
+        self._release()
+        nic.frames_sent += 1
+        if nic._next():
+            self._later.append((self._request, nic))
+
+    def _jam_end(self, nic: "EthernetNic") -> None:
+        backoff = self._backoff_time(nic._attempt)
+        if backoff:
+            self._arm(self.sim.now + backoff, self._ask, nic)
+        else:
+            self._later.append((self._ask, nic))
+        # the retry before the next holder's jam end: at a tie it runs first
+        self._release()
 
     def _deliver(self, frame: EthernetFrame) -> None:
         nic = self.nics[frame.dst]
@@ -159,18 +221,21 @@ class EthernetLan:
 
 
 class EthernetNic:
-    """A station NIC: a transmit queue drained by a background process.
+    """A station NIC: a transmit queue behind the frame being sent.
 
-    Upper layers call :meth:`enqueue`; the drain process arbitrates for
-    the shared medium frame by frame.  Received frames are handed to the
-    registered receive handler (the IP layer).
+    Upper layers call :meth:`enqueue`; the segment takes the NIC's
+    frames one by one.  Received frames are handed to the registered
+    receive handler (the IP layer).
     """
 
     def __init__(self, sim: Simulator, lan: EthernetLan, address: str):
         self.sim = sim
         self.lan = lan
         self.address = address
-        self._txq: Store = Store(sim, name=f"ethertx:{address}")
+        self._txq: deque = deque()
+        #: the frame the NIC is sending or asking to send, and its tries
+        self._frame: Optional[EthernetFrame] = None
+        self._attempt = 0
         self._rx_handler: Optional[Callable[[EthernetFrame], None]] = None
         self._seq = 0
         #: fault state: a down NIC is deaf and mute (host crash / cable pull)
@@ -179,7 +244,6 @@ class EthernetNic:
         #: (targeted receive-side loss — see repro.faults)
         self.rx_fault: Optional[Callable[[EthernetFrame], bool]] = None
         lan.attach(self)
-        sim.process(self._drain(), name=f"ethernic:{address}")
         #: counters
         self.frames_sent = 0
         self.frames_received = 0
@@ -207,18 +271,16 @@ class EthernetNic:
         self._seq += 1
         frame = EthernetFrame(self.address, dst, payload, payload_bytes,
                               seq=self._seq)
-        self._txq.try_put(frame)
+        if self._frame is None:
+            self._frame = frame
+            self.lan._request(self)
+        else:
+            self._txq.append(frame)
 
-    def _drain(self):
-        while True:
-            frame = yield self._txq.get()
-            if not self.up:
-                # a crashed host's queued frames never make the wire
-                self.lan.frames_dropped += 1
-                self.lan._m_dropped.inc()
-                continue
-            yield from self.lan.transmit(frame)
-            self.frames_sent += 1
+    def _next(self) -> bool:
+        """Take the next queued frame; False when there is none."""
+        self._frame = self._txq.popleft() if self._txq else None
+        return self._frame is not None
 
     def _receive(self, frame: EthernetFrame) -> None:
         self.frames_received += 1

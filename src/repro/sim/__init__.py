@@ -11,6 +11,7 @@ from .kernel import (
     SimulationError,
     Simulator,
     Timeout,
+    check_param,
 )
 from .resources import Mailbox, Resource, Store
 from .rng import RngRegistry
@@ -18,7 +19,7 @@ from .trace import Activity, Interval, NullTracer, Timeline, Tracer
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "KernelCore", "PENDING",
-    "SimProcess", "SimulationError", "Simulator", "Timeout",
+    "SimProcess", "SimulationError", "Simulator", "Timeout", "check_param",
     "Mailbox", "Resource", "Store",
     "RngRegistry",
     "Activity", "Interval", "NullTracer", "Timeline", "Tracer",

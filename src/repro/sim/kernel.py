@@ -29,6 +29,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.registry import MetricsRegistry
@@ -44,6 +45,7 @@ __all__ = [
     "SimulationError",
     "KernelCore",
     "Simulator",
+    "check_param",
 ]
 
 
@@ -59,6 +61,15 @@ PENDING = _Pending()
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double triggers, running a dead process...)."""
+
+
+def check_param(name: str, value: float, positive: bool = False) -> None:
+    """Reject a model parameter that would become a delay or a rate the
+    calendar cannot hold: NaN, an infinity, a negative (or, with
+    ``positive``, a zero) value."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be a finite number "
+                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
 
 
 class Interrupt(Exception):

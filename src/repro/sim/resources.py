@@ -2,10 +2,10 @@
 
 Three building blocks used throughout the network and OS models:
 
-* :class:`Resource` — a counted semaphore-like resource (e.g. the shared
-  Ethernet medium, a DMA engine) with FIFO queueing.
+* :class:`Resource` — a counted semaphore-like resource (e.g. a host
+  CPU, a DMA engine) with FIFO queueing.
 * :class:`Store` — an unbounded/bounded FIFO of items with blocking get
-  (e.g. a switch output queue, a NIC transmit ring).
+  (e.g. an adapter's receive queue, a socket's message queue).
 * :class:`Mailbox` — a tag/source-matched message store implementing the
   wildcard matching semantics of ``p4_recv`` and ``NCS_recv``
   (``-1`` matches anything, as in Fig 7 / Fig 17 of the paper).
@@ -92,12 +92,6 @@ class Resource:
             ev.succeed(self)  # slot transfers directly to the waiter
         else:
             self._in_use -= 1
-
-    def locked(self):
-        """Generator helper: ``yield from resource.locked()`` acquires;
-        the caller must still :meth:`release` (kept explicit so the model
-        can charge CPU time inside the critical section)."""
-        yield self.request()
 
 
 class Store:

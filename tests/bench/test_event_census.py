@@ -39,20 +39,20 @@ def test_census_accounts_for_every_event_of_a_quick_cell():
 
 @pytest.fixture(scope="module")
 def every_quick_cell():
-    """The census of all seven cells, every row: ``(event, site)``."""
+    """The census of all seven cells, every row: ``(event, via, site)``."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--quick", "--top", "1000"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("####") == 7
-    return set(re.findall(r"^\| \d+\.\d+ \| \w+ \| (\S+) \| .*? \| `([^`]+)` \|$",
-                          proc.stdout, re.M))
+    return set(re.findall(r"^\| \d+\.\d+ \| \w+ \| (\S+) \| `([^`]+)` \| "
+                          r"`([^`]+)` \|$", proc.stdout, re.M))
 
 
 def test_no_cell_wakes_a_sibling_thread_through_the_calendar(every_quick_cell):
     """The five signal events (ARCHITECTURE.md, "What may go on the
     calendar", fifth class) are in no row of any of the seven cells."""
-    labels = {event for event, _site in every_quick_cell}
+    labels = {event for event, _via, _site in every_quick_cell}
     assert {"timeout", "boot", "get"} <= labels
     assert not labels & {"sendsig", "recvsig", "arrival", "AnyOf",
                          "ec-signal", "fc-credit-signal", "fc-rate-signal"}
@@ -63,12 +63,29 @@ def test_no_cell_hands_a_message_over_through_the_calendar(every_quick_cell):
     ``submitted`` event of the Fig 2 pipeline, no pump process behind
     the ATM API (its boots and ``get`` s were scheduled by the API's
     delivery) in any row of any of the seven cells."""
-    labels = {event for event, _site in every_quick_cell}
+    labels = {event for event, _via, _site in every_quick_cell}
     assert not labels & {"ncs-atm-accepted", "ncs-sock-accepted",
                          "submitted"}
-    assert not {site for _event, site in every_quick_cell
+    assert not {site for _event, _via, site in every_quick_cell
                 if site.startswith("atm/api.py:")}
     # what is left of the chain: the runner's boot and the two drains
     assert {("boot", "core/mps/transports.py:start_send"),
             ("get", "core/mps/buffers.py:pipelined_send"),
-            ("get", "atm/adapter.py:receive_burst")} <= every_quick_cell
+            ("get", "atm/adapter.py:receive_burst")} <= {
+                (event, site) for event, _via, site in every_quick_cell}
+
+
+def test_the_segment_puts_only_its_own_entries_on_the_calendar(
+        every_quick_cell):
+    """Fourth class, Ethernet: no NIC drain process, no wake-up of one
+    by an enqueue, no medium grant or per-frame timer; a frame's
+    delivery and gap end are ``call_at`` entries from one site, as a
+    burst's landing is from ``atm/link.py:_serve``."""
+    segment = {row for row in every_quick_cell
+               if row[2].startswith("ethernet/")}
+    assert not {site for _event, _via, site in segment} & {
+        "ethernet/lan.py:_drain", "ethernet/lan.py:enqueue",
+        "ethernet/lan.py:transmit"}
+    assert segment == {("at", "Simulator.call_at", "ethernet/lan.py:_arm")}
+    assert ("at", "Simulator.call_at", "atm/link.py:_serve") \
+        in every_quick_cell

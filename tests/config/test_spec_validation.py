@@ -187,3 +187,56 @@ def test_ncsnode_unknown_mode_string_raises_with_alternatives():
         NcsRuntime(build_ethernet_cluster(2), mode="quantum")
     msg = str(exc.value)
     assert "quantum" in msg and "hsm" in msg and "nsm" in msg and "p4" in msg
+
+
+# ----------------------------------------------------- non-finite topology floats
+# NaN passes a ``<= 0`` / ``< 0`` check: a NaN rate or delay used to hang
+# the kernel (Ethernet) or end in a bare assertion deep inside it (ATM),
+# and an infinite rate made zero-length frames.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _model(name):
+    from repro.atm.adapter import Sba200Adapter
+    from repro.atm.link import LinkSpec
+    from repro.atm.switch import AtmSwitch
+    from repro.ethernet import EthernetLan
+    from repro.sim import Simulator
+    return {
+        "EthernetLan.bandwidth_bps":
+            lambda v: EthernetLan(Simulator(), bandwidth_bps=v),
+        "EthernetLan.prop_delay_s":
+            lambda v: EthernetLan(Simulator(), prop_delay_s=v),
+        "AtmSwitch.switching_latency_s":
+            lambda v: AtmSwitch(Simulator(), "sw", switching_latency_s=v),
+        "LinkSpec.bandwidth_bps": lambda v: LinkSpec("l", v),
+        "LinkSpec.prop_delay_s": lambda v: LinkSpec("l", 1e6, v),
+        "Sba200Adapter.i960_per_cell_s":
+            lambda v: Sba200Adapter(Simulator(), "h", i960_per_cell_s=v),
+        "Sba200Adapter.dma_bandwidth_bps":
+            lambda v: Sba200Adapter(Simulator(), "h", dma_bandwidth_bps=v),
+    }[name]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("param", [
+    "EthernetLan.bandwidth_bps", "EthernetLan.prop_delay_s",
+    "AtmSwitch.switching_latency_s", "LinkSpec.bandwidth_bps",
+    "LinkSpec.prop_delay_s", "Sba200Adapter.i960_per_cell_s",
+    "Sba200Adapter.dma_bandwidth_bps"])
+def test_models_reject_non_finite_parameters(param, value):
+    with pytest.raises(ValueError) as exc:
+        _model(param)(value)
+    msg = str(exc.value)
+    assert param.split(".")[1] in msg and repr(value) in msg
+
+
+@pytest.mark.parametrize("topology,key", [
+    ("ethernet", "bandwidth_bps"), ("atm-dual", "bandwidth_bps"),
+    ("atm-lan", "switch_latency_s")])
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_non_finite_cluster_option_is_a_spec_error(topology, key, value):
+    with pytest.raises(SpecError) as exc:
+        ClusterSpec(topology=topology, n_hosts=2, options={key: value})
+    assert f"cluster.options.{key}" in str(exc.value)
+    assert repr(value) in str(exc.value)

@@ -98,11 +98,11 @@ def fault_script(rng, cluster, horizon):
     if cluster.lan is not None:
         lan = cluster.lan
         targets = [("segment", lan.fail, lan.restore,
-                    lambda: lan.medium.in_use > 0)]
+                    lambda: lan.busy)]
         for addr, nic in sorted(lan.nics.items()):
             targets.append((f"nic:{addr}", nic.fail, nic.restore,
                             lambda nic=nic: nic.tx_queue_len > 0
-                            or lan.medium.in_use > 0))
+                            or lan.busy))
     else:
         fabric = cluster.fabric
         targets = []

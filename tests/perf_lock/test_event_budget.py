@@ -12,8 +12,9 @@ These ceilings do.  The counts are exact and repeatable; each ceiling
 sits 1–2 events above today's figure, where one extra zero-delay hop per
 message (a ping-pong message crosses ~4 frames or bursts) trips it.  The
 cells are the ``benchmarks/e2e`` shapes: ``msg_small``'s two legs (at
-100 round trips instead of 325), ``a2a_wan`` whole and ``coll_256`` at
-64 hosts.
+100 round trips instead of 325), ``msg_bulk``'s Ethernet leg (at 20
+round trips instead of 55), ``a2a_wan`` whole and ``coll_256`` at 64
+hosts.
 
 A ceiling that fails because the *model* now does more per message (a
 new protocol step) is raised in the PR that adds the step, with the
@@ -32,12 +33,17 @@ from repro.obs import counter_total
 #: before a burst crossed a hop on one entry: 65.0, 60.5, 45.7, 96.1;
 #: before system threads parked and were signalled directly: 64.9, 50.3,
 #: 34.4, 60.6; before the transport handed over by calling: 55.6, 39.4,
-#: 26.2, 56.0 (today: 53.6, 33.4, 23.2, 56.0)
+#: 26.2, 56.0; before the Ethernet segment was arithmetic: 53.6 (and
+#: 753.4 for the 64 KiB cell) (today: 44.6, 482.4, 33.4, 23.2, 56.0)
 BUDGETS = {
     "pingpong-256B-ethernet-nsm": (
         {"topology": "ethernet", "n_hosts": 2},
         {"mode": "nsm", "error": "ack"},
-        "pingpong", {"messages": 100, "nbytes": 256}, 55.0),
+        "pingpong", {"messages": 100, "nbytes": 256}, 46.0),
+    "pingpong-64KiB-ethernet-nsm": (
+        {"topology": "ethernet", "n_hosts": 2},
+        {"mode": "nsm", "error": "ack"},
+        "pingpong", {"messages": 20, "nbytes": 65536}, 484.0),
     "pingpong-256B-atm-lan-hsm": (
         {"topology": "atm-lan", "n_hosts": 2},
         {"mode": "hsm", "error": "ack"},
