@@ -5,6 +5,8 @@ measure the host interpreter doing the real work — DCT, quantization,
 entropy coding — on the paper's 600 KB image, with correctness asserted
 alongside.  The entropy coder is timed stage by stage as well, so a
 regression lands on RLE or Huffman, encode or decode, not on "compress".
+Huffman decode is timed on the 30 bands one ``paper_tables`` pass
+decodes (Table 2's p4 and NCS band splits, once per platform).
 """
 
 import numpy as np
@@ -14,9 +16,11 @@ from repro.apps.jpeg import (
     HuffmanCode, benchmark_image, blockify, compress, dct2, decompress, psnr,
     quality_table, quantize, to_zigzag,
 )
+from repro.apps.jpeg.distributed import band_slices
 from repro.apps.jpeg.rle import (
     decode_block_keys, encode_block_keys, symbol_of,
 )
+from repro.bench.paper_data import TABLE_NODES
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +51,7 @@ def test_bench_decompress_600k(benchmark, image, compressed):
     assert psnr(image, rec) > 30.0
 
 
-@pytest.fixture(scope="module")
-def stages(image, compressed):
+def entropy_stages(image):
     """What each entropy stage of ``compress(image)`` is handed."""
     zz = to_zigzag(quantize(
         dct2(blockify(image.astype(np.float64) - 128.0)), quality_table(75)))
@@ -57,9 +60,29 @@ def stages(image, compressed):
     freqs = dict(zip(map(symbol_of, keys.tolist()), counts.tolist()))
     code = HuffmanCode.from_frequencies(freqs)
     indices = code.index(freqs)[stream]
-    assert code.lengths == compressed.code_lengths
     return {"zz": zz, "freqs": freqs, "code": code, "indices": indices,
             "keys": keys[stream]}
+
+
+@pytest.fixture(scope="module")
+def stages(image, compressed):
+    out = entropy_stages(image)
+    assert out["code"].lengths == compressed.code_lengths
+    return out
+
+
+@pytest.fixture(scope="module")
+def table2_bands(image):
+    """(compressed band, the index stream ``compress`` coded) for every
+    band a ``paper_tables`` pass decodes: N/2 p4 bands and N NCS
+    sub-bands per Table 2 row."""
+    bands = [image[sl]
+             for nodes in TABLE_NODES["table2"].values() for n in nodes
+             for parts in (n // 2, n)
+             for sl in band_slices(image.shape[0], parts)]
+    assert len(bands) == 30
+    return [(compress(band), entropy_stages(band)["indices"])
+            for band in bands]
 
 
 def test_bench_rle_encode(benchmark, stages):
@@ -77,14 +100,16 @@ def test_bench_huffman_encode(benchmark, stages, compressed):
     assert payload == compressed.payload
 
 
-def test_bench_huffman_decode(benchmark, stages, compressed):
+def test_bench_huffman_decode(benchmark, table2_bands):
     def decode():
-        # a fresh code: building the prefix table is part of every
+        # fresh codes: building the prefix table is part of every
         # decompress
-        return HuffmanCode(compressed.code_lengths).decode_indices(
-            compressed.payload, compressed.n_symbols)
-    indices = benchmark.pedantic(decode, rounds=5, iterations=1)
-    assert np.array_equal(indices, stages["indices"])
+        return [HuffmanCode(comp.code_lengths).decode_indices(
+                    comp.payload, comp.n_symbols)
+                for comp, _ in table2_bands]
+    decoded = benchmark.pedantic(decode, rounds=5, iterations=1)
+    for out, (_, indices) in zip(decoded, table2_bands, strict=True):
+        assert np.array_equal(out, indices)
 
 
 def test_bench_rle_decode(benchmark, stages):

@@ -104,11 +104,13 @@ def run_p4_programs(cluster: Cluster, procs,
         proc.add_callback(lambda ev, i=i: finish.__setitem__(
             i, cluster.sim.now))
     cluster.sim.run(max_events=max_events)
+    # a crashed program is usually why its peers are still waiting
+    for proc in procs:
+        if proc.triggered and not proc.ok:
+            _ = proc.value  # re-raise the program's own failure
     missing = [p.name for p in procs if not p.triggered]
     if missing:
         raise RuntimeError(f"p4 programs never finished: {missing}")
-    for proc in procs:
-        _ = proc.value  # re-raise program failures
     return max(finish.values())
 
 

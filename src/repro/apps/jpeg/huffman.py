@@ -6,8 +6,9 @@ travels with the compressed data, as a real JFIF file's DHT segments
 do).  Includes a bit-level writer/reader pair.
 
 A stream is coded as an array of indices into :attr:`HuffmanCode.alphabet`
-(``encode_indices`` / ``decode_indices``); ``encode`` / ``decode`` are
-the same thing for callers holding the symbols themselves.
+by whole-array operations (``encode_indices`` gathers code bits,
+``decode_indices`` walks the bitstream by pointer doubling); ``encode`` /
+``decode`` are the same thing for callers holding the symbols themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from typing import Any, Iterable, Mapping, Optional
 import numpy as np
 
 __all__ = ["HuffmanCode", "BitWriter", "BitReader"]
+
+#: symbols per step of the decoder's walk (four pointer doublings) and
+#: per block (a multiple of it: a whole block ends where the next starts)
+JUMP, BLOCK_SYMBOLS = 16, 4096
 
 
 class BitWriter:
@@ -110,9 +115,9 @@ class HuffmanCode:
         self._decode = {(l, c): i
                         for i, (c, l) in enumerate(self.codes.values())}
         self.max_len = max(self.lengths.values())
-        # window of the next min(max_len, TABLE_BITS) bits -> (alphabet
-        # index, length); built by the first decode
-        self._table: Optional[list] = None
+        # window of the next min(max_len, TABLE_BITS) bits -> alphabet index
+        # and code length (0: no code); two arrays, built by the first decode
+        self._table: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------ building
     @classmethod
@@ -215,62 +220,72 @@ class HuffmanCode:
         return int(self._lengths[self.index(symbols)].sum())
 
     # ------------------------------------------------------------- decoding
-    def _prefix_table(self) -> list:
-        table = self._table
-        if table is None:
+    def _prefix_table(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._table is None:
             bits = min(self.max_len, self.TABLE_BITS)
-            table = [None] * (1 << bits)
-            for i, (code, length) in enumerate(self.codes.values()):
+            index = np.zeros(1 << bits, dtype=np.int32)
+            length = np.zeros(1 << bits, dtype=np.int32)
+            for i, (code, l) in enumerate(self.codes.values()):
                 # a code too wide for its length (an over-subscribed
                 # alphabet) can never be read back
-                if 0 < length <= bits and not code >> length:
-                    pad = bits - length
-                    table[code << pad:(code + 1) << pad] = (
-                        [(i, length)] * (1 << pad))
-            self._table = table
-        return table
+                if 0 < l <= bits and not code >> l:
+                    span = slice(code << (bits - l), (code + 1) << (bits - l))
+                    index[span], length[span] = i, l
+            self._table = index, length
+        return self._table
 
     def decode_indices(self, data: bytes, n_symbols: int) -> np.ndarray:
         """The alphabet indices of the first ``n_symbols`` symbols of
         ``data``.
 
+        ``step[p]``, where the symbol at bit ``p`` ends by the prefix
+        table (``p`` if the table does not settle it), doubled four times
+        is ``jump``: the walk takes one Python step per ``JUMP`` symbols
+        and gathers fill in the rest.  The first unsettled symbol of a
+        block goes to :meth:`_match_bitwise`.
+
         Raises ``EOFError("bitstream exhausted")`` when the data ends
         inside a symbol and ``ValueError`` when ``max_len + 1`` bits
         match no code.
         """
-        table = self._prefix_table()
-        bits = len(table).bit_length() - 1
-        out: list = []
-        append = out.append
-        acc = nbits = 0  # the low nbits of acc: read from data, not yet used
-        pos = 0          # next byte of data to read
-        for _ in range(n_symbols):
-            if nbits < bits:
-                chunk = data[pos:pos + 4]
-                pos += len(chunk)
-                acc = (acc << (8 * len(chunk))) | int.from_bytes(chunk, "big")
-                nbits += 8 * len(chunk)
-            # past the end of data the window is padded with zeros; an
-            # entry reaching into the padding does not count
-            entry = table[acc >> (nbits - bits) if nbits >= bits
-                          else acc << (bits - nbits)]
-            if entry is not None and entry[1] <= nbits:
-                nbits -= entry[1]
-                acc &= (1 << nbits) - 1
-                append(entry[0])
-                continue
-            # a code longer than the window, the end of the data, or bits
-            # that match nothing: settle it one bit at a time
-            start = pos * 8 - nbits
-            index, length = self._match_bitwise(BitReader(data, start))
-            append(index)
-            pos, used = divmod(start + length, 8)
-            acc = nbits = 0
-            if used:
-                nbits = 8 - used
-                acc = data[pos] & ((1 << nbits) - 1)
-                pos += 1
-        return np.array(out, dtype=np.intp)
+        index, length = self._prefix_table()
+        bits = len(index).bit_length() - 1
+        n_bits = 8 * len(data)
+        # the window at every bit position, zero-padded past the end: the
+        # 24 bits from each byte on, shifted once per bit offset
+        raw = np.frombuffer(data + bytes(3), dtype=np.uint8).astype(np.int32)
+        wide = raw[:-2] << 16 | raw[1:-1] << 8 | raw[2:]
+        window = ((wide[:, None] >> (24 - bits - np.arange(8, dtype=np.int32)))
+                  & ((1 << bits) - 1)).ravel()[:n_bits + 1]
+        step = np.arange(n_bits + 1, dtype=np.int32) + length.take(window)
+        # a code reaching past the data is no more settled than no code
+        over = np.flatnonzero(step > n_bits)
+        step[over] = over
+        jump = step
+        for _ in range(JUMP.bit_length() - 1):
+            jump = jump.take(jump)
+        out = np.empty(max(n_symbols, 0), dtype=np.intp)
+        done = p = 0
+        while done < n_symbols:
+            need = min(BLOCK_SYMBOLS, n_symbols - done)
+            starts = []
+            for _ in range(-(-need // JUMP)):
+                starts.append(p)
+                p = jump.item(p)
+            at = np.empty((JUMP, len(starts)), dtype=np.int32)
+            at[0] = starts
+            for k in range(1, JUMP):  # row k: k symbols after each start
+                step.take(at[k - 1], out=at[k])
+            at = at.T.ravel()[:need]
+            good = int(np.append(step.take(at) == at, True).argmax())
+            out[done:done + good] = index.take(window.take(at[:good]))
+            done += good
+            if good < need:  # a long code, the end of the data, no code
+                start = int(at[good])
+                out[done], used = self._match_bitwise(BitReader(data, start))
+                done += 1
+                p = start + used
+        return out
 
     def decode(self, data: bytes, n_symbols: int) -> list:
         """The first ``n_symbols`` symbols of ``data``; raises as

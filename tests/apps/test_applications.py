@@ -1,18 +1,25 @@
 """Integration tests for the three paper applications (small instances)."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.apps.common import DATA, build_platform_cluster, run_p4_programs
 from repro.apps.fft import (
     bit_reverse_indices, dif_fft_reference, make_samples, run_fft_ncs,
     run_fft_p4, DifWorkerState,
 )
+from repro.apps.jpeg import distributed
 from repro.apps.jpeg.distributed import band_slices, run_jpeg_ncs, run_jpeg_p4
 from repro.apps.jpeg.images import benchmark_image
 from repro.apps.matmul import (
     _row_slices, make_matrices, run_matmul_ncs, run_matmul_p4,
 )
+from repro.bench.tables import cell_spec
+from repro.config import run_scenario
 from repro.core.mps import ServiceMode
+from repro.p4 import P4Runtime
 
 
 class TestMatmul:
@@ -182,6 +189,36 @@ class TestJpegDistributed:
         img = benchmark_image(64, 96)
         assert run_jpeg_ncs("ethernet", 4, image=img).correct
 
+    def test_band_slices_reject_a_partial_block_row(self):
+        """``band_slices(644, 1)`` used to return ``[slice(0, 640)]``."""
+        with pytest.raises(ValueError, match="^644 rows do not divide"):
+            band_slices(644, 1)
+        with pytest.raises(ValueError, match="^64 rows do not divide"):
+            band_slices(64, 3)
+
+    @pytest.mark.parametrize("run", [run_jpeg_p4, run_jpeg_ncs])
+    @pytest.mark.parametrize("image", [
+        np.zeros((644, 96), np.uint8), np.zeros((64, 92), np.uint8),
+        np.zeros((64, 96), np.int16), np.zeros((2, 64, 96), np.uint8)],
+        ids=["644x96", "64x92", "int16", "3-D"])
+    def test_an_image_the_codec_cannot_take_is_rejected_up_front(
+            self, run, image, monkeypatch):
+        """A 644-row image used to run on its first 640 rows and report
+        ``correct = False``."""
+        monkeypatch.setattr(distributed, "build_platform_cluster", None)
+        with pytest.raises(ValueError, match="^image must be 2-D uint8 "):
+            run("ethernet", 2, image=image)
+
+    @pytest.mark.parametrize("driver", ["jpeg-p4", "jpeg-ncs"])
+    @pytest.mark.parametrize("quality", ["75", True, 75.5, 0, 101])
+    def test_an_ill_typed_quality_is_rejected_up_front(
+            self, driver, quality, monkeypatch):
+        """``"75"`` used to end in "p4 programs never finished", ``True``
+        ran at quality 1 and reported ``correct = False``, ``75.5`` ran."""
+        monkeypatch.setattr(distributed, "build_platform_cluster", None)
+        with pytest.raises(ValueError, match=re.escape(f"got {quality!r}")):
+            run_scenario(cell_spec(driver, "ethernet", 2, quality=quality))
+
     def test_odd_node_count_rejected(self):
         with pytest.raises(ValueError):
             run_jpeg_p4("ethernet", 3)
@@ -201,3 +238,25 @@ class TestJpegDistributed:
         jpeg_imp = (jp.makespan_s - jn.makespan_s) / jp.makespan_s
         mm_imp = (mp.makespan_s - mn.makespan_s) / mp.makespan_s
         assert jpeg_imp > mm_imp
+
+
+class TestP4Programs:
+    def test_a_crashed_program_is_raised_before_its_waiting_peers(self):
+        """Used to raise "p4 programs never finished: ['p4:1']" for the
+        peer still in ``recv``, hiding why it waits."""
+        cluster = build_platform_cluster("ethernet", 2)
+        rt = P4Runtime(cluster)
+
+        def crasher(p4):
+            yield from p4.compute(0.001, "work")
+            raise KeyError("boom")
+
+        def waiter(p4):
+            yield from p4.recv(type_=DATA, from_=0)
+
+        procs = [rt.spawn(0, crasher), rt.spawn(1, waiter)]
+        with pytest.raises(KeyError, match="boom") as info:
+            run_p4_programs(cluster, procs)
+        assert any(note.startswith("(in simulated process 'p4:0' at t=")
+                   for note in info.value.__notes__)
+        assert not procs[1].triggered

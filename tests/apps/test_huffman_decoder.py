@@ -10,6 +10,11 @@ benchmark image, for every band split Table 2 runs (p4: 1, 2, 4 bands;
 NCS: 2, 4, 8 sub-bands).  Re-capture at that commit only:
 ``PYTHONPATH=<parent>/src python tests/apps/test_huffman_decoder.py
 OUT.json``.
+
+The decoder walks ``JUMP`` symbols per step in blocks of
+``BLOCK_SYMBOLS``; ``TestWalkSeams`` puts the bit-by-bit fallback at each
+of those seams, and ``TestBenchmarkScale`` decodes every band Table 2
+runs against the index stream ``compress`` coded.
 """
 
 import hashlib
@@ -17,11 +22,16 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.jpeg import BitReader, HuffmanCode, benchmark_image, compress
+from repro.apps.jpeg import (BitReader, HuffmanCode, benchmark_image,
+                             blockify, compress, dct2, quality_table,
+                             quantize, to_zigzag)
 from repro.apps.jpeg.distributed import band_slices
+from repro.apps.jpeg.huffman import BLOCK_SYMBOLS, JUMP
+from repro.apps.jpeg.rle import encode_block_keys, symbol_of
 
 PARENT = Path(__file__).with_name("jpeg_parent_payloads.json")
 BAND_COUNTS = (1, 2, 4, 8)
@@ -149,6 +159,96 @@ class TestErrors:
         # the verdict needs max_len + 1 bits; short of them it is an EOF
         with pytest.raises(EOFError, match="^bitstream exhausted$"):
             code.decode(b"\x01", 8)
+
+
+def compressed_indices(band: np.ndarray, code: HuffmanCode) -> np.ndarray:
+    """The index stream ``compress(band)`` hands ``encode_indices``."""
+    zz = to_zigzag(quantize(dct2(blockify(band.astype(np.float64) - 128.0)),
+                            quality_table(75)))
+    keys, stream = np.unique(encode_block_keys(zz), return_inverse=True)
+    return code.index(map(symbol_of, keys.tolist()))[stream]
+
+
+class TestBenchmarkScale:
+    @pytest.mark.parametrize("parts", BAND_COUNTS)
+    def test_every_band_decodes_to_what_compress_coded(self, parts):
+        image = benchmark_image()
+        for band in band_slices(image.shape[0], parts):
+            comp = compress(image[band])
+            code = HuffmanCode(comp.code_lengths)
+            expected = compressed_indices(image[band], code)
+            assert code.encode_indices(expected) == comp.payload
+            decoded = code.decode_indices(comp.payload, comp.n_symbols)
+            assert decoded.dtype == np.intp
+            assert np.array_equal(decoded, expected)
+
+
+RARE = 0          # of fibonacci_stream(24): a 23-bit code, past TABLE_BITS
+COMMON = (23, 22, 21, 20)   # 1- to 4-bit codes
+B = BLOCK_SYMBOLS
+
+
+@pytest.fixture(scope="module")
+def fib24():
+    code = HuffmanCode.from_symbols(fibonacci_stream(24))
+    assert code.max_len == 23 > HuffmanCode.TABLE_BITS
+    assert [code.lengths[s] for s in COMMON] == [1, 2, 3, 4]
+    return code
+
+
+class TestWalkSeams:
+    @pytest.mark.parametrize("offsets", [
+        (JUMP - 1,), (JUMP,), (JUMP + 1,), (B - 1,), (B,), (B + 1,),
+        (0, 1, 2), (B - 1, B), (JUMP, B + JUMP, 2 * B - 1), (-1,)],
+        ids=str)
+    def test_rare_symbol_at_a_seam(self, fib24, offsets):
+        """Symbol offsets around a jump and a block boundary take the
+        bit-by-bit route; the walk resumes right after each."""
+        rng = np.random.default_rng(len(offsets) * 7919 + offsets[0])
+        symbols = rng.choice(COMMON, size=2 * B + 3 * JUMP).tolist()
+        for at in offsets:
+            symbols[at] = RARE
+        data = fib24.encode(symbols)
+        assert fib24.decode(data, len(symbols)) == symbols
+        assert reference_decode(fib24, data, len(symbols)) == symbols
+        # one symbol too many: the data ends inside it
+        assert (outcome(fib24.decode, data, len(symbols) + 1)
+                == outcome(reference_decode, fib24, data, len(symbols) + 1))
+
+    def test_truncated_exactly_at_a_jump(self, fib24):
+        """``JUMP`` 1-bit then ``JUMP`` 2-bit codes: the data cut after
+        6 bytes ends exactly at symbol ``2 * JUMP``."""
+        symbols = [23] * JUMP + [22] * (2 * JUMP) + [RARE]
+        data = fib24.encode(symbols)[:6]
+        assert fib24.decode(data, 2 * JUMP) == symbols[:2 * JUMP]
+        for n in (2 * JUMP - 1, 2 * JUMP, 2 * JUMP + 1, 3 * JUMP):
+            assert (outcome(fib24.decode, data, n)
+                    == outcome(reference_decode, fib24, data, n))
+        with pytest.raises(EOFError, match="^bitstream exhausted$"):
+            fib24.decode(data, 2 * JUMP + 1)
+
+
+class TestEdges:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_symbols_is_an_empty_array(self, n):
+        code = HuffmanCode.from_symbols("abracadabra")
+        for data in (b"", code.encode("abra")):
+            out = code.decode_indices(data, n)
+            assert out.dtype == np.intp and out.shape == (0,)
+
+    def test_all_zero_length_table(self):
+        """``bits == 0``: a one-entry prefix table that settles nothing."""
+        code = HuffmanCode({"a": 0})
+        assert code.max_len == 0
+        assert code.decode(b"", 0) == [] and code.decode(b"\xff", 0) == []
+        with pytest.raises(EOFError, match="^bitstream exhausted$"):
+            code.decode(b"", 1)
+        with pytest.raises(ValueError, match="no code matches"):
+            code.decode(b"\x00", 1)
+        for blob in (b"", b"\x00", b"\x80\x01"):
+            for n in range(-1, 4):
+                assert (outcome(code.decode, blob, n)
+                        == outcome(reference_decode, code, blob, n))
 
 
 class TestEncoderUnchanged:
