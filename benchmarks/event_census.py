@@ -13,12 +13,15 @@ delivered message, broken down by
 
 * *site* — the first frame outside ``repro/sim/`` on the scheduling
   call's stack, i.e. the model code that asked (for the completion of a
-  process, the process's own generator function);
+  process, the process's own generator function; for a sleep, the
+  innermost generator of its ``yield from`` chain);
 * *via* — the kernel primitive it asked through (``Resource.request``,
-  ``Store.put``, ``Simulator.process`` = a boot, ``completion`` ...);
+  ``Store.put``, ``Simulator.process`` = a boot, ``completion``,
+  ``sleep`` ...);
 * *event* — what was scheduled, by the event's name up to its first
   colon (``req`` a grant, ``put`` an acknowledgement, ``get`` a getter's
-  wake-up, ``boot``, ``timeout``, a finished process's label ...);
+  wake-up, ``boot``, ``timeout``, ``sleep`` a process's ``yield
+  seconds``, a finished process's label ...);
 * *kind* — ``zero`` (same instant), ``timed`` (a positive delay) or
   ``abs`` (``schedule_at``).
 
@@ -46,8 +49,9 @@ CELLS = ("msg_small.eth_nsm", "msg_small.atm_hsm", "msg_bulk.eth_nsm",
 SEED = 1995
 
 
-def _site(frame, sim_dir: str, pkg_dir: str) -> tuple[str, str]:
-    """``(site, via)`` of the scheduling call whose caller is ``frame``."""
+def _site(frame, event, sim_dir: str, pkg_dir: str) -> tuple[str, str]:
+    """``(site, via)`` of the scheduling of ``event`` whose caller is
+    ``frame``."""
     def where(code) -> str:
         return f"{code.co_filename.removeprefix(pkg_dir)}:{code.co_name}"
 
@@ -58,12 +62,22 @@ def _site(frame, sim_dir: str, pkg_dir: str) -> tuple[str, str]:
             return where(code), via
         if code.co_name == "_resume" and via in ("?", "Event.succeed",
                                                  "Event.fail"):
+            proc = frame.f_locals["self"]
+            gen = proc._gen
+            if event is getattr(proc, "_sleep", None):
+                # ``yield seconds``: no model frame is on the stack (the
+                # generator is suspended), so name the innermost
+                # generator of its ``yield from`` chain, which asked
+                while getattr(gen, "gi_yieldfrom", None) is not None:
+                    gen = gen.gi_yieldfrom
+                return where(gen.gi_code), "sleep"
             # a process finishing: charge the body that ran to its end
-            return where(frame.f_locals["self"]._gen.gi_code), "completion"
-        if code.co_name == "_process":
+            return where(gen.gi_code), "completion"
+        if code.co_name in ("run", "run_below", "step") \
+                and "event" in frame.f_locals:
             # scheduled from a callback with no model frame of its own
-            # (a condition firing): name the event that was processed
-            return f"(callback on {_label(frame.f_locals['self'])})", via
+            # (a condition firing): name the event the run loop processed
+            return f"(callback on {_label(frame.f_locals['event'])})", via
         via = code.co_qualname
         frame = frame.f_back
     return "<toplevel>", via
@@ -104,13 +118,13 @@ def census(workload: str, leg: str, quick: bool = False) -> dict:
     getframe = sys._getframe
 
     def _schedule(self, event, delay=0.0):
-        site, via = _site(getframe(1), sim_dir, pkg_dir)
+        site, via = _site(getframe(1), event, sim_dir, pkg_dir)
         tally[site, via, _label(event),
               "zero" if delay == 0 else "timed"] += 1
         plain_schedule(self, event, delay)
 
     def schedule_at(self, event, when):
-        site, via = _site(getframe(1), sim_dir, pkg_dir)
+        site, via = _site(getframe(1), event, sim_dir, pkg_dir)
         tally[site, via, _label(event), "abs"] += 1
         plain_at(self, event, when)
 

@@ -160,11 +160,9 @@ class Sba200Adapter:
             yield req
             sim.recycle(req)
         try:
-            tick = sim.timeout(self.dma_time(nbytes))
-            yield tick
+            yield self.dma_time(nbytes)
         finally:
             self._dma.release()
-        sim.recycle(tick)
 
     # ----------------------------------------------------------------- send
     def send_pdu(self, vc: Any, payload_bytes: int, msg_id: int,
@@ -229,7 +227,7 @@ class Sba200Adapter:
             self.uplink.send(burst,
                              extra_service_s=burst.n_cells
                              * self.i960_per_cell_s)
-            yield self.sim.timeout(burst.n_cells / pcr_cells_s)
+            yield burst.n_cells / pcr_cells_s
 
     # ---------------------------------------------------------- fault hooks
     def fail(self) -> None:

@@ -454,7 +454,7 @@ class SignalingController:
         # one round trip of per-hop processing, like UNI 3.0 SETUP/CONNECT
         delay = 2 * len(nodes) * self.PER_HOP_SETUP_S + 2 * sum(
             ch.spec.prop_delay_s for ch in self.fabric.directed_channels(nodes))
-        yield self.fabric.sim.timeout(delay)
+        yield delay
         return self.create_pvc(src_host, dst_host, aal, pcr_cells_s)
 
     def create_multicast(self, src_host: str, dst_hosts: list[str],

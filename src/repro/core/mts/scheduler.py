@@ -209,7 +209,6 @@ class MtsScheduler:
         os = self.host.os
         sim = self.sim
         peek = sim.peek
-        timeout = sim.timeout
         recycle = sim.recycle
         dequeue = self.runnable.dequeue
         metrics_on = sim.metrics.enabled
@@ -224,9 +223,7 @@ class MtsScheduler:
             # slice while a system thread's wakeup sat one event away.
             for _ in range(2):
                 if peek() <= sim.now:
-                    settle = timeout(0)
-                    yield settle
-                    recycle(settle)
+                    yield 0.0
             thread = dequeue()
             if thread is None:
                 if self._may_shut_down:

@@ -168,8 +168,8 @@ class Host:
             # Single uninterrupted slice — the overwhelmingly common case
             # (every protocol/OS overhead charge, every short compute).
             # A free CPU is taken without an event; a grant waited for
-            # and the timeout are consumed right here, so they go back
-            # to the simulator's pool on the way out.
+            # is consumed right here, so it goes back to the simulator's
+            # pool, and the slice itself is a sleep.
             if not res.try_acquire():
                 req = res.request()
                 yield req
@@ -177,13 +177,11 @@ class Host:
             if traced:
                 tracer.begin(self.name, activity, label)
             try:
-                tick = sim.timeout(seconds)
-                yield tick
+                yield seconds
             finally:
                 if traced:
                     tracer.end(self.name)
                 res.release()
-            sim.recycle(tick)
             return
         if quantum is None:
             quantum = math.inf  # one slice, however long

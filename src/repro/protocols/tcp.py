@@ -285,7 +285,7 @@ class TcpConnection:
         self._emit_ack()
 
     def _delayed_ack(self):
-        yield self.sim.timeout(self.params.delayed_ack_s)
+        yield self.params.delayed_ack_s
         self._delack_running = False
         if self._segs_unacked > 0:
             self._ack_now()
@@ -333,7 +333,7 @@ class TcpConnection:
     def _rto_loop(self):
         while self._inflight:
             una_before = self.snd_una
-            yield self.sim.timeout(self._rto)
+            yield self._rto
             if not self._inflight:
                 break
             if self.snd_una == una_before:

@@ -16,7 +16,7 @@ Example
 -------
 >>> sim = Simulator()
 >>> def hello(sim):
-...     yield sim.timeout(1.5)
+...     yield 1.5  # sleep; sim.timeout(1.5) is the same entry
 ...     return "done"
 >>> p = sim.process(hello(sim))
 >>> sim.run()
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from numbers import Real
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.registry import MetricsRegistry
@@ -159,16 +160,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def _process(self) -> None:
-        """Invoked by the simulator loop: fire all callbacks exactly once."""
-        if self._processed:  # pragma: no cover - kernel invariant
-            raise SimulationError(f"{self!r} processed twice")
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-
     def __repr__(self) -> str:
         tag = self.name or self.__class__.__name__
         state = "processed" if self._processed else (
@@ -179,11 +170,9 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 
-    Hot-path note: timeouts are the single most-allocated object in any
-    run, so the constructor assigns slots directly (no ``super()`` chain)
-    and the display name is derived lazily from ``_delay`` instead of
-    being formatted up front.  :meth:`Simulator.timeout` additionally
-    reuses recycled instances (see :meth:`Simulator.recycle`).
+    Hot-path note: every ``call_in`` is one, so the constructor assigns
+    slots directly, the display name is derived lazily from ``_delay``,
+    and :meth:`Simulator.timeout` reuses recycled instances.
     """
 
     __slots__ = ("_delay",)
@@ -273,9 +262,16 @@ class SimProcess(Event):
     thrown into the generator).  A process is itself an event that
     triggers with the generator's return value, so processes can wait on
     each other.
+
+    Yielding seconds (a ``numbers.Real``, not a ``bool``) sleeps: the
+    same calendar entry as yielding ``sim.timeout(d)``, on the process's
+    own wake record (NaN or ``d < 0`` raises ``ValueError`` at the
+    ``yield``).  The record is reused only once its entry was processed,
+    so a sleep cut short by :meth:`interrupt` or :meth:`wake_at` leaves
+    its dead entry to a record nobody waits on.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_resume_cb", "_detached")
+    __slots__ = ("_gen", "_waiting_on", "_resume_cb", "_detached", "_sleep")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any],
                  name: str = "", detached: bool = False):
@@ -286,6 +282,8 @@ class SimProcess(Event):
         #: nobody holds the handle (:meth:`Simulator.spawn`), so nobody
         #: can wait for the end: finishing schedules nothing
         self._detached = detached
+        #: the wake record of ``yield seconds`` (created on first use)
+        self._sleep: Optional[Event] = None
         # The one resume callback this process ever registers.  ``_resume``
         # ignores any event that is not the current ``_waiting_on``, so a
         # single bound method replaces the per-yield closure the kernel
@@ -322,19 +320,19 @@ class SimProcess(Event):
         """Wake the process at the absolute instant ``when`` instead of at
         the later timer it is parked on.
 
-        The timer must be the process's own (nobody else waits on it): it
-        is cancelled (:meth:`KernelCore.cancel`), so it can neither resume
-        the process a second time nor show up in ``peek()``, and the
-        process is re-parked on a fresh event scheduled float-exactly at
-        ``when`` that carries the timer's value.
+        The timer (or sleep) must be the process's own: it is cancelled
+        (:meth:`KernelCore.cancel`), so it can neither resume the process
+        a second time nor show up in ``peek()``, and the process is
+        re-parked on a fresh event scheduled float-exactly at ``when``
+        that carries the timer's value (a refused ``when`` cancels nothing).
         """
         timer = self._waiting_on
         if self._value is not PENDING or timer is None or timer._processed:
             raise SimulationError(
                 f"{self!r} is not parked on a pending timer")
         sim = self.sim
-        sim.cancel(timer)
         early = sim.at(when, timer._value)
+        sim.cancel(timer)
         early.callbacks.append(self._resume_cb)
         self._waiting_on = early
 
@@ -342,37 +340,56 @@ class SimProcess(Event):
         if self._value is not PENDING or self._waiting_on is not ev:
             return  # finished, or a stale wakeup (e.g. interrupted)
         self._waiting_on = None
-        self.sim._active_process = self
-        try:
-            if ev._ok:
-                nxt = self._gen.send(ev._value)
-            else:
-                nxt = self._gen.throw(ev._value)
-        except StopIteration as si:
-            if self._detached:
-                self._value = si.value
-            else:
-                self.succeed(si.value)
+        sim = self.sim
+        ok, value = ev._ok, ev._value
+        while True:
+            sim._active_process = self
+            try:
+                if ok:
+                    nxt = self._gen.send(value)
+                else:
+                    nxt = self._gen.throw(value)
+            except StopIteration as si:
+                if self._detached:
+                    self._value = si.value
+                else:
+                    self.succeed(si.value)
+                return
+            except BaseException as exc:
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
+                    raise
+                self.fail(_attach_context(exc, f"process {self.name!r}", sim))
+                return
+            finally:
+                sim._active_process = None
+            cls = nxt.__class__
+            if cls is not float:
+                if isinstance(nxt, Event):
+                    if not nxt._processed:
+                        self._waiting_on = nxt
+                        nxt.callbacks.append(self._resume_cb)
+                        return
+                    ok, value = nxt._ok, nxt._value
+                    continue
+                if cls is bool or not isinstance(nxt, Real):
+                    self._gen.close()
+                    self.fail(SimulationError(
+                        f"process {self.name!r} yielded {nxt!r}; "
+                        "not an Event or seconds"))
+                    return
+            delay = float(nxt)
+            if not delay >= 0:  # negative or NaN: raise it at the yield
+                ok, value = False, ValueError(
+                    f"timeout delay must be >= 0, got {nxt!r}")
+                continue
+            rec = self._sleep
+            if rec is None or not rec._processed:
+                rec = self._sleep = Event(sim, name="sleep")
+            rec._processed, rec._value = False, None
+            rec.callbacks = [self._resume_cb]
+            self._waiting_on = rec
+            sim._schedule(rec, delay)
             return
-        except BaseException as exc:
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
-                raise
-            self.fail(_attach_context(exc, f"process {self.name!r}",
-                                      self.sim))
-            return
-        finally:
-            self.sim._active_process = None
-        if not isinstance(nxt, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded {nxt!r}; processes must yield Events")
-            self._gen.close()
-            self.fail(err)
-            return
-        self._waiting_on = nxt
-        if nxt._processed:
-            self._resume(nxt)
-        else:
-            nxt.callbacks.append(self._resume_cb)
 
 
 def _attach_context(exc: BaseException, what: str,
@@ -493,57 +510,69 @@ class KernelCore:
             if not heap:
                 raise SimulationError("step(): no scheduled event")
             t, _, event = heapq.heappop(heap)
-            if event.callbacks is not None:
+            callbacks = event.callbacks
+            if callbacks is not None:
                 break
-        if t < self._now:  # pragma: no cover - kernel invariant
-            raise SimulationError("time went backwards")
         self._now = t
         self._m_events.inc()
-        event._process()
+        event._processed = True
+        event.callbacks = None
+        for fn in callbacks:
+            fn(event)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        """Run until the calendar empties, ``until`` is reached, or
-        ``max_events`` have been processed (a runaway guard for tests).
-
-        The stepping logic is inlined here (rather than calling
-        :meth:`step`) with the heap and telemetry handle bound to locals:
-        this loop executes once per event in every experiment, and with
-        telemetry disabled it performs zero per-event attribute lookups
-        beyond the pop itself.
-        """
+        """Run until the calendar empties, ``until`` (not before now)
+        is reached, or ``max_events`` have been processed (a runaway
+        guard for tests: it raises when one more event is due).  Each
+        event is processed inline, down to its callback calls, with the
+        heap and telemetry handle bound to locals: this loop runs once
+        per event in every experiment."""
         heap = self._heap
         pop = heapq.heappop
         inc = self._m_events.inc if self.metrics.enabled else None
         if until is None and max_events is None:
             # the common full-drain run: the tightest possible loop
             while heap:
-                entry = pop(heap)
-                event = entry[2]
-                if event.callbacks is None:
+                t, _, event = pop(heap)
+                callbacks = event.callbacks
+                if callbacks is None:
                     continue  # cancelled
-                self._now = entry[0]
+                self._now = t
                 if inc is not None:
                     inc()
-                event._process()
+                event._processed = True
+                event.callbacks = None
+                for fn in callbacks:
+                    fn(event)
             return
+        until = math.inf if until is None else until
+        max_events = math.inf if max_events is None else max_events
+        if not (until >= self._now and max_events >= 0):
+            raise SimulationError(f"cannot run until={until!r}, max_events="
+                                  f"{max_events!r}: now is {self._now!r}")
         count = 0
         while heap:
-            if until is not None and heap[0][0] > until:
+            t, _, event = entry = pop(heap)
+            if t > until:
+                heapq.heappush(heap, entry)
                 self._now = until
                 return
-            entry = pop(heap)
-            event = entry[2]
-            if event.callbacks is None:
+            callbacks = event.callbacks
+            if callbacks is None:
                 continue  # cancelled
-            self._now = entry[0]
-            if inc is not None:
-                inc()
-            event._process()
-            count += 1
-            if max_events is not None and count >= max_events:
+            if count >= max_events:
+                heapq.heappush(heap, entry)
                 raise SimulationError(
                     f"exceeded max_events={max_events} (possible livelock)")
+            self._now = t
+            if inc is not None:
+                inc()
+            event._processed = True
+            event.callbacks = None
+            for fn in callbacks:
+                fn(event)
+            count += 1
 
     def run_below(self, limit: float) -> int:
         """Process every event strictly before ``limit``; return the count.
@@ -556,19 +585,24 @@ class KernelCore:
         the horizon).  Events scheduled during the call that still fall
         below ``limit`` are processed in the same call.
         """
+        if limit != limit:
+            raise SimulationError("cannot run below t=nan")
         heap = self._heap
         pop = heapq.heappop
         inc = self._m_events.inc if self.metrics.enabled else None
         n = 0
         while heap and heap[0][0] < limit:
-            entry = pop(heap)
-            event = entry[2]
-            if event.callbacks is None:
+            t, _, event = pop(heap)
+            callbacks = event.callbacks
+            if callbacks is None:
                 continue  # cancelled
-            self._now = entry[0]
+            self._now = t
             if inc is not None:
                 inc()
-            event._process()
+            event._processed = True
+            event.callbacks = None
+            for fn in callbacks:
+                fn(event)
             n += 1
         return n
 
@@ -606,7 +640,9 @@ class Simulator(KernelCore):
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing after ``delay`` simulated seconds."""
+        """An event firing after ``delay`` simulated seconds: for an
+        :class:`AnyOf`, a timer somebody else waits on, or ``call_in``.
+        A process that only sleeps yields the seconds (:class:`SimProcess`)."""
         pool = self._timeout_pool
         if pool:
             if not delay >= 0:  # negative or NaN
@@ -635,10 +671,11 @@ class Simulator(KernelCore):
 
         Caller contract: the event has been *processed*, the caller was
         its only remaining owner, and nobody will touch the reference
-        again.  Internal hot paths (``Host.cpu_busy``, the MTS settle
-        step) recycle the timeouts and resource grants they create and
-        immediately consume; application code should simply drop events
-        and let the garbage collector handle them.  Recycling is purely
+        again.  Internal hot paths (``Host.cpu_busy``, the MTS loop,
+        ``call_in``) recycle the grants, idle wake-ups and timers they
+        create and immediately consume (a sleep record stays with its
+        process); application code should simply drop events and let the
+        garbage collector handle them.  Recycling is purely
         an allocation optimization — pooled or fresh, the simulated
         behavior is identical.
         """

@@ -58,6 +58,19 @@ def test_no_cell_wakes_a_sibling_thread_through_the_calendar(every_quick_cell):
                          "ec-signal", "fc-credit-signal", "fc-rate-signal"}
 
 
+def test_a_sleep_is_charged_to_the_generator_that_slept(every_quick_cell):
+    """``yield seconds`` leaves no model frame on the stack: the census
+    names the innermost generator of the ``yield from`` chain, never the
+    process body as if the process had finished."""
+    sleeps = {(via, site) for event, via, site in every_quick_cell
+              if event == "sleep"}
+    assert not {via for via, _site in sleeps} - {"sleep"}
+    assert ("sleep", "hosts/host.py:cpu_busy") in {
+        (event, site) for event, _via, site in every_quick_cell}
+    assert {site for _via, site in sleeps} >= {
+        "core/mts/scheduler.py:_loop", "atm/adapter.py:dma_transfer"}
+
+
 def test_no_cell_hands_a_message_over_through_the_calendar(every_quick_cell):
     """Sixth class: no transport acceptance event, no per-message
     ``submitted`` event of the Fig 2 pipeline, no pump process behind

@@ -188,7 +188,7 @@ class TestProcesses:
 
     def test_yielding_non_event_fails_process(self, sim):
         def bad(sim):
-            yield 42
+            yield "42"  # a number is a sleep (tests/sim/test_sleep.py)
         p = sim.process(bad(sim))
         sim.run()
         assert p.triggered and not p.ok
@@ -345,6 +345,22 @@ class TestCancelAndWakeAt:
         sim.run()
         assert log == ["late", 3.0, 103.0] and sim.now == 103.0
 
+    @pytest.mark.parametrize("private", [False, True])
+    def test_rejected_wake_at_leaves_the_process_parked(self, sim, private):
+        """The instant is checked before the timer is cancelled: a
+        refused ``wake_at`` must not strand the process."""
+        woke = []
+        def sleeper(sim):
+            yield 5.0 if private else sim.timeout(5.0)
+            woke.append(sim.now)
+        p = sim.process(sleeper(sim))
+        sim.run(until=1.0)
+        for bad in (float("nan"), 0.5):
+            with pytest.raises(SimulationError):
+                p.wake_at(bad)
+        sim.run()
+        assert woke == [5.0] and not p.is_alive
+
     def test_wake_at_needs_a_parked_process(self, sim):
         def quick(sim):
             yield sim.timeout(1.0)
@@ -439,3 +455,52 @@ class TestDeterminism:
             sim.run()
             return trace
         assert build_and_run() == build_and_run()
+
+
+class TestRunBounds:
+    def _events(self, sim, n):
+        for i in range(n):
+            sim.timeout(float(i))
+
+    def test_until_before_now_is_refused(self, sim):
+        self._events(sim, 7)
+        sim.run()
+        assert sim.now == 6.0
+        with pytest.raises(SimulationError, match="now is 6.0"):
+            sim.run(until=3.0)
+        assert sim.now == 6.0
+        sim.run(until=6.0)  # now itself is a bound
+        assert sim.now == 6.0
+
+    def test_nan_bounds_are_refused_before_anything_runs(self, sim):
+        self._events(sim, 3)
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        with pytest.raises(SimulationError):
+            sim.run_below(float("nan"))
+        assert sim.now == 0.0 and sim._m_events.value == 0
+        assert sim.run_below(1.5) == 2
+
+    def test_max_events_raises_only_when_one_more_is_due(self, sim):
+        self._events(sim, 2)
+        sim.run(max_events=2)
+        assert sim._m_events.value == 2
+        sim.run(max_events=0)  # an empty calendar is no livelock
+        self._events(sim, 3)
+        with pytest.raises(SimulationError, match="max_events=2"):
+            sim.run(max_events=2)
+        assert sim._m_events.value == 4
+        with pytest.raises(SimulationError, match="max_events=0"):
+            sim.run(max_events=0)
+        assert sim._m_events.value == 4
+
+    def test_max_events_is_not_negative(self, sim):
+        self._events(sim, 1)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=-1)
+        assert sim._m_events.value == 0
+
+    def test_max_events_sees_only_events_inside_until(self, sim):
+        self._events(sim, 4)
+        sim.run(until=1.0, max_events=2)
+        assert sim.now == 1.0 and sim._m_events.value == 2
