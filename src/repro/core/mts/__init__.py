@@ -1,13 +1,7 @@
 """NCS_MTS: the multithreaded subsystem (threads, queues, scheduler, sync)."""
 
 from . import ops
-from .queues import (
-    BlockedQueue,
-    CircularQueue,
-    MultilevelPriorityQueue,
-    N_PRIORITY_LEVELS,
-    QueueNode,
-)
+from .queues import MultilevelPriorityQueue, N_PRIORITY_LEVELS
 from .scheduler import DEFAULT_PRIORITY, MtsScheduler, SchedulerError, SYSTEM_PRIORITY
 from .sync import (
     ThreadBarrier,
@@ -20,8 +14,7 @@ from .thread import NcsThread, ThreadContext, ThreadState
 
 __all__ = [
     "ops",
-    "BlockedQueue", "CircularQueue", "MultilevelPriorityQueue",
-    "N_PRIORITY_LEVELS", "QueueNode",
+    "MultilevelPriorityQueue", "N_PRIORITY_LEVELS",
     "MtsScheduler", "SchedulerError", "SYSTEM_PRIORITY", "DEFAULT_PRIORITY",
     "ThreadBarrier", "ThreadCondition", "ThreadEvent", "ThreadMutex",
     "ThreadSemaphore",

@@ -3,7 +3,7 @@
 One scheduler per OS process.  It is the reproduction of the paper's
 QuickThreads-based run-time system (§4.1): user-space threads invisible
 to the (simulated) operating system, 16 priority levels with round-robin
-inside each level, a doubly-linked blocked queue, and non-preemptive
+inside each level, a blocked queue indexed by tid, and non-preemptive
 execution — a thread runs until it blocks, yields, or finishes.
 
 The scheduler itself executes as a single simulated process on the host
@@ -22,7 +22,7 @@ from typing import Any, Callable, Generator, Optional
 from ...hosts import OsProcess
 from ...sim import Activity, Event, SimProcess
 from . import ops
-from .queues import BlockedQueue, MultilevelPriorityQueue, N_PRIORITY_LEVELS
+from .queues import MultilevelPriorityQueue, N_PRIORITY_LEVELS
 from .thread import NcsThread, ThreadContext, ThreadState
 
 __all__ = ["MtsScheduler", "SchedulerError", "SYSTEM_PRIORITY",
@@ -34,6 +34,8 @@ DEFAULT_PRIORITY = 8
 #: ops an attached MPS executes; their errors surface in the yielding thread
 MPS_OPS = (ops.Send, ops.Recv, ops.Probe, ops.Bcast, ops.Barrier, ops.Throw,
            ops.CollectiveBcast, ops.CollectiveReduce)
+#: ops whose validation errors are thrown into the yielding thread
+THROWN_OPS = MPS_OPS + (ops.Spawn,)
 
 
 class SchedulerError(RuntimeError):
@@ -52,7 +54,8 @@ class MtsScheduler:
         self.mps = mps  # set later by NcsRuntime when MPS attaches
         self.threads: dict[int, NcsThread] = {}
         self.runnable = MultilevelPriorityQueue(levels)
-        self.blocked = BlockedQueue()
+        #: the blocked queue (Fig 9 right): tid -> thread, oldest first
+        self.blocked: dict[int, NcsThread] = {}
         self.current: Optional[NcsThread] = None
         self._last_thread: Optional[NcsThread] = None
         self._tid_seq = 0
@@ -61,8 +64,8 @@ class MtsScheduler:
         self._idle_name = f"idle:{process.name}"
         self._proc: Optional[SimProcess] = None
         #: count of user (non-system) threads not yet FINISHED/FAILED,
-        #: kept in t_create/_finish so user_threads_done is O(1) on the
-        #: per-slice shutdown check instead of a scan over all threads
+        #: kept in t_create/_finish so the per-slice shutdown check is
+        #: O(1) instead of a scan over all threads
         self._live_users = 0
         #: exact op type -> ``handler(thread, op)``, True when the thread
         #: left RUNNING.  ``Compute``, the one op that spends simulated
@@ -139,16 +142,22 @@ class MtsScheduler:
 
         The handler of every ``Wake`` a thread yields, and how an op
         handler (an MPS send, receive, barrier...) blocks the thread
-        whose op it takes."""
+        whose op it takes.  A handle holds one waiting thread: blocking
+        a second on it is a SchedulerError."""
         if handle.kept:
             thread.resume_value, thread.resume_exc = handle.value, handle.exc
             handle.kept, handle.value, handle.exc = False, None, None
             return False
+        if handle.waiter is not None:
+            raise SchedulerError(
+                f"thread {thread.name} cannot block on the "
+                f"{handle.reason!r} handle: thread {handle.waiter.name} "
+                f"is blocked on it already")
         if handle.after is not None:
             self.sim.call_in(handle.after, handle.wake)
         thread.state = ThreadState.BLOCKED
         thread.block_reason = handle.reason
-        self.blocked.add(thread.tid, thread)
+        self.blocked[thread.tid] = thread
         if self.host.tracer.enabled:
             self.host.tracer.begin(self._entity(thread), handle.activity,
                                    handle.reason)
@@ -157,16 +166,17 @@ class MtsScheduler:
 
     def _make_runnable(self, thread: NcsThread, value: Any,
                        exc: Optional[BaseException] = None) -> None:
-        if thread.tid in self.blocked:
-            self.blocked.remove(thread.tid)
+        self.blocked.pop(thread.tid, None)
         if self.host.tracer.enabled:
             self.host.tracer.end(self._entity(thread))
         thread.state = ThreadState.RUNNABLE
         thread.resume_value = value
         thread.resume_exc = exc
         self.runnable.enqueue(thread, thread.priority)
-        if self._idle_ev is not None and not self._idle_ev.triggered:
-            self._idle_ev.succeed(None)
+        idle = self._idle_ev
+        if idle is not None:    # the loop waits on it: wake it, once
+            self._idle_ev = None
+            idle.succeed(None)
 
     def signal(self, thread: NcsThread) -> None:
         """Wake a thread blocked in ``ctx.park()``, here and now (Fig 8:
@@ -192,20 +202,10 @@ class MtsScheduler:
         thread.blocker.wake(value, exc)
 
     # ---------------------------------------------------------------- loop
-    @property
-    def user_threads_done(self) -> bool:
-        """Every user (non-system) thread has finished or failed."""
-        return self._live_users == 0
-
-    @property
-    def _may_shut_down(self) -> bool:
-        """All user threads done AND no system work (queued sends,
-        in-flight control traffic) left behind."""
-        if not self.user_threads_done:
-            return False
-        return self.mps is None or not self.mps.has_pending_work
-
     def _loop(self) -> Generator[Event, Any, None]:
+        """Pick, switch to and run threads until every user thread is
+        done and no system work (queued sends, in-flight control
+        traffic) is left behind."""
         os = self.host.os
         sim = self.sim
         peek = sim.peek
@@ -222,15 +222,15 @@ class MtsScheduler:
             # compute thread could grab the CPU for a long non-preemptive
             # slice while a system thread's wakeup sat one event away.
             for _ in range(2):
-                if peek() <= sim.now:
+                if peek() <= sim._now:
                     yield 0.0
             thread = dequeue()
             if thread is None:
-                if self._may_shut_down:
+                if not self._live_users and (
+                        self.mps is None or not self.mps.has_pending_work):
                     return
                 ev = self._idle_ev = sim.event(name=self._idle_name)
-                yield ev
-                self._idle_ev = None
+                yield ev        # _make_runnable succeeds and forgets it
                 recycle(ev)
                 continue
             if self._last_thread is not thread:
@@ -240,11 +240,12 @@ class MtsScheduler:
                 yield from self.host.cpu_busy(
                     switch_time, Activity.OVERHEAD, "thread-switch")
                 self._last_thread = thread
-            slice_start = sim.now
+            slice_start = sim._now
             yield from self._run_slice(thread)
             if metrics_on:
-                self._m_slice.observe(sim.now - slice_start)
-            if self._may_shut_down:
+                self._m_slice.observe(sim._now - slice_start)
+            if not self._live_users and (
+                    self.mps is None or not self.mps.has_pending_work):
                 return
 
     def _run_slice(self, thread: NcsThread) -> Generator[Event, Any, None]:
@@ -286,7 +287,7 @@ class MtsScheduler:
                     if handler(thread, op):
                         return
                 except Exception as exc:
-                    if not isinstance(op, MPS_OPS):
+                    if not isinstance(op, THROWN_OPS):
                         raise
                     # op-validation errors surface inside the thread, so the
                     # application can handle (or die of) them like any error

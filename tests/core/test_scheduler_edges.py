@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NcsRuntime
-from repro.core.mts import MtsScheduler, SchedulerError, ThreadState
+from repro.core.mts import MtsScheduler, SchedulerError, ThreadState, ops
 from repro.core.mps import PvmFilter
 from repro.hosts import Host, OsProcess
 from repro.net import build_ethernet_cluster
@@ -67,6 +67,64 @@ class TestSchedulerEdges:
             yield ctx.compute(0)
         with pytest.raises(ValueError):
             sched.t_create(body, priority=16)
+
+    @pytest.mark.parametrize("priority", [3.5, 2.0, "3", None, True])
+    def test_an_ill_typed_priority_is_rejected_before_registration(
+            self, priority):
+        """Only an int names a level: anything else used to be accepted
+        and fail later, deep in the runnable queue."""
+        rt = NcsRuntime(build_ethernet_cluster(1))
+        sched = rt.node(0).scheduler
+        before = (dict(sched.threads), sched._live_users)
+        def body(ctx):
+            yield ctx.compute(0.001)
+        with pytest.raises(ValueError, match=r"priority .* \[0, 16\)"):
+            rt.t_create(0, body, priority=priority)
+        assert (sched.threads, sched._live_users) == before
+        tid = rt.t_create(0, body)
+        rt.run(max_events=100_000)
+        assert sched.thread(tid).state is ThreadState.FINISHED
+
+    def test_a_rejected_spawn_is_thrown_into_the_spawner(self):
+        """A Spawn with a bad priority fails at the spawner's yield, as an
+        MPS op's validation error does, and registers no child."""
+        rt = NcsRuntime(build_ethernet_cluster(1))
+        sched = rt.node(0).scheduler
+        def child(ctx):
+            yield ctx.compute(0.001)
+        def spawner(ctx):
+            try:
+                yield ops.Spawn(child, (), 2.5, "child")
+            except ValueError as exc:
+                tid = yield ctx.spawn(child, name="good-child")
+                return str(exc), tid
+        tid = rt.t_create(0, spawner)
+        n_threads = len(sched.threads)
+        rt.run(max_events=100_000)
+        message, good = sched.thread(tid).result
+        assert message == "priority 2.5 is not an int in [0, 16)"
+        assert len(sched.threads) == n_threads + 1
+        assert sched.thread(good).state is ThreadState.FINISHED
+        assert sched._live_users == 0
+
+    def test_a_second_waiter_on_one_handle_is_an_error(self):
+        """A wake handle holds one waiting thread: a second blocking on it
+        used to overwrite the first, which then never resumed."""
+        rt = NcsRuntime(build_ethernet_cluster(1))
+        shared = ops.Wake("shared")
+        def waiter(ctx):
+            yield shared
+        def waker(ctx):
+            yield ctx.compute(0.01)
+            shared.wake(1)
+            shared.wake(2)
+        rt.t_create(0, waiter, name="a")
+        rt.t_create(0, waiter, name="b")
+        rt.t_create(0, waker)
+        with pytest.raises(SchedulerError,
+                           match="thread b cannot block on the 'shared' "
+                                 "handle: thread a is blocked on it"):
+            rt.run(max_events=100_000)
 
     def test_join_self_deadlocks_detectably(self):
         sim, sched = self.make()
