@@ -1,7 +1,7 @@
 """ATM substrate: cells, AAL SAR, links, switches, signaling, adapter, API."""
 
 from .aal import AAL34, AAL5, Aal, Aal34, Aal5, AalError
-from .adapter import AdapterStats, Sba200Adapter
+from .adapter import Sba200Adapter
 from .api import AtmApi, AtmMessage, MAX_PDU_BYTES
 from .cell import AtmCell, CELL_BYTES, CELL_HEADER_BYTES, CELL_PAYLOAD_BYTES, CellBurst
 from .collective import NicCollectiveEngine, NicCollectiveFabric, NicPdu
@@ -13,7 +13,7 @@ from .switch import AtmSwitch, VcRoute
 
 __all__ = [
     "AAL34", "AAL5", "Aal", "Aal34", "Aal5", "AalError",
-    "AdapterStats", "Sba200Adapter",
+    "Sba200Adapter",
     "AtmApi", "AtmMessage", "MAX_PDU_BYTES",
     "AtmCell", "CELL_BYTES", "CELL_HEADER_BYTES", "CELL_PAYLOAD_BYTES",
     "CellBurst",

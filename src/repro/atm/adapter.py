@@ -38,19 +38,7 @@ from .aal import Aal, AAL5
 from .cell import CellBurst
 from .link import Channel
 
-__all__ = ["Sba200Adapter", "AdapterStats"]
-
-
-@dataclass
-class AdapterStats:
-    """Lifetime PDU/cell counters for one adapter."""
-
-    pdus_sent: int = 0
-    pdus_received: int = 0
-    pdus_failed: int = 0
-    cells_sent: int = 0
-    cells_received: int = 0
-    bursts_faulted: int = 0
+__all__ = ["Sba200Adapter"]
 
 
 @dataclass
@@ -98,7 +86,6 @@ class Sba200Adapter:
         #: corrupted) -> True`` consumes the PDU on the adapter
         #: (see repro.atm.collective)
         self.collective_rx: Optional[Callable[..., bool]] = None
-        self.stats = AdapterStats()
         #: per-shaped-VC burst queues (vc_id -> Store), drained by pacers
         self._shapers: dict[int, Store] = {}
         #: completed-PDU delivery queue, drained by one persistent rx
@@ -175,8 +162,6 @@ class Sba200Adapter:
             raise RuntimeError(f"adapter {self.host_name} has no uplink")
         aal = aal or getattr(vc, "aal", None) or AAL5
         n_cells = aal.pdu_cells(payload_bytes)
-        self.stats.pdus_sent += 1
-        self.stats.cells_sent += n_cells
         self._m_pdus_sent.inc()
         self._m_cells_sent.inc(n_cells)
         remaining_cells = n_cells
@@ -250,7 +235,6 @@ class Sba200Adapter:
         """
         if not self.up or (self.rx_fault is not None and self.rx_fault(burst)):
             burst.corrupted = True
-            self.stats.bursts_faulted += 1
             self._m_bursts_faulted.inc()
         vc = burst.vc
         key = (id(vc), burst.msg_id)
@@ -258,7 +242,6 @@ class Sba200Adapter:
         if st is None:
             st = self._rx[key] = _RxState()
         st.bursts += 1
-        self.stats.cells_received += burst.n_cells
         self._m_cells_received.inc(burst.n_cells)
         if burst.corrupted:
             st.corrupted = True
@@ -273,12 +256,10 @@ class Sba200Adapter:
                                          burst.msg_id, st.corrupted):
                 return
             if st.corrupted:
-                self.stats.pdus_failed += 1
                 self._m_pdus_failed.inc()
                 if self.rx_error_handler is not None:
                     self.rx_error_handler(vc, burst.msg_id)
                 return
-            self.stats.pdus_received += 1
             self._m_pdus_received.inc()
             jobs = self._rx_jobs
             if jobs is None:

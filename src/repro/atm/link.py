@@ -112,7 +112,6 @@ class Channel:
         #: counters
         self.bursts_carried = 0
         self.bursts_corrupted = 0
-        self.bursts_faulted = 0
         # telemetry handle (no-op when the registry is disabled)
         self._m_link_faulted = sim.metrics.counter(
             "atm.link_bursts_faulted",
@@ -233,7 +232,6 @@ class Channel:
         _since, up, ber = flips[0]
         if not up:
             burst.corrupted = True
-            self.bursts_faulted += 1
             self._m_link_faulted.inc()
         else:
             if ber is None:

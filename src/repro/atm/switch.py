@@ -64,12 +64,8 @@ class AtmSwitch:
         self.on_miss: Optional[Callable[[int, int], bool]] = None
         #: fault state: a failed switch discards everything it receives
         self.up = True
-        #: counters
-        self.bursts_forwarded = 0
-        self.bursts_dropped = 0
+        #: bursts on no VC route: the one switch count with no series
         self.bursts_unroutable = 0
-        self.bursts_faulted = 0
-        self.mcast_replicas = 0
         # multicast telemetry is created lazily by program_multicast so
         # metric snapshots of non-multicast runs are unchanged
         self._m_mcast_in = None
@@ -178,7 +174,6 @@ class AtmSwitch:
         """Switch one arriving burst: replicate it if its VC is a
         multicast group, else forward per the unicast VC table."""
         if not self.up:
-            self.bursts_faulted += 1
             self._m_sw_faulted.inc()
             return
         # when the burst reaches its output port(s)
@@ -197,12 +192,9 @@ class AtmSwitch:
                 if (self.output_buffer_cells is not None
                         and out.queued_cells + burst.n_cells
                         > self.output_buffer_cells):
-                    self.bursts_dropped += 1
                     self._m_dropped.inc()
                     continue
                 replica = dataclasses.replace(burst, vci=leg.out_vci)
-                self.bursts_forwarded += 1
-                self.mcast_replicas += 1
                 self._m_forwarded.inc()
                 self._m_mcast_replicas.inc()
                 out.send(replica, at=arrives)
@@ -215,10 +207,8 @@ class AtmSwitch:
         out = route.out_channel
         if (self.output_buffer_cells is not None
                 and out.queued_cells + burst.n_cells > self.output_buffer_cells):
-            self.bursts_dropped += 1
             self._m_dropped.inc()
             return
         burst.vci = route.out_vci
-        self.bursts_forwarded += 1
         self._m_forwarded.inc()
         out.send(burst, at=arrives)

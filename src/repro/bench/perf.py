@@ -52,5 +52,6 @@ def bench_mts_context_switch(n_yields: int = 5_000) -> dict:
     sched.t_create(spinner, name="spin-b")
     sched.start()
     cluster.sim.run()
-    return {"context_switches": sched.context_switches,
+    return {"context_switches": cluster.metrics.value(
+                "mts.context_switches", pid=0),
             "sim_time_s": round(cluster.sim.now, 9)}

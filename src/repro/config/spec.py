@@ -423,7 +423,9 @@ class ObsSpec:
     ``metrics``/``trace`` feed the cluster builder; ``chrome_trace`` /
     ``jsonl`` are file targets written after the run (both require
     ``trace = true`` — span export reads the tracer); ``report`` prints
-    the :func:`repro.diagnostics.cluster_report` after the run.
+    the :func:`repro.diagnostics.cluster_report` after the run (requires
+    ``metrics = true``: the report reads the registry, and a disabled
+    registry counts nothing).
     """
 
     metrics: bool = True
@@ -440,6 +442,10 @@ class ObsSpec:
             if not isinstance(getattr(self, name), bool):
                 raise _err(f"obs.{name}",
                            f"must be true or false (got {getattr(self, name)!r})")
+        if self.report and not self.metrics:
+            raise _err("obs.report",
+                       "requires obs.metrics = true (the report reads the "
+                       "metrics registry, which counts nothing when off)")
         _check_str(self.chrome_trace, "obs.chrome_trace", optional=True)
         _check_str(self.jsonl, "obs.jsonl", optional=True)
         for name in ("chrome_trace", "jsonl"):

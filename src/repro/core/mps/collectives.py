@@ -144,7 +144,6 @@ class NicCollectives(CollectiveStrategy):
         # origin-side accounting mirrors the host bcast: one logical
         # DATA message per destination process
         for _ in targets:
-            mps.data_sent += 1
             mps._m_sent.inc()
             mps._m_bytes.observe(op.size)
         tid = thread.tid

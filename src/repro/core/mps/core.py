@@ -134,10 +134,6 @@ class NcsMps:
         self._barrier_blocked: dict[int, ops.Wake] = {}
         #: messages error control gave up on
         self.lost_messages: list[NcsMessage] = []
-        # statistics
-        self.data_sent = 0
-        self.data_received = 0
-        self.messages_faulted = 0
         # telemetry handles (no-ops when the registry is disabled)
         _m = self.sim.metrics
         self._m_sent = _m.counter(
@@ -200,7 +196,6 @@ class NcsMps:
                     op: Any, notify: Callable[[], None],
                     deadline: Optional[float] = None) -> None:
         """Count one DATA message of a Send/Bcast op and queue it."""
-        self.data_sent += 1
         self._m_sent.inc()
         self._m_bytes.observe(op.size)
         self._enqueue_send(SendRequest(NcsMessage(
@@ -408,7 +403,6 @@ class NcsMps:
             if self.rx_fault is not None and self.rx_fault(msg):
                 # injected network loss: the message simply never arrives
                 # (error control, if armed, will retransmit it)
-                self.messages_faulted += 1
                 self._m_faulted.inc()
                 self.host.tracer.point(f"ncs:{self.pid}", "rx-fault",
                                        (msg.kind.value, msg.msg_uid))
@@ -503,7 +497,6 @@ class NcsMps:
                               activity=Activity.COMMUNICATE)
             if self.fc.wants_credits and msg.from_process != self.pid:
                 self.fc.on_data_delivered(msg)
-            self.data_received += 1
             self._m_received.inc()
             if msg.sent_at is not None:
                 self._m_latency.observe(self.sim.now - msg.sent_at)

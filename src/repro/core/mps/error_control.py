@@ -124,11 +124,9 @@ class AckRetransmitErrorControl(ErrorControl):
         #: insertion-ordered dedup set (dict keys; oldest evicted first)
         self._seen: dict[tuple, None] = {}
         self._nacked: list[tuple] = []
-        #: statistics
-        self.retransmissions = 0
-        self.gave_up = 0
+        #: messages dropped by ``abandon_peer`` (retransmissions and
+        #: give-ups are counted in the registry only)
         self.abandoned = 0
-        self.deadline_expired = 0
 
     @staticmethod
     def _uid(raw) -> tuple:
@@ -224,7 +222,6 @@ class AckRetransmitErrorControl(ErrorControl):
         return body
 
     def _give_up(self, uid, msg, why: str) -> None:
-        self.gave_up += 1
         self._m_gave_up.inc()
         del self._unacked[uid]
         self.mps.host.tracer.point(f"ec:{self.mps.pid}", why, uid)
@@ -234,7 +231,6 @@ class AckRetransmitErrorControl(ErrorControl):
         # index, don't unpack: subclasses may append fields to the entry
         msg, retries = entry[0], entry[2]
         if msg.deadline is not None and self.sim.now >= msg.deadline:
-            self.deadline_expired += 1
             self._give_up(uid, msg, "deadline-expired")
             return
         if retries >= self._retry_limit(msg):
@@ -243,7 +239,6 @@ class AckRetransmitErrorControl(ErrorControl):
         entry[2] += 1
         backoff = self._initial_timeout() * (2 ** entry[2])
         entry[1] = self.sim.now + backoff
-        self.retransmissions += 1
         self._m_retransmissions.inc()
         self.mps.host.tracer.point(
             f"ec:{self.mps.pid}", "retransmit", uid)

@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
+from ...sim import check_size
+
 __all__ = ["ANY", "ANY_THREAD", "ControlKind", "NcsMessage",
            "NCS_HEADER_BYTES"]
 
@@ -62,8 +64,7 @@ class NcsMessage:
     sent_at: "float | None" = None
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("message size must be non-negative")
+        check_size("message size", self.size)
 
     @property
     def wire_bytes(self) -> int:

@@ -63,9 +63,6 @@ class NcsTransport:
         self.stack: NodeStack = cluster.stack(pid)
         self.host: Host = self.stack.host
         self._deliver: Optional[Callable[[NcsMessage], None]] = None
-        #: statistics
-        self.messages_sent = 0
-        self.bytes_sent = 0
         # telemetry handles (no-ops when the registry is disabled);
         # ``transport`` is the subclass's mode name ("p4", "socket", "atm")
         _m = self.sim.metrics
@@ -89,8 +86,6 @@ class NcsTransport:
         """Run :meth:`_send_path` in background simulated time; call
         ``then()`` when the user buffer is reusable, ``then(exc=exc)``
         if the path raised ``exc``."""
-        self.messages_sent += 1
-        self.bytes_sent += msg.size
         self._m_messages.inc()
         self._m_bytes.inc(msg.size)
         path = self._send_path(msg)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from ...sim import Activity
+from ...sim import Activity, check_size
 
 __all__ = [
     "Op", "NoOp", "Compute", "YieldCpu", "Wake", "Sleep",
@@ -172,8 +172,7 @@ class Send(Op):
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("size must be non-negative")
+        check_size("size", self.size)
 
 
 @dataclass(frozen=True)
@@ -224,6 +223,9 @@ class Bcast(Op):
     tag: int = 0
     dedup_processes: bool = False
 
+    def __post_init__(self) -> None:
+        check_size("size", self.size)
+
 
 @dataclass(frozen=True)
 class Barrier(Op):
@@ -249,8 +251,7 @@ class CollectiveBcast(Op):
     tag: int = 0
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("size must be non-negative")
+        check_size("size", self.size)
 
 
 @dataclass(frozen=True)

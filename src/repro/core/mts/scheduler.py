@@ -75,8 +75,6 @@ class MtsScheduler:
             ops.Compute: None, ops.NoOp: self._op_noop,
             ops.YieldCpu: self._op_yield_cpu, ops.Wake: self.block,
             ops.Unblock: self._op_unblock, ops.Spawn: self._op_spawn}
-        #: statistics
-        self.context_switches = 0
         # telemetry handles (no-ops when the registry is disabled)
         _m = self.sim.metrics
         pid = process.pid
@@ -234,7 +232,6 @@ class MtsScheduler:
                 recycle(ev)
                 continue
             if self._last_thread is not thread:
-                self.context_switches += 1
                 if metrics_on:
                     self._m_switches.inc()
                 yield from self.host.cpu_busy(

@@ -7,11 +7,11 @@ drops, TCP segments and retransmissions, NCS message counts and
 scheduler context switches — and ``render_report`` pretty-prints it.
 
 Every number comes out of the registry the layers themselves publish
-into (see :mod:`repro.obs`); nothing here reaches into private layer
-state.  When a cluster was built with ``metrics=False`` the registry is
-the no-op null registry, so the report falls back to the layers' public
-counters (``EthernetLan.frames_delivered``, :meth:`TcpStack.stats`,
-``AdapterStats``...) — same shape, same values, no telemetry required.
+into (see :mod:`repro.obs`), which is the only copy of each count;
+nothing here reaches into layer state.  A cluster built with
+``metrics=False`` has the no-op null registry, which counts nothing, so
+there is nothing to report: :func:`cluster_report` raises
+:class:`ValueError` instead of printing zeros.
 
 >>> report = cluster_report(cluster)
 >>> print(render_report(report))
@@ -41,13 +41,16 @@ def cluster_report(cluster, runtime=None, scenario=None) -> dict:
     provenance — either a scenario name (str) or a
     :class:`~repro.config.ScenarioSpec`, in which case the spec's
     content digest is recorded too, tying the numbers back to the exact
-    configuration that produced them.
+    configuration that produced them.  A cluster whose telemetry is off
+    has counted nothing: that is a :class:`ValueError`.
     """
     m = cluster.metrics
-    if m.enabled:
-        report = _report_from_registry(cluster, runtime, m)
-    else:
-        report = _report_from_public_counters(cluster, runtime)
+    if not m.enabled:
+        raise ValueError(
+            "cluster_report: telemetry is off, so nothing was counted; "
+            "build the cluster with metrics=True (in a scenario, "
+            "[obs] metrics = true)")
+    report = _report_from_registry(cluster, runtime, m)
     if scenario is not None:
         if isinstance(scenario, str):
             provenance = {"name": scenario}
@@ -99,6 +102,10 @@ def _report_from_registry(cluster, runtime, m) -> dict:
         report["hosts"][name] = host
 
     if runtime is not None:
+        # a pid's wire traffic, summed over every transport label: a
+        # failover transport counts its messages under its sub-transports
+        messages = m.label_values("transport.messages_sent", "pid")
+        nbytes = m.label_values("transport.bytes_sent", "pid")
         ncs: dict[str, Any] = {}
         for node in runtime.nodes:
             pid = node.pid
@@ -106,12 +113,8 @@ def _report_from_registry(cluster, runtime, m) -> dict:
                 "data_sent": m.value("mps.data_sent", pid=pid),
                 "data_received": m.value("mps.data_received", pid=pid),
                 "messages_lost": m.value("mps.messages_lost", pid=pid),
-                "transport_messages": m.value(
-                    "transport.messages_sent", pid=pid,
-                    transport=node.transport.name),
-                "transport_bytes": m.value(
-                    "transport.bytes_sent", pid=pid,
-                    transport=node.transport.name),
+                "transport_messages": messages.get(str(pid), 0),
+                "transport_bytes": nbytes.get(str(pid), 0),
                 "context_switches": m.value("mts.context_switches", pid=pid),
                 "threads": m.value("mts.threads_created", pid=pid),
                 "ec_retransmissions": m.value("ec.retransmissions", pid=pid),
@@ -131,65 +134,6 @@ def _resilience_totals(m) -> dict:
     """
     return {name.split(".", 1)[1]: m.total(name)
             for name in RESILIENCE_COUNTERS}
-
-
-def _report_from_public_counters(cluster, runtime) -> dict:
-    """Same report, built from the layers' public counters (used when the
-    cluster was built with telemetry disabled)."""
-    report: dict[str, Any] = {"medium": cluster.medium, "hosts": {}}
-
-    if cluster.lan is not None:
-        report["ethernet"] = {
-            "frames_delivered": cluster.lan.frames_delivered,
-            "collision_events": cluster.lan.collision_events,
-        }
-    if cluster.fabric is not None:
-        report["atm_switches"] = {
-            name: {"bursts_forwarded": sw.bursts_forwarded,
-                   "bursts_dropped": sw.bursts_dropped}
-            for name, sw in cluster.fabric.switches.items()
-        }
-
-    for stack in cluster.stacks:
-        host: dict[str, Any] = {}
-        host["ip"] = {
-            "packets_sent": stack.ip.packets_sent,
-            "packets_received": stack.ip.packets_received,
-            "fragments_sent": stack.ip.fragments_sent,
-        }
-        host["tcp"] = stack.tcp.stats()
-        if stack.atm_api is not None:
-            st = stack.atm_api.adapter.stats
-            host["atm"] = {
-                "pdus_sent": st.pdus_sent,
-                "pdus_received": st.pdus_received,
-                "pdus_failed": st.pdus_failed,
-                "cells_sent": st.cells_sent,
-                "cells_received": st.cells_received,
-            }
-        report["hosts"][stack.host.name] = host
-
-    if runtime is not None:
-        ncs: dict[str, Any] = {}
-        for node in runtime.nodes:
-            sched = node.scheduler
-            ncs[f"pid{node.pid}"] = {
-                "data_sent": node.mps.data_sent,
-                "data_received": node.mps.data_received,
-                "messages_lost": len(node.mps.lost_messages),
-                "transport_messages": node.transport.messages_sent,
-                "transport_bytes": node.transport.bytes_sent,
-                "context_switches": sched.context_switches,
-                "threads": len(sched.threads),
-                "ec_retransmissions": getattr(node.mps.ec,
-                                              "retransmissions", 0),
-            }
-        report["ncs"] = ncs
-        # same schema as the registry path; with telemetry disabled the
-        # self-healing layer keeps no public counters, so these are zeros
-        report["resilience"] = {name.split(".", 1)[1]: 0
-                                for name in RESILIENCE_COUNTERS}
-    return report
 
 
 def render_report(report: dict, indent: int = 0) -> str:

@@ -63,10 +63,6 @@ class EthernetLan:
         #: whole — TCP above retransmits, as it would on real coax)
         self.up = True
         self.fault_ber = 0.0
-        #: counters for tests/benchmarks
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self.collision_events = 0
         # telemetry handles (no-ops when the registry is disabled)
         _m = sim.metrics
         self._m_delivered = _m.counter(
@@ -125,7 +121,6 @@ class EthernetLan:
             return
         while not nic.up:
             # a crashed host's queued frames never make the wire
-            self.frames_dropped += 1
             self._m_dropped.inc()
             if not nic._next():
                 return
@@ -144,7 +139,6 @@ class EthernetLan:
             # We deferred behind someone: with the paper-era loads this
             # is when real CSMA/CD would have collided.  Charge a jam
             # time plus backoff, then retry.
-            self.collision_events += 1
             self._m_collisions.inc()
             nic._attempt += 1
             self._arm(now + SLOT_BITS / self.bandwidth_bps, self._jam_end, nic)
@@ -201,21 +195,17 @@ class EthernetLan:
     def _deliver(self, frame: EthernetFrame) -> None:
         nic = self.nics[frame.dst]
         if not self.up or not nic.up:
-            self.frames_dropped += 1
             self._m_dropped.inc()
             return
         if self.fault_ber > 0.0:
             bits = frame.wire_bytes * 8
             p_bad = 1.0 - (1.0 - self.fault_ber) ** bits
             if self._fault_rng.random() < p_bad:
-                self.frames_dropped += 1
                 self._m_dropped.inc()
                 return
         if nic.rx_fault is not None and nic.rx_fault(frame):
-            self.frames_dropped += 1
             self._m_dropped.inc()
             return
-        self.frames_delivered += 1
         self._m_delivered.inc()
         nic._receive(frame)
 

@@ -11,8 +11,9 @@ and records what it did in three places:
 * the cluster tracer — one ``Activity.FAULT`` interval per event (entity
   ``fault:<index>``), so fault windows land on the same timelines as
   the compute/communicate intervals of Fig 16;
-* the layers' own counters (``bursts_faulted``, ``frames_dropped``,
-  ``messages_faulted``) keep counting as usual.
+* the layers' own registry counters (``atm.link_bursts_faulted``,
+  ``ethernet.frames_dropped``, ``mps.messages_faulted``...) keep
+  counting as usual.
 
 Message-level faults (:class:`Partition`, :class:`MessageLoss`) filter
 at the NCS arrival point and therefore need the :class:`NcsRuntime`;

@@ -14,6 +14,11 @@ instrument without constructor plumbing::
     ...
     self._m_frames.inc()
 
+The registry is the only copy of every count it publishes: a layer
+keeps no integer twin next to its handle, so reports, benchmarks and
+tests read the count here.  A disabled registry therefore counts
+nothing (``repro.diagnostics.cluster_report`` refuses one).
+
 Design rules, in order of importance:
 
 1. **Hot paths must stay hot.**  An instrument handle is created once at

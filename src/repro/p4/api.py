@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..net.topology import Cluster, NodeStack
-from ..sim import Activity, Event, SimProcess, Store
+from ..sim import Activity, Event, SimProcess, Store, check_size
 
 __all__ = ["P4Params", "P4Message", "P4Process", "P4Runtime",
            "LibraryStream"]
@@ -165,8 +165,7 @@ class P4Process:
         wire transfer proceeds asynchronously (p4's buffered sends)."""
         if dest == self.pid:
             raise ValueError("p4_send to self is not supported")
-        if size < 0:
-            raise ValueError("size must be non-negative")
+        check_size("size", size)
         params = self.runtime.params
         yield from self.host.cpu_busy(
             params.send_overhead_s + size * params.marshal_send_per_byte_s

@@ -67,10 +67,6 @@ class IpLayer:
         self._reasm: dict[tuple[str, int], dict[int, IpPacket]] = {}
         #: proto -> handler(packet)
         self._handlers: dict[str, Callable[[IpPacket], None]] = {}
-        #: counters
-        self.packets_sent = 0
-        self.packets_received = 0
-        self.fragments_sent = 0
         # telemetry handles (no-ops when the registry is disabled)
         _m = sim.metrics
         self._m_sent = _m.counter(
@@ -103,7 +99,6 @@ class IpLayer:
         ident = self._ident
         max_payload = self.adapter.mtu - IP_HEADER_BYTES
         if payload_bytes <= max_payload:
-            self.packets_sent += 1
             self._m_sent.inc()
             self.adapter.send(dst_host, IpPacket(
                 self.host_name, dst_host, proto, payload, payload_bytes, ident))
@@ -119,10 +114,8 @@ class IpLayer:
                 self.host_name, dst_host, proto,
                 payload if last else None, take, ident,
                 frag_offset=offset, more_frags=not last))
-            self.fragments_sent += 1
             self._m_fragments.inc()
             offset += take
-        self.packets_sent += 1
         self._m_sent.inc()
 
     # -------------------------------------------------------------- receive
@@ -162,7 +155,6 @@ class IpLayer:
                         total, first.ident)
 
     def _deliver(self, packet: IpPacket) -> None:
-        self.packets_received += 1
         self._m_received.inc()
         handler = self._handlers.get(packet.proto)
         if handler is None:

@@ -140,10 +140,6 @@ class TcpConnection:
         self._delack_gen = 0
         self._delack_running = False
         self._rx_msgs: Store = Store(self.sim, name=f"tcpmsgs:{self.local}<-{remote}")
-        # ---- stats
-        self.segments_sent = 0
-        self.acks_sent = 0
-        self.retransmits = 0
 
     # ------------------------------------------------------------ handshake
     def connect(self):
@@ -228,7 +224,6 @@ class TcpConnection:
                 self._send_lock.pop(0).succeed(None)
 
     def _emit(self, seg: TcpSegment) -> None:
-        self.segments_sent += 1
         self.stack._m_segments.inc()
         self.stack.ip.send(self.remote, "tcp", seg, seg.wire_bytes)
 
@@ -280,7 +275,6 @@ class TcpConnection:
 
     def _ack_now(self) -> None:
         self._segs_unacked = 0
-        self.acks_sent += 1
         self.stack._m_acks.inc()
         self._emit_ack()
 
@@ -339,7 +333,6 @@ class TcpConnection:
             if self.snd_una == una_before:
                 # oldest unacked segment timed out: retransmit it
                 seq = min(self._inflight)
-                self.retransmits += 1
                 self.stack._m_retransmits.inc()
                 self._emit(self._inflight[seq])
                 self._rto = min(self._rto * 2, self.params.rto_max_s)
@@ -401,18 +394,6 @@ class TcpStack:
     def connections(self) -> list["TcpConnection"]:
         """The live connection objects (read-only view)."""
         return list(self._conns.values())
-
-    def stats(self) -> dict[str, int]:
-        """Aggregate TCP statistics over every connection on this host —
-        the public surface :func:`repro.diagnostics.cluster_report` (and
-        anything else) should use instead of walking private state."""
-        segs = acks = rexmit = 0
-        for conn in self._conns.values():
-            segs += conn.segments_sent
-            acks += conn.acks_sent
-            rexmit += conn.retransmits
-        return {"segments_sent": segs, "acks_sent": acks,
-                "retransmissions": rexmit}
 
     def _on_packet(self, packet) -> None:
         self._rx_q.try_put(packet.payload)

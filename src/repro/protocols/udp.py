@@ -30,8 +30,6 @@ class UdpStack:
         self._rx_q: Store = Store(self.sim, name=f"udprx:{host.name}")
         ip.register_protocol("udp", lambda pkt: self._rx_q.try_put(pkt))
         self.sim.process(self._rx_loop(), name=f"udp-rx:{host.name}")
-        self.datagrams_sent = 0
-        self.datagrams_delivered = 0
 
     def port(self, number: int) -> Store:
         q = self._ports.get(number)
@@ -47,7 +45,6 @@ class UdpStack:
             raise ValueError("nbytes must be non-negative")
         cost = self.tx_proc_s + self.host.cpu.touch_time(nbytes)
         yield from self.host.cpu_busy(cost, Activity.COMMUNICATE, "udp:tx")
-        self.datagrams_sent += 1
         self.ip.send(dst_host, "udp", (port, payload, nbytes),
                      UDP_HEADER_BYTES + nbytes)
 
@@ -64,5 +61,4 @@ class UdpStack:
             if pkt.payload is None:
                 continue  # fragment loss upstream
             port, payload, nbytes = pkt.payload
-            self.datagrams_delivered += 1
             self.port(port).try_put((payload, nbytes, pkt.src))

@@ -78,11 +78,6 @@ class HeartbeatDetector:
         self.on_peer_dead: List[Callable[[int], None]] = []
         #: callbacks fn(pid) fired on DEAD -> ALIVE (rejoin)
         self.on_peer_recovered: List[Callable[[int], None]] = []
-        #: statistics
-        self.beats_sent = 0
-        self.suspicions = 0
-        self.deaths = 0
-        self.rejoins = 0
         _m = self.sim.metrics
         self._m_beats = _m.counter(
             "resilience.heartbeats_sent", help="liveness beacons broadcast",
@@ -116,7 +111,6 @@ class HeartbeatDetector:
                 data=self.sim.now, size=CONTROL_BYTES,
                 kind=ControlKind.HEARTBEAT,
                 msg_uid=self.mps._next_uid())))
-        self.beats_sent += len(self.peers)
         self._m_beats.inc(len(self.peers))
 
     def _scan(self) -> None:
@@ -129,7 +123,6 @@ class HeartbeatDetector:
             if silent_for >= self.dead_after_s:
                 self.states[peer] = PeerState.DEAD
                 self.ever_dead.add(peer)
-                self.deaths += 1
                 self._m_deaths.inc()
                 self.mps.host.tracer.point(
                     f"detector:{self.pid}", "peer-dead", peer)
@@ -141,7 +134,6 @@ class HeartbeatDetector:
             elif silent_for >= self.suspect_after_s \
                     and state is PeerState.ALIVE:
                 self.states[peer] = PeerState.SUSPECT
-                self.suspicions += 1
                 self._m_suspicions.inc()
                 self.mps.host.tracer.point(
                     f"detector:{self.pid}", "peer-suspect", peer)
@@ -161,7 +153,6 @@ class HeartbeatDetector:
         self.mps.host.tracer.point(
             f"detector:{self.pid}", "peer-recovered", pid)
         if state is PeerState.DEAD:
-            self.rejoins += 1
             self._m_rejoins.inc()
             for cb in self.on_peer_recovered:
                 cb(pid)

@@ -56,6 +56,8 @@ class FailoverTransport(NcsTransport):
                  failure_threshold: int = 3, reset_timeout_s: float = 0.2,
                  probe_successes: int = 2):
         super().__init__(cluster, pid)
+        # the sub-transports count the wire: this wrapper's own
+        # transport.*{transport=failover} series stay at zero
         self.primary = AtmTransport(cluster, pid)
         self.fallback = SocketTransport(cluster, pid)
         self.breakers: Dict[int, CircuitBreaker] = {}
@@ -69,10 +71,6 @@ class FailoverTransport(NcsTransport):
         self._tx_path: Dict[tuple, str] = {}
         #: receiver side: msg_uid -> path that delivered the message
         self._rx_path: Dict[tuple, str] = {}
-        #: statistics
-        self.failovers = 0           # messages routed over NSM
-        self.trips = 0               # breakers tripping CLOSED/HALF_OPEN→OPEN
-        self.recoveries = 0          # breakers closing again
         _m = self.sim.metrics
         self._m_failovers = _m.counter(
             "resilience.failovers",
@@ -90,10 +88,8 @@ class FailoverTransport(NcsTransport):
                 f"failover:{self.pid}", "breaker",
                 (peer, old.value, new.value))
             if new is BreakerState.OPEN:
-                self.trips += 1
                 self._m_trips.inc()
             elif new is BreakerState.CLOSED:
-                self.recoveries += 1
                 self._m_recoveries.inc()
         return cb
 
@@ -124,7 +120,6 @@ class FailoverTransport(NcsTransport):
             path, transport = HSM_PATH, self.primary
         else:
             path, transport = NSM_PATH, self.fallback
-            self.failovers += 1
             self._m_failovers.inc()
         if msg.kind in RELIABLE_KINDS:
             # only EC-tracked kinds ever report back; remembering a
@@ -153,12 +148,6 @@ class FailoverTransport(NcsTransport):
         path = self._rx_path.pop(tuple(msg.msg_uid), HSM_PATH)
         sub = self.primary if path == HSM_PATH else self.fallback
         return sub.recv_cost(msg.size)
-
-    # the wrapper owns no wire of its own: per-path counters live on the
-    # sub-transports, so transport.* metric totals are not double-counted
-    @property
-    def messages_routed(self) -> int:
-        return self.primary.messages_sent + self.fallback.messages_sent
 
 
 @TRANSPORTS.register(

@@ -278,7 +278,11 @@ def main(argv=None) -> int:
             continue
         print(_summarize(result))
         if (args.report or spec.obs.report) and result.cluster is not None:
-            print(render_report(result.report(), indent=1))
+            try:
+                print(render_report(result.report(), indent=1))
+            except ValueError as e:     # telemetry off: nothing counted
+                print(f"{path}: {e}", file=sys.stderr)
+                status = 2
     return status
 
 

@@ -12,6 +12,7 @@ from .kernel import (
     Simulator,
     Timeout,
     check_param,
+    check_size,
 )
 from .resources import Mailbox, Resource, Store
 from .rng import RngRegistry
@@ -20,7 +21,7 @@ from .trace import Activity, Interval, NullTracer, Timeline, Tracer
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "KernelCore", "PENDING",
     "SimProcess", "SimulationError", "Simulator", "Timeout", "check_param",
-    "Mailbox", "Resource", "Store",
+    "check_size", "Mailbox", "Resource", "Store",
     "RngRegistry",
     "Activity", "Interval", "NullTracer", "Timeline", "Tracer",
 ]

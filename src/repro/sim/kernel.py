@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from numbers import Real
+from numbers import Integral, Real
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.registry import MetricsRegistry
@@ -47,6 +47,7 @@ __all__ = [
     "KernelCore",
     "Simulator",
     "check_param",
+    "check_size",
 ]
 
 
@@ -71,6 +72,16 @@ def check_param(name: str, value: float, positive: bool = False) -> None:
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be a finite number "
                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
+
+
+def check_size(name: str, value: Any) -> None:
+    """Reject a byte count that is not an integer >= 0 (a ``bool`` is
+    not a size), at the call that names it."""
+    # ``type() is int`` first: the ABC isinstance costs ~0.5 us a call
+    if not (type(value) is int or (isinstance(value, Integral)
+                                   and not isinstance(value, bool))) \
+            or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 class Interrupt(Exception):

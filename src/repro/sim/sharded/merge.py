@@ -158,9 +158,9 @@ class MergedMetrics:
     over the merged snapshot (enough surface for exports, fleet KPI
     extraction and ``repro.run``'s summaries)."""
 
-    def __init__(self, snapshot: dict):
+    def __init__(self, snapshot: dict, enabled: bool = True):
         self._snapshot = snapshot
-        self.enabled = True
+        self.enabled = enabled
 
     def snapshot(self) -> dict:
         return self._snapshot
@@ -178,6 +178,14 @@ class MergedMetrics:
         key = ",".join(f"{k}={v}" for k, v in
                        sorted((k, str(v)) for k, v in labels.items()))
         return self._snapshot.get(name, {}).get(key, default)
+
+    def label_values(self, name: str, label: str) -> dict:
+        out: dict = {}
+        for key, leaf in self._snapshot.get(name, {}).items():
+            for k, _, v in (part.partition("=") for part in key.split(",")):
+                if k == label:
+                    out[v] = out.get(v, 0) + leaf
+        return dict(sorted(out.items()))
 
 
 class MergedTracer:
@@ -273,7 +281,7 @@ def merged_result(spec, plan: ShardPlan, payloads: list[dict],
                       for f in failures)
     view = payloads[0]["view"]
     view.tracer = MergedTracer(timelines, events)
-    view.metrics = MergedMetrics(snapshot)
+    view.metrics = MergedMetrics(snapshot, enabled=spec.obs.metrics)
     result = ScenarioResult(spec, value, view, view.runtime)
     _export_obs(result)
     return result

@@ -9,6 +9,8 @@ from repro.atm import (
 from repro.hosts import Host
 from repro.sim import RngRegistry, Simulator
 
+from ..counts import count
+
 
 def build_lan(n_hosts=2, train_cells=256, switch_kw=None, link_spec=TAXI_140,
               rngs=None):
@@ -223,7 +225,7 @@ class TestErrors:
         sim.process(sender(apis[0], vc0))
         sim.process(sender(apis[1], vc1))
         sim.run(max_events=500000)
-        assert fabric.switches["sw0"].bursts_dropped > 0
+        assert count(sim.metrics, "atm.bursts_dropped", switch="sw0") > 0
 
     def test_a_delivery_that_raises_is_not_swallowed(self):
         """A burst crosses a link on one timer (the channel's landing

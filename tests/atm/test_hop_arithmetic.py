@@ -113,10 +113,10 @@ class Tap:
             route = switch._table.get(key)
             legs = switch._mcast.get(key) or ((route,) if route else ())
             depths = [leg.out_channel.queued_cells for leg in legs]
-            dropped = switch.bursts_dropped
+            dropped = switch._m_dropped.value
             row = self._row(who, burst, channel)
             plain(burst, channel)
-            self.rx.append(row + [depths, switch.bursts_dropped - dropped])
+            self.rx.append(row + [depths, switch._m_dropped.value - dropped])
         switch.receive_burst = receive_burst
 
     # ------------------------------------------------------------- scripting
@@ -151,6 +151,9 @@ class Tap:
     def outcome(self):
         self.sim.run(max_events=2_000_000)
         fabric = self.cluster.fabric
+        snap = self.sim.metrics.snapshot()
+        # program_multicast creates the replica series on first use
+        replicas = snap.get("atm.mcast_replicas", {})
         return {
             "end": self.sim.now, "rx": self.rx, "windows": self.windows,
             # per-burst state a drained channel still holds: the drain
@@ -158,16 +161,22 @@ class Tap:
             "residue": sum(len(getattr(ch, "_sent", ()))
                            + getattr(ch, "_sent_cells", 0)
                            for ch in fabric._channels.values()),
-            "switches": {name: [sw.bursts_forwarded, sw.bursts_dropped,
-                                sw.bursts_unroutable, sw.bursts_faulted,
-                                sw.mcast_replicas]
-                         for name, sw in sorted(fabric.switches.items())},
-            "channels": {ch.name: [ch.bursts_carried, ch.bursts_corrupted,
-                                   ch.bursts_faulted]
-                         for _pair, ch in sorted(fabric._channels.items())},
-            "adapters": {name: [a.stats.pdus_sent, a.stats.pdus_received,
-                                a.stats.pdus_failed, a.stats.cells_received]
-                         for name, a in sorted(fabric.adapters.items())},
+            "switches": {name: [
+                snap["atm.bursts_forwarded"][f"switch={name}"],
+                snap["atm.bursts_dropped"][f"switch={name}"],
+                sw.bursts_unroutable,
+                snap["atm.switch_bursts_faulted"][f"switch={name}"],
+                replicas.get(f"switch={name}", 0)]
+                for name, sw in sorted(fabric.switches.items())},
+            "channels": {ch.name: [
+                ch.bursts_carried, ch.bursts_corrupted,
+                snap["atm.link_bursts_faulted"][f"link={ch.name}"]]
+                for _pair, ch in sorted(fabric._channels.items())},
+            "adapters": {name: [
+                snap[series][f"host={name}"]
+                for series in ("atm.pdus_sent", "atm.pdus_received",
+                               "atm.pdus_failed", "atm.cells_received")]
+                for name in sorted(fabric.adapters)},
         }
 
 
@@ -560,8 +569,11 @@ def play(script, latency, prop, ber, new):
             sim.call_at(t, calls[op[0]])
     sim.call_at(t + 1.0, ch.unstall)    # nothing stays held for good
     sim.run(max_events=100_000)
+    # each implementation's fault count where it keeps it
+    faulted = (sim.metrics.snapshot()["atm.link_bursts_faulted"]["link=law"]
+               if new else ch.bursts_faulted)
     return landings, depths, (ch.bursts_carried, ch.bursts_corrupted,
-                              ch.bursts_faulted)
+                              faulted)
 
 
 @given(script=st.lists(st.tuples(gaps, ops), max_size=40),

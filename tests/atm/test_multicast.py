@@ -5,6 +5,7 @@ import pytest
 
 from repro.atm import MulticastChannel
 
+from ..counts import count
 from .test_fabric import build_lan
 
 
@@ -94,8 +95,8 @@ class TestDelivery:
         assert got == {1: {"round": 1}, 2: {"round": 1}, 3: {"round": 1}}
         # the source transmitted the PDU exactly once; the switch did
         # the fan-out (FORE-style output-port replication)
-        assert apis[0].adapter.stats.pdus_sent == 1
-        assert fabric.switches["sw0"].mcast_replicas == 3
+        assert count(sim.metrics, "atm.pdus_sent", host="h0") == 1
+        assert count(sim.metrics, "atm.mcast_replicas", switch="sw0") == 3
 
     def test_subset_group_excludes_nonmembers(self):
         sim, fabric, sig, hosts, apis = build_lan(4)
@@ -115,7 +116,7 @@ class TestDelivery:
         sim.run()
         assert got == {1: "hello", 3: "hello"}
         # h2's adapter saw no cells for this group
-        assert apis[2].adapter.stats.pdus_received == 0
+        assert count(sim.metrics, "atm.pdus_received", host="h2") == 0
 
     def test_two_groups_do_not_interfere(self):
         sim, fabric, sig, hosts, apis = build_lan(4)

@@ -6,6 +6,8 @@ import pytest
 from repro.atm import AAL34, AAL5
 from repro.net import build_atm_cluster
 
+from ..counts import count
+
 
 def transfer_goodput(cluster, vc, nbytes):
     sim = cluster.sim
@@ -86,19 +88,21 @@ class TestAalServiceSelection:
         vc5 = sig.create_pvc("n0", "n1", aal=AAL5)
         vc34 = sig.create_pvc("n0", "n1", aal=AAL34)
         sim = cluster.sim
-        adapter = cluster.stack(0).atm_api.adapter
 
         def send(vc):
             yield from cluster.stack(0).atm_api.send(vc, None, 9000)
 
-        before = adapter.stats.cells_sent
+        def cells_sent():
+            return count(sim.metrics, "atm.cells_sent", host="n0")
+
+        before = cells_sent()
         sim.process(send(vc5))
         sim.run(max_events=200_000)
-        aal5_cells = adapter.stats.cells_sent - before
-        before = adapter.stats.cells_sent
+        aal5_cells = cells_sent() - before
+        before = cells_sent()
         sim.process(send(vc34))
         sim.run(max_events=200_000)
-        aal34_cells = adapter.stats.cells_sent - before
+        aal34_cells = cells_sent() - before
         assert aal5_cells == AAL5.pdu_cells(9000)
         assert aal34_cells == AAL34.pdu_cells(9000)
         assert aal34_cells > aal5_cells

@@ -11,6 +11,8 @@ from repro.core.mps import (
 )
 from repro.net import build_atm_cluster, build_ethernet_cluster
 
+from ..counts import count
+
 
 class TestFlowControlFactory:
     def test_default_is_none(self):
@@ -194,8 +196,8 @@ class TestErrorControl:
         got = rt.thread_result(1, rtid)
         assert sorted(got) == list(range(n))
         assert len(got) == n  # exactly once (dedup worked)
-        ec = rt.nodes[0].mps.ec
-        assert ec.retransmissions > 0, "BER should have forced retries"
+        assert count(cluster.metrics, "ec.retransmissions", pid=0) > 0, \
+            "BER should have forced retries"
 
     def test_lossless_fabric_no_retransmissions(self):
         cluster = build_atm_cluster(2)
@@ -209,7 +211,7 @@ class TestErrorControl:
         rtid = rt.t_create(1, receiver)
         rt.t_create(0, sender, (rtid,))
         rt.run(max_events=3_000_000)
-        assert rt.nodes[0].mps.ec.retransmissions == 0
+        assert count(cluster.metrics, "ec.retransmissions", pid=0) == 0
 
 
 class TestFilters:

@@ -6,6 +6,8 @@ from repro.core import NcsRuntime
 from repro.core.mps import ANY_THREAD, RemoteException, ServiceMode
 from repro.net import build_atm_cluster, build_ethernet_cluster
 
+from ..counts import count
+
 
 def make_runtime(n=2, atm=False, mode=ServiceMode.P4, **kw):
     cluster = build_atm_cluster(n) if atm else build_ethernet_cluster(n)
@@ -198,7 +200,7 @@ class TestBcastAndCollectives:
         results = {rt.nodes[1].scheduler.thread(t).state.value
                    for t in (t1, t2)}
         assert "finished" in results and "blocked" in results
-        assert rt.nodes[0].mps.data_sent == 1
+        assert count(cluster.metrics, "mps.data_sent", pid=0) == 1
 
     def test_rejected_bcast_sends_nothing(self):
         """A bad target anywhere in the list fails the whole broadcast
@@ -222,12 +224,11 @@ class TestBcastAndCollectives:
         assert rt.thread_result(0, t0) == "NCS_bcast: no such process 99"
         assert rt.thread_result(1, t1) == "after"
         assert rt.thread_result(2, t2) == "after"
-        mps = rt.nodes[0].mps
-        assert mps.data_sent == 2
         snapshot = cluster.metrics.snapshot()
         assert snapshot["mps.data_sent"]["pid=0"] == 2
         assert snapshot["mps.message_bytes"]["pid=0"]["sum"] == 2 * 128
-        assert [n.mps.data_received for n in rt.nodes] == [0, 1, 1]
+        assert snapshot["mps.data_received"] == {
+            "pid=0": 0, "pid=1": 1, "pid=2": 1}
 
     def test_rejected_bcast_checks_the_deduplicated_list(self):
         cluster, rt = make_runtime(2)
@@ -240,7 +241,7 @@ class TestBcastAndCollectives:
         t0 = rt.t_create(0, root)
         rt.run(max_events=2_000_000)
         assert rt.thread_result(0, t0) == "NCS_bcast: no such process -2"
-        assert rt.nodes[0].mps.data_sent == 0
+        assert count(cluster.metrics, "mps.data_sent", pid=0) == 0
         assert len(rt.nodes[1].mps.mailbox) == 0
 
     def test_gather_collective(self):

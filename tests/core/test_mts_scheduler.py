@@ -9,6 +9,8 @@ from repro.core.mts import (
 from repro.hosts import Host, OsProcess
 from repro.sim import Simulator
 
+from ..counts import count
+
 
 @pytest.fixture
 def env():
@@ -159,7 +161,7 @@ class TestPrioritiesAndYield:
         sched.t_create(body)
         sched.t_create(body)
         run(sim, sched)
-        assert sched.context_switches >= 10
+        assert count(sim.metrics, "mts.context_switches", pid=0) >= 10
         assert sim.now >= 10 * host.os.thread_switch_time
 
 

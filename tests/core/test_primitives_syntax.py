@@ -14,7 +14,10 @@ import pytest
 from repro.core import NcsRuntime
 from repro.core.mps import ANY, ANY_THREAD, NcsMessage
 from repro.core.mts import ops
-from repro.net import build_ethernet_cluster
+from repro.net import build_atm_cluster, build_ethernet_cluster
+
+#: sizes that are not a byte count: each must fail at the call
+BAD_SIZES = [float("nan"), 1.5, True, "8"]
 
 
 class TestFig7Signatures:
@@ -34,6 +37,37 @@ class TestFig7Signatures:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             ops.Send(1, 1, None, -1)
+
+    @pytest.mark.parametrize("size", BAD_SIZES, ids=repr)
+    def test_message_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError) as exc:
+            NcsMessage(0, 0, 1, 1, None, size)
+        assert str(exc.value) == \
+            f"message size must be an integer >= 0, got {size!r}"
+
+    @pytest.mark.parametrize("mode", ["p4", "nsm", "hsm"])
+    @pytest.mark.parametrize("size", BAD_SIZES, ids=repr)
+    def test_send_and_bcast_reject_a_non_integer_size(self, mode, size):
+        """The sending thread gets the error at its call, in every
+        service mode, and nothing reaches the wire."""
+        cluster = build_atm_cluster(2)
+        rt = NcsRuntime(cluster, mode=mode)
+
+        def sender(ctx):
+            verdicts = []
+            for call in (lambda: ctx.send(-1, 1, "x", size),
+                         lambda: ctx.bcast([(-1, 1)], "x", size)):
+                try:
+                    yield call()
+                except ValueError as e:
+                    verdicts.append(str(e))
+            return verdicts
+
+        tid = rt.t_create(0, sender)
+        rt.run(max_events=500_000)
+        assert rt.thread_result(0, tid) == \
+            [f"size must be an integer >= 0, got {size!r}"] * 2
+        assert cluster.metrics.snapshot()["mps.data_sent"]["pid=0"] == 0
 
 
 class TestMessageEnvelope:

@@ -7,6 +7,8 @@ from repro.ethernet import (
 )
 from repro.sim import Simulator
 
+from ..counts import count
+
 
 def make_lan(n=2, **kw):
     sim = Simulator()
@@ -64,7 +66,7 @@ class TestDelivery:
         sim.run()
         assert a.frames_sent == 3
         assert b.frames_received == 3
-        assert lan.frames_delivered == 3
+        assert count(sim.metrics, "ethernet.frames_delivered") == 3
 
 
 class TestSharedMediumSerialization:
@@ -105,11 +107,11 @@ class TestCollisions:
                 a.enqueue("nic2", None, 1000)
                 b.enqueue("nic2", None, 1000)
             sim.run()
-            return lan, done[-1]
-        lan_no, t_no = run(False)
-        lan_yes, t_yes = run(True)
-        assert lan_no.collision_events == 0
-        assert lan_yes.collision_events > 0
+            return count(sim.metrics, "ethernet.collision_events"), done[-1]
+        collisions_no, t_no = run(False)
+        collisions_yes, t_yes = run(True)
+        assert collisions_no == 0
+        assert collisions_yes > 0
         assert t_yes >= t_no
 
     def test_collision_model_still_delivers_everything(self):

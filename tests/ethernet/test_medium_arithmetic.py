@@ -125,10 +125,16 @@ class Tap:
     def outcome(self):
         self.sim.run(max_events=1_000_000)
         lan = self.lan
+        if isinstance(lan, EthernetLan):    # counted in the registry only
+            snap = self.sim.metrics.snapshot()
+            counts = [snap[f"ethernet.{name}"][""] for name in (
+                "frames_delivered", "frames_dropped", "collision_events")]
+        else:
+            counts = [lan.frames_delivered, lan.frames_dropped,
+                      lan.collision_events]
         return {
             "end": self.sim.now, "rx": self.rx, "windows": self.windows,
-            "lan": [lan.frames_delivered, lan.frames_dropped,
-                    lan.collision_events],
+            "lan": counts,
             "nics": {nic.address: [nic.frames_sent, nic.frames_received,
                                    nic.tx_queue_len] for nic in self.nics},
             "backoff_rng": lan._rng.bit_generator.state,

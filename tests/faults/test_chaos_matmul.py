@@ -7,6 +7,7 @@ from repro import MessageLost, ServiceMode, build_atm_cluster
 from repro.apps.matmul import run_matmul_ncs
 from repro.faults import FaultInjector, FaultPlan, LinkOutage, Partition
 
+from ..counts import total
 from .util import FAST_EC
 
 
@@ -31,11 +32,7 @@ class TestTransientOutage:
         assert res.correct
         assert res.makespan_s > baseline.makespan_s   # retransmission cost
         # the outage was actually felt on the wire
-        faulted = sum(
-            ch.bursts_faulted
-            for _, _, d in cluster.fabric.graph.edges(data=True)
-            for ch in (d["link"].fwd, d["link"].rev))
-        assert faulted > 0
+        assert total(cluster.metrics, "atm.link_bursts_faulted") > 0
         assert [edge for _, edge, _ in injector.log] == ["begin", "end"]
 
 

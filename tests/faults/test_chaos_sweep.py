@@ -10,6 +10,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, trace_signature
 
+from ..counts import total
 from .util import MODES, add_ring_workload, expected_ring, make_runtime
 
 HOSTS = 3
@@ -26,12 +27,10 @@ def chaos_run(mode, plan_seed):
     FaultInjector(cluster, plan, runtime=rt).arm()
     received = add_ring_workload(rt, HOSTS, rounds=ROUNDS)
     rt.run()
-    engagement = (
-        sum(n.mps.messages_faulted for n in rt.nodes)
-        + sum(n.mps.ec.retransmissions for n in rt.nodes)
-        + sum(ch.bursts_faulted
-              for _, _, d in cluster.fabric.graph.edges(data=True)
-              for ch in (d["link"].fwd, d["link"].rev)))
+    m = cluster.metrics
+    engagement = (total(m, "mps.messages_faulted")
+                  + total(m, "ec.retransmissions")
+                  + total(m, "atm.link_bursts_faulted"))
     return received, trace_signature(cluster.tracer), engagement
 
 

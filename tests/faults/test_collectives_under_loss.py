@@ -6,6 +6,7 @@ import pytest
 from repro import ANY_THREAD, ServiceMode
 from repro.faults import FaultInjector, FaultPlan, MessageLoss
 
+from ..counts import total
 from .util import MODES, make_runtime
 
 N = 4
@@ -41,7 +42,7 @@ class TestBcastUnderLoss:
         assert all(got[pid] == "payload" for pid in range(1, N))
         assert got["acked"] == set(range(1, N))
         # the loss window really dropped traffic
-        assert sum(n.mps.messages_faulted for n in rt.nodes) > 0
+        assert total(cluster.metrics, "mps.messages_faulted") > 0
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

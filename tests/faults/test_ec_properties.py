@@ -23,6 +23,7 @@ from repro.core.mts import MtsScheduler, ThreadState, ops
 from repro.hosts import Host, OsProcess
 from repro.sim import NullTracer, Simulator
 
+from ..counts import count
 from .util import FAST_EC, make_runtime
 
 uids = st.tuples(st.integers(0, 3), st.integers(0, 20))
@@ -83,11 +84,11 @@ class TestBackoff:
             next(gen)   # runs through the transport hand-off
             assert entry[2] == i
             assert entry[1] == pytest.approx(sim.now + timeout * 2 ** i)
-        assert ec.retransmissions == retries
+        assert count(sim.metrics, "ec.retransmissions", pid=0) == retries
         # budget exhausted: the next attempt declares the message lost
         with pytest.raises(StopIteration):
             next(ec._retransmit((0, 1), entry))
-        assert ec.gave_up == 1
+        assert count(sim.metrics, "ec.gave_up", pid=0) == 1
         assert stub.lost == [msg]
         assert not ec.has_pending()
 
@@ -128,7 +129,7 @@ class TestGiveUpSurfacing:
         rt.run(raise_message_lost=False)
         lost = rt.nodes[0].mps.lost_messages
         assert len(lost) == 1 and lost[0].data == "doomed"
-        assert rt.nodes[0].mps.ec.gave_up == 1
+        assert count(rt.cluster.metrics, "ec.gave_up", pid=0) == 1
 
     def test_pending_recv_fails_with_message_lost(self):
         # the sender is parked in recv when EC gives up: its recv must
@@ -164,9 +165,10 @@ class TestExactlyOnceUnderLoss:
         rt.run()
         # every payload exactly once, despite loss-provoked retransmission
         assert sorted(got) == list(range(n))
-        assert rt.nodes[1].mps.data_received == n
-        assert (rt.nodes[0].mps.ec.retransmissions > 0
-                or rt.nodes[1].mps.messages_faulted > 0)
+        m = cluster.metrics
+        assert count(m, "mps.data_received", pid=1) == n
+        assert (count(m, "ec.retransmissions", pid=0) > 0
+                or count(m, "mps.messages_faulted", pid=1) > 0)
 
 
 class TestAcceptanceWaitLaws:
@@ -237,7 +239,7 @@ class TestAcceptanceWaitLaws:
         # the waiter went straight through in its first slice: never
         # blocked, so the anchor never ran before it
         assert log == [(self.SWITCH, "accepted")]
-        assert sched.context_switches == 2
+        assert count(sim.metrics, "mts.context_switches", pid=0) == 2
 
     @given(st.sampled_from(["before", "after"]))
     @settings(max_examples=4, deadline=None)

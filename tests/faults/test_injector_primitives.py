@@ -9,6 +9,7 @@ from repro.faults import (
 )
 from repro.sim import Activity
 
+from ..counts import count, total
 from .util import add_pingpong, make_runtime
 
 
@@ -21,13 +22,10 @@ class TestLinkOutage:
         makespan = rt.run()
         assert results["replies"] == [("pong", i) for i in range(3)]
         # the outage actually bit: bursts were faulted and EC retransmitted
-        assert any(s.bursts_faulted > 0
-                   for s in (cluster.fabric.adapters[h.host.name].stats
-                             for h in cluster.stacks)) or any(
-            ch.bursts_faulted > 0
-            for _, _, d in cluster.fabric.graph.edges(data=True)
-            for ch in (d["link"].fwd, d["link"].rev))
-        assert any(node.mps.ec.retransmissions > 0 for node in rt.nodes)
+        m = cluster.metrics
+        assert total(m, "atm.bursts_faulted") > 0 \
+            or total(m, "atm.link_bursts_faulted") > 0
+        assert total(m, "ec.retransmissions") > 0
         assert makespan > 0.02  # could not finish before the link healed
         assert [edge for _, edge, _ in inj.log] == ["begin", "end"]
 
@@ -55,7 +53,8 @@ class TestBerSpike:
         results = add_pingpong(rt, rounds=2, size=4096)
         rt.run()
         assert results["replies"] == [("pong", 0), ("pong", 1)]
-        assert cluster.lan.frames_dropped > 0   # the spike really dropped
+        # the spike really dropped
+        assert count(cluster.metrics, "ethernet.frames_dropped") > 0
         assert cluster.lan.fault_ber == 0.0     # and really healed
 
     def test_atm_link_spike_ec_recovers(self):
@@ -97,7 +96,7 @@ class TestSwitchPortStall:
         assert results["replies"] == [("pong", i) for i in range(3)]
         assert makespan > baseline  # head-of-line blocking, not loss
         # stall is loss-free: no EC give-ups were needed
-        assert all(node.mps.ec.gave_up == 0 for node in rt.nodes)
+        assert total(cluster.metrics, "ec.gave_up") == 0
 
 
 class TestOverlappingWindows:
@@ -210,7 +209,7 @@ class TestMessageLevelFaults:
         results = add_pingpong(rt, rounds=4)
         rt.run()
         assert results["replies"] == [("pong", i) for i in range(4)]
-        assert rt.nodes[1].mps.messages_faulted > 0
+        assert count(cluster.metrics, "mps.messages_faulted", pid=1) > 0
         assert inj.log[0][1] == "begin"
 
     def test_partition_blocks_only_across_groups(self):

@@ -16,6 +16,8 @@ from repro.core import NcsRuntime
 from repro.core.mps import ServiceMode
 from repro.net import build_atm_cluster, build_ethernet_cluster
 
+from ..counts import count
+
 
 class TestDeterminism:
     def test_matmul_bit_identical_across_runs(self):
@@ -125,5 +127,6 @@ class TestStress:
                 assert from_k == k
         # MPS counters: every process sent per_proc data messages
         for pid in range(4):
-            assert rt.nodes[pid].mps.data_sent == per_proc
-            assert rt.nodes[pid].mps.data_received == per_proc
+            assert count(cluster.metrics, "mps.data_sent", pid=pid) == per_proc
+            assert count(cluster.metrics, "mps.data_received",
+                         pid=pid) == per_proc

@@ -2,10 +2,14 @@
 
 import pytest
 
+import repro.resilience  # noqa: F401  (registers the hsm-failover transport)
+from repro.config import SpecError, loads_scenario, run_scenario
 from repro.core import NcsRuntime
 from repro.core.mps import ServiceMode
 from repro.diagnostics import cluster_report, render_report
 from repro.net import build_atm_cluster, build_ethernet_cluster
+from repro.net.topology import build_atm_dual_cluster
+from repro.run import main
 
 
 def run_workload(cluster, mode):
@@ -69,3 +73,82 @@ class TestClusterReport:
         assert "atm_switches" in text
         assert "cells_sent" in text
         assert text.count("\n") > 10
+
+    @pytest.mark.parametrize("mode", ["nsm", "hsm", "p4", "hsm-failover"])
+    def test_transport_rows_count_every_message_sent(self, mode):
+        # a failover transport counts its wire traffic under its
+        # sub-transports' labels; the report must still see it
+        cluster = build_atm_dual_cluster(2)
+        rt = run_workload(cluster, mode)
+        row = cluster_report(cluster, rt)["ncs"]["pid0"]
+        assert row["data_sent"] == 4
+        assert row["transport_messages"] >= row["data_sent"]
+        assert row["transport_bytes"] >= 4 * 20_000
+
+
+class TestTelemetryOff:
+    def test_report_on_a_disabled_registry_is_an_error(self):
+        cluster = build_ethernet_cluster(2, metrics=False)
+        rt = run_workload(cluster, ServiceMode.NSM)
+        with pytest.raises(ValueError, match="telemetry is off"):
+            cluster_report(cluster, rt)
+
+    def test_a_sharded_run_without_metrics_has_no_report(self):
+        spec = loads_scenario(SHARDED_OFF_SCENARIO)
+        result = run_scenario(spec)
+        assert result.cluster.metrics.enabled is False
+        with pytest.raises(ValueError, match="telemetry is off"):
+            result.report()
+
+    def test_report_needs_metrics_in_a_spec(self):
+        with pytest.raises(SpecError, match="obs.report"):
+            loads_scenario(OFF_SCENARIO + "report = true\n")
+
+    def test_cli_report_on_a_metrics_off_scenario(self, tmp_path, capsys):
+        path = tmp_path / "off.toml"
+        path.write_text(OFF_SCENARIO)
+        assert main([str(path), "--report"]) == 2
+        out, err = capsys.readouterr()
+        assert "done" in out
+        assert "telemetry is off" in err and "Traceback" not in err
+
+
+OFF_SCENARIO = """
+name = "telemetry-off"
+
+[cluster]
+topology = "ethernet"
+n_hosts = 2
+
+[app]
+driver = "pingpong"
+
+[obs]
+metrics = false
+"""
+
+
+SHARDED_OFF_SCENARIO = """
+name = "telemetry-off-sharded"
+
+[cluster]
+topology = "wan-ring"
+
+[cluster.options]
+n_sites = 2
+hosts_per_site = 2
+
+[runtime]
+mode = "hsm"
+shards = 2
+kernel = "sharded"
+
+[app]
+driver = "alltoall"
+
+[app.params]
+nbytes = 64
+
+[obs]
+metrics = false
+"""

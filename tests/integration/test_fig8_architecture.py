@@ -16,6 +16,8 @@ from repro.core.mts import ThreadState
 from repro.net import build_atm_cluster, build_ethernet_cluster
 from repro.sim import Activity
 
+from ..counts import count, tcp_count
+
 
 class TestFig8EndToEnd:
     def test_message_passes_every_component(self):
@@ -58,10 +60,10 @@ class TestFig8EndToEnd:
         assert any("recv-copy" in l for l in recv_labels)
         assert any("trap" in l for l in send_labels)
 
-        # adapter statistics show the PDUs that crossed the wire
-        stats = cluster.stack(0).atm_api.adapter.stats
-        assert stats.pdus_sent >= 3          # 48 KiB over 16 KiB buffers
-        assert cluster.stack(1).atm_api.adapter.stats.pdus_received >= 1
+        # adapter counters show the PDUs that crossed the wire
+        m = cluster.metrics
+        assert count(m, "atm.pdus_sent", host="n0") >= 3   # 48 KiB / 16 KiB
+        assert count(m, "atm.pdus_received", host="n1") >= 1
 
         # error control saw the ack round-trip and holds nothing pending
         assert not rt.nodes[0].mps.ec.has_pending()
@@ -85,8 +87,8 @@ class TestFig8EndToEnd:
         rt.run(max_events=2_000_000)
         assert rt.thread_result(1, rtid) == "via-p4"
         # TCP segments actually flowed
-        conn = cluster.stack(0).tcp.connection("n1")
-        assert conn.segments_sent >= 6       # 8 KiB over ~1.4 KiB MSS
+        # 8 KiB over ~1.4 KiB MSS
+        assert tcp_count(cluster, 0, "tcp.segments_sent") >= 6
         # p4 marshalling appeared in the sender's trace
         cluster.tracer.close_all()
         labels = {iv.label for iv in cluster.tracer.timelines["n0"].intervals}

@@ -57,15 +57,3 @@ def test_telemetry_never_perturbs_the_simulation():
     # and the enabled run did record the traffic
     assert cluster_on.metrics.value("mps.data_sent", pid=0) == 20
     assert cluster_on.metrics.value("mps.data_received", pid=1) == 20
-
-
-def test_legacy_counters_agree_with_the_registry():
-    _, cluster = _pingpong(metrics=True)
-    m = cluster.metrics
-    assert cluster.lan.frames_delivered == m.value(
-        "ethernet.frames_delivered")
-    for stack in cluster.stacks:
-        assert stack.tcp.stats()["segments_sent"] == m.value(
-            "tcp.segments_sent", host=stack.host.name)
-        assert stack.ip.packets_sent == m.value(
-            "ip.packets_sent", host=stack.host.name)

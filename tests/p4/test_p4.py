@@ -39,6 +39,20 @@ class TestBasics:
         cluster.sim.run()
         assert not p.ok
 
+    @pytest.mark.parametrize("size", [float("nan"), 1.5, True, "8"],
+                             ids=repr)
+    def test_send_rejects_a_non_integer_size(self, size):
+        cluster, rt = make_runtime(2)
+
+        def bad(p4):
+            try:
+                yield from p4.send(1, 1, None, size)
+            except ValueError as e:
+                return str(e)
+        p = rt.spawn(0, bad)
+        cluster.sim.run()
+        assert p.value == f"size must be an integer >= 0, got {size!r}"
+
     def test_typed_recv_filters(self):
         cluster, rt = make_runtime(2)
         def sender(p4):

@@ -33,6 +33,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..counts import count
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: kernel odometers excluded from the lock (see module docstring)
@@ -172,7 +174,8 @@ def scenario_mts_workload() -> dict:
         "log": log,
         "end_time": round(sim.now, 9),
         "done": done.triggered,
-        "context_switches": sched.context_switches,
+        "context_switches": count(sim.metrics, "mts.context_switches",
+                                  pid=0),
         "utilization": {k: {a: round(v, 12) for a, v in d.items()}
                         for k, d in sorted(util.items())},
         "metrics": behavior_snapshot(sim.metrics),
@@ -307,11 +310,10 @@ def scenario_buffer_pipeline() -> dict:
     sim.process(sender())
     sim.process(receiver())
     sim.run(max_events=5_000_000)
-    adapter = cluster.stack(0).atm_api.adapter
     out.update({
         "max_chunks_in_flight": pipeline.max_chunks_in_flight,
-        "pdus_sent": adapter.stats.pdus_sent,
-        "cells_sent": adapter.stats.cells_sent,
+        "pdus_sent": count(sim.metrics, "atm.pdus_sent", host="n0"),
+        "cells_sent": count(sim.metrics, "atm.cells_sent", host="n0"),
         "metrics": behavior_snapshot(sim.metrics),
     })
     return out

@@ -5,6 +5,8 @@ import pytest
 from repro.net import build_atm_cluster, build_ethernet_cluster
 from repro.protocols import TcpParams
 
+from ..counts import count, tcp_count
+
 
 def socket_transfer(cluster, src, dst, nbytes, payload="data"):
     """Send one message src->dst, return (payload, nbytes, finish_time)."""
@@ -39,10 +41,9 @@ class TestTcpOverEthernet:
     def test_large_message_segments(self):
         cluster = build_ethernet_cluster(2)
         payload, n, t = socket_transfer(cluster, 0, 1, 64 * 1024)
-        conn = cluster.stack(0).tcp.connection("n1")
         assert n == 64 * 1024
         # 64 KiB over MSS 1460 -> >= 45 data segments
-        assert conn.segments_sent >= 45
+        assert tcp_count(cluster, 0, "tcp.segments_sent") >= 45
         # must take at least the raw serialization time at 10 Mbps
         assert t > 64 * 1024 * 8 / 10e6
 
@@ -142,8 +143,8 @@ class TestTcpOverAtm:
         atm = build_atm_cluster(2)
         socket_transfer(eth, 0, 1, 64 * 1024)
         socket_transfer(atm, 0, 1, 64 * 1024)
-        segs_eth = eth.stack(0).tcp.connection("n1").segments_sent
-        segs_atm = atm.stack(0).tcp.connection("n1").segments_sent
+        segs_eth = tcp_count(eth, 0, "tcp.segments_sent")
+        segs_atm = tcp_count(atm, 0, "tcp.segments_sent")
         assert segs_atm < segs_eth / 4  # 9180 vs 1500 MTU
 
     def test_retransmission_recovers_from_cell_loss(self):
@@ -152,8 +153,8 @@ class TestTcpOverAtm:
         cluster = build_atm_cluster(2, link_spec=lossy, seed=11)
         payload, n, _ = socket_transfer(cluster, 0, 1, 256 * 1024, "survives")
         assert payload == "survives" and n == 256 * 1024
-        conn = cluster.stack(0).tcp.connection("n1")
-        assert conn.retransmits > 0, "BER should have forced retransmission"
+        assert tcp_count(cluster, 0, "tcp.retransmissions") > 0, \
+            "BER should have forced retransmission"
 
 
 class TestUdp:
@@ -184,7 +185,7 @@ class TestUdp:
         p = sim.process(receiver())
         sim.run()
         assert p.value == ("big", 4000)
-        assert cluster.stack(0).ip.fragments_sent >= 3
+        assert count(cluster.metrics, "ip.fragments_sent", host="n0") >= 3
 
     def test_ports_isolated(self):
         cluster = build_ethernet_cluster(2)

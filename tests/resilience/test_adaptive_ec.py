@@ -10,6 +10,8 @@ from repro.net.topology import build_atm_cluster
 from repro.resilience import ClusterResilience
 from repro.resilience.adaptive import AdaptiveAckErrorControl
 
+from ..counts import count
+
 
 def make_unit_ec(**kw):
     """An unbound instance wired to stand-ins: enough for the estimator."""
@@ -93,7 +95,7 @@ def test_retry_budget_gives_up_before_max_retries():
     ec0 = rt.nodes[0].mps.ec
     # the budget wall fired long before 50 retries' worth of backoff
     assert ec0.budget_exhausted + ec0.abandoned >= 1
-    assert ec0.retransmissions < 20
+    assert count(cluster.metrics, "ec.retransmissions", pid=0) < 20
 
 
 def test_adaptive_converges_on_a_live_cluster():
@@ -119,7 +121,8 @@ def test_adaptive_converges_on_a_live_cluster():
     assert ec0.srtt is not None and ec0.srtt > 0
     # the measured ATM round trip is far below the 50 ms static default
     assert ec0.rto < 0.05
-    assert ec0.retransmissions == 0            # no spurious timeouts either
+    # no spurious timeouts either
+    assert count(cluster.metrics, "ec.retransmissions", pid=0) == 0
 
 
 def test_rejects_bad_estimator_parameters():

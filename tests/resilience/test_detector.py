@@ -7,6 +7,8 @@ from repro.faults import FaultInjector, FaultPlan, HostCrash
 from repro.net.topology import build_atm_cluster
 from repro.resilience import ClusterResilience, HeartbeatDetector, PeerState
 
+from ..counts import count
+
 FAST_EC = {"timeout_s": 0.01, "max_retries": 3, "check_interval_s": 0.002}
 FAST_RES = dict(heartbeat_interval_s=0.02, suspect_after_s=0.06,
                 dead_after_s=0.15)
@@ -43,8 +45,8 @@ def test_all_alive_without_faults():
     rt.run()
     assert views == {0: PeerState.ALIVE, 1: PeerState.ALIVE,
                      2: PeerState.ALIVE}
-    det = res.detector(0)
-    assert det.suspicions == 0 and det.deaths == 0
+    assert count(cluster.metrics, "resilience.suspicions", pid=0) == 0
+    assert count(cluster.metrics, "resilience.deaths", pid=0) == 0
     assert cluster.metrics.total("resilience.heartbeats_sent") > 0
 
 
@@ -62,7 +64,8 @@ def test_crash_walks_suspect_then_dead_then_rejoins():
     assert seen["mid"] in (PeerState.SUSPECT, PeerState.DEAD)
     assert seen["dead"] is PeerState.DEAD
     assert seen["healed"] is PeerState.ALIVE      # heartbeat resurrected it
-    assert det0.deaths >= 1 and det0.rejoins >= 1
+    assert count(cluster.metrics, "resilience.deaths", pid=0) >= 1
+    assert count(cluster.metrics, "resilience.rejoins", pid=0) >= 1
     assert 1 in det0.ever_dead                    # the record survives rejoin
     assert cluster.metrics.total("resilience.rejoins") >= 1
 

@@ -5,6 +5,8 @@ from repro.faults import FaultInjector, FaultPlan, LinkOutage
 from repro.net.topology import build_atm_dual_cluster
 from repro.resilience import BreakerState, ClusterResilience
 
+from ..counts import count
+
 FAST_EC = {"timeout_s": 0.01, "max_retries": 6, "check_interval_s": 0.002}
 FAST_RES = dict(heartbeat_interval_s=0.02, suspect_after_s=0.06,
                 dead_after_s=0.15, failure_threshold=3,
@@ -46,10 +48,12 @@ def test_healthy_cluster_stays_on_hsm():
     got = add_chatter(rt, 3, rounds=10)
     rt.run()
     assert len(got) == 20
+    m = cluster.metrics
     for node in rt.nodes:
-        tp = node.mps.transport
-        assert tp.failovers == 0 and tp.trips == 0
-        assert tp.fallback.messages_sent == 0
+        assert count(m, "resilience.failovers", pid=node.pid) == 0
+        assert count(m, "resilience.breaker_trips", pid=node.pid) == 0
+        assert count(m, "transport.messages_sent", pid=node.pid,
+                     transport="socket") == 0
 
 
 def test_atm_outage_trips_breaker_and_recovers():
@@ -58,12 +62,13 @@ def test_atm_outage_trips_breaker_and_recovers():
     got = add_chatter(rt, 3, rounds=50)
     rt.run()
     assert len(got) == 100                       # nothing lost end-to-end
-    tp1 = rt.nodes[1].mps.transport              # the host behind the outage
-    assert tp1.trips >= 1
-    assert tp1.failovers > 0                     # NSM carried the detour
-    assert tp1.fallback.messages_sent > 0
-    assert tp1.recoveries >= 1                   # probes closed the breaker
-    assert tp1.breakers[0].state is BreakerState.CLOSED
+    m = cluster.metrics                          # pid 1: behind the outage
+    assert count(m, "resilience.breaker_trips", pid=1) >= 1
+    assert count(m, "resilience.failovers", pid=1) > 0   # NSM took the detour
+    assert count(m, "transport.messages_sent", pid=1, transport="socket") > 0
+    # probes closed the breaker
+    assert count(m, "resilience.breaker_recoveries", pid=1) >= 1
+    assert rt.nodes[1].mps.transport.breakers[0].state is BreakerState.CLOSED
     # cluster-wide counters feed the scenario acceptance checks
     assert cluster.metrics.total("resilience.failovers") > 0
     assert cluster.metrics.total("resilience.breaker_trips") >= 1
@@ -76,7 +81,8 @@ def test_degraded_peer_is_never_declared_dead():
     add_chatter(rt, 3, rounds=50)
     seen = {}
     cluster.sim.call_at(0.2, lambda: seen.update(
-        view=res.view(0), deaths=res.detector(0).deaths))
+        view=res.view(0),
+        deaths=count(cluster.metrics, "resilience.deaths", pid=0)))
     rt.run()
     # heartbeats detoured over NSM throughout, so no death, no suspicion
     assert seen["deaths"] == 0
