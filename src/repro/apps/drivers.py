@@ -6,10 +6,10 @@ A driver is a callable ``driver(run) -> value`` where ``run`` is a
 * **Self-contained drivers** — the paper's three applications
   (``matmul``/``jpeg``/``fft`` in their p4 and NCS variants).  These
   build their own benchmark-platform cluster exactly as the Tables 1-3
-  harnesses always have; the scenario's ``[app.params]`` map straight
-  onto the ``run_*`` keyword arguments, the ``[runtime]`` table supplies
-  mode/flow/error where the variant supports them, and ``obs.trace``
-  feeds the app's ``trace`` flag.
+  harnesses always have; the scenario's ``[app.params]`` map onto the
+  ``run_*`` keyword arguments (checked by :func:`_app_params`), the
+  ``[runtime]`` table supplies mode/flow/error where the variant
+  supports them, and ``obs.trace`` feeds the app's ``trace`` flag.
 
 * **Runtime drivers** — micro-benchmark bodies (``pingpong``, ``ring``,
   ``stream``) that ask ``run`` for the spec-built cluster/runtime (with
@@ -38,23 +38,56 @@ def _mode(spec_mode):
     return ServiceMode(spec_mode) if isinstance(spec_mode, str) else spec_mode
 
 
-def _params(run, **defaults) -> dict:
-    """``[app.params]`` over ``defaults``, each value cast to its
-    default's type.  A key the driver does not read is a
-    :class:`SpecError`, not a silently ignored setting."""
-    unknown = sorted(set(run.params) - set(defaults))
+def _params(run, required=None, **defaults) -> dict:
+    """``[app.params]`` over ``defaults``; each value must have its
+    default's type (an int stands for a float, a bool for nothing
+    else), and the keys of ``required`` (key -> type) have no default.
+    A key the driver does not read, a required key left out and a value
+    of another type are each a :class:`SpecError` naming
+    ``app.params.<key>``, not a silently ignored setting, a silently
+    converted one or a traceback from inside the driver."""
+    driver = run.spec.app.driver
+    kinds = {**(required or {}), **{k: type(d) for k, d in defaults.items()}}
+    unknown = sorted(set(run.params) - set(kinds))
     if unknown:
         raise SpecError(
-            f"app driver {run.spec.app.driver!r}: unknown [app.params] "
-            f"key(s) {', '.join(unknown)}; accepted: "
-            f"{', '.join(sorted(defaults))}")
-    return {k: type(d)(run.params.get(k, d)) for k, d in defaults.items()}
+            f"app driver {driver!r}: unknown key(s) "
+            f"{', '.join('app.params.' + k for k in unknown)}; accepted: "
+            f"{', '.join(sorted(kinds))}")
+    out = {}
+    for key, kind in kinds.items():
+        if key not in run.params and key not in defaults:
+            raise SpecError(f"app driver {driver!r}: app.params.{key} "
+                            f"is required")
+        value = run.params.get(key, defaults.get(key))
+        if (isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind)):
+            raise SpecError(f"app driver {driver!r}: app.params.{key} must "
+                            f"be {kind.__name__}, got {value!r}")
+        out[key] = kind(value)
+    return out
 
 
-def _app_params(run) -> dict:
-    p = dict(run.params)
-    p.setdefault("trace", run.spec.obs.trace)
-    return p
+def _app_params(run, fn) -> dict:
+    """A table driver's ``[app.params]``: ``platform`` and ``n_nodes``
+    are required, and every keyword of ``fn`` with a plain default
+    (``n``, ``seed``, ``trace``, ...) is optional.  The rest of its
+    keywords (``cluster``, ``p4_params``, ``image``, ``mode``, ...) take
+    Python objects, which a scenario cannot spell."""
+    defaults = {name: p.default
+                for name, p in signature(fn).parameters.items()
+                if type(p.default) in (bool, int, float, str)}
+    defaults["trace"] = run.spec.obs.trace
+    return _params(run, {"platform": str, "n_nodes": int}, **defaults)
+
+
+def _two_hosts(run):
+    """The runtime of a driver that talks from host 0 to host 1."""
+    n = run.runtime.cluster.n_hosts
+    if n < 2:
+        raise SpecError(f"app driver {run.spec.app.driver!r} needs "
+                        f"cluster.n_hosts >= 2, not {n}")
+    return run.runtime
 
 
 def _no_runtime_table(run, *fields):
@@ -81,7 +114,7 @@ def _no_runtime_table(run, *fields):
     "matmul-p4", help="Fig 13 matrix multiply, single-threaded p4 processes")
 def _matmul_p4(run):
     _no_runtime_table(run, "flow", "error")
-    return run_matmul_p4(**_app_params(run))
+    return run_matmul_p4(**_app_params(run, run_matmul_p4))
 
 
 @APP_DRIVERS.register(
@@ -92,35 +125,37 @@ def _matmul_ncs(run):
     return run_matmul_ncs(mode=_mode(spec.mode), flow=spec.flow,
                           error=spec.error,
                           error_kwargs=dict(spec.error_kwargs) or None,
-                          **_app_params(run))
+                          **_app_params(run, run_matmul_ncs))
 
 
 @APP_DRIVERS.register(
     "jpeg-p4", help="Fig 15 JPEG pipeline, single-threaded p4 processes")
 def _jpeg_p4(run):
     _no_runtime_table(run, "flow", "error")
-    return run_jpeg_p4(**_app_params(run))
+    return run_jpeg_p4(**_app_params(run, run_jpeg_p4))
 
 
 @APP_DRIVERS.register(
     "jpeg-ncs", help="Figs 16-18 JPEG pipeline, multithreaded NCS")
 def _jpeg_ncs(run):
     _no_runtime_table(run, "flow", "error")
-    return run_jpeg_ncs(mode=_mode(run.spec.mode), **_app_params(run))
+    return run_jpeg_ncs(mode=_mode(run.spec.mode),
+                        **_app_params(run, run_jpeg_ncs))
 
 
 @APP_DRIVERS.register(
     "fft-p4", help="Fig 19 distributed FFT, single-threaded p4 processes")
 def _fft_p4(run):
     _no_runtime_table(run, "flow", "error")
-    return run_fft_p4(**_app_params(run))
+    return run_fft_p4(**_app_params(run, run_fft_p4))
 
 
 @APP_DRIVERS.register(
     "fft-ncs", help="Figs 20-21 distributed FFT, multithreaded NCS")
 def _fft_ncs(run):
     _no_runtime_table(run, "flow", "error")
-    return run_fft_ncs(mode=_mode(run.spec.mode), **_app_params(run))
+    return run_fft_ncs(mode=_mode(run.spec.mode),
+                       **_app_params(run, run_fft_ncs))
 
 
 @APP_DRIVERS.register(
@@ -131,7 +166,7 @@ def _pingpong(run):
     p = _params(run, messages=30, nbytes=2048, data_tag=1, reply_tag=2)
     messages, nbytes = p["messages"], p["nbytes"]
     data_tag, reply_tag = p["data_tag"], p["reply_tag"]
-    rt = run.runtime
+    rt = _two_hosts(run)
     replies = []
 
     def pong(ctx):
@@ -308,7 +343,7 @@ def _stream(run):
     p = _params(run, frames=30, nbytes=32 * 1024, consumer_sleep=0.0, tag=7)
     frames, nbytes = p["frames"], p["nbytes"]
     consumer_sleep, tag = p["consumer_sleep"], p["tag"]
-    rt = run.runtime
+    rt = _two_hosts(run)
     latencies = []
 
     def consumer(ctx):

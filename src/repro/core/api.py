@@ -34,6 +34,7 @@ from .mps.collectives import make_collectives
 from .mps.core import NcsMps
 from .mps.error_control import ErrorControl, MessageLost, make_error_control
 from .mps.flow_control import FlowControl, make_flow_control
+from .mps.message import is_process
 from .mps.qos import QosContract, ServiceMode, flow_control_for
 from .mps.transports import NcsTransport  # noqa: F401  (re-export surface)
 
@@ -190,6 +191,8 @@ class NcsRuntime:
                  args: tuple = (), priority: int = DEFAULT_PRIORITY,
                  name: str = "") -> int:
         """``NCS_t_create`` on process ``pid``; returns the tid."""
+        if not is_process(pid, len(self.nodes)):
+            raise ValueError(f"NCS_t_create: no such process {pid!r}")
         return self.nodes[pid].scheduler.t_create(fn, args, priority,
                                                   name=name)
 

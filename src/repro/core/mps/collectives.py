@@ -32,7 +32,7 @@ from ...sim import Activity
 from ..mts import ops
 from ..mts.thread import NcsThread
 from .error_control import MessageLost  # noqa: F401  (re-export surface)
-from .message import ANY_THREAD, ControlKind, NcsMessage
+from .message import ANY_THREAD, ControlKind, NcsMessage, is_process
 
 __all__ = ["CollectiveStrategy", "HostCollectives", "NicCollectives",
            "make_collectives"]
@@ -136,7 +136,7 @@ class NicCollectives(CollectiveStrategy):
         mps = self.mps
         targets = sorted({pid for pid in op.targets if pid != mps.pid})
         for pid in targets:
-            if not (0 <= pid < mps.cluster.n_hosts):
+            if not is_process(pid, mps.cluster.n_hosts):
                 raise ValueError(f"NCS_bcast: no such process {pid}")
         if not targets:
             thread.resume_value = None

@@ -43,7 +43,7 @@ from .collectives import CollectiveStrategy, HostCollectives
 from .error_control import ErrorControl, MessageLost, NoErrorControl
 from .exceptions import RecvTimeout, RemoteException
 from .flow_control import FlowControl, NoFlowControl
-from .message import ANY_THREAD, ControlKind, NcsMessage
+from .message import ANY_THREAD, ControlKind, NcsMessage, is_process
 from .transports import LOCAL_COPY_ACCESSES, NcsTransport
 
 __all__ = ["NcsMps", "SendRequest", "RecvRequest", "RELIABLE_KINDS"]
@@ -205,7 +205,7 @@ class NcsMps:
             deadline=deadline, sent_at=self.sim.now), notify))
 
     def _handle_send(self, thread: NcsThread, op: ops.Send) -> bool:
-        if not (0 <= op.to_process < self.cluster.n_hosts):
+        if not is_process(op.to_process, self.cluster.n_hosts):
             raise ValueError(f"NCS_send: no such process {op.to_process}")
         handle = ops.Wake("ncs-send", Activity.COMMUNICATE)
         self._queue_data(thread, op.to_thread, op.to_process, op,
@@ -220,7 +220,7 @@ class NcsMps:
         # the whole list before the first message: a rejected broadcast
         # must not have reached the targets listed ahead of the bad one
         for _ttid, tpid in targets:
-            if not (0 <= tpid < self.cluster.n_hosts):
+            if not is_process(tpid, self.cluster.n_hosts):
                 raise ValueError(f"NCS_bcast: no such process {tpid}")
         if not targets:
             thread.resume_value = None

@@ -17,7 +17,7 @@ from typing import Any
 from ...sim import check_size
 
 __all__ = ["ANY", "ANY_THREAD", "ControlKind", "NcsMessage",
-           "NCS_HEADER_BYTES"]
+           "NCS_HEADER_BYTES", "is_process"]
 
 #: receive-side wildcard (paper: NCS_recv(-1, -1, ...))
 ANY = -1
@@ -26,6 +26,13 @@ ANY_THREAD = -1
 
 #: envelope bytes added to every NCS message on the wire
 NCS_HEADER_BYTES = 32
+
+
+def is_process(pid, n_hosts: int) -> bool:
+    """Whether ``pid`` names one of ``n_hosts`` processes: an ``int``
+    in ``[0, n_hosts)``, and not ``True`` or ``False``."""
+    return isinstance(pid, int) and not isinstance(pid, bool) \
+        and 0 <= pid < n_hosts
 
 
 class ControlKind(enum.Enum):

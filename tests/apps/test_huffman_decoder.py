@@ -1,15 +1,10 @@
 """The prefix-table Huffman decoder against the bit-by-bit one it replaced.
 
-``reference_decode`` below is the old decoder, kept as the oracle: for
-any code and any byte string — well-formed, truncated or corrupted — the
-table decoder must return the same symbols or raise the same error.
-``jpeg_parent_payloads.json`` pins the encoder: SHA-256 of what commit
-``ef0bf93`` — the last one with the per-coefficient Python encoder,
-whose output ``cce7575``'s equals — produced for the bands of the
-benchmark image, for every band split Table 2 runs (p4: 1, 2, 4 bands;
-NCS: 2, 4, 8 sub-bands).  Re-capture at that commit only:
-``PYTHONPATH=<parent>/src python tests/apps/test_huffman_decoder.py
-OUT.json``.
+``reference_decode`` is the old decoder, kept as the oracle in the
+``jpeg_payloads`` wall (``tests/walls/jpeg_payloads.py``): for any code
+and any byte string — well-formed, truncated or corrupted — the table
+decoder must return the same symbols or raise the same error.
+That wall's ``TestEncoderUnchanged`` is collected here.
 
 The decoder walks ``JUMP`` symbols per step in blocks of
 ``BLOCK_SYMBOLS``; ``TestWalkSeams`` puts the bit-by-bit fallback at each
@@ -17,42 +12,18 @@ of those seams, and ``TestBenchmarkScale`` decodes every band Table 2
 runs against the index stream ``compress`` coded.
 """
 
-import hashlib
-import json
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.jpeg import (BitReader, HuffmanCode, benchmark_image,
-                             blockify, compress, dct2, quality_table,
-                             quantize, to_zigzag)
+from repro.apps.jpeg import (HuffmanCode, benchmark_image, blockify,
+                             compress, dct2, quality_table, quantize,
+                             to_zigzag)
 from repro.apps.jpeg.distributed import band_slices
 from repro.apps.jpeg.huffman import BLOCK_SYMBOLS, JUMP
 from repro.apps.jpeg.rle import encode_block_keys, symbol_of
-
-PARENT = Path(__file__).with_name("jpeg_parent_payloads.json")
-BAND_COUNTS = (1, 2, 4, 8)
-
-
-def reference_decode(code: HuffmanCode, data: bytes, n_symbols: int) -> list:
-    """One ``read_bit`` per bit, one dict probe per code length."""
-    by_code = {(l, c): s for s, (c, l) in code.codes.items()}
-    reader = BitReader(data)
-    out = []
-    for _ in range(n_symbols):
-        value = length = 0
-        while True:
-            value = (value << 1) | reader.read_bit()
-            length += 1
-            if (length, value) in by_code:
-                out.append(by_code[length, value])
-                break
-            if length > code.max_len:
-                raise ValueError("invalid bitstream (no code matches)")
-    return out
+from tests.walls.jpeg_payloads import (  # noqa: F401
+    BAND_COUNTS, TestEncoderUnchanged, reference_decode)
 
 
 def outcome(decode, *args):
@@ -249,28 +220,3 @@ class TestEdges:
             for n in range(-1, 4):
                 assert (outcome(code.decode, blob, n)
                         == outcome(reference_decode, code, blob, n))
-
-
-class TestEncoderUnchanged:
-    def test_benchmark_image_bands(self):
-        assert band_digests() == json.loads(PARENT.read_text())
-
-
-def band_digests() -> dict:
-    image = benchmark_image()
-    out = {}
-    for parts in BAND_COUNTS:
-        digests = []
-        for band in band_slices(image.shape[0], parts):
-            comp = compress(image[band])
-            digest = hashlib.sha256(comp.payload)
-            digest.update(repr(sorted(comp.code_lengths.items(),
-                                      key=repr)).encode())
-            digests.append(f"{comp.n_symbols}:{digest.hexdigest()}")
-        out[str(parts)] = digests
-    return out
-
-
-if __name__ == "__main__":
-    Path(sys.argv[1]).write_text(
-        json.dumps(band_digests(), indent=1, sort_keys=True) + "\n")

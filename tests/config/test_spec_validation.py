@@ -137,6 +137,43 @@ def test_unknown_app_param_names_driver_key_and_accepted(driver, accepted):
     assert repr(driver) in msg and "rounds_" in msg and accepted in msg
 
 
+TABLE_DRIVERS = ("matmul-p4", "matmul-ncs", "jpeg-p4", "jpeg-ncs", "fft-p4",
+                 "fft-ncs")
+CELL = {"platform": "ethernet", "n_nodes": 2}
+
+
+@pytest.mark.parametrize("params,key", [
+    ({"n_nodes": 2}, "app.params.platform is required"),
+    ({"platform": "ethernet"}, "app.params.n_nodes is required"),
+    ({**CELL, "bogus": 1}, "app.params.bogus"),
+    ({**CELL, "cluster": 3}, "app.params.cluster"),
+    ({**CELL, "p4_params": "x"}, "app.params.p4_params"),
+    ({**CELL, "image": [[0]]}, "app.params.image"),
+    ({**CELL, "n_nodes": "2"}, "app.params.n_nodes must be int, got '2'"),
+    ({**CELL, "seed": 7.5}, "app.params.seed must be int, got 7.5"),
+    ({**CELL, "trace": 1}, "app.params.trace must be bool, got 1")],
+    ids=str)
+@pytest.mark.parametrize("driver", TABLE_DRIVERS)
+def test_a_table_driver_names_the_param_it_cannot_take(driver, params, key):
+    """The paper's table drivers used to pass [app.params] straight to
+    the app: a missing, unknown or ill-typed key was a TypeError or an
+    AttributeError from inside it."""
+    msg = err(run_scenario, ScenarioSpec(
+        name="x", app=AppSpec(driver=driver, params=params)))
+    assert key in msg and repr(driver) in msg
+
+
+@pytest.mark.parametrize("topology", ["ethernet", "atm-lan"])
+@pytest.mark.parametrize("driver", ["pingpong", "stream"])
+def test_a_two_host_driver_on_one_host_names_n_hosts(driver, topology):
+    """It used to end in a bare IndexError from ``t_create(1, ...)``."""
+    spec = ScenarioSpec(
+        name="x", cluster=ClusterSpec(topology=topology, n_hosts=1),
+        app=AppSpec(driver=driver))
+    with pytest.raises(SpecError, match=r"cluster.n_hosts >= 2, not 1"):
+        run_scenario(spec)
+
+
 #: the payload key the 1024-host scenario once used: alltoall reads nbytes
 A2A_TYPO = """
 name = "a2a-typo"

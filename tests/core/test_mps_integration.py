@@ -118,6 +118,39 @@ class TestSendRecv:
             rt.run(max_events=200_000)
 
 
+class TestProcessIds:
+    """A pid is an int in ``[0, n)``: on two hosts ``-1``, ``True`` and
+    ``2`` name no process, where they used to reach process 1 or end in
+    an IndexError."""
+
+    @pytest.mark.parametrize("pid", [-1, 2, True, False, 1.0, "1"], ids=repr)
+    def test_t_create_names_the_pid(self, pid):
+        _cluster, rt = make_runtime(2)
+        with pytest.raises(ValueError) as exc:
+            rt.t_create(pid, lambda ctx: iter(()))
+        assert str(exc.value) == f"NCS_t_create: no such process {pid!r}"
+
+    @pytest.mark.parametrize("mode,atm", ALL_MODES)
+    @pytest.mark.parametrize("pid", [-1, 2, True])
+    def test_send_and_bcast_name_the_pid(self, mode, atm, pid):
+        cluster, rt = make_runtime(2, atm=atm, mode=mode)
+        def sender(ctx):
+            verdicts = []
+            for op in (lambda: ctx.send(-1, pid, "x", 64),
+                       lambda: ctx.bcast([(-1, pid)], "x", 64)):
+                try:
+                    yield op()
+                except ValueError as e:
+                    verdicts.append(str(e))
+            return verdicts
+        t0 = rt.t_create(0, sender)
+        rt.run(max_events=100_000)
+        assert rt.thread_result(0, t0) == [
+            f"NCS_send: no such process {pid}",
+            f"NCS_bcast: no such process {pid}"]
+        assert count(cluster.metrics, "mps.data_sent", pid=0) == 0
+
+
 class TestOverlap:
     def test_send_blocks_thread_not_process(self):
         """THE paper's claim: while one thread waits on a receive, its
