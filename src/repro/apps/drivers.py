@@ -22,9 +22,8 @@ A driver is a callable ``driver(run) -> value`` where ``run`` is a
 
 from __future__ import annotations
 
-from inspect import signature
-
-from ..config.spec import SpecError
+from ..config.build import control_kwargs
+from ..config.schema import SCALARS, Field, SpecError, declaration, read
 from ..core.api import ServiceMode
 from ..registry import APP_DRIVERS
 from . import (run_fft_ncs, run_fft_p4, run_jpeg_ncs, run_jpeg_p4,
@@ -38,47 +37,38 @@ def _mode(spec_mode):
     return ServiceMode(spec_mode) if isinstance(spec_mode, str) else spec_mode
 
 
-def _params(run, required=None, **defaults) -> dict:
-    """``[app.params]`` over ``defaults``; each value must have its
-    default's type (an int stands for a float, a bool for nothing
-    else), and the keys of ``required`` (key -> type) have no default.
-    A key the driver does not read, a required key left out and a value
-    of another type are each a :class:`SpecError` naming
-    ``app.params.<key>``, not a silently ignored setting, a silently
-    converted one or a traceback from inside the driver."""
-    driver = run.spec.app.driver
-    kinds = {**(required or {}), **{k: type(d) for k, d in defaults.items()}}
-    unknown = sorted(set(run.params) - set(kinds))
-    if unknown:
-        raise SpecError(
-            f"app driver {driver!r}: unknown key(s) "
-            f"{', '.join('app.params.' + k for k in unknown)}; accepted: "
-            f"{', '.join(sorted(kinds))}")
-    out = {}
-    for key, kind in kinds.items():
-        if key not in run.params and key not in defaults:
-            raise SpecError(f"app driver {driver!r}: app.params.{key} "
-                            f"is required")
-        value = run.params.get(key, defaults.get(key))
-        if (isinstance(value, bool) != (kind is bool) or not isinstance(
-                value, (int, float) if kind is float else kind)):
-            raise SpecError(f"app driver {driver!r}: app.params.{key} must "
-                            f"be {kind.__name__}, got {value!r}")
-        out[key] = kind(value)
-    return out
+def _params(run, **defaults) -> dict:
+    """``[app.params]`` over ``defaults``, each value of its default's
+    type (:func:`_read_params`)."""
+    return _read_params(run, [Field(key, type(default), default)
+                              for key, default in defaults.items()])
 
 
 def _app_params(run, fn) -> dict:
-    """A table driver's ``[app.params]``: ``platform`` and ``n_nodes``
-    are required, and every keyword of ``fn`` with a plain default
-    (``n``, ``seed``, ``trace``, ...) is optional.  The rest of its
-    keywords (``cluster``, ``p4_params``, ``image``, ``mode``, ...) take
-    Python objects, which a scenario cannot spell."""
-    defaults = {name: p.default
-                for name, p in signature(fn).parameters.items()
-                if type(p.default) in (bool, int, float, str)}
-    defaults["trace"] = run.spec.obs.trace
-    return _params(run, {"platform": str, "n_nodes": int}, **defaults)
+    """``[app.params]`` against the keywords of ``fn`` that take a
+    plain value (``platform``, ``n_nodes``, ``n``, ``seed``, ``trace``,
+    ...); a keyword without a default is required.  The rest of its
+    keywords (``cluster``, ``p4_params``, ``image``, ``mode``, ...)
+    take Python objects, which a scenario cannot spell.  ``trace``
+    defaults to ``obs.trace``."""
+    trace = run.spec.obs.trace
+    return _read_params(run, [
+        f._replace(default=trace) if f.name == "trace" else f
+        for f in declaration(fn)[0] if f.hint in SCALARS])
+
+
+def _read_params(run, fields) -> dict:
+    """``[app.params]`` read against ``fields`` by the scenario reader
+    (:func:`repro.config.schema.read`), defaults filled in and an int
+    given for a float made a float.  A key the driver does not read, a
+    required key left out and a value of another type are each a
+    :class:`SpecError` naming the driver and ``app.params.<key>``, not
+    a silently ignored setting or a traceback from inside the driver."""
+    try:
+        given = read(fields, run.params, "app.params")
+    except SpecError as e:
+        raise SpecError(f"app driver {run.spec.app.driver!r}: {e}") from None
+    return {f.name: f.hint(given.get(f.name, f.default)) for f in fields}
 
 
 def _two_hosts(run):
@@ -124,7 +114,7 @@ def _matmul_ncs(run):
     spec = run.spec
     return run_matmul_ncs(mode=_mode(spec.mode), flow=spec.flow,
                           error=spec.error,
-                          error_kwargs=dict(spec.error_kwargs) or None,
+                          error_kwargs=control_kwargs(spec, "error") or None,
                           **_app_params(run, run_matmul_ncs))
 
 
@@ -326,11 +316,8 @@ def _matmul_resilient(run):
     [resilience] table; mode/faults/topology come from the spec (use
     ``hsm-failover`` on ``atm-dual`` for the degradation scenarios)."""
     from .resilient import run_resilient_matmul
-    kwargs = _params(run, **{
-        k: v.default for k, v in
-        signature(run_resilient_matmul).parameters.items()
-        if v.default is not v.empty})
-    return run_resilient_matmul(run.runtime, **kwargs)
+    return run_resilient_matmul(run.runtime,
+                                **_app_params(run, run_resilient_matmul))
 
 
 @APP_DRIVERS.register(

@@ -26,12 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..registry import APP_DRIVERS, KERNELS, TOPOLOGIES
+from ..registry import (APP_DRIVERS, ERROR_CONTROLS, FLOW_CONTROLS, KERNELS,
+                        TOPOLOGIES)
+from .schema import read
 from .spec import ClusterSpec, ObsSpec, ScenarioSpec, SpecError
 
 __all__ = ["ensure_components", "build_blueprint", "build_cluster",
-           "build_fault_plan", "build_runtime", "run_scenario",
-           "ScenarioRun", "ScenarioResult"]
+           "build_fault_plan", "build_runtime", "control_kwargs",
+           "run_scenario", "ScenarioRun", "ScenarioResult"]
 
 _COMPONENT_MODULES = (
     "repro.core.api",        # transports + flow/error controls (via mps)
@@ -62,12 +64,14 @@ def build_blueprint(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
 
     Registered topologies must accept ``seed``/``trace``/``metrics``
     keyword arguments (and ``n_hosts`` where it applies); everything in
-    ``cluster.options`` is forwarded verbatim.  Arguments the topology
-    does not take are a :class:`SpecError`.
+    ``cluster.options`` is read against the builder's keyword
+    parameters and forwarded.  Arguments the topology does not take,
+    and a plain-typed one of another type, are a :class:`SpecError`.
     """
     ensure_components()
     builder = TOPOLOGIES.get(cluster.topology)
-    kw: dict[str, Any] = dict(cluster.options)
+    kw: dict[str, Any] = read(builder, cluster.options, "cluster.options",
+                              partial=True)
     if cluster.n_hosts is not None:
         kw["n_hosts"] = cluster.n_hosts
     kw["seed"] = cluster.seed
@@ -104,6 +108,18 @@ def build_fault_plan(spec: ScenarioSpec):
     return plan if len(plan) else None
 
 
+def control_kwargs(spec: ScenarioSpec, which: str) -> dict:
+    """``runtime.<which>_kwargs`` (``which`` is ``"flow"`` or
+    ``"error"``) read against the named policy's constructor."""
+    ensure_components()
+    name = getattr(spec, which)
+    if name is None:
+        return {}
+    policies = FLOW_CONTROLS if which == "flow" else ERROR_CONTROLS
+    return read(policies.get(name), getattr(spec, f"{which}_kwargs"),
+                f"runtime.{which}_kwargs")
+
+
 def build_runtime(spec: ScenarioSpec, cluster=None):
     """Build ``(cluster, runtime)`` with faults armed, per the spec.
 
@@ -118,8 +134,8 @@ def build_runtime(spec: ScenarioSpec, cluster=None):
                   if spec.resilience is not None else None)
     runtime = NcsRuntime(cluster, mode=spec.mode,
                          flow=spec.flow, error=spec.error,
-                         flow_kwargs=dict(spec.flow_kwargs),
-                         error_kwargs=dict(spec.error_kwargs),
+                         flow_kwargs=control_kwargs(spec, "flow"),
+                         error_kwargs=control_kwargs(spec, "error"),
                          resilience=resilience,
                          collectives=spec.collectives)
     plan = build_fault_plan(spec)

@@ -42,7 +42,8 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from .io import load_scenario
-from .spec import ScenarioSpec, SpecError, _check_table, _err
+from .schema import Table, build, settle
+from .spec import ScenarioSpec, SpecError, _err
 
 __all__ = ["MatrixAxis", "MatrixSpec", "FleetSpec", "load_fleet"]
 
@@ -80,28 +81,28 @@ def _scalar_label(value: Any, path: str) -> str:
 
 
 @dataclass(frozen=True)
-class MatrixAxis:
+class MatrixAxis(Table):
     """One swept dimension: a dotted spec path and its values.
 
     ``tags`` names the values in run ids; required when a value has no
     obvious scalar rendering (tables, arrays, ``None`` for "remove").
     """
 
+    _where = "matrix.axes"
+
     path: str
     values: tuple = ()
     tags: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.path, str) or not self.path:
-            raise _err("matrix.axes.path",
-                       f"must be a non-empty dotted path (got {self.path!r})")
-        if not isinstance(self.values, (list, tuple)) or not self.values:
+        settle(self)
+        if not self.path:
+            raise _err("matrix.axes.path", "must be a non-empty dotted path")
+        if not self.values:
             raise _err(f"matrix axis {self.path!r}",
-                       f"values must be a non-empty array (got {self.values!r})")
-        object.__setattr__(self, "values", tuple(self.values))
+                       "values must be a non-empty array")
         if self.tags is not None:
-            if (not isinstance(self.tags, (list, tuple))
-                    or len(self.tags) != len(self.values)):
+            if len(self.tags) != len(self.values):
                 raise _err(f"matrix axis {self.path!r}",
                            f"tags must be an array of {len(self.values)} "
                            f"labels, one per value (got {self.tags!r})")
@@ -117,43 +118,32 @@ class MatrixAxis:
             return self.tags[index]
         return _scalar_label(self.values[index], self.path)
 
-    @classmethod
-    def from_dict(cls, raw: Mapping, index: int) -> "MatrixAxis":
-        _check_table(raw, f"matrix.axes[{index}]", ("path", "values", "tags"))
-        if "path" not in raw:
-            raise _err(f"matrix.axes[{index}].path", "is required")
-        return cls(path=raw["path"], values=tuple(raw.get("values", ())),
-                   tags=tuple(raw["tags"]) if "tags" in raw else None)
-
 
 @dataclass(frozen=True)
-class MatrixSpec:
+class MatrixSpec(Table):
     """A base scenario document swept over one or more axes."""
+
+    _where = "matrix"
 
     name: str
     base: dict = field(default_factory=dict)
-    axes: tuple = ()
+    axes: tuple[MatrixAxis, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise _err("matrix.name",
-                       f"must be a non-empty string (got {self.name!r})")
-        if not isinstance(self.base, Mapping) or not self.base:
+        settle(self)
+        if not self.name:
+            raise _err("matrix.name", "must be a non-empty string")
+        if not self.base:
             raise _err("matrix.base",
                        "must be a scenario document (inline [matrix.base] "
                        "table or resolved from a base file path)")
-        object.__setattr__(self, "base", dict(self.base))
-        axes = tuple(ax if isinstance(ax, MatrixAxis)
-                     else MatrixAxis.from_dict(ax, i)
-                     for i, ax in enumerate(self.axes))
-        if not axes:
+        if not self.axes:
             raise _err("matrix.axes", "at least one [[matrix.axes]] sweep "
                                       "dimension is required")
-        keys = [ax.key for ax in axes]
+        keys = [ax.key for ax in self.axes]
         if len(set(keys)) != len(keys):
             raise _err("matrix.axes", "axis paths must end in distinct "
                        f"component names (got {keys})")
-        object.__setattr__(self, "axes", axes)
 
     def expand(self) -> tuple:
         """All cells as ``(run_id, ScenarioSpec)``, declaration order:
@@ -187,27 +177,15 @@ class MatrixSpec:
     @classmethod
     def from_dict(cls, raw: Mapping,
                   base_dir: Optional[Path] = None) -> "MatrixSpec":
-        _check_table(raw, "matrix", ("name", "base", "axes"))
-        if "name" not in raw:
-            raise _err("matrix.name", "is required (it prefixes every "
-                       "expanded scenario name)")
-        base = raw.get("base")
+        """The ``[matrix]`` table; a string ``base`` is a scenario file,
+        relative to ``base_dir``."""
+        base = raw.get("base") if isinstance(raw, Mapping) else None
         if isinstance(base, str):
             base_path = Path(base)
             if base_dir is not None and not base_path.is_absolute():
                 base_path = base_dir / base_path
-            base = load_scenario(base_path).to_dict()
-        elif isinstance(base, Mapping):
-            base = dict(base)
-        else:
-            raise _err("matrix.base", "must be an inline [matrix.base] "
-                       "scenario table or a path string to a base scenario "
-                       f"file (got {base!r})")
-        axes_raw = raw.get("axes", ())
-        if not isinstance(axes_raw, (list, tuple)):
-            raise _err("matrix.axes", "must be an array of [[matrix.axes]] "
-                       f"tables (got {axes_raw!r})")
-        return cls(name=raw["name"], base=base, axes=tuple(axes_raw))
+            raw = {**raw, "base": load_scenario(base_path).to_dict()}
+        return build(cls, raw, cls._where)
 
 
 @dataclass(frozen=True)

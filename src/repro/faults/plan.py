@@ -19,13 +19,13 @@ the generator behind the chaos sweep tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ..config.schema import SpecError, build, write
 from ..registry import FAULT_KINDS
 
 __all__ = [
@@ -40,7 +40,11 @@ class FaultEvent:
     """Base class: one scheduled fault.
 
     ``at`` is the injection time; ``duration`` the healing delay after
-    ``at`` (``None`` = permanent).
+    ``at`` (``None`` = permanent).  A kind's fields are its whole
+    declarative form: :meth:`from_dict` reads an event table against
+    them and :meth:`to_dict` writes them back.  A rule that rejects a
+    field names it first (``"at: ..."``), so a reader can say which key
+    of which table was wrong.
     """
 
     at: float
@@ -49,9 +53,11 @@ class FaultEvent:
     def __post_init__(self) -> None:
         # written so that NaN, which compares false, fails them too
         if not self.at >= 0:
-            raise ValueError("fault time must be non-negative")
+            raise ValueError(f"at: fault time must be non-negative "
+                             f"(got {self.at!r})")
         if self.duration is not None and not self.duration > 0:
-            raise ValueError("fault duration must be positive (or None)")
+            raise ValueError(f"duration: fault duration must be positive "
+                             f"or omitted (got {self.duration!r})")
 
     @property
     def ends_at(self) -> Optional[float]:
@@ -73,50 +79,22 @@ class FaultEvent:
         return f"fault {self._span()}"
 
     def to_dict(self) -> dict:
-        """Declarative form: ``{"kind": ..., "at": ..., ...}``.
-
-        ``duration`` is omitted when permanent and tuple fields become
-        lists, so the result serializes to TOML/JSON as-is and
-        round-trips through :meth:`from_dict`.
-        """
-        d: dict = {"kind": self.kind, "at": self.at}
-        if self.duration is not None:
-            d["duration"] = self.duration
-        for f in dataclasses.fields(self):
-            if f.name in ("at", "duration"):
-                continue
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v
-                         for v in value]
-            d[f.name] = value
-        return d
+        """Declarative form: ``{"kind": ..., "at": ..., ...}``, fields
+        at their defaults left out and tuples as lists, so the result
+        serializes to TOML/JSON as-is and round-trips through
+        :meth:`from_dict`."""
+        return {"kind": self.kind, **write(self)}
 
     @staticmethod
-    def from_dict(raw: dict) -> "FaultEvent":
-        """Build the registered event class from its declarative form."""
+    def from_dict(raw: dict, path: str = "fault") -> "FaultEvent":
+        """Build the registered event class from its declarative form;
+        a bad table is a :class:`~repro.config.SpecError` naming
+        ``path.<key>``."""
         raw = dict(raw)
-        try:
-            kind = raw.pop("kind")
-        except KeyError:
-            raise ValueError(
-                f"fault event {raw!r} has no 'kind' key; registered "
-                f"kinds: {', '.join(FAULT_KINDS.names())}") from None
-        cls = FAULT_KINDS.get(kind)
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - allowed)
-        if unknown:
-            raise ValueError(
-                f"fault kind {kind!r} does not accept "
-                f"{', '.join(map(repr, unknown))}; fields: "
-                f"{', '.join(sorted(allowed))}")
-        for key, value in raw.items():
-            if isinstance(value, list):
-                raw[key] = tuple(tuple(v) if isinstance(v, list) else v
-                                 for v in value)
-        return cls(**raw)
+        if "kind" not in raw:
+            raise SpecError(f"{path}.kind is required; registered kinds: "
+                            f"{', '.join(FAULT_KINDS.names())}")
+        return build(FAULT_KINDS.get(raw.pop("kind")), raw, path)
 
 
 def _register_kind(name: str):
@@ -150,14 +128,8 @@ class LinkOutage(FaultEvent):
         super().__post_init__()
         if self.scope not in ("all", "atm", "nic"):
             raise ValueError(
-                f"link-outage scope must be 'all', 'atm' or 'nic'; "
-                f"got {self.scope!r}")
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        if d.get("scope") == "all":   # keep pre-scope serializations stable
-            del d["scope"]
-        return d
+                f"scope: link-outage scope must be 'all', 'atm' or 'nic' "
+                f"(got {self.scope!r})")
 
     def describe(self) -> str:
         which = "" if self.scope == "all" else f", scope={self.scope}"
@@ -180,7 +152,8 @@ class BerSpike(FaultEvent):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not (0.0 <= self.ber < 1.0):
-            raise ValueError("bit error rate must be in [0, 1)")
+            raise ValueError(f"ber: bit error rate must be in [0, 1) "
+                             f"(got {self.ber!r})")
 
     def describe(self) -> str:
         return f"ber-spike(host={self.host}, ber={self.ber:g}) {self._span()}"
@@ -237,13 +210,14 @@ class Partition(FaultEvent):
     def __post_init__(self) -> None:
         super().__post_init__()
         if len(self.groups) < 2:
-            raise ValueError("a partition needs at least two groups")
+            raise ValueError("groups: a partition needs at least two "
+                             "groups")
         seen: set[int] = set()
         for g in self.groups:
             for pid in g:
                 if pid in seen:
-                    raise ValueError(
-                        f"process {pid} appears in two partition groups")
+                    raise ValueError(f"groups: process {pid} appears in "
+                                     "two partition groups")
                 seen.add(pid)
 
     def describe(self) -> str:
@@ -271,7 +245,8 @@ class MessageLoss(FaultEvent):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not (0.0 < self.p <= 1.0):
-            raise ValueError("loss probability must be in (0, 1]")
+            raise ValueError(f"p: loss probability must be in (0, 1] "
+                             f"(got {self.p!r})")
 
     def describe(self) -> str:
         who = "all" if self.pids is None else ",".join(map(str, self.pids))
@@ -309,16 +284,16 @@ class WorkerFault(FaultEvent):
         super().__post_init__()
         if not isinstance(self.shard, int) or self.shard < 0:
             raise ValueError(
-                f"worker fault shard must be a non-negative shard index "
-                f"(got {self.shard!r})")
+                f"shard: worker fault shard must be a non-negative shard "
+                f"index (got {self.shard!r})")
         if not isinstance(self.window, int) or self.window < 1:
             raise ValueError(
-                f"worker fault window must be a positive window number "
-                f"(got {self.window!r})")
+                f"window: worker fault window must be a positive window "
+                f"number (got {self.window!r})")
         if not isinstance(self.attempt, int) or self.attempt < 0:
             raise ValueError(
-                f"worker fault attempt must be a non-negative launch "
-                f"attempt (got {self.attempt!r})")
+                f"attempt: worker fault attempt must be a non-negative "
+                f"launch attempt (got {self.attempt!r})")
 
     def matches(self, shard: int, window: int, attempt: int) -> bool:
         """Whether this fault fires for ``shard`` at ``window`` of
@@ -326,15 +301,6 @@ class WorkerFault(FaultEvent):
         return (self.shard == shard and self.window == window
                 and self.attempt == attempt)
 
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        # canonical form: drop schema-filler and per-field defaults so
-        # checked-in scenarios stay minimal and round-trip stably
-        if d.get("at") == 0.0:
-            del d["at"]
-        if d.get("attempt") == 0:
-            del d["attempt"]
-        return d
 
 
 @_register_kind("worker-crash")
@@ -367,8 +333,8 @@ class WorkerStall(WorkerFault):
         if (not isinstance(self.stall_s, (int, float))
                 or not 0 < self.stall_s < math.inf):
             raise ValueError(
-                f"worker stall duration must be a positive, finite number "
-                f"of wall-clock seconds (got {self.stall_s!r})")
+                f"stall_s: worker stall duration must be a positive, "
+                f"finite number of wall-clock seconds (got {self.stall_s!r})")
 
     def describe(self) -> str:
         return (f"worker-stall(shard={self.shard}, window={self.window}, "
@@ -427,10 +393,10 @@ class FaultPlan:
 
         Each table names its registered ``kind`` plus the event's
         fields — unknown kinds and unknown fields fail with the list
-        of alternatives.
+        of alternatives, and every error names ``faults.events[i]``.
         """
-        return FaultPlan(tuple(FaultEvent.from_dict(e) for e in events),
-                         label=label)
+        return FaultPlan(tuple(FaultEvent.from_dict(e, f"faults.events[{i}]")
+                               for i, e in enumerate(events)), label=label)
 
     @staticmethod
     def random(seed: int, n_hosts: int, t_max: float = 0.5,

@@ -37,6 +37,7 @@ from types import MappingProxyType
 from typing import Any, Optional
 
 from ..atm.link import DS3, LinkSpec, OC3, TAXI_140
+from ..config.schema import build
 from ..hosts import HostParams, SUN_ELC, SUN_IPX
 from ..registry import TOPOLOGIES
 
@@ -427,9 +428,10 @@ class SiteSpec:
 
     def __post_init__(self) -> None:
         if self.n_hosts < 0:
-            raise ValueError("n_hosts must be non-negative")
+            raise ValueError(f"n_hosts: must be non-negative "
+                             f"(got {self.n_hosts!r})")
         if self.region not in ("upstate", "downstate"):
-            raise ValueError(f"unknown region {self.region!r}")
+            raise ValueError(f"region: unknown region {self.region!r}")
 
 
 @TOPOLOGIES.register(
@@ -450,21 +452,9 @@ def blueprint_nynet(sites: list,
     :class:`SiteSpec` rows or plain tables (``{name = ..., n_hosts = ...,
     region = ...}``), so a scenario file can declare the whole WAN.
     """
-    site_specs = []
-    for i, site in enumerate(sites):
-        if isinstance(site, SiteSpec):
-            site_specs.append(site)
-        elif isinstance(site, dict):
-            try:
-                site_specs.append(SiteSpec(**site))
-            except TypeError as e:
-                raise ValueError(
-                    f"cluster.options.sites[{i}]: {e}; expected keys "
-                    "name, n_hosts, region") from None
-        else:
-            raise ValueError(
-                f"cluster.options.sites[{i}]: expected a table, "
-                f"got {site!r}")
+    site_specs = [site if isinstance(site, SiteSpec)
+                  else build(SiteSpec, site, f"cluster.options.sites[{i}]")
+                  for i, site in enumerate(sites)]
     if not site_specs or all(s.n_hosts == 0 for s in site_specs):
         raise ValueError("need at least one site with hosts")
     if len({s.name for s in site_specs}) != len(site_specs):

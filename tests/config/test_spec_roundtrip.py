@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
-    AppSpec, ClusterSpec, FaultSpec, ObsSpec, ScenarioSpec, SpecError,
-    dump_scenario, dumps_json, dumps_toml, load_scenario, loads_scenario,
+    AppSpec, ClusterSpec, FaultSpec, ObsSpec, ResilienceSpec, ScenarioSpec,
+    SpecError, SupervisionSpec, dump_scenario, dumps_json, dumps_toml,
+    load_scenario, loads_scenario,
 )
 from repro.faults import FaultPlan
 from repro.faults.plan import BerSpike, LinkOutage, Partition
@@ -63,6 +64,28 @@ def test_canonical_form_prunes_defaults():
                            obs=ObsSpec(metrics=True))
     assert verbose == minimal
     assert verbose.digest() == minimal.digest()
+
+
+def test_sorted_tables_write_in_canonical_order():
+    """The text the per-table writers produced (captured before one
+    writer replaced them): barrier ids and shard hints sorted by key,
+    ``[runtime.supervision]`` and ``[resilience]`` keys by name, and
+    ``enabled`` written even at its default."""
+    spec = ScenarioSpec(
+        name="x", barriers={10: 2, 2: 3}, shard_hints={"sw-b": 1, "sw-a": 0},
+        shards=2, supervision=SupervisionSpec(
+            worker_grace_s=2.0, liveness_poll_s=0.01, max_retries=2,
+            policy="raise"),
+        resilience=ResilienceSpec(suspect_after_s=0.08, probe_successes=3,
+                                  heartbeat_interval_s=0.01))
+    assert dumps_toml(spec) == (
+        'name = "x"\n\n[runtime]\nkernel = "sharded"\nshards = 2\n\n'
+        '[runtime.barriers]\n2 = 3\n10 = 2\n\n'
+        '[runtime.shard_hints]\nsw-a = 0\nsw-b = 1\n\n'
+        '[runtime.supervision]\nliveness_poll_s = 0.01\nmax_retries = 2\n'
+        'policy = "raise"\nworker_grace_s = 2.0\n\n'
+        '[resilience]\nenabled = true\nheartbeat_interval_s = 0.01\n'
+        'probe_successes = 3\nsuspect_after_s = 0.08\n')
 
 
 def test_nested_tables_accept_plain_mappings():

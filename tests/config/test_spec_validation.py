@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import (
     AppSpec, ClusterSpec, FaultSpec, ObsSpec, ScenarioSpec, SpecError,
-    build_cluster, build_runtime, loads_scenario, run_scenario,
+    build_cluster, build_fault_plan, build_runtime, loads_scenario,
+    run_scenario,
 )
 from repro.registry import UnknownNameError
 
@@ -277,3 +278,90 @@ def test_non_finite_cluster_option_is_a_spec_error(topology, key, value):
         ClusterSpec(topology=topology, n_hosts=2, options={key: value})
     assert f"cluster.options.{key}" in str(exc.value)
     assert repr(value) in str(exc.value)
+
+
+# ------------------------------------------------------- ill-typed table values
+# Every row was accepted, or failed without naming its key, before the
+# tables shared one reader: ``true`` counted as 1, NaN and infinity
+# passed every ``> 0`` check, and a fault table failed deep inside the
+# fault model.  Each must be a SpecError naming the dotted key.
+NAN, INF = float("nan"), float("inf")
+EVENT = {"kind": "host-crash", "at": 0.01, "duration": 0.01, "host": 1}
+BASE_TABLES = {
+    "cluster": {"topology": "ethernet", "n_hosts": 2},
+    "runtime": {"error": "ack"},
+    "resilience": {"suspect_after_s": 3.0, "dead_after_s": 5.0},
+}
+
+
+def _doc(table, key, value):
+    """A runnable document with ``table.key = value`` and nothing else
+    out of the ordinary."""
+    doc = {"name": "x", **{k: dict(v) for k, v in BASE_TABLES.items()}}
+    if table == "faults.events[0]":
+        doc["faults"] = {"events": [{**EVENT, key: value}]}
+    elif table == "faults.random":
+        doc["faults"] = {"random": {"seed": 1, "n_hosts": 2, key: value}}
+    elif table == "cluster.options":
+        doc["cluster"] = {"topology": "wan-ring", "options": {key: value}}
+    elif table == "runtime.supervision":
+        doc["runtime"]["supervision"] = {key: value}
+    elif table == "runtime.error_kwargs":
+        doc["runtime"]["error_kwargs"] = {key: value}
+    else:
+        doc[table][key] = value
+    return doc
+
+
+def _read_and_build(doc):
+    spec = ScenarioSpec.from_dict(doc)
+    build_fault_plan(spec)
+    build_runtime(spec)
+
+
+@pytest.mark.parametrize("table,key,value,named", [
+    ("cluster", "n_hosts", True, "cluster.n_hosts"),
+    ("cluster", "seed", True, "cluster.seed"),
+    ("runtime", "shards", True, "runtime.shards"),
+    ("runtime", "barriers", {"0": True}, "runtime.barriers.0"),
+    ("runtime", "shard_hints", {"sw": True}, "runtime.shard_hints.sw"),
+    ("resilience", "heartbeat_interval_s", True,
+     "resilience.heartbeat_interval_s"),
+    ("resilience", "failure_threshold", True, "resilience.failure_threshold"),
+    ("resilience", "reset_timeout_s", NAN, "resilience.reset_timeout_s"),
+    ("resilience", "dead_after_s", INF, "resilience.dead_after_s"),
+    ("runtime.supervision", "barrier_deadline_s", True,
+     "runtime.supervision.barrier_deadline_s"),
+    ("runtime.supervision", "max_retries", True,
+     "runtime.supervision.max_retries"),
+    ("runtime.supervision", "barrier_deadline_s", INF,
+     "runtime.supervision.barrier_deadline_s"),
+    ("runtime.supervision", "worker_grace_s", INF,
+     "runtime.supervision.worker_grace_s"),
+    ("faults.events[0]", "at", True, "faults.events[0].at"),
+    ("faults.events[0]", "host", True, "faults.events[0].host"),
+    ("faults.events[0]", "at", "0.1", "faults.events[0].at"),
+    ("faults.events[0]", "at", -1, "faults.events[0].at"),
+    ("faults.random", "seed", True, "faults.random.seed"),
+    ("faults.random", "n_events", 2.5, "faults.random.n_events"),
+    ("faults.random", "t_max", NAN, "faults.random.t_max"),
+    ("cluster.options", "n_sites", True, "cluster.options.n_sites"),
+    ("runtime.error_kwargs", "timeout_s", True,
+     "runtime.error_kwargs.timeout_s"),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_an_ill_typed_value_is_a_spec_error_naming_its_key(table, key, value,
+                                                           named):
+    with pytest.raises(SpecError) as exc:
+        _read_and_build(_doc(table, key, value))
+    assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("table,key,value", [
+    ("runtime.supervision", "barrier_deadline_s", 30),
+    ("resilience", "heartbeat_interval_s", 1),
+    ("faults.events[0]", "at", 0),
+    ("faults.random", "t_max", 1),
+    ("runtime.error_kwargs", "timeout_s", 1),
+])
+def test_an_integer_stands_for_a_float(table, key, value):
+    _read_and_build(_doc(table, key, value))
