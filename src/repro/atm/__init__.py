@@ -7,8 +7,9 @@ from .cell import AtmCell, CELL_BYTES, CELL_HEADER_BYTES, CELL_PAYLOAD_BYTES, Ce
 from .collective import NicCollectiveEngine, NicCollectiveFabric, NicPdu
 from .crc import Crc, crc10_aal34, crc32_aal5
 from .link import Channel, DS3, DuplexLink, LinkSpec, OC3, OC48, TAXI_140
-from .signaling import (AtmFabric, MulticastChannel, Service,
-                        SignalingController, VirtualChannel)
+from .signaling import (AtmFabric, FabricEdge, MulticastChannel,
+                        NoPathError, Service, SignalingController,
+                        VirtualChannel)
 from .switch import AtmSwitch, VcRoute
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
     "NicCollectiveEngine", "NicCollectiveFabric", "NicPdu",
     "Crc", "crc10_aal34", "crc32_aal5",
     "Channel", "DS3", "DuplexLink", "LinkSpec", "OC3", "OC48", "TAXI_140",
-    "AtmFabric", "MulticastChannel", "Service", "SignalingController",
-    "VirtualChannel",
+    "AtmFabric", "FabricEdge", "MulticastChannel", "NoPathError", "Service",
+    "SignalingController", "VirtualChannel",
     "AtmSwitch", "VcRoute",
 ]

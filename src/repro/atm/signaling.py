@@ -41,22 +41,21 @@ Two kinds of channel come out of the controller:
   the NIC-offloaded collectives (:mod:`repro.atm.collective`) broadcast
   over.
 
-Routing runs on :attr:`AtmFabric.routes`, a name-keyed replica of the
-topology that also covers nodes a partial (per-shard) universe did not
-materialize: every universe computes the same shortest paths over the
-same graph, and programs only the switches it owns.  A host is a leaf
-whose route is its switch's, so shortest paths are computed once per
-switch, over the switches (:meth:`AtmFabric.path_nodes`).
+Routing runs on :attr:`AtmFabric.routes`, the fabric's one graph: a
+name-keyed adjacency that also covers nodes a partial (per-shard)
+universe did not materialize, so every universe computes the same
+shortest paths over the same graph and programs only the switches it
+owns.  A host is a leaf whose route is its switch's, so shortest paths
+are computed once per switch (:meth:`AtmFabric.path_nodes`).
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
-
-import networkx as nx
 
 from ..sim import Simulator
 from .aal import Aal, AAL5
@@ -65,8 +64,8 @@ from .link import Channel, DuplexLink, LinkSpec
 from .switch import AtmSwitch
 
 __all__ = ["Service", "VirtualChannel", "MulticastChannel", "AtmFabric",
-           "SignalingController", "circuit_id", "circuit_key", "vc_label",
-           "label_vc", "MAX_HOSTS"]
+           "FabricEdge", "NoPathError", "SignalingController", "circuit_id",
+           "circuit_key", "vc_label", "label_vc", "MAX_HOSTS"]
 
 #: first VCI available for user traffic (0-31 are reserved in UNI)
 FIRST_USER_VCI = 32
@@ -200,22 +199,60 @@ class MulticastChannel:
         return f"<MulticastVC {self.vc_id} ->{len(self.leaves)} leaves>"
 
 
+class NoPathError(LookupError):
+    """Two nodes of a fabric have no path between them."""
+
+
+@dataclass(slots=True)
+class FabricEdge:
+    """A link of :attr:`AtmFabric.routes`: routing ``weight``, ``spec``,
+    ``ends`` in connect order (channel ``a--b>`` runs a -> b), ``noisy``
+    (bit errors drawn from an rng), and ``link`` if materialized here."""
+
+    weight: float
+    spec: LinkSpec
+    ends: tuple[str, str]
+    noisy: bool = False
+    link: Optional[DuplexLink] = None
+
+
+def _shortest_paths(adj: dict, source: str, weight) -> dict[str, list[str]]:
+    """Dijkstra from ``source`` (weights > 0): node -> path, per node
+    reached.  ``weight(v, edge)`` costs a step onto ``v``; None hides the
+    edge.  Ties break as this fabric's routes always have: the heap key
+    is (distance, push count), neighbours come in insertion order, and
+    only a strictly shorter push sets a node's path."""
+    paths, best = {source: [source]}, {source: 0}
+    fringe, pushes = [(0, 0, source)], itertools.count(1)
+    while fringe:
+        dist, _, v = heapq.heappop(fringe)
+        if dist > best[v]:
+            continue                    # stale: v was settled nearer
+        for u, edge in adj[v].items():
+            cost = weight(u, edge)
+            if cost is not None and (u not in best or dist + cost < best[u]):
+                best[u] = dist + cost
+                heapq.heappush(fringe, (best[u], next(pushes), u))
+                paths[u] = paths[v] + [u]
+    return paths
+
+
 class AtmFabric:
     """The physical ATM network: nodes and duplex links as a graph.
 
-    ``graph`` holds the node *objects* this universe materialized;
-    ``routes`` is the name-keyed routing view of the **whole** topology,
-    which a partial universe completes with :meth:`add_remote` /
-    :meth:`connect_remote` for the nodes it left out.  Both are filled
-    in the same order with the same weights in every universe, so
-    Dijkstra breaks ties identically everywhere.  (An all-remote fabric
+    ``routes`` (node name -> {neighbour: :class:`FabricEdge`}) is the
+    **whole** topology, which a partial universe completes with
+    :meth:`add_remote` / :meth:`connect_remote` for the nodes it left
+    out, in the same order with the same weights in every universe, so
+    Dijkstra breaks ties identically; ``links`` are the links this
+    universe materialized, in connect order.  (An all-remote fabric
     needs no simulator: that is what the shard planner plans on.)
     """
 
     def __init__(self, sim: Optional[Simulator]):
         self.sim = sim
-        self.graph = nx.Graph()
-        self.routes = nx.Graph()
+        self.routes: dict[str, dict[str, FabricEdge]] = {}
+        self.links: list[DuplexLink] = []
         self.adapters: dict[str, Sba200Adapter] = {}
         self.switches: dict[str, AtmSwitch] = {}
         #: every host of the topology in pid order, materialized or not:
@@ -237,7 +274,7 @@ class AtmFabric:
         """Name a node for routing only (another shard materializes it)."""
         if name in self.routes:
             raise ValueError(f"duplicate fabric node name {name!r}")
-        self.routes.add_node(name)
+        self.routes[name] = {}
         self._path_cache.clear()
         if host:
             self._host_index[name] = len(self.hosts)
@@ -249,7 +286,6 @@ class AtmFabric:
             raise ValueError(f"duplicate adapter for host {adapter.host_name}")
         self.add_remote(adapter.host_name, host=True)
         self.adapters[adapter.host_name] = adapter
-        self.graph.add_node(adapter)
         return adapter
 
     def add_switch(self, switch: AtmSwitch) -> AtmSwitch:
@@ -258,7 +294,6 @@ class AtmFabric:
             raise ValueError(f"duplicate switch {switch.name}")
         self.add_remote(switch.name)
         self.switches[switch.name] = switch
-        self.graph.add_node(switch)
         switch.on_miss = self._on_switch_miss
         return switch
 
@@ -273,25 +308,20 @@ class AtmFabric:
             a.attach_uplink(link.fwd)
         if isinstance(b, Sba200Adapter):
             b.attach_uplink(link.rev)
-        self.graph.add_edge(a, b, link=link,
-                            weight=spec.prop_delay_s + 1e-9)
         self._channels[a_name, b_name] = link.fwd
         self._channels[b_name, a_name] = link.rev
-        self.connect_remote(a_name, b_name, spec,
-                            noisy=rng_a is not None or rng_b is not None)
+        self.connect_remote(a_name, b_name, spec, noisy=rng_a is not None
+                            or rng_b is not None).link = link
+        self.links.append(link)
         return link
 
     def connect_remote(self, a: str, b: str, spec: LinkSpec,
-                       noisy: bool = False) -> None:
-        """Route over a link this universe did not materialize.
-
-        Besides the routing weight the edge records what a shard planner
-        asks of a link: its ``spec``, its ``ends`` in connect order (the
-        forward channel ``a--b>`` runs a -> b, ``a--b<`` back) and
-        whether it draws bit errors from an rng (``noisy``)."""
-        self.routes.add_edge(a, b, weight=spec.prop_delay_s + 1e-9,
-                             spec=spec, ends=(a, b), noisy=noisy)
+                       noisy: bool = False) -> FabricEdge:
+        """Route over a link this universe did not materialize."""
+        edge = FabricEdge(spec.prop_delay_s + 1e-9, spec, (a, b), noisy)
+        self.routes[a][b] = self.routes[b][a] = edge
         self._path_cache.clear()
+        return edge
 
     # --------------------------------------------------------------- queries
     @property
@@ -313,9 +343,9 @@ class AtmFabric:
         """A leaf's only neighbour (a host's switch), else ``node``: where
         routing on its behalf starts.  The ends of a bare two-node
         fabric are no leaves, there would be no core left to route on."""
-        nbrs = self.routes.adj[node]
+        nbrs = self.routes[node]
         gateway = next(iter(nbrs)) if len(nbrs) == 1 else node
-        return gateway if len(self.routes.adj[gateway]) > 1 else node
+        return gateway if len(self.routes[gateway]) > 1 else node
 
     def path_nodes(self, src, dst) -> list[str]:
         """Shortest path (by propagation delay) between two hosts, as
@@ -332,11 +362,11 @@ class AtmFabric:
         cache = self._path_cache.get(via)
         if cache is None:
             gateway = self._gateway
-            cache = self._path_cache[via] = nx.shortest_path(
-                self.routes, via, weight=lambda _u, v, data:
-                data["weight"] if gateway(v) == v else None)
+            cache = self._path_cache[via] = _shortest_paths(
+                self.routes, via, lambda v, edge:
+                edge.weight if gateway(v) == v else None)
         if to not in cache:
-            raise nx.NetworkXNoPath(f"no path between {src} and {dst}")
+            raise NoPathError(f"no path between {src} and {dst}")
         return [src] * (via != src) + cache[to] + [dst] * (to != dst)
 
     def channel(self, a: str, b: str) -> Optional[Channel]:

@@ -206,8 +206,8 @@ class FaultInjector:
         adapter = self._adapter(host_idx)
         if adapter is None:
             return []
-        return [data["link"] for _, _, data
-                in self.cluster.fabric.graph.edges(adapter, data=True)]
+        return [edge.link for edge
+                in self.cluster.fabric.routes[adapter.host_name].values()]
 
     def _nic(self, host_idx: int):
         return self.cluster.host(host_idx).interfaces.get("ethernet")
@@ -218,12 +218,12 @@ class FaultInjector:
         adapter = self._adapter(host_idx)
         if adapter is None:
             return None
-        for _, other, data in self.cluster.fabric.graph.edges(
-                adapter, data=True):
-            link: DuplexLink = data["link"]
+        fabric = self.cluster.fabric
+        for other, edge in fabric.routes[adapter.host_name].items():
+            link: DuplexLink = edge.link
             for channel in (link.fwd, link.rev):
                 if channel.endpoint is adapter:
-                    return other, channel
+                    return fabric.switches[other], channel
         raise ValueError(f"host {host_idx} has no switch uplink")
 
     # -------------------------------------------------- message-level hooks

@@ -38,6 +38,7 @@ Design rules, in order of importance:
 from __future__ import annotations
 
 import bisect
+from math import isfinite
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 __all__ = [
@@ -89,7 +90,7 @@ class Counter:
         return self._value
 
     def inc(self, n: int | float = 1) -> None:
-        if n < 0:
+        if not n >= 0:                  # NaN too
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {n})")
         self._value += n
 
@@ -159,6 +160,8 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def observe(self, v: int | float) -> None:
+        if not isfinite(v):
+            raise ValueError(f"histogram {self.name!r} cannot observe {v}")
         self.counts[bisect.bisect_left(self.bounds, v)] += 1
         self.sum += v
         self.count += 1

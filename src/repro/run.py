@@ -41,8 +41,10 @@ import sys
 from .config import (SpecError, SupervisionSpec, dump_scenario, dumps_toml,
                      load_fleet, load_scenario, run_scenario,
                      ensure_components)
+from .core.mps import MessageLost
 from .diagnostics import RESILIENCE_COUNTERS, render_report
 from .registry import UnknownNameError, all_registries
+from .sim import SimulationError
 
 __all__ = ["main"]
 
@@ -275,6 +277,10 @@ def main(argv=None) -> int:
         except (SpecError, UnknownNameError) as e:
             print(f"{path}: {e}", file=sys.stderr)
             status = 2
+            continue
+        except (SimulationError, MessageLost) as e:     # the run failed
+            print(f"{path}: {e}", file=sys.stderr)
+            status = max(status, 1)
             continue
         print(_summarize(result))
         if (args.report or spec.obs.report) and result.cluster is not None:

@@ -64,11 +64,16 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     switches = set(fabric.switch_names) if fabric is not None else set()
 
     def channels():
-        """``(name, upstream, downstream, edge data)`` per directed channel."""
-        for _u, _v, data in routes.edges(data=True):
-            a, b = data["ends"]
-            yield f"{a}--{b}>", a, b, data
-            yield f"{a}--{b}<", b, a, data
+        """``(name, upstream, downstream, edge)`` per directed channel,
+        each edge met at the first of its ends in node order."""
+        met = set()
+        for u, nbrs in routes.items():
+            for v, edge in nbrs.items():
+                if v not in met:
+                    a, b = edge.ends
+                    yield f"{a}--{b}>", a, b, edge
+                    yield f"{a}--{b}<", b, a, edge
+            met.add(u)
 
     def trivial() -> ShardPlan:
         switch_shard = dict.fromkeys(switches, 0)
@@ -87,7 +92,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     # ---- host groups keyed by the adapter's sorted switch neighborhood
     groups: dict[tuple[str, ...], list[int]] = {}
     for pid, hname in enumerate(host_names):
-        key = tuple(sorted(routes.neighbors(hname)))
+        key = tuple(sorted(routes[hname]))
         groups.setdefault(key, []).append(pid)
     ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
     eff = min(shards, len(ordered))
@@ -159,7 +164,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
         progressed = []
         for swn in remaining:
             cands = set()
-            for label in routes.neighbors(swn):
+            for label in routes[swn]:
                 if label in snapshot:
                     cands.add(snapshot[label])
                 elif label in host_shard:
@@ -183,7 +188,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     channel_shard: dict[str, int] = {}
     cut_dest: dict[str, int] = {}
     lookahead = math.inf
-    for name, up, down, data in channels():
+    for name, up, down, edge in channels():
         su, sd = node_shard(up), node_shard(down)
         channel_shard[name] = su
         if su == sd:
@@ -194,12 +199,12 @@ def plan_shards(cluster, shards: int, shard_hints=None,
                 "can never straddle a shard boundary — an HSM "
                 "fabric may only be split across a switch-to-"
                 "switch WAN trunk (adjust runtime.shard_hints)")
-        if data["noisy"]:
+        if edge.noisy:
             raise SpecError(
                 f"shard plan cuts {name!r}, which models bit "
                 "errors with a shared rng; only error-free WAN "
                 "trunks can bridge shards")
-        prop_delay_s = data["spec"].prop_delay_s
+        prop_delay_s = edge.spec.prop_delay_s
         if prop_delay_s <= 0:
             raise SpecError(
                 f"shard plan cuts {name!r} with zero "

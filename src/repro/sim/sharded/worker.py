@@ -74,8 +74,7 @@ class ShardWorker:
         self.rt = self.run.runtime
         self.rt.advance = self.advance
         self.channels = {}
-        for _a, _b, data in self.cluster.fabric.graph.edges(data=True):
-            link = data["link"]
+        for link in self.cluster.fabric.links:
             self.channels[link.fwd.name] = link.fwd
             self.channels[link.rev.name] = link.rev
         for name, dest in sorted(plan.cut_dest.items()):

@@ -15,7 +15,7 @@ def _switch_links(fabric, sw):
     ``link.fwd`` runs host -> switch (an *input* channel) and
     ``link.rev`` switch -> host (an *output* channel) because
     ``build_lan`` connects ``(adapter, switch)`` in that order."""
-    return [d["link"] for _, _, d in fabric.graph.edges(sw, data=True)]
+    return [edge.link for edge in fabric.routes[sw.name].values()]
 
 
 class TestGroupTable:

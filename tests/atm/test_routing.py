@@ -2,18 +2,22 @@
 computes from every host.
 
 :meth:`repro.atm.signaling.AtmFabric.path_nodes` treats a node with one
-link as a leaf whose route is its gateway's, and runs Dijkstra only from
+link as a leaf whose route is its gateway's, and runs Dijkstra (the
+fabric's own :func:`repro.atm.signaling._shortest_paths`) only from
 gateways, over the non-leaf core.  The oracle stays what the fabric used
 to do — ``nx.shortest_path`` from the source host over the whole
-``routes`` graph — in this file only.  Equality includes the ties: on a
-ring with an even number of sites the opposite site is equally far both
-ways round, and which way a circuit goes decides which trunk queues.
+topology, as an ``nx.Graph`` replayed from the fabric's nodes and its
+``connect_remote`` calls in connect order — in this file only.
+Equality includes the ties: on a ring with an even number of sites the
+opposite site is equally far both ways round, and which way a circuit
+goes decides which trunk queues.
 """
 
 import networkx as nx
 import pytest
 
-from repro.atm import AtmFabric, AtmSwitch, Sba200Adapter, TAXI_140
+from repro.atm import (AtmFabric, AtmSwitch, NoPathError, Sba200Adapter,
+                       TAXI_140)
 from repro.config import ensure_components
 from repro.net.blueprint import PlanView, materialize
 from repro.net.nynet import SiteSpec
@@ -42,10 +46,41 @@ IDS = [f"{name}-{'x'.join(str(v) for v in kw.values() if isinstance(v, int))}"
        for name, kw in BUILDS]
 
 
+#: fabric -> the ends of every link it was told about, in connect order
+CONNECTS: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def connect_order(monkeypatch):
+    """Record every ``connect_remote`` call (``connect`` makes one too)."""
+    plain = AtmFabric.connect_remote
+
+    def recording(self, a, b, *args, **kwargs):
+        CONNECTS.setdefault(self, []).append((a, b))
+        return plain(self, a, b, *args, **kwargs)
+    monkeypatch.setattr(AtmFabric, "connect_remote", recording)
+    yield
+    CONNECTS.clear()
+
+
+def oracle_graph(fabric) -> nx.Graph:
+    """The fabric's topology as networkx would have held it: the nodes
+    in insertion order, then the edges in connect order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(fabric.routes)
+    for a, b in CONNECTS[fabric]:
+        graph.add_edge(a, b, weight=fabric.routes[a][b].weight)
+    # the replay is the fabric's graph, neighbour order and all
+    assert [(u, list(nbrs)) for u, nbrs in graph.adj.items()] \
+        == [(u, list(nbrs)) for u, nbrs in fabric.routes.items()]
+    return graph
+
+
 def assert_routes_are_networkx_routes(fabric):
     hosts = fabric.hosts
+    graph = oracle_graph(fabric)
     for src in hosts:
-        oracle = nx.shortest_path(fabric.routes, src, weight="weight")
+        oracle = nx.shortest_path(graph, src, weight="weight")
         for dst in hosts:
             assert fabric.path_nodes(src, dst) == oracle[dst], (src, dst)
 
@@ -81,24 +116,25 @@ def test_even_ring_ties_break_as_from_the_host():
     fabric = materialize(TOPOLOGIES.get("wan-ring")(
         n_sites=6, hosts_per_site=1)).fabric
     src, opposite = fabric.hosts[0], fabric.hosts[3]
-    ways = list(nx.all_shortest_paths(fabric.routes, src, opposite,
+    graph = oracle_graph(fabric)
+    ways = list(nx.all_shortest_paths(graph, src, opposite,
                                       weight="weight"))
     assert len(ways) == 2
     assert fabric.path_nodes(src, opposite) == nx.shortest_path(
-        fabric.routes, src, weight="weight")[opposite]
+        graph, src, weight="weight")[opposite]
 
 
 @pytest.fixture
 def dijkstra_runs(monkeypatch):
-    """The sources ``repro.atm.signaling`` asks networkx to route from."""
+    """The sources ``repro.atm.signaling`` runs Dijkstra from."""
     import repro.atm.signaling as signaling
     sources = []
-    plain = nx.shortest_path
+    plain = signaling._shortest_paths
 
-    def counted(graph, source=None, *args, **kwargs):
+    def counted(adj, source, weight):
         sources.append(source)
-        return plain(graph, source, *args, **kwargs)
-    monkeypatch.setattr(signaling.nx, "shortest_path", counted)
+        return plain(adj, source, weight)
+    monkeypatch.setattr(signaling, "_shortest_paths", counted)
     return sources
 
 
@@ -150,8 +186,9 @@ class TestShapesOutsideTheRegistry:
         assert_routes_are_networkx_routes(fabric)
         assert fabric.path_nodes("h0", "h2") == ["h0", "s0", "s1", "s2", "h2"]
         # switches are nodes too: from, to and between them
+        graph = oracle_graph(fabric)
         for src in fabric.routes:
-            oracle = nx.shortest_path(fabric.routes, src, weight="weight")
+            oracle = nx.shortest_path(graph, src, weight="weight")
             for dst in fabric.routes:
                 assert fabric.path_nodes(src, dst) == oracle[dst], (src, dst)
 
@@ -159,7 +196,7 @@ class TestShapesOutsideTheRegistry:
         fabric = self.fabric([("h0", "s0"), ("s0", "h1"),
                               ("h2", "s1"), ("s1", "h3")],
                              {"h0", "h1", "h2", "h3"})
-        with pytest.raises(nx.NetworkXNoPath, match="h0 and h3"):
+        with pytest.raises(NoPathError, match="h0 and h3"):
             fabric.path_nodes("h0", "h3")
 
     def test_a_link_added_later_reroutes(self):

@@ -64,8 +64,8 @@ class TestBerSpike:
         results = add_pingpong(rt, rounds=3, size=65536)
         rt.run()
         assert results["replies"] == [("pong", i) for i in range(3)]
-        for _, _, d in cluster.fabric.graph.edges(data=True):
-            assert d["link"].fwd.ber_override is None   # healed
+        for link in cluster.fabric.links:
+            assert link.fwd.ber_override is None        # healed
 
 
 class TestHostCrash:
@@ -129,8 +129,7 @@ class TestOverlappingWindows:
         cluster = self.probe([LinkOutage(at=1e-3, duration=4e-3, host=0),
                               LinkOutage(at=2e-3, duration=6e-3, host=0,
                                          scope="atm")])
-        (link,) = (d["link"] for _, _, d in cluster.fabric.graph.edges(
-            cluster.fabric.adapters["n0"], data=True))
+        (link,) = (edge.link for edge in cluster.fabric.routes["n0"].values())
         up = self.sample(cluster, lambda: (link.fwd.up, link.rev.up), 9)
         assert up[0] == (True, True)
         assert all(up[ms] == (False, False) for ms in range(1, 8)), up

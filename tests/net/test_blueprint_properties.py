@@ -45,10 +45,6 @@ SMALL = settings(deadline=None, max_examples=12)
 # the construction signature
 # --------------------------------------------------------------------------
 
-def _label(node) -> str:
-    return getattr(node, "host_name", None) or node.name
-
-
 def construction_signature(cluster) -> dict:
     """Everything structurally observable about a built cluster."""
     sig: dict = {
@@ -61,12 +57,14 @@ def construction_signature(cluster) -> dict:
     }
     fabric = cluster.fabric
     if fabric is not None:
-        sig["graph_nodes"] = [_label(n) for n in fabric.graph.nodes]
-        sig["graph_edges"] = [
-            (d["link"].fwd.name, d["link"].fwd.spec.name, d["weight"])
-            for _a, _b, d in fabric.graph.edges(data=True)]
-        sig["route_nodes"] = list(fabric.routes.nodes)
-        sig["route_edges"] = list(fabric.routes.edges(data="weight"))
+        sig["graph_nodes"] = [n for n in fabric.routes
+                              if n in fabric.adapters or n in fabric.switches]
+        sig["graph_edges"] = [(link.fwd.name, link.fwd.spec.name)
+                              for link in fabric.links]
+        sig["route_nodes"] = list(fabric.routes)
+        sig["route_edges"] = [
+            (u, v, e.weight, e.spec.name, e.ends, e.noisy, e.link is not None)
+            for u, nbrs in fabric.routes.items() for v, e in nbrs.items()]
         sig["fabric_hosts"] = list(fabric.hosts)
         # nothing is provisioned per pair at construction ...
         sig["open_at_build"] = len(cluster.signaling.open_vcs)
@@ -202,7 +200,7 @@ def _assert_shadow_paths_match(bp, shards):
     hosts = full.hosts
     for _owned, part in _shard_universes(bp, shards):
         assert part.fabric.hosts == hosts
-        assert list(part.fabric.routes.nodes) == list(full.routes.nodes)
+        assert list(part.fabric.routes) == list(full.routes)
         for src in hosts:
             for dst in hosts:
                 if src != dst:

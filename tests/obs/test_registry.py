@@ -23,6 +23,13 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
+    def test_nan_increment_rejected(self):
+        c = MetricsRegistry().counter("tx.bytes")
+        c.inc(3)
+        with pytest.raises(ValueError, match="tx.bytes"):
+            c.inc(float("nan"))
+        assert c.value == 3
+
     def test_get_or_create_returns_same_instrument(self):
         m = MetricsRegistry()
         a = m.counter("tx.messages", pid=0)
@@ -84,6 +91,16 @@ class TestHistogram:
         h.observe(2.0)
         h.observe(4.0)
         assert h.value == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_non_finite_observation_rejected(self, v):
+        h = MetricsRegistry().histogram("lat")
+        h.observe(2.0)
+        with pytest.raises(ValueError, match="lat"):
+            h.observe(v)
+        assert (h.count, h.sum, h.min, h.max) == (1, 2.0, 2.0, 2.0)
+        assert h.counts == [0] * 7 + [1, 0]
 
 
 # ------------------------------------------------------------------ registry

@@ -144,8 +144,8 @@ def test_physical_faults_on_a_ghost_touch_no_object():
         BerSpike(at=0.001, duration=0.002, host=3, ber=1e-3))
     assert [edge for _t, edge, _d in injector.log] == ["begin"] * 3
     assert not +injector._depth
-    for _a, _b, data in part.fabric.graph.edges(data=True):
-        for ch in (data["link"].fwd, data["link"].rev):
+    for link in part.fabric.links:
+        for ch in (link.fwd, link.rev):
             assert ch._flips == [(0.0, True, None)] and ch._held is None
 
 

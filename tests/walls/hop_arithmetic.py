@@ -177,7 +177,7 @@ def spaced_windows(rng, horizon, lengths, gaps):
 def _port(cluster, pid):
     """The switch output channel feeding host ``pid``."""
     name = cluster.host(pid).name
-    (switch,) = cluster.fabric.routes.adj[name]
+    (switch,) = cluster.fabric.routes[name]
     return cluster.fabric.channel(switch, name)
 
 
