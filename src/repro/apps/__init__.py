@@ -2,14 +2,20 @@
 
 from .common import AppResult, PLATFORMS, build_platform_cluster, platform_costs
 from .costs import AppCosts, ELC_COSTS, IPX_COSTS, costs_for_platform
-from .fft import run_fft_ncs, run_fft_p4
-from .jpeg.distributed import run_jpeg_ncs, run_jpeg_p4
-from .matmul import run_matmul_ncs, run_matmul_p4
+
+# ``run_<app>_<variant>``: imported, and numpy with it, when first asked for
+_RUNNERS = {f"run_{app}_{variant}": module for app, module in (
+    ("fft", ".fft"), ("jpeg", ".jpeg.distributed"), ("matmul", ".matmul"))
+    for variant in ("ncs", "p4")}
 
 __all__ = [
     "AppResult", "PLATFORMS", "build_platform_cluster", "platform_costs",
-    "AppCosts", "ELC_COSTS", "IPX_COSTS", "costs_for_platform",
-    "run_fft_ncs", "run_fft_p4",
-    "run_jpeg_ncs", "run_jpeg_p4",
-    "run_matmul_ncs", "run_matmul_p4",
+    "AppCosts", "ELC_COSTS", "IPX_COSTS", "costs_for_platform", *_RUNNERS,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _RUNNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(_RUNNERS[name], __name__), name)

@@ -26,8 +26,7 @@ from ..config.build import control_kwargs
 from ..config.schema import SCALARS, Field, SpecError, declaration, read
 from ..core.api import ServiceMode
 from ..registry import APP_DRIVERS
-from . import (run_fft_ncs, run_fft_p4, run_jpeg_ncs, run_jpeg_p4,
-               run_matmul_ncs, run_matmul_p4)
+from .. import apps             # each ``run_*`` is imported when it runs
 
 __all__ = []  # everything is reached through the APP_DRIVERS registry
 
@@ -104,7 +103,7 @@ def _no_runtime_table(run, *fields):
     "matmul-p4", help="Fig 13 matrix multiply, single-threaded p4 processes")
 def _matmul_p4(run):
     _no_runtime_table(run, "flow", "error")
-    return run_matmul_p4(**_app_params(run, run_matmul_p4))
+    return apps.run_matmul_p4(**_app_params(run, apps.run_matmul_p4))
 
 
 @APP_DRIVERS.register(
@@ -112,40 +111,40 @@ def _matmul_p4(run):
 def _matmul_ncs(run):
     _no_runtime_table(run)
     spec = run.spec
-    return run_matmul_ncs(mode=_mode(spec.mode), flow=spec.flow,
-                          error=spec.error,
-                          error_kwargs=control_kwargs(spec, "error") or None,
-                          **_app_params(run, run_matmul_ncs))
+    return apps.run_matmul_ncs(
+        mode=_mode(spec.mode), flow=spec.flow, error=spec.error,
+        error_kwargs=control_kwargs(spec, "error") or None,
+        **_app_params(run, apps.run_matmul_ncs))
 
 
 @APP_DRIVERS.register(
     "jpeg-p4", help="Fig 15 JPEG pipeline, single-threaded p4 processes")
 def _jpeg_p4(run):
     _no_runtime_table(run, "flow", "error")
-    return run_jpeg_p4(**_app_params(run, run_jpeg_p4))
+    return apps.run_jpeg_p4(**_app_params(run, apps.run_jpeg_p4))
 
 
 @APP_DRIVERS.register(
     "jpeg-ncs", help="Figs 16-18 JPEG pipeline, multithreaded NCS")
 def _jpeg_ncs(run):
     _no_runtime_table(run, "flow", "error")
-    return run_jpeg_ncs(mode=_mode(run.spec.mode),
-                        **_app_params(run, run_jpeg_ncs))
+    return apps.run_jpeg_ncs(mode=_mode(run.spec.mode),
+                             **_app_params(run, apps.run_jpeg_ncs))
 
 
 @APP_DRIVERS.register(
     "fft-p4", help="Fig 19 distributed FFT, single-threaded p4 processes")
 def _fft_p4(run):
     _no_runtime_table(run, "flow", "error")
-    return run_fft_p4(**_app_params(run, run_fft_p4))
+    return apps.run_fft_p4(**_app_params(run, apps.run_fft_p4))
 
 
 @APP_DRIVERS.register(
     "fft-ncs", help="Figs 20-21 distributed FFT, multithreaded NCS")
 def _fft_ncs(run):
     _no_runtime_table(run, "flow", "error")
-    return run_fft_ncs(mode=_mode(run.spec.mode),
-                       **_app_params(run, run_fft_ncs))
+    return apps.run_fft_ncs(mode=_mode(run.spec.mode),
+                            **_app_params(run, apps.run_fft_ncs))
 
 
 @APP_DRIVERS.register(

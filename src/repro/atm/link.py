@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from ..sim import Simulator, check_param
 from .cell import CellBurst
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LinkSpec", "Channel", "DuplexLink",
            "TAXI_140", "OC3", "OC48", "DS3"]

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .schema import SpecError, Table, read, settle
+from .schema import SpecError, Table, join, read, settle
 
 __all__ = ["SpecError", "ClusterSpec", "AppSpec", "FaultSpec", "ObsSpec",
            "ResilienceSpec", "SupervisionSpec", "ScenarioSpec"]
@@ -138,8 +138,12 @@ class FaultSpec(Table):
                                  "a [faults.random] table, not both")
         if self.random is not None:
             from ..faults.plan import FaultPlan
-            object.__setattr__(self, "random", read(
-                FaultPlan.random, self.random, "faults.random"))
+            random = read(FaultPlan.random, self.random, "faults.random")
+            try:
+                FaultPlan.check_random(**random)
+            except ValueError as e:
+                raise SpecError(join("faults.random", e)) from None
+            object.__setattr__(self, "random", random)
         for i, ev in enumerate(self.events):
             if "kind" not in ev:
                 raise SpecError(f"faults.events[{i}].kind is required "

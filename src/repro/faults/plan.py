@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..config.schema import SpecError, build, write
 from ..registry import FAULT_KINDS
 
@@ -348,6 +346,8 @@ class FaultPlan:
     events: tuple[FaultEvent, ...] = ()
     #: free-form provenance (e.g. the seed that generated a random plan)
     label: str = ""
+    #: the kinds :meth:`random` draws from, by their short names
+    RANDOM_KINDS = ("link", "ber", "crash", "stall", "msgloss")
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.events, key=lambda e: e.at))
@@ -401,8 +401,7 @@ class FaultPlan:
     @staticmethod
     def random(seed: int, n_hosts: int, t_max: float = 0.5,
                n_events: int = 4,
-               kinds: Sequence[str] = ("link", "ber", "crash", "stall",
-                                       "msgloss")) -> "FaultPlan":
+               kinds: Sequence[str] = RANDOM_KINDS) -> "FaultPlan":
         """Draw a reproducible transient-fault plan.
 
         All generated faults are transient (bounded duration), so a
@@ -410,10 +409,8 @@ class FaultPlan:
         scenarios are written explicitly.  The same ``(seed, n_hosts,
         t_max, n_events, kinds)`` always yields the same plan.
         """
-        if n_hosts < 1:
-            raise ValueError("need at least one host")
-        if not kinds:
-            raise ValueError("need at least one fault kind")
+        FaultPlan.check_random(seed, n_hosts, t_max, n_events, kinds)
+        import numpy as np
         rng = np.random.default_rng(seed)
         events: list[FaultEvent] = []
         for _ in range(n_events):
@@ -430,9 +427,21 @@ class FaultPlan:
                 events.append(HostCrash(at, duration, host=host))
             elif kind == "stall":
                 events.append(SwitchPortStall(at, duration, host=host))
-            elif kind == "msgloss":
+            else:
                 p = float(rng.uniform(0.05, 0.4))
                 events.append(MessageLoss(at, duration, p=p))
-            else:
-                raise ValueError(f"unknown fault kind {kind!r}")
         return FaultPlan(tuple(events), label=f"random(seed={seed})")
+
+    @staticmethod
+    def check_random(seed=0, n_hosts=1, t_max=0.5, n_events=0,
+                     kinds=RANDOM_KINDS) -> None:
+        """A ValueError naming the first bad argument of :meth:`random`."""
+        if n_hosts < 1:
+            raise ValueError(f"n_hosts: need at least one host, not {n_hosts}")
+        if not (math.isfinite(t_max) and t_max > 0):
+            raise ValueError(f"t_max: must be finite and > 0, not {t_max}")
+        if n_events < 0:
+            raise ValueError(f"n_events: must be >= 0, not {n_events}")
+        known = FaultPlan.RANDOM_KINDS
+        if not kinds or any(k not in known for k in kinds):
+            raise ValueError(f"kinds: must be some of {known}, not {kinds}")

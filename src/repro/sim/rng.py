@@ -8,9 +8,25 @@ common-random-numbers discipline for simulation reproducibility.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["RngRegistry"]
+
+
+class _Stream:
+    """A named Generator built, numpy imported, at its first draw; each
+    method is bound onto the handle at its first use, for direct calls."""
+
+    def __init__(self, seed: int, name: str):
+        self._key, self._gen = (seed, tuple(name.encode("utf-8"))), None
+
+    def __getattr__(self, attr: str):
+        if attr.startswith("_"):       # copy/pickle probes
+            raise AttributeError(attr)
+        if self._gen is None:
+            import numpy as np
+            seq = np.random.SeedSequence(self._key[0], spawn_key=self._key[1])
+            self._gen = np.random.Generator(np.random.PCG64(seq))
+        self.__dict__[attr] = value = getattr(self._gen, attr)
+        return value
 
 
 class RngRegistry:
@@ -25,9 +41,9 @@ class RngRegistry:
 
     def __init__(self, seed: int = 1995):
         self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, _Stream] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
+    def stream(self, name: str) -> _Stream:
         """The generator for ``name``, created on first use.
 
         The substream seed is derived from ``(root seed, name)`` via
@@ -36,12 +52,7 @@ class RngRegistry:
         """
         gen = self._streams.get(name)
         if gen is None:
-            ss = np.random.SeedSequence(
-                entropy=self.seed,
-                spawn_key=tuple(name.encode("utf-8")),
-            )
-            gen = np.random.Generator(np.random.PCG64(ss))
-            self._streams[name] = gen
+            gen = self._streams[name] = _Stream(self.seed, name)
         return gen
 
     def reset(self) -> None:

@@ -345,6 +345,11 @@ def _read_and_build(doc):
     ("faults.random", "seed", True, "faults.random.seed"),
     ("faults.random", "n_events", 2.5, "faults.random.n_events"),
     ("faults.random", "t_max", NAN, "faults.random.t_max"),
+    ("faults.random", "t_max", INF, "faults.random.t_max"),
+    ("faults.random", "t_max", -1.0, "faults.random.t_max"),
+    ("faults.random", "n_events", -2, "faults.random.n_events"),
+    ("faults.random", "kinds", ["link", "no-such-kind"],
+     "faults.random.kinds"),
     ("cluster.options", "n_sites", True, "cluster.options.n_sites"),
     ("runtime.error_kwargs", "timeout_s", True,
      "runtime.error_kwargs.timeout_s"),

@@ -116,3 +116,18 @@ class TestRandomPlans:
             FaultPlan.random(1, n_hosts=2, kinds=("earthquake",))
         with pytest.raises(ValueError):
             FaultPlan.random(1, n_hosts=0)
+
+    # each was accepted, failed inside numpy, or passed unless drawn
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"t_max": -1.0}, "t_max"),
+        ({"t_max": 0.0}, "t_max"),
+        ({"t_max": float("nan")}, "t_max"),
+        ({"t_max": float("inf")}, "t_max"),
+        ({"n_events": -2}, "n_events"),
+        ({"n_events": 1, "kinds": ("link", "no-such-kind")}, "kinds"),
+        ({"kinds": ()}, "kinds"),
+        ({"n_hosts": 0}, "n_hosts"),
+    ], ids=repr)
+    def test_a_bad_argument_is_named_before_any_draw(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{named}: "):
+            FaultPlan.random(1, **{"n_hosts": 2, **kwargs})

@@ -1,11 +1,19 @@
 """Tests for the tracing (Fig 4/16 data source) and RNG substreams."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.sim import (
     Activity, Interval, NullTracer, RngRegistry, Simulator, Timeline, Tracer,
 )
+
+SRC = Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -126,3 +134,47 @@ class TestRngRegistry:
         r.reset()
         again = r.stream("z").random(4)
         assert np.allclose(first, again)
+
+
+class TestLazyStreams:
+    """A stream builds its generator at its first draw, from ``(root
+    seed, name)`` alone: creation and draw order change no value."""
+
+    #: draws captured from the eager registry (one generator built per
+    #: ``stream()`` call): random(), integers(0, 1024), random()
+    EAGER = {
+        "faults.msgloss.3": (0.7580022891711851, 133, 0.6966928519495739),
+        "ethernet.backoff": (0.46507544690661706, 285, 0.5594135609774136),
+        "link.n0": (0.474589023192426, 415, 0.6485718136454623),
+    }
+
+    def test_draws_equal_the_eager_registry_whatever_the_order(self):
+        r = RngRegistry(1995)
+        for name in reversed(self.EAGER):      # create in one order ...
+            r.stream(name)
+        for name, want in self.EAGER.items():  # ... draw in the other
+            g = r.stream(name)
+            assert (g.random(), int(g.integers(0, 2 ** 10)),
+                    g.random()) == want
+        r = RngRegistry(7)
+        assert r.stream("link.n0").random() == 0.2925567982933923
+        assert r.stream("ethernet.faults").random() == 0.6010449074076202
+
+    def test_a_drawn_stream_is_still_the_same_handle(self):
+        r = RngRegistry(1)
+        s = r.stream("a")
+        s.random()
+        assert r.stream("a") is s
+        # the draw method now sits on the handle: no lookup through it
+        assert vars(s)["random"].__self__ is s._gen
+
+    def test_an_undrawn_stream_builds_nothing_and_imports_no_numpy(self):
+        code = ("import sys\n"
+                "from repro.sim import RngRegistry\n"
+                "s = RngRegistry(3).stream('link.n0')\n"
+                "print(s._gen is None, 'numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "False"]
