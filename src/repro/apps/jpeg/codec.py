@@ -21,9 +21,10 @@ from .zigzag import from_zigzag, to_zigzag
 __all__ = ["CompressedImage", "compress", "decompress", "psnr"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressedImage:
-    """A compressed band/image: the bitstream plus decode metadata."""
+    """A compressed band/image: the bitstream plus decode metadata
+    (frozen: the distributed pipeline shares one across its runs)."""
 
     height: int
     width: int
@@ -46,6 +47,9 @@ def compress(image: np.ndarray, quality: int = 75) -> CompressedImage:
     """Compress a grayscale image (uint8, dims multiples of 8)."""
     if image.dtype != np.uint8:
         raise TypeError("expected a uint8 grayscale image")
+    if image.ndim != 2:
+        raise ValueError(f"expected a 2-D grayscale image, got shape "
+                         f"{image.shape}")
     h, w = image.shape
     table = quality_table(quality)
     blocks = blockify(image.astype(np.float64) - 128.0)

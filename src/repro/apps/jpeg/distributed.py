@@ -22,9 +22,13 @@ Fig 15).
 The bands are really compressed and decompressed (repro.apps.jpeg.codec)
 while the calibrated per-block costs are charged to the simulated CPUs;
 the combined output must have the source's shape and a PSNR above 30 dB.
+A band of the benchmark image is coded once per process
+(:func:`_coded_band`): the cells of Table 2 share their bands.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from ..common import (AppResult, DATA, RESULT, build_platform_cluster,
 from .codec import compress, decompress, psnr
 from .dct import BLOCK
 from .images import benchmark_image
+from .quant import quality_table
 
 __all__ = ["run_jpeg_p4", "run_jpeg_ncs", "band_slices"]
 
@@ -45,8 +50,8 @@ COMPRESSED_TAG = 5
 
 def band_slices(height: int, parts: int) -> list[slice]:
     """Split ``height`` rows into ``parts`` block-aligned bands."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
+    if type(parts) is not int or parts < 1:
+        raise ValueError(f"parts must be an int >= 1, got {parts!r}")
     rows, rest = divmod(height, BLOCK)
     if rest or rows % parts:
         raise ValueError(
@@ -57,14 +62,42 @@ def band_slices(height: int, parts: int) -> list[slice]:
 
 def _source(image, quality: int, seed: int) -> np.ndarray:
     """The image to run, checked before any cluster is built."""
-    if type(quality) is not int or not 1 <= quality <= 100:
-        raise ValueError(f"quality must be an int in 1..100, got {quality!r}")
+    quality_table(quality)
     image = benchmark_image(seed=seed) if image is None else np.asarray(image)
     if image.dtype != np.uint8 or image.ndim != 2 or any(
             side % BLOCK for side in image.shape):
         raise ValueError(f"image must be 2-D uint8 with sides a multiple "
                          f"of {BLOCK}, got {image.dtype} {image.shape}")
     return image
+
+
+@lru_cache(maxsize=32)
+def _coded_band(seed: int, start: int, stop: int, quality: int):
+    """Rows ``start:stop`` of ``benchmark_image(seed=seed)``, coded:
+    ``(CompressedImage, its read-only decode)``.  Table 2 has 15 distinct
+    bands per (seed, quality); the simulated CPUs are charged the
+    calibrated costs whether a band is cached or not."""
+    comp = compress(benchmark_image(seed=seed)[start:stop], quality)
+    band = decompress(comp)
+    band.setflags(write=False)
+    return comp, band
+
+
+def _band_codec(image, quality: int, seed: int):
+    """``(code, decode)`` for one run: ``code(sl, band)`` compresses a
+    band and ``decode(sl, comp)`` restores one.  A caller's ``image``
+    is always coded; the benchmark image's bands come from
+    :func:`_coded_band`, whose decode is returned only for the very
+    object it coded."""
+    if image is not None:
+        return (lambda sl, band: compress(band, quality),
+                lambda sl, comp: decompress(comp))
+
+    def decode(sl, comp):
+        cached, band = _coded_band(seed, sl.start, sl.stop, quality)
+        return band if comp is cached else decompress(comp)
+    return (lambda sl, band: _coded_band(seed, sl.start, sl.stop,
+                                         quality)[0], decode)
 
 
 def _check(image, assembled) -> bool:
@@ -81,6 +114,7 @@ def run_jpeg_p4(platform: str, n_nodes: int, quality: int = 75,
     """Fig 15's pipeline with single-threaded p4 processes."""
     if n_nodes < 2 or n_nodes % 2:
         raise ValueError("JPEG pipeline needs an even number of nodes >= 2")
+    code, decode = _band_codec(image, quality, seed)
     image = _source(image, quality, seed)
     half = n_nodes // 2
     slices = band_slices(image.shape[0], half)
@@ -111,7 +145,7 @@ def run_jpeg_p4(platform: str, n_nodes: int, quality: int = 75,
         n_blocks = band.size // (BLOCK * BLOCK)
         yield from p4.compute(costs.jpeg_compress_time(n_blocks),
                               "jpeg-compress")
-        comp = compress(band, quality)
+        comp = code(sl, band)
         yield from p4.send(COMPRESSED_TAG, p4.pid + half, (sl, comp),
                            comp.nbytes)
 
@@ -120,7 +154,7 @@ def run_jpeg_p4(platform: str, n_nodes: int, quality: int = 75,
         sl, comp = msg.data
         yield from p4.compute(costs.jpeg_decompress_time(comp.n_blocks),
                               "jpeg-decompress")
-        band = decompress(comp)
+        band = decode(sl, comp)
         yield from p4.send(RESULT, 0, (sl, band), band.nbytes)
 
     procs = [rt.spawn(0, host)]
@@ -144,6 +178,7 @@ def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
     ``NCS_block()`` until thread 0 has read the image file."""
     if n_nodes < 2 or n_nodes % 2:
         raise ValueError("JPEG pipeline needs an even number of nodes >= 2")
+    code, decode = _band_codec(image, quality, seed)
     image = _source(image, quality, seed)
     half = n_nodes // 2
     T = 2
@@ -201,7 +236,7 @@ def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
         n_blocks = band.size // (BLOCK * BLOCK)
         yield ctx.compute(costs.jpeg_compress_time(n_blocks),
                           "jpeg-compress")
-        comp = compress(band, quality)
+        comp = code(sl, band)
         pair = i + half
         yield ctx.send(node_tids[(pair, t)], pair, (sl, comp), comp.nbytes,
                        tag=COMPRESSED_TAG)
@@ -211,7 +246,7 @@ def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
         sl, comp = msg.data
         yield ctx.compute(costs.jpeg_decompress_time(comp.n_blocks),
                           "jpeg-decompress")
-        band = decompress(comp)
+        band = decode(sl, comp)
         yield ctx.send(host_tids[t], 0, (sl, band), band.nbytes, tag=RESULT)
 
     host_tids[0] = rt.t_create(0, host_thread0, name="host-t0")

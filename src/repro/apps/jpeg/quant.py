@@ -21,8 +21,8 @@ LUMINANCE_TABLE = np.array([
 
 def quality_table(quality: int = 75) -> np.ndarray:
     """Scale the Annex K table the way libjpeg does (quality 1-100)."""
-    if not (1 <= quality <= 100):
-        raise ValueError("quality must be in 1..100")
+    if type(quality) is not int or not 1 <= quality <= 100:
+        raise ValueError(f"quality must be an int in 1..100, got {quality!r}")
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality
     table = (LUMINANCE_TABLE * scale + 50) // 100
     return np.clip(table, 1, 255).astype(np.int32)

@@ -1,6 +1,7 @@
 """Integration tests for the three paper applications (small instances)."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.apps.fft import (
     bit_reverse_indices, dif_fft_reference, make_samples, run_fft_ncs,
     run_fft_p4, DifWorkerState,
 )
-from repro.apps.jpeg import distributed
+from repro.apps.jpeg import compress, distributed
 from repro.apps.jpeg.distributed import band_slices, run_jpeg_ncs, run_jpeg_p4
 from repro.apps.jpeg.images import benchmark_image
 from repro.apps.matmul import (
@@ -189,6 +190,13 @@ class TestJpegDistributed:
         img = benchmark_image(64, 96)
         assert run_jpeg_ncs("ethernet", 4, image=img).correct
 
+    @pytest.mark.parametrize("parts", [True, 2.0, "2"])
+    def test_band_slices_reject_parts_that_are_not_an_int(self, parts):
+        """``band_slices(64, True)`` used to return one band."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"parts must be an int >= 1, got {parts!r}")):
+            band_slices(64, parts)
+
     def test_band_slices_reject_a_partial_block_row(self):
         """``band_slices(644, 1)`` used to return ``[slice(0, 640)]``."""
         with pytest.raises(ValueError, match="^644 rows do not divide"):
@@ -238,6 +246,63 @@ class TestJpegDistributed:
         jpeg_imp = (jp.makespan_s - jn.makespan_s) / jp.makespan_s
         mm_imp = (mp.makespan_s - mn.makespan_s) / mp.makespan_s
         assert jpeg_imp > mm_imp
+
+
+class TestBandCache:
+    """Each distinct band of the benchmark image is coded once per
+    process; a caller's image is always coded."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """How often the pipeline ran ``compress`` / ``decompress``."""
+        counts = {"compress": 0, "decompress": 0}
+        for name in counts:
+            plain = getattr(distributed, name)
+
+            def counted(*args, _name=name, _plain=plain):
+                counts[_name] += 1
+                return _plain(*args)
+            monkeypatch.setattr(distributed, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("run", [run_jpeg_p4, run_jpeg_ncs])
+    def test_a_cell_run_again_codes_nothing_and_ends_the_same(
+            self, run, calls):
+        first = run("ethernet", 4)
+        calls.update(compress=0, decompress=0)
+        again = run("ethernet", 4)
+        assert calls == {"compress": 0, "decompress": 0}
+        assert replace(again, cluster=None) == replace(first, cluster=None)
+        assert (again.cluster.metrics.snapshot()
+                == first.cluster.metrics.snapshot())
+
+    def test_a_callers_image_is_always_coded(self, calls):
+        image = benchmark_image()    # the very array the cache codes
+        for _ in range(2):
+            assert run_jpeg_p4("ethernet", 4, image=image).correct
+        assert calls == {"compress": 4, "decompress": 4}
+
+    def test_only_the_cached_object_gets_the_cached_decode(self, calls):
+        code, decode = distributed._band_codec(None, 75, 1995)
+        sl = slice(0, 160)
+        cached = code(sl, benchmark_image()[sl])
+        band = decode(sl, cached)
+        calls.update(compress=0, decompress=0)
+        assert decode(sl, cached) is band
+        assert calls["decompress"] == 0
+        twin = compress(benchmark_image()[sl])
+        assert twin == cached and twin is not cached
+        assert np.array_equal(decode(sl, twin), band)
+        assert calls["decompress"] == 1
+        with pytest.raises(ValueError, match="read-only"):
+            band[0, 0] = 0
+
+    def test_the_cache_is_bounded(self):
+        bound = distributed._coded_band.cache_info().maxsize
+        assert bound == 32
+        for start in range(0, 8 * (bound + 2), 8):
+            distributed._coded_band(1995, start, start + 8, 75)
+        assert distributed._coded_band.cache_info().currsize == bound
 
 
 class TestP4Programs:

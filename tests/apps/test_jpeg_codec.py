@@ -1,5 +1,8 @@
 """Unit + property tests for the JPEG codec substrate."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +70,18 @@ class TestQuantZigzag:
             quality_table(0)
         with pytest.raises(ValueError):
             quality_table(101)
+
+    @pytest.mark.parametrize("quality", [True, 75.5, "75"],
+                             ids=["bool", "float", "str"])
+    def test_an_ill_typed_quality_is_rejected(self, quality):
+        """``True`` used to run at quality 1 (and record ``True``),
+        ``75.5`` with a fractional scale, ``"75"`` ended in a bare
+        ``TypeError`` from ``<=``."""
+        message = f"quality must be an int in 1..100, got {quality!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quality_table(quality)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compress(np.zeros((8, 8), np.uint8), quality)
 
     def test_quantize_dequantize(self):
         rng = np.random.default_rng(3)
@@ -257,6 +272,16 @@ class TestCodec:
     def test_uint8_required(self):
         with pytest.raises(TypeError):
             compress(np.zeros((8, 8), dtype=np.float64))
+
+    def test_an_image_that_is_not_2d_names_its_shape(self):
+        """Used to raise "too many values to unpack"."""
+        with pytest.raises(ValueError, match=re.escape("(2, 8, 8)")):
+            compress(np.zeros((2, 8, 8), np.uint8))
+
+    def test_compressed_image_is_frozen(self):
+        comp = compress(benchmark_image(64, 96))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            comp.quality = 90
 
     def test_benchmark_image_is_600k(self):
         img = benchmark_image()

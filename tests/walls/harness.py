@@ -35,7 +35,8 @@ HERE = Path(__file__).parent
 
 #: every wall, by the name ``python -m tests.walls capture`` takes
 WALLS = ("cpu_quanta", "event_diet", "hop_arithmetic", "medium_arithmetic",
-         "direct_signals", "transport_chain", "jpeg_payloads", "spec_forms")
+         "direct_signals", "transport_chain", "jpeg_payloads", "spec_forms",
+         "table_cells")
 
 #: what a change to the calendar is *for*: never compared
 ODOMETERS = ("sim.events_processed", "sim.processes_started")
