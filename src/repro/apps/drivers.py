@@ -224,8 +224,8 @@ def _alltoall(run):
     ring leaves all but one shard idle.
 
     Returns per-pid *counts* rather than message lists so the result
-    merges cleanly across shard universes (a ghost pid's count is 0 and
-    the owner's count wins under the numeric-max merge rule)."""
+    merges cleanly across shards (a pid's count stays 0 where it does not
+    run, and the owner's count wins under the numeric-max merge rule)."""
     p = _params(run, rounds=2, nbytes=1024, tag_base=100, barrier=0)
     rounds, nbytes = p["rounds"], p["nbytes"]
     tag_base, barrier_id = p["tag_base"], p["barrier"]

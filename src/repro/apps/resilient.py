@@ -83,8 +83,7 @@ def run_resilient_matmul(runtime: Any, n: int = 48, units: int = 12,
     b_bytes = n * n * ELEMENT_BYTES
     unit_bytes = step * n * ELEMENT_BYTES
     C = np.zeros((n, n))
-    # None in a shard worker that does not own (or run) the coordinator
-    detector = runtime.resilience.detectors.get(0)
+    detector = runtime.resilience.detectors[0]
     m_reassigned = cluster.sim.metrics.counter(
         "resilience.reassigned_units",
         help="work units redistributed away from dead workers")
@@ -95,8 +94,7 @@ def run_resilient_matmul(runtime: Any, n: int = 48, units: int = 12,
     #: is stranded even if they rejoin before the coordinator next looks:
     #: error control abandoned their unit messages at the declaration.
     stranded: set[int] = set()
-    if detector is not None:
-        detector.on_peer_dead.append(stranded.add)
+    detector.on_peer_dead.append(stranded.add)
 
     def worker(ctx, pid):
         b = None

@@ -499,10 +499,10 @@ class NicCollectiveFabric:
 
     Built once per runtime (when a scenario selects
     ``collectives = "nic"``): instantiates one
-    :class:`NicCollectiveEngine` per host adapter this universe has (a
-    shard worker, only its own).  The star's up/down PVCs and the root's
-    multicast tree are the signaling controller's on-demand circuits,
-    so a member that never takes part costs nothing.
+    :class:`NicCollectiveEngine` per host adapter.  The star's up/down
+    PVCs and the root's multicast tree are the signaling controller's
+    on-demand circuits, so a member that never takes part costs
+    nothing.
     """
 
     def __init__(self, cluster: Any, rto_s: float = DEFAULT_RTO_S,
@@ -529,8 +529,7 @@ class NicCollectiveFabric:
         self.hosts = [cluster.host(i).name for i in range(cluster.n_hosts)]
         self.root_host = self.hosts[0]
         self.engines = {pid: NicCollectiveEngine(self, pid, fabric.adapters[h])
-                        for pid, h in enumerate(self.hosts)
-                        if h in fabric.adapters}
+                        for pid, h in enumerate(self.hosts)}
 
     def engine(self, pid: int) -> NicCollectiveEngine:
         """The engine on process ``pid``'s adapter."""

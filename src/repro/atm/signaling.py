@@ -42,11 +42,11 @@ Two kinds of channel come out of the controller:
   over.
 
 Routing runs on :attr:`AtmFabric.routes`, the fabric's one graph: a
-name-keyed adjacency that also covers nodes a partial (per-shard)
-universe did not materialize, so every universe computes the same
-shortest paths over the same graph and programs only the switches it
-owns.  A host is a leaf whose route is its switch's, so shortest paths
-are computed once per switch (:meth:`AtmFabric.path_nodes`).
+name-keyed adjacency filled in connect order, so every universe of the
+sharded kernel (each a whole copy of the cluster) computes the same
+shortest paths.  A host is a leaf whose route is its switch's, so
+shortest paths are computed once per switch
+(:meth:`AtmFabric.path_nodes`).
 """
 
 from __future__ import annotations
@@ -141,16 +141,11 @@ def label_vc(vpi: int, vci: int) -> int:
 
 @dataclass
 class VirtualChannel:
-    """An established VC between two adapters.
-
-    In a partial (per-shard) universe ``src``/``dst`` are ``None`` for
-    endpoints that live in another shard, and ``hops`` holds only the
-    channels this universe materialized.
-    """
+    """An established VC between two adapters."""
 
     vc_id: int
-    src: Optional[Sba200Adapter]
-    dst: Optional[Sba200Adapter]
+    src: Sba200Adapter
+    dst: Sba200Adapter
     src_vci: int
     hops: list[Channel]
     hop_vcis: list[int] = field(default_factory=list)
@@ -167,9 +162,8 @@ class VirtualChannel:
         return len(self.hops) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        ends = "->".join(a.host_name if a is not None else "?"
-                         for a in (self.src, self.dst))
-        return f"<VC {self.vc_id} {ends} hops={len(self.hops)}>"
+        return (f"<VC {self.vc_id} {self.src.host_name}->"
+                f"{self.dst.host_name} hops={len(self.hops)}>")
 
 
 @dataclass
@@ -184,7 +178,7 @@ class MulticastChannel:
     """
 
     vc_id: int
-    src: Optional[Sba200Adapter]
+    src: Sba200Adapter
     src_vci: int
     leaves: list[Sba200Adapter]
     #: every directed channel in the replication tree
@@ -206,14 +200,14 @@ class NoPathError(LookupError):
 @dataclass(slots=True)
 class FabricEdge:
     """A link of :attr:`AtmFabric.routes`: routing ``weight``, ``spec``,
-    ``ends`` in connect order (channel ``a--b>`` runs a -> b), ``noisy``
-    (bit errors drawn from an rng), and ``link`` if materialized here."""
+    ``ends`` in connect order (channel ``a--b>`` runs a -> b), the
+    ``link`` itself, and ``noisy`` (bit errors drawn from an rng)."""
 
     weight: float
     spec: LinkSpec
     ends: tuple[str, str]
+    link: DuplexLink
     noisy: bool = False
-    link: Optional[DuplexLink] = None
 
 
 def _shortest_paths(adj: dict, source: str, weight) -> dict[str, list[str]]:
@@ -240,23 +234,19 @@ def _shortest_paths(adj: dict, source: str, weight) -> dict[str, list[str]]:
 class AtmFabric:
     """The physical ATM network: nodes and duplex links as a graph.
 
-    ``routes`` (node name -> {neighbour: :class:`FabricEdge`}) is the
-    **whole** topology, which a partial universe completes with
-    :meth:`add_remote` / :meth:`connect_remote` for the nodes it left
-    out, in the same order with the same weights in every universe, so
-    Dijkstra breaks ties identically; ``links`` are the links this
-    universe materialized, in connect order.  (An all-remote fabric
-    needs no simulator: that is what the shard planner plans on.)
+    ``routes`` (node name -> {neighbour: :class:`FabricEdge`}) holds
+    every node in the order it was added and every link in connect
+    order, which is what Dijkstra's ties break by; ``links`` are the
+    duplex links in connect order.
     """
 
-    def __init__(self, sim: Optional[Simulator]):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self.routes: dict[str, dict[str, FabricEdge]] = {}
         self.links: list[DuplexLink] = []
         self.adapters: dict[str, Sba200Adapter] = {}
         self.switches: dict[str, AtmSwitch] = {}
-        #: every host of the topology in pid order, materialized or not:
-        #: the index space of :func:`circuit_id`
+        #: every host in pid order: the index space of :func:`circuit_id`
         self.hosts: list[str] = []
         self._host_index: dict[str, int] = {}
         #: (upstream node name, downstream node name) -> directed channel
@@ -270,29 +260,28 @@ class AtmFabric:
         self._path_cache: dict[str, dict[str, list[str]]] = {}
 
     # -------------------------------------------------------------- building
-    def add_remote(self, name: str, host: bool = False) -> None:
-        """Name a node for routing only (another shard materializes it)."""
+    def _add_node(self, name: str) -> None:
         if name in self.routes:
             raise ValueError(f"duplicate fabric node name {name!r}")
         self.routes[name] = {}
         self._path_cache.clear()
-        if host:
-            self._host_index[name] = len(self.hosts)
-            self.hosts.append(name)
 
     def add_adapter(self, adapter: Sba200Adapter) -> Sba200Adapter:
         """Register an adapter as a fabric node."""
-        if adapter.host_name in self.adapters:
-            raise ValueError(f"duplicate adapter for host {adapter.host_name}")
-        self.add_remote(adapter.host_name, host=True)
-        self.adapters[adapter.host_name] = adapter
+        name = adapter.host_name
+        if name in self.adapters:
+            raise ValueError(f"duplicate adapter for host {name}")
+        self._add_node(name)
+        self._host_index[name] = len(self.hosts)
+        self.hosts.append(name)
+        self.adapters[name] = adapter
         return adapter
 
     def add_switch(self, switch: AtmSwitch) -> AtmSwitch:
         """Register a switch as a fabric node."""
         if switch.name in self.switches:
             raise ValueError(f"duplicate switch {switch.name}")
-        self.add_remote(switch.name)
+        self._add_node(switch.name)
         self.switches[switch.name] = switch
         switch.on_miss = self._on_switch_miss
         return switch
@@ -310,25 +299,14 @@ class AtmFabric:
             b.attach_uplink(link.rev)
         self._channels[a_name, b_name] = link.fwd
         self._channels[b_name, a_name] = link.rev
-        self.connect_remote(a_name, b_name, spec, noisy=rng_a is not None
-                            or rng_b is not None).link = link
+        self.routes[a_name][b_name] = self.routes[b_name][a_name] = FabricEdge(
+            spec.prop_delay_s + 1e-9, spec, (a_name, b_name), link,
+            noisy=rng_a is not None or rng_b is not None)
+        self._path_cache.clear()
         self.links.append(link)
         return link
 
-    def connect_remote(self, a: str, b: str, spec: LinkSpec,
-                       noisy: bool = False) -> FabricEdge:
-        """Route over a link this universe did not materialize."""
-        edge = FabricEdge(spec.prop_delay_s + 1e-9, spec, (a, b), noisy)
-        self.routes[a][b] = self.routes[b][a] = edge
-        self._path_cache.clear()
-        return edge
-
     # --------------------------------------------------------------- queries
-    @property
-    def switch_names(self) -> list[str]:
-        """Every switch of the topology, materialized here or not."""
-        return [n for n in self.routes if n not in self._host_index]
-
     def host_index(self, host: str) -> int:
         """Position of ``host`` in :attr:`hosts` (its circuit-id field)."""
         try:
@@ -370,14 +348,12 @@ class AtmFabric:
         return [src] * (via != src) + cache[to] + [dst] * (to != dst)
 
     def channel(self, a: str, b: str) -> Optional[Channel]:
-        """The directed channel ``a -> b``, if this universe has it."""
+        """The directed channel ``a -> b`` (None: the two are not linked)."""
         return self._channels.get((a, b))
 
     def directed_channels(self, nodes: list[str]) -> list[Channel]:
-        """The materialized directed channel of each consecutive pair."""
-        chans = (self._channels.get(pair)
-                 for pair in itertools.pairwise(nodes))
-        return [ch for ch in chans if ch is not None]
+        """The directed channel of each consecutive pair of a path."""
+        return [self._channels[pair] for pair in itertools.pairwise(nodes)]
 
     def _on_switch_miss(self, vpi: int, vci: int) -> bool:
         """A switch saw a label it has no row for: establish the
@@ -399,7 +375,7 @@ def _node_name(node) -> str:
 
 class SignalingController:
     """Establishes circuits on first use and programs the switch tables
-    of whatever part of the fabric this universe owns."""
+    along their paths."""
 
     #: per-hop signaling processing latency for timed setup
     PER_HOP_SETUP_S = 750e-6
@@ -518,19 +494,18 @@ class SignalingController:
                    service: Optional[Service] = None,
                    aal: Optional[Aal] = None,
                    pcr_cells_s: Optional[float] = None) -> VirtualChannel:
-        """Program the owned switches along the path and open the VC."""
+        """Program the switches along the path and open the VC."""
         fabric = self.fabric
         vpi, vci = vc_label(vc_id)
         nodes = fabric.path_nodes(src_host, dst_host)
         for prev, name, nxt in zip(nodes, nodes[1:], nodes[2:]):
-            switch = fabric.switches.get(name)
-            if switch is not None:
-                switch.program(fabric.channel(prev, name), vci,
-                               fabric.channel(name, nxt), vci, vpi=vpi)
+            fabric.switches[name].program(
+                fabric.channel(prev, name), vci,
+                fabric.channel(name, nxt), vci, vpi=vpi)
         hops = fabric.directed_channels(nodes)
         vc = VirtualChannel(
-            vc_id=vc_id, src=fabric.adapters.get(src_host),
-            dst=fabric.adapters.get(dst_host), src_vci=vci, hops=hops,
+            vc_id=vc_id, src=fabric.adapters[src_host],
+            dst=fabric.adapters[dst_host], src_vci=vci, hops=hops,
             hop_vcis=[vci] * len(hops), aal=aal or AAL5,
             pcr_cells_s=pcr_cells_s, vpi=vpi, service=service)
         self.open_vcs[vc_id] = vc
@@ -543,8 +518,8 @@ class SignalingController:
                         aal: Optional[Aal] = None,
                         pcr_cells_s: Optional[float] = None
                         ) -> MulticastChannel:
-        """Program the owned switches of the replication tree and open
-        the multicast VC.  The tree is the union of the shortest paths
+        """Program the switches of the replication tree and open the
+        multicast VC.  The tree is the union of the shortest paths
         to each leaf; every node of it has one parent, so every switch
         has one incoming channel."""
         fabric = self.fabric
@@ -562,18 +537,14 @@ class SignalingController:
             if prev != src_host:
                 fanout.setdefault(prev, []).append(name)
         for name, nexts in fanout.items():
-            switch = fabric.switches.get(name)
-            if switch is not None:
-                switch.program_multicast(
-                    fabric.channel(parent[name], name), vci,
-                    [(fabric.channel(name, nxt), vci) for nxt in nexts],
-                    vpi=vpi)
+            fabric.switches[name].program_multicast(
+                fabric.channel(parent[name], name), vci,
+                [(fabric.channel(name, nxt), vci) for nxt in nexts],
+                vpi=vpi)
         mvc = MulticastChannel(
-            vc_id=vc_id, src=fabric.adapters.get(src_host), src_vci=vci,
-            leaves=[fabric.adapters[d] for d in dst_hosts
-                    if d in fabric.adapters],
-            hops=[ch for ch in map(fabric._channels.get, edges)
-                  if ch is not None],
+            vc_id=vc_id, src=fabric.adapters[src_host], src_vci=vci,
+            leaves=[fabric.adapters[d] for d in dst_hosts],
+            hops=[fabric._channels[edge] for edge in edges],
             aal=aal or AAL5, pcr_cells_s=pcr_cells_s, vpi=vpi,
             service=service)
         self.open_mcast[vc_id] = mvc

@@ -17,8 +17,9 @@ Everything resolves through :mod:`repro.registry`, and the composition
 is *exactly* the calls the hand-wired experiments used to make — the
 golden-equality tests in ``tests/config`` hold a spec-built run to
 bit-identical timestamps, traces and metrics against the committed
-``tests/perf_lock`` goldens.  The sharded kernel's workers start from
-the same :func:`build_blueprint` and materialize only their own shard.
+``tests/perf_lock`` goldens.  The sharded kernel's coordinator builds
+its cluster with the same :func:`build_cluster` and forks its workers
+off it.
 """
 
 from __future__ import annotations

@@ -41,50 +41,6 @@ from .mps.transports import NcsTransport  # noqa: F401  (re-export surface)
 __all__ = ["NcsRuntime", "NcsNode"]
 
 
-class _GhostScheduler:
-    """Tid-mirroring scheduler for a ghost (non-materialized) node.
-
-    Under partial construction the foreign host's threads never run
-    here, but ``t_create`` must still hand out the same tids as the
-    owner shard's real :class:`MtsScheduler` (increment-then-return),
-    so drivers that create threads on every pid stay globally
-    tid-consistent.  The base is pre-advanced past the system threads a
-    real node would have created (see :class:`NcsRuntime`).
-    """
-
-    def __init__(self):
-        self._tid_seq = 0
-        self.threads: dict[int, Any] = {}
-
-    def t_create(self, fn, args=(), priority=DEFAULT_PRIORITY,
-                 name: str = "", is_system: bool = False) -> int:
-        self._tid_seq += 1
-        return self._tid_seq
-
-
-class _GhostMps:
-    """Just enough MPS surface for cluster-wide bookkeeping calls
-    (barrier registration, lost-message checks) to ignore a ghost."""
-
-    def __init__(self, host):
-        self.host = host
-        self.barrier_parties: dict[int, int] = {}
-        self.lost_messages: list[Any] = []
-
-
-class _GhostNode:
-    """Placeholder node for a pid whose stack is a ghost row."""
-
-    ghost = True
-
-    def __init__(self, runtime: "NcsRuntime", pid: int):
-        self.runtime = runtime
-        self.pid = pid
-        self.scheduler = _GhostScheduler()
-        self.transport = None
-        self.mps = _GhostMps(runtime.cluster.stacks[pid].host)
-
-
 class NcsNode:
     """Everything NCS attaches to one OS process."""
 
@@ -145,21 +101,12 @@ class NcsRuntime:
         self._error_spec = error
         self._flow_kwargs = flow_kwargs or {}
         self._error_kwargs = error_kwargs or {}
-        self.nodes = [
-            _GhostNode(self, pid)
-            if getattr(cluster.stacks[pid], "ghost", False)
-            else NcsNode(self, pid)
-            for pid in range(cluster.n_hosts)]
+        self.nodes = [NcsNode(self, pid) for pid in range(cluster.n_hosts)]
         if resilience is not None:
             resilience.attach(self)
-        # mirror the system-thread tid burn-in of a real node (the
-        # heartbeat thread included), so that t_create calls made after
-        # bring-up agree across shards
-        real = next((n for n in self.nodes
-                     if not getattr(n, "ghost", False)), None)
-        for node in self.nodes:
-            if real is not None and getattr(node, "ghost", False):
-                node.scheduler._tid_seq = real.scheduler._tid_seq
+        #: the pids :meth:`start` starts: every one, except in a sharded
+        #: worker, which runs only the pids its shard owns
+        self.owned_pids = range(cluster.n_hosts)
         self._started = False
         self._procs: dict[int, SimProcess] = {}
         self._finish_times: dict[int, float] = {}
@@ -205,18 +152,14 @@ class NcsRuntime:
 
     # ------------------------------------------------------------------ run
     def start(self) -> list[SimProcess]:
-        """``NCS_start`` on every process this universe materialized
-        (all of them, except in a sharded worker, whose ghost nodes run
-        in another worker)."""
+        """``NCS_start`` on every process of :attr:`owned_pids`."""
         if self._started:
             raise RuntimeError("runtime already started")
         self._started = True
-        for node in self.nodes:
-            if getattr(node, "ghost", False):
-                continue
-            proc = self._procs[node.pid] = node.scheduler.start()
+        for pid in self.owned_pids:
+            proc = self._procs[pid] = self.nodes[pid].scheduler.start()
             proc.add_callback(
-                lambda ev, pid=node.pid: self._finish_times.__setitem__(
+                lambda ev, pid=pid: self._finish_times.__setitem__(
                     pid, self.sim.now))
         return list(self._procs.values())
 
@@ -230,10 +173,6 @@ class NcsRuntime:
         every check :meth:`run` makes afterwards is the same on both
         kernels.
         """
-        if any(getattr(node, "ghost", False) for node in self.nodes):
-            raise RuntimeError(
-                "a partially materialized cluster only runs under the "
-                "sharded kernel, whose workers run their own shard")
         self.sim.run(until=until, max_events=max_events)
         return max(self._finish_times.values(), default=self.sim.now)
 

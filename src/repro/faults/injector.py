@@ -22,9 +22,9 @@ dedicated per-process streams of the cluster's seeded registry
 (``faults.msgloss.<pid>``), so arming a plan never perturbs any other
 draw — the foundation of the bit-identical-trace guarantee.
 
-Each shard of the sharded kernel arms the whole plan, but a hook only
-touches what its universe built: a ghost row (a host another shard
-owns) has no link, port or filter here, and a crash only freezes it.
+Each shard of the sharded kernel arms the whole plan on its whole copy
+of the cluster; a fault on a host another shard runs flips hooks that
+no traffic of this universe crosses.
 """
 
 from __future__ import annotations
@@ -172,11 +172,9 @@ class FaultInjector:
             for iface in host.interfaces.values():
                 yield iface, iface.fail, iface.restore
         elif isinstance(ev, SwitchPortStall):
-            port = self._switch_port(ev.host)
-            if port is not None:
-                switch, channel = port
-                yield (channel, lambda: switch.stall_port(channel),
-                       lambda: switch.unstall_port(channel))
+            switch, channel = self._switch_port(ev.host)
+            yield (channel, lambda: switch.stall_port(channel),
+                   lambda: switch.unstall_port(channel))
         else:  # pragma: no cover - plan types are closed
             raise TypeError(f"unknown fault event {ev!r}")
 
@@ -195,10 +193,8 @@ class FaultInjector:
 
     # -------------------------------------------------------- fabric lookup
     def _adapter(self, host_idx: int):
-        fabric = self.cluster.fabric
-        if fabric is None:
-            return None
-        return fabric.adapters.get(self.cluster.host(host_idx).name)
+        """The host's ATM adapter (None: the host has no ATM rail)."""
+        return self.cluster.host(host_idx).interfaces.get("atm")
 
     def _links(self, host_idx: int) -> list[DuplexLink]:
         """Every duplex link attached to the host's ATM adapter (on the
@@ -214,10 +210,8 @@ class FaultInjector:
 
     def _switch_port(self, host_idx: int):
         """The switch output channel feeding ``host`` (endpoint = its
-        adapter), or None for a ghost row."""
+        adapter)."""
         adapter = self._adapter(host_idx)
-        if adapter is None:
-            return None
         fabric = self.cluster.fabric
         for other, edge in fabric.routes[adapter.host_name].items():
             link: DuplexLink = edge.link
@@ -229,8 +223,6 @@ class FaultInjector:
     # -------------------------------------------------- message-level hooks
     def _install_mps_filters(self) -> None:
         for node in self.runtime.nodes:
-            if getattr(node, "ghost", False):
-                continue
             if node.mps.rx_fault is not None:
                 raise RuntimeError(
                     f"process {node.pid} already has an rx_fault filter")

@@ -4,36 +4,24 @@ This is the one way a cluster is built.  Phase 1 — a registered
 topology (:data:`repro.registry.TOPOLOGIES`) produces a
 :class:`TopologyBlueprint`: a cheap, frozen description of every
 switch, trunk, host and LAN segment, in **exact global construction
-order**.  Building a blueprint allocates no simulator and no processes,
-so a coordinator can plan a 1024-host WAN in microseconds.
+order**.  Building a blueprint allocates no simulator and no processes.
 
-Phase 2 — :func:`materialize` instantiates a blueprint, item by item:
+Phase 2 — :func:`materialize` instantiates a blueprint, item by item,
+into the whole cluster: for the single kernel, for
+``repro.config.build_cluster`` and every ``build_*`` helper, and for
+the sharded kernel's coordinator, which plans on the built cluster and
+forks its workers off it.
 
-* ``materialize(bp)`` builds the whole universe (the single kernel,
-  ``repro.config.build_cluster`` and every ``build_*`` helper);
-* ``materialize(bp, owned_switches=...)`` builds a *partial* universe
-  for one shard of the sharded kernel: only hosts behind owned switches
-  (and the owned switches themselves) become real simulation objects.
-  Foreign switches at a cut trunk are replaced by :class:`_StubSwitch`
-  boundary stubs — inert name-carriers terminating the materialized cut
-  channels, whose traffic the kernel's export/``schedule_at`` seam
-  carries instead — and foreign hosts by :class:`GhostStack` rows that
-  keep ``cluster.stacks`` full-length and pid-stable.
-
-Either way construction is O(hosts): nothing is provisioned per host
-*pair*.  Virtual circuits and TCP connections come into being when a
-pair first talks (:mod:`repro.atm.signaling`), and because
-a circuit's identifier and labels are a pure function of
-``(src, dst, service)``, a partial universe needs no knowledge of what
-other shards established — only the name-level routing graph
-(:attr:`repro.atm.AtmFabric.routes`), which it fills for foreign nodes
-in the same item order, so every universe routes a pair identically.
+Construction is O(hosts): nothing is provisioned per host *pair*.
+Virtual circuits and TCP connections come into being when a pair first
+talks (:mod:`repro.atm.signaling`), and because a circuit's identifier
+and labels are a pure function of ``(src, dst, service)``, shard
+workers need no knowledge of what other workers established.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Any, Optional
 
 from ..atm.link import DS3, LinkSpec, OC3, TAXI_140
@@ -43,7 +31,7 @@ from ..registry import TOPOLOGIES
 
 __all__ = [
     "SwitchItem", "TrunkItem", "HostItem", "LanItem", "TopologyBlueprint",
-    "SiteSpec", "materialize", "PlanView", "GhostStack",
+    "SiteSpec", "materialize",
 ]
 
 
@@ -91,8 +79,8 @@ class TopologyBlueprint:
     """A topology, fully described but not yet instantiated.
 
     ``items`` holds :class:`SwitchItem`/:class:`TrunkItem`/:class:`HostItem`
-    rows in the **exact order** they are created — every universe, whole
-    or one shard's, walks the same tuple, so all agree to the byte.
+    rows in the **exact order** they are created, so every build of one
+    blueprint agrees to the byte.
     """
 
     medium: str                  # "ethernet" | "atm-lan" | "atm-dual" | ...
@@ -112,75 +100,15 @@ class TopologyBlueprint:
         return [it for it in self.items if isinstance(it, HostItem)]
 
     @property
-    def switches(self) -> list[SwitchItem]:
-        return [it for it in self.items if isinstance(it, SwitchItem)]
-
-    @property
     def n_hosts(self) -> int:
         return len(self.hosts)
-
-
-# --------------------------------------------------------------------------
-# boundary stubs + ghost rows (partial materialization)
-# --------------------------------------------------------------------------
-
-class _StubSwitch:
-    """A foreign switch at a cut: a name-carrier terminating the cut
-    channel replica.  Never added to ``fabric.switches`` (no metrics, no
-    forwarding); its incoming channel's ``_dispatch`` is either exported
-    by the sharded kernel (owned direction) or never fires (foreign
-    direction — the stub never transmits)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<StubSwitch {self.name}>"
-
-
-class _GhostHost:
-    """The ``.host`` of a :class:`GhostStack`: a name and the liveness
-    flag a host crash flips (no interfaces to fail)."""
-
-    __slots__ = ("name", "frozen")
-
-    interfaces = MappingProxyType({})
-
-    def __init__(self, name: str):
-        self.name = name
-        self.frozen = False
-
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def unfreeze(self) -> None:
-        self.frozen = False
-
-
-class GhostStack:
-    """A non-materialized host row: keeps ``cluster.stacks`` full-length
-    so pids, names and merge rules stay global.  ``NcsRuntime`` detects
-    the ``ghost`` marker and attaches a tid-mirroring ghost node instead
-    of a real scheduler/transport/MPS."""
-
-    ghost = True
-    __slots__ = ("host", "pid")
-
-    def __init__(self, name: str, pid: int):
-        self.host = _GhostHost(name)
-        self.pid = pid
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<GhostStack pid={self.pid} {self.host.name}>"
 
 
 # --------------------------------------------------------------------------
 # materialize
 # --------------------------------------------------------------------------
 
-def _build_host(bp, sim, rngs, tracer, lan, fabric, sig, switches, item):
+def _build_host(bp, sim, rngs, tracer, lan, fabric, sig, item):
     """One host row: interfaces, protocol stack, OS process."""
     from ..atm import AtmApi, Sba200Adapter
     from ..ethernet import EthernetNic
@@ -201,7 +129,7 @@ def _build_host(bp, sim, rngs, tracer, lan, fabric, sig, switches, item):
         host.attach_interface("atm", sba)
         fabric.add_adapter(sba)
         rng = rngs.stream(f"link.{name}")
-        fabric.connect(sba, switches[item.switch], item.link_spec,
+        fabric.connect(sba, fabric.switches[item.switch], item.link_spec,
                        rng_a=rng, rng_b=rng)
     atm_api = AtmApi(host) if bp.host_rail != "ethernet" else None
     if bp.host_rail == "atm":
@@ -217,35 +145,13 @@ def _build_host(bp, sim, rngs, tracer, lan, fabric, sig, switches, item):
         atm_api=atm_api)
 
 
-def materialize(bp: TopologyBlueprint, owned_switches=None):
-    """Instantiate a blueprint into a :class:`~repro.net.topology.Cluster`.
-
-    With ``owned_switches=None`` the full universe is built.  With a set
-    of switch names, a partial shard universe is built (ATM-rail,
-    LAN-free topologies only): hosts behind foreign switches become
-    :class:`GhostStack` rows, foreign switches at a cut become boundary
-    stubs, and everything else foreign is only named in the fabric's
-    routing graph.
-    """
+def materialize(bp: TopologyBlueprint):
+    """Instantiate a blueprint into a :class:`~repro.net.topology.Cluster`."""
     from ..atm import AtmFabric, AtmSwitch, SignalingController
     from ..ethernet import EthernetLan
     from ..obs.registry import MetricsRegistry, NULL_REGISTRY
     from ..sim import NullTracer, RngRegistry, Simulator, Tracer
     from .topology import Cluster
-
-    if owned_switches is not None:
-        if bp.host_rail != "atm" or bp.lan is not None:
-            raise ValueError(
-                f"partial materialization requires a pure ATM-rail topology "
-                f"without a shared LAN; {bp.medium!r} has "
-                f"host_rail={bp.host_rail!r}, lan={bp.lan is not None}")
-        unknown = set(owned_switches) - {it.name for it in bp.switches}
-        if unknown:
-            raise ValueError(f"owned_switches names unknown switches: "
-                             f"{sorted(unknown)}")
-
-    def owned(switch: str) -> bool:
-        return owned_switches is None or switch in owned_switches
 
     sim = Simulator(metrics=MetricsRegistry() if bp.metrics
                     else NULL_REGISTRY)
@@ -259,66 +165,19 @@ def materialize(bp: TopologyBlueprint, owned_switches=None):
     if bp.host_rail != "ethernet":
         fabric = AtmFabric(sim)
         sig = SignalingController(fabric)
-    switches: dict[str, Any] = {}        # owned: real; foreign: stubs
     stacks: list[Any] = []
     for item in bp.items:
         if isinstance(item, SwitchItem):
-            if owned(item.name):
-                switches[item.name] = fabric.add_switch(AtmSwitch(
-                    sim, item.name, switching_latency_s=item.latency_s))
-            else:
-                switches[item.name] = _StubSwitch(item.name)
-                fabric.add_remote(item.name)
+            fabric.add_switch(AtmSwitch(
+                sim, item.name, switching_latency_s=item.latency_s))
         elif isinstance(item, TrunkItem):
-            if owned(item.a) or owned(item.b):
-                fabric.connect(switches[item.a], switches[item.b], item.spec)
-            else:
-                fabric.connect_remote(item.a, item.b, item.spec)
-        elif item.switch is None or owned(item.switch):
-            stacks.append(_build_host(bp, sim, rngs, tracer, lan, fabric,
-                                      sig, switches, item))
+            fabric.connect(fabric.switches[item.a], fabric.switches[item.b],
+                           item.spec)
         else:
-            stacks.append(GhostStack(item.name, item.pid))
-            fabric.add_remote(item.name, host=True)
-            fabric.connect_remote(item.name, item.switch, item.link_spec,
-                                  noisy=True)
+            stacks.append(_build_host(bp, sim, rngs, tracer, lan, fabric,
+                                      sig, item))
     return Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                    medium=bp.medium, lan=lan, fabric=fabric, signaling=sig)
-
-
-# --------------------------------------------------------------------------
-# PlanView: duck-typed Cluster facade for plan_shards
-# --------------------------------------------------------------------------
-
-class PlanView:
-    """Enough of the ``Cluster`` surface for ``plan_shards`` to partition
-    a blueprint without building anything: host names in pid order, the
-    LAN marker, and a fabric that only *names* the topology — every node
-    and link remote, so it is nothing but the routing graph a real
-    universe would have.  Plans computed here are identical to plans
-    computed from the materialized cluster."""
-
-    def __init__(self, bp: TopologyBlueprint):
-        from ..atm import AtmFabric
-        self.lan = bp.lan
-        self._hosts = [item.name for item in bp.hosts]
-        self.n_hosts = len(self._hosts)
-        self.fabric = None
-        if bp.host_rail == "ethernet":
-            return
-        self.fabric = fabric = AtmFabric(sim=None)
-        for item in bp.items:
-            if isinstance(item, SwitchItem):
-                fabric.add_remote(item.name)
-            elif isinstance(item, TrunkItem):
-                fabric.connect_remote(item.a, item.b, item.spec)
-            else:
-                fabric.add_remote(item.name, host=True)
-                fabric.connect_remote(item.name, item.switch,
-                                      item.link_spec, noisy=True)
-
-    def host(self, pid: int) -> _GhostHost:
-        return _GhostHost(self._hosts[pid])
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """The built cluster, and helpers that build the paper's LANs (§2).
 
 Every :class:`Cluster` is what :func:`repro.net.blueprint.materialize`
-makes of a registered topology blueprint — the whole universe on the
-single kernel, one shard of it in each sharded-kernel worker.  The
-``build_*`` helpers below are that one path with the blueprint named in
-Python; the NYNET WAN of Fig 1 is in :mod:`repro.net.nynet`.
+makes of a registered topology blueprint.  The ``build_*`` helpers
+below are that one path with the blueprint named in Python; the NYNET
+WAN of Fig 1 is in :mod:`repro.net.nynet`.
 """
 
 from __future__ import annotations

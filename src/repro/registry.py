@@ -11,8 +11,8 @@ concept:
   (``repro.core.mps.transports``);
 * :data:`TOPOLOGIES` — topology name -> blueprint builder
   (``repro.net.blueprint``, ``repro.apps.common``): the declarative
-  description :func:`repro.net.blueprint.materialize` builds a whole
-  cluster, or one shard of it, from;
+  description :func:`repro.net.blueprint.materialize` builds a
+  cluster from;
 * :data:`FLOW_CONTROLS` / :data:`ERROR_CONTROLS` — policy name ->
   strategy class (``repro.core.mps.flow_control`` / ``error_control``);
 * :data:`APP_DRIVERS` — driver name -> scenario app driver

@@ -212,12 +212,9 @@ class ClusterResilience:
         self.detectors: Dict[int, HeartbeatDetector] = {}
 
     def attach(self, runtime: Any) -> None:
-        """Install a detector + heartbeat system thread on every node
-        this universe materialized (not on a shard worker's ghosts)."""
+        """Install a detector + heartbeat system thread on every node."""
         self.runtime = runtime
         for node in runtime.nodes:
-            if getattr(node, "ghost", False):
-                continue
             det = HeartbeatDetector(
                 node.mps, self.heartbeat_interval_s,
                 self.suspect_after_s, self.dead_after_s)
@@ -241,8 +238,7 @@ class ClusterResilience:
         cost of a failure the resilience layer already handled (abandon
         + reassignment); surfacing them as :class:`MessageLost` at the
         end of an otherwise-recovered run would turn every survived
-        crash — and every healed partition — into a test failure.
-        (A ghost row's ``frozen`` flag follows its crashes too.)"""
+        crash — and every healed partition — into a test failure."""
         dest = msg.to_process
         if self.runtime is not None \
                 and self.runtime.cluster.host(dest).frozen:

@@ -9,9 +9,10 @@ The output is held byte-identical to the single kernel's.
 The package follows the run's seams:
 
 * :mod:`.plan` — which shard owns each pid, host, switch and channel,
-  computed from the topology blueprint alone;
-* :mod:`.worker` — one shard's universe: it materializes only its own
-  shard and runs the app driver unchanged, with
+  computed once on the built cluster;
+* :mod:`.worker` — one shard: forked off the coordinator's built,
+  never-run cluster, it starts only the pids it owns and runs the app
+  driver unchanged, with
   :meth:`NcsRuntime.advance <repro.core.api.NcsRuntime.advance>`
   replaced by the window protocol, so every check ``rt.run()`` makes
   at the end is the single kernel's;
@@ -24,25 +25,26 @@ The package follows the run's seams:
 * this module — the registered ``sharded`` kernel: plan, fork, run the
   protocol, recover per ``[runtime.supervision]``, merge.
 
-Virtual circuits are established on first use in each universe that
-meets them — a sender's, or one that imports a burst — and agree bit
-for bit because a circuit's id and labels are a pure function of
-``(src, dst, service)`` (:mod:`repro.atm.signaling`).  Everything built
-per entity is built for owned entities only: failure detectors and
-message-fault filters for owned pids, NIC collective engines for owned
-adapters (the root engine where pid 0 lives).  Every universe arms the
-whole fault plan at the same instants, so shard 0 holds the complete
-``faults.*`` / ``fault:<i>`` record; a fault whose target another shard
-owns touches nothing here, except that a crashed ghost host is marked
-frozen for the resilience layer to read.
+Every worker holds the whole cluster, but only the owned pids'
+schedulers run, so a foreign host, its adapter and its switch stay
+idle: the only traffic that crosses into another shard's part is a
+burst on a cut channel, which the worker exports instead of delivering.
+The merge takes every series and trace record from the shard that owns
+its entity.  Virtual circuits are established on first use in each
+worker that meets them — a sender's, or one that imports a burst — and
+agree bit for bit because a circuit's id and labels are a pure function
+of ``(src, dst, service)`` (:mod:`repro.atm.signaling`).  Every worker
+arms the whole fault plan at the same instants, so shard 0 holds the
+complete ``faults.*`` / ``fault:<i>`` record.
 
 Constraints: a shard cut must be a switch-to-switch WAN trunk — host
 TAXI links share a BER rng across both directions and a host can never
 be split from its own adapter/switch, so plans that would cut one raise
 :class:`~repro.config.spec.SpecError`.  Drivers must drive the
-spec-built runtime (``rt.run()``); self-contained apps and drivers that
-aggregate cross-pid state locally (``collective``, ``stream``) are
-rejected or unsupported.
+spec-built runtime (``rt.run()``).  Self-contained apps, and the
+drivers whose value no merge can rebuild
+(:data:`~repro.sim.sharded.merge.UNMERGEABLE_DRIVERS`), run on the
+single kernel instead, with a :class:`ShardFallbackWarning`.
 """
 
 from __future__ import annotations
@@ -52,12 +54,12 @@ import multiprocessing
 import os
 import warnings
 
-from ...config.build import ScenarioResult, build_blueprint
+from ...config.build import ScenarioResult, ScenarioRun, build_cluster
 from ...config.spec import ScenarioSpec, SpecError
 from ...obs.recovery import stamp_recovery
 from ...registry import APP_DRIVERS, KERNELS
-from .merge import (MergedMetrics, MergedTracer, ShardedClusterView,
-                    merged_result)
+from .merge import (UNMERGEABLE_DRIVERS, MergedMetrics, MergedTracer,
+                    ShardedClusterView, merged_result)
 from .plan import ShardPlan, plan_for, plan_shards
 from .protocol import (CutEvent, coordinate, merge_cut_events, merge_key,
                        next_window)
@@ -78,20 +80,22 @@ class ShardFallbackWarning(UserWarning):
     """``runtime.shards > 1`` degraded to the single kernel."""
 
 
-def launch(spec: ScenarioSpec, n: int, attempt: int = 0) -> Supervisor:
-    """Fork one worker per shard; the coordinator keeps a control pipe
-    to each, under a fresh :class:`Supervisor`."""
+def launch(run: ScenarioRun, plan: ShardPlan,
+           attempt: int = 0) -> Supervisor:
+    """Fork one worker per shard off ``run``'s never-run cluster; the
+    coordinator keeps a control pipe to each, under a fresh
+    :class:`Supervisor`."""
     ctx = multiprocessing.get_context("fork")
     ctls, workers = [], []
-    for s in range(n):
+    for s in range(plan.n_shards):
         parent_conn, child_conn = ctx.Pipe()
         ctls.append(parent_conn)
-        workers.append(ctx.Process(target=run_worker,
-                                   args=(spec, s, child_conn, attempt),
-                                   name=f"shard-{s}"))
+        workers.append(ctx.Process(
+            target=run_worker, args=(run, plan, s, child_conn, attempt),
+            name=f"shard-{s}"))
     for p in workers:
         p.start()
-    return Supervisor(ctls, workers, spec.supervision)
+    return Supervisor(ctls, workers, run.spec.supervision)
 
 
 def _fallback_single(spec: ScenarioSpec, reason: str, detail: str,
@@ -147,10 +151,11 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
     byte-identical to an undisturbed one, with the recovery itself
     visible in ``kernel.recovery.*``.
 
-    Planning reads only the topology blueprint: no cluster is built in
-    the coordinator.  A spec whose cluster table names no complete
-    blueprint (the self-contained table apps build their own platform
-    cluster) runs on the single kernel.
+    The coordinator builds the whole cluster once, plans on it, and
+    forks every worker (and every retry) off it, never running it.  A
+    spec whose cluster table names no complete topology (the
+    self-contained table apps build their own platform cluster) runs on
+    the single kernel, and so do :data:`UNMERGEABLE_DRIVERS`.
     """
     from ...config.build import ensure_components
     ensure_components()
@@ -159,8 +164,9 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
             f"scenario {spec.name!r} has no [app] table; nothing to run "
             "(specs without an app can still be built via build_runtime)")
     APP_DRIVERS.get(spec.app.driver)          # fail fast on unknown names
+    run = ScenarioRun(spec)
     try:
-        bp = build_blueprint(spec.cluster, spec.obs)
+        run.cluster = build_cluster(spec.cluster, spec.obs)
     except SpecError:
         # self-contained drivers leave the spec's cluster table partial
         # — there is nothing to partition, so the single kernel runs
@@ -169,12 +175,17 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
             spec, "partial-cluster",
             "the spec's cluster table is partial (self-contained "
             "drivers build their own cluster)")
-    plan = plan_for(spec, bp)
+    plan = plan_for(spec, run.cluster)
     if plan.n_shards <= 1:
         return _fallback_single(
             spec, "trivial-plan",
             "the topology collapses to one shard (a shared LAN "
             "medium, no ATM fabric, or a single host group)")
+    if spec.app.driver in UNMERGEABLE_DRIVERS:
+        return _fallback_single(
+            spec, "unmergeable-driver",
+            f"driver {spec.app.driver!r} folds cross-pid state into its "
+            "value, which no merge of per-shard values can rebuild")
     worker_faults = (spec.faults.to_plan().worker_events
                      if spec.faults is not None else ())
     for ev in worker_faults:
@@ -195,7 +206,7 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
     failures: list[ShardWorkerError] = []
     attempt = 0
     while True:
-        sup = launch(spec, plan.n_shards, attempt)
+        sup = launch(run, plan, attempt)
         try:
             payloads = coordinate(sup, plan)
         except ShardWorkerError as err:

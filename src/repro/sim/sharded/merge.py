@@ -19,7 +19,7 @@ from ..trace import Activity, Interval, Timeline
 from .plan import ShardPlan
 
 __all__ = ["MergedMetrics", "MergedTracer", "ShardedClusterView",
-           "shard_payload", "merged_result"]
+           "UNMERGEABLE_DRIVERS", "shard_payload", "merged_result"]
 
 
 def _parse_labels(label_str: str) -> dict[str, str]:
@@ -48,10 +48,10 @@ def _merge_leaf(name: str, label_str: str, snaps: list[dict],
     elif name.startswith("faults."):
         owner = 0
     else:
-        # no owner label: only shards that materialized the entity
-        # publish the series, so take the largest present value — right
-        # for a series one shard writes, which is why every per-entity
-        # series carries its owner (pid, host, switch or link) as a label
+        # no owner label: every shard publishes the series, but only the
+        # shard that runs the entity moves it, so take the largest value
+        # — which is why every per-entity series carries its owner (pid,
+        # host, switch or link) as a label
         vals = [s[name][label_str] for s in snaps
                 if label_str in s.get(name, {})]
         if vals and all(isinstance(v, (int, float)) for v in vals):
@@ -66,8 +66,8 @@ def merge_snapshots(snaps: list[dict], plan: ShardPlan) -> dict:
     """Rebuild the single-kernel metric snapshot from per-shard views.
 
     Each series is taken wholesale from the shard that owns its labeled
-    entity.  A shard only publishes what it materialized, so the merged
-    snapshot is the union across shards in first-seen order.  Unlabeled
+    entity; the merged snapshot is the union across shards in first-seen
+    order.  Unlabeled
     ``sim.*`` meters are summed (each worker counts its own calendar),
     ``faults.*`` come from shard 0 (fault timers fire identically
     everywhere).
@@ -124,16 +124,21 @@ def merge_traces(traces: list[dict], plan: ShardPlan):
     return {e: timelines[e] for e in sorted(timelines)}, events
 
 
+#: drivers whose return value folds cross-pid state into scalars
+#: locally (``collective``'s ok-flags, ``stream``'s mean latency), so no
+#: merge of per-shard values can rebuild it: the sharded kernel runs
+#: them on the single kernel instead
+UNMERGEABLE_DRIVERS = frozenset({"collective", "stream"})
+
+
 def merge_values(values: list):
     """Merge per-shard driver return values into the single-kernel one.
 
     Rules: equal values pass through; dicts merge per key; lists keep
-    the longest variant (per-pid accumulators are empty on ghosts);
-    unequal numbers keep the max (counts only grow where the pid is
-    real); ``None`` ghosts defer to any real value.  Drivers that fold
-    cross-pid state into scalars locally (``collective``'s ok-flags,
-    ``stream``'s mean latency) are outside this contract — use per-pid
-    structures instead.
+    the longest variant (a per-pid accumulator stays empty where the
+    pid does not run); unequal numbers keep the max (counts only grow
+    where the pid runs); ``None`` defers to any other value.  The
+    :data:`UNMERGEABLE_DRIVERS` are outside this contract.
     """
     vals = [v for v in values if v is not None]
     if not vals:
@@ -216,27 +221,25 @@ class ShardedClusterView:
     the merged telemetry (filled in by the coordinator) plus the entity
     names :func:`repro.diagnostics.cluster_report` is keyed by.
 
-    A worker builds it from its own universe, which knows every name
-    (ghost rows and route-only switches carry theirs; a topology is
-    homogeneous in host rail and transport), and ships it home.
+    A worker builds it from its whole copy of the cluster (a topology is
+    homogeneous in host rail and transport) and ships it home.
     """
 
     def __init__(self, cluster, rt):
         ns = SimpleNamespace
-        real = next(n for n in rt.nodes if n.transport is not None)
-        atm_api = True if cluster.stacks[real.pid].atm_api else None
+        atm_api = True if cluster.stacks[0].atm_api else None
         self.tracer: Optional[MergedTracer] = None
         self.metrics: Optional[MergedMetrics] = None
         self.medium = cluster.medium
         self.lan = True if cluster.lan is not None else None
         self.fabric = (None if cluster.fabric is None else ns(
-            switches=dict.fromkeys(cluster.fabric.switch_names)))
+            switches=dict.fromkeys(cluster.fabric.switches)))
         self.stacks = [ns(host=ns(name=s.host.name), atm_api=atm_api)
                        for s in cluster.stacks]
         #: the ``runtime`` twin: what the report reads of each NCS node
-        self.runtime = ns(nodes=[
-            ns(pid=pid, transport=ns(name=real.transport.name))
-            for pid in range(len(self.stacks))])
+        transport = ns(name=rt.nodes[0].transport.name)
+        self.runtime = ns(nodes=[ns(pid=pid, transport=transport)
+                                 for pid in range(len(self.stacks))])
 
     @property
     def n_hosts(self) -> int:

@@ -1,8 +1,8 @@
 """Shard planning: which worker owns each pid, host, switch and channel.
 
-The plan reads only the fabric's name-level routing graph, so the
-coordinator and every worker compute it identically from the topology
-blueprint alone (:func:`plan_for`), without building a cluster.
+The coordinator plans once, on the built cluster it forks the workers
+off (:func:`plan_for`); the plan reads only host names and the fabric's
+routing graph (:attr:`repro.atm.AtmFabric.routes`).
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ class ShardPlan:
     def owned_pids(self, shard: int) -> list[int]:
         return sorted(p for p, s in self.pid_shard.items() if s == shard)
 
-    def owned_switches(self, shard: int) -> set[str]:
-        return {swn for swn, s in self.switch_shard.items() if s == shard}
-
 
 def plan_shards(cluster, shards: int, shard_hints=None,
                 pid_weights=None) -> ShardPlan:
@@ -48,12 +45,6 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     weights and no hints this reduces exactly to round-robin in min-pid
     order.  Topologies with a shared LAN medium or no ATM fabric
     collapse to one shard.
-
-    ``cluster`` may be a real built :class:`~repro.net.topology.Cluster`
-    or a :class:`~repro.net.blueprint.PlanView` over an unmaterialized
-    blueprint — both produce the identical plan, because the plan reads
-    only the fabric's name-level routing graph
-    (:attr:`repro.atm.AtmFabric.routes`), which both fill identically.
     """
     hints = dict(shard_hints or {})
     weights = pid_weights or {}
@@ -61,7 +52,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     host_names = [cluster.host(pid).name for pid in range(n)]
     fabric = getattr(cluster, "fabric", None)
     routes = fabric.routes if fabric is not None else None
-    switches = set(fabric.switch_names) if fabric is not None else set()
+    switches = set(fabric.switches) if fabric is not None else set()
 
     def channels():
         """``(name, upstream, downstream, edge)`` per directed channel,
@@ -232,9 +223,7 @@ def pid_weights(spec: ScenarioSpec, n_hosts: int):
     return None
 
 
-def plan_for(spec: ScenarioSpec, bp) -> ShardPlan:
-    """The shard plan for ``bp``: computed from the blueprint alone,
-    identically in the coordinator and in every worker."""
-    from ...net.blueprint import PlanView
-    return plan_shards(PlanView(bp), spec.shards, spec.shard_hints,
-                       pid_weights=pid_weights(spec, bp.n_hosts))
+def plan_for(spec: ScenarioSpec, cluster) -> ShardPlan:
+    """The shard plan of ``spec`` on its built ``cluster``."""
+    return plan_shards(cluster, spec.shards, spec.shard_hints,
+                       pid_weights=pid_weights(spec, cluster.n_hosts))

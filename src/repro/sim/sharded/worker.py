@@ -1,20 +1,21 @@
-"""One shard worker: its own universe and its side of the window protocol.
+"""One shard worker: its side of the window protocol.
 
-A worker materializes only its shard of the scenario's topology
-blueprint — real hosts and switches for the sites it owns, ghost rows
-(tid-mirroring, event-silent) for foreign hosts and boundary stubs for
-foreign switches at the cut — and builds the spec's runtime on it the
-usual way.  It then runs the app driver unchanged: the driver's
-``rt.run()`` is :meth:`NcsRuntime.run <repro.core.api.NcsRuntime.run>`
-with one step replaced, :meth:`ShardWorker.advance`, which drives the
-calendar window by window instead of to the end.
+A worker is forked off the coordinator's built, never-run cluster, so
+it holds the whole cluster; the spec's runtime is built on it the usual
+way, and starts only the schedulers of the pids the shard owns
+(:attr:`NcsRuntime.owned_pids <repro.core.api.NcsRuntime.owned_pids>`).
+The other hosts stay idle.  The worker runs the app driver unchanged:
+the driver's ``rt.run()`` is :meth:`NcsRuntime.run
+<repro.core.api.NcsRuntime.run>` with one step replaced,
+:meth:`ShardWorker.advance`, which drives the calendar window by window
+instead of to the end.
 
 On an owned cut channel the one calendar entry per burst is moved up
 from its arrival to the end of its serialization (``_lag = 0``) and the
 :meth:`~repro.atm.link.Channel._dispatch` seam it ends in exports the
 burst (as a :class:`~repro.sim.sharded.protocol.CutEvent`) for ``now +
 prop_delay`` instead of delivering locally; the downstream worker
-re-materializes the burst on its replica channel and delivers it at
+rebuilds the burst on its copy of the channel and delivers it at
 exactly the exported instant.
 """
 
@@ -24,13 +25,13 @@ import os
 import time
 from typing import Callable
 
-from ...config.build import ScenarioRun, build_blueprint
-from ...config.spec import ScenarioSpec, SpecError
+from ...config.build import ScenarioRun
+from ...config.spec import SpecError
 from ...faults.plan import WorkerCrash, WorkerStall
 from ...registry import APP_DRIVERS
 from ..kernel import SimulationError
 from .merge import shard_payload
-from .plan import plan_for
+from .plan import ShardPlan
 from .protocol import CutEvent
 
 __all__ = ["ShardWorker", "run_worker"]
@@ -41,17 +42,18 @@ class _Aborted(BaseException):
 
 
 class ShardWorker:
-    """Shard ``shard_id``'s universe, built from the spec's blueprint.
+    """Shard ``shard_id`` of ``plan``, run on ``run``'s cluster.
 
     ``run`` is the :class:`~repro.config.build.ScenarioRun` the app
-    driver receives; its runtime's :meth:`advance` is this worker's.
+    driver receives, its cluster built and never run; its runtime
+    starts the shard's pids, and its :meth:`advance` is this worker's.
     ``ctl`` is the worker's end of the control pipe (unused until the
     driver runs).
     """
 
-    def __init__(self, spec: ScenarioSpec, shard_id: int, ctl=None,
-                 attempt: int = 0):
-        from ...net.blueprint import materialize
+    def __init__(self, run: ScenarioRun, plan: ShardPlan, shard_id: int,
+                 ctl=None, attempt: int = 0):
+        spec = run.spec
         self.shard_id = shard_id
         self.ctl = ctl
         self.attempt = attempt      # sharded launch attempt (0 = first)
@@ -64,19 +66,12 @@ class ShardWorker:
             self.worker_faults = tuple(
                 ev for ev in spec.faults.to_plan().worker_events
                 if ev.shard == shard_id and ev.attempt == attempt)
-        bp = build_blueprint(spec.cluster, spec.obs)
-        self.plan = plan = plan_for(spec, bp)
-        # pre-seeding run.cluster routes the partial cluster through
-        # build_runtime's normal bring-up (faults, barriers)
-        self.run = ScenarioRun(spec)
-        self.cluster = self.run.cluster = materialize(
-            bp, owned_switches=plan.owned_switches(shard_id))
-        self.rt = self.run.runtime
+        self.cluster = run.cluster
+        self.rt = run.runtime
+        self.rt.owned_pids = plan.owned_pids(shard_id)
         self.rt.advance = self.advance
-        self.channels = {}
-        for link in self.cluster.fabric.links:
-            self.channels[link.fwd.name] = link.fwd
-            self.channels[link.rev.name] = link.rev
+        self.channels = {ch.name: ch for link in self.cluster.fabric.links
+                         for ch in (link.fwd, link.rev)}
         for name, dest in sorted(plan.cut_dest.items()):
             if plan.channel_shard[name] == shard_id:
                 ch = self.channels[name]
@@ -178,16 +173,17 @@ class ShardWorker:
                     f"unexpected coordinator message {kind!r}")
 
 
-def run_worker(spec: ScenarioSpec, shard_id: int, ctl,
+def run_worker(run: ScenarioRun, plan: ShardPlan, shard_id: int, ctl,
                attempt: int = 0) -> None:
-    """A forked worker's body: build the shard, run the app driver on
-    it, send the result home (or the error, or the abort receipt)."""
+    """A forked worker's body: run the app driver on the shard, send
+    the result home (or the error, or the abort receipt)."""
     try:
-        worker = ShardWorker(spec, shard_id, ctl, attempt)
-        value = APP_DRIVERS.get(spec.app.driver)(worker.run)
+        worker = ShardWorker(run, plan, shard_id, ctl, attempt)
+        driver = run.spec.app.driver
+        value = APP_DRIVERS.get(driver)(run)
         if not worker.ran:
             raise SpecError(
-                f"driver {spec.app.driver!r} never drove the spec-built "
+                f"driver {driver!r} never drove the spec-built "
                 "runtime; the sharded kernel requires a runtime driver "
                 "(self-contained apps build their own cluster)")
         worker.cluster.tracer.close_all()

@@ -7,7 +7,7 @@ fabric's own :func:`repro.atm.signaling._shortest_paths`) only from
 gateways, over the non-leaf core.  The oracle stays what the fabric used
 to do — ``nx.shortest_path`` from the source host over the whole
 topology, as an ``nx.Graph`` replayed from the fabric's nodes and its
-``connect_remote`` calls in connect order — in this file only.
+``connect`` calls in connect order — in this file only.
 Equality includes the ties: on a ring with an even number of sites the
 opposite site is equally far both ways round, and which way a circuit
 goes decides which trunk queues.
@@ -19,11 +19,10 @@ import pytest
 from repro.atm import (AtmFabric, AtmSwitch, NoPathError, Sba200Adapter,
                        TAXI_140)
 from repro.config import ensure_components
-from repro.net.blueprint import PlanView, materialize
+from repro.net.blueprint import materialize
 from repro.net.nynet import SiteSpec
 from repro.registry import TOPOLOGIES
 from repro.sim import Simulator
-from repro.sim.sharded import plan_shards
 
 ensure_components()
 
@@ -52,13 +51,14 @@ CONNECTS: dict = {}
 
 @pytest.fixture(autouse=True)
 def connect_order(monkeypatch):
-    """Record every ``connect_remote`` call (``connect`` makes one too)."""
-    plain = AtmFabric.connect_remote
+    """Record the ends of every ``connect`` call."""
+    plain = AtmFabric.connect
 
     def recording(self, a, b, *args, **kwargs):
-        CONNECTS.setdefault(self, []).append((a, b))
-        return plain(self, a, b, *args, **kwargs)
-    monkeypatch.setattr(AtmFabric, "connect_remote", recording)
+        link = plain(self, a, b, *args, **kwargs)
+        CONNECTS.setdefault(self, []).append(tuple(link.name.split("--")))
+        return link
+    monkeypatch.setattr(AtmFabric, "connect", recording)
     yield
     CONNECTS.clear()
 
@@ -89,26 +89,6 @@ def assert_routes_are_networkx_routes(fabric):
 def test_full_universe_routes(name, kw):
     assert_routes_are_networkx_routes(
         materialize(TOPOLOGIES.get(name)(**kw)).fabric)
-
-
-@pytest.mark.parametrize("name,kw", [
-    (name, kw) for name, kw in BUILDS
-    if name in ("wan-ring", "nynet-testbed", "nynet")],
-    ids=[i for i in IDS if i.startswith(("wan-ring", "nynet"))])
-def test_partial_universe_routes(name, kw):
-    """A shard's universe names the nodes it did not build
-    (``add_remote`` / ``connect_remote``) and routes over them alike."""
-    bp = TOPOLOGIES.get(name)(**kw)
-    full = materialize(bp).fabric
-    plan = plan_shards(PlanView(bp), 3)
-    for shard in range(plan.n_shards):
-        owned = {sw for sw, s in plan.switch_shard.items() if s == shard}
-        part = materialize(bp, owned_switches=owned).fabric
-        assert_routes_are_networkx_routes(part)
-        for src in full.hosts:
-            for dst in full.hosts:
-                assert part.path_nodes(src, dst) \
-                    == full.path_nodes(src, dst), (src, dst)
 
 
 def test_even_ring_ties_break_as_from_the_host():
