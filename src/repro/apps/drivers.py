@@ -275,14 +275,12 @@ def _collective(run):
     if barrier_id not in rt.nodes[0].mps.barrier_parties:
         rt.register_barrier(barrier_id, n)
     expected_sum = n * (n + 1) // 2
-    # tids[pid] is filled before rt.run(); bodies read it lazily
-    tids: list = []
     got = {pid: [] for pid in range(1, n)}
     sums: list = []
 
     def body(ctx, pid):
-        members = [(tids[i], i) for i in range(n)]
-        root = (tids[0], 0)
+        # ``members`` is bound after every t_create, before rt.run()
+        root = members[0]
         for r in range(rounds):
             yield ctx.barrier(barrier_id)
             if pid == 0:
@@ -296,8 +294,8 @@ def _collective(run):
             if pid == 0:
                 sums.append(total)
 
-    for pid in range(n):
-        tids.append(rt.t_create(pid, body, (pid,), name=f"coll{pid}"))
+    members = tuple((rt.t_create(pid, body, (pid,), name=f"coll{pid}"), pid)
+                    for pid in range(n))
     makespan = rt.run()
     bcast_ok = all(got[pid] == [("payload", r) for r in range(rounds)]
                    for pid in range(1, n))

@@ -46,7 +46,10 @@ from .adapter import Sba200Adapter
 from .signaling import Service, SignalingController
 
 __all__ = ["NicPdu", "NicCollectiveEngine", "NicCollectiveFabric",
-           "CONTROL_PDU_BYTES"]
+           "CONTROL_PDU_BYTES", "OP_KINDS"]
+
+#: the operations an engine counts, one metric label set per pid each
+OP_KINDS = ("barrier", "bcast", "reduce")
 
 #: wire size of a collective control PDU (key + member + bookkeeping)
 CONTROL_PDU_BYTES = 40
@@ -94,8 +97,9 @@ class NicPdu:
     size: int = 0
     #: application tag for broadcast delivery
     tag: int = 0
-    #: destination pids of a broadcast
-    targets: tuple = ()
+    #: destination pids of a broadcast (a frozenset on ``data``, which
+    #: every member tests itself against)
+    targets: tuple | frozenset = ()
     #: origin submit time (latency accounting at the receiver)
     sent_at: float = 0.0
 
@@ -152,9 +156,8 @@ class NicCollectiveEngine:
         self._r_bar_released: dict[int, int] = {}
         self._r_red: dict[tuple, dict] = {}
         self._r_red_done: dict[tuple, tuple] = {}
-        self._r_bc_acked: dict[tuple, set] = {}
+        self._r_bc_waiting: dict[tuple, set] = {}   # targets yet to ack
         self._r_bc_pdu: dict[tuple, NicPdu] = {}
-        self._r_bc_needed: dict[tuple, frozenset] = {}
         self._r_bc_done: set[tuple] = set()
         self._signaling: SignalingController = fabric.signaling
         self._host = adapter.host_name
@@ -172,14 +175,14 @@ class NicCollectiveEngine:
                 "collective.ops",
                 help="collective operations submitted to the NIC engine",
                 pid=pid, kind=kind)
-            for kind in ("barrier", "bcast", "reduce")}
+            for kind in OP_KINDS}
         self._m_latency = {
             kind: _m.histogram(
                 "collective.latency_s",
                 help="NIC collective submit-to-complete, simulated seconds",
                 buckets=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
                          1e-1, 3e-1, 1.0, 3.0), pid=pid, kind=kind)
-            for kind in ("barrier", "bcast", "reduce")}
+            for kind in OP_KINDS}
         self._m_fw_pdus = _m.counter(
             "collective.fw_pdus",
             help="collective PDUs processed by adapter firmware", host=host)
@@ -423,29 +426,28 @@ class NicCollectiveEngine:
         if key in self._r_bc_done:
             self._send_down(key[1], NicPdu("done", key))
             return
-        if key in self._r_bc_acked:
+        if key in self._r_bc_waiting:
             # origin probe: re-drive the replication (recovers lost
             # DATA replicas and lost member ACKs alike)
             self._mcast(self._r_bc_pdu[key])
             return
+        targets = frozenset(pdu.targets)
         data = NicPdu("data", key, member=pdu.member, value=pdu.value,
-                      size=pdu.size, tag=pdu.tag, targets=pdu.targets,
+                      size=pdu.size, tag=pdu.tag, targets=targets,
                       sent_at=pdu.sent_at)
-        self._r_bc_acked[key] = set()
+        self._r_bc_waiting[key] = set(targets)
         self._r_bc_pdu[key] = data
-        self._r_bc_needed[key] = frozenset(pdu.targets)
         self._mcast(data)
 
     def _root_ack(self, pdu: NicPdu) -> None:
         key = pdu.key
-        acked = self._r_bc_acked.get(key)
-        if acked is None:
+        waiting = self._r_bc_waiting.get(key)
+        if waiting is None:
             return
-        acked.add(pdu.member[0])
-        if acked >= self._r_bc_needed[key]:
-            del self._r_bc_acked[key]
+        waiting.discard(pdu.member[0])
+        if not waiting:
+            del self._r_bc_waiting[key]
             del self._r_bc_pdu[key]
-            del self._r_bc_needed[key]
             self._r_bc_done.add(key)
             self._send_down(key[1], NicPdu("done", key))
 

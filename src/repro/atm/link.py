@@ -106,6 +106,9 @@ class Channel:
         #: ``(at, start, finish, burst, service, landing timer)``
         self._sent: deque = deque()
         self._sent_cells = 0
+        #: the last depth reading ``(now, newest record seen, cells of
+        #: the records seen still inside the switching latency)``
+        self._kept: tuple = (None, None, 0)
         #: ``(burst, service, at)`` kept back by a stall, else None
         self._held: Optional[list] = None
         #: fault state ``(since, up, ber_override)``; the last is current
@@ -155,6 +158,7 @@ class Channel:
         if self._held is not None:
             return
         now, sent, self._held = self.sim.now, self._sent, []
+        self._kept = (None, None, 0)    # the records it saw may go
         while sent and sent[-1][1] >= now:
             at, start, _, burst, service, timer = sent.pop()
             # free again when this one would have begun: at its
@@ -208,15 +212,27 @@ class Channel:
     def queued_cells(self) -> int:
         """Cells in the output buffer now: of bursts that have reached
         the port (``at <= now``: one still inside the switching latency
-        has not) and not left it (``finish <= now`` has), held or not."""
+        has not) and not left it (``finish <= now`` has), held or not.
+
+        A k-way fan-in reads the depth once per burst at one instant, so
+        a reading resumes from the newest record the instant's last
+        reading saw: each record is walked once per instant.  Nothing
+        with ``finish <= now`` is sent at ``now``, and ``at`` never
+        falls, so only :meth:`stall` can invalidate what was seen."""
         now, sent = self.sim.now, self._sent
         while sent and sent[0][2] <= now:
             self._sent_cells -= sent.popleft()[3].n_cells
         cells = self._sent_cells
-        for rec in reversed(sent):
-            if rec[0] <= now:
-                break
-            cells -= rec[3].n_cells
+        if sent and sent[-1][0] > now:
+            kept_at, seen, ahead = self._kept
+            if kept_at != now:
+                seen, ahead = None, 0
+            for rec in reversed(sent):
+                if rec is seen or rec[0] <= now:
+                    break
+                ahead += rec[3].n_cells
+            self._kept = (now, sent[-1], ahead)
+            cells -= ahead
         if self._held:
             cells += sum(b.n_cells for b, _, at in self._held if at <= now)
         return cells

@@ -24,7 +24,6 @@ the wire.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -194,7 +193,10 @@ class AtmSwitch:
                         > self.output_buffer_cells):
                     self._m_dropped.inc()
                     continue
-                replica = dataclasses.replace(burst, vci=leg.out_vci)
+                # a plain copy, relabelled: the burst's fields were
+                # checked when it was cut, so __post_init__ stays out
+                replica = object.__new__(CellBurst)
+                replica.__dict__.update(burst.__dict__, vci=leg.out_vci)
                 self._m_forwarded.inc()
                 self._m_mcast_replicas.inc()
                 out.send(replica, at=arrives)

@@ -131,6 +131,15 @@ def build_runtime(spec: ScenarioSpec, cluster=None):
     from ..core.api import NcsRuntime
     if cluster is None:
         cluster = build_cluster(spec.cluster, spec.obs)
+    if spec.collectives == "nic" and cluster.metrics.enabled:
+        from ..atm.collective import OP_KINDS
+        limit = cluster.metrics.max_label_sets // len(OP_KINDS)
+        if cluster.n_hosts > limit:
+            raise SpecError(
+                f"runtime.collectives = 'nic' labels its series by pid and "
+                f"kind, so with metrics on it runs at most {limit} hosts "
+                f"(cluster.n_hosts = {cluster.n_hosts}); set obs.metrics = "
+                f"false to run more")
     resilience = (spec.resilience.build()
                   if spec.resilience is not None else None)
     runtime = NcsRuntime(cluster, mode=spec.mode,

@@ -66,9 +66,10 @@ def gather(ctx, root: tuple[int, int], members: Sequence[tuple[int, int]],
            data: Any, size: int):
     """Many-to-1: the root returns ``{(tid, pid): data}`` for every
     member (including itself); non-roots return None."""
-    if _me(ctx) == tuple(root):
-        out = {tuple(root): data}
-        for _ in range(len([m for m in members if m != tuple(root)])):
+    root = tuple(root)
+    if _me(ctx) == root:
+        out = {root: data}
+        for _ in range(len([m for m in members if tuple(m) != root])):
             msg: NcsMessage = yield ctx.recv(tag=_GATHER_TAG)
             out[(msg.from_thread, msg.from_process)] = msg.data
         return out
@@ -99,9 +100,10 @@ def reduce(ctx, root: tuple[int, int], members: Sequence[tuple[int, int]],
     """Many-to-1 with combination: the root returns
     ``op(op(a, b), c)...`` over every member's contribution."""
     if _offloads(ctx):
+        # the firmware reads only len(members): pass the caller's
+        # sequence through rather than copy n pairs per member
         result = yield ops.CollectiveReduce(
-            tuple(root), tuple(tuple(m) for m in members), data, size, op,
-            tag=_REDUCE_TAG)
+            tuple(root), members, data, size, op, tag=_REDUCE_TAG)
         return result
     if _me(ctx) == tuple(root):
         acc = data

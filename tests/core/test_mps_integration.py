@@ -305,6 +305,21 @@ class TestBcastAndCollectives:
                           (tids[2], 2): "part-2"}
         assert rt.thread_result(1, tids[1]) is None
 
+    def test_gather_accepts_list_members(self):
+        # members as [tid, pid] lists: the root must not count itself
+        # among the senders and wait for a message nobody sends
+        from repro.core.mps.group import gather
+        cluster, rt = make_runtime(3)
+        members = []
+        def worker(ctx):
+            return (yield from gather(ctx, members[0], members,
+                                      f"part-{ctx.my_pid}", 512))
+        tids = [rt.t_create(pid, worker) for pid in range(3)]
+        members.extend([tid, pid] for pid, tid in enumerate(tids))
+        rt.run(max_events=2_000_000)
+        assert rt.thread_result(0, tids[0]) == {
+            (tid, pid): f"part-{pid}" for pid, tid in enumerate(tids)}
+
     def test_barrier_across_processes(self):
         cluster, rt = make_runtime(3)
         rt.register_barrier(1, parties=3)

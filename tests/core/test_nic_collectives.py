@@ -4,7 +4,7 @@ bypass (fewer context switches), and the strategy/registry seam."""
 import pytest
 
 from repro import NcsRuntime, build_atm_cluster, build_ethernet_cluster
-from repro.config import ScenarioSpec, run_scenario
+from repro.config import ObsSpec, ScenarioSpec, SpecError, run_scenario
 from repro.core.mps import group
 from repro.obs import merge_histograms
 from repro.registry import COLLECTIVES
@@ -67,6 +67,26 @@ class TestCorrectness:
             rt.t_create(pid, party, (pid,), name=f"party-{pid}")
         rt.run()
         assert sorted(after) == list(range(N))
+
+
+class TestScale:
+    """Each engine labels ``collective.ops`` and ``collective.latency_s``
+    by pid and kind, so the registry's 1 024 label sets per metric hold
+    341 hosts; a larger cell is refused before any engine is built."""
+
+    def test_342_hosts_with_metrics_is_a_spec_error(self):
+        with pytest.raises(SpecError) as info:
+            run_scenario(_spec("nic", n_hosts=342))
+        msg = str(info.value)
+        for part in ("runtime.collectives", "cluster.n_hosts = 342",
+                     "341 hosts", "obs.metrics = false"):
+            assert part in msg
+
+    def test_512_hosts_run_with_metrics_off(self):
+        spec = _spec("nic", n_hosts=512).replace(obs=ObsSpec(metrics=False))
+        value = run_scenario(spec).value
+        assert value["n_hosts"] == 512
+        assert value["bcast_ok"] and value["reduce_ok"]
 
 
 class TestHostBypass:
