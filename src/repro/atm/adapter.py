@@ -9,10 +9,10 @@ switch."
 
 Model:
 
-* **DMA engine** — a capacity-1 resource moving data host↔adapter at
-  ``dma_bandwidth_bps`` without consuming host CPU.  This is what makes
-  the Fig 2 multiple-buffer pipeline work: the host CPU fills buffer
-  *k+1* while the DMA/SAR engine drains buffer *k*.
+* **DMA engine** — a FIFO server moving data host↔adapter at
+  ``dma_bandwidth_bps`` without consuming host CPU (:meth:`Sba200Adapter.dma`).
+  This is what makes the Fig 2 multiple-buffer pipeline work: the host
+  CPU fills buffer *k+1* while the DMA/SAR engine drains buffer *k*.
 * **SAR engine** — the i960 spends ``i960_per_cell_s`` per cell; the TAXI
   channel is occupied for ``max(serialization, SAR)`` per burst, so the
   adapter can be either line-rate-bound or i960-bound.
@@ -30,10 +30,12 @@ Model:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Deque, Optional
 
-from ..sim import Resource, Simulator, Store, check_param
+from ..sim import Event, Simulator, Store, check_param, check_size
+from ..sim.kernel import _run_call
 from .aal import Aal, AAL5
 from .cell import CellBurst
 from .link import Channel
@@ -69,7 +71,9 @@ class Sba200Adapter:
         self.dma_bandwidth_bps = dma_bandwidth_bps
         self.train_cells = train_cells
         self.uplink: Optional[Channel] = None       # adapter -> switch
-        self._dma = Resource(sim, capacity=1, name=f"dma:{host_name}")
+        #: DMA transfers asked for, ``(completion, seconds, value)``;
+        #: the head is in service
+        self._dma_queue: Deque[tuple] = deque()
         self._msg_seq = 0
         self._rx: dict[tuple[int, int], _RxState] = {}
         #: delivered messages: fn(vc, payload, payload_bytes, msg_id)
@@ -88,9 +92,9 @@ class Sba200Adapter:
         self.collective_rx: Optional[Callable[..., bool]] = None
         #: per-shaped-VC burst queues (vc_id -> Store), drained by pacers
         self._shapers: dict[int, Store] = {}
-        #: completed-PDU delivery queue, drained by one persistent rx
-        #: coroutine instead of one short-lived process per PDU
-        self._rx_jobs: Optional[Store] = None
+        #: completed PDUs waiting for (the head: in) their host-bound
+        #: DMA; ``None`` until the first one
+        self._rx_jobs: Optional[Deque[tuple]] = None
         #: deliveries whose handler raised, and the first error (which
         #: ``NcsRuntime.run`` raises); the drain goes on with the next PDU
         self.delivery_errors = 0
@@ -131,25 +135,45 @@ class Sba200Adapter:
         """Seconds the SBus DMA engine needs to move ``nbytes``."""
         return nbytes * 8 / self.dma_bandwidth_bps
 
-    def dma_transfer(self, nbytes: int):
-        """Generator: move ``nbytes`` across the SBus DMA engine.
+    def dma(self, nbytes: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Move ``nbytes`` over the SBus DMA engine, then run ``fn(*args)``.
 
-        Serialized on the adapter's single DMA channel but consuming no
-        host CPU — the caller typically does *not* wait on this from the
-        compute path; the Fig 2 pipeline waits only when all output
-        buffers are busy.
+        The engine is a FIFO server consuming no host CPU: a transfer
+        completes ``dma_time(nbytes)`` after the previous one asked for
+        before it, or after the ask if the engine is idle.  Its
+        completion is one calendar entry, armed when the transfer enters
+        service (the completion of its predecessor); ``fn`` runs there,
+        and an exception it raises propagates out of ``Simulator.run``
+        annotated with the call, as from ``Simulator.call_in``.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        sim = self.sim
-        if not self._dma.try_acquire():
-            req = self._dma.request()
-            yield req
-            sim.recycle(req)
-        try:
-            yield self.dma_time(nbytes)
-        finally:
-            self._dma.release()
+        self._dma_ask(nbytes, (fn, args), _run_call)
+
+    def dma_transfer(self, nbytes: int):
+        """Generator: :meth:`dma` for a caller that waits; it resumes on
+        the transfer's completion entry itself."""
+        done = self._dma_ask(nbytes, None)
+        yield done
+        self.sim.recycle(done)
+
+    def _dma_ask(self, nbytes: int, value: Any, *then: Callable) -> Event:
+        check_size("nbytes", nbytes)
+        done = self.sim.event(name="dma")
+        done.callbacks += (self._dma_next, *then)
+        queue = self._dma_queue
+        queue.append((done, self.dma_time(nbytes), value))
+        if len(queue) == 1:
+            done.succeed(value, queue[0][1])
+        return done
+
+    def _dma_next(self, _done) -> None:
+        """First callback of every completion: the next transfer enters
+        service at the instant this one ends, before anything the
+        completion runs can ask for another."""
+        queue = self._dma_queue
+        queue.popleft()
+        if queue:
+            done, seconds, value = queue[0]
+            done.succeed(value, seconds)
 
     # ----------------------------------------------------------------- send
     def send_pdu(self, vc: Any, payload_bytes: int, msg_id: int,
@@ -261,37 +285,34 @@ class Sba200Adapter:
                     self.rx_error_handler(vc, burst.msg_id)
                 return
             self._m_pdus_received.inc()
+            job = (vc, st.payload, st.bytes_ok, burst.msg_id)
             jobs = self._rx_jobs
             if jobs is None:
-                jobs = self._rx_jobs = Store(
-                    self.sim, name=f"adapter-rx:{self.host_name}")
-                self.sim.process(self._rx_drain(),
-                                 name=f"adapter-rx:{self.host_name}")
-            jobs.try_put((vc, st.payload, st.bytes_ok, burst.msg_id))
+                # the first delivery asks one zero-delay hop late: the
+                # boot slot of the drain process this replaced
+                self._rx_jobs = deque((job,))
+                self.sim.call_in(0.0, self._rx_ask)
+            else:
+                jobs.append(job)
+                if len(jobs) == 1:
+                    self._rx_ask()
 
-    def _rx_drain(self):
-        """Deliver completed PDUs: adapter memory -> host kernel buffers
-        via DMA, then the registered handler.
+    def _rx_ask(self) -> None:
+        self.dma(self._rx_jobs[0][2], self._rx_done)
 
-        One coroutine serves every PDU.  The DMA engine is a capacity-1
-        FIFO resource, so delivery DMAs serialized in completion order
-        before too; each hand-off still costs one zero-delay calendar
-        hop, exactly like the process boot it replaces — timestamps are
-        unchanged.  The handler runs the receiving side's consumer here."""
+    def _rx_done(self) -> None:
+        """The head PDU is in host memory: hand it to the handler, then
+        ask for the next one's DMA (one outstanding: reassembly order).
+        A handler's error is counted and the first one kept; the next
+        PDU is delivered all the same."""
         jobs = self._rx_jobs
-        sim = self.sim
-        recycle = sim.recycle
-        while True:
-            get_ev = jobs.get()
-            job = yield get_ev
-            recycle(get_ev)
-            vc, payload, nbytes, msg_id = job
-            try:
-                yield from self.dma_transfer(nbytes)
-                if self.rx_handler is not None:
-                    self.rx_handler(vc, payload, nbytes, msg_id)
-            except Exception as exc:
-                # one poisoned delivery must not stall the rest
-                self.delivery_errors += 1
-                if self.first_delivery_error is None:
-                    self.first_delivery_error = exc
+        try:
+            if self.rx_handler is not None:
+                self.rx_handler(*jobs[0])
+        except Exception as exc:
+            self.delivery_errors += 1
+            if self.first_delivery_error is None:
+                self.first_delivery_error = exc
+        jobs.popleft()
+        if jobs:
+            self._rx_ask()

@@ -15,10 +15,11 @@ Fig 2 benchmark compares against.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from collections import deque
+from typing import Any, Deque, Generator, Optional
 
 from ...hosts import Host, KernelBufferPool
-from ...sim import Activity, Event, Resource, Store
+from ...sim import Activity, Event, Resource
 from .datapath import DatapathModel, NCS_DATAPATH
 
 __all__ = ["BufferPipeline"]
@@ -40,14 +41,13 @@ class BufferPipeline:
         #: chunks currently in flight (diagnostics / tests)
         self.chunks_in_flight = 0
         self.max_chunks_in_flight = 0
-        #: chunks whose background drain died (fault injection); the old
-        #: per-chunk processes failed silently, so these are diagnostics
-        #: only — they never propagate
+        #: chunks whose hand-off to SAR raised (fault injection):
+        #: diagnostics only — they never propagate
         self.chunk_errors = 0
         self.last_chunk_error: Optional[BaseException] = None
-        #: one long-lived drain coroutine serves every message instead of
-        #: one short-lived process per chunk; created on first send
-        self._jobs: Optional[Store] = None
+        #: filled chunks waiting for (the head: in) their DMA to the
+        #: adapter; ``None`` until the first one
+        self._jobs: Optional[Deque[tuple]] = None
         #: :meth:`drained` events waiting for the last chunk in flight
         self._drained: list[Event] = []
 
@@ -68,10 +68,6 @@ class BufferPipeline:
         # mmap()ed (no syscall per buffer — paper §4.2)
         yield from self.host.cpu_busy(self.datapath.entry_cost(os_),
                                       Activity.OVERHEAD, "ncs:trap")
-        jobs = self._jobs
-        if jobs is None:
-            jobs = self._ensure_drain()
-
         for i, chunk in enumerate(chunks):
             # wait for a free output buffer (with k buffers, copy i+1
             # overlaps the DMA/SAR/wire of chunk i)
@@ -86,8 +82,17 @@ class BufferPipeline:
             self.chunks_in_flight += 1
             self.max_chunks_in_flight = max(self.max_chunks_in_flight,
                                             self.chunks_in_flight)
-            jobs.try_put((vc, chunk, msg_id, is_final,
-                          payload if is_final else None))
+            job = (vc, chunk, msg_id, is_final, payload if is_final else None)
+            jobs = self._jobs
+            if jobs is None:
+                # the first chunk asks one zero-delay hop late: the boot
+                # slot of the drain process this replaced
+                self._jobs = deque((job,))
+                self.sim.call_in(0.0, self._ask)
+            else:
+                jobs.append(job)
+                if len(jobs) == 1:
+                    self._ask()
 
     def drained(self) -> Event:
         """An event that fires once no chunk is in flight (at once, if
@@ -99,44 +104,28 @@ class BufferPipeline:
             ev.succeed(None)
         return ev
 
-    def _ensure_drain(self) -> Store:
-        """Start the pipeline's one background drain coroutine.
+    def _ask(self) -> None:
+        self.adapter.dma(self._jobs[0][1], self._chunk_done)
 
-        Handing a submitted chunk to the persistent drain costs the same
-        single zero-delay calendar hop that booting a fresh process did,
-        so every DMA/SAR/release timestamp is unchanged; only the
-        per-chunk generator+process allocation disappears.
-        """
-        self._jobs = jobs = Store(self.sim, name=f"iobuf-jobs:{self.host.name}")
-        self.sim.process(self._drain_loop(),
-                         name=f"iobuf-drain:{self.host.name}")
-        return jobs
-
-    # Each chunk's background life: DMA to the adapter, hand to SAR,
-    # release the kernel buffer for the next fill.  One coroutine drains
-    # all chunks in submission order (the DMA engine is a capacity-1 FIFO
-    # resource, so they serialized in exactly this order before too).
-    def _drain_loop(self):
+    def _chunk_done(self) -> None:
+        """The head chunk is on the adapter: hand it to SAR, free its
+        buffer for the next fill, then ask for the next chunk's DMA.
+        One transfer is outstanding at a time, so chunks leave in the
+        order they were filled; a chunk whose hand-off raises is
+        counted and the rest go on."""
         jobs = self._jobs
-        sim = self.sim
-        recycle = sim.recycle
-        while True:
-            get_ev = jobs.get()
-            job = yield get_ev
-            recycle(get_ev)
-            vc, chunk_bytes, msg_id, is_final, payload = job
-            try:
-                yield from self.adapter.dma_transfer(chunk_bytes)
-                self.adapter.send_pdu(vc, chunk_bytes, msg_id=msg_id,
-                                      is_final=is_final, payload=payload)
-            except Exception as exc:
-                # a fault killed this chunk mid-drain; the per-chunk
-                # process it replaces died silently, so record and move on
-                self.chunk_errors += 1
-                self.last_chunk_error = exc
-            finally:
-                self.chunks_in_flight -= 1
-                self._buffers.release()
-                if not self.chunks_in_flight:
-                    while self._drained:
-                        self._drained.pop(0).succeed(None)
+        vc, chunk_bytes, msg_id, is_final, payload = jobs[0]
+        try:
+            self.adapter.send_pdu(vc, chunk_bytes, msg_id=msg_id,
+                                  is_final=is_final, payload=payload)
+        except Exception as exc:
+            self.chunk_errors += 1
+            self.last_chunk_error = exc
+        self.chunks_in_flight -= 1
+        self._buffers.release()
+        if not self.chunks_in_flight:
+            while self._drained:
+                self._drained.pop(0).succeed(None)
+        jobs.popleft()
+        if jobs:
+            self._ask()

@@ -178,13 +178,7 @@ class NicCollectives(CollectiveStrategy):
             to_thread=ANY_THREAD, to_process=mps.pid,
             data=data, size=size, tag=tag,
             msg_uid=mps._next_uid(), sent_at=sent_at)
-        adapter = self.engine.adapter
-
-        def _land():
-            yield from adapter.dma_transfer(size)
-            mps.deliver_data(msg)
-
-        mps.sim.spawn(_land(), name=f"nic-deliver:{mps.pid}")
+        self.engine.adapter.dma(size, mps.deliver_data, msg)
 
     # ------------------------------------------------------------ reduce
     def handle_reduce(self, thread: NcsThread,

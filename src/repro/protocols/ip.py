@@ -196,7 +196,6 @@ class AtmIpAdapter(LinkAdapter):
         self.signaling = signaling
         self.mtu = mtu
         self._ip: Optional[IpLayer] = None
-        self.sim = atm_api.sim
         atm_api.serve(Service.IP, self._on_pdu)
 
     def bind(self, ip: IpLayer) -> None:
@@ -205,17 +204,11 @@ class AtmIpAdapter(LinkAdapter):
     def send(self, dst_host: str, packet: IpPacket) -> None:
         vc = self.signaling.circuit(packet.src, dst_host, Service.IP)
         adapter = self.atm_api.adapter
-        msg_id = adapter.alloc_msg_id()
+        nbytes = packet.total_bytes + LLC_SNAP_BYTES
         # LLC/SNAP + IP header + payload in one AAL5 PDU; hardware path,
         # no host CPU charged here (TCP charges its own processing).
-        self.sim.spawn(
-            self._tx(vc, packet, msg_id), name=f"ipoa-tx:{dst_host}")
-
-    def _tx(self, vc, packet: IpPacket, msg_id: int):
-        nbytes = packet.total_bytes + LLC_SNAP_BYTES
-        yield from self.atm_api.adapter.dma_transfer(nbytes)
-        self.atm_api.adapter.send_pdu(vc, nbytes, msg_id=msg_id,
-                                      is_final=True, payload=packet)
+        adapter.dma(nbytes, adapter.send_pdu, vc, nbytes,
+                    adapter.alloc_msg_id(), True, packet)
 
     def _on_pdu(self, msg) -> None:
         if self._ip is not None and msg.payload is not None:

@@ -67,8 +67,14 @@ def test_a_sleep_is_charged_to_the_generator_that_slept(every_quick_cell):
     assert not {via for via, _site in sleeps} - {"sleep"}
     assert ("sleep", "hosts/host.py:cpu_busy") in {
         (event, site) for event, _via, site in every_quick_cell}
-    assert {site for _via, site in sleeps} >= {
-        "core/mts/scheduler.py:_loop", "atm/adapter.py:dma_transfer"}
+    assert "core/mts/scheduler.py:_loop" in {site for _via, site in sleeps}
+    # a DMA transfer is no sleep: its completion is the engine's own
+    # entry, armed at the ask or at the predecessor's completion
+    assert not {site for _via, site in sleeps if site.startswith("atm/")}
+    assert {(via, site) for event, via, site in every_quick_cell
+            if event == "dma"} == {
+                ("Event.succeed", "atm/adapter.py:_dma_ask"),
+                ("Event.succeed", "atm/adapter.py:_dma_next")}
 
 
 def test_no_cell_hands_a_message_over_through_the_calendar(every_quick_cell):
@@ -81,11 +87,15 @@ def test_no_cell_hands_a_message_over_through_the_calendar(every_quick_cell):
                          "submitted"}
     assert not {site for _event, _via, site in every_quick_cell
                 if site.startswith("atm/api.py:")}
-    # what is left of the chain: the runner's boot and the two drains
-    assert {("boot", "core/mps/transports.py:start_send"),
-            ("get", "core/mps/buffers.py:pipelined_send"),
-            ("get", "atm/adapter.py:receive_burst")} <= {
-                (event, site) for event, _via, site in every_quick_cell}
+    # what is left of the chain: the runner's boot; the two drains ask
+    # the DMA engine themselves (no ``get``), and neither an IP datagram
+    # nor a NIC delivery boots a process to wait for its transfer
+    rows = {(event, site) for event, _via, site in every_quick_cell}
+    assert ("boot", "core/mps/transports.py:start_send") in rows
+    assert not {site for event, site in rows if event == "get"
+                and site.startswith(("atm/", "core/mps/buffers.py"))}
+    assert not {site for event, site in rows if event == "boot"} & {
+        "protocols/ip.py:send", "core/mps/collectives.py:_deliver_data"}
 
 
 def test_the_segment_puts_only_its_own_entries_on_the_calendar(

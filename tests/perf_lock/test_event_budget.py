@@ -34,7 +34,8 @@ from repro.obs import counter_total
 #: before system threads parked and were signalled directly: 64.9, 50.3,
 #: 34.4, 60.6; before the transport handed over by calling: 55.6, 39.4,
 #: 26.2, 56.0; before the Ethernet segment was arithmetic: 53.6 (and
-#: 753.4 for the 64 KiB cell) (today: 44.6, 482.4, 33.4, 23.2, 56.0)
+#: 753.4 for the 64 KiB cell); before the DMA engine was a FIFO server:
+#: 33.4, 23.2, 56.0 (today: 44.6, 482.4, 29.4, 21.1, 55.0)
 BUDGETS = {
     "pingpong-256B-ethernet-nsm": (
         {"topology": "ethernet", "n_hosts": 2},
@@ -47,16 +48,16 @@ BUDGETS = {
     "pingpong-256B-atm-lan-hsm": (
         {"topology": "atm-lan", "n_hosts": 2},
         {"mode": "hsm", "error": "ack"},
-        "pingpong", {"messages": 100, "nbytes": 256}, 34.5),
+        "pingpong", {"messages": 100, "nbytes": 256}, 30.5),
     "alltoall-1KiB-wan-ring-8x4-hsm": (
         {"topology": "wan-ring",
          "options": {"n_sites": 8, "hosts_per_site": 4}},
         {"mode": "hsm"},
-        "alltoall", {"rounds": 6, "nbytes": 1024}, 24.5),
+        "alltoall", {"rounds": 6, "nbytes": 1024}, 22.5),
     "collective-1KiB-atm-lan-64-nic": (
         {"topology": "atm-lan", "n_hosts": 64},
         {"mode": "nsm", "collectives": "nic"},
-        "collective", {"rounds": 2, "nbytes": 1024}, 57.5),
+        "collective", {"rounds": 2, "nbytes": 1024}, 56.5),
 }
 
 
