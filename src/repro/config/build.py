@@ -37,10 +37,10 @@ __all__ = ["ensure_components", "build_blueprint", "build_cluster",
            "run_scenario", "ScenarioRun", "ScenarioResult"]
 
 _COMPONENT_MODULES = (
-    "repro.core.api",        # transports + flow/error controls (via mps)
+    "repro.core.api",        # transports, flow controls, none/ack/adaptive EC
     "repro.net.blueprint",   # topologies
     "repro.faults.plan",     # fault kinds
-    "repro.resilience",      # hsm-failover transport + adaptive EC
+    "repro.resilience",      # hsm-failover transport
     "repro.apps.drivers",    # app drivers (imports the apps themselves)
     "repro.core.mps.collectives",  # host/nic collective strategies
     "repro.sim.sharded",     # the sharded parallel kernel

@@ -71,8 +71,8 @@ class NcsRuntime:
 
     def __init__(self, cluster: Cluster,
                  mode: ServiceMode | str = ServiceMode.P4,
-                 flow: Optional[str | FlowControl | QosContract] = None,
-                 error: Optional[str | ErrorControl] = None,
+                 flow: Optional[str | QosContract] = None,
+                 error: Optional[str] = None,
                  p4_params: Optional[P4Params] = None,
                  flow_kwargs: Optional[dict] = None,
                  error_kwargs: Optional[dict] = None,

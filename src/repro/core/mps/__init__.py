@@ -10,9 +10,9 @@ from .datapath import (
 )
 from .error_control import (
     AckRetransmitErrorControl,
+    AdaptiveAckErrorControl,
     ErrorControl,
     MessageLost,
-    NoErrorControl,
     make_error_control,
 )
 from .exceptions import NcsError, RecvTimeout, RemoteException
@@ -33,8 +33,8 @@ __all__ = [
     "BufferPipeline",
     "NcsMps", "RecvRequest", "SendRequest",
     "DatapathModel", "NCS_DATAPATH", "SOCKET_DATAPATH", "ZERO_COPY_DATAPATH",
-    "AckRetransmitErrorControl", "ErrorControl", "MessageLost",
-    "NoErrorControl", "make_error_control",
+    "AckRetransmitErrorControl", "AdaptiveAckErrorControl", "ErrorControl",
+    "MessageLost", "make_error_control",
     "NcsError", "RecvTimeout", "RemoteException",
     "MpiFilter", "MpiStatus", "P4Filter", "PvmFilter",
     "FlowControl", "NoFlowControl", "RateFlowControl", "WindowFlowControl",

@@ -40,7 +40,7 @@ from ..mts import ops
 from ..mts.scheduler import MtsScheduler, SYSTEM_PRIORITY
 from ..mts.thread import NcsThread
 from .collectives import CollectiveStrategy, HostCollectives
-from .error_control import ErrorControl, MessageLost, NoErrorControl
+from .error_control import ErrorControl, MessageLost
 from .exceptions import RecvTimeout, RemoteException
 from .flow_control import FlowControl, NoFlowControl
 from .message import ANY_THREAD, ControlKind, NcsMessage, is_process
@@ -105,7 +105,7 @@ class NcsMps:
         self.host = scheduler.host
         self.transport = transport
         self.fc = flow_control or NoFlowControl()
-        self.ec = error_control or NoErrorControl()
+        self.ec = error_control or ErrorControl()
         self.collectives = collectives or HostCollectives()
         scheduler.mps = self
         self.fc.bind(self)

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from ...registry import FLOW_CONTROLS
-from ...sim import Simulator
+from ...sim import Simulator, check_param, check_size
 from ..mts import ops
 
 __all__ = ["FlowControl", "NoFlowControl", "WindowFlowControl",
@@ -42,6 +42,7 @@ class FlowControl:
     thread = None
 
     def bind(self, mps: Any) -> None:
+        """Attach to one node's MPS and register the FC counters."""
         self.mps = mps
         self.sim: Simulator = mps.sim
         # telemetry handles (no-ops when the registry is disabled)
@@ -98,8 +99,9 @@ class WindowFlowControl(FlowControl):
     wants_credits = True
 
     def __init__(self, window_bytes: int = 64 * 1024):
+        check_size("window_bytes", window_bytes)
         if window_bytes < 1:
-            raise ValueError("window must be positive")
+            raise ValueError("window_bytes must be >= 1")
         self.window_bytes = window_bytes
         self._outstanding: dict[int, int] = {}
         self._waiters: Deque[tuple[int, int, ops.Wake]] = deque()
@@ -107,6 +109,7 @@ class WindowFlowControl(FlowControl):
         self._credit_q: Deque[tuple[int, int]] = deque()
 
     def outstanding(self, dest_pid: int) -> int:
+        """Bytes sent to ``dest_pid`` and not yet credited back."""
         return self._outstanding.get(dest_pid, 0)
 
     def acquire(self, dest_pid: int, nbytes: int) -> Optional[ops.Wake]:
@@ -121,11 +124,12 @@ class WindowFlowControl(FlowControl):
         return handle
 
     def on_data_delivered(self, msg) -> None:
-        # receiver side: hand a credit back to the sender
+        """Receiver side: hand a credit back to the sender."""
         self.mps.send_control_credit(msg.from_process,
                                      min(msg.size, self.window_bytes))
 
     def on_credit(self, from_pid: int, nbytes: int) -> None:
+        """Queue a credit for the FC thread to apply."""
         self._credit_q.append((from_pid, nbytes))
         self._kick()
 
@@ -164,10 +168,10 @@ class RateFlowControl(FlowControl):
     name = "rate"
 
     def __init__(self, rate_bytes_s: float, bucket_bytes: int = 64 * 1024):
-        if rate_bytes_s <= 0:
-            raise ValueError("rate must be positive")
+        check_param("rate_bytes_s", rate_bytes_s, positive=True)
+        check_size("bucket_bytes", bucket_bytes)
         if bucket_bytes < 1:
-            raise ValueError("bucket must be positive")
+            raise ValueError("bucket_bytes must be >= 1")
         self.rate = rate_bytes_s
         self.bucket = bucket_bytes
         self._tokens = float(bucket_bytes)
@@ -223,8 +227,7 @@ class RateFlowControl(FlowControl):
         return body
 
 
-def make_flow_control(spec: Optional[str | FlowControl],
-                      **kwargs) -> FlowControl:
+def make_flow_control(spec: Optional[str], **kwargs) -> FlowControl:
     """``NCS_init(flow, ...)``: resolve a strategy by registered name.
 
     "If no argument is provided then default flow and error control
@@ -235,6 +238,4 @@ def make_flow_control(spec: Optional[str | FlowControl],
     """
     if spec is None:
         return NoFlowControl()
-    if isinstance(spec, FlowControl):
-        return spec
     return FLOW_CONTROLS.get(spec)(**kwargs)

@@ -10,25 +10,26 @@ keeps an application running when the network or a host is not:
   machine (CLOSED/OPEN/HALF_OPEN), driven entirely by simulated time;
 * :mod:`~repro.resilience.failover` — the ``hsm-failover`` transport:
   HSM (ATM) protected by breakers, degrading to NSM (TCP) and probing
-  its way back;
-* :mod:`~repro.resilience.adaptive` — the ``adaptive`` error control:
-  Jacobson SRTT/RTTVAR retransmission timers, Karn's rule, per-message
-  retry budgets and deadlines.
+  its way back.
 
-Importing this package registers ``hsm-failover`` with ``TRANSPORTS``
-and ``adaptive`` with ``ERROR_CONTROLS``.  Everything is opt-in: a
+The ``adaptive`` error control (Jacobson SRTT/RTTVAR retransmission
+timers, Karn's rule, per-message retry budgets) is ``ack`` with its
+estimator on, so it lives beside ``ack`` in
+:mod:`repro.core.mps.error_control`.
+
+Importing this package registers ``hsm-failover`` with ``TRANSPORTS``.
+Everything is opt-in: a
 runtime without a :class:`ClusterResilience` attached behaves
 bit-identically to one built before this package existed (the
 determinism wall in ``tests/perf_lock`` holds).
 """
 
-from .adaptive import AdaptiveAckErrorControl
 from .breaker import BreakerState, CircuitBreaker
 from .detector import ClusterResilience, HeartbeatDetector, PeerState
 from .failover import FailoverTransport
 
 __all__ = [
-    "AdaptiveAckErrorControl", "BreakerState", "CircuitBreaker",
+    "BreakerState", "CircuitBreaker",
     "ClusterResilience", "FailoverTransport", "HeartbeatDetector",
     "PeerState",
 ]

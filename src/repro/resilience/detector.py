@@ -126,9 +126,7 @@ class HeartbeatDetector:
                 self._m_deaths.inc()
                 self.mps.host.tracer.point(
                     f"detector:{self.pid}", "peer-dead", peer)
-                abandon = getattr(self.mps.ec, "abandon_peer", None)
-                if abandon is not None:
-                    abandon(peer)
+                self.mps.ec.abandon_peer(peer)
                 for cb in self.on_peer_dead:
                     cb(peer)
             elif silent_for >= self.suspect_after_s \

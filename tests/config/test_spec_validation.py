@@ -370,3 +370,17 @@ def test_an_ill_typed_value_is_a_spec_error_naming_its_key(table, key, value,
 ])
 def test_an_integer_stands_for_a_float(table, key, value):
     _read_and_build(_doc(table, key, value))
+
+
+# Each error policy takes exactly its constructor's knobs: the estimator's
+# belong to ``adaptive`` alone, and its gains are RFC 6298's constants.
+@pytest.mark.parametrize("error,key", [
+    ("ack", "min_rto_s"),
+    ("adaptive", "alpha"),
+])
+def test_an_error_kwarg_the_policy_does_not_take_is_a_spec_error(error, key):
+    doc = _doc("runtime.error_kwargs", key, 0.01)
+    doc["runtime"]["error"] = error
+    with pytest.raises(SpecError) as exc:
+        _read_and_build(doc)
+    assert f"runtime.error_kwargs.{key}" in str(exc.value)

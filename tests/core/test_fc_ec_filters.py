@@ -5,9 +5,9 @@ import pytest
 from repro.atm import LinkSpec
 from repro.core import NcsRuntime
 from repro.core.mps import (
-    MpiFilter, P4Filter, PvmFilter, QosContract, RateFlowControl,
-    ServiceMode, WindowFlowControl, flow_control_for, make_error_control,
-    make_flow_control,
+    AckRetransmitErrorControl, AdaptiveAckErrorControl, MpiFilter, P4Filter,
+    PvmFilter, QosContract, RateFlowControl, ServiceMode, WindowFlowControl,
+    flow_control_for, make_error_control, make_flow_control,
 )
 from repro.net import build_atm_cluster, build_ethernet_cluster
 
@@ -164,6 +164,35 @@ class TestRateFlowControl:
         assert mean_paced == pytest.approx(period, rel=0.15)
         assert max(paced) - min(paced) < 0.3 * period  # bounded jitter
         assert sum(unpaced) / len(unpaced) < 0.5 * period
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# ``NcsRuntime(..., error_kwargs=...)`` / ``flow_kwargs=...`` reach these
+# constructors without the scenario schema: a NaN timeout never fired
+# (the pingpong ran to ``max_events``), so the constructor must refuse it.
+@pytest.mark.parametrize("policy,name,value", [
+    (AckRetransmitErrorControl, "timeout_s", NAN),
+    (AckRetransmitErrorControl, "check_interval_s", INF),
+    (AckRetransmitErrorControl, "max_retries", True),
+    (AckRetransmitErrorControl, "max_retries", 2.5),
+    (AdaptiveAckErrorControl, "retry_budget_s", NAN),
+    (AdaptiveAckErrorControl, "max_rto_s", INF),
+    (RateFlowControl, "rate_bytes_s", NAN),
+    (RateFlowControl, "rate_bytes_s", INF),
+    (WindowFlowControl, "window_bytes", True),
+    (WindowFlowControl, "window_bytes", 2.5),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_a_policy_rejects_a_bad_argument_by_name(policy, name, value):
+    with pytest.raises(ValueError, match=name):
+        policy(**{name: value})
+
+
+def test_runtime_error_kwargs_are_checked_at_construction():
+    with pytest.raises(ValueError, match="timeout_s"):
+        NcsRuntime(build_atm_cluster(2), mode="hsm", error="ack",
+                   error_kwargs={"timeout_s": NAN})
 
 
 class TestErrorControl:

@@ -3,12 +3,16 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import NcsRuntime
+from repro.core.mps.error_control import ALPHA, BETA, AdaptiveAckErrorControl
 from repro.faults import FaultInjector, FaultPlan, Partition
 from repro.net.topology import build_atm_cluster
+from repro.registry import ERROR_CONTROLS
 from repro.resilience import ClusterResilience
-from repro.resilience.adaptive import AdaptiveAckErrorControl
+from repro.sim import NullTracer, Simulator
 
 from ..counts import count
 
@@ -28,6 +32,47 @@ def msg(uid, to=1):
     return SimpleNamespace(msg_uid=uid, to_process=to, deadline=None)
 
 
+def bound_ec(policy):
+    """A policy bound to a stub MPS on a real simulator and registry."""
+    sim = Simulator()
+    ec = ERROR_CONTROLS.get(policy)(timeout_s=0.05)
+    ec.bind(SimpleNamespace(
+        sim=sim, pid=0, host=SimpleNamespace(tracer=NullTracer(sim)),
+        transport=SimpleNamespace(on_delivery_confirmed=lambda m: None)))
+    return sim, ec
+
+
+def round_trip(sim, ec, uid, rtt):
+    """Send ``uid``, let ``rtt`` pass, then ack it."""
+    ec.on_sent(msg(uid))
+    sim.timeout(rtt)
+    sim.run()
+    ec.on_ack(uid)
+
+
+# ``adaptive`` is ``ack`` with the estimator on: with it off, nothing
+# moves the timer, so ``ack`` schedules exactly as a fixed timeout does
+@given(rtt=st.floats(1e-9, 10.0))
+@settings(max_examples=25, deadline=None)
+def test_ack_timer_stays_at_timeout_s_after_any_round_trip(rtt):
+    sim, ec = bound_ec("ack")
+    round_trip(sim, ec, (0, 1), rtt)
+    ec.on_sent(msg((0, 2)))
+    assert ec._unacked[(0, 2)][1] == sim.now + ec.timeout_s
+    assert ec.rto == ec.timeout_s and ec.rtt_samples == 0
+    assert "ec.rto" not in sim.metrics.snapshot()
+
+
+def test_adaptive_gauge_is_registered_and_moves_on_a_clean_sample():
+    sim, ec = bound_ec("adaptive")
+    assert count(sim.metrics, "ec.rto", pid=0) == 0.05
+    round_trip(sim, ec, (0, 1), 0.004)
+    assert ec.rtt_samples == 1 and ec.rto != 0.05
+    assert count(sim.metrics, "ec.rto", pid=0) == ec.rto
+    ec.on_sent(msg((0, 2)))
+    assert ec._unacked[(0, 2)][1] == sim.now + ec.rto
+
+
 def test_first_sample_seeds_srtt_and_rttvar():
     ec, _ = make_unit_ec(timeout_s=0.05)
     assert ec.rto == 0.05                      # pre-sample: the static default
@@ -43,8 +88,8 @@ def test_rto_tracks_the_jacobson_recurrences():
     srtt, rttvar = ec.srtt, ec.rttvar
     ec._sample(0.04)
     assert ec.rttvar == pytest.approx(
-        (1 - ec.beta) * rttvar + ec.beta * abs(srtt - 0.04))
-    assert ec.srtt == pytest.approx((1 - ec.alpha) * srtt + ec.alpha * 0.04)
+        (1 - BETA) * rttvar + BETA * abs(srtt - 0.04))
+    assert ec.srtt == pytest.approx((1 - ALPHA) * srtt + ALPHA * 0.04)
     assert ec.rto == pytest.approx(
         min(max(ec.srtt + 4 * ec.rttvar, ec.min_rto_s), ec.max_rto_s))
 
@@ -130,7 +175,7 @@ def test_rejects_bad_estimator_parameters():
         AdaptiveAckErrorControl(min_rto_s=0.0)
     with pytest.raises(ValueError):
         AdaptiveAckErrorControl(min_rto_s=0.5, max_rto_s=0.1)
-    with pytest.raises(ValueError):
-        AdaptiveAckErrorControl(alpha=1.5)
+    with pytest.raises(TypeError):
+        AdaptiveAckErrorControl(alpha=1.5)   # RFC 6298's gains are fixed
     with pytest.raises(ValueError):
         AdaptiveAckErrorControl(retry_budget_s=0.0)
