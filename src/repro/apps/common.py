@@ -7,8 +7,8 @@ cluster, and :func:`platform_costs` returns the calibrated compute
 constants.  The applications use the paper's host-node model: process 0
 is the host, processes 1..N are the nodes, so an "N node" table row
 runs on an (N+1)-host cluster.  The two platforms are registered
-topologies too (``platform-ethernet`` / ``platform-nynet``), blueprints
-like every other.
+topologies too (``platform-ethernet`` / ``platform-nynet``): like every
+other, each builds its cluster in one call.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from functools import partial
 from typing import Optional
 
 from ..hosts import SUN_ELC, SUN_IPX
-from ..net import Cluster
-from ..net.blueprint import (TopologyBlueprint, blueprint_atm_lan,
-                             blueprint_ethernet, materialize)
+from ..net import Cluster, build_atm_cluster, build_ethernet_cluster
 from ..protocols import TcpParams
 from ..registry import TOPOLOGIES
 from .costs import AppCosts, ELC_COSTS, IPX_COSTS
 
-__all__ = ["PLATFORMS", "AppResult", "blueprint_platform",
-           "build_platform_cluster", "platform_costs", "ELC_TCP", "IPX_TCP"]
+__all__ = ["PLATFORMS", "AppResult", "build_platform_cluster",
+           "platform_costs", "ELC_TCP", "IPX_TCP"]
 
 #: 1995 SunOS TCP: ~5 KB socket buffers on the Ethernet ELCs (per-message
 #: tail segments stall on the 50 ms delayed-ACK timer), and the larger
@@ -67,29 +65,23 @@ class AppResult:
                 f"N={self.n_nodes}: {self.makespan_s:.3f}s {ok}>")
 
 
-def blueprint_platform(platform: str, n_hosts: int,
-                       **kw) -> TopologyBlueprint:
-    """An (n_hosts)-host blueprint of the named benchmark platform."""
+def build_platform_cluster(platform: str, n_hosts: int, **kw) -> Cluster:
+    """An (n_hosts)-host cluster of the named benchmark platform."""
     if platform == "ethernet":
         kw.setdefault("tcp_params", ELC_TCP)
-        return blueprint_ethernet(n_hosts, params=SUN_ELC, **kw)
+        return build_ethernet_cluster(n_hosts, params=SUN_ELC, **kw)
     if platform in ("nynet", "atm"):
         kw.setdefault("tcp_params", IPX_TCP)
-        return blueprint_atm_lan(n_hosts, params=SUN_IPX, **kw)
+        return build_atm_cluster(n_hosts, params=SUN_IPX, **kw)
     raise ValueError(f"unknown platform {platform!r}; "
                      f"expected one of {PLATFORMS}")
 
 
-def build_platform_cluster(platform: str, n_hosts: int, **kw) -> Cluster:
-    """An (n_hosts)-host cluster of the named benchmark platform."""
-    return materialize(blueprint_platform(platform, n_hosts, **kw))
-
-
 TOPOLOGIES.register(
-    "platform-ethernet", partial(blueprint_platform, "ethernet"),
+    "platform-ethernet", partial(build_platform_cluster, "ethernet"),
     help="Benchmark platform: SPARC ELCs + 1995 SunOS TCP on Ethernet")
 TOPOLOGIES.register(
-    "platform-nynet", partial(blueprint_platform, "nynet"),
+    "platform-nynet", partial(build_platform_cluster, "nynet"),
     help="Benchmark platform: SPARC IPXs + FORE-tuned TCP on the ATM LAN")
 
 

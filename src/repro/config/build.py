@@ -4,8 +4,7 @@ The construction pipeline every example, benchmark and ``python -m
 repro.run`` invocation now shares::
 
     ScenarioSpec
-        -> build_blueprint()   TOPOLOGIES[spec.cluster.topology](...)
-        -> build_cluster()     materialize(blueprint)
+        -> build_cluster()     TOPOLOGIES[spec.cluster.topology](...)
         -> build_runtime()     NcsRuntime(mode/flow/error by name)
                                + declared barriers
         -> build_fault_plan()  FaultSpec -> FaultPlan, armed via
@@ -32,13 +31,13 @@ from ..registry import (APP_DRIVERS, ERROR_CONTROLS, FLOW_CONTROLS, KERNELS,
 from .schema import read
 from .spec import ClusterSpec, ObsSpec, ScenarioSpec, SpecError
 
-__all__ = ["ensure_components", "build_blueprint", "build_cluster",
+__all__ = ["ensure_components", "build_cluster",
            "build_fault_plan", "build_runtime", "control_kwargs",
            "run_scenario", "ScenarioRun", "ScenarioResult"]
 
 _COMPONENT_MODULES = (
     "repro.core.api",        # transports, flow controls, none/ack/adaptive EC
-    "repro.net.blueprint",   # topologies
+    "repro.net",             # topologies
     "repro.faults.plan",     # fault kinds
     "repro.resilience",      # hsm-failover transport
     "repro.apps.drivers",    # app drivers (imports the apps themselves)
@@ -59,9 +58,9 @@ def ensure_components() -> None:
         importlib.import_module(mod)
 
 
-def build_blueprint(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
-    """The :class:`~repro.net.blueprint.TopologyBlueprint` a spec's
-    cluster table describes, via the topology registry.
+def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
+    """Build the whole cluster a spec's cluster table describes, via the
+    topology registry.
 
     Registered topologies must accept ``seed``/``trace``/``metrics``
     keyword arguments (and ``n_hosts`` where it applies); everything in
@@ -84,12 +83,6 @@ def build_blueprint(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
         raise SpecError(
             f"cluster.topology {cluster.topology!r} rejected its "
             f"arguments: {e}") from None
-
-
-def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
-    """Build the whole cluster a spec describes."""
-    from ..net.blueprint import materialize
-    return materialize(build_blueprint(cluster, obs))
 
 
 def build_fault_plan(spec: ScenarioSpec):

@@ -62,8 +62,9 @@ class ClusterSpec(Table):
     """Which topology builder to call, and with what.
 
     ``topology`` names a builder in :data:`repro.registry.TOPOLOGIES`
-    (builders register themselves at import: ``ethernet``, ``atm-lan``,
-    ``nynet``, ``nynet-testbed``, ``platform-ethernet``,
+    that returns the built cluster in one call (builders register
+    themselves at import: ``ethernet``, ``atm-lan``, ``atm-dual``,
+    ``nynet``, ``nynet-testbed``, ``wan-ring``, ``platform-ethernet``,
     ``platform-nynet``).  ``options`` are passed through as extra
     keyword arguments, read against the builder's signature when the
     cluster is built, so builder-specific knobs (``train_cells``,

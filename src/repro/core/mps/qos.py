@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from ...sim import check_param, check_size
 from .flow_control import (
     FlowControl, NoFlowControl, RateFlowControl, WindowFlowControl,
 )
@@ -56,10 +57,12 @@ class QosContract:
     latency_target_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate_bytes_s is not None and self.rate_bytes_s <= 0:
-            raise ValueError("rate must be positive")
-        if self.window_bytes is not None and self.window_bytes < 1:
-            raise ValueError("window must be positive")
+        if self.rate_bytes_s is not None:
+            check_param("rate_bytes_s", self.rate_bytes_s, positive=True)
+        if self.window_bytes is not None:
+            check_size("window_bytes", self.window_bytes)
+            if self.window_bytes < 1:
+                raise ValueError("window_bytes must be >= 1")
         if self.rate_bytes_s is not None and self.window_bytes is not None:
             raise ValueError("choose rate-based or window-based, not both")
 

@@ -13,32 +13,130 @@ sites hang off an OC-48 backbone switch; the downstate region connects
 through the DS-3 bottleneck.  Every host gets the same dual stack as
 ``atm-lan`` (a classical-IP PVC and a raw HSM PVC to any peer,
 established on first use), so any experiment can run unchanged over the
-WAN.  The registered topologies (``nynet``, ``nynet-testbed``,
-``wan-ring``) are blueprints in :mod:`repro.net.blueprint`; the helpers
-here build them.
+WAN.  The registered topologies ``nynet``, ``nynet-testbed`` and
+``wan-ring`` each build their cluster in one call, like the LANs of
+:mod:`repro.net.topology`.
 """
 
 from __future__ import annotations
 
-from .blueprint import (SiteSpec, blueprint_nynet, blueprint_nynet_testbed,
-                        blueprint_wan_ring, materialize)
-from .topology import Cluster
+from dataclasses import dataclass
+
+from ..atm import AtmSwitch, DS3, OC3
+from ..config.schema import build
+from ..hosts import HostParams, SUN_IPX
+from ..registry import TOPOLOGIES
+from .topology import Cluster, _add_host, _universe
 
 __all__ = ["SiteSpec", "build_nynet", "build_wan_ring", "nynet_testbed"]
 
 
-def build_nynet(sites: list[SiteSpec], **kw) -> Cluster:
-    """The ``nynet`` topology, built: see :func:`.blueprint_nynet`."""
-    return materialize(blueprint_nynet(sites, **kw))
+@dataclass(frozen=True)
+class SiteSpec:
+    """One NYNET site: a name, how many hosts, and which region it's in."""
+
+    name: str
+    n_hosts: int
+    region: str = "upstate"      # "upstate" | "downstate"
+
+    def __post_init__(self) -> None:
+        if self.n_hosts < 0:
+            raise ValueError(f"n_hosts: must be non-negative "
+                             f"(got {self.n_hosts!r})")
+        if self.region not in ("upstate", "downstate"):
+            raise ValueError(f"region: unknown region {self.region!r}")
 
 
-def nynet_testbed(n_upstate: int = 4, n_downstate: int = 2, **kw) -> Cluster:
-    """The ``nynet-testbed`` topology, built: see
-    :func:`.blueprint_nynet_testbed`."""
-    return materialize(blueprint_nynet_testbed(n_upstate, n_downstate, **kw))
+@TOPOLOGIES.register(
+    "nynet", help="The Fig 1 NYNET WAN from declarative site tables")
+def build_nynet(sites: list,
+                params: HostParams = SUN_IPX,
+                tcp_params=None,
+                seed: int = 1995,
+                trace: bool = False,
+                metrics: bool = True,
+                train_cells: int = 256,
+                preconnect: bool = True) -> Cluster:
+    """The Fig 1 testbed with the given sites.
+
+    Wiring: ``host --TAXI-- site switch --OC-3-- regional backbone``;
+    the two regional backbones (the upstate OC-48 ring collapsed to one
+    switch, and downstate) connect through the DS-3 link.  ``sites`` are
+    :class:`SiteSpec` rows or plain tables (``{name = ..., n_hosts = ...,
+    region = ...}``), so a scenario file can declare the whole WAN.
+    """
+    site_specs = [site if isinstance(site, SiteSpec)
+                  else build(SiteSpec, site, f"cluster.options.sites[{i}]")
+                  for i, site in enumerate(sites)]
+    if not site_specs or all(s.n_hosts == 0 for s in site_specs):
+        raise ValueError("need at least one site with hosts")
+    if len({s.name for s in site_specs}) != len(site_specs):
+        raise ValueError("site names must be unique")
+    cluster = _universe("nynet", seed, trace, metrics)
+    sim, fabric = cluster.sim, cluster.fabric
+    backbones = {region: fabric.add_switch(AtmSwitch(sim, f"bb-{region}"))
+                 for region in ("upstate", "downstate")}
+    fabric.connect(backbones["upstate"], backbones["downstate"], DS3)
+    for site in site_specs:
+        switch = fabric.add_switch(AtmSwitch(sim, f"sw-{site.name}"))
+        fabric.connect(switch, backbones[site.region], OC3)
+        for k in range(site.n_hosts):
+            _add_host(cluster, f"{site.name}{k}", params, tcp_params,
+                      preconnect, train_cells, switch)
+    return cluster
 
 
-def build_wan_ring(n_sites: int = 8, hosts_per_site: int = 1,
-                   **kw) -> Cluster:
-    """The ``wan-ring`` topology, built: see :func:`.blueprint_wan_ring`."""
-    return materialize(blueprint_wan_ring(n_sites, hosts_per_site, **kw))
+@TOPOLOGIES.register(
+    "nynet-testbed",
+    help="Two-region NYNET: upstate + downstate sites over the DS-3 (Fig 1)")
+def nynet_testbed(n_upstate: int = 4, n_downstate: int = 2,
+                  **kw) -> Cluster:
+    """The canonical two-region instance used by the Fig 1 benchmark:
+    a Syracuse-like upstate site and an NYC-like downstate site."""
+    return build_nynet([
+        SiteSpec("syr", n_upstate, "upstate"),
+        SiteSpec("nyc", n_downstate, "downstate"),
+    ], **kw)
+
+
+@TOPOLOGIES.register(
+    "wan-ring",
+    help="N site switches in a DS-3 ring, one shardable site per switch")
+def build_wan_ring(n_sites: int = 8,
+                   hosts_per_site: int = 1,
+                   params: HostParams = SUN_IPX,
+                   tcp_params=None,
+                   seed: int = 1995,
+                   trace: bool = False,
+                   metrics: bool = True,
+                   train_cells: int = 256,
+                   preconnect: bool = True) -> Cluster:
+    """A ring of NYNET-style sites for kernel-scaling experiments.
+
+    ``n_sites`` FORE switches sit on a DS-3 ring (each trunk is
+    deterministic and carries the full 2 ms propagation delay), with
+    ``hosts_per_site`` TAXI hosts behind each switch.  Because every
+    inter-site trunk is a switch-to-switch link with non-zero
+    propagation and no error RNG, the sharded kernel can cut the ring
+    anywhere: each site becomes its own shard group and the DS-3 delay
+    is the conservative lookahead.  Hosts get the same dual stack
+    (classical-IP PVCs + raw HSM PVCs) as every other topology.
+    """
+    if n_sites < 1:
+        raise ValueError("n_sites must be >= 1")
+    if hosts_per_site < 1:
+        raise ValueError("hosts_per_site must be >= 1")
+    cluster = _universe("wan-ring", seed, trace, metrics)
+    sim, fabric = cluster.sim, cluster.fabric
+    switches = [fabric.add_switch(AtmSwitch(sim, f"sw-r{i}"))
+                for i in range(n_sites)]
+    if n_sites == 2:            # a 2-ring would double the single trunk
+        fabric.connect(switches[0], switches[1], DS3)
+    elif n_sites > 2:
+        for i in range(n_sites):
+            fabric.connect(switches[i], switches[(i + 1) % n_sites], DS3)
+    for i, switch in enumerate(switches):
+        for k in range(hosts_per_site):
+            _add_host(cluster, f"r{i}h{k}", params, tcp_params, preconnect,
+                      train_cells, switch)
+    return cluster

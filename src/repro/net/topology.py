@@ -1,9 +1,17 @@
-"""The built cluster, and helpers that build the paper's LANs (§2).
+"""The built cluster, and the registered topologies of the paper's LANs (§2).
 
-Every :class:`Cluster` is what :func:`repro.net.blueprint.materialize`
-makes of a registered topology blueprint.  The ``build_*`` helpers
-below are that one path with the blueprint named in Python; the NYNET
-WAN of Fig 1 is in :mod:`repro.net.nynet`.
+A registered topology (:data:`repro.registry.TOPOLOGIES`) is a function
+that builds and returns a :class:`Cluster` in one call.  The three LANs
+are here; the NYNET WAN of Fig 1 and the ``wan-ring`` are in
+:mod:`repro.net.nynet`.  Every builder starts from :func:`_universe`
+and adds hosts with :func:`_add_host`, so two builds of one topology
+create their objects, RNG streams and metric series in the same order.
+
+Construction is O(hosts): nothing is provisioned per host *pair*.
+Virtual circuits and TCP connections come into being when a pair first
+talks (:mod:`repro.atm.signaling`), and because a circuit's identifier
+and labels are a pure function of ``(src, dst, service)``, shard
+workers need no knowledge of what other workers established.
 """
 
 from __future__ import annotations
@@ -11,16 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..atm import (AtmApi, AtmFabric, Service, SignalingController,
-                   VirtualChannel)
-from ..ethernet import EthernetLan
-from ..hosts import Host, OsProcess
-from ..obs.registry import MetricsRegistry
-from ..protocols import IpLayer, SocketLayer, TcpStack, UdpStack
-from ..sim import RngRegistry, Simulator, Tracer
-from .blueprint import (
-    blueprint_atm_dual, blueprint_atm_lan, blueprint_ethernet, materialize,
-)
+from ..atm import (AtmApi, AtmFabric, AtmSwitch, LinkSpec, Sba200Adapter,
+                   Service, SignalingController, TAXI_140, VirtualChannel)
+from ..ethernet import EthernetLan, EthernetNic
+from ..hosts import Host, HostParams, OsProcess, SUN_ELC, SUN_IPX
+from ..obs.registry import MetricsRegistry, NULL_REGISTRY
+from ..protocols import (AtmIpAdapter, EthernetIpAdapter, IpLayer,
+                         SocketLayer, TcpStack, UdpStack)
+from ..registry import TOPOLOGIES
+from ..sim import NullTracer, RngRegistry, Simulator, Tracer
 
 __all__ = ["NodeStack", "Cluster", "build_ethernet_cluster",
            "build_atm_cluster", "build_atm_dual_cluster"]
@@ -90,16 +97,146 @@ class Cluster:
                                       self.host(dst).name, Service.HSM)
 
 
-def build_ethernet_cluster(n_hosts: int, **kw) -> Cluster:
-    """The ``ethernet`` topology, built: see :func:`.blueprint_ethernet`."""
-    return materialize(blueprint_ethernet(n_hosts, **kw))
+# --------------------------------------------------------------------------
+# construction
+# --------------------------------------------------------------------------
+
+def _universe(medium: str, seed: int, trace: bool, metrics: bool,
+              lan: Optional[dict] = None, atm: bool = True) -> Cluster:
+    """A cluster with no hosts yet: simulator, RNG streams, tracer, then
+    the shared Ethernet (``lan``: its keyword arguments) and the ATM
+    fabric with its signalling (``atm``)."""
+    sim = Simulator(metrics=MetricsRegistry() if metrics else NULL_REGISTRY)
+    rngs = RngRegistry(seed)
+    tracer = Tracer(sim) if trace else NullTracer(sim)
+    ether = EthernetLan(sim, rngs=rngs, **lan) if lan is not None else None
+    fabric = AtmFabric(sim) if atm else None
+    return Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=[],
+                   medium=medium, lan=ether, fabric=fabric,
+                   signaling=SignalingController(fabric) if atm else None)
 
 
-def build_atm_cluster(n_hosts: int, **kw) -> Cluster:
-    """The ``atm-lan`` topology, built: see :func:`.blueprint_atm_lan`."""
-    return materialize(blueprint_atm_lan(n_hosts, **kw))
+def _add_host(cluster: Cluster, name: str, params: HostParams, tcp_params,
+              preconnect: bool, train_cells: int = 256,
+              switch: Optional[AtmSwitch] = None,
+              link_spec: LinkSpec = TAXI_140) -> None:
+    """Append one host's full stack, as pid ``len(cluster.stacks)``: an
+    Ethernet NIC if the cluster has a LAN, an SBA-200 linked to
+    ``switch`` if it has a fabric.  IP rides the LAN when there is one
+    (dual-rail), else classical IP over the fabric."""
+    sim = cluster.sim
+    host = Host(sim, name, cpu=params.cpu, os=params.os,
+                tracer=cluster.tracer)
+    nic = atm_api = None
+    if cluster.lan is not None:
+        nic = EthernetNic(sim, cluster.lan, name)
+        host.attach_interface("ethernet", nic)
+    if cluster.fabric is not None:
+        sba = Sba200Adapter(sim, name, train_cells=train_cells)
+        host.attach_interface("atm", sba)
+        cluster.fabric.add_adapter(sba)
+        rng = cluster.rngs.stream(f"link.{name}")
+        cluster.fabric.connect(sba, switch, link_spec, rng_a=rng, rng_b=rng)
+        atm_api = AtmApi(host)
+    ip_adapter = (EthernetIpAdapter(nic) if nic is not None
+                  else AtmIpAdapter(atm_api, cluster.signaling))
+    ip = IpLayer(sim, name, ip_adapter)
+    ip_adapter.bind(ip)
+    tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
+    cluster.stacks.append(NodeStack(
+        host=host, process=OsProcess(host, pid=len(cluster.stacks)), ip=ip,
+        tcp=tcp, socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
+        atm_api=atm_api))
 
 
-def build_atm_dual_cluster(n_hosts: int, **kw) -> Cluster:
-    """The ``atm-dual`` topology, built: see :func:`.blueprint_atm_dual`."""
-    return materialize(blueprint_atm_dual(n_hosts, **kw))
+# --------------------------------------------------------------------------
+# the registered LAN topologies
+# --------------------------------------------------------------------------
+
+@TOPOLOGIES.register(
+    "ethernet", help="N workstations on one shared 10 Mbps Ethernet (§2)")
+def build_ethernet_cluster(n_hosts: int,
+                           params: HostParams = SUN_ELC,
+                           tcp_params=None,
+                           seed: int = 1995,
+                           trace: bool = False,
+                           metrics: bool = True,
+                           collisions: bool = False,
+                           bandwidth_bps: float = 10e6,
+                           preconnect: bool = True) -> Cluster:
+    """N workstations on one shared Ethernet segment: the paper's
+    *SUN/Ethernet* platform (SPARCstation ELCs, §2)."""
+    if n_hosts < 1:
+        raise ValueError("need at least one host")
+    cluster = _universe("ethernet", seed, trace, metrics, atm=False,
+                        lan=dict(bandwidth_bps=bandwidth_bps,
+                                 collisions=collisions))
+    for i in range(n_hosts):
+        _add_host(cluster, f"n{i}", params, tcp_params, preconnect)
+    return cluster
+
+
+@TOPOLOGIES.register(
+    "atm-lan", help="N workstations star-wired to a FORE switch (§2)")
+def build_atm_cluster(n_hosts: int,
+                      params: HostParams = SUN_IPX,
+                      tcp_params=None,
+                      seed: int = 1995,
+                      trace: bool = False,
+                      metrics: bool = True,
+                      link_spec: LinkSpec = TAXI_140,
+                      switch_latency_s: float = 10e-6,
+                      train_cells: int = 256,
+                      preconnect: bool = True) -> Cluster:
+    """N workstations star-wired to one FORE switch over TAXI links: the
+    paper's *SUN/ATM LAN* platform (SPARCstation IPXs, §2).  Any pair of
+    hosts has a classical-IP PVC (TCP/p4/NSM traffic) and a raw PVC (NCS
+    High Speed Mode), each established on first use."""
+    if n_hosts < 1:
+        raise ValueError("need at least one host")
+    cluster = _universe("atm-lan", seed, trace, metrics)
+    switch = cluster.fabric.add_switch(AtmSwitch(
+        cluster.sim, "fore-sw", switching_latency_s=switch_latency_s))
+    for i in range(n_hosts):
+        _add_host(cluster, f"n{i}", params, tcp_params, preconnect,
+                  train_cells, switch, link_spec)
+    return cluster
+
+
+@TOPOLOGIES.register(
+    "atm-dual",
+    help="ATM fabric for HSM + separate Ethernet for NSM/TCP (dual-rail)")
+def build_atm_dual_cluster(n_hosts: int,
+                           params: HostParams = SUN_IPX,
+                           tcp_params=None,
+                           seed: int = 1995,
+                           trace: bool = False,
+                           metrics: bool = True,
+                           link_spec: LinkSpec = TAXI_140,
+                           switch_latency_s: float = 10e-6,
+                           train_cells: int = 256,
+                           bandwidth_bps: float = 10e6,
+                           collisions: bool = False,
+                           preconnect: bool = True) -> Cluster:
+    """Dual-rail cluster: every host has an SBA-200 on the ATM star *and*
+    an Ethernet NIC on a shared segment.
+
+    Unlike ``atm-lan`` — where classical-IP and the raw HSM PVCs share
+    the same TAXI links, so a link outage kills both service tiers at
+    once — here IP/TCP (and with it NSM and p4) runs over the Ethernet
+    while only HSM uses the fabric.  This is the topology that makes
+    HSM→NSM failover meaningful: the fast path can die while the slow
+    path survives.  (The paper's own testbed kept its Ethernet alongside
+    the ATM gear for exactly this kind of fallback.)
+    """
+    if n_hosts < 1:
+        raise ValueError("need at least one host")
+    cluster = _universe("atm-dual", seed, trace, metrics,
+                        lan=dict(bandwidth_bps=bandwidth_bps,
+                                 collisions=collisions))
+    switch = cluster.fabric.add_switch(AtmSwitch(
+        cluster.sim, "fore-sw", switching_latency_s=switch_latency_s))
+    for i in range(n_hosts):
+        _add_host(cluster, f"n{i}", params, tcp_params, preconnect,
+                  train_cells, switch, link_spec)
+    return cluster

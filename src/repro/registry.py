@@ -9,10 +9,10 @@ concept:
 
 * :data:`TRANSPORTS` — service-mode name -> transport factory
   (``repro.core.mps.transports``);
-* :data:`TOPOLOGIES` — topology name -> blueprint builder
-  (``repro.net.blueprint``, ``repro.apps.common``): the declarative
-  description :func:`repro.net.blueprint.materialize` builds a
-  cluster from;
+* :data:`TOPOLOGIES` — topology name -> cluster builder
+  (``repro.net.topology``, ``repro.net.nynet``, ``repro.apps.common``):
+  one call builds and returns the whole
+  :class:`~repro.net.topology.Cluster`;
 * :data:`FLOW_CONTROLS` / :data:`ERROR_CONTROLS` — policy name ->
   strategy class (``repro.core.mps.flow_control`` / ``error_control``);
 * :data:`APP_DRIVERS` — driver name -> scenario app driver
@@ -150,7 +150,7 @@ class Registry:
 #: service-mode name -> transport factory ``(runtime, pid) -> NcsTransport``
 TRANSPORTS = Registry("transport")
 
-#: topology name -> blueprint builder ``(**kwargs) -> TopologyBlueprint``
+#: topology name -> cluster builder ``(**kwargs) -> Cluster``
 TOPOLOGIES = Registry("topology builder")
 
 #: policy name -> :class:`~repro.core.mps.flow_control.FlowControl` class

@@ -68,8 +68,9 @@ class SimulationError(RuntimeError):
 def check_param(name: str, value: float, positive: bool = False) -> None:
     """Reject a model parameter that would become a delay or a rate the
     calendar cannot hold: NaN, an infinity, a negative (or, with
-    ``positive``, a zero) value."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    ``positive``, a zero) value, and a ``bool`` (not a number)."""
+    if isinstance(value, bool) or not (
+            math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be a finite number "
                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
 

@@ -38,12 +38,12 @@ def plan_shards(cluster, shards: int, shard_hints=None,
 
     A *host group* is the set of hosts attached to the same switch
     neighborhood.  Hinted groups (``shard_hints``: switch name -> shard
-    index) are pinned first; the rest are placed by the blueprint cost
-    model — heaviest group first onto the least-loaded shard (LPT),
-    where a group's weight is the sum of its pids' ``pid_weights``
-    (hosts x driver intensity; uniform 1.0 when None).  With uniform
-    weights and no hints this reduces exactly to round-robin in min-pid
-    order.  Topologies with a shared LAN medium or no ATM fabric
+    index) are pinned first; the rest are placed by the cost model of
+    :func:`pid_weights` — heaviest group first onto the least-loaded
+    shard (LPT), where a group's weight is the sum of its pids'
+    ``pid_weights`` (hosts x driver intensity; uniform 1.0 when None).
+    With uniform weights and no hints this reduces exactly to
+    round-robin in min-pid order.  Topologies with a shared LAN medium or no ATM fabric
     collapse to one shard.
     """
     hints = dict(shard_hints or {})
@@ -210,7 +210,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
 
 
 def pid_weights(spec: ScenarioSpec, n_hosts: int):
-    """Blueprint cost model: estimated event weight per pid.
+    """The plan's cost model: estimated event weight per pid.
 
     A site's weight is its hosts times driver intensity; point-to-point
     drivers (``pingpong``, ``stream``) load only pids 0 and 1, so their

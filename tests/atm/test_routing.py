@@ -19,7 +19,6 @@ import pytest
 from repro.atm import (AtmFabric, AtmSwitch, NoPathError, Sba200Adapter,
                        TAXI_140)
 from repro.config import ensure_components
-from repro.net.blueprint import materialize
 from repro.net.nynet import SiteSpec
 from repro.registry import TOPOLOGIES
 from repro.sim import Simulator
@@ -88,13 +87,12 @@ def assert_routes_are_networkx_routes(fabric):
 @pytest.mark.parametrize("name,kw", BUILDS, ids=IDS)
 def test_full_universe_routes(name, kw):
     assert_routes_are_networkx_routes(
-        materialize(TOPOLOGIES.get(name)(**kw)).fabric)
+        TOPOLOGIES.get(name)(**kw).fabric)
 
 
 def test_even_ring_ties_break_as_from_the_host():
     """The case the oracle is for: both ways round are equally long."""
-    fabric = materialize(TOPOLOGIES.get("wan-ring")(
-        n_sites=6, hosts_per_site=1)).fabric
+    fabric = TOPOLOGIES.get("wan-ring")(n_sites=6, hosts_per_site=1).fabric
     src, opposite = fabric.hosts[0], fabric.hosts[3]
     graph = oracle_graph(fabric)
     ways = list(nx.all_shortest_paths(graph, src, opposite,
@@ -120,7 +118,7 @@ def dijkstra_runs(monkeypatch):
 
 def test_a_star_all_to_all_runs_dijkstra_once(dijkstra_runs):
     """64 hosts, 4 032 circuits, one switch: one route computation."""
-    cluster = materialize(TOPOLOGIES.get("atm-lan")(n_hosts=64))
+    cluster = TOPOLOGIES.get("atm-lan")(n_hosts=64)
     for src in range(64):
         for dst in range(64):
             if src != dst:
@@ -129,8 +127,7 @@ def test_a_star_all_to_all_runs_dijkstra_once(dijkstra_runs):
 
 
 def test_a_ring_runs_dijkstra_once_per_switch(dijkstra_runs):
-    fabric = materialize(TOPOLOGIES.get("wan-ring")(
-        n_sites=4, hosts_per_site=3)).fabric
+    fabric = TOPOLOGIES.get("wan-ring")(n_sites=4, hosts_per_site=3).fabric
     for src in fabric.hosts:
         for dst in fabric.hosts:
             fabric.path_nodes(src, dst)

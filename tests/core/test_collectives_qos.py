@@ -103,6 +103,12 @@ class TestQosFramework:
     def test_contract_validation(self):
         with pytest.raises(ValueError):
             QosContract(rate_bytes_s=-1)
+        for rate in (float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="rate_bytes_s"):
+                QosContract(rate_bytes_s=rate)
+        for window in (2.5, True, "64"):
+            with pytest.raises(ValueError, match="window_bytes"):
+                QosContract(window_bytes=window)
         with pytest.raises(ValueError):
             QosContract(window_bytes=0)
         with pytest.raises(ValueError):

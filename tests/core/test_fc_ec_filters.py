@@ -169,11 +169,17 @@ class TestRateFlowControl:
 NAN, INF = float("nan"), float("inf")
 
 
+def taxi_link(**kw):
+    """A link spec whose one varied argument is the row's."""
+    return LinkSpec("taxi", **kw)
+
+
 # ``NcsRuntime(..., error_kwargs=...)`` / ``flow_kwargs=...`` reach these
 # constructors without the scenario schema: a NaN timeout never fired
 # (the pingpong ran to ``max_events``), so the constructor must refuse it.
 @pytest.mark.parametrize("policy,name,value", [
     (AckRetransmitErrorControl, "timeout_s", NAN),
+    (AckRetransmitErrorControl, "timeout_s", True),
     (AckRetransmitErrorControl, "check_interval_s", INF),
     (AckRetransmitErrorControl, "max_retries", True),
     (AckRetransmitErrorControl, "max_retries", 2.5),
@@ -181,9 +187,11 @@ NAN, INF = float("nan"), float("inf")
     (AdaptiveAckErrorControl, "max_rto_s", INF),
     (RateFlowControl, "rate_bytes_s", NAN),
     (RateFlowControl, "rate_bytes_s", INF),
+    (RateFlowControl, "rate_bytes_s", True),
     (WindowFlowControl, "window_bytes", True),
     (WindowFlowControl, "window_bytes", 2.5),
-], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+    (taxi_link, "bandwidth_bps", True),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_a_policy_rejects_a_bad_argument_by_name(policy, name, value):
     with pytest.raises(ValueError, match=name):
         policy(**{name: value})

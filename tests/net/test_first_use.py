@@ -166,15 +166,12 @@ SCALE_SCENARIO = (Path(__file__).resolve().parents[2]
 #: JSON line
 _BUILD_1024 = """
 import json, resource, sys, time
-from repro.config import load_scenario
-from repro.config.build import build_blueprint
-from repro.net.blueprint import materialize
+from repro.config import build_cluster, load_scenario
 from repro.sim.sharded.plan import plan_for
 
 spec = load_scenario(sys.argv[1])
-bp = build_blueprint(spec.cluster, spec.obs)
 t0 = time.perf_counter()
-cluster = materialize(bp)
+cluster = build_cluster(spec.cluster, spec.obs)
 wall_s = time.perf_counter() - t0
 rss_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 print(json.dumps({"n_hosts": cluster.n_hosts,

@@ -1,11 +1,11 @@
-"""Blueprint equivalence properties.
+"""Topology equivalence properties.
 
-Every registered topology returns a blueprint, and
-``materialize(blueprint)`` produces a cluster whose *construction
-signature* (host rows, fabric graph, routing graph, host directory, TCP
-state, full metrics snapshot — and, once every pair's circuits have
-been asked for, every VC id, label and switch-table row) is identical
-to the imperative builder kept in :mod:`tests.net.reference_builders`.
+Every registered topology builds a cluster in one call, and that
+cluster's *construction signature* (host rows, fabric graph, routing
+graph, host directory, TCP state, full metrics snapshot — and, once
+every pair's circuits have been asked for, every VC id, label and
+switch-table row) is identical to the imperative builder kept in
+:mod:`tests.net.reference_builders`.
 Trace-level byte identity is additionally gated by the perf-lock and
 sharded-determinism goldens.
 """
@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atm import Service
-from repro.config import ensure_components
-from repro.net.blueprint import TopologyBlueprint, materialize
+from repro.config import ClusterSpec, build_cluster, ensure_components
+from repro.net import Cluster
 from repro.net.nynet import SiteSpec
 from repro.registry import TOPOLOGIES
 
@@ -70,12 +70,12 @@ def construction_signature(cluster) -> dict:
     return sig
 
 
-def _bp_cluster(name: str, **kw):
-    return materialize(TOPOLOGIES.get(name)(**kw))
+def _built(name: str, **kw):
+    return TOPOLOGIES.get(name)(**kw)
 
 
 # --------------------------------------------------------------------------
-# equivalence: materialize(blueprint) == pre-refactor builder
+# equivalence: registered builder == pre-refactor builder
 # --------------------------------------------------------------------------
 
 #: arguments that build a small instance of each registered topology
@@ -83,12 +83,18 @@ _SMALL_ARGS = {"nynet": {"sites": [SiteSpec("s", 2)]},
                "nynet-testbed": {}, "wan-ring": {}}
 
 
-def test_every_registered_topology_returns_a_blueprint():
+def test_every_registered_topology_builds_a_cluster():
     ensure_components()
     assert len(TOPOLOGIES) == 8
     for name in TOPOLOGIES:
-        bp = TOPOLOGIES.get(name)(**_SMALL_ARGS.get(name, {"n_hosts": 2}))
-        assert isinstance(bp, TopologyBlueprint), name
+        kw = _SMALL_ARGS.get(name, {"n_hosts": 2})
+        cluster = TOPOLOGIES.get(name)(**kw)
+        assert isinstance(cluster, Cluster), name
+        options = {k: v for k, v in kw.items() if k != "n_hosts"}
+        spec = ClusterSpec(topology=name, n_hosts=kw.get("n_hosts"),
+                           options=options)
+        assert construction_signature(build_cluster(spec)) \
+            == construction_signature(cluster), name
 
 
 @SMALL
@@ -97,8 +103,8 @@ def test_every_registered_topology_returns_a_blueprint():
 def test_ethernet_equivalence(n_hosts, preconnect, metrics):
     ref = reference_ethernet_cluster(n_hosts, preconnect=preconnect,
                                      metrics=metrics)
-    new = _bp_cluster("ethernet", n_hosts=n_hosts, preconnect=preconnect,
-                      metrics=metrics)
+    new = _built("ethernet", n_hosts=n_hosts, preconnect=preconnect,
+                 metrics=metrics)
     assert construction_signature(new) == construction_signature(ref)
 
 
@@ -108,8 +114,8 @@ def test_ethernet_equivalence(n_hosts, preconnect, metrics):
 def test_atm_lan_equivalence(n_hosts, train_cells, preconnect):
     ref = reference_atm_cluster(n_hosts, train_cells=train_cells,
                                 preconnect=preconnect)
-    new = _bp_cluster("atm-lan", n_hosts=n_hosts, train_cells=train_cells,
-                      preconnect=preconnect)
+    new = _built("atm-lan", n_hosts=n_hosts, train_cells=train_cells,
+                 preconnect=preconnect)
     assert construction_signature(new) == construction_signature(ref)
 
 
@@ -117,7 +123,7 @@ def test_atm_lan_equivalence(n_hosts, train_cells, preconnect):
 @given(n_hosts=st.integers(1, 4), preconnect=st.booleans())
 def test_atm_dual_equivalence(n_hosts, preconnect):
     ref = reference_atm_dual_cluster(n_hosts, preconnect=preconnect)
-    new = _bp_cluster("atm-dual", n_hosts=n_hosts, preconnect=preconnect)
+    new = _built("atm-dual", n_hosts=n_hosts, preconnect=preconnect)
     assert construction_signature(new) == construction_signature(ref)
 
 
@@ -133,14 +139,14 @@ _SITES = st.lists(
 @given(sites=_SITES, preconnect=st.booleans())
 def test_nynet_equivalence(sites, preconnect):
     ref = reference_nynet(sites, preconnect=preconnect)
-    new = _bp_cluster("nynet", sites=sites, preconnect=preconnect)
+    new = _built("nynet", sites=sites, preconnect=preconnect)
     assert construction_signature(new) == construction_signature(ref)
 
 
 def test_nynet_testbed_equivalence():
     ref = reference_nynet([SiteSpec("syr", 3, "upstate"),
                            SiteSpec("nyc", 2, "downstate")])
-    new = _bp_cluster("nynet-testbed", n_upstate=3, n_downstate=2)
+    new = _built("nynet-testbed", n_upstate=3, n_downstate=2)
     assert construction_signature(new) == construction_signature(ref)
 
 
@@ -150,12 +156,12 @@ def test_nynet_testbed_equivalence():
 def test_wan_ring_equivalence(n_sites, hosts_per_site, preconnect):
     ref = reference_wan_ring(n_sites=n_sites, hosts_per_site=hosts_per_site,
                              preconnect=preconnect)
-    new = _bp_cluster("wan-ring", n_sites=n_sites,
-                      hosts_per_site=hosts_per_site, preconnect=preconnect)
+    new = _built("wan-ring", n_sites=n_sites,
+                 hosts_per_site=hosts_per_site, preconnect=preconnect)
     assert construction_signature(new) == construction_signature(ref)
 
 
-def test_blueprint_validation_errors_match():
+def test_builder_validation_errors_match():
     import pytest
     for name, kw, msg in [
             ("ethernet", {"n_hosts": 0}, "need at least one host"),

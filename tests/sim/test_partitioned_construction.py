@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import ensure_components
 from repro.config.spec import ScenarioSpec
-from repro.net.blueprint import blueprint_wan_ring, materialize
+from repro.net.nynet import build_wan_ring
 from repro.registry import KERNELS
 from repro.sim.sharded import ShardFallbackWarning, plan_shards
 from repro.sim.sharded.plan import pid_weights
@@ -96,10 +96,10 @@ def test_cost_model_isolates_point_to_point_hotspot():
         "cluster": {"topology": "wan-ring",
                     "options": {"n_sites": 4, "hosts_per_site": 2}},
         "app": {"driver": "pingpong"}})
-    bp = blueprint_wan_ring(n_sites=4, hosts_per_site=2)
-    weights = pid_weights(spec, bp.n_hosts)
+    cluster = build_wan_ring(n_sites=4, hosts_per_site=2)
+    weights = pid_weights(spec, cluster.n_hosts)
     assert weights[0] == 1.0 and weights[2] < 1.0
-    plan = plan_shards(materialize(bp), 2, pid_weights=weights)
+    plan = plan_shards(cluster, 2, pid_weights=weights)
     assert plan.n_shards == 2
     # the hot site (pids 0/1) sits alone; all three cold sites share
     assert {plan.pid_shard[0], plan.pid_shard[1]} == {0}
