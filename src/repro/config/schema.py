@@ -14,8 +14,9 @@ canonical form.  Nothing else states them.
 The type rule is the one the app drivers always used: a value must be
 an instance of the declared type, an ``int`` stands for a ``float``, a
 ``bool`` stands for nothing else, and every float (anywhere in a table)
-must be finite.  Parameters whose type the reader does not know
-(``params: HostParams``, an unannotated ``tcp_params=None``) pass
+must be finite.  A parameter annotated with any other class
+(``params: HostParams``, ``tcp_params: Optional[TcpParams]``) takes
+only an instance of it; an unannotated one (a ``None`` default) passes
 through unchecked.  What a type cannot state (``> 0``, orderings,
 one-of choices) stays in the declaring class's ``__post_init__``.
 """
@@ -186,6 +187,8 @@ def _shape(hint) -> tuple:
         return ("table", *(args or (str, None)))
     if isinstance(hint, type) and issubclass(hint, Table):
         return "spec", hint
+    if isinstance(hint, type) and not issubclass(hint, (Mapping, Sequence)):
+        return "instance", hint
     return "any", None
 
 
@@ -221,6 +224,8 @@ def check(value, hint, path: str):
             raise SpecError(f"{path} must be a {kind.__name__} or a "
                             f"table, got {value!r}")
         return build(kind, value, path)
+    elif shape == "instance" and not isinstance(value, kind):
+        raise SpecError(f"{path} must be a {kind.__name__}, got {value!r}")
     return _finite(value, path)
 
 

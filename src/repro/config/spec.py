@@ -360,13 +360,11 @@ class ScenarioSpec(Table):
     ``kernel`` names a simulation kernel in
     :data:`repro.registry.KERNELS` (``single`` — the default in-process
     event loop — or ``sharded``); ``shards`` > 1 auto-selects the
-    sharded kernel and sets its worker count, and ``shard_hints`` pins
-    named host groups (a host's directly-attached switch, e.g.
-    ``"sw-syr"``) to explicit shard indices instead of the default
-    round-robin assignment.  ``supervision`` (a ``[runtime.supervision]``
-    table) bounds every coordinator wait with wall-clock deadlines and
-    selects the recovery policy applied when a shard worker crashes or
-    hangs (:class:`SupervisionSpec`); it is inert on the single kernel.
+    sharded kernel and sets its worker count.  ``supervision`` (a
+    ``[runtime.supervision]`` table) bounds every coordinator wait with
+    wall-clock deadlines and selects the recovery policy applied when a
+    shard worker crashes or hangs (:class:`SupervisionSpec`); it is
+    inert on the single kernel.
     """
 
     name: str
@@ -381,8 +379,6 @@ class ScenarioSpec(Table):
     barriers: dict[int, int] = field(default_factory=dict, metadata=RUNTIME)
     kernel: str = field(default="single", metadata=RUNTIME)
     shards: int = field(default=1, metadata=RUNTIME)
-    shard_hints: dict[str, int] = field(default_factory=dict,
-                                        metadata=RUNTIME)
     supervision: SupervisionSpec = field(default_factory=SupervisionSpec,
                                          metadata=RUNTIME)
     app: Optional[AppSpec] = None
@@ -402,10 +398,6 @@ class ScenarioSpec(Table):
         if self.shards < 1:
             raise _err("runtime.shards",
                        f"must be a positive integer (got {self.shards!r})")
-        for group, shard in self.shard_hints.items():
-            if shard < 0:
-                raise _err(f"runtime.shard_hints.{group}", f"shard index "
-                           f"must be a non-negative integer (got {shard!r})")
         if self.shards > 1 and self.kernel == "single":
             # shards > 1 is meaningless on the single kernel: selecting
             # the shard count selects the sharded kernel

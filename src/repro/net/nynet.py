@@ -21,10 +21,12 @@ WAN.  The registered topologies ``nynet``, ``nynet-testbed`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..atm import AtmSwitch, DS3, OC3
 from ..config.schema import build
 from ..hosts import HostParams, SUN_IPX
+from ..protocols import TcpParams
 from ..registry import TOPOLOGIES
 from .topology import Cluster, _add_host, _universe
 
@@ -40,8 +42,9 @@ class SiteSpec:
     region: str = "upstate"      # "upstate" | "downstate"
 
     def __post_init__(self) -> None:
-        if self.n_hosts < 0:
-            raise ValueError(f"n_hosts: must be non-negative "
+        if (isinstance(self.n_hosts, bool)
+                or not isinstance(self.n_hosts, int) or self.n_hosts < 0):
+            raise ValueError(f"n_hosts: must be a non-negative integer "
                              f"(got {self.n_hosts!r})")
         if self.region not in ("upstate", "downstate"):
             raise ValueError(f"region: unknown region {self.region!r}")
@@ -51,7 +54,7 @@ class SiteSpec:
     "nynet", help="The Fig 1 NYNET WAN from declarative site tables")
 def build_nynet(sites: list,
                 params: HostParams = SUN_IPX,
-                tcp_params=None,
+                tcp_params: Optional[TcpParams] = None,
                 seed: int = 1995,
                 trace: bool = False,
                 metrics: bool = True,
@@ -105,7 +108,7 @@ def nynet_testbed(n_upstate: int = 4, n_downstate: int = 2,
 def build_wan_ring(n_sites: int = 8,
                    hosts_per_site: int = 1,
                    params: HostParams = SUN_IPX,
-                   tcp_params=None,
+                   tcp_params: Optional[TcpParams] = None,
                    seed: int = 1995,
                    trace: bool = False,
                    metrics: bool = True,

@@ -25,7 +25,7 @@ from ..ethernet import EthernetLan, EthernetNic
 from ..hosts import Host, HostParams, OsProcess, SUN_ELC, SUN_IPX
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..protocols import (AtmIpAdapter, EthernetIpAdapter, IpLayer,
-                         SocketLayer, TcpStack, UdpStack)
+                         SocketLayer, TcpParams, TcpStack, UdpStack)
 from ..registry import TOPOLOGIES
 from ..sim import NullTracer, RngRegistry, Simulator, Tracer
 
@@ -157,7 +157,7 @@ def _add_host(cluster: Cluster, name: str, params: HostParams, tcp_params,
     "ethernet", help="N workstations on one shared 10 Mbps Ethernet (§2)")
 def build_ethernet_cluster(n_hosts: int,
                            params: HostParams = SUN_ELC,
-                           tcp_params=None,
+                           tcp_params: Optional[TcpParams] = None,
                            seed: int = 1995,
                            trace: bool = False,
                            metrics: bool = True,
@@ -180,7 +180,7 @@ def build_ethernet_cluster(n_hosts: int,
     "atm-lan", help="N workstations star-wired to a FORE switch (§2)")
 def build_atm_cluster(n_hosts: int,
                       params: HostParams = SUN_IPX,
-                      tcp_params=None,
+                      tcp_params: Optional[TcpParams] = None,
                       seed: int = 1995,
                       trace: bool = False,
                       metrics: bool = True,
@@ -208,7 +208,7 @@ def build_atm_cluster(n_hosts: int,
     help="ATM fabric for HSM + separate Ethernet for NSM/TCP (dual-rail)")
 def build_atm_dual_cluster(n_hosts: int,
                            params: HostParams = SUN_IPX,
-                           tcp_params=None,
+                           tcp_params: Optional[TcpParams] = None,
                            seed: int = 1995,
                            trace: bool = False,
                            metrics: bool = True,

@@ -33,8 +33,7 @@ __all__ = [
     "iter_records", "to_chrome_events",
     "counter_total", "histogram_family", "histogram_quantile",
     "merge_histograms",
-    "RECOVERY_COUNTERS", "SUPERVISOR_ENTITY", "recovery_series",
-    "stamp_recovery", "stamp_recovery_snapshot",
+    "RECOVERY_COUNTERS", "SUPERVISOR_ENTITY", "stamp_recovery",
 ]
 
 _EXPORT_NAMES = {"entity_track", "export_chrome_trace", "export_jsonl",
@@ -42,8 +41,7 @@ _EXPORT_NAMES = {"entity_track", "export_chrome_trace", "export_jsonl",
 _KPI_NAMES = {"counter_total", "histogram_family", "histogram_quantile",
               "merge_histograms"}
 _RECOVERY_NAMES = {"RECOVERY_COUNTERS", "SUPERVISOR_ENTITY",
-                   "recovery_series", "stamp_recovery",
-                   "stamp_recovery_snapshot"}
+                   "stamp_recovery"}
 
 
 def __getattr__(name: str):

@@ -3,11 +3,11 @@
 When the sharded kernel's supervision layer (:mod:`repro.sim.sharded`)
 detects a failed shard worker and recovers — by relaunching the sharded
 run or degrading to the single kernel — the recovery must be *loud*:
-stamped into the metric snapshot (so fleets can aggregate it from
-``metrics.json``) and, when tracing is on, onto the trace event stream
-(entity ``supervisor``).  This module owns the names and the stamping
-so the coordinator, the fallback path and the diagnostics report all
-agree on the schema.
+stamped into the run's metrics registry (so fleets can aggregate it
+from ``metrics.json``) and, when tracing is on, onto its trace event
+stream (entity ``supervisor``).  Either way the run's result holds a
+live :class:`~repro.net.Cluster`, so one function,
+:func:`stamp_recovery`, stamps both paths onto its registry and tracer.
 
 All ``kernel.*`` series (including these) are execution-substrate
 telemetry, not simulated behaviour: the perf-lock/behaviour walls strip
@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = [
-    "RECOVERY_COUNTERS", "SUPERVISOR_ENTITY",
-    "recovery_series", "stamp_recovery", "stamp_recovery_snapshot",
-]
+__all__ = ["RECOVERY_COUNTERS", "SUPERVISOR_ENTITY", "stamp_recovery"]
 
 #: every counter the supervision layer may stamp, in report order
 RECOVERY_COUNTERS = (
@@ -36,64 +33,28 @@ RECOVERY_COUNTERS = (
 SUPERVISOR_ENTITY = "supervisor"
 
 
-def recovery_series(failures: Iterable[Any], retries: int = 0,
-                    fallback_reason: str | None = None) -> dict:
-    """The ``kernel.recovery.*`` snapshot series for one recovered run.
-
-    ``failures`` are :class:`~repro.sim.sharded.ShardWorkerError`-shaped
-    objects (``.reason`` and ``.shard`` attributes).  Label strings use
-    the registry's canonical sorted ``k=v`` form so merged-snapshot
-    series are indistinguishable from registry-built ones.
-    """
-    out: dict[str, dict[str, Any]] = {}
-    fail_counts: dict[str, int] = {}
-    for f in failures:
-        key = f"reason={f.reason},shard={f.shard}"
-        fail_counts[key] = fail_counts.get(key, 0) + 1
-    if fail_counts:
-        out["kernel.recovery.worker_failures"] = dict(
-            sorted(fail_counts.items()))
-    if retries:
-        out["kernel.recovery.retries"] = {"": retries}
-    if fallback_reason is not None:
-        out["kernel.recovery.fallbacks"] = {f"reason={fallback_reason}": 1}
-    return out
-
-
 def stamp_recovery(metrics, tracer, failures: Iterable[Any],
                    retries: int = 0,
                    fallback_reason: str | None = None) -> None:
-    """Stamp a recovery onto a live registry + tracer (fallback path).
+    """Stamp a recovery onto a run's registry and tracer.
 
-    ``metrics``/``tracer`` may be disabled or facade objects — anything
-    without a ``counter`` factory (or with tracing off) is skipped, so
-    the stamp never fails a run that already survived a worker failure.
+    ``failures`` are :class:`~repro.sim.sharded.ShardWorkerError`-shaped
+    objects (``.reason`` and ``.shard`` attributes).  A disabled
+    registry or tracer records nothing, as it does for every layer.
     """
-    if metrics is not None and hasattr(metrics, "counter"):
-        for f in failures:
-            metrics.counter(
-                "kernel.recovery.worker_failures",
-                help="shard worker failures classified by the supervisor",
-                reason=f.reason, shard=f.shard).inc()
-        if retries:
-            metrics.counter(
-                "kernel.recovery.retries",
-                help="sharded-run relaunches after a worker failure",
-            ).inc(retries)
-        if fallback_reason is not None:
-            metrics.counter(
-                "kernel.recovery.fallbacks",
-                help="recoveries that degraded to the single kernel",
-                reason=fallback_reason).inc()
-    if tracer is not None and getattr(tracer, "enabled", False):
-        for f in failures:
-            tracer.point(SUPERVISOR_ENTITY, "kernel.recovery", str(f))
-
-
-def stamp_recovery_snapshot(snapshot: dict, failures: Iterable[Any],
-                            retries: int = 0,
-                            fallback_reason: str | None = None) -> None:
-    """Merge recovery series into an already-merged snapshot (retry
-    path, where no live registry exists anymore)."""
-    snapshot.update(recovery_series(failures, retries=retries,
-                                    fallback_reason=fallback_reason))
+    for f in failures:
+        metrics.counter(
+            "kernel.recovery.worker_failures",
+            help="shard worker failures classified by the supervisor",
+            reason=f.reason, shard=f.shard).inc()
+        tracer.point(SUPERVISOR_ENTITY, "kernel.recovery", str(f))
+    if retries:
+        metrics.counter(
+            "kernel.recovery.retries",
+            help="sharded-run relaunches after a worker failure",
+        ).inc(retries)
+    if fallback_reason is not None:
+        metrics.counter(
+            "kernel.recovery.fallbacks",
+            help="recoveries that degraded to the single kernel",
+            reason=fallback_reason).inc()

@@ -221,8 +221,6 @@ class MetricsRegistry:
         self._metrics: dict[str, dict[LabelKey, Any]] = {}
         #: name -> declared kind + help (first registration wins)
         self._meta: dict[str, tuple[str, str]] = {}
-        #: pull-model sources invoked at snapshot time: fn(registry)
-        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
 
     # ------------------------------------------------------------ factories
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
@@ -261,15 +259,6 @@ class MetricsRegistry:
             inst = family[key] = cls(name, key, **kw)
         return inst
 
-    # ------------------------------------------------------------ collectors
-    def register_collector(self,
-                           fn: Callable[["MetricsRegistry"], None]) -> None:
-        """Register a pull source: ``fn(registry)`` runs at snapshot time
-        and may set gauges for state that is cheaper to read than to
-        track (live thread counts, queue depths...)."""
-        if self.enabled:
-            self._collectors.append(fn)
-
     # -------------------------------------------------------------- reading
     def names(self) -> list[str]:
         return sorted(self._metrics)
@@ -296,8 +285,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """``{metric-name: {label-string: value}}``, deterministically
         ordered; histograms expand to their bucket dict."""
-        for fn in self._collectors:
-            fn(self)
         out: dict[str, dict[str, Any]] = {}
         for name in sorted(self._metrics):
             family = self._metrics[name]
@@ -308,6 +295,29 @@ class MetricsRegistry:
     def describe(self) -> dict[str, tuple[str, str]]:
         """``{name: (kind, help)}`` for every registered metric."""
         return dict(sorted(self._meta.items()))
+
+    def merge(self, registries: list["MetricsRegistry"],
+              pick: Callable[[str, dict, list], Any]) -> None:
+        """Replace every series here by a merge of ``registries``'.
+
+        For each name and label set any of them holds, ``pick(name,
+        labels, copies)`` returns the instrument to keep; ``copies[i]``
+        is registry ``i``'s instrument, or ``None`` where it has none.
+        A disabled registry stays empty.
+        """
+        if not self.enabled:
+            return
+        meta: dict[str, tuple[str, str]] = {}
+        for reg in registries:
+            for name in reg._metrics:
+                meta.setdefault(name, reg._meta[name])
+        metrics: dict[str, dict[LabelKey, Any]] = {}
+        for name in sorted(meta):
+            families = [reg._metrics.get(name, {}) for reg in registries]
+            metrics[name] = {
+                key: pick(name, dict(key), [f.get(key) for f in families])
+                for key in dict.fromkeys(k for f in families for k in f)}
+        self._metrics, self._meta = metrics, meta
 
 
 #: the shared disabled registry: hand this to a :class:`~repro.sim.Simulator`

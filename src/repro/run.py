@@ -74,8 +74,7 @@ def _summarize(result) -> str:
     # a sharded run that recovered from a worker failure says so
     if result.cluster is not None:
         from .obs import RECOVERY_COUNTERS
-        metrics = result.cluster.metrics
-        snap = metrics.snapshot() if hasattr(metrics, "snapshot") else {}
+        snap = result.cluster.metrics.snapshot()
         for name in RECOVERY_COUNTERS:
             for label, count in sorted(snap.get(name, {}).items()):
                 tag = f"{name}{{{label}}}" if label else name

@@ -11,8 +11,8 @@ The package follows the run's seams:
 * :mod:`.plan` — which shard owns each pid, host, switch and channel,
   computed once on the built cluster;
 * :mod:`.worker` — one shard: forked off the coordinator's built,
-  never-run cluster, it starts only the pids it owns and runs the app
-  driver unchanged, with
+  never-run cluster and runtime, it starts only the pids it owns and
+  runs the app driver unchanged, with
   :meth:`NcsRuntime.advance <repro.core.api.NcsRuntime.advance>`
   replaced by the window protocol, so every check ``rt.run()`` makes
   at the end is the single kernel's;
@@ -21,7 +21,9 @@ The package follows the run's seams:
 * :mod:`.supervise` — wall-clock watchdogs that classify a crashed,
   hung or poisoned worker as :class:`ShardWorkerError`;
 * :mod:`.merge` — per-shard metrics, traces and driver values merged
-  into one :class:`~repro.config.build.ScenarioResult`;
+  into the coordinator's own cluster, whose registry, tracer, clock and
+  runtime the :class:`~repro.config.build.ScenarioResult` carries, as
+  on the single kernel;
 * this module — the registered ``sharded`` kernel: plan, fork, run the
   protocol, recover per ``[runtime.supervision]``, merge.
 
@@ -58,8 +60,7 @@ from ...config.build import ScenarioResult, ScenarioRun, build_cluster
 from ...config.spec import ScenarioSpec, SpecError
 from ...obs.recovery import stamp_recovery
 from ...registry import APP_DRIVERS, KERNELS
-from .merge import (UNMERGEABLE_DRIVERS, MergedMetrics, MergedTracer,
-                    ShardedClusterView, merged_result)
+from .merge import UNMERGEABLE_DRIVERS, merged_result
 from .plan import ShardPlan, plan_for, plan_shards
 from .protocol import (CutEvent, coordinate, merge_cut_events, merge_key,
                        next_window)
@@ -69,8 +70,7 @@ from .worker import run_worker
 __all__ = [
     "CutEvent", "ShardPlan", "ShardFallbackWarning", "ShardWorkerError",
     "plan_shards", "merge_key", "merge_cut_events", "next_window",
-    "run_scenario_sharded", "MergedMetrics", "MergedTracer",
-    "ShardedClusterView",
+    "run_scenario_sharded",
 ]
 
 logger = logging.getLogger(__name__)
@@ -119,16 +119,15 @@ def _fallback_single(spec: ScenarioSpec, reason: str, detail: str,
         logger.info("scenario %r: shard fallback [%s]: %s",
                     spec.name, reason, detail)
     result = KERNELS.get("single")(spec)
-    if degraded:
-        metrics = getattr(result.cluster, "metrics", None)
-        if metrics is not None and hasattr(metrics, "counter"):
-            metrics.counter(
-                "kernel.shard_fallback",
-                help="sharded-kernel runs degraded to the single kernel",
-                reason=reason).inc()
+    if degraded and result.cluster is not None:
+        metrics = result.cluster.metrics
+        metrics.counter(
+            "kernel.shard_fallback",
+            help="sharded-kernel runs degraded to the single kernel",
+            reason=reason).inc()
         if failures:
-            stamp_recovery(metrics, getattr(result.cluster, "tracer", None),
-                           failures, retries=retries, fallback_reason=reason)
+            stamp_recovery(metrics, result.cluster.tracer, failures,
+                           retries=retries, fallback_reason=reason)
     return result
 
 
@@ -136,8 +135,8 @@ def _fallback_single(spec: ScenarioSpec, reason: str, detail: str,
     "sharded",
     help="conservative parallel kernel: one worker universe per host group")
 def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
-    """Execute ``spec`` across forked shard workers and merge one
-    result view.
+    """Execute ``spec`` across forked shard workers and merge their
+    results into the coordinator's cluster.
 
     When the plan collapses to one shard, or the platform cannot fork,
     the registered ``single`` kernel runs instead, bit-identically
@@ -151,8 +150,9 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
     byte-identical to an undisturbed one, with the recovery itself
     visible in ``kernel.recovery.*``.
 
-    The coordinator builds the whole cluster once, plans on it, and
-    forks every worker (and every retry) off it, never running it.  A
+    The coordinator builds the whole cluster and the spec's runtime
+    once, plans on the cluster, and forks every worker (and every
+    retry) off them, never running them.  A
     spec whose cluster table names no complete topology (the
     self-contained table apps build their own platform cluster) runs on
     the single kernel, and so do :data:`UNMERGEABLE_DRIVERS`.
@@ -202,6 +202,7 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
         "scenario %r: %d shard(s), lookahead %.6gs, loads %s",
         spec.name, plan.n_shards, plan.lookahead,
         [round(w, 3) for w in plan.shard_loads])
+    run.runtime                   # built once; every worker forks off it
     supervision = spec.supervision
     failures: list[ShardWorkerError] = []
     attempt = 0
@@ -229,4 +230,4 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
             sup.shutdown()
             raise
         sup.shutdown()
-        return merged_result(spec, plan, payloads, failures, retries=attempt)
+        return merged_result(run, plan, payloads, failures, retries=attempt)

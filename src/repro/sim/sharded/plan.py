@@ -32,21 +32,18 @@ class ShardPlan:
         return sorted(p for p, s in self.pid_shard.items() if s == shard)
 
 
-def plan_shards(cluster, shards: int, shard_hints=None,
-                pid_weights=None) -> ShardPlan:
+def plan_shards(cluster, shards: int, pid_weights=None) -> ShardPlan:
     """Partition ``cluster`` into at most ``shards`` host-group shards.
 
     A *host group* is the set of hosts attached to the same switch
-    neighborhood.  Hinted groups (``shard_hints``: switch name -> shard
-    index) are pinned first; the rest are placed by the cost model of
+    neighborhood.  Groups are placed by the cost model of
     :func:`pid_weights` — heaviest group first onto the least-loaded
     shard (LPT), where a group's weight is the sum of its pids'
     ``pid_weights`` (hosts x driver intensity; uniform 1.0 when None).
-    With uniform weights and no hints this reduces exactly to
-    round-robin in min-pid order.  Topologies with a shared LAN medium or no ATM fabric
+    With uniform weights this reduces exactly to round-robin in min-pid
+    order.  Topologies with a shared LAN medium or no ATM fabric
     collapse to one shard.
     """
-    hints = dict(shard_hints or {})
     weights = pid_weights or {}
     n = cluster.n_hosts
     host_names = [cluster.host(pid).name for pid in range(n)]
@@ -90,45 +87,18 @@ def plan_shards(cluster, shards: int, shard_hints=None,
     if eff <= 1:
         return trivial()
 
-    for sw, s in hints.items():
-        if sw not in switches:
-            raise SpecError(
-                f"runtime.shard_hints names unknown switch {sw!r}; "
-                f"switches: {', '.join(sorted(switches))}")
-        if not (0 <= s < eff):
-            raise SpecError(
-                f"runtime.shard_hints[{sw!r}] = {s} is out of range for "
-                f"{eff} effective shard(s) (runtime.shards = {shards}, "
-                f"{len(ordered)} host group(s))")
-
-    # ---- assign groups: hints pin theirs first (pre-loading the
-    # shards), then free groups go heaviest-first onto the least-loaded
-    # shard (LPT).  Uniform weights degrade to round-robin: free groups
-    # stay in min-pid order and each placement bumps one shard by the
-    # same amount, so the least-loaded lowest-index shard cycles
+    # ---- assign groups heaviest-first onto the least-loaded shard
+    # (LPT).  Uniform weights degrade to round-robin: groups stay in
+    # min-pid order and each placement bumps one shard by the same
+    # amount, so the least-loaded lowest-index shard cycles
     # 0, 1, ..., eff-1, 0, ...
     group_weights = {key: sum(weights.get(pid, 1.0) for pid in pids)
                      for key, pids in ordered}
     pid_shard: dict[int, int] = {}
     group_shard: list[tuple[tuple[str, ...], list[int], int]] = []
     loads = [0.0] * eff
-    free: list[tuple[tuple[str, ...], list[int]]] = []
-    for key, pids in ordered:
-        hinted = sorted({hints[swn] for swn in key if swn in hints})
-        if len(hinted) > 1:
-            raise SpecError(
-                f"runtime.shard_hints conflict for host group {key}: "
-                f"hinted shards {hinted}")
-        if hinted:
-            s = hinted[0]
-            loads[s] += group_weights[key]
-            group_shard.append((key, pids, s))
-            for pid in pids:
-                pid_shard[pid] = s
-        else:
-            free.append((key, pids))
-    for key, pids in sorted(free, key=lambda kv: (-group_weights[kv[0]],
-                                                  min(kv[1]))):
+    for key, pids in sorted(ordered, key=lambda kv: (-group_weights[kv[0]],
+                                                     min(kv[1]))):
         s = min(range(eff), key=lambda i: (loads[i], i))
         loads[s] += group_weights[key]
         group_shard.append((key, pids, s))
@@ -189,7 +159,7 @@ def plan_shards(cluster, shards: int, shard_hints=None,
                 f"shard plan cuts {name!r}, a host link: hosts "
                 "can never straddle a shard boundary — an HSM "
                 "fabric may only be split across a switch-to-"
-                "switch WAN trunk (adjust runtime.shard_hints)")
+                "switch WAN trunk")
         if edge.noisy:
             raise SpecError(
                 f"shard plan cuts {name!r}, which models bit "
@@ -225,5 +195,5 @@ def pid_weights(spec: ScenarioSpec, n_hosts: int):
 
 def plan_for(spec: ScenarioSpec, cluster) -> ShardPlan:
     """The shard plan of ``spec`` on its built ``cluster``."""
-    return plan_shards(cluster, spec.shards, spec.shard_hints,
+    return plan_shards(cluster, spec.shards,
                        pid_weights=pid_weights(spec, cluster.n_hosts))

@@ -1,8 +1,8 @@
 """One shard worker: its side of the window protocol.
 
-A worker is forked off the coordinator's built, never-run cluster, so
-it holds the whole cluster; the spec's runtime is built on it the usual
-way, and starts only the schedulers of the pids the shard owns
+A worker is forked off the coordinator's built, never-run cluster and
+runtime, so it holds the whole cluster; its runtime starts only the
+schedulers of the pids the shard owns
 (:attr:`NcsRuntime.owned_pids <repro.core.api.NcsRuntime.owned_pids>`).
 The other hosts stay idle.  The worker runs the app driver unchanged:
 the driver's ``rt.run()`` is :meth:`NcsRuntime.run
@@ -45,8 +45,9 @@ class ShardWorker:
     """Shard ``shard_id`` of ``plan``, run on ``run``'s cluster.
 
     ``run`` is the :class:`~repro.config.build.ScenarioRun` the app
-    driver receives, its cluster built and never run; its runtime
-    starts the shard's pids, and its :meth:`advance` is this worker's.
+    driver receives, its cluster (and, forked off the coordinator, its
+    runtime) built and never run; its runtime starts the shard's pids,
+    and its :meth:`advance` is this worker's.
     ``ctl`` is the worker's end of the control pipe (unused until the
     driver runs).
     """
@@ -187,7 +188,7 @@ def run_worker(run: ScenarioRun, plan: ShardPlan, shard_id: int, ctl,
                 "runtime; the sharded kernel requires a runtime driver "
                 "(self-contained apps build their own cluster)")
         worker.cluster.tracer.close_all()
-        payload = shard_payload(value, worker.cluster, worker.rt)
+        payload = shard_payload(value, worker.cluster)
         try:
             ctl.send(("done", payload))
         except Exception as exc:

@@ -68,12 +68,12 @@ def test_canonical_form_prunes_defaults():
 
 def test_sorted_tables_write_in_canonical_order():
     """The text the per-table writers produced (captured before one
-    writer replaced them): barrier ids and shard hints sorted by key,
+    writer replaced them): barrier ids sorted by key,
     ``[runtime.supervision]`` and ``[resilience]`` keys by name, and
     ``enabled`` written even at its default."""
     spec = ScenarioSpec(
-        name="x", barriers={10: 2, 2: 3}, shard_hints={"sw-b": 1, "sw-a": 0},
-        shards=2, supervision=SupervisionSpec(
+        name="x", barriers={10: 2, 2: 3}, shards=2,
+        supervision=SupervisionSpec(
             worker_grace_s=2.0, liveness_poll_s=0.01, max_retries=2,
             policy="raise"),
         resilience=ResilienceSpec(suspect_after_s=0.08, probe_successes=3,
@@ -81,7 +81,6 @@ def test_sorted_tables_write_in_canonical_order():
     assert dumps_toml(spec) == (
         'name = "x"\n\n[runtime]\nkernel = "sharded"\nshards = 2\n\n'
         '[runtime.barriers]\n2 = 3\n10 = 2\n\n'
-        '[runtime.shard_hints]\nsw-a = 0\nsw-b = 1\n\n'
         '[runtime.supervision]\nliveness_poll_s = 0.01\nmax_retries = 2\n'
         'policy = "raise"\nworker_grace_s = 2.0\n\n'
         '[resilience]\nenabled = true\nheartbeat_interval_s = 0.01\n'

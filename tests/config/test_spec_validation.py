@@ -280,6 +280,23 @@ def test_non_finite_cluster_option_is_a_spec_error(topology, key, value):
     assert repr(value) in str(exc.value)
 
 
+@pytest.mark.parametrize("key", ["tcp_params", "params"])
+@pytest.mark.parametrize("topology,n_hosts,options", [
+    ("ethernet", 2, {}), ("atm-lan", 2, {}),
+    ("nynet", None, {"sites": [{"name": "a", "n_hosts": 2}]})],
+    ids=["ethernet", "atm-lan", "nynet"])
+def test_an_option_of_another_class_is_a_spec_error(topology, n_hosts,
+                                                    options, key):
+    """``tcp_params = 5`` once built and died in the first TCP send, and
+    ``params = 5`` deep inside the build: an option annotated with a
+    class takes only an instance of it."""
+    cluster = ClusterSpec(topology=topology, n_hosts=n_hosts,
+                          options={**options, key: 5})
+    with pytest.raises(SpecError, match=rf"^cluster\.options\.{key} must "
+                       r"be a (TcpParams|HostParams), got 5$"):
+        build_cluster(cluster)
+
+
 # ------------------------------------------------------- ill-typed table values
 # Every row was accepted, or failed without naming its key, before the
 # tables shared one reader: ``true`` counted as 1, NaN and infinity
@@ -324,7 +341,9 @@ def _read_and_build(doc):
     ("cluster", "seed", True, "cluster.seed"),
     ("runtime", "shards", True, "runtime.shards"),
     ("runtime", "barriers", {"0": True}, "runtime.barriers.0"),
-    ("runtime", "shard_hints", {"sw": True}, "runtime.shard_hints.sw"),
+    # a removed key is an unknown one, and the error lists the allowed
+    ("runtime", "shard_hints", {"sw": 0},
+     "unknown key(s) runtime.shard_hints; allowed: mode"),
     ("resilience", "heartbeat_interval_s", True,
      "resilience.heartbeat_interval_s"),
     ("resilience", "failure_threshold", True, "resilience.failure_threshold"),

@@ -160,3 +160,10 @@ class TestNynet:
     def test_bad_region_rejected(self):
         with pytest.raises(ValueError):
             SiteSpec("x", 1, region="midstate")
+
+    @pytest.mark.parametrize("n_hosts", [-1, True, 1.5, "2"])
+    def test_a_host_count_that_is_no_count_is_rejected(self, n_hosts):
+        """A negative count, a ``bool`` (``True`` once built a one-host
+        site) and a non-integer all fail at construction."""
+        with pytest.raises(ValueError, match="^n_hosts: "):
+            SiteSpec("x", n_hosts)

@@ -136,14 +136,6 @@ class TestRegistry:
         assert list(s1) == sorted(s1)
         assert s1["a.z"] == {"host=n0": 3, "host=n1": 2}
 
-    def test_collectors_run_at_snapshot(self):
-        m = MetricsRegistry()
-        depth = {"value": 0}
-        g = m.gauge("queue.depth")
-        m.register_collector(lambda reg: g.set(depth["value"]))
-        depth["value"] = 42
-        assert m.snapshot()["queue.depth"][""] == 42
-
     def test_label_values_aggregation(self):
         m = MetricsRegistry()
         m.counter("tx", pid=0, transport="socket").inc(2)
@@ -151,6 +143,26 @@ class TestRegistry:
         m.counter("tx", pid=1, transport="atm").inc(4)
         assert m.label_values("tx", "pid") == {"0": 5, "1": 4}
         assert m.label_values("tx", "transport") == {"socket": 2, "atm": 7}
+
+    def test_merge_replaces_every_series_by_the_picked_copy(self):
+        a, b, into = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        a.counter("tx", help="sent", pid=0).inc(2)
+        b.counter("tx", pid=0).inc(5)
+        b.counter("tx", pid=1).inc(3)
+        b.histogram("lat").observe(0.5)
+        into.counter("stale").inc()
+        seen = []
+
+        def pick(name, labels, copies):
+            seen.append((name, labels, [c is not None for c in copies]))
+            return copies[1] or copies[0]
+        into.merge([a, b], pick)
+        assert into.snapshot()["tx"] == {"pid=0": 5, "pid=1": 3}
+        assert into.value("lat") == 0.5 and "stale" not in into.names()
+        assert into.describe()["tx"] == ("counter", "sent")
+        assert ("tx", {"pid": "1"}, [False, True]) in seen
+        NULL_REGISTRY.merge([a, b], pick)
+        assert NULL_REGISTRY.names() == []
 
     def test_describe_lists_help_text(self):
         m = MetricsRegistry()

@@ -55,9 +55,9 @@ def _worker_payloads(monkeypatch, doc: dict):
     seen = {}
     plain = sharded.merged_result
 
-    def capture(spec, plan, payloads, *args, **kwargs):
+    def capture(run, plan, payloads, *args, **kwargs):
         seen.update(plan=plan, payloads=payloads)
-        return plain(spec, plan, payloads, *args, **kwargs)
+        return plain(run, plan, payloads, *args, **kwargs)
     monkeypatch.setattr(sharded, "merged_result", capture)
     _sharded(doc)
     return seen["plan"], seen["payloads"]
@@ -77,13 +77,13 @@ def test_foreign_pids_stay_idle_in_every_worker(monkeypatch):
         owned = set(plan.owned_pids(shard))
         foreign = set(range(4)) - owned
         assert owned and foreign
-        switches = payload["snapshot"]["mts.context_switches"]
+        switches = payload["metrics"].snapshot()["mts.context_switches"]
         assert all(switches[f"pid={p}"] > 0 for p in owned)
         assert all(switches.get(f"pid={p}", 0) == 0 for p in foreign)
         # every record is on a host's track (``host`` or ``host/thread``)
-        trace = payload["trace"]
+        timelines, events = payload["trace"]
         hosts = {entity.split("/", 1)[0] for entity in
-                 [*trace["timelines"], *(ev[1] for ev in trace["events"])]}
+                 [*timelines, *(ev[1] for ev in events)]}
         assert {plan.host_shard[h] for h in hosts} == {shard}
 
 
