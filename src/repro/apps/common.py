@@ -14,9 +14,9 @@ other, each builds its cluster in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
+from ..atm import LinkSpec, TAXI_140
 from ..hosts import SUN_ELC, SUN_IPX
 from ..net import Cluster, build_atm_cluster, build_ethernet_cluster
 from ..protocols import TcpParams
@@ -68,21 +68,41 @@ class AppResult:
 def build_platform_cluster(platform: str, n_hosts: int, **kw) -> Cluster:
     """An (n_hosts)-host cluster of the named benchmark platform."""
     if platform == "ethernet":
-        kw.setdefault("tcp_params", ELC_TCP)
-        return build_ethernet_cluster(n_hosts, params=SUN_ELC, **kw)
+        return platform_ethernet(n_hosts, **kw)
     if platform in ("nynet", "atm"):
-        kw.setdefault("tcp_params", IPX_TCP)
-        return build_atm_cluster(n_hosts, params=SUN_IPX, **kw)
+        return platform_nynet(n_hosts, **kw)
     raise ValueError(f"unknown platform {platform!r}; "
                      f"expected one of {PLATFORMS}")
 
 
-TOPOLOGIES.register(
-    "platform-ethernet", partial(build_platform_cluster, "ethernet"),
+@TOPOLOGIES.register(
+    "platform-ethernet",
     help="Benchmark platform: SPARC ELCs + 1995 SunOS TCP on Ethernet")
-TOPOLOGIES.register(
-    "platform-nynet", partial(build_platform_cluster, "nynet"),
+def platform_ethernet(n_hosts: int, tcp_params: Optional[TcpParams] = ELC_TCP,
+                      seed: int = 1995, trace: bool = False,
+                      metrics: bool = True, collisions: bool = False,
+                      bandwidth_bps: float = 10e6,
+                      preconnect: bool = True) -> Cluster:
+    """:func:`~repro.net.build_ethernet_cluster` of SPARC ELCs, with
+    :data:`ELC_TCP` unless told otherwise."""
+    return build_ethernet_cluster(n_hosts, SUN_ELC, tcp_params, seed, trace,
+                                  metrics, collisions, bandwidth_bps,
+                                  preconnect)
+
+
+@TOPOLOGIES.register(
+    "platform-nynet",
     help="Benchmark platform: SPARC IPXs + FORE-tuned TCP on the ATM LAN")
+def platform_nynet(n_hosts: int, tcp_params: Optional[TcpParams] = IPX_TCP,
+                   seed: int = 1995, trace: bool = False, metrics: bool = True,
+                   link_spec: LinkSpec = TAXI_140,
+                   switch_latency_s: float = 10e-6, train_cells: int = 256,
+                   preconnect: bool = True) -> Cluster:
+    """:func:`~repro.net.build_atm_cluster` of SPARC IPXs, with
+    :data:`IPX_TCP` unless told otherwise."""
+    return build_atm_cluster(n_hosts, SUN_IPX, tcp_params, seed, trace,
+                             metrics, link_spec, switch_latency_s,
+                             train_cells, preconnect)
 
 
 def run_p4_programs(cluster: Cluster, procs,

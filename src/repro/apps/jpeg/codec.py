@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dct import BLOCK, blockify, dct2, idct2, unblockify
+from .dct import BLOCK, bands, blockify, dct2, idct2, unblockify
 from .huffman import HuffmanCode
 from .quant import dequantize, quality_table, quantize
 from .rle import decode_block_keys, encode_block_keys, key_of, symbol_of
@@ -40,6 +40,7 @@ class CompressedImage:
 
     @property
     def n_blocks(self) -> int:
+        """8x8 blocks in the image, each one DC key of the stream."""
         return (self.height // BLOCK) * (self.width // BLOCK)
 
 
@@ -52,10 +53,10 @@ def compress(image: np.ndarray, quality: int = 75) -> CompressedImage:
                          f"{image.shape}")
     h, w = image.shape
     table = quality_table(quality)
-    blocks = blockify(image.astype(np.float64) - 128.0)
-    coeffs = dct2(blocks)
-    quantized = quantize(coeffs, table)
-    zz = to_zigzag(quantized)
+    zz = np.empty((h // BLOCK * (w // BLOCK), 64), dtype=np.int32)
+    for rows, blocks in bands(h, w):
+        coeffs = dct2(blockify(image[rows].astype(np.float64) - 128.0))
+        zz[blocks] = to_zigzag(quantize(coeffs, table))
     # the symbol stream stays an array of packed keys; only its distinct
     # symbols become the tuples the code is keyed (and ordered) by
     keys, stream, counts = np.unique(encode_block_keys(zz),
@@ -73,19 +74,28 @@ def decompress(data: CompressedImage) -> np.ndarray:
     keys = np.array([key_of(sym) for sym in code.alphabet], dtype=np.int64)
     stream = code.decode_indices(data.payload, data.n_symbols)
     zz = decode_block_keys(keys[stream], data.n_blocks)
-    quantized = from_zigzag(zz)
     table = quality_table(data.quality)
-    blocks = idct2(dequantize(quantized, table))
-    image = unblockify(blocks, data.height, data.width) + 128.0
-    return np.clip(np.round(image), 0, 255).astype(np.uint8)
+    image = np.empty((data.height, data.width), dtype=np.uint8)
+    for rows, blocks in bands(data.height, data.width):
+        band = image[rows]
+        pixels = unblockify(idct2(dequantize(from_zigzag(zz[blocks]), table)),
+                            *band.shape) + 128.0
+        band[...] = np.clip(np.round(pixels), 0, 255).astype(np.uint8)
+    return image
 
 
 def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB."""
+    """Peak signal-to-noise ratio in dB of two uint8 images.
+
+    The squared differences are summed exactly in int64, so the mean
+    is the one float ``np.mean`` of their float64 squares gives.
+    """
+    if original.dtype != np.uint8 or reconstructed.dtype != np.uint8:
+        raise TypeError("expected two uint8 grayscale images")
     if original.shape != reconstructed.shape:
         raise ValueError("shape mismatch")
-    mse = np.mean((original.astype(np.float64)
-                   - reconstructed.astype(np.float64)) ** 2)
+    diff = np.subtract(original, reconstructed, dtype=np.int64)
+    mse = int(np.vdot(diff, diff)) / diff.size
     if mse == 0:
         return float("inf")
     return 10.0 * np.log10(255.0 ** 2 / mse)

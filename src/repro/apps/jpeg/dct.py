@@ -2,7 +2,9 @@
 
 Implemented from scratch with the orthonormal DCT matrix so the codec
 has no dependency beyond numpy; vectorized over whole stacks of blocks
-(one einsum per image) per the numpy performance guidance.
+per the numpy performance guidance.  The codec hands them one band of
+:data:`BAND_ROWS` pixel rows at a time (:func:`bands`), so no float
+copy of a whole image is ever held.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["dct_matrix", "dct2", "idct2", "blockify", "unblockify",
-           "BLOCK"]
+           "bands", "BLOCK", "BAND_ROWS"]
 
 BLOCK = 8
+#: pixel rows the codec's dense stages take at a time (whole block rows)
+BAND_ROWS = 8 * BLOCK
 
 
 def dct_matrix(n: int = BLOCK) -> np.ndarray:
@@ -64,3 +68,16 @@ def unblockify(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
     return (blocks.reshape(h // BLOCK, w // BLOCK, BLOCK, BLOCK)
             .swapaxes(1, 2)
             .reshape(h, w))
+
+
+def bands(h: int, w: int) -> list[tuple[slice, slice]]:
+    """Cut an (H, W) image into bands of :data:`BAND_ROWS` pixel rows:
+    one ``(rows, blocks)`` pair per band, its rows of the image and its
+    blocks in :func:`blockify` order (the pixels above a band, over the
+    64 of a block, are the blocks before it).  A band computes exactly
+    what the whole image would: no block straddles two bands."""
+    if h % BLOCK or w % BLOCK:
+        raise ValueError(f"image {h}x{w} is not a multiple of {BLOCK}")
+    return [(slice(top, top + BAND_ROWS),
+             slice(top * w // BLOCK ** 2, (top + BAND_ROWS) * w // BLOCK ** 2))
+            for top in range(0, h, BAND_ROWS)]

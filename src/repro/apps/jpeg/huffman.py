@@ -36,6 +36,8 @@ class BitWriter:
         self._nbits = 0
 
     def write(self, value: int, nbits: int) -> None:
+        """Append the low ``nbits`` bits of ``value``, msb first;
+        ``ValueError`` if ``value`` needs more bits than that."""
         if nbits < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         self._acc = (self._acc << nbits) | value
@@ -65,6 +67,7 @@ class BitWriter:
 
     @property
     def bit_length(self) -> int:
+        """Bits written so far, the pending partial byte included."""
         return len(self._out) * 8 + self._nbits
 
 
@@ -76,6 +79,8 @@ class BitReader:
         self._pos = start
 
     def read(self, nbits: int) -> int:
+        """The next ``nbits`` bits as an int, msb first; ``EOFError``
+        past the end of the data."""
         out = 0
         for _ in range(nbits):
             byte = self._pos >> 3
@@ -87,6 +92,7 @@ class BitReader:
         return out
 
     def read_bit(self) -> int:
+        """The next bit (0 or 1)."""
         return self.read(1)
 
 
@@ -122,10 +128,13 @@ class HuffmanCode:
     # ------------------------------------------------------------ building
     @classmethod
     def from_symbols(cls, symbols: Iterable[Any]) -> "HuffmanCode":
+        """The optimal code for a symbol stream, by its counts."""
         return cls.from_frequencies(Counter(symbols))
 
     @classmethod
     def from_frequencies(cls, freqs: Mapping[Any, int]) -> "HuffmanCode":
+        """The optimal code for ``{symbol: count}``; ``ValueError`` for
+        an empty mapping."""
         if not freqs:
             raise ValueError("cannot build a code from an empty stream")
         return cls(cls._code_lengths(freqs))
@@ -214,9 +223,13 @@ class HuffmanCode:
 
     def encode(self, symbols: Iterable[Any],
                writer: Optional[BitWriter] = None) -> bytes:
+        """The codes of ``symbols``, concatenated (see
+        :meth:`encode_indices`); ``KeyError`` for a symbol the code does
+        not have."""
         return self.encode_indices(self.index(symbols), writer)
 
     def encoded_bit_length(self, symbols: Iterable[Any]) -> int:
+        """Bits :meth:`encode` writes for ``symbols``, before padding."""
         return int(self._lengths[self.index(symbols)].sum())
 
     # ------------------------------------------------------------- decoding

@@ -34,4 +34,6 @@ def quantize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def dequantize(quantized: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Scale quantized coefficients back by the table, as float64
+    (stack-aware)."""
     return (quantized * table).astype(np.float64)

@@ -93,13 +93,17 @@ def build_nynet(sites: list,
     "nynet-testbed",
     help="Two-region NYNET: upstate + downstate sites over the DS-3 (Fig 1)")
 def nynet_testbed(n_upstate: int = 4, n_downstate: int = 2,
-                  **kw) -> Cluster:
+                  params: HostParams = SUN_IPX,
+                  tcp_params: Optional[TcpParams] = None,
+                  seed: int = 1995, trace: bool = False, metrics: bool = True,
+                  train_cells: int = 256, preconnect: bool = True) -> Cluster:
     """The canonical two-region instance used by the Fig 1 benchmark:
-    a Syracuse-like upstate site and an NYC-like downstate site."""
+    a Syracuse-like upstate site and an NYC-like downstate site.  The
+    other options are :func:`build_nynet`'s."""
     return build_nynet([
         SiteSpec("syr", n_upstate, "upstate"),
         SiteSpec("nyc", n_downstate, "downstate"),
-    ], **kw)
+    ], params, tcp_params, seed, trace, metrics, train_cells, preconnect)
 
 
 @TOPOLOGIES.register(

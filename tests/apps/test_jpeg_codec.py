@@ -303,8 +303,66 @@ class TestCodec:
         with pytest.raises(ValueError, match="multiples of 8"):
             benchmark_image(60, 96)
 
+    @pytest.mark.parametrize("height", [8, 56, 64, 72, 128, 200])
+    def test_bands_code_what_one_whole_image_stack_does(self, height):
+        """The dense stages run ``BAND_ROWS`` rows at a time; the whole
+        image as one stack of blocks gives the same symbols and pixels."""
+        img = benchmark_image(height, 48, seed=height)
+        table = quality_table(75)
+        zz = to_zigzag(quantize(
+            dct2(blockify(img.astype(np.float64) - 128.0)), table))
+        comp = compress(img)
+        code = HuffmanCode(comp.code_lengths)
+        assert code.decode(comp.payload, comp.n_symbols) == encode_blocks(zz)
+        pixels = unblockify(idct2(dequantize(from_zigzag(zz), table)),
+                            height, 48) + 128.0
+        assert np.array_equal(decompress(comp), np.clip(
+            np.round(pixels), 0, 255).astype(np.uint8))
+
     def test_flat_image_compresses_extremely(self):
         img = np.full((64, 64), 128, dtype=np.uint8)
         comp = compress(img)
         assert comp.nbytes < 600
         assert np.array_equal(decompress(comp), img)
+
+
+def float_psnr(original, reconstructed):
+    """``psnr`` as it was: the mean of float64 squares."""
+    mse = np.mean((original.astype(np.float64)
+                   - reconstructed.astype(np.float64)) ** 2)
+    return float("inf") if mse == 0 else 10.0 * np.log10(255.0 ** 2 / mse)
+
+
+class TestPsnr:
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 5), (64, 96), (640, 960)])
+    def test_equals_the_float_mean_on_random_pairs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            a, b = rng.integers(0, 256, size=(2, *shape), dtype=np.uint8)
+            assert psnr(a, b) == float_psnr(a, b)
+        near = np.clip(a.astype(np.int16) + rng.integers(-2, 3, size=shape),
+                       0, 255).astype(np.uint8)
+        assert psnr(a, near) == float_psnr(a, near)
+        zeros, full = np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)
+        assert psnr(zeros, full) == float_psnr(zeros, full) == 0.0
+
+    def test_equals_the_float_mean_on_a_decode(self):
+        img = benchmark_image()
+        rec = decompress(compress(img))
+        assert psnr(img, rec) == float_psnr(img, rec)
+
+    def test_identical_images_are_infinite(self):
+        img = benchmark_image(64, 96)
+        assert psnr(img, img.copy()) == float("inf")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.int64])
+    def test_only_uint8_images(self, dtype):
+        img = benchmark_image(64, 96)
+        with pytest.raises(TypeError, match="uint8"):
+            psnr(img.astype(dtype), img)
+        with pytest.raises(TypeError, match="uint8"):
+            psnr(img, img.astype(dtype))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            psnr(np.zeros((8, 8), np.uint8), np.zeros((8, 16), np.uint8))

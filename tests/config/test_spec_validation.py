@@ -283,18 +283,35 @@ def test_non_finite_cluster_option_is_a_spec_error(topology, key, value):
 @pytest.mark.parametrize("key", ["tcp_params", "params"])
 @pytest.mark.parametrize("topology,n_hosts,options", [
     ("ethernet", 2, {}), ("atm-lan", 2, {}),
-    ("nynet", None, {"sites": [{"name": "a", "n_hosts": 2}]})],
-    ids=["ethernet", "atm-lan", "nynet"])
+    ("nynet", None, {"sites": [{"name": "a", "n_hosts": 2}]}),
+    ("nynet-testbed", None, {})],
+    ids=["ethernet", "atm-lan", "nynet", "nynet-testbed"])
 def test_an_option_of_another_class_is_a_spec_error(topology, n_hosts,
                                                     options, key):
     """``tcp_params = 5`` once built and died in the first TCP send, and
     ``params = 5`` deep inside the build: an option annotated with a
-    class takes only an instance of it."""
+    class takes only an instance of it.  ``nynet-testbed`` forwarded
+    its options unread, so it built with ``tcp_params = 5``."""
     cluster = ClusterSpec(topology=topology, n_hosts=n_hosts,
                           options={**options, key: 5})
     with pytest.raises(SpecError, match=rf"^cluster\.options\.{key} must "
                        r"be a (TcpParams|HostParams), got 5$"):
         build_cluster(cluster)
+
+
+@pytest.mark.parametrize("topology", ["platform-ethernet", "platform-nynet"])
+def test_a_platform_checks_its_options(topology):
+    """Both platforms forwarded their options unread, so ``tcp_params =
+    5`` built; their host model is the platform's, not an option."""
+    def build(**options):
+        build_cluster(ClusterSpec(topology=topology, n_hosts=2,
+                                  options=options))
+    with pytest.raises(SpecError, match=r"^cluster\.options\.tcp_params "
+                       r"must be a TcpParams, got 5$"):
+        build(tcp_params=5)
+    with pytest.raises(SpecError, match=r"^unknown key\(s\) "
+                       r"cluster\.options\.params; allowed: "):
+        build(params=5)
 
 
 # ------------------------------------------------------- ill-typed table values
