@@ -16,7 +16,7 @@ Everything resolves through :mod:`repro.registry`, and the composition
 is *exactly* the calls the hand-wired experiments used to make — the
 golden-equality tests in ``tests/config`` hold a spec-built run to
 bit-identical timestamps, traces and metrics against the committed
-``tests/perf_lock`` goldens.  The sharded kernel's coordinator builds
+perf-lock goldens (walls in ``tests/walls/perf_lock.py``).  The sharded kernel's coordinator builds
 its cluster with the same :func:`build_cluster` and forks its workers
 off it.
 """

@@ -10,20 +10,20 @@ across a process pool with per-run isolation and deterministic
 ordering; :mod:`~repro.fleet.kpis` reduces each run's metrics snapshot
 to a typed KPI row and renders/persists the resulting document;
 :mod:`~repro.fleet.diff` compares a fresh fleet against a checked-in
-``KPIS_<fleet>.json`` baseline with per-KPI tolerance windows.  The
-KPI goldens guard *simulated behavior*; ``benchmarks/e2e`` measures
+``KPIS_<fleet>.json`` baseline, every KPI exactly.  The KPI goldens
+guard *simulated behavior*; ``benchmarks/e2e`` measures
 *implementation speed* — together they cover both axes of "did this
 change break anything".
 """
 
 from .kpis import (KPI_SCHEMA, KpiRow, extract_kpis, goodput, kpi_doc,
                    load_kpi_doc, render_table, write_kpi_doc)
-from .diff import DEFAULT_TOLERANCES, diff_kpis, diff_rows
+from .diff import diff_kpis, diff_rows
 from .runner import FleetResult, RunOutcome, run_fleet
 
 __all__ = [
     "KPI_SCHEMA", "KpiRow", "extract_kpis", "goodput", "kpi_doc",
     "load_kpi_doc", "render_table", "write_kpi_doc",
-    "DEFAULT_TOLERANCES", "diff_kpis", "diff_rows",
+    "diff_kpis", "diff_rows",
     "FleetResult", "RunOutcome", "run_fleet",
 ]

@@ -21,7 +21,7 @@ Importing this package registers ``hsm-failover`` with ``TRANSPORTS``.
 Everything is opt-in: a
 runtime without a :class:`ClusterResilience` attached behaves
 bit-identically to one built before this package existed (the
-determinism wall in ``tests/perf_lock`` holds).
+perf-lock walls in ``tests/walls/perf_lock.py`` hold).
 """
 
 from .breaker import BreakerState, CircuitBreaker

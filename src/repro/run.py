@@ -109,9 +109,13 @@ def _run_fleet_cli(args) -> int:
     write_kpi_doc(doc, f"{args.results}/KPIS_{fleet.name}.json")
 
     if args.write:
+        if not result.ok:
+            print(f"baseline not written: failed runs would land in "
+                  f"{kpis_file}", file=sys.stderr)
+            return 1
         write_kpi_doc(doc, kpis_file)
         print(f"baseline written: {kpis_file}")
-        return 0 if result.ok else 1
+        return 0
     if args.check:
         try:
             baseline = load_kpi_doc(kpis_file)
@@ -125,7 +129,7 @@ def _run_fleet_cli(args) -> int:
             for f in failures:
                 print(f"  {f}", file=sys.stderr)
             return 1
-        print(f"KPIs within tolerance of {kpis_file}")
+        print(f"KPIs match {kpis_file}")
         return 0
     return 0 if result.ok else 1
 
@@ -183,7 +187,8 @@ def main(argv=None) -> int:
                              help="diff fresh KPIs against the baseline; "
                                   "exit 1 on regression")
     fleet_group.add_argument("--write", action="store_true",
-                             help="write/refresh the KPI baseline")
+                             help="write/refresh the KPI baseline (not "
+                                  "when a run failed)")
     fleet_group.add_argument("--timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="per-run wall-clock timeout; a run that "

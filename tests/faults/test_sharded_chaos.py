@@ -28,8 +28,7 @@ import pytest
 from repro.config.build import run_scenario
 from repro.config.spec import ScenarioSpec
 from repro.obs.export import to_chrome_events
-from tests.perf_lock.scenarios import behavior_snapshot
-from tests.perf_lock.test_golden_lock import _diff_paths
+from tests.walls.harness import assert_same, behavior_snapshot
 
 
 def _nynet(upstate: int, downstate: int, **cluster) -> dict:
@@ -161,10 +160,8 @@ def test_healed_partition_across_the_cut_matches_single_kernel():
         assert r.value["reassigned_units"] >= 1
         assert r.cluster.metrics.total("resilience.deaths") >= 1
         assert r.cluster.metrics.total("resilience.rejoins") >= 1
-    diffs = _diff_paths(_doc(single), _doc(sharded))
-    assert not diffs, (
-        f"partition chaos diverged under sharding ({len(diffs)}):\n  "
-        + "\n  ".join(diffs[:40]))
+    assert_same(_doc(sharded), _doc(single),
+                where="partition chaos under sharding")
 
 
 def test_link_outage_retransmit_across_the_cut_matches_single_kernel():
@@ -176,10 +173,8 @@ def test_link_outage_retransmit_across_the_cut_matches_single_kernel():
             "0": [(2, 0), (2, 1)], "1": [(0, 0), (0, 1)],
             "2": [(1, 0), (1, 1)]}
         assert r.cluster.metrics.total("ec.retransmissions") >= 1
-    diffs = _diff_paths(_doc(single), _doc(sharded))
-    assert not diffs, (
-        f"outage chaos diverged under sharding ({len(diffs)}):\n  "
-        + "\n  ".join(diffs[:40]))
+    assert_same(_doc(sharded), _doc(single),
+                where="outage chaos under sharding")
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
@@ -190,10 +185,7 @@ def test_partial_shards_match_single_kernel(name):
     docs = {shards: _doc(_run(_matrix_doc(name), shards))
             for shards in (1, 2, 4)}
     for shards in (2, 4):
-        diffs = _diff_paths(docs[1], docs[shards])
-        assert not diffs, (
-            f"{name} diverged at shards={shards} ({len(diffs)}):\n  "
-            + "\n  ".join(diffs[:40]))
+        assert_same(docs[shards], docs[1], where=f"{name} shards={shards}")
     digest = hashlib.sha256(json.dumps(
         docs[2], sort_keys=True, default=repr).encode()).hexdigest()
     assert digest == MATRIX[name][-1]
@@ -227,10 +219,8 @@ def test_worker_crash_recovery_under_link_outage_chaos():
         "reason=crashed,shard=1": 1}
     assert snap["kernel.recovery.retries"] == {"": 1}
     assert recovered.cluster.metrics.total("ec.retransmissions") >= 1
-    diffs = _diff_paths(_doc(single), _doc(recovered))
-    assert not diffs, (
-        f"crash recovery diverged under chaos ({len(diffs)}):\n  "
-        + "\n  ".join(diffs[:40]))
+    assert_same(_doc(recovered), _doc(single),
+                where="crash recovery under chaos")
 
 
 def test_worker_stall_recovery_under_link_outage_chaos():
@@ -246,7 +236,5 @@ def test_worker_stall_recovery_under_link_outage_chaos():
     snap = recovered.cluster.metrics.snapshot()
     assert snap["kernel.recovery.worker_failures"] == {
         "reason=hung,shard=0": 1}
-    diffs = _diff_paths(_doc(single), _doc(recovered))
-    assert not diffs, (
-        f"stall recovery diverged under chaos ({len(diffs)}):\n  "
-        + "\n  ".join(diffs[:40]))
+    assert_same(_doc(recovered), _doc(single),
+                where="stall recovery under chaos")

@@ -1,17 +1,21 @@
-"""Tolerance-window diffing edge cases.
+"""Exact KPI diffing and its edge cases.
 
 The differ is the gate CI trusts, so its edges matter more than its
-happy path: zero baselines must not divide, NaN must never pass,
-``None`` must only match ``None``, and anything without a declared
-tolerance — counts, digests — must be bit-exact.
+happy path: every KPI — counts, digests, makespan, goodput, quantiles —
+is bit-exact, so one ulp of drift fails and names the KPI; NaN must
+never pass, ``None`` must only match ``None``, a failed run fails, and
+a run or KPI missing on either side fails.
 """
 
+import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.diff import DEFAULT_TOLERANCES, diff_kpis, diff_rows
+from repro.fleet import KpiRow
+from repro.fleet.diff import diff_kpis, diff_rows
 
 
 def _doc(rows):
@@ -22,16 +26,24 @@ ROW = {"scenario": "s", "digest": "abc", "makespan_s": 1.0,
        "messages_sent": 10, "p99_delivery_s": 0.5}
 
 
+def ulp(x):
+    return math.nextafter(x, math.inf)
+
+
 class TestValueRules:
     def test_identical_rows_pass(self):
         assert diff_rows(ROW, dict(ROW)) == []
 
-    def test_within_tolerance_passes(self):
-        cur = dict(ROW, makespan_s=1.05)        # +5% vs ±10%
-        assert diff_rows(ROW, cur) == []
+    @pytest.mark.parametrize("kpi", [field.name for field in
+                                     dataclasses.fields(KpiRow)
+                                     if "float" in field.type])
+    def test_one_ulp_off_fails_naming_the_kpi(self, kpi):
+        base = dict(ROW, **{kpi: 0.25})
+        assert diff_rows(base, dict(base, **{kpi: ulp(0.25)})) == [
+            f"{kpi}: baseline=0.25, current={ulp(0.25)!r}"]
 
     def test_outside_tolerance_names_the_kpi(self):
-        cur = dict(ROW, makespan_s=1.3)         # +30% vs ±10%
+        cur = dict(ROW, makespan_s=1.3)         # +30%
         problems = diff_rows(ROW, cur)
         assert len(problems) == 1
         assert problems[0].startswith("makespan_s:")
@@ -81,17 +93,18 @@ class TestValueRules:
         assert diff_rows({"error": "boom"}, ROW) == \
             ["baseline run failed: boom"]
 
-    @given(st.floats(min_value=0.01, max_value=1e6, allow_nan=False),
-           st.floats(min_value=-0.09, max_value=0.09, allow_nan=False))
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
     @settings(max_examples=100, deadline=None)
-    def test_relative_window_property(self, base_value, delta):
-        """Any drift strictly inside the ±10% makespan window passes;
-        the mirrored drift scaled past the window fails."""
-        base = dict(ROW, makespan_s=base_value)
-        inside = dict(ROW, makespan_s=base_value * (1 + delta))
-        assert diff_rows(base, inside) == []
-        outside = dict(ROW, makespan_s=base_value * 1.2)
-        assert diff_rows(base, outside)
+    def test_any_drift_fails_property(self, base_value, cur_value):
+        """Two makespans pass exactly when they are equal; otherwise
+        the one complaint names the KPI."""
+        problems = diff_rows(dict(ROW, makespan_s=base_value),
+                             dict(ROW, makespan_s=cur_value))
+        if base_value == cur_value:
+            assert problems == []
+        else:
+            assert len(problems) == 1
+            assert problems[0].startswith("makespan_s:")
 
 
 class TestDocumentRules:
@@ -119,13 +132,8 @@ class TestDocumentRules:
         cur = dict(_doc({"a": ROW}), schema=2)
         assert any(f.startswith("schema:") for f in diff_kpis(base, cur))
 
-    def test_custom_tolerances(self):
-        base = _doc({"a": ROW})
-        cur = _doc({"a": dict(ROW, makespan_s=1.5)})
-        assert diff_kpis(base, cur)                       # default: fail
-        assert diff_kpis(base, cur, {"makespan_s": 0.6}) == []
-
-    def test_default_tolerances_cover_derived_kpis_only(self):
-        assert set(DEFAULT_TOLERANCES) == {
-            "makespan_s", "goodput_bytes_s", "retransmit_rate",
-            "p50_delivery_s", "p99_delivery_s"}
+    def test_one_ulp_off_a_quantile_fails_naming_run_and_kpi(self):
+        base = _doc({"a": ROW, "b": dict(ROW)})
+        cur = _doc({"a": ROW, "b": dict(ROW, p99_delivery_s=ulp(0.5))})
+        assert diff_kpis(base, cur) == [
+            f"b: p99_delivery_s: baseline=0.5, current={ulp(0.5)!r}"]

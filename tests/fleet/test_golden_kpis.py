@@ -1,19 +1,20 @@
 """The golden-KPI wall: fresh fleets vs the committed baselines.
 
-``KPIS_scenarios.json`` and ``KPIS_small-sweep.json`` at the repo root
-are the behavioral contract for every checked-in scenario — message
-counts and digests exact, derived KPIs inside their tolerance windows.
-Regenerate deliberately with::
+``KPIS_scenarios.json``, ``KPIS_small-sweep.json`` and
+``KPIS_collectives.json`` at the repo root are the behavioral contract
+for every checked-in scenario and matrix cell: a fresh fleet reproduces
+each KPI exactly — counts, digests, makespans and quantiles alike.
+Regenerate deliberately, after an intended behavior change, with one
+call per key of :data:`FLEETS`::
 
-    PYTHONPATH=src python -m repro.run --fleet scenarios/ --jobs 4 --write
-    PYTHONPATH=src python -m repro.run \
-        --fleet scenarios/matrix/small_sweep.toml --jobs 4 --write
+    PYTHONPATH=src python -m repro.run --fleet SOURCE --jobs 4 --write
 
-The perturbation test drives the other edge: a deliberate 30% makespan
-drift in one scenario must fail the check and name the offending KPI.
+The perturbation test drives the other edge: one ulp of makespan drift
+in one scenario must fail the check and name the offending KPI.
 """
 
 import copy
+import math
 from pathlib import Path
 
 import pytest
@@ -26,42 +27,35 @@ REPO = Path(__file__).resolve().parents[2]
 FLEETS = {
     "scenarios": "KPIS_scenarios.json",
     "scenarios/matrix/small_sweep.toml": "KPIS_small-sweep.json",
+    "scenarios/matrix/collectives.toml": "KPIS_collectives.json",
 }
 
 
 @pytest.fixture(scope="module")
 def fresh_docs():
     """One fleet execution per module, shared by the tests below."""
-    return {source: run_fleet(load_fleet(REPO / source), jobs=4).kpi_doc()
+    return {source: run_fleet(load_fleet(REPO / source), jobs=2).kpi_doc()
             for source in FLEETS}
 
 
 @pytest.mark.parametrize("source", sorted(FLEETS))
 def test_fleet_matches_committed_golden(source, fresh_docs):
+    """Same platform, same seeds: a fresh run reproduces the committed
+    KPI document bit for bit."""
     baseline = load_kpi_doc(REPO / FLEETS[source])
     failures = diff_kpis(baseline, fresh_docs[source])
     assert not failures, "\n".join(failures)
-
-
-@pytest.mark.parametrize("source", sorted(FLEETS))
-def test_golden_rows_are_exact_not_just_within_tolerance(source,
-                                                         fresh_docs):
-    """Same platform, same seeds: a fresh run reproduces the committed
-    KPIs bit-for-bit, not merely inside the windows (the windows exist
-    for legitimate cross-change drift, not same-code noise)."""
-    baseline = load_kpi_doc(REPO / FLEETS[source])
     assert fresh_docs[source] == baseline
 
 
 def test_perturbed_makespan_fails_naming_the_kpi(fresh_docs):
-    """A deliberate 30% makespan drift in one scenario must be caught
-    (tolerance is ±10%) and attributed to run + KPI."""
+    """One ulp of makespan drift in one scenario must be caught and
+    attributed to run + KPI."""
     baseline = load_kpi_doc(REPO / FLEETS["scenarios"])
     perturbed = copy.deepcopy(fresh_docs["scenarios"])
-    perturbed["rows"]["quickstart"]["makespan_s"] = round(
-        perturbed["rows"]["quickstart"]["makespan_s"] * 1.3, 9)
+    row = perturbed["rows"]["quickstart"]
+    row["makespan_s"] = math.nextafter(row["makespan_s"], math.inf)
     failures = diff_kpis(baseline, perturbed)
     assert failures
-    assert any(f.startswith("quickstart: makespan_s:") for f in failures)
     # ...and only that KPI of that run is implicated
     assert all(f.startswith("quickstart: makespan_s:") for f in failures)

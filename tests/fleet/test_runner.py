@@ -103,7 +103,7 @@ class TestCli:
         assert baseline.is_file()
         assert run_cli.main(["--fleet", str(tiny_fleet_dir), "--jobs", "2",
                              "--check"]) == 0
-        assert "within tolerance" in capsys.readouterr().out
+        assert "KPIs match" in capsys.readouterr().out
 
     def test_check_flags_regression_and_names_kpi(self, tiny_fleet_dir,
                                                   tmp_path, monkeypatch,
@@ -136,6 +136,24 @@ class TestCli:
         assert rc == 1
         assert "FAILED" in capsys.readouterr().out
 
+    def test_write_with_a_failed_run_leaves_the_baseline_untouched(
+            self, tiny_fleet_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli.main(["--fleet", str(tiny_fleet_dir),
+                             "--write"]) == 0
+        baseline = tmp_path / "KPIS_tiny.json"
+        before = baseline.read_bytes()
+        capsys.readouterr()
+        (tiny_fleet_dir / "bad.toml").write_text(
+            'name = "bad"\n[app]\ndriver = "no-such-driver"\n')
+        assert run_cli.main(["--fleet", str(tiny_fleet_dir),
+                             "--write"]) == 1
+        assert baseline.read_bytes() == before
+        assert "baseline not written" in capsys.readouterr().err
+        # the results copy still records the failure
+        results = load_kpi_doc(tmp_path / "fleet_results" / "KPIS_tiny.json")
+        assert "error" in results["rows"]["bad"]
+
     def test_flag_conflicts_are_parser_errors(self, tiny_fleet_dir):
         cases = (
             ["--fleet", str(tiny_fleet_dir), "x.toml"],
@@ -156,7 +174,7 @@ class TestCli:
             "--jobs", "4", "--kpis-file",
             str(REPO / "KPIS_small-sweep.json"), "--check"])
         assert rc == 0
-        assert "within tolerance" in capsys.readouterr().out
+        assert "KPIs match" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,17 @@
-"""Chrome-trace / JSONL export: track mapping, record ordering, and a
-golden-file check that the emitted JSON stays byte-for-byte compatible
-with what Perfetto/chrome://tracing already loads."""
+"""Chrome-trace / JSONL export: track mapping, record ordering, and the
+``chrome_export`` wall (``tests/walls/chrome_export.py``), which holds
+the emitted file to what Perfetto/chrome://tracing already loads."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.obs import (
-    MetricsRegistry, NULL_REGISTRY, entity_track, export_chrome_trace,
-    export_jsonl, iter_records, to_chrome_events,
+    MetricsRegistry, entity_track, export_chrome_trace, export_jsonl,
+    iter_records, to_chrome_events,
 )
-from repro.sim import Activity, Simulator, Tracer
-
-GOLDEN = Path(__file__).parent / "golden_chrome_trace.json"
-
-
-def golden_tracer():
-    """A tiny deterministic run: one host with a CPU track and a worker
-    thread, an NCS point event, and a fault window."""
-    sim = Simulator(metrics=NULL_REGISTRY)
-    tr = Tracer(sim)
-    sim.call_at(0.0, lambda: tr.begin("n0", Activity.COMPUTE, "dct"))
-    sim.call_at(0.0, lambda: tr.begin("n0/worker-1", Activity.IDLE))
-    sim.call_at(0.0005, lambda: tr.point("ncs:0", "send",
-                                         {"to": 1, "bytes": 1024}))
-    sim.call_at(0.001, lambda: tr.end("n0"))
-    sim.call_at(0.001, lambda: tr.begin("n0", Activity.COMMUNICATE, "send"))
-    sim.call_at(0.0015, lambda: tr.begin("fault:0", Activity.FAULT,
-                                         "link outage n0"))
-    sim.call_at(0.002, lambda: tr.end("n0"))
-    sim.call_at(0.002, lambda: tr.end("n0/worker-1"))
-    sim.call_at(0.002, lambda: tr.end("fault:0"))
-    sim.run()
-    return tr
+from tests.walls import chrome_export
+from tests.walls.chrome_export import golden_tracer
 
 
 # ------------------------------------------------------------- track mapping
@@ -74,13 +52,8 @@ class TestIterRecords:
 
 # -------------------------------------------------------------- chrome trace
 class TestChromeTrace:
-    def test_golden_file(self, tmp_path):
-        """The exported trace must match the committed golden file —
-        regenerate with ``python -m tests.obs.regen_golden`` only when
-        the format change is intended."""
-        out = tmp_path / "trace.json"
-        export_chrome_trace(golden_tracer(), out)
-        assert json.loads(out.read_text()) == json.loads(GOLDEN.read_text())
+    test_golden_file = staticmethod(
+        chrome_export.test_the_exported_file_is_the_parent_file)
 
     def test_one_track_per_entity(self):
         events = to_chrome_events(golden_tracer())

@@ -1,57 +1,9 @@
 """The determinism wall: same seed => bit-identical behavior.
 
-Each test replays one scenario from :mod:`tests.perf_lock.scenarios`
-and compares the full result document against the committed golden,
-captured from the pre-optimization kernel.  Hot-path work (pooling,
-queue restructuring, coroutine reuse, memoization) must leave every
-simulated timestamp, payload, metric counter and trace span untouched;
-only the kernel's implementation odometers are exempt (see
-``scenarios.IMPLEMENTATION_METERS``).
+The seven perf-lock scenarios are walls in ``tests/walls/perf_lock.py``
+(one wall per scenario, golden ``tests/walls/<name>_parent.json``);
+their tests are collected here, beside the event budget.
 """
 
-import pytest
-
-from .scenarios import SCENARIOS, golden_path, load_golden, run_scenario
-
-
-def _diff_paths(golden, current, prefix=""):
-    """Human-readable list of leaf paths where two documents differ."""
-    out = []
-    if isinstance(golden, dict) and isinstance(current, dict):
-        for key in sorted(set(golden) | set(current)):
-            here = f"{prefix}.{key}" if prefix else str(key)
-            if key not in golden:
-                out.append(f"{here}: unexpected new field")
-            elif key not in current:
-                out.append(f"{here}: missing")
-            else:
-                out.extend(_diff_paths(golden[key], current[key], here))
-        return out
-    if isinstance(golden, list) and isinstance(current, list):
-        if len(golden) != len(current):
-            out.append(f"{prefix}: length {len(golden)} -> {len(current)}")
-            return out
-        for i, (g, c) in enumerate(zip(golden, current)):
-            out.extend(_diff_paths(g, c, f"{prefix}[{i}]"))
-        return out
-    if golden != current:
-        out.append(f"{prefix}: {golden!r} -> {current!r}")
-    return out
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_behavior_matches_golden(name):
-    assert golden_path(name).exists(), (
-        f"missing golden for {name}; run "
-        f"PYTHONPATH=src python -m tests.perf_lock.regen_golden")
-    golden = load_golden(name)
-    current = run_scenario(name)
-    diffs = _diff_paths(golden, current)
-    assert not diffs, (
-        f"scenario {name!r} diverged from the pre-optimization golden "
-        f"({len(diffs)} field(s)):\n  " + "\n  ".join(diffs[:40]))
-
-
-def test_every_scenario_has_a_golden():
-    for name in SCENARIOS:
-        assert golden_path(name).exists(), f"golden missing for {name}"
+from tests.walls.perf_lock import (  # noqa: F401
+    test_behavior_matches_golden, test_every_scenario_has_a_golden)

@@ -6,7 +6,7 @@ metric counter or trace span relative to the default single kernel.
 Every test here holds ``shards > 1`` runs to *byte identity* against
 ``shards = 1`` — the same bar the perf-lock goldens hold optimizations
 to — plus a canary that a deliberately perturbed run is caught and
-named by the same diff machinery.
+named by the same comparison (``tests.walls.harness.assert_same``).
 
 Two comparison details matter:
 
@@ -31,8 +31,7 @@ from repro.config.spec import AppSpec, ClusterSpec, ObsSpec, ScenarioSpec
 from repro.core.mps import core
 from repro.obs.export import to_chrome_events
 from repro.sim.sharded import plan_shards
-from tests.perf_lock.scenarios import behavior_snapshot
-from tests.perf_lock.test_golden_lock import _diff_paths
+from tests.walls.harness import assert_same, behavior_snapshot
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -91,10 +90,8 @@ def test_nynet_shards_match_single_kernel(shards):
     either)."""
     single = _doc(run_scenario(_wan_spec(shards=1)))
     sharded = _doc(run_scenario(_wan_spec(shards=shards)))
-    diffs = _diff_paths(single, sharded)
-    assert not diffs, (
-        f"shards={shards} diverged from the single kernel "
-        f"({len(diffs)} field(s)):\n  " + "\n  ".join(diffs[:40]))
+    assert_same(sharded, single, coarse=("value", "metrics"),
+                where=f"shards={shards}")
 
 
 def test_wan_ring_four_shards_match_single_kernel():
@@ -102,8 +99,8 @@ def test_wan_ring_four_shards_match_single_kernel():
     all-to-all load — the maximally concurrent case, byte-identical."""
     single = _doc(run_scenario(_ring_spec(shards=1)))
     sharded = _doc(run_scenario(_ring_spec(shards=4)))
-    diffs = _diff_paths(single, sharded)
-    assert not diffs, "\n  ".join(diffs[:40])
+    assert_same(sharded, single, coarse=("value", "metrics"),
+                where="shards=4")
     assert single["chrome"], "trace comparison must not be vacuous"
 
 
@@ -140,13 +137,13 @@ def test_a_raise_in_a_delivery_is_raised_on_both_kernels(monkeypatch):
 
 def test_perturbed_run_is_detected_and_named():
     """The wall actually has teeth: nudge one app parameter by one byte
-    and the diff machinery must flag it and name concrete leaves."""
+    and the comparison must flag it and name the part that moved."""
     baseline = _doc(run_scenario(_wan_spec(shards=1)))
     perturbed = _doc(run_scenario(_wan_spec(shards=2, nbytes=2049)))
-    diffs = _diff_paths(baseline, perturbed)
-    assert diffs, "a one-byte payload change must not go unnoticed"
-    assert any(d.startswith(("value", "metrics", "chrome"))
-               for d in diffs), diffs
+    with pytest.raises(AssertionError) as caught:
+        assert_same(perturbed, baseline,
+                    coarse=("value", "metrics", "chrome"))
+    assert str(caught.value).startswith(("value", "metrics", "chrome"))
 
 
 # ------------------------------------------------------------ plan structure

@@ -23,8 +23,7 @@ from repro.obs.export import to_chrome_events
 from repro.sim.sharded import (ShardFallbackWarning, ShardWorkerError,
                                run_scenario_sharded)
 from repro.sim.sharded.supervise import Supervisor
-from tests.perf_lock.scenarios import behavior_snapshot
-from tests.perf_lock.test_golden_lock import _diff_paths
+from tests.walls.harness import assert_same, behavior_snapshot
 
 #: a 3-host NYNET ring split 2/1 across the WAN trunk — small enough to
 #: run in milliseconds, sharded enough to have a real window protocol
@@ -174,7 +173,7 @@ class TestWorkerFaultPlan:
         doc["runtime"].pop("shards")
         doc["runtime"].pop("supervision")
         result = run_scenario(ScenarioSpec.from_dict(doc))
-        assert not _diff_paths(single_kernel_doc, _behavior(result))
+        assert_same(_behavior(result), single_kernel_doc)
 
 
 class TestCrashRecovery:
@@ -188,10 +187,8 @@ class TestCrashRecovery:
         assert snap["kernel.recovery.retries"] == {"": 1}
         assert "kernel.recovery.fallbacks" not in snap
         assert result.cluster.tracer.points(entity="supervisor")
-        diffs = _diff_paths(single_kernel_doc, _behavior(result))
-        assert not diffs, (
-            f"recovered run diverged ({len(diffs)}):\n  "
-            + "\n  ".join(diffs[:20]))
+        assert_same(_behavior(result), single_kernel_doc,
+                    where="recovered run")
 
     def test_fallback_policy_degrades_byte_identically(self,
                                                        single_kernel_doc):
@@ -209,7 +206,7 @@ class TestCrashRecovery:
             "reason=worker-crashed": 1}
         assert snap["kernel.recovery.worker_failures"] == {
             "reason=crashed,shard=1": 1}
-        assert not _diff_paths(single_kernel_doc, _behavior(result))
+        assert_same(_behavior(result), single_kernel_doc)
 
     def test_raise_policy_surfaces_structured_error(self):
         doc = _doc(BASE_DOC,
@@ -265,7 +262,7 @@ class TestHangDetection:
         snap = result.cluster.metrics.snapshot()
         assert snap["kernel.recovery.worker_failures"] == {
             "reason=hung,shard=0": 1}
-        assert not _diff_paths(single_kernel_doc, _behavior(result))
+        assert_same(_behavior(result), single_kernel_doc)
         # every worker of both launches was joined or reaped: no leak
         assert not multiprocessing.active_children()
 
@@ -277,7 +274,7 @@ class TestHangDetection:
         snap = result.cluster.metrics.snapshot()
         assert not any(name.startswith("kernel.recovery.")
                        for name in snap)
-        assert not _diff_paths(single_kernel_doc, _behavior(result))
+        assert_same(_behavior(result), single_kernel_doc)
 
 
 def _forked(target, *args):

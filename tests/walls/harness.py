@@ -1,14 +1,19 @@
 """One harness for the parent-captured walls.
 
-A wall pins what the code of one parent commit produced for a set of
-cells or scripts, so that a change which moves the paper's mechanisms
-around on the calendar can show that nothing a model observes moved
-with them.  Each wall is a module next to this one: its cells or
-scripts, a :class:`Wall` record, its tests (which compare with
-:func:`assert_same`, floats included) and its frozen oracle if it has
-one.  Its golden JSON sits beside it and is never regenerated.  The
-layer's test module (``tests/<layer>/test_<wall>.py``) imports the
-wall's tests, so pytest collects them next to the layer they guard.
+Every golden of simulated output in this repository is a wall (the
+``KPIS_*.json`` fleet baselines aside, which ``repro.run --fleet
+--check`` compares exactly).  A wall pins what the code of one named
+parent commit produced for a set of cells, scripts or scenarios, so
+that a change which moves the paper's mechanisms around on the
+calendar can show that nothing a model observes moved with them.  Each
+wall lives in a module next to this one (the seven perf-lock scenarios
+share :mod:`.perf_lock`): its cells or scripts, a :class:`Wall` record,
+its tests (which compare with :func:`assert_same`, floats included)
+and its frozen oracle if it has one.  Its golden JSON sits beside it
+and is never regenerated: a golden that must move is captured at a
+named parent.  The layer's test module
+(``tests/<layer>/test_<wall>.py``) imports the wall's tests, so pytest
+collects them next to the layer they guard.
 
 A tie that moved on purpose is not re-captured: the wall lists its cell
 in :attr:`Wall.ties`, the generic comparison skips it
@@ -33,18 +38,27 @@ from typing import Callable, Optional
 
 HERE = Path(__file__).parent
 
-#: every wall, by the name ``python -m tests.walls capture`` takes
-WALLS = ("cpu_quanta", "event_diet", "hop_arithmetic", "medium_arithmetic",
-         "direct_signals", "transport_chain", "jpeg_payloads", "spec_forms",
-         "table_cells")
+#: the seven perf-lock scenarios: walls that share :mod:`.perf_lock`
+PERF_LOCK = ("kernel_timeline", "mts_workload", "pingpong_ethernet",
+             "ring_atm_hsm", "chaos_loss", "buffer_pipeline", "chrome_trace")
+
+#: every wall, by the name ``python -m tests.walls capture`` takes, and
+#: the module that holds it
+WALLS = {name: name for name in (
+    "cpu_quanta", "event_diet", "hop_arithmetic", "medium_arithmetic",
+    "direct_signals", "transport_chain", "jpeg_payloads", "spec_forms",
+    "table_cells", "chrome_export")} | dict.fromkeys(PERF_LOCK, "perf_lock")
 
 #: what a change to the calendar is *for*: never compared
 ODOMETERS = ("sim.events_processed", "sim.processes_started")
 
 
 def wall(name: str) -> "Wall":
-    """The registered wall ``name`` (one of :data:`WALLS`)."""
-    return importlib.import_module(f"{__package__}.{name}").WALL
+    """The registered wall ``name`` (a key of :data:`WALLS`): the
+    ``WALL`` of the module of its name, else its entry in its module's
+    ``WALLS``."""
+    module = importlib.import_module(f"{__package__}.{WALLS[name]}")
+    return module.WALL if WALLS[name] == name else module.WALLS[name]
 
 
 @dataclass(frozen=True)
@@ -103,9 +117,21 @@ def strip_odometers(snapshot: dict) -> dict:
     return {key: snapshot.pop(key) for key in ODOMETERS}
 
 
+def behavior_snapshot(metrics) -> dict:
+    """A registry's snapshot of what the model did: without the
+    :data:`ODOMETERS`, and without the sharded kernel's ``kernel.*``
+    stamps (shard count, lookahead, plan loads, fallbacks), which say
+    which kernel ran and how it partitioned."""
+    snapshot = metrics.snapshot()
+    strip_odometers(snapshot)
+    return {name: series for name, series in snapshot.items()
+            if not name.startswith("kernel.")}
+
+
 def assert_same(got: dict, want: dict, coarse=(), rows=(), ignore=(),
                 where: str = "") -> None:
-    """``got == want`` as JSON documents, floats exact.
+    """``got == want`` as JSON documents, floats exact (both sides go
+    through JSON, so a tuple equals its list).
 
     The keys in ``coarse`` are compared first (a failure there explains
     the rest), then each log in ``rows`` row by row (a log pinned by
@@ -113,8 +139,8 @@ def assert_same(got: dict, want: dict, coarse=(), rows=(), ignore=(),
     the first row that differs.  Keys in ``ignore`` are never compared.
     """
     prefix = f"{where}: " if where else ""
-    got, want = ({k: v for k, v in doc.items() if k not in ignore}
-                 for doc in (json.loads(json.dumps(got)), want))
+    got, want = ({k: v for k, v in json.loads(json.dumps(doc)).items()
+                  if k not in ignore} for doc in (got, want))
     for key in coarse:
         assert got.get(key) == want.get(key), f"{prefix}{key}"
     for key in rows:

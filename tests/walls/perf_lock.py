@@ -1,59 +1,33 @@
-"""Deterministic behavior scenarios for the perf-lock golden wall.
+"""The perf-lock walls: seven same-seed scenarios, bit for bit.
 
 Every scenario here runs a fixed-seed simulation and returns a
 JSON-serializable dict of *behavioral* fields: simulated timestamps,
 payloads, per-layer metric snapshots, trace signatures and Chrome-trace
-events.  The committed goldens under ``tests/perf_lock/golden/`` were
-captured from the pre-optimization kernel; ``test_golden_lock.py``
-asserts that hot-path optimizations never move a single one of these
-fields.  "Make it faster" must never become "make it different".
+events.  Each is a wall of its own name (``kernel_timeline``, ...),
+its golden ``<name>_parent.json`` beside this module.  Hot-path work
+(pooling, queue restructuring, coroutine reuse, memoization) must leave
+every one of these fields untouched.  "Make it faster" must never
+become "make it different".
 
-What is locked and what is not
-------------------------------
 Locked: every simulated timestamp, thread/finish ordering, message
 payload, makespan, per-layer metric counter (MTS switches, MPS
 send/recv, ATM cells, TCP segments...), tracer timelines (via
-``trace_signature``) and the exact Chrome-trace event list.
+``trace_signature``) and the exact Chrome-trace event list.  Not
+locked: what :func:`~.harness.behavior_snapshot` strips, the kernel's
+odometers (:data:`~.harness.ODOMETERS`), which meter how many events
+and coroutines the engine used to realize the model, not the model.
 
-Deliberately NOT locked: :data:`IMPLEMENTATION_METERS` — the kernel's
-own odometers (``sim.events_processed``, ``sim.processes_started``).
-These meter the *implementation* (how many Python-level events and
-coroutines the engine used to realize the model), not the model itself;
-optimizations such as reusing one drain coroutine per buffer pipeline
-legitimately change them while leaving every simulated time and byte
-identical.
-
-Regenerate (only when a behavior change is intended) with::
-
-    PYTHONPATH=src python -m tests.perf_lock.regen_golden
+Provenance: the goldens are unstamped and were last written at
+``112e7fa``, which added the ``mps.delivery_latency_s`` histogram to
+them; today's code reproduces each byte for byte.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import pytest
 
 from ..counts import count
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-#: kernel odometers excluded from the lock (see module docstring)
-IMPLEMENTATION_METERS = ("sim.events_processed", "sim.processes_started")
-
-
-def behavior_snapshot(metrics) -> dict:
-    """A metric snapshot with the implementation meters stripped.
-
-    ``kernel.*`` stamps (shard count, lookahead, plan loads, fallback
-    counter) describe which kernel ran and how it partitioned, not what
-    the model did, so they are implementation too.
-    """
-    snap = metrics.snapshot()
-    for name in IMPLEMENTATION_METERS:
-        snap.pop(name, None)
-    for name in [n for n in snap if n.startswith("kernel.")]:
-        snap.pop(name)
-    return snap
+from .harness import Wall, assert_same, behavior_snapshot, wall
 
 
 # --------------------------------------------------------------- scenarios
@@ -350,27 +324,29 @@ def scenario_chrome_trace() -> dict:
     }
 
 
-#: name -> scenario fn; the golden wall covers every entry
-SCENARIOS = {
-    "kernel_timeline": scenario_kernel_timeline,
-    "mts_workload": scenario_mts_workload,
-    "pingpong_ethernet": scenario_pingpong_ethernet,
-    "ring_atm_hsm": scenario_ring_atm_hsm,
-    "chaos_loss": scenario_chaos_loss,
-    "buffer_pipeline": scenario_buffer_pipeline,
-    "chrome_trace": scenario_chrome_trace,
-}
+#: every scenario, as the wall of its name
+WALLS = {name: Wall(name, "112e7fa", scenario, stamped=False,
+                    dump={"indent": 2, "sort_keys": True})
+         for name, scenario in (
+             ("kernel_timeline", scenario_kernel_timeline),
+             ("mts_workload", scenario_mts_workload),
+             ("pingpong_ethernet", scenario_pingpong_ethernet),
+             ("ring_atm_hsm", scenario_ring_atm_hsm),
+             ("chaos_loss", scenario_chaos_loss),
+             ("buffer_pipeline", scenario_buffer_pipeline),
+             ("chrome_trace", scenario_chrome_trace))}
 
 
-def golden_path(name: str) -> Path:
-    return GOLDEN_DIR / f"{name}.json"
+# -------------------------------------------------------------------- tests
+@pytest.mark.parametrize("name", sorted(WALLS))
+def test_behavior_matches_golden(name):
+    assert_same(WALLS[name].capture(), WALLS[name].parent(),
+                coarse=("end_time", "makespan_s"), where=name)
 
 
-def load_golden(name: str) -> dict:
-    return json.loads(golden_path(name).read_text())
-
-
-def run_scenario(name: str) -> dict:
-    """Run one scenario through a JSON round-trip so float formatting
-    matches the stored golden exactly."""
-    return json.loads(json.dumps(SCENARIOS[name]()))
+def test_every_scenario_has_a_golden():
+    """Each scenario is a registered wall (``python -m tests.walls
+    capture NAME`` reaches it) and its golden is on disk."""
+    for name, scenario_wall in WALLS.items():
+        assert wall(name) is scenario_wall, f"{name} is not registered"
+        assert scenario_wall.path.is_file(), f"golden missing for {name}"
