@@ -40,11 +40,19 @@ def fresh_docs():
 
 @pytest.mark.parametrize("source", sorted(FLEETS))
 def test_fleet_matches_committed_golden(source, fresh_docs):
-    """Same platform, same seeds: a fresh run reproduces the committed
-    KPI document bit for bit."""
+    """Same platform, same seeds: a fresh run reproduces every committed
+    KPI bit for bit."""
     baseline = load_kpi_doc(REPO / FLEETS[source])
     failures = diff_kpis(baseline, fresh_docs[source])
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("source", sorted(FLEETS))
+def test_golden_rows_are_exact_not_just_within_tolerance(source,
+                                                         fresh_docs):
+    """Beyond the per-KPI diff, the whole fresh document — schema, run
+    names and every field — equals the committed one."""
+    baseline = load_kpi_doc(REPO / FLEETS[source])
     assert fresh_docs[source] == baseline
 
 
