@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dct import BLOCK, bands, blockify, dct2, idct2, unblockify
+from .dct import BAND_ROWS, BLOCK, bands, blockify, dct2, idct2, unblockify
 from .huffman import HuffmanCode
 from .quant import dequantize, quality_table, quantize
-from .rle import decode_block_keys, encode_block_keys, key_of, symbol_of
+from .rle import EOB, decode_block_keys, encode_block_keys, key_of, symbol_of
 from .zigzag import from_zigzag, to_zigzag
 
 __all__ = ["CompressedImage", "compress", "decompress", "psnr"]
@@ -53,14 +53,19 @@ def compress(image: np.ndarray, quality: int = 75) -> CompressedImage:
                          f"{image.shape}")
     h, w = image.shape
     table = quality_table(quality)
-    zz = np.empty((h // BLOCK * (w // BLOCK), 64), dtype=np.int32)
-    for rows, blocks in bands(h, w):
-        coeffs = dct2(blockify(image[rows].astype(np.float64) - 128.0))
-        zz[blocks] = to_zigzag(quantize(coeffs, table))
+    parts, dc = [np.empty(0, dtype=np.int64)], 0
+    for rows, _ in bands(h, w):
+        pixels = image[rows].astype(np.float64)
+        pixels -= 128.0
+        zz = to_zigzag(quantize(dct2(blockify(pixels)), table))
+        parts.append(encode_block_keys(zz, dc))
+        dc = int(zz[-1, 0]) if len(zz) else 0
+    keys = np.concatenate(parts)
+    del parts
     # the symbol stream stays an array of packed keys; only its distinct
     # symbols become the tuples the code is keyed (and ordered) by
-    keys, stream, counts = np.unique(encode_block_keys(zz),
-                                     return_inverse=True, return_counts=True)
+    keys, stream, counts = np.unique(keys, return_inverse=True,
+                                     return_counts=True)
     symbols = [symbol_of(key) for key in keys.tolist()]
     code = HuffmanCode.from_frequencies(dict(zip(symbols, counts.tolist())))
     payload = code.encode_indices(code.index(symbols)[stream])
@@ -72,30 +77,43 @@ def decompress(data: CompressedImage) -> np.ndarray:
     """Reconstruct the image from a :class:`CompressedImage`."""
     code = HuffmanCode(data.code_lengths)
     keys = np.array([key_of(sym) for sym in code.alphabet], dtype=np.int64)
-    stream = code.decode_indices(data.payload, data.n_symbols)
-    zz = decode_block_keys(keys[stream], data.n_blocks)
+    stream = keys[code.decode_indices(data.payload, data.n_symbols)]
+    ends = np.flatnonzero(stream == key_of(EOB)) + 1  # where blocks end
     table = quality_table(data.quality)
     image = np.empty((data.height, data.width), dtype=np.uint8)
+    start = dc = 0
     for rows, blocks in bands(data.height, data.width):
+        # a band's keys end at its last EOB; the last band, or the one the
+        # EOBs run out in, takes the rest of the stream and its faults
+        inner = blocks.stop < data.n_blocks and blocks.stop <= len(ends)
+        stop = ends[blocks.stop - 1] if inner else len(stream)
+        zz = decode_block_keys(stream[start:stop], blocks.stop - blocks.start,
+                               blocks.start, dc)
+        start, dc = stop, int(zz[-1, 0]) if len(zz) else 0
         band = image[rows]
-        pixels = unblockify(idct2(dequantize(from_zigzag(zz[blocks]), table)),
-                            *band.shape) + 128.0
-        band[...] = np.clip(np.round(pixels), 0, 255).astype(np.uint8)
+        pixels = unblockify(idct2(dequantize(from_zigzag(zz), table)),
+                            *band.shape)
+        pixels += 128.0
+        band[...] = np.clip(np.round(pixels, out=pixels), 0, 255, out=pixels)
     return image
 
 
 def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB of two uint8 images.
 
-    The squared differences are summed exactly in int64, so the mean
-    is the one float ``np.mean`` of their float64 squares gives.
+    The squared differences are summed exactly in int64, band by band,
+    so the mean is the one float ``np.mean`` of their float64 squares gives.
     """
     if original.dtype != np.uint8 or reconstructed.dtype != np.uint8:
         raise TypeError("expected two uint8 grayscale images")
     if original.shape != reconstructed.shape:
         raise ValueError("shape mismatch")
-    diff = np.subtract(original, reconstructed, dtype=np.int64)
-    mse = int(np.vdot(diff, diff)) / diff.size
+    total = 0
+    for top in range(0, len(original), BAND_ROWS):
+        diff = np.subtract(original[top:top + BAND_ROWS],
+                           reconstructed[top:top + BAND_ROWS], dtype=np.int64)
+        total += int(np.vdot(diff, diff))
+    mse = total / original.size
     if mse == 0:
         return float("inf")
     return 10.0 * np.log10(255.0 ** 2 / mse)

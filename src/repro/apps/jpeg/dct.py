@@ -74,10 +74,12 @@ def bands(h: int, w: int) -> list[tuple[slice, slice]]:
     """Cut an (H, W) image into bands of :data:`BAND_ROWS` pixel rows:
     one ``(rows, blocks)`` pair per band, its rows of the image and its
     blocks in :func:`blockify` order (the pixels above a band, over the
-    64 of a block, are the blocks before it).  A band computes exactly
-    what the whole image would: no block straddles two bands."""
+    64 of a block, are the blocks before it), cut at the image's edge.  A
+    band computes exactly what the whole image would: no block straddles
+    two bands."""
     if h % BLOCK or w % BLOCK:
         raise ValueError(f"image {h}x{w} is not a multiple of {BLOCK}")
-    return [(slice(top, top + BAND_ROWS),
-             slice(top * w // BLOCK ** 2, (top + BAND_ROWS) * w // BLOCK ** 2))
-            for top in range(0, h, BAND_ROWS)]
+    return [(slice(top, end),
+             slice(top * w // BLOCK ** 2, end * w // BLOCK ** 2))
+            for top in range(0, h, BAND_ROWS)
+            for end in [min(top + BAND_ROWS, h)]]

@@ -6,9 +6,9 @@ travels with the compressed data, as a real JFIF file's DHT segments
 do).  Includes a bit-level writer/reader pair.
 
 A stream is coded as an array of indices into :attr:`HuffmanCode.alphabet`
-by whole-array operations (``encode_indices`` gathers code bits,
-``decode_indices`` walks the bitstream by pointer doubling); ``encode`` /
-``decode`` are the same thing for callers holding the symbols themselves.
+a bounded piece at a time (``encode_indices`` gathers code bits per block
+of symbols, ``decode_indices`` walks a window of bits by pointer doubling);
+``encode`` / ``decode`` do the same for callers holding the symbols.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import numpy as np
 
 __all__ = ["HuffmanCode", "BitWriter", "BitReader"]
 
-#: symbols per step of the decoder's walk (four pointer doublings) and
-#: per block (a multiple of it: a whole block ends where the next starts)
-JUMP, BLOCK_SYMBOLS = 16, 4096
+#: symbols per step of the decoder's walk (four pointer doublings), per
+#: block of it and of the encoder (a multiple: blocks end where the next
+#: starts), and bits per window of the walk (whole bytes, at least 24)
+JUMP, BLOCK_SYMBOLS, WINDOW_BITS = 16, 4096, 1 << 15
 
 
 class BitWriter:
@@ -211,14 +212,16 @@ class HuffmanCode:
                     self.alphabet[indices[unfit.argmax()]]]
                 raise ValueError(
                     f"value {code} does not fit in {length} bits")
-        lengths = self._lengths[indices]
-        # bit k of the stream is column (k - start of its code) of its
-        # code's row: one flat gather from the bit matrix
-        first = (indices * self._code_bits.shape[1]
-                 - (np.cumsum(lengths) - lengths))
         w = writer or BitWriter()
-        w.write_bits(self._code_bits.ravel()[
-            np.repeat(first, lengths) + np.arange(int(lengths.sum()))])
+        for at in range(0, len(indices), BLOCK_SYMBOLS):
+            block = indices[at:at + BLOCK_SYMBOLS]
+            lengths = self._lengths[block]
+            # bit k of the block is column (k - start of its code) of its
+            # code's row: one flat gather from the bit matrix
+            first = (block * self._code_bits.shape[1]
+                     - (np.cumsum(lengths) - lengths))
+            w.write_bits(self._code_bits.ravel()[
+                np.repeat(first, lengths) + np.arange(int(lengths.sum()))])
         return w.getvalue()
 
     def encode(self, symbols: Iterable[Any],
@@ -251,40 +254,32 @@ class HuffmanCode:
         """The alphabet indices of the first ``n_symbols`` symbols of
         ``data``.
 
-        ``step[p]``, where the symbol at bit ``p`` ends by the prefix
-        table (``p`` if the table does not settle it), doubled four times
-        is ``jump``: the walk takes one Python step per ``JUMP`` symbols
-        and gathers fill in the rest.  The first unsettled symbol of a
-        block goes to :meth:`_match_bitwise`.
+        ``step[q]``, where the symbol at bit ``q`` of a ``WINDOW_BITS`` window
+        ends by the prefix table (``q`` if the table cannot settle it
+        there), doubled four times is ``jump``: one Python step per
+        ``JUMP`` symbols, and gathers fill in the rest.  A block's first unsettled symbol opens
+        the next window if the window's end cut it, else goes to
+        :meth:`_match_bitwise`.
 
         Raises ``EOFError("bitstream exhausted")`` when the data ends
         inside a symbol and ``ValueError`` when ``max_len + 1`` bits
         match no code.
         """
-        index, length = self._prefix_table()
+        index = self._prefix_table()[0]
         bits = len(index).bit_length() - 1
-        n_bits = 8 * len(data)
-        # the window at every bit position, zero-padded past the end: the
-        # 24 bits from each byte on, shifted once per bit offset
-        raw = np.frombuffer(data + bytes(3), dtype=np.uint8).astype(np.int32)
-        wide = raw[:-2] << 16 | raw[1:-1] << 8 | raw[2:]
-        window = ((wide[:, None] >> (24 - bits - np.arange(8, dtype=np.int32)))
-                  & ((1 << bits) - 1)).ravel()[:n_bits + 1]
-        step = np.arange(n_bits + 1, dtype=np.int32) + length.take(window)
-        # a code reaching past the data is no more settled than no code
-        over = np.flatnonzero(step > n_bits)
-        step[over] = over
-        jump = step
-        for _ in range(JUMP.bit_length() - 1):
-            jump = jump.take(jump)
         out = np.empty(max(n_symbols, 0), dtype=np.intp)
-        done = p = 0
+        done = p = base = 0
+        end, last = -1, False
         while done < n_symbols:
+            if p - base + bits > end and not last:
+                base, end, last, window, step, jump = self._walk_window(
+                    data, p >> 3, bits)
             need = min(BLOCK_SYMBOLS, n_symbols - done)
-            starts = []
+            q, starts = p - base, []
             for _ in range(-(-need // JUMP)):
-                starts.append(p)
-                p = jump.item(p)
+                starts.append(q)
+                q = jump.item(q)
+            p = base + q
             at = np.empty((JUMP, len(starts)), dtype=np.int32)
             at[0] = starts
             for k in range(1, JUMP):  # row k: k symbols after each start
@@ -294,11 +289,35 @@ class HuffmanCode:
             out[done:done + good] = index.take(window.take(at[:good]))
             done += good
             if good < need:  # a long code, the end of the data, no code
-                start = int(at[good])
-                out[done], used = self._match_bitwise(BitReader(data, start))
+                p = base + int(at[good])
+                if p - base + bits > end and not last:
+                    continue  # or a code across the window's end
+                out[done], used = self._match_bitwise(BitReader(data, p))
                 done += 1
-                p = start + used
+                p += used
         return out
+
+    def _walk_window(self, data: bytes, byte: int, bits: int) -> tuple:
+        """``(8 * byte, end, last, window, step, jump)``: the walk's arrays
+        for bits 0 to ``end`` from ``byte`` on (``last``: to the end)."""
+        stop = min(byte + WINDOW_BITS // 8, len(data))
+        end = 8 * (stop - byte)
+        # the window at every bit position, zero-padded past the window:
+        # the 24 bits from each byte on, shifted once per bit offset
+        raw = np.frombuffer(data[byte:stop] + bytes(3),
+                            dtype=np.uint8).astype(np.int32)
+        wide = raw[:-2] << 16 | raw[1:-1] << 8 | raw[2:]
+        window = ((wide[:, None] >> (24 - bits - np.arange(8, dtype=np.int32)))
+                  & ((1 << bits) - 1)).ravel()[:end + 1]
+        step = (np.arange(end + 1, dtype=np.int32)
+                + self._prefix_table()[1].take(window))
+        # a code reaching past the window is no more settled than no code
+        over = np.flatnonzero(step > end)
+        step[over] = over
+        jump = step
+        for _ in range(JUMP.bit_length() - 1):
+            jump = jump.take(jump)
+        return 8 * byte, end, stop == len(data), window, step, jump
 
     def decode(self, data: bytes, n_symbols: int) -> list:
         """The first ``n_symbols`` symbols of ``data``; raises as

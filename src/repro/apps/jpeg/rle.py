@@ -83,10 +83,10 @@ def _check_stack(zz: np.ndarray) -> None:
         raise ValueError("zig-zag coefficients must fit in int32")
 
 
-def encode_block_keys(zz: np.ndarray) -> np.ndarray:
+def encode_block_keys(zz: np.ndarray, dc: int = 0) -> np.ndarray:
     """Encode a (n_blocks, 64) zig-zag stack into the packed keys of its
     symbol stream: per block one DC key, one AC key per nonzero
-    coefficient, one EOB key."""
+    coefficient, one EOB key; the first DC is a delta against ``dc``."""
     _check_stack(zz)
     n_blocks = len(zz)
     ac = zz[:, 1:]
@@ -102,20 +102,23 @@ def encode_block_keys(zz: np.ndarray) -> np.ndarray:
 
     keys = np.empty(len(blk) + 2 * n_blocks, dtype=np.int64)
     keys[dc_slot] = _pack(
-        _DC, 0, np.diff(zz[:, 0].astype(np.int64), prepend=0))
+        _DC, 0, np.diff(zz[:, 0].astype(np.int64), prepend=dc))
     keys[ac_slot] = _pack(_AC, run, ac[blk, pos].astype(np.int64))
     keys[dc_slot + n_ac + 1] = _EOB_KEY
     return keys
 
 
-def decode_block_keys(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+def decode_block_keys(keys: np.ndarray, n_blocks: int, first: int = 0,
+                      dc: int = 0) -> np.ndarray:
     """Inverse of :func:`encode_block_keys`: exactly ``n_blocks`` blocks'
     worth of keys back into a (n_blocks, 64) int32 stack.  The first
-    malformed spot of the stream is a ``ValueError`` naming its block."""
+    malformed spot of the stream is a ``ValueError`` naming its block.
+    A band of a stream passes its ``first`` block's number and the ``dc``
+    before it."""
     kind, run, value = _unpack(np.asarray(keys, dtype=np.int64))
     eob = kind == _EOB
     is_ac = kind == _AC
-    block = np.cumsum(eob) - eob        # EOBs before each key
+    block = np.cumsum(eob) - eob + first  # EOBs before each key, + first
     starts = np.ones(len(kind), dtype=bool)
     starts[1:] = eob[:-1]
     # place of each AC coefficient: 1 + run per AC key since the block's
@@ -124,7 +127,7 @@ def decode_block_keys(keys: np.ndarray, n_blocks: int) -> np.ndarray:
     dc_at = np.flatnonzero(starts)
     pos = steps - np.repeat(steps[dc_at], np.diff(dc_at, append=len(kind)))
 
-    in_range = block < n_blocks
+    in_range = block < first + n_blocks
     misplaced = (starts != (kind == _DC)) & in_range
     overflow = is_ac & (pos >= 64) & in_range
     bad = np.flatnonzero(misplaced | overflow)
@@ -137,22 +140,20 @@ def decode_block_keys(keys: np.ndarray, n_blocks: int) -> np.ndarray:
             f"symbol, got {symbol_of(keys[i])!r}")
     n_done = int(eob.sum())
     if n_done < n_blocks:
-        raise ValueError(
-            f"block {n_done}: symbol stream ended after {len(kind)} symbols "
-            f"({n_blocks} blocks expected)")
+        raise ValueError(f"block {first + n_done}: symbol stream ended")
     if not in_range.all():
         raise ValueError(
             f"{int((~in_range).sum())} surplus symbols after block "
-            f"{n_blocks - 1}")
+            f"{first + n_blocks - 1}")
 
-    dc = np.cumsum(value[dc_at])
+    dc = np.cumsum(value[dc_at]) + dc
     coeff = value[is_ac]
     for what, v in (("DC", dc), ("AC", coeff)):
         if v.size and (v.min() < _INT32.min or v.max() > _INT32.max):
             raise ValueError(f"{what} coefficient does not fit in int32")
     out = np.zeros((n_blocks, 64), dtype=np.int32)
     out[:, 0] = dc
-    out[block[is_ac], pos[is_ac]] = coeff
+    out[block[is_ac] - first, pos[is_ac]] = coeff
     return out
 
 

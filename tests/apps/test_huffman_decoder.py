@@ -7,9 +7,10 @@ decoder must return the same symbols or raise the same error.
 That wall's ``TestEncoderUnchanged`` is collected here.
 
 The decoder walks ``JUMP`` symbols per step in blocks of
-``BLOCK_SYMBOLS``; ``TestWalkSeams`` puts the bit-by-bit fallback at each
-of those seams, and ``TestBenchmarkScale`` decodes every band Table 2
-runs against the index stream ``compress`` coded.
+``BLOCK_SYMBOLS``, through windows of ``WINDOW_BITS`` bits;
+``TestWalkSeams`` puts the bit-by-bit fallback at each of those seams
+and codes across a window's end, and ``TestBenchmarkScale`` decodes every
+band Table 2 runs against the index stream ``compress`` coded.
 """
 
 import numpy as np
@@ -19,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.jpeg import (HuffmanCode, benchmark_image, blockify,
                              compress, dct2, quality_table, quantize,
                              to_zigzag)
+from repro.apps.jpeg import huffman
 from repro.apps.jpeg.distributed import band_slices
-from repro.apps.jpeg.huffman import BLOCK_SYMBOLS, JUMP
+from repro.apps.jpeg.huffman import BLOCK_SYMBOLS, JUMP, WINDOW_BITS
 from repro.apps.jpeg.rle import encode_block_keys, symbol_of
 from tests.walls.jpeg_payloads import (  # noqa: F401
     BAND_COUNTS, TestEncoderUnchanged, reference_decode)
@@ -156,7 +158,7 @@ class TestBenchmarkScale:
 
 RARE = 0          # of fibonacci_stream(24): a 23-bit code, past TABLE_BITS
 COMMON = (23, 22, 21, 20)   # 1- to 4-bit codes
-B = BLOCK_SYMBOLS
+B, W = BLOCK_SYMBOLS, WINDOW_BITS
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,123 @@ class TestWalkSeams:
                     == outcome(reference_decode, fib24, data, n))
         with pytest.raises(EOFError, match="^bitstream exhausted$"):
             fib24.decode(data, 2 * JUMP + 1)
+
+
+    @staticmethod
+    def at_bit(code, start, sym, seed):
+        """1-bit codes up to bit ``start``, then ``sym``, then common
+        codes: the stream and its decode, which must be the stream's,
+        and what decoding one symbol more does, which must be the
+        reference's."""
+        rng = np.random.default_rng(seed)
+        symbols = ([23] * start + [sym]
+                   + rng.choice(COMMON, size=B + 3 * JUMP).tolist())
+        data = code.encode(symbols)
+        assert code.decode(data, len(symbols)) == symbols
+        assert (outcome(code.decode, data, len(symbols) + 1)
+                == outcome(reference_decode, code, data, len(symbols) + 1))
+        return symbols, data
+
+    @pytest.mark.parametrize("sym, start", [
+        (22, W - 1), (21, W - 2), (21, W - 1), (20, W - 3), (20, W - 1),
+        (22, W - 2), (22, W)], ids=str)
+    def test_code_across_a_window_seam(self, fib24, sym, start):
+        """A 2- to 4-bit code that starts before the first window's end
+        and ends after it (and, as controls, one that ends at it and one
+        that starts at it)."""
+        symbols, data = self.at_bit(fib24, start, sym, start + sym)
+        assert reference_decode(fib24, data, len(symbols)) == symbols
+
+    @pytest.mark.parametrize("start", [W - 22, W - 16, W - 8, W - 1, W,
+                                       W + 1, W + 7])
+    def test_long_code_at_a_window_seam(self, fib24, start):
+        """The 23-bit code, too wide for the table, across, before and
+        after the first window's end."""
+        symbols, data = self.at_bit(fib24, start, RARE, start)
+        assert reference_decode(fib24, data, len(symbols)) == symbols
+
+    @pytest.mark.parametrize("cut", [W // 8 - 1, W // 8, W // 8 + 1,
+                                     W // 8 + 2, W // 8 + 3])
+    def test_data_truncated_at_a_window_seam(self, fib24, cut):
+        """The data ends just before, at and just after the first
+        window's end, inside a 2-bit code or between two."""
+        for lead in (W - 1, W - 2):
+            symbols = [23] * lead + [22] * (4 * JUMP)
+            data = fib24.encode(symbols)[:cut]
+            # symbols the data holds
+            whole = min(8 * cut, lead) + max(8 * cut - lead, 0) // 2
+            for n in (0, lead, whole - 1, whole, whole + 1, len(symbols)):
+                assert (outcome(fib24.decode, data, n)
+                        == outcome(reference_decode, fib24, data, n))
+            assert fib24.decode(data, whole) == symbols[:whole]
+            with pytest.raises(EOFError, match="^bitstream exhausted$"):
+                fib24.decode(data, whole + 1)
+
+    @pytest.mark.parametrize("incomplete", [False, True],
+                             ids=["complete", "incomplete"])
+    def test_corrupt_bits_in_the_last_window(self, fib24, incomplete):
+        """A stream of three and a bit windows, one bit flipped in the
+        last: other symbols, an early end or (``11`` of the incomplete
+        code) no code at all, as the reference has it."""
+        code, alphabet = ((HuffmanCode({"a": 1, "b": 2}), ["a", "b"])
+                          if incomplete else (fib24, [*COMMON, RARE]))
+        rng = np.random.default_rng(incomplete)
+        symbols = []
+        while code.encoded_bit_length(symbols) < 3 * W + 100:
+            symbols += rng.choice(alphabet, size=4 * B).tolist()
+        clean = code.encode(symbols)
+        assert len(clean) > 3 * W // 8
+        for back in (1, 9, 40, 100):
+            blob = bytearray(clean)
+            bit = 8 * len(blob) - back
+            blob[bit >> 3] ^= 0x80 >> (bit & 7)
+            assert (outcome(code.decode, bytes(blob), len(symbols))
+                    == outcome(reference_decode, code, bytes(blob),
+                               len(symbols)))
+
+    def test_no_symbols_over_many_windows(self, fib24):
+        data = fib24.encode([RARE, 22] * (W // 12))
+        assert len(data) > 2 * W // 8
+        for blob in (data, b"\xff" * len(data)):
+            for n in (0, -1):
+                out = fib24.decode_indices(blob, n)
+                assert out.dtype == np.intp and out.shape == (0,)
+
+    @pytest.mark.parametrize("window_bits", [24, 32, 40])
+    @given(streams(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_many_seams_match_the_reference(self, window_bits, symbols,
+                                            data):
+        """With windows of a few bytes, every stream crosses seams at
+        every bit offset: whole, truncated or with a bit flipped, the
+        decode is the reference's."""
+        code = HuffmanCode.from_symbols(symbols)
+        blob = bytearray(code.encode(symbols))
+        if data.draw(st.booleans()):
+            bit = data.draw(st.integers(0, len(blob) * 8 - 1))
+            blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        n = data.draw(st.integers(0, len(symbols) + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(huffman, "WINDOW_BITS", window_bits)
+            assert (outcome(code.decode, blob, n)
+                    == outcome(reference_decode, code, blob, n))
+
+    @pytest.mark.parametrize("window_bits", [24, 32])
+    def test_long_codes_across_small_windows(self, fib24, window_bits,
+                                             monkeypatch):
+        """Rare symbols every few codes, so 23-bit codes cross seams of
+        24- and 32-bit windows at many offsets."""
+        rng = np.random.default_rng(window_bits)
+        symbols = rng.choice(COMMON + (RARE,), size=3000,
+                             p=[.3, .3, .2, .1, .1]).tolist()
+        data = fib24.encode(symbols)
+        monkeypatch.setattr(huffman, "WINDOW_BITS", window_bits)
+        assert fib24.decode(data, len(symbols)) == symbols
+        for cut in range(len(data) - 8, len(data)):
+            assert (outcome(fib24.decode, data[:cut], len(symbols))
+                    == outcome(reference_decode, fib24, data[:cut],
+                               len(symbols)))
 
 
 class TestEdges:

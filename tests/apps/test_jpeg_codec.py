@@ -15,6 +15,7 @@ from repro.apps.jpeg import (
     encode_blocks, from_zigzag, idct2, psnr, quality_table, quantize,
     to_zigzag, unblockify, zigzag_indices,
 )
+from repro.apps.jpeg.dct import BAND_ROWS, bands
 
 
 class TestDct:
@@ -57,6 +58,26 @@ class TestDct:
         assert blocks[0, 0, 0] == 0
         assert blocks[1, 0, 0] == 8        # next block to the right
         assert blocks[2, 0, 0] == 8 * 16   # next block row
+
+    def test_bands_end_at_the_image_edge(self):
+        """``bands(80, 960)`` gave rows 64:128 and blocks 960:1920 for
+        an image of 1 200 blocks; numpy's slicing clipped them."""
+        assert bands(80, 960) == [(slice(0, 64), slice(0, 960)),
+                                  (slice(64, 80), slice(960, 1200))]
+        assert bands(8, 8) == [(slice(0, 8), slice(0, 1))]
+        assert bands(0, 8) == []
+
+    @pytest.mark.parametrize("h, w", [(8, 16), (64, 8), (72, 960),
+                                      (128, 24), (200, 48)])
+    def test_bands_tile_the_rows_and_the_blocks(self, h, w):
+        cuts = bands(h, w)
+        tops = range(0, h, BAND_ROWS)
+        assert [r for r, _ in cuts] == [
+            slice(top, min(top + BAND_ROWS, h)) for top in tops]
+        assert [b for _, b in cuts] == [
+            slice(r.start // 8 * (w // 8), r.stop // 8 * (w // 8))
+            for r, _ in cuts]
+        assert cuts[-1][1].stop == (h // 8) * (w // 8)
 
 
 class TestQuantZigzag:
@@ -319,6 +340,33 @@ class TestCodec:
         assert np.array_equal(decompress(comp), np.clip(
             np.round(pixels), 0, 255).astype(np.uint8))
 
+    @pytest.mark.parametrize("fault, message", [
+        ("misplaced", r"block 19: expected DC symbol, got \('EOB',\)"),
+        ("overflow", "block 20: AC run overflows the block"),
+        ("ended", "block 21: symbol stream ended"),
+        ("surplus", "1 surplus symbols after block 24")])
+    def test_a_fault_in_a_later_band_names_its_block(self, fault, message):
+        """200 x 8 pixels: bands of 8, 8, 8 and 1 blocks.  A malformed
+        symbol stream is reported with the block's number in the image,
+        as the whole-stream decoder reports it."""
+        comp = compress(benchmark_image(200, 8, seed=3))
+        symbols = HuffmanCode(comp.code_lengths).decode(comp.payload,
+                                                        comp.n_symbols)
+        eob = [i for i, sym in enumerate(symbols) if sym == EOB]
+        cut, extra = {"misplaced": (eob[18] + 1, [EOB]),  # after block 18
+                      "overflow": (eob[19] + 2, [("AC", 63, 1)]),
+                      "ended": (eob[20] + 1, None),
+                      "surplus": (len(symbols), [("DC", 0)])}[fault]
+        broken = symbols[:cut] + (extra + symbols[cut:] if extra else [])
+        code = HuffmanCode.from_symbols(broken)
+        bad = dataclasses.replace(comp, n_symbols=len(broken),
+                                  code_lengths=code.lengths,
+                                  payload=code.encode(broken))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decompress(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decode_blocks(broken, comp.n_blocks)
+
     def test_flat_image_compresses_extremely(self):
         img = np.full((64, 64), 128, dtype=np.uint8)
         comp = compress(img)
@@ -345,6 +393,21 @@ class TestPsnr:
         assert psnr(a, near) == float_psnr(a, near)
         zeros, full = np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)
         assert psnr(zeros, full) == float_psnr(zeros, full) == 0.0
+
+    @pytest.mark.parametrize("shape", [(5, 7), (80, 960), (64, 3),
+                                       (129, 2)])
+    def test_bands_sum_what_the_whole_array_does(self, shape):
+        """``psnr`` sums a band of rows at a time; on heights that are
+        not a multiple of ``BAND_ROWS`` it equals the whole-array int64
+        formula, and a difference in the last row alone counts."""
+        rng = np.random.default_rng(shape[0])
+        a, b = rng.integers(0, 256, size=(2, *shape), dtype=np.uint8)
+        last = a.copy()
+        last[-1, -1] ^= 1
+        for other in (b, last):
+            diff = np.subtract(a, other, dtype=np.int64)
+            mse = int(np.vdot(diff, diff)) / diff.size
+            assert psnr(a, other) == 10.0 * np.log10(255.0 ** 2 / mse)
 
     def test_equals_the_float_mean_on_a_decode(self):
         img = benchmark_image()
