@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from ..config.build import control_kwargs
 from ..config.schema import SCALARS, Field, SpecError, declaration, read
+from ..config.spec import ScenarioSpec
 from ..core.api import ServiceMode
 from ..registry import APP_DRIVERS
 from .. import apps             # each ``run_*`` is imported when it runs
@@ -79,30 +80,38 @@ def _two_hosts(run):
     return run.runtime
 
 
-def _no_runtime_table(run, *fields):
-    """Self-contained drivers that can't honor a runtime field reject it
-    loudly instead of silently ignoring the spec."""
+def _no_runtime_table(run, *keys):
+    """Refuse what a self-contained driver cannot honour.
+
+    It builds its own platform cluster and synchronizes itself, so a
+    ``[cluster]`` or ``[faults]`` table, ``runtime.collectives`` or
+    ``runtime.barriers`` — and each of the driver's own ``keys``
+    (``"runtime.flow"``, ...) — set away from the bare spec's value is a
+    :class:`SpecError` naming it, never a setting silently ignored."""
     spec = run.spec
-    for f in fields:
-        if getattr(spec, f) or getattr(spec, f + "_kwargs", None):
-            raise ValueError(
-                f"driver {spec.app.driver!r} does not support runtime."
-                f"{f}; drop it from the scenario or pick the matching "
-                "app parameter")
-    if spec.barriers:
-        raise ValueError(
-            f"driver {spec.app.driver!r} manages its own synchronization; "
-            "runtime.barriers is not supported")
-    if spec.faults is not None:
-        raise ValueError(
-            f"driver {spec.app.driver!r} builds its own cluster; declare "
-            "faults via a runtime driver scenario instead")
+    bare = ScenarioSpec(spec.name)
+    for key in ("cluster", "faults", "runtime.collectives",
+                "runtime.barriers", *keys):
+        attr = key.rpartition(".")[2]
+        value = getattr(spec, attr)
+        if value != getattr(bare, attr):
+            if hasattr(value, "to_dict"):       # a whole table
+                value = value.to_dict()
+            raise SpecError(
+                f"app driver {spec.app.driver!r} builds its own platform "
+                f"cluster and cannot honour {key} = {value!r}; drop it "
+                "from the scenario or pick the matching app parameter")
+
+
+#: what a ``-p4`` driver refuses besides :func:`_no_runtime_table`'s own
+#: keys: it always runs single-threaded p4 processes
+P4_KEYS = ("runtime.mode", "runtime.flow", "runtime.error")
 
 
 @APP_DRIVERS.register(
     "matmul-p4", help="Fig 13 matrix multiply, single-threaded p4 processes")
 def _matmul_p4(run):
-    _no_runtime_table(run, "flow", "error")
+    _no_runtime_table(run, *P4_KEYS)
     return apps.run_matmul_p4(**_app_params(run, apps.run_matmul_p4))
 
 
@@ -120,14 +129,14 @@ def _matmul_ncs(run):
 @APP_DRIVERS.register(
     "jpeg-p4", help="Fig 15 JPEG pipeline, single-threaded p4 processes")
 def _jpeg_p4(run):
-    _no_runtime_table(run, "flow", "error")
+    _no_runtime_table(run, *P4_KEYS)
     return apps.run_jpeg_p4(**_app_params(run, apps.run_jpeg_p4))
 
 
 @APP_DRIVERS.register(
     "jpeg-ncs", help="Figs 16-18 JPEG pipeline, multithreaded NCS")
 def _jpeg_ncs(run):
-    _no_runtime_table(run, "flow", "error")
+    _no_runtime_table(run, "runtime.flow", "runtime.error")
     return apps.run_jpeg_ncs(mode=_mode(run.spec.mode),
                              **_app_params(run, apps.run_jpeg_ncs))
 
@@ -135,14 +144,14 @@ def _jpeg_ncs(run):
 @APP_DRIVERS.register(
     "fft-p4", help="Fig 19 distributed FFT, single-threaded p4 processes")
 def _fft_p4(run):
-    _no_runtime_table(run, "flow", "error")
+    _no_runtime_table(run, *P4_KEYS)
     return apps.run_fft_p4(**_app_params(run, apps.run_fft_p4))
 
 
 @APP_DRIVERS.register(
     "fft-ncs", help="Figs 20-21 distributed FFT, multithreaded NCS")
 def _fft_ncs(run):
-    _no_runtime_table(run, "flow", "error")
+    _no_runtime_table(run, "runtime.flow", "runtime.error")
     return apps.run_fft_ncs(mode=_mode(run.spec.mode),
                             **_app_params(run, apps.run_fft_ncs))
 

@@ -25,7 +25,7 @@ touching this package.
 
 from .spec import (
     AppSpec, ClusterSpec, FaultSpec, ObsSpec, ResilienceSpec, ScenarioSpec,
-    SpecError, SupervisionSpec,
+    SpecError,
 )
 from .io import (
     dump_scenario, dumps_json, dumps_toml, load_scenario, loads_scenario,
@@ -38,7 +38,7 @@ from .build import (
 
 __all__ = [
     "AppSpec", "ClusterSpec", "FaultSpec", "ObsSpec", "ResilienceSpec",
-    "ScenarioSpec", "SpecError", "SupervisionSpec",
+    "ScenarioSpec", "SpecError",
     "dump_scenario", "dumps_json", "dumps_toml", "load_scenario",
     "loads_scenario",
     "FleetSpec", "MatrixAxis", "MatrixSpec", "load_fleet",

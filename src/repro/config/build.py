@@ -86,19 +86,11 @@ def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
 
 
 def build_fault_plan(spec: ScenarioSpec):
-    """The spec's *cluster-level* :class:`~repro.faults.FaultPlan`, or None.
-
-    Kernel-infrastructure faults (``worker-crash`` / ``worker-stall``)
-    are stripped here: they target the sharded kernel's execution
-    substrate, not the simulated cluster, and are consumed by the
-    supervision layer in :mod:`repro.sim.sharded` instead.  On the
-    single kernel they are inert by construction — which is what lets
-    a recovered (retried or degraded) run stay byte-identical.
-    """
+    """The spec's :class:`~repro.faults.FaultPlan`, or None."""
     ensure_components()
     if spec.faults is None:
         return None
-    plan = spec.faults.to_plan().cluster_plan()
+    plan = spec.faults.to_plan()
     return plan if len(plan) else None
 
 

@@ -38,7 +38,7 @@ from typing import Optional
 from .schema import SpecError, Table, join, read, settle
 
 __all__ = ["SpecError", "ClusterSpec", "AppSpec", "FaultSpec", "ObsSpec",
-           "ResilienceSpec", "SupervisionSpec", "ScenarioSpec"]
+           "ResilienceSpec", "ScenarioSpec"]
 
 #: a :class:`ScenarioSpec` field written in the ``[runtime]`` table
 RUNTIME = {"table": "runtime"}
@@ -222,86 +222,6 @@ class ResilienceSpec(Table):
 
 
 # ---------------------------------------------------------------------------
-# SupervisionSpec
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupervisionSpec(Table):
-    """Watchdog deadlines and recovery policy for the sharded kernel.
-
-    The sharded kernel's coordinator never waits unboundedly on a shard
-    worker: every control-queue operation in the window protocol is
-    bounded by ``barrier_deadline_s`` of *wall-clock* time (simulated
-    time is irrelevant here — a hung worker makes no simulated
-    progress at all), and worker liveness is polled every
-    ``liveness_poll_s`` while waiting, so a crashed worker is detected
-    long before the barrier deadline expires.  ``worker_grace_s``
-    bounds teardown: how long an aborted worker process gets to
-    acknowledge and join before it is terminated.
-
-    ``policy`` is the recovery ladder applied after all workers are
-    torn down:
-
-    * ``"retry"`` — relaunch the sharded run up to ``max_retries``
-      times (transient fork/OOM flakes), then re-raise;
-    * ``"fallback"`` — degrade immediately to the single kernel, which
-      is byte-identical by the determinism walls;
-    * ``"retry-then-fallback"`` (default) — retry first, degrade if
-      the retry fails too;
-    * ``"raise"`` — no recovery: surface the structured
-      :class:`~repro.sim.sharded.ShardWorkerError` to the caller.
-
-    Wall-clock deadlines never feed back into the simulation, so
-    supervision cannot perturb results — it only decides when to stop
-    waiting for a worker that will never answer.
-    """
-
-    _where = "runtime.supervision"
-    _sorted = True
-    POLICIES = ("retry", "fallback", "retry-then-fallback", "raise")
-
-    barrier_deadline_s: float = 60.0
-    worker_grace_s: float = 5.0
-    liveness_poll_s: float = 0.05
-    policy: str = "retry-then-fallback"
-    max_retries: int = 1
-
-    def __post_init__(self) -> None:
-        settle(self)
-        for name in ("barrier_deadline_s", "worker_grace_s",
-                     "liveness_poll_s"):
-            if not getattr(self, name) > 0:
-                raise _err(f"{self._where}.{name}",
-                           f"must be a positive number of wall-clock "
-                           f"seconds (got {getattr(self, name)!r})")
-        if self.liveness_poll_s > self.barrier_deadline_s:
-            raise _err(f"{self._where}.liveness_poll_s",
-                       f"must not exceed barrier_deadline_s (got "
-                       f"{self.liveness_poll_s!r} > "
-                       f"{self.barrier_deadline_s!r})")
-        if self.policy not in self.POLICIES:
-            raise _err(f"{self._where}.policy",
-                       f"must be one of {', '.join(self.POLICIES)} "
-                       f"(got {self.policy!r})")
-        if self.max_retries < 0:
-            raise _err(f"{self._where}.max_retries",
-                       f"must be a non-negative integer (got "
-                       f"{self.max_retries!r})")
-
-    @property
-    def retries_allowed(self) -> int:
-        """Sharded relaunches the policy permits (0 when not retrying)."""
-        if self.policy in ("retry", "retry-then-fallback"):
-            return self.max_retries
-        return 0
-
-    @property
-    def falls_back(self) -> bool:
-        """Whether the ladder ends in single-kernel degradation."""
-        return self.policy in ("fallback", "retry-then-fallback")
-
-
-# ---------------------------------------------------------------------------
 # ObsSpec
 # ---------------------------------------------------------------------------
 
@@ -360,11 +280,7 @@ class ScenarioSpec(Table):
     ``kernel`` names a simulation kernel in
     :data:`repro.registry.KERNELS` (``single`` — the default in-process
     event loop — or ``sharded``); ``shards`` > 1 auto-selects the
-    sharded kernel and sets its worker count.  ``supervision`` (a
-    ``[runtime.supervision]`` table) bounds every coordinator wait with
-    wall-clock deadlines and selects the recovery policy applied when a
-    shard worker crashes or hangs (:class:`SupervisionSpec`); it is
-    inert on the single kernel.
+    sharded kernel and sets its worker count.
     """
 
     name: str
@@ -379,8 +295,6 @@ class ScenarioSpec(Table):
     barriers: dict[int, int] = field(default_factory=dict, metadata=RUNTIME)
     kernel: str = field(default="single", metadata=RUNTIME)
     shards: int = field(default=1, metadata=RUNTIME)
-    supervision: SupervisionSpec = field(default_factory=SupervisionSpec,
-                                         metadata=RUNTIME)
     app: Optional[AppSpec] = None
     faults: Optional[FaultSpec] = None
     resilience: Optional[ResilienceSpec] = None

@@ -22,12 +22,11 @@ service modes.
 from .injector import FaultInjector, trace_signature
 from .plan import (
     BerSpike, FaultEvent, FaultPlan, HostCrash, LinkOutage, MessageLoss,
-    Partition, SwitchPortStall, WorkerCrash, WorkerFault, WorkerStall,
+    Partition, SwitchPortStall,
 )
 
 __all__ = [
     "FaultInjector", "trace_signature",
     "BerSpike", "FaultEvent", "FaultPlan", "HostCrash", "LinkOutage",
     "MessageLoss", "Partition", "SwitchPortStall",
-    "WorkerCrash", "WorkerFault", "WorkerStall",
 ]

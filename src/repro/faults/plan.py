@@ -28,8 +28,7 @@ from ..registry import FAULT_KINDS
 
 __all__ = [
     "FaultEvent", "LinkOutage", "BerSpike", "HostCrash", "SwitchPortStall",
-    "Partition", "MessageLoss", "WorkerFault", "WorkerCrash", "WorkerStall",
-    "FaultPlan",
+    "Partition", "MessageLoss", "FaultPlan",
 ]
 
 
@@ -252,94 +251,6 @@ class MessageLoss(FaultEvent):
 
 
 @dataclass(frozen=True)
-class WorkerFault(FaultEvent):
-    """Base class: a *kernel-infrastructure* fault on a shard worker.
-
-    Unlike every other fault kind, these do not perturb the simulated
-    cluster at all — they kill or wedge the **execution substrate**
-    (the sharded kernel's worker process for shard ``shard``)
-    so the supervision layer itself can sit under the chaos suite.
-    They are therefore invisible to the single kernel and to the
-    :class:`~repro.faults.injector.FaultInjector` (``build_fault_plan``
-    strips them before arming), which is exactly what makes a recovered
-    run byte-identical to the unsharded one.
-
-    Triggering is deterministic: the fault fires when worker ``shard``
-    is about to report for coordinator window ``window`` (1-based
-    round counter) of sharded launch attempt ``attempt`` (0 = the
-    first launch, so a retried run is clean by default — the
-    transient-flake model).  ``at`` is carried only to satisfy the
-    event schema; worker faults key on the window counter, not
-    simulated time.
-    """
-
-    at: float = 0.0
-    shard: int = 0
-    window: int = 1
-    attempt: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not isinstance(self.shard, int) or self.shard < 0:
-            raise ValueError(
-                f"shard: worker fault shard must be a non-negative shard "
-                f"index (got {self.shard!r})")
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ValueError(
-                f"window: worker fault window must be a positive window "
-                f"number (got {self.window!r})")
-        if not isinstance(self.attempt, int) or self.attempt < 0:
-            raise ValueError(
-                f"attempt: worker fault attempt must be a non-negative "
-                f"launch attempt (got {self.attempt!r})")
-
-    def matches(self, shard: int, window: int, attempt: int) -> bool:
-        """Whether this fault fires for ``shard`` at ``window`` of
-        launch ``attempt``."""
-        return (self.shard == shard and self.window == window
-                and self.attempt == attempt)
-
-
-
-@_register_kind("worker-crash")
-@dataclass(frozen=True)
-class WorkerCrash(WorkerFault):
-    """Kill shard ``shard``'s worker dead at window ``window``: the
-    process exits without a word (``os._exit``).  The coordinator sees
-    silence + a dead worker and classifies the failure as
-    ``crashed``."""
-
-    def describe(self) -> str:
-        return (f"worker-crash(shard={self.shard}, window={self.window}, "
-                f"attempt={self.attempt})")
-
-
-@_register_kind("worker-stall")
-@dataclass(frozen=True)
-class WorkerStall(WorkerFault):
-    """Wedge shard ``shard``'s worker for ``stall_s`` wall-clock
-    seconds at window ``window`` — long enough (when ``stall_s``
-    exceeds the supervision barrier deadline) for the coordinator to
-    classify the worker as ``hung`` and recover without it."""
-
-    stall_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # NaN compares false with everything and an infinite sleep
-        # overflows: both used to pass and kill the worker mid-protocol
-        if (not isinstance(self.stall_s, (int, float))
-                or not 0 < self.stall_s < math.inf):
-            raise ValueError(
-                f"stall_s: worker stall duration must be a positive, "
-                f"finite number of wall-clock seconds (got {self.stall_s!r})")
-
-    def describe(self) -> str:
-        return (f"worker-stall(shard={self.shard}, window={self.window}, "
-                f"attempt={self.attempt}, stall_s={self.stall_s:g})")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """An immutable schedule of fault events, sorted by injection time."""
 
@@ -362,20 +273,6 @@ class FaultPlan:
     @property
     def permanent_events(self) -> tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if e.permanent)
-
-    @property
-    def worker_events(self) -> tuple[WorkerFault, ...]:
-        """Kernel-infrastructure faults (consumed by the sharded
-        kernel's supervision layer, never armed against the cluster)."""
-        return tuple(e for e in self.events if isinstance(e, WorkerFault))
-
-    def cluster_plan(self) -> "FaultPlan":
-        """This plan minus worker faults — what the injector may arm."""
-        events = tuple(e for e in self.events
-                       if not isinstance(e, WorkerFault))
-        if len(events) == len(self.events):
-            return self
-        return FaultPlan(events, label=self.label)
 
     def describe(self) -> str:
         """One line per event — stable text used in logs and EXPERIMENTS."""

@@ -13,13 +13,10 @@ order, ``jobs=1`` and ``jobs=N`` produce byte-identical KPI documents
 A failing run (driver exception, spec/build error) never takes the
 fleet down: its row becomes an ``{"error": ...}`` marker that renders
 in the table, fails a ``--check``, and leaves every other run's KPIs
-intact.  Two supervision knobs harden long fleets further: a per-run
-wall-clock ``timeout_s`` (enforced inside the worker with a SIGALRM
-deadline, so a wedged scenario cannot stall its pool slot forever) and
-bounded ``retries`` with exponential backoff for transient failures.
-The attempt count lands in every retried run's ``metrics.json``
-(``fleet.attempts``) and KPI row (``attempts``, only when > 1 so
-single-attempt fleets keep their byte-identical documents).
+intact.  A per-run wall-clock ``timeout_s`` (enforced inside the worker
+with a SIGALRM deadline) keeps a wedged scenario from stalling its pool
+slot forever; it fails that run the same way.  A failed run is not run
+again: each is a pure function of its spec, so it would fail again.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import json
 import signal
 import threading
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +37,7 @@ __all__ = ["RunOutcome", "FleetResult", "RunTimeout", "run_fleet"]
 
 
 class RunTimeout(Exception):
-    """One scenario attempt exceeded the fleet's per-run deadline."""
+    """One scenario run exceeded the fleet's per-run deadline."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +49,9 @@ class RunOutcome:
     row: Optional[dict] = None          # KpiRow.to_dict() when ok
     error: Optional[str] = None
     artifacts: tuple = ()
-    attempts: int = 1                   # launches it took (1 = no retry)
 
     def doc_row(self) -> dict:
-        row = dict(self.row) if self.ok else {"error": self.error}
-        if self.attempts > 1:
-            row["attempts"] = self.attempts
-        return row
+        return dict(self.row) if self.ok else {"error": self.error}
 
 
 @dataclass
@@ -89,7 +81,7 @@ def _run_dir_name(run_id: str) -> str:
 
 
 class _deadline:
-    """A SIGALRM-backed wall-clock deadline around one run attempt.
+    """A SIGALRM-backed wall-clock deadline around one run.
 
     Arms only where it can: SIGALRM exists (POSIX) and we are on the
     process's main thread (signal handlers cannot be installed
@@ -121,81 +113,56 @@ class _deadline:
         return False
 
 
-def _attempt_one(run_id: str, doc_json: str, artifacts_dir: Optional[str],
-                 timeout_s: Optional[float], attempts: int) -> dict:
-    """One attempt at one scenario; raises on failure (caller retries)."""
-    from ..config import ScenarioSpec, ensure_components, run_scenario
-    from .kpis import extract_kpis
-    ensure_components()
-    spec = ScenarioSpec.from_dict(json.loads(doc_json))
-    with _deadline(timeout_s):
-        result = run_scenario(spec)
-    snapshot = (result.cluster.metrics.snapshot()
-                if result.cluster is not None else {})
-    row = extract_kpis(spec, snapshot, result.summary())
-    artifacts = list(result.exported)
-    if artifacts_dir is not None:
-        run_dir = Path(artifacts_dir) / _run_dir_name(run_id)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if attempts > 1:
-            # the attempt count is runner telemetry, not simulated
-            # behaviour: single-attempt runs omit it so their
-            # metrics.json stays byte-identical
-            snapshot = dict(snapshot)
-            snapshot["fleet.attempts"] = {"": attempts}
-        metrics_path = run_dir / "metrics.json"
-        metrics_path.write_text(
-            json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
-        artifacts.append(str(metrics_path))
-        if spec.obs.trace and result.cluster is not None:
-            from ..obs import export_chrome_trace
-            trace_path = run_dir / "trace.json"
-            export_chrome_trace(result.cluster.tracer, trace_path,
-                                metrics=result.cluster.metrics)
-            artifacts.append(str(trace_path))
-    return {"run_id": run_id, "ok": True, "row": row.to_dict(),
-            "artifacts": artifacts, "attempts": attempts}
-
-
 def _execute_one(run_id: str, doc_json: str, artifacts_dir: Optional[str],
-                 timeout_s: Optional[float] = None, retries: int = 0,
-                 backoff_s: float = 0.5) -> dict:
+                 timeout_s: Optional[float] = None) -> dict:
     """One worker task; module-level so it pickles into pool workers.
 
     Returns a plain dict (not RunOutcome) to keep the pool protocol to
     stdlib types.  Never raises: any failure is folded into the result.
-    Each attempt gets a fresh deadline; failed attempts back off
-    exponentially (``backoff_s * 2**attempt``) before relaunching, up
-    to ``retries`` relaunches.
     """
-    last: dict = {}
-    for attempt in range(retries + 1):
-        try:
-            return _attempt_one(run_id, doc_json, artifacts_dir,
-                                timeout_s, attempts=attempt + 1)
-        except Exception as e:                  # noqa: BLE001 — fleet runs
-            # must survive any one scenario failing, whatever the cause
-            last = {"run_id": run_id, "ok": False,
-                    "error": f"{type(e).__name__}: {e}",
-                    "trace": traceback.format_exc(),
-                    "attempts": attempt + 1}
-            if attempt < retries:
-                time.sleep(backoff_s * (2 ** attempt))
-    return last
+    try:
+        from ..config import ScenarioSpec, ensure_components, run_scenario
+        from .kpis import extract_kpis
+        ensure_components()
+        spec = ScenarioSpec.from_dict(json.loads(doc_json))
+        with _deadline(timeout_s):
+            result = run_scenario(spec)
+        snapshot = (result.cluster.metrics.snapshot()
+                    if result.cluster is not None else {})
+        row = extract_kpis(spec, snapshot, result.summary())
+        artifacts = list(result.exported)
+        if artifacts_dir is not None:
+            run_dir = Path(artifacts_dir) / _run_dir_name(run_id)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            metrics_path = run_dir / "metrics.json"
+            metrics_path.write_text(
+                json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
+            artifacts.append(str(metrics_path))
+            if spec.obs.trace and result.cluster is not None:
+                from ..obs import export_chrome_trace
+                trace_path = run_dir / "trace.json"
+                export_chrome_trace(result.cluster.tracer, trace_path,
+                                    metrics=result.cluster.metrics)
+                artifacts.append(str(trace_path))
+    except Exception as e:                      # noqa: BLE001 — fleet runs
+        # must survive any one scenario failing, whatever the cause
+        return {"run_id": run_id, "ok": False,
+                "error": f"{type(e).__name__}: {e}",
+                "trace": traceback.format_exc()}
+    return {"run_id": run_id, "ok": True, "row": row.to_dict(),
+            "artifacts": artifacts}
 
 
 def _to_outcome(raw: dict) -> RunOutcome:
     return RunOutcome(run_id=raw["run_id"], ok=raw["ok"],
                       row=raw.get("row"), error=raw.get("error"),
-                      artifacts=tuple(raw.get("artifacts", ())),
-                      attempts=raw.get("attempts", 1))
+                      artifacts=tuple(raw.get("artifacts", ())))
 
 
 def run_fleet(fleet: FleetSpec, jobs: int = 1,
               results_dir: Optional[str | Path] = None,
               progress: Optional[Callable[[RunOutcome], Any]] = None,
-              timeout_s: Optional[float] = None, retries: int = 0,
-              backoff_s: float = 0.5) -> FleetResult:
+              timeout_s: Optional[float] = None) -> FleetResult:
     """Run every scenario in ``fleet``; outcomes keep fleet order.
 
     ``jobs=1`` runs inline (no pool, easiest to debug); ``jobs>1``
@@ -203,23 +170,18 @@ def run_fleet(fleet: FleetSpec, jobs: int = 1,
     ``results_dir`` enables per-run artifacts (``<dir>/<run_id>/
     metrics.json`` plus ``trace.json`` for tracing scenarios).
     ``progress`` is called with each :class:`RunOutcome` as it lands,
-    in fleet order.  ``timeout_s`` bounds each run attempt's wall
-    clock; ``retries`` relaunches a failed run up to that many times
-    with exponential ``backoff_s`` between attempts.
+    in fleet order.  ``timeout_s`` bounds each run's wall clock; a
+    run that fails, by running out of it or otherwise, becomes an
+    error row and is not run again.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (got {jobs})")
     if timeout_s is not None and not timeout_s > 0:  # or NaN
         raise ValueError(f"timeout_s must be positive (got {timeout_s})")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0 (got {retries})")
-    if not backoff_s >= 0:  # negative or NaN
-        raise ValueError(f"backoff_s must be >= 0 (got {backoff_s})")
     if results_dir is not None:
         results_dir = str(Path(results_dir))
         Path(results_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(run_id, spec.canonical_json(), results_dir,
-              timeout_s, retries, backoff_s)
+    tasks = [(run_id, spec.canonical_json(), results_dir, timeout_s)
              for run_id, spec in fleet.runs]
     result = FleetResult(fleet=fleet.name)
     if jobs == 1 or len(tasks) == 1:

@@ -7,9 +7,6 @@
   Chrome trace-event / JSONL serialisations.
 * :mod:`repro.obs.kpi` — snapshot reducers (cluster totals, merged
   histograms, bucket quantiles) the fleet KPI layer builds on.
-* :mod:`repro.obs.recovery` — the ``kernel.recovery.*`` counter family
-  the sharded kernel's supervision layer stamps when it recovers from
-  a shard-worker failure.
 
 ``repro.obs.export`` is loaded lazily: the simulation kernel imports the
 registry at interpreter start-up, and the exporter imports the tracer
@@ -33,15 +30,12 @@ __all__ = [
     "iter_records", "to_chrome_events",
     "counter_total", "histogram_family", "histogram_quantile",
     "merge_histograms",
-    "RECOVERY_COUNTERS", "SUPERVISOR_ENTITY", "stamp_recovery",
 ]
 
 _EXPORT_NAMES = {"entity_track", "export_chrome_trace", "export_jsonl",
                  "iter_records", "to_chrome_events"}
 _KPI_NAMES = {"counter_total", "histogram_family", "histogram_quantile",
               "merge_histograms"}
-_RECOVERY_NAMES = {"RECOVERY_COUNTERS", "SUPERVISOR_ENTITY",
-                   "stamp_recovery"}
 
 
 def __getattr__(name: str):
@@ -51,7 +45,4 @@ def __getattr__(name: str):
     if name in _KPI_NAMES:
         from . import kpi
         return getattr(kpi, name)
-    if name in _RECOVERY_NAMES:
-        from . import recovery
-        return getattr(recovery, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

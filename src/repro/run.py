@@ -38,9 +38,8 @@ import importlib
 import json
 import sys
 
-from .config import (SpecError, SupervisionSpec, dump_scenario, dumps_toml,
-                     load_fleet, load_scenario, run_scenario,
-                     ensure_components)
+from .config import (SpecError, dumps_toml, load_fleet, load_scenario,
+                     run_scenario, ensure_components)
 from .core.mps import MessageLost
 from .diagnostics import RESILIENCE_COUNTERS, render_report
 from .registry import UnknownNameError, all_registries
@@ -71,14 +70,6 @@ def _summarize(result) -> str:
         metrics = result.cluster.metrics
         for name in RESILIENCE_COUNTERS:
             rows.append(f"  {name:<32} {metrics.total(name):g}")
-    # a sharded run that recovered from a worker failure says so
-    if result.cluster is not None:
-        from .obs import RECOVERY_COUNTERS
-        snap = result.cluster.metrics.snapshot()
-        for name in RECOVERY_COUNTERS:
-            for label, count in sorted(snap.get(name, {}).items()):
-                tag = f"{name}{{{label}}}" if label else name
-                rows.append(f"  {tag:<48} {count:g}")
     rows += [f"  exported         {p}" for p in result.exported]
     return "\n".join([head] + rows)
 
@@ -102,8 +93,7 @@ def _run_fleet_cli(args) -> int:
     print(f"fleet {fleet.name!r}: {len(fleet.runs)} run(s), "
           f"jobs={args.jobs}")
     result = run_fleet(fleet, jobs=args.jobs, results_dir=args.results,
-                       progress=progress, timeout_s=args.timeout,
-                       retries=args.retries, backoff_s=args.backoff)
+                       progress=progress, timeout_s=args.timeout)
     doc = result.kpi_doc()
     print(render_table(result.rows()))
     write_kpi_doc(doc, f"{args.results}/KPIS_{fleet.name}.json")
@@ -156,16 +146,6 @@ def main(argv=None) -> int:
                              "simulation across worker kernels (selects the "
                              "'sharded' kernel; results are bit-identical "
                              "to the single kernel)")
-    parser.add_argument("--barrier-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="override runtime.supervision."
-                             "barrier_deadline_s: the wall-clock budget "
-                             "for each sharded-kernel window barrier")
-    parser.add_argument("--recovery-policy", default=None,
-                        choices=SupervisionSpec.POLICIES,
-                        help="override runtime.supervision.policy: how the "
-                             "sharded kernel recovers from a worker "
-                             "crash/hang (default: retry-then-fallback)")
     parser.add_argument("--import", dest="imports", action="append",
                         default=[], metavar="MODULE",
                         help="import MODULE first so third-party components "
@@ -192,17 +172,8 @@ def main(argv=None) -> int:
     fleet_group.add_argument("--timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="per-run wall-clock timeout; a run that "
-                                  "exceeds it fails (and may be retried) "
-                                  "instead of stalling the fleet")
-    fleet_group.add_argument("--retries", type=int, default=0, metavar="N",
-                             help="relaunch a failed run up to N times "
-                                  "with exponential backoff (attempt "
-                                  "counts land in metrics.json and the "
-                                  "KPI row)")
-    fleet_group.add_argument("--backoff", type=float, default=0.5,
-                             metavar="SECONDS",
-                             help="base backoff between retry attempts "
-                                  "(doubles per attempt; default: 0.5)")
+                                  "exceeds it fails instead of stalling "
+                                  "the fleet")
     args = parser.parse_args(argv)
 
     if args.shards is not None and args.shards < 1:
@@ -230,10 +201,6 @@ def main(argv=None) -> int:
             parser.error("--shards applies to single scenarios; "
                          "parameterize a fleet via a matrix axis on "
                          "runtime.shards instead")
-        if args.barrier_deadline is not None or args.recovery_policy:
-            parser.error("--barrier-deadline/--recovery-policy apply to "
-                         "single scenarios; set [runtime.supervision] in "
-                         "the scenario files of a fleet instead")
         if args.check and args.write:
             parser.error("--check and --write are mutually exclusive "
                          "(check first, then write if the change is real)")
@@ -242,8 +209,8 @@ def main(argv=None) -> int:
         return _run_fleet_cli(args)
     if args.check or args.write:
         parser.error("--check/--write require --fleet")
-    if args.timeout is not None or args.retries or args.backoff != 0.5:
-        parser.error("--timeout/--retries/--backoff require --fleet")
+    if args.timeout is not None:
+        parser.error("--timeout requires --fleet")
     if not args.scenarios:
         parser.error("no scenario files given (or use --list / --fleet)")
 
@@ -259,20 +226,6 @@ def main(argv=None) -> int:
             spec = spec.with_cluster(seed=args.seed)
         if args.shards is not None:
             spec = spec.replace(shards=args.shards)
-        if args.barrier_deadline is not None or args.recovery_policy:
-            import dataclasses
-            overrides = {}
-            if args.barrier_deadline is not None:
-                overrides["barrier_deadline_s"] = args.barrier_deadline
-            if args.recovery_policy:
-                overrides["policy"] = args.recovery_policy
-            try:
-                spec = spec.replace(supervision=dataclasses.replace(
-                    spec.supervision, **overrides))
-            except SpecError as e:
-                print(f"{path}: {e}", file=sys.stderr)
-                status = 2
-                continue
         if args.print_spec:
             print(dumps_toml(spec.to_dict()), end="")
             continue

@@ -18,14 +18,14 @@ The package follows the run's seams:
   at the end is the single kernel's;
 * :mod:`.protocol` — cross-shard events, their merge order and the
   coordinator's window barrier;
-* :mod:`.supervise` — wall-clock watchdogs that classify a crashed,
-  hung or poisoned worker as :class:`ShardWorkerError`;
+* :mod:`.supervise` — bounded wall-clock waits that classify a
+  crashed, hung or poisoned worker as :class:`ShardWorkerError`;
 * :mod:`.merge` — per-shard metrics, traces and driver values merged
   into the coordinator's own cluster, whose registry, tracer, clock and
   runtime the :class:`~repro.config.build.ScenarioResult` carries, as
   on the single kernel;
 * this module — the registered ``sharded`` kernel: plan, fork, run the
-  protocol, recover per ``[runtime.supervision]``, merge.
+  protocol, merge.
 
 Every worker holds the whole cluster, but only the owned pids'
 schedulers run, so a foreign host, its adapter and its switch stay
@@ -58,7 +58,6 @@ import warnings
 
 from ...config.build import ScenarioResult, ScenarioRun, build_cluster
 from ...config.spec import ScenarioSpec, SpecError
-from ...obs.recovery import stamp_recovery
 from ...registry import APP_DRIVERS, KERNELS
 from .merge import UNMERGEABLE_DRIVERS, merged_result
 from .plan import ShardPlan, plan_for, plan_shards
@@ -80,8 +79,7 @@ class ShardFallbackWarning(UserWarning):
     """``runtime.shards > 1`` degraded to the single kernel."""
 
 
-def launch(run: ScenarioRun, plan: ShardPlan,
-           attempt: int = 0) -> Supervisor:
+def launch(run: ScenarioRun, plan: ShardPlan) -> Supervisor:
     """Fork one worker per shard off ``run``'s never-run cluster; the
     coordinator keeps a control pipe to each, under a fresh
     :class:`Supervisor`."""
@@ -91,24 +89,21 @@ def launch(run: ScenarioRun, plan: ShardPlan,
         parent_conn, child_conn = ctx.Pipe()
         ctls.append(parent_conn)
         workers.append(ctx.Process(
-            target=run_worker, args=(run, plan, s, child_conn, attempt),
+            target=run_worker, args=(run, plan, s, child_conn),
             name=f"shard-{s}"))
     for p in workers:
         p.start()
-    return Supervisor(ctls, workers, run.spec.supervision)
+    return Supervisor(ctls, workers)
 
 
-def _fallback_single(spec: ScenarioSpec, reason: str, detail: str,
-                     failures=(), retries: int = 0) -> ScenarioResult:
+def _fallback_single(spec: ScenarioSpec, reason: str,
+                     detail: str) -> ScenarioResult:
     """Run the single kernel — loudly when ``shards > 1`` degrades.
 
     ``reason`` is a short slug (``"trivial-plan"``, ``"partial-cluster"``,
-    ``"worker-crashed"``, ...) stamped as the ``reason=`` label on the
-    ``kernel.shard_fallback`` counter, so fleets can tell a topology
-    that legitimately collapses apart from a recovery degradation;
-    ``detail`` is the human sentence for the warning.  When the
-    fallback *recovers* from worker failures, the ``kernel.recovery.*``
-    family is stamped too.
+    ``"unmergeable-driver"``, ``"no-fork"``) stamped as the ``reason=``
+    label on the ``kernel.shard_fallback`` counter; ``detail`` is the
+    human sentence for the warning.
     """
     degraded = spec.shards > 1
     if degraded:
@@ -120,14 +115,10 @@ def _fallback_single(spec: ScenarioSpec, reason: str, detail: str,
                     spec.name, reason, detail)
     result = KERNELS.get("single")(spec)
     if degraded and result.cluster is not None:
-        metrics = result.cluster.metrics
-        metrics.counter(
+        result.cluster.metrics.counter(
             "kernel.shard_fallback",
             help="sharded-kernel runs degraded to the single kernel",
             reason=reason).inc()
-        if failures:
-            stamp_recovery(metrics, result.cluster.tracer, failures,
-                           retries=retries, fallback_reason=reason)
     return result
 
 
@@ -142,20 +133,17 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
     the registered ``single`` kernel runs instead, bit-identically
     (with a :class:`ShardFallbackWarning` if the spec asked for more).
 
-    Execution is supervised: worker failures (crash, hang, poisoned
-    channel) are classified into :class:`ShardWorkerError` and handled
-    per ``spec.supervision.policy`` — relaunch the sharded run up to
-    ``max_retries`` times, degrade to the single kernel, or raise.
-    Either recovery is deterministic; a recovered run's behaviour is
-    byte-identical to an undisturbed one, with the recovery itself
-    visible in ``kernel.recovery.*``.
+    Every wait on a worker is bounded: a crash, hang or poisoned
+    channel is classified into :class:`ShardWorkerError`, which is
+    raised once every worker is torn down.  A run is a pure function of
+    (spec, seed), so nothing here runs it again.
 
     The coordinator builds the whole cluster and the spec's runtime
-    once, plans on the cluster, and forks every worker (and every
-    retry) off them, never running them.  A
-    spec whose cluster table names no complete topology (the
-    self-contained table apps build their own platform cluster) runs on
-    the single kernel, and so do :data:`UNMERGEABLE_DRIVERS`.
+    once, plans on the cluster, and forks every worker off them, never
+    running them.  A spec whose cluster table names no complete
+    topology (the self-contained table apps build their own platform
+    cluster) runs on the single kernel, and so do
+    :data:`UNMERGEABLE_DRIVERS`.
     """
     from ...config.build import ensure_components
     ensure_components()
@@ -186,14 +174,6 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
             spec, "unmergeable-driver",
             f"driver {spec.app.driver!r} folds cross-pid state into its "
             "value, which no merge of per-shard values can rebuild")
-    worker_faults = (spec.faults.to_plan().worker_events
-                     if spec.faults is not None else ())
-    for ev in worker_faults:
-        if ev.shard >= plan.n_shards:
-            raise SpecError(
-                f"scenario {spec.name!r}: {ev.describe()} can never fire: "
-                f"the plan has {plan.n_shards} shard(s), 0 to "
-                f"{plan.n_shards - 1}")
     if not hasattr(os, "fork"):
         return _fallback_single(
             spec, "no-fork", "shard workers are forked processes and "
@@ -203,31 +183,9 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
         spec.name, plan.n_shards, plan.lookahead,
         [round(w, 3) for w in plan.shard_loads])
     run.runtime                   # built once; every worker forks off it
-    supervision = spec.supervision
-    failures: list[ShardWorkerError] = []
-    attempt = 0
-    while True:
-        sup = launch(run, plan, attempt)
-        try:
-            payloads = coordinate(sup, plan)
-        except ShardWorkerError as err:
-            sup.shutdown()
-            failures.append(err)
-            logger.warning("scenario %r: attempt %d: %s",
-                           spec.name, attempt, err)
-            if attempt < supervision.retries_allowed:
-                attempt += 1
-                continue
-            if supervision.falls_back:
-                return _fallback_single(
-                    spec, f"worker-{err.reason}", str(err),
-                    failures=failures, retries=attempt)
-            raise
-        except BaseException:
-            # worker-reported errors (driver bugs, spec violations) and
-            # coordinator crashes: tear down and re-raise untouched —
-            # recovery is only for substrate failures
-            sup.shutdown()
-            raise
+    sup = launch(run, plan)
+    try:
+        payloads = coordinate(sup, plan)
+    finally:
         sup.shutdown()
-        return merged_result(run, plan, payloads, failures, retries=attempt)
+    return merged_result(run, plan, payloads)

@@ -17,7 +17,6 @@ import math
 from typing import Optional
 
 from ...config.build import ScenarioResult, ScenarioRun, _export_obs
-from ...obs.recovery import stamp_recovery
 from ...obs.registry import Histogram
 from .plan import ShardPlan
 
@@ -148,16 +147,16 @@ def shard_payload(value, cluster) -> dict:
             "now": cluster.sim.now}
 
 
-def merged_result(run: ScenarioRun, plan: ShardPlan, payloads: list[dict],
-                  failures=(), retries: int = 0) -> ScenarioResult:
+def merged_result(run: ScenarioRun, plan: ShardPlan,
+                  payloads: list[dict]) -> ScenarioResult:
     """The one :class:`ScenarioResult` of a sharded run: ``run``'s own
-    cluster and runtime, holding the merge, with the plan choice (and
-    any recovery) stamped on its ``kernel.*`` series, which the
-    behaviour walls strip."""
+    cluster and runtime, holding the merge, with the plan choice
+    stamped on its ``kernel.*`` series, which the behaviour walls
+    strip."""
     cluster = run.cluster
-    metrics, tracer = cluster.metrics, cluster.tracer
+    metrics = cluster.metrics
     merge_metrics([p["metrics"] for p in payloads], plan, metrics)
-    merge_traces([p["trace"] for p in payloads], plan, tracer)
+    merge_traces([p["trace"] for p in payloads], plan, cluster.tracer)
     metrics.gauge("kernel.shards",
                   help="shard workers the plan runs").set(plan.n_shards)
     if math.isfinite(plan.lookahead):
@@ -167,8 +166,6 @@ def merged_result(run: ScenarioRun, plan: ShardPlan, payloads: list[dict],
     for s, load in enumerate(plan.shard_loads):
         metrics.gauge("kernel.shard_load", help="planned event weight",
                       shard=s).set(load)
-    # the run *recovered*: say so at t = 0, before the clock moves
-    stamp_recovery(metrics, tracer, failures, retries=retries)
     cluster.sim._now = payloads[0]["now"]
     result = ScenarioResult(run.spec,
                             merge_values([p["value"] for p in payloads]),

@@ -83,9 +83,8 @@ def coordinate(sup: Supervisor, plan: ShardPlan) -> list[dict]:
 
     Worker-*reported* errors (driver exceptions, spec violations) abort
     the survivors and re-raise the worker's own exception.  Worker
-    *silence* — crash, hang, poisoned channel — surfaces as
-    :class:`ShardWorkerError` so the recovery policy in
-    :func:`repro.sim.sharded.run_scenario_sharded` can act on it.
+    *silence* — crash, hang, poisoned channel — aborts the survivors
+    and raises :class:`ShardWorkerError`.
     """
     S = plan.n_shards
     errors: dict[int, BaseException] = {}

@@ -1,14 +1,15 @@
-"""Supervision: the coordinator never waits unboundedly on a worker.
+"""Bounded waits: the coordinator never waits unboundedly on a worker.
 
 Every coordinator-side control-pipe receive runs under a watchdog
-(:class:`Supervisor`) parameterized by the spec's
-``[runtime.supervision]`` table — a wall-clock barrier deadline bounds
-each window, with liveness polls in between so a dead worker is
-detected in milliseconds rather than at deadline expiry.  Failures are
-classified (``crashed`` / ``hung`` / ``poisoned``) into
-:class:`ShardWorkerError`; what to do about one is the recovery policy
-of :func:`repro.sim.sharded.run_scenario_sharded`.  All timing is
-wall-clock: the supervisor never reads or feeds simulated time.
+(:class:`Supervisor`): a wall-clock barrier deadline
+(:data:`BARRIER_DEADLINE_S`) bounds each window, with liveness polls
+(:data:`LIVENESS_POLL_S`) in between so a dead worker is detected in
+milliseconds rather than at deadline expiry.  A failure is classified
+(``crashed`` / ``hung`` / ``poisoned``) into :class:`ShardWorkerError`,
+which :func:`repro.sim.sharded.run_scenario_sharded` raises to its
+caller once every worker is torn down: a run is a pure function of
+(spec, seed), so running it again would fail the same way.  All timing
+is wall-clock: the supervisor never reads or feeds simulated time.
 """
 
 from __future__ import annotations
@@ -16,10 +17,18 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ...config.spec import SupervisionSpec
 from ..kernel import SimulationError
 
 __all__ = ["ShardWorkerError", "Supervisor"]
+
+#: wall-clock seconds a worker may stay silent in one window before it
+#: is declared ``hung``
+BARRIER_DEADLINE_S = 60.0
+#: wall-clock seconds between liveness checks while waiting
+LIVENESS_POLL_S = 0.05
+#: wall-clock seconds an aborted worker gets to exit before it is
+#: terminated
+WORKER_GRACE_S = 5.0
 
 
 class ShardWorkerError(SimulationError):
@@ -31,7 +40,7 @@ class ShardWorkerError(SimulationError):
     * ``"crashed"`` — the worker process died without reporting (pipe
       EOF or an exit code);
     * ``"hung"`` — the worker stayed alive but sent nothing within the
-      barrier deadline (``runtime.supervision.barrier_deadline_s``);
+      barrier deadline (:data:`BARRIER_DEADLINE_S`);
     * ``"poisoned"`` — the control channel delivered a payload that
       could not be deserialized.
 
@@ -59,17 +68,16 @@ class Supervisor:
     """The coordinator's ends of one launch: a control pipe and a
     forked worker process per shard.
 
-    Each :meth:`recv` is bounded by the spec's barrier deadline and
-    interleaved with liveness polls every ``liveness_poll_s``, so a
+    Each :meth:`recv` is bounded by :data:`BARRIER_DEADLINE_S` and
+    interleaved with liveness polls every :data:`LIVENESS_POLL_S`, so a
     crashed worker is detected within one poll interval — not after the
     full deadline — while a wedged-but-alive worker is declared
     ``hung`` only once the deadline truly expires.
     """
 
-    def __init__(self, ctls, workers, spec: SupervisionSpec):
+    def __init__(self, ctls, workers):
         self.ctls = ctls
         self.workers = workers
-        self.spec = spec
         self.window = 0                 # current coordinator round
         now = time.monotonic()
         self.last_good = [now] * len(ctls)
@@ -82,12 +90,12 @@ class Supervisor:
 
     def recv(self, shard: int, timeout: Optional[float] = None):
         """One supervised receive; raises :class:`ShardWorkerError`."""
-        budget = self.spec.barrier_deadline_s if timeout is None else timeout
+        budget = BARRIER_DEADLINE_S if timeout is None else timeout
         deadline = time.monotonic() + budget
         ctl = self.ctls[shard]
         while True:
             remaining = deadline - time.monotonic()
-            step = min(self.spec.liveness_poll_s, max(remaining, 0.0))
+            step = min(LIVENESS_POLL_S, max(remaining, 0.0))
             try:
                 ready = ctl.poll(step)
             except (EOFError, OSError) as exc:
@@ -146,7 +154,7 @@ class Supervisor:
                 continue
             while True:
                 try:
-                    msg = self.recv(s, timeout=self.spec.worker_grace_s)
+                    msg = self.recv(s, timeout=WORKER_GRACE_S)
                 except ShardWorkerError:
                     break           # died/wedged mid-abort: shutdown's job
                 if msg[0] in ("aborted", "done"):
@@ -164,7 +172,7 @@ class Supervisor:
         outlives the grace period is ``terminate()``d, then ``kill()``ed,
         so no launch leaves a process behind.
         """
-        grace = self.spec.worker_grace_s
+        grace = WORKER_GRACE_S
         for s in range(len(self.ctls)):
             self._send_abort(s)
         for w in self.workers:

@@ -21,13 +21,10 @@ exactly the exported instant.
 
 from __future__ import annotations
 
-import os
-import time
 from typing import Callable
 
 from ...config.build import ScenarioRun
 from ...config.spec import SpecError
-from ...faults.plan import WorkerCrash, WorkerStall
 from ...registry import APP_DRIVERS
 from ..kernel import SimulationError
 from .merge import shard_payload
@@ -53,20 +50,12 @@ class ShardWorker:
     """
 
     def __init__(self, run: ScenarioRun, plan: ShardPlan, shard_id: int,
-                 ctl=None, attempt: int = 0):
-        spec = run.spec
+                 ctl=None):
         self.shard_id = shard_id
         self.ctl = ctl
-        self.attempt = attempt      # sharded launch attempt (0 = first)
         self.outbox: list[CutEvent] = []
         self.seq = 0
-        self.window = 0             # 1-based once the report loop starts
         self.ran = False            # did the driver ever call rt.run()?
-        self.worker_faults: tuple = ()
-        if spec.faults is not None:
-            self.worker_faults = tuple(
-                ev for ev in spec.faults.to_plan().worker_events
-                if ev.shard == shard_id and ev.attempt == attempt)
         self.cluster = run.cluster
         self.rt = run.runtime
         self.rt.owned_pids = plan.owned_pids(shard_id)
@@ -117,25 +106,6 @@ class ShardWorker:
                           enqueued_at=rec.enqueued_at, vpi=vc.vpi)
         cluster.sim.call_at(rec.arrival, ch.endpoint.receive_burst, burst, ch)
 
-    def _fire_worker_faults(self) -> None:
-        """The deterministic chaos seam: die or stall at a window boundary.
-
-        Fires just before the worker reports for ``self.window``, so a
-        :class:`~repro.faults.WorkerCrash` manifests as a *missing*
-        report and a :class:`~repro.faults.WorkerStall` as a *late* one
-        — exactly the two control-plane failures the supervisor
-        classifies.  Keyed on the protocol round counter (and launch
-        attempt), never wall-clock, so the same spec kills the same
-        shard at the same point every run.
-        """
-        for ev in self.worker_faults:
-            if not ev.matches(self.shard_id, self.window, self.attempt):
-                continue
-            if isinstance(ev, WorkerStall):
-                time.sleep(ev.stall_s)
-            elif isinstance(ev, WorkerCrash):
-                os._exit(66)
-
     def advance(self, until=None, max_events=None) -> float:
         """:meth:`NcsRuntime.advance` for one shard: run the calendar
         window by window as the coordinator grants them; return the
@@ -152,8 +122,6 @@ class ShardWorker:
         finish_times = self.rt._finish_times
         ctl.send(("hello", until))
         while True:
-            self.window += 1
-            self._fire_worker_faults()
             ctl.send(("report", sim.peek(), tuple(self.outbox), sim._now,
                       max(finish_times.values(), default=None)))
             self.outbox.clear()
@@ -174,12 +142,12 @@ class ShardWorker:
                     f"unexpected coordinator message {kind!r}")
 
 
-def run_worker(run: ScenarioRun, plan: ShardPlan, shard_id: int, ctl,
-               attempt: int = 0) -> None:
+def run_worker(run: ScenarioRun, plan: ShardPlan, shard_id: int,
+               ctl) -> None:
     """A forked worker's body: run the app driver on the shard, send
     the result home (or the error, or the abort receipt)."""
     try:
-        worker = ShardWorker(run, plan, shard_id, ctl, attempt)
+        worker = ShardWorker(run, plan, shard_id, ctl)
         driver = run.spec.app.driver
         value = APP_DRIVERS.get(driver)(run)
         if not worker.ran:

@@ -23,7 +23,7 @@ def test_quickstart_spec_matches_pingpong_golden():
     spec = load_scenario(SCENARIOS_DIR / "quickstart.toml")
     result = run_scenario(spec)
     snapshot = {
-        "makespan_s": round(result.value["makespan_s"], 9),
+        "makespan_s": result.value["makespan_s"],
         "replies": result.value["replies"],
         "metrics": behavior_snapshot(result.cluster.metrics),
     }
@@ -39,7 +39,7 @@ def test_ring_specs_match_goldens(toml_name, golden_name):
     spec = load_scenario(SCENARIOS_DIR / toml_name)
     result = run_scenario(spec)
     snapshot = {
-        "makespan_s": round(result.value["makespan_s"], 9),
+        "makespan_s": result.value["makespan_s"],
         "received": result.value["received"],
         "trace_signature": trace_signature(result.cluster.tracer),
         "metrics": behavior_snapshot(result.cluster.metrics),

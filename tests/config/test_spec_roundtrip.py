@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import (
     AppSpec, ClusterSpec, FaultSpec, ObsSpec, ResilienceSpec, ScenarioSpec,
-    SpecError, SupervisionSpec, dump_scenario, dumps_json, dumps_toml,
+    SpecError, dump_scenario, dumps_json, dumps_toml,
     load_scenario, loads_scenario,
 )
 from repro.faults import FaultPlan
@@ -68,21 +68,15 @@ def test_canonical_form_prunes_defaults():
 
 def test_sorted_tables_write_in_canonical_order():
     """The text the per-table writers produced (captured before one
-    writer replaced them): barrier ids sorted by key,
-    ``[runtime.supervision]`` and ``[resilience]`` keys by name, and
-    ``enabled`` written even at its default."""
+    writer replaced them): barrier ids sorted by key, ``[resilience]``
+    keys by name, and ``enabled`` written even at its default."""
     spec = ScenarioSpec(
         name="x", barriers={10: 2, 2: 3}, shards=2,
-        supervision=SupervisionSpec(
-            worker_grace_s=2.0, liveness_poll_s=0.01, max_retries=2,
-            policy="raise"),
         resilience=ResilienceSpec(suspect_after_s=0.08, probe_successes=3,
                                   heartbeat_interval_s=0.01))
     assert dumps_toml(spec) == (
         'name = "x"\n\n[runtime]\nkernel = "sharded"\nshards = 2\n\n'
         '[runtime.barriers]\n2 = 3\n10 = 2\n\n'
-        '[runtime.supervision]\nliveness_poll_s = 0.01\nmax_retries = 2\n'
-        'policy = "raise"\nworker_grace_s = 2.0\n\n'
         '[resilience]\nenabled = true\nheartbeat_interval_s = 0.01\n'
         'probe_successes = 3\nsuspect_after_s = 0.08\n')
 

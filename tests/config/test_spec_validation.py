@@ -164,6 +164,44 @@ def test_a_table_driver_names_the_param_it_cannot_take(driver, params, key):
     assert key in msg and repr(driver) in msg
 
 
+P4_DRIVERS = ("matmul-p4", "jpeg-p4", "fft-p4")
+#: (the key a refusal names, the spec fields that set it, the table
+#: drivers that cannot honour it): every one builds its own platform
+#: cluster and synchronizes itself; matmul-ncs honours runtime.flow and
+#: runtime.error, every -ncs driver runtime.mode
+UNHONOURED = (
+    ("cluster", {"cluster": ClusterSpec(topology="atm-lan", n_hosts=9)},
+     TABLE_DRIVERS),
+    ("cluster", {"cluster": ClusterSpec(seed=7)}, TABLE_DRIVERS),
+    ("faults", {"faults": FaultSpec(events=(
+        {"kind": "host-crash", "at": 0.01, "duration": 0.01, "host": 1},))},
+     TABLE_DRIVERS),
+    ("runtime.collectives", {"collectives": "nic"}, TABLE_DRIVERS),
+    ("runtime.barriers", {"barriers": {0: 2}}, TABLE_DRIVERS),
+    ("runtime.mode", {"mode": "hsm"}, P4_DRIVERS),
+    ("runtime.flow", {"flow": "window"}, (*P4_DRIVERS, "jpeg-ncs",
+                                          "fft-ncs")),
+    ("runtime.error", {"error": "ack"}, (*P4_DRIVERS, "jpeg-ncs",
+                                         "fft-ncs")),
+)
+
+
+@pytest.mark.parametrize("driver", TABLE_DRIVERS)
+def test_a_table_driver_refuses_what_it_cannot_honour(driver):
+    """A ``matmul-p4`` cell with an ``atm-lan`` cluster of 9 hosts, HSM
+    and NIC collectives used to run on 2 Ethernet hosts and report
+    ``correct``; ``runtime.flow`` was a bare ValueError (a traceback
+    from ``python -m repro.run``).  Each is a SpecError naming its key."""
+    for key, fields, drivers in UNHONOURED:
+        if driver not in drivers:
+            continue
+        spec = ScenarioSpec(name="x", app=AppSpec(driver, CELL), **fields)
+        with pytest.raises(SpecError) as exc:
+            run_scenario(spec)
+        msg = str(exc.value)
+        assert f"cannot honour {key} = " in msg and repr(driver) in msg
+
+
 @pytest.mark.parametrize("topology", ["ethernet", "atm-lan"])
 @pytest.mark.parametrize("driver", ["pingpong", "stream"])
 def test_a_two_host_driver_on_one_host_names_n_hosts(driver, topology):
@@ -366,14 +404,8 @@ def _read_and_build(doc):
     ("resilience", "failure_threshold", True, "resilience.failure_threshold"),
     ("resilience", "reset_timeout_s", NAN, "resilience.reset_timeout_s"),
     ("resilience", "dead_after_s", INF, "resilience.dead_after_s"),
-    ("runtime.supervision", "barrier_deadline_s", True,
-     "runtime.supervision.barrier_deadline_s"),
-    ("runtime.supervision", "max_retries", True,
-     "runtime.supervision.max_retries"),
-    ("runtime.supervision", "barrier_deadline_s", INF,
-     "runtime.supervision.barrier_deadline_s"),
-    ("runtime.supervision", "worker_grace_s", INF,
-     "runtime.supervision.worker_grace_s"),
+    ("runtime.supervision", "barrier_deadline_s", 60.0,
+     "unknown key(s) runtime.supervision; allowed: mode"),
     ("faults.events[0]", "at", True, "faults.events[0].at"),
     ("faults.events[0]", "host", True, "faults.events[0].host"),
     ("faults.events[0]", "at", "0.1", "faults.events[0].at"),
@@ -398,7 +430,6 @@ def test_an_ill_typed_value_is_a_spec_error_naming_its_key(table, key, value,
 
 
 @pytest.mark.parametrize("table,key,value", [
-    ("runtime.supervision", "barrier_deadline_s", 30),
     ("resilience", "heartbeat_interval_s", 1),
     ("faults.events[0]", "at", 0),
     ("faults.random", "t_max", 1),
@@ -420,3 +451,45 @@ def test_an_error_kwarg_the_policy_does_not_take_is_a_spec_error(error, key):
     with pytest.raises(SpecError) as exc:
         _read_and_build(doc)
     assert f"runtime.error_kwargs.{key}" in str(exc.value)
+
+
+# ---------------------------------------------------------- removed surface
+# The shard-recovery ladder, the worker-fault kinds and the fleet's
+# retries are gone; a spec or command line that still names one is
+# refused, never silently ignored.
+@pytest.mark.parametrize("doc,named", [
+    ({"runtime": {"shards": 2, "supervision": {}}},
+     "unknown key(s) runtime.supervision"),
+    ({"runtime": {"supervision": {"policy": "raise"}}},
+     "unknown key(s) runtime.supervision"),
+    ({"faults": {"events": [{"kind": "worker-crash", "shard": 1,
+                             "window": 2}]}},
+     "unknown fault kind 'worker-crash'"),
+    ({"faults": {"events": [{"kind": "worker-stall", "shard": 0,
+                             "window": 1, "stall_s": 1.0}]}},
+     "unknown fault kind 'worker-stall'"),
+], ids=["supervision-empty", "supervision-policy", "worker-crash",
+        "worker-stall"])
+def test_a_removed_table_or_fault_kind_is_refused(doc, named, tmp_path,
+                                                  capsys):
+    from repro.config import dumps_json
+    from repro.run import main
+    path = tmp_path / "removed.json"
+    path.write_text(dumps_json({
+        "name": "removed", "cluster": {"topology": "ethernet", "n_hosts": 2},
+        "app": {"driver": "pingpong"}, **doc}))
+    assert main([str(path)]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith(f"{path}: ")
+    assert named in err_lines[0]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--barrier-deadline", "5"), ("--recovery-policy", "raise"),
+    ("--retries", "1"), ("--backoff", "0.5")])
+def test_a_removed_flag_is_refused(flag, value, capsys):
+    from repro.run import main
+    with pytest.raises(SystemExit) as exc:
+        main([flag, value, "s.toml"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

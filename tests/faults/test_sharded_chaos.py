@@ -137,9 +137,6 @@ def _matrix_doc(name) -> dict:
 def _doc(result) -> dict:
     tracer = result.cluster.tracer
     tracer.close_all()
-    # the supervisor's recovery points are substrate telemetry, stripped
-    # like the kernel.* metric names behavior_snapshot drops
-    tracer.events = [e for e in tracer.events if e[1] != "supervisor"]
     return {"value": result.value,
             "metrics": behavior_snapshot(result.cluster.metrics),
             "chrome": to_chrome_events(tracer)}
@@ -189,52 +186,3 @@ def test_partial_shards_match_single_kernel(name):
     digest = hashlib.sha256(json.dumps(
         docs[2], sort_keys=True, default=repr).encode()).hexdigest()
     assert digest == MATRIX[name][-1]
-
-
-def _worker_chaos_doc(extra_faults, supervision=None) -> dict:
-    """OUTAGE_DOC plus kernel-substrate chaos: the cluster fault and the
-    worker fault land in the *same* plan, so this also proves the
-    injector/supervisor split routes each to the right layer."""
-    import json as _json
-    doc = _json.loads(_json.dumps(OUTAGE_DOC))
-    doc["faults"]["events"] = doc["faults"]["events"] + extra_faults
-    sup = {"barrier_deadline_s": 5.0, "worker_grace_s": 2.0,
-           "liveness_poll_s": 0.01}
-    sup.update(supervision or {})
-    doc["runtime"]["supervision"] = sup
-    return doc
-
-
-def test_worker_crash_recovery_under_link_outage_chaos():
-    """Kill a shard worker mid-window while the simulated WAN is
-    *also* dropping a link: the retry must replay the whole run —
-    outage, retransmissions and all — byte-identically, and say so in
-    kernel.recovery.*."""
-    doc = _worker_chaos_doc(
-        [{"kind": "worker-crash", "shard": 1, "window": 2}])
-    single = _run(OUTAGE_DOC, 1)
-    recovered = _run(doc, 2)
-    snap = recovered.cluster.metrics.snapshot()
-    assert snap["kernel.recovery.worker_failures"] == {
-        "reason=crashed,shard=1": 1}
-    assert snap["kernel.recovery.retries"] == {"": 1}
-    assert recovered.cluster.metrics.total("ec.retransmissions") >= 1
-    assert_same(_doc(recovered), _doc(single),
-                where="crash recovery under chaos")
-
-
-def test_worker_stall_recovery_under_link_outage_chaos():
-    """Stall a worker past the barrier deadline during the outage run:
-    the supervisor declares it hung at the deadline and the retry is
-    byte-identical."""
-    doc = _worker_chaos_doc(
-        [{"kind": "worker-stall", "shard": 0, "window": 2,
-          "stall_s": 1.0}],
-        supervision={"barrier_deadline_s": 0.25})
-    single = _run(OUTAGE_DOC, 1)
-    recovered = _run(doc, 2)
-    snap = recovered.cluster.metrics.snapshot()
-    assert snap["kernel.recovery.worker_failures"] == {
-        "reason=hung,shard=0": 1}
-    assert_same(_doc(recovered), _doc(single),
-                where="stall recovery under chaos")

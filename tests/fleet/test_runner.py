@@ -178,28 +178,15 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# fleet supervision: per-run timeouts + bounded retry (PR 10)
+# fleet supervision: per-run timeouts; a failed run is not run again
 # ---------------------------------------------------------------------------
 
 def _register_chaos_drivers():
-    """Tiny self-contained drivers for exercising the retry ladder.
-
-    ``test-flaky`` fails until its marker file exists (so attempt 2
-    succeeds); ``test-sleepy`` sleeps far past any test timeout.
-    Registered once per interpreter.
-    """
+    """``test-sleepy``, a self-contained driver that sleeps far past any
+    test timeout.  Registered once per interpreter."""
     from repro.registry import APP_DRIVERS
-    if "test-flaky" in APP_DRIVERS.names():
+    if "test-sleepy" in APP_DRIVERS.names():
         return
-
-    @APP_DRIVERS.register("test-flaky",
-                          help="fails once, then succeeds (tests only)")
-    def _flaky(run):
-        marker = Path(run.params["marker"])
-        if not marker.exists():
-            marker.write_text("tried\n")
-            raise RuntimeError("transient flake (first attempt)")
-        return {"ok": True}
 
     @APP_DRIVERS.register("test-sleepy",
                           help="sleeps forever (tests only)")
@@ -218,50 +205,19 @@ def _driver_scenario(d, name, driver, **params):
 
 
 class TestFleetSupervision:
-    def test_retry_recovers_and_stamps_attempts(self, tmp_path):
-        _register_chaos_drivers()
-        d = tmp_path / "fleet"
-        d.mkdir()
-        _driver_scenario(d, "flaky", "test-flaky",
-                         marker=str(tmp_path / "marker"))
-        results = tmp_path / "out"
-        result = run_fleet(load_fleet(d), jobs=1, results_dir=results,
-                           retries=1, backoff_s=0.01)
-        assert result.ok
-        outcome = result.outcomes[0]
-        assert outcome.attempts == 2
-        assert outcome.doc_row()["attempts"] == 2
-        metrics = json.loads(
-            (results / "flaky" / "metrics.json").read_text())
-        assert metrics["fleet.attempts"] == {"": 2}
-
     def test_single_attempt_rows_stay_byte_identical(self, tmp_path,
                                                      tiny_fleet_dir):
-        """No retries -> no 'attempts' key anywhere: retried fleets must
-        not perturb the committed KPI/metrics schemas."""
+        """A KPI row and a run's metrics.json hold what the run
+        simulated and nothing about the runner (no attempt count)."""
         results = tmp_path / "out"
         result = run_fleet(load_fleet(tiny_fleet_dir), jobs=1,
-                           results_dir=results, retries=3)
+                           results_dir=results)
         assert result.ok
         for o in result.outcomes:
-            assert o.attempts == 1
             assert "attempts" not in o.doc_row()
         metrics = json.loads(
             (results / "one" / "metrics.json").read_text())
-        assert "fleet.attempts" not in metrics
-
-    def test_exhausted_retries_report_final_error(self, tmp_path):
-        d = tmp_path / "fleet"
-        d.mkdir()
-        (d / "bad.toml").write_text(
-            'name = "bad"\n[app]\ndriver = "no-such-driver"\n')
-        result = run_fleet(load_fleet(d), jobs=1, retries=2,
-                           backoff_s=0.0)
-        outcome = result.outcomes[0]
-        assert not outcome.ok
-        assert outcome.attempts == 3
-        assert outcome.doc_row()["attempts"] == 3
-        assert "no-such-driver" in outcome.error
+        assert not any(name.startswith("fleet.") for name in metrics)
 
     def test_timeout_kills_wedged_run(self, tmp_path):
         _register_chaos_drivers()
@@ -281,15 +237,9 @@ class TestFleetSupervision:
         fleet = load_fleet(tiny_fleet_dir)
         with pytest.raises(ValueError):
             run_fleet(fleet, timeout_s=0)
-        with pytest.raises(ValueError):
-            run_fleet(fleet, retries=-1)
-        with pytest.raises(ValueError):
-            run_fleet(fleet, backoff_s=-0.1)
         # a NaN timeout would never expire
         with pytest.raises(ValueError, match="timeout_s"):
             run_fleet(fleet, timeout_s=float("nan"))
-        with pytest.raises(ValueError, match="backoff_s"):
-            run_fleet(fleet, backoff_s=float("nan"))
 
     def test_cli_retry_flags_require_fleet(self):
         for argv in (["--retries", "1", "x.toml"],

@@ -17,9 +17,14 @@ locked: what :func:`~.harness.behavior_snapshot` strips, the kernel's
 odometers (:data:`~.harness.ODOMETERS`), which meter how many events
 and coroutines the engine used to realize the model, not the model.
 
-Provenance: the goldens are unstamped and were last written at
-``112e7fa``, which added the ``mps.delivery_latency_s`` histogram to
-them; today's code reproduces each byte for byte.
+Every timestamp and makespan is the simulated float itself, unrounded,
+so a drift below a nanosecond fails too.
+
+Provenance: the goldens are unstamped and were last captured at
+``2061498``, when the scenarios stopped rounding their timestamps
+(to 9 places, the utilization to 12); rounded that way each gives back
+the golden ``112e7fa`` wrote byte for byte.  Today's code reproduces
+each byte for byte.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ def scenario_kernel_timeline() -> dict:
 
     def worker(i, hold):
         yield res.request()
-        log.append((round(sim.now, 9), f"res-acquired:{i}"))
+        log.append((sim.now, f"res-acquired:{i}"))
         yield sim.timeout(hold)
         res.release()
-        log.append((round(sim.now, 9), f"res-released:{i}"))
+        log.append((sim.now, f"res-released:{i}"))
         yield store.put(("item", i))
         return i * 10
 
@@ -57,7 +62,7 @@ def scenario_kernel_timeline() -> dict:
         got = []
         for _ in range(4):
             item = yield store.get()
-            log.append((round(sim.now, 9), f"store-got:{item[1]}"))
+            log.append((sim.now, f"store-got:{item[1]}"))
             got.append(item[1])
         mbox.deliver(("done", tuple(got)))
         return got
@@ -66,12 +71,12 @@ def scenario_kernel_timeline() -> dict:
         try:
             yield sim.timeout(5.0)
         except Interrupt as i:
-            log.append((round(sim.now, 9), f"interrupted:{i.cause}"))
+            log.append((sim.now, f"interrupted:{i.cause}"))
             return "woken"
 
     def mailman():
         msg = yield mbox.receive(lambda m: m[0] == "done")
-        log.append((round(sim.now, 9), f"mail:{msg[1]}"))
+        log.append((sim.now, f"mail:{msg[1]}"))
 
     workers = [sim.process(worker(i, 0.1 * (i + 1)), name=f"w{i}")
                for i in range(4)]
@@ -83,7 +88,7 @@ def scenario_kernel_timeline() -> dict:
     sim.run()
     return {
         "log": log,
-        "end_time": round(sim.now, 9),
+        "end_time": sim.now,
         "sleeper_value": slp.value,
         "worker_values": {f"w{i}": p.value for i, p in enumerate(workers)},
         "all_of_triggered": done.triggered,
@@ -106,25 +111,25 @@ def scenario_mts_workload() -> dict:
         for k in range(n):
             yield ctx.compute(step, label=f"{ident}:{k}")
             yield ctx.yield_cpu()
-        log.append((round(sim.now, 9), f"done:{ident}"))
+        log.append((sim.now, f"done:{ident}"))
         return ident
 
     def sleeper(ctx, ident, naps):
         for k in range(naps):
             yield ctx.sleep(0.003 * (k + 1))
             yield ctx.compute(0.001)
-        log.append((round(sim.now, 9), f"done:{ident}"))
+        log.append((sim.now, f"done:{ident}"))
         return ident
 
     def parent(ctx):
         child = yield ctx.spawn(compute_yield, "child", 3, 0.002)
         val = yield ctx.join(child)
-        log.append((round(sim.now, 9), f"joined:{val}"))
+        log.append((sim.now, f"joined:{val}"))
         return val
 
     def blocker(ctx):
         yield ctx.block()
-        log.append((round(sim.now, 9), "unblocked"))
+        log.append((sim.now, "unblocked"))
         yield ctx.compute(0.004)
         return "blocker"
 
@@ -143,15 +148,13 @@ def scenario_mts_workload() -> dict:
     done = sched.start()
     sim.run(max_events=500_000)
     host.tracer.close_all()
-    util = host.tracer.utilization_report()
     return {
         "log": log,
-        "end_time": round(sim.now, 9),
+        "end_time": sim.now,
         "done": done.triggered,
         "context_switches": count(sim.metrics, "mts.context_switches",
                                   pid=0),
-        "utilization": {k: {a: round(v, 12) for a, v in d.items()}
-                        for k, d in sorted(util.items())},
+        "utilization": host.tracer.utilization_report(),
         "metrics": behavior_snapshot(sim.metrics),
     }
 
@@ -181,7 +184,7 @@ def scenario_pingpong_ethernet() -> dict:
     rt.t_create(0, ping, (peer,), name="ping")
     makespan = rt.run()
     return {
-        "makespan_s": round(makespan, 9),
+        "makespan_s": makespan,
         "replies": replies,
         "metrics": behavior_snapshot(cluster.metrics),
     }
@@ -210,7 +213,7 @@ def scenario_ring_atm_hsm() -> dict:
         rt.t_create(pid, body, (pid,), name=f"ring{pid}")
     makespan = rt.run()
     return {
-        "makespan_s": round(makespan, 9),
+        "makespan_s": makespan,
         "received": {str(k): v for k, v in received.items()},
         "trace_signature": trace_signature(cluster.tracer),
         "metrics": behavior_snapshot(cluster.metrics),
@@ -243,7 +246,7 @@ def scenario_chaos_loss() -> dict:
         rt.t_create(pid, body, (pid,), name=f"ring{pid}")
     makespan = rt.run()
     return {
-        "makespan_s": round(makespan, 9),
+        "makespan_s": makespan,
         "received": {str(k): v for k, v in received.items()},
         "trace_signature": trace_signature(cluster.tracer),
         "metrics": behavior_snapshot(cluster.metrics),
@@ -268,9 +271,9 @@ def scenario_buffer_pipeline() -> dict:
 
     def sender():
         yield from pipeline.pipelined_send(vc, "payload", 96 * 1024)
-        out["caller_free_s"] = round(sim.now, 9)
+        out["caller_free_s"] = sim.now
         yield pipeline.drained()
-        out["all_submitted_s"] = round(sim.now, 9)
+        out["all_submitted_s"] = sim.now
 
     def receiver():
         got = 0
@@ -279,7 +282,7 @@ def scenario_buffer_pipeline() -> dict:
             got += msg.nbytes
             if msg.payload is not None:
                 out["payload"] = msg.payload
-        out["delivered_s"] = round(sim.now, 9)
+        out["delivered_s"] = sim.now
 
     sim.process(sender())
     sim.process(receiver())
@@ -319,13 +322,13 @@ def scenario_chrome_trace() -> dict:
     makespan = rt.run()
     cluster.tracer.close_all()
     return {
-        "makespan_s": round(makespan, 9),
+        "makespan_s": makespan,
         "chrome_events": to_chrome_events(cluster.tracer),
     }
 
 
 #: every scenario, as the wall of its name
-WALLS = {name: Wall(name, "112e7fa", scenario, stamped=False,
+WALLS = {name: Wall(name, "2061498", scenario, stamped=False,
                     dump={"indent": 2, "sort_keys": True})
          for name, scenario in (
              ("kernel_timeline", scenario_kernel_timeline),
