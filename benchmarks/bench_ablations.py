@@ -13,11 +13,12 @@
 
 import pytest
 
-from repro.apps import run_jpeg_ncs, run_jpeg_p4
-from repro.apps.fft import run_fft_ncs, run_fft_p4
-from repro.apps.matmul import run_matmul_ncs
+from repro.apps.common import platform_nynet
+from repro.apps.matmul import run_matmul_ncs, run_matmul_p4
+from repro.bench.tables import run_cell
+from repro.core import NcsRuntime
 from repro.net import build_atm_cluster, build_ethernet_cluster
-from repro.p4 import P4Params
+from repro.p4 import P4Params, P4Runtime
 
 
 def test_ablation_threads_per_node(sim_bench, capsys):
@@ -26,9 +27,8 @@ def test_ablation_threads_per_node(sim_bench, capsys):
     def run():
         out = {}
         for threads in (1, 2, 4):
-            from repro.apps.matmul import run_matmul_ncs
-            r = run_matmul_ncs("nynet", 2, n=128,
-                               threads_per_node=threads)
+            r = run_cell("matmul-ncs", "nynet", 2, n=128,
+                         threads_per_node=threads)
             assert r.correct
             out[threads] = r.makespan_s
         return out
@@ -79,16 +79,16 @@ def test_ablation_latency_sweep_restores_matmul_gap(sim_bench, capsys):
     presuppose per-message/per-byte costs far above our calibrated
     stack's.  Inflating p4's marshalling cost widens the gap between p4
     and NCS — threads hide transfer time, single-threaded p4 eats it."""
-    from repro.apps.matmul import run_matmul_p4
-
     def run():
         out = {}
         for per_byte_us in (0.3, 2.0, 6.0):
             params = P4Params(
                 marshal_send_per_byte_s=per_byte_us * 1e-6,
                 marshal_recv_per_byte_s=per_byte_us * 1e-6)
-            rp = run_matmul_p4("nynet", 2, n=128, p4_params=params)
-            rn = run_matmul_ncs("nynet", 2, n=128, p4_params=params)
+            p4 = P4Runtime(platform_nynet(3), params)
+            ncs = NcsRuntime(platform_nynet(3), p4_params=params)
+            rp = run_matmul_p4(p4, n=128)
+            rn = run_matmul_ncs(ncs, n=128)
             assert rp.correct and rn.correct
             out[per_byte_us] = (rp.makespan_s - rn.makespan_s) \
                 / rp.makespan_s * 100
@@ -140,8 +140,8 @@ def test_ablation_jpeg_overlap_source(sim_bench, capsys):
     def run():
         out = {}
         for n in (2, 4):
-            rp = run_jpeg_p4("nynet", n)
-            rn = run_jpeg_ncs("nynet", n)
+            rp = run_cell("jpeg-p4", "nynet", n)
+            rn = run_cell("jpeg-ncs", "nynet", n)
             out[n] = (rp.makespan_s - rn.makespan_s) / rp.makespan_s
         return out
 

@@ -8,8 +8,8 @@ improvement column in the paper)."""
 
 import pytest
 
-from repro.apps.matmul import run_matmul_ncs, run_matmul_p4
 from repro.bench.report import render_series
+from repro.bench.tables import run_cell
 
 
 def test_improvement_is_hump_shaped(sim_bench, capsys):
@@ -27,8 +27,8 @@ def test_improvement_is_hump_shaped(sim_bench, capsys):
     def sweep():
         out = []
         for n in sizes:
-            rp = run_matmul_p4("nynet", 2, n=n)
-            rn = run_matmul_ncs("nynet", 2, n=n)
+            rp = run_cell("matmul-p4", "nynet", 2, n=n)
+            rn = run_cell("matmul-ncs", "nynet", 2, n=n)
             assert rp.correct and rn.correct
             imp = (rp.makespan_s - rn.makespan_s) / rp.makespan_s * 100
             out.append((n, rp.makespan_s, rn.makespan_s, imp))

@@ -11,8 +11,8 @@ process.
 
 import math
 
-from repro.apps import run_fft_ncs, run_fft_p4
 from repro.bench.figures import fig20_fft_structure
+from repro.bench.tables import run_cell
 
 
 def test_fig20_step_counts(sim_bench):
@@ -30,12 +30,10 @@ def test_fig20_final_exchange_is_local(sim_bench, capsys):
     difference must be exactly the per-set local exchanges (2 threads *
     1 local stage at N=2)."""
     def run():
-        return run_fft_ncs("nynet", 2, m=64, n_sets=2)
+        return run_cell("fft-ncs", "nynet", 2, m=64, n_sets=2)
 
     r = sim_bench(run)
     assert r.correct
-    # reconstruct per-node counters from the cluster the app ran on
-    from repro.core import NcsRuntime  # noqa: F401 (doc import)
     with capsys.disabled():
         print(f"\nFig 20: NCS FFT 2 nodes, M=64, 2 sets: "
               f"{r.makespan_s * 1e3:.1f} ms")
@@ -44,13 +42,8 @@ def test_fig20_final_exchange_is_local(sim_bench, capsys):
 def test_fig20_local_vs_remote_counters(sim_bench):
     """Run the NCS FFT on a live runtime and compare MPS-level and
     transport-level send counters on a worker node."""
-    from repro.core import NcsRuntime
-    from repro.apps.common import build_platform_cluster
-    from repro.apps import run_fft_ncs
-
     def run():
-        r = run_fft_ncs("nynet", 2, m=64, n_sets=2)
-        return r
+        return run_cell("fft-ncs", "nynet", 2, m=64, n_sets=2)
 
     r = sim_bench(run)
     assert r.correct
@@ -65,8 +58,8 @@ def test_fig20_local_vs_remote_counters(sim_bench):
 def test_fig19_vs_fig20_same_answer(sim_bench):
     """Both mappings compute the same transform (and match numpy)."""
     def run():
-        rp = run_fft_p4("nynet", 2, m=128, n_sets=1)
-        rn = run_fft_ncs("nynet", 2, m=128, n_sets=1)
+        rp = run_cell("fft-p4", "nynet", 2, m=128, n_sets=1)
+        rn = run_cell("fft-ncs", "nynet", 2, m=128, n_sets=1)
         return rp.correct and rn.correct
 
     assert sim_bench(run)

@@ -11,7 +11,10 @@ on the single-site LAN: the WAN gain must be at least as large.
 import pytest
 
 from repro.apps.matmul import run_matmul_ncs, run_matmul_p4
+from repro.bench.tables import run_cell
+from repro.core import NcsRuntime
 from repro.net import nynet_testbed
+from repro.p4 import P4Runtime
 
 
 def _wan_cluster():
@@ -21,10 +24,10 @@ def _wan_cluster():
 
 def test_wan_overlap_gain(sim_bench, capsys):
     def run():
-        rp_lan = run_matmul_p4("nynet", 2, n=128)
-        rn_lan = run_matmul_ncs("nynet", 2, n=128)
-        rp_wan = run_matmul_p4("nynet", 2, n=128, cluster=_wan_cluster())
-        rn_wan = run_matmul_ncs("nynet", 2, n=128, cluster=_wan_cluster())
+        rp_lan = run_cell("matmul-p4", "nynet", 2, n=128)
+        rn_lan = run_cell("matmul-ncs", "nynet", 2, n=128)
+        rp_wan = run_matmul_p4(P4Runtime(_wan_cluster()), n=128)
+        rn_wan = run_matmul_ncs(NcsRuntime(_wan_cluster()), n=128)
         return rp_lan, rn_lan, rp_wan, rn_wan
 
     rp_lan, rn_lan, rp_wan, rn_wan = sim_bench(run)

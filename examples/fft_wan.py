@@ -28,11 +28,13 @@ WAN_CLUSTER = ClusterSpec(
 def lan_table() -> None:
     print("Table 3 (NYNET LAN): DIF FFT, M=512, 8 sample sets")
     for nodes in (1, 2, 4):
-        params = {"platform": "nynet", "n_nodes": nodes}
+        cluster = ClusterSpec(topology="platform-nynet", n_hosts=nodes + 1)
         rp = run_scenario(ScenarioSpec(
-            name=f"fft-p4-{nodes}n", app=AppSpec("fft-p4", params))).value
+            name=f"fft-p4-{nodes}n", cluster=cluster,
+            app=AppSpec("fft-p4"))).value
         rn = run_scenario(ScenarioSpec(
-            name=f"fft-ncs-{nodes}n", app=AppSpec("fft-ncs", params))).value
+            name=f"fft-ncs-{nodes}n", cluster=cluster,
+            app=AppSpec("fft-ncs"))).value
         assert rp.correct and rn.correct
         print(f"  {nodes} nodes: p4 {rp.makespan_s:.2f}s, "
               f"NCS {rn.makespan_s:.2f}s")

@@ -15,7 +15,8 @@ Run:  python examples/jpeg_pipeline.py
 """
 
 from repro.apps.jpeg import benchmark_image, compress, decompress, psnr
-from repro.config import AppSpec, ObsSpec, ScenarioSpec, run_scenario
+from repro.config import (AppSpec, ClusterSpec, ObsSpec, ScenarioSpec,
+                          run_scenario)
 from repro.sim import Activity
 
 TRACED = ObsSpec(trace=True)
@@ -31,16 +32,17 @@ def main() -> None:
           f"PSNR {psnr(image, decompress(comp)):.1f} dB\n")
 
     for nodes in (2, 4):
-        params = {"platform": "nynet", "n_nodes": nodes}
+        cluster = ClusterSpec(topology="platform-nynet", n_hosts=nodes + 1)
         rp = run_scenario(ScenarioSpec(
-            name=f"jpeg-p4-{nodes}n", obs=TRACED,
-            app=AppSpec("jpeg-p4", params))).value
+            name=f"jpeg-p4-{nodes}n", cluster=cluster, obs=TRACED,
+            app=AppSpec("jpeg-p4")))
         rn = run_scenario(ScenarioSpec(
-            name=f"jpeg-ncs-{nodes}n", obs=TRACED,
-            app=AppSpec("jpeg-ncs", params))).value
-        imp = (rp.makespan_s - rn.makespan_s) / rp.makespan_s * 100
-        print(f"{nodes} nodes (NYNET): p4 {rp.makespan_s:.2f}s  "
-              f"NCS {rn.makespan_s:.2f}s  -> {imp:.1f}% improvement "
+            name=f"jpeg-ncs-{nodes}n", cluster=cluster, obs=TRACED,
+            app=AppSpec("jpeg-ncs")))
+        imp = ((rp.value.makespan_s - rn.value.makespan_s)
+               / rp.value.makespan_s * 100)
+        print(f"{nodes} nodes (NYNET): p4 {rp.value.makespan_s:.2f}s  "
+              f"NCS {rn.value.makespan_s:.2f}s  -> {imp:.1f}% improvement "
               f"(paper band: 22.6-59.9%)")
         # Fig 16: where the time went, per host
         for label, result in (("p4 ", rp), ("NCS", rn)):
@@ -50,7 +52,7 @@ def main() -> None:
             for i in range(1, nodes + 1):
                 tl = tracer.timelines.get(f"n{i}")
                 busy = sum(tl.total(a) for a in Activity) if tl else 0.0
-                idle.append(1 - busy / result.makespan_s)
+                idle.append(1 - busy / result.value.makespan_s)
             worst = max(idle) * 100
             print(f"   [{label}] worst worker idle share: {worst:.0f}% "
                   f"of the makespan")

@@ -7,8 +7,10 @@ the % improvement column of Table 1.
 
 Each cell is one scenario: a base :class:`~repro.config.ScenarioSpec`
 per variant (the ``matmul-p4`` / ``matmul-ncs`` registered app
-drivers), swept across the table with ``with_app_params`` — the same
-specs ``scenarios/table1_matmul.toml`` holds in TOML form.
+drivers), swept across the table with ``with_cluster`` (the
+``platform-ethernet`` / ``platform-nynet`` topology, a host plus the
+row's nodes) and sized with ``with_app_params`` — the same specs
+``scenarios/table1_matmul.toml`` holds in TOML form.
 
 Run:  python examples/matmul_cluster.py [n]
 """
@@ -31,9 +33,11 @@ def main(n: int = 128) -> None:
     for platform, node_counts in (("ethernet", (1, 2, 4)),
                                   ("nynet", (1, 2, 4))):
         for nodes in node_counts:
-            cell = dict(platform=platform, n_nodes=nodes, n=n)
-            rp = run_scenario(P4_BASE.with_app_params(**cell)).value
-            rn = run_scenario(NCS_BASE.with_app_params(**cell)).value
+            cell = dict(topology=f"platform-{platform}", n_hosts=nodes + 1)
+            rp = run_scenario(
+                P4_BASE.with_cluster(**cell).with_app_params(n=n)).value
+            rn = run_scenario(
+                NCS_BASE.with_cluster(**cell).with_app_params(n=n)).value
             assert rp.correct and rn.correct, "wrong product!"
             imp = (rp.makespan_s - rn.makespan_s) / rp.makespan_s * 100
             print(f"{platform:<10}{nodes:>6}{rp.makespan_s:>10.2f}"

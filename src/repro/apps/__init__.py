@@ -1,6 +1,6 @@
 """The paper's three benchmark applications (p4 and NCS variants)."""
 
-from .common import AppResult, PLATFORMS, build_platform_cluster, platform_costs
+from .common import AppResult, ShapeError, platform_of
 from .costs import AppCosts, ELC_COSTS, IPX_COSTS, costs_for_platform
 
 # ``run_<app>_<variant>``: imported, and numpy with it, when first asked for
@@ -9,7 +9,7 @@ _RUNNERS = {f"run_{app}_{variant}": module for app, module in (
     for variant in ("ncs", "p4")}
 
 __all__ = [
-    "AppResult", "PLATFORMS", "build_platform_cluster", "platform_costs",
+    "AppResult", "ShapeError", "platform_of",
     "AppCosts", "ELC_COSTS", "IPX_COSTS", "costs_for_platform", *_RUNNERS,
 ]
 

@@ -2,13 +2,13 @@
 
 Every Table in the paper has an *Ethernet* column (SPARC ELCs on the
 shared 10 Mbps segment) and a *NYNET testbed* column (SPARC IPXs on the
-ATM LAN); :func:`build_platform_cluster` builds the matching simulated
-cluster, and :func:`platform_costs` returns the calibrated compute
-constants.  The applications use the paper's host-node model: process 0
-is the host, processes 1..N are the nodes, so an "N node" table row
-runs on an (N+1)-host cluster.  The two platforms are registered
-topologies too (``platform-ethernet`` / ``platform-nynet``): like every
-other, each builds its cluster in one call.
+ATM LAN).  Both are registered topologies (``platform-ethernet`` /
+``platform-nynet``), built from a spec's ``[cluster]`` table like every
+other.  An application takes the runtime it runs on and reads the rest
+off its cluster (:func:`platform_of`): the node count, and the calibrated
+compute costs of the cluster's workstation model.  The applications
+use the paper's host-node model: process 0 is the host, processes 1..N
+are the nodes, so an "N node" table row runs on an (N+1)-host cluster.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from ..hosts import SUN_ELC, SUN_IPX
 from ..net import Cluster, build_atm_cluster, build_ethernet_cluster
 from ..protocols import TcpParams
 from ..registry import TOPOLOGIES
-from .costs import AppCosts, ELC_COSTS, IPX_COSTS
+from .costs import AppCosts, costs_for_platform
 
-__all__ = ["PLATFORMS", "AppResult", "build_platform_cluster",
-           "platform_costs", "ELC_TCP", "IPX_TCP"]
+__all__ = ["AppResult", "ShapeError", "platform_of",
+           "platform_ethernet", "platform_nynet", "ELC_TCP", "IPX_TCP"]
 
 #: 1995 SunOS TCP: ~5 KB socket buffers on the Ethernet ELCs (per-message
 #: tail segments stall on the 50 ms delayed-ACK timer), and the larger
@@ -39,9 +39,6 @@ IPX_TCP = TcpParams(window_bytes=18432, tx_proc_per_segment_s=280e-6,
                     rx_proc_per_segment_s=320e-6, ack_proc_s=120e-6,
                     delayed_ack_s=0.05, ack_every=2)
 
-#: the two benchmark platforms of §2
-PLATFORMS = ("ethernet", "nynet")
-
 #: p4 message types used by the applications (matching Fig 13's DATA/RESULT)
 DATA, RESULT = 1, 2
 
@@ -52,12 +49,11 @@ class AppResult:
 
     app: str
     variant: str                 # "p4" | "ncs"
-    platform: str                # "ethernet" | "nynet"
+    platform: str                # the workstation model: "SUN-ELC" | ...
     n_nodes: int
     makespan_s: float
     correct: bool
     details: dict = field(default_factory=dict)
-    cluster: Optional[Cluster] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         ok = "ok" if self.correct else "WRONG RESULT"
@@ -65,14 +61,20 @@ class AppResult:
                 f"N={self.n_nodes}: {self.makespan_s:.3f}s {ok}>")
 
 
-def build_platform_cluster(platform: str, n_hosts: int, **kw) -> Cluster:
-    """An (n_hosts)-host cluster of the named benchmark platform."""
-    if platform == "ethernet":
-        return platform_ethernet(n_hosts, **kw)
-    if platform in ("nynet", "atm"):
-        return platform_nynet(n_hosts, **kw)
-    raise ValueError(f"unknown platform {platform!r}; "
-                     f"expected one of {PLATFORMS}")
+class ShapeError(ValueError):
+    """The problem does not split over the cluster's nodes (raised before
+    anything is spawned); ``params`` names the app parameters the split
+    depends on besides the node count (``"n"``, ``"m"``, ...)."""
+
+    def __init__(self, message: str, *params: str):
+        super().__init__(message)
+        self.params = params
+
+
+def platform_of(cluster: Cluster) -> tuple[AppCosts, int]:
+    """The calibrated costs of ``cluster``'s workstation model and its
+    node count: every process but the host, process 0."""
+    return costs_for_platform(cluster.host(0).model), cluster.n_hosts - 1
 
 
 @TOPOLOGIES.register(
@@ -124,11 +126,3 @@ def run_p4_programs(cluster: Cluster, procs,
     if missing:
         raise RuntimeError(f"p4 programs never finished: {missing}")
     return max(finish.values())
-
-
-def platform_costs(platform: str) -> AppCosts:
-    if platform == "ethernet":
-        return ELC_COSTS
-    if platform in ("nynet", "atm"):
-        return IPX_COSTS
-    raise ValueError(f"unknown platform {platform!r}")

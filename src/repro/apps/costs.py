@@ -67,12 +67,15 @@ class AppCosts:
         return rows * inner * cols * self.matmul_op_s
 
     def fft_compute_time(self, n_butterflies: int) -> float:
+        """Compute time for ``n_butterflies`` DIF butterflies."""
         return n_butterflies * self.fft_butterfly_s
 
     def jpeg_compress_time(self, n_blocks: int) -> float:
+        """Compute time to compress ``n_blocks`` 8x8 blocks."""
         return n_blocks * self.jpeg_compress_block_s
 
     def jpeg_decompress_time(self, n_blocks: int) -> float:
+        """Compute time to decompress ``n_blocks`` 8x8 blocks."""
         return n_blocks * self.jpeg_decompress_block_s
 
 

@@ -1,40 +1,36 @@
 """Registered app drivers: the `[app]` table of a scenario file.
 
 A driver is a callable ``driver(run) -> value`` where ``run`` is a
-:class:`repro.config.ScenarioRun`.  Two styles exist:
+:class:`repro.config.ScenarioRun`.  Every driver runs on the spec-built
+cluster: it asks ``run`` for the runtime (``run.runtime``: faults
+armed, barriers registered) or, for a p4 program, the cluster
+(``run.cluster``), and reads ``[app.params]`` against what it takes, so
+a key it does not know is rejected.
 
-* **Self-contained drivers** — the paper's three applications
-  (``matmul``/``jpeg``/``fft`` in their p4 and NCS variants).  These
-  build their own benchmark-platform cluster exactly as the Tables 1-3
-  harnesses always have; the scenario's ``[app.params]`` map onto the
-  ``run_*`` keyword arguments (checked by :func:`_app_params`), the
-  ``[runtime]`` table supplies mode/flow/error where the variant
-  supports them, and ``obs.trace`` feeds the app's ``trace`` flag.
-
-* **Runtime drivers** — micro-benchmark bodies (``pingpong``, ``ring``,
-  ``stream``) that ask ``run`` for the spec-built cluster/runtime (with
-  faults armed and barriers registered) and create NCS threads on it.
-  Their bodies are byte-for-byte the hand-wired loops the perf-lock
-  goldens were captured from, which is what the spec-equivalence tests
-  in ``tests/config`` assert.  They read ``[app.params]`` through
-  :func:`_params`, so a key they do not know is rejected.
+The paper's three applications (``matmul``/``jpeg``/``fft`` in their
+p4 and NCS variants) take that runtime plus their problem-size
+parameters (:func:`_table_app`); the node count and compute costs come
+off the cluster, so a Tables 1-3 cell is a ``[cluster]`` table on
+``platform-ethernet`` or ``platform-nynet``
+(:func:`repro.bench.tables.cell_spec`).  The micro-benchmark bodies
+(``pingpong``, ``ring``, ``stream``, ...) create NCS threads on the
+runtime themselves; they are byte-for-byte the hand-wired loops the
+perf-lock goldens were captured from, which is what the
+spec-equivalence tests in ``tests/config`` assert.
 """
 
 from __future__ import annotations
 
-from ..config.build import control_kwargs
+from functools import partial
+
 from ..config.schema import SCALARS, Field, SpecError, declaration, read
 from ..config.spec import ScenarioSpec
-from ..core.api import ServiceMode
+from ..p4 import P4Runtime
 from ..registry import APP_DRIVERS
 from .. import apps             # each ``run_*`` is imported when it runs
+from .common import ShapeError
 
 __all__ = []  # everything is reached through the APP_DRIVERS registry
-
-
-def _mode(spec_mode):
-    """The spec's runtime mode as the enum the app signatures take."""
-    return ServiceMode(spec_mode) if isinstance(spec_mode, str) else spec_mode
 
 
 def _params(run, **defaults) -> dict:
@@ -46,15 +42,11 @@ def _params(run, **defaults) -> dict:
 
 def _app_params(run, fn) -> dict:
     """``[app.params]`` against the keywords of ``fn`` that take a
-    plain value (``platform``, ``n_nodes``, ``n``, ``seed``, ``trace``,
-    ...); a keyword without a default is required.  The rest of its
-    keywords (``cluster``, ``p4_params``, ``image``, ``mode``, ...)
-    take Python objects, which a scenario cannot spell.  ``trace``
-    defaults to ``obs.trace``."""
-    trace = run.spec.obs.trace
-    return _read_params(run, [
-        f._replace(default=trace) if f.name == "trace" else f
-        for f in declaration(fn)[0] if f.hint in SCALARS])
+    plain value (``n``, ``seed``, ...); a keyword without a default is
+    required.  The rest of its parameters (the runtime, ``image``)
+    take Python objects, which a scenario cannot spell."""
+    return _read_params(run, [f for f in declaration(fn)[0]
+                              if f.hint in SCALARS])
 
 
 def _read_params(run, fields) -> dict:
@@ -80,80 +72,60 @@ def _two_hosts(run):
     return run.runtime
 
 
-def _no_runtime_table(run, *keys):
-    """Refuse what a self-contained driver cannot honour.
-
-    It builds its own platform cluster and synchronizes itself, so a
-    ``[cluster]`` or ``[faults]`` table, ``runtime.collectives`` or
-    ``runtime.barriers`` — and each of the driver's own ``keys``
-    (``"runtime.flow"``, ...) — set away from the bare spec's value is a
-    :class:`SpecError` naming it, never a setting silently ignored."""
-    spec = run.spec
-    bare = ScenarioSpec(spec.name)
-    for key in ("cluster", "faults", "runtime.collectives",
-                "runtime.barriers", *keys):
-        attr = key.rpartition(".")[2]
-        value = getattr(spec, attr)
-        if value != getattr(bare, attr):
-            if hasattr(value, "to_dict"):       # a whole table
-                value = value.to_dict()
-            raise SpecError(
-                f"app driver {spec.app.driver!r} builds its own platform "
-                f"cluster and cannot honour {key} = {value!r}; drop it "
-                "from the scenario or pick the matching app parameter")
+#: what a p4 program cannot honour: it runs single-threaded p4
+#: processes, not the spec's NCS runtime
+P4_REFUSES = ("mode", "flow", "flow_kwargs", "error", "error_kwargs",
+              "collectives", "barriers", "faults", "resilience")
 
 
-#: what a ``-p4`` driver refuses besides :func:`_no_runtime_table`'s own
-#: keys: it always runs single-threaded p4 processes
-P4_KEYS = ("runtime.mode", "runtime.flow", "runtime.error")
+def _p4(run):
+    """A p4 procgroup on the spec-built cluster.  Each :data:`P4_REFUSES`
+    field set away from the bare spec's value is a :class:`SpecError`
+    naming it, never a setting silently ignored."""
+    spec, bare = run.spec, ScenarioSpec(run.spec.name)
+    for key in P4_REFUSES:
+        value = getattr(spec, key)
+        if value == getattr(bare, key):
+            continue
+        if hasattr(value, "to_dict"):           # [faults], [resilience]
+            value = value.to_dict()
+        else:
+            key = f"runtime.{key}"
+        raise SpecError(
+            f"app driver {spec.app.driver!r} runs single-threaded p4 "
+            f"processes and cannot honour {key} = {value!r}; drop it "
+            "from the scenario")
+    return P4Runtime(run.cluster)
 
 
-@APP_DRIVERS.register(
-    "matmul-p4", help="Fig 13 matrix multiply, single-threaded p4 processes")
-def _matmul_p4(run):
-    _no_runtime_table(run, *P4_KEYS)
-    return apps.run_matmul_p4(**_app_params(run, apps.run_matmul_p4))
+def _table_app(driver: str, run):
+    """Run the Tables 1-3 app ``driver`` names (``run_<app>_<variant>``)
+    on the spec-built runtime, its params read against the app's
+    keywords.  A node count the app cannot split its problem over is a
+    :class:`SpecError` naming ``cluster.n_hosts`` and the params the
+    split depends on."""
+    app, variant = driver.split("-")
+    fn = getattr(apps, f"run_{app}_{variant}")
+    params = _app_params(run, fn)
+    rt = _p4(run) if variant == "p4" else run.runtime
+    try:
+        return fn(rt, **params)
+    except ShapeError as e:
+        named = "".join(f", app.params.{key} = {params[key]!r}"
+                        for key in e.params)
+        raise SpecError(
+            f"app driver {driver!r} cannot run on cluster.n_hosts = "
+            f"{rt.cluster.n_hosts}{named}: {e}") from None
 
 
-@APP_DRIVERS.register(
-    "matmul-ncs", help="Fig 14 matrix multiply, multithreaded NCS")
-def _matmul_ncs(run):
-    _no_runtime_table(run)
-    spec = run.spec
-    return apps.run_matmul_ncs(
-        mode=_mode(spec.mode), flow=spec.flow, error=spec.error,
-        error_kwargs=control_kwargs(spec, "error") or None,
-        **_app_params(run, apps.run_matmul_ncs))
-
-
-@APP_DRIVERS.register(
-    "jpeg-p4", help="Fig 15 JPEG pipeline, single-threaded p4 processes")
-def _jpeg_p4(run):
-    _no_runtime_table(run, *P4_KEYS)
-    return apps.run_jpeg_p4(**_app_params(run, apps.run_jpeg_p4))
-
-
-@APP_DRIVERS.register(
-    "jpeg-ncs", help="Figs 16-18 JPEG pipeline, multithreaded NCS")
-def _jpeg_ncs(run):
-    _no_runtime_table(run, "runtime.flow", "runtime.error")
-    return apps.run_jpeg_ncs(mode=_mode(run.spec.mode),
-                             **_app_params(run, apps.run_jpeg_ncs))
-
-
-@APP_DRIVERS.register(
-    "fft-p4", help="Fig 19 distributed FFT, single-threaded p4 processes")
-def _fft_p4(run):
-    _no_runtime_table(run, *P4_KEYS)
-    return apps.run_fft_p4(**_app_params(run, apps.run_fft_p4))
-
-
-@APP_DRIVERS.register(
-    "fft-ncs", help="Figs 20-21 distributed FFT, multithreaded NCS")
-def _fft_ncs(run):
-    _no_runtime_table(run, "runtime.flow", "runtime.error")
-    return apps.run_fft_ncs(mode=_mode(run.spec.mode),
-                            **_app_params(run, apps.run_fft_ncs))
+for _driver, _help in (
+        ("matmul-p4", "Fig 13 matrix multiply, single-threaded p4 processes"),
+        ("matmul-ncs", "Fig 14 matrix multiply, multithreaded NCS"),
+        ("jpeg-p4", "Fig 15 JPEG pipeline, single-threaded p4 processes"),
+        ("jpeg-ncs", "Figs 16-18 JPEG pipeline, multithreaded NCS"),
+        ("fft-p4", "Fig 19 distributed FFT, single-threaded p4 processes"),
+        ("fft-ncs", "Figs 20-21 distributed FFT, multithreaded NCS")):
+    APP_DRIVERS.register(_driver, partial(_table_app, _driver), help=_help)
 
 
 @APP_DRIVERS.register(

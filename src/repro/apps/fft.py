@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import NcsRuntime
-from ..core.mps import ServiceMode
 from ..p4 import P4Runtime
-from .common import (AppResult, DATA, RESULT, build_platform_cluster,
-                     platform_costs, run_p4_programs)
+from .common import (AppResult, DATA, RESULT, ShapeError, platform_of,
+                     run_p4_programs)
 
 __all__ = ["DifWorkerState", "dif_fft_reference", "bit_reverse_indices",
            "run_fft_p4", "run_fft_ncs", "make_samples"]
@@ -49,6 +48,17 @@ def make_samples(m: int, n_sets: int = 8, seed: int = 3) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n_sets, m))
             + 1j * rng.standard_normal((n_sets, m)))
+
+
+def _check_split(m: int, workers: int, *params: str) -> None:
+    """A :class:`ShapeError` (naming ``params``) unless ``m`` points
+    split over ``workers``: both powers of two, at least two points
+    per worker."""
+    if not (1 <= workers <= m // 2 and workers & (workers - 1) == 0
+            and m & (m - 1) == 0):
+        raise ShapeError(f"{m} points do not split over {workers} workers "
+                         "(both must be powers of two, M >= 2 * workers)",
+                         *params)
 
 
 def bit_reverse_indices(m: int) -> np.ndarray:
@@ -74,10 +84,7 @@ class DifWorkerState:
     base: int = field(init=False)   # virtual position of A[0] (tracked)
 
     def __post_init__(self) -> None:
-        if self.m & (self.m - 1):
-            raise ValueError("M must be a power of two")
-        if self.n_workers & (self.n_workers - 1):
-            raise ValueError("worker count must be a power of two")
+        _check_split(self.m, self.n_workers)
         r = self.m // (2 * self.n_workers)
         if len(self.a) != r or len(self.b) != r:
             raise ValueError("A/B chunks must hold M/(2P) points each")
@@ -85,14 +92,17 @@ class DifWorkerState:
 
     @property
     def r(self) -> int:
+        """Points in each of A and B: M/(2P)."""
         return self.m // (2 * self.n_workers)
 
     @property
     def comm_stages(self) -> int:
+        """Stages that exchange with a partner: log2 P."""
         return int(math.log2(self.n_workers))
 
     @property
     def local_stages(self) -> int:
+        """Stages on the worker's own chunk: log2 M - log2 P."""
         return int(math.log2(self.m)) - self.comm_stages
 
     def butterfly(self, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,17 +208,15 @@ def dif_fft_reference(s: np.ndarray, n_workers: int) -> np.ndarray:
 # p4 variant (Fig 19): one worker per process
 # ---------------------------------------------------------------------------
 
-def run_fft_p4(platform: str, n_nodes: int, m: int = 512, n_sets: int = 8,
-               seed: int = 3, trace: bool = False, cluster=None,
-               p4_params=None) -> AppResult:
-    """Host + ``n_nodes`` single-threaded p4 workers, ``n_sets`` sample
-    sets processed one after another (paper §5.3.1)."""
-    samples = make_samples(m, n_sets, seed)
-    costs = platform_costs(platform)
-    cluster = cluster or build_platform_cluster(platform, n_nodes + 1,
-                                                trace=trace)
-    rt = P4Runtime(cluster, p4_params)
+def run_fft_p4(rt: P4Runtime, m: int = 512, n_sets: int = 8,
+               seed: int = 3) -> AppResult:
+    """The host and one single-threaded p4 worker per node of ``rt``'s
+    cluster, ``n_sets`` sample sets processed one after another (paper
+    §5.3.1)."""
+    costs, n_nodes = platform_of(rt.cluster)
     P = n_nodes
+    _check_split(m, P, "m")
+    samples = make_samples(m, n_sets, seed)
     r = m // (2 * P)
     chunk_bytes = r * ELEMENT_BYTES
     outputs = np.zeros((n_sets, m), dtype=complex)
@@ -253,32 +261,28 @@ def run_fft_p4(platform: str, n_nodes: int, m: int = 512, n_sets: int = 8,
 
     procs = [rt.spawn(0, host)] + [rt.spawn(i, node)
                                    for i in range(1, P + 1)]
-    makespan = run_p4_programs(cluster, procs)
+    makespan = run_p4_programs(rt.cluster, procs)
     ref = np.fft.fft(samples, axis=1)
     correct = bool(np.allclose(outputs, ref))
-    return AppResult("fft", "p4", platform, n_nodes, makespan, correct,
-                     details={"m": m, "sets": n_sets}, cluster=cluster)
+    return AppResult("fft", "p4", costs.platform, n_nodes, makespan, correct,
+                     details={"m": m, "sets": n_sets})
 
 
 # ---------------------------------------------------------------------------
 # NCS variant (Figs 20/21): two threads per node process
 # ---------------------------------------------------------------------------
 
-def run_fft_ncs(platform: str, n_nodes: int, m: int = 512, n_sets: int = 8,
-                threads_per_node: int = 2, seed: int = 3,
-                trace: bool = False, mode: ServiceMode = ServiceMode.P4,
-                cluster=None, p4_params=None) -> AppResult:
+def run_fft_ncs(rt: NcsRuntime, m: int = 512, n_sets: int = 8,
+                threads_per_node: int = 2, seed: int = 3) -> AppResult:
     """Host (single thread, §5.3.2) + ``threads_per_node`` worker threads
-    per node: worker ``w`` is thread ``w % T`` of process ``w // T + 1``;
-    the final exchange pairs the threads of one process, so it never
-    touches the network."""
-    samples = make_samples(m, n_sets, seed)
-    costs = platform_costs(platform)
-    cluster = cluster or build_platform_cluster(platform, n_nodes + 1,
-                                                trace=trace)
-    rt = NcsRuntime(cluster, mode=mode, p4_params=p4_params)
+    per node of ``rt``: worker ``w`` is thread ``w % T`` of process
+    ``w // T + 1``; the final exchange pairs the threads of one process,
+    so it never touches the network."""
+    costs, n_nodes = platform_of(rt.cluster)
     T = threads_per_node
     P = n_nodes * T
+    _check_split(m, P, "m", "threads_per_node")
+    samples = make_samples(m, n_sets, seed)
     r = m // (2 * P)
     chunk_bytes = r * ELEMENT_BYTES
     outputs = np.zeros((n_sets, m), dtype=complex)
@@ -335,7 +339,5 @@ def run_fft_ncs(platform: str, n_nodes: int, m: int = 512, n_sets: int = 8,
     makespan = rt.run(max_events=50_000_000)
     ref = np.fft.fft(samples, axis=1)
     correct = bool(np.allclose(outputs, ref))
-    return AppResult("fft", "ncs", platform, n_nodes, makespan, correct,
-                     details={"m": m, "sets": n_sets, "threads": T,
-                              "mode": mode.value},
-                     cluster=cluster)
+    return AppResult("fft", "ncs", costs.platform, n_nodes, makespan, correct,
+                     details={"m": m, "sets": n_sets, "threads": T})

@@ -33,11 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 from ...core import NcsRuntime
-from ...core.mps import ServiceMode
 from ...core.mts.sync import ThreadEvent
 from ...p4 import P4Runtime
-from ..common import (AppResult, DATA, RESULT, build_platform_cluster,
-                      platform_costs, run_p4_programs)
+from ..common import (AppResult, DATA, RESULT, ShapeError, platform_of,
+                      run_p4_programs)
 from .codec import compress, decompress, psnr
 from .dct import BLOCK
 from .images import benchmark_image
@@ -54,14 +53,14 @@ def band_slices(height: int, parts: int) -> list[slice]:
         raise ValueError(f"parts must be an int >= 1, got {parts!r}")
     rows, rest = divmod(height, BLOCK)
     if rest or rows % parts:
-        raise ValueError(
+        raise ShapeError(
             f"{height} rows do not divide into {parts} bands of whole blocks")
     step = rows // parts * BLOCK
     return [slice(i * step, (i + 1) * step) for i in range(parts)]
 
 
 def _source(image, quality: int, seed: int) -> np.ndarray:
-    """The image to run, checked before any cluster is built."""
+    """The image to run, checked before anything is spawned."""
     quality_table(quality)
     image = benchmark_image(seed=seed) if image is None else np.asarray(image)
     if image.dtype != np.uint8 or image.ndim != 2 or any(
@@ -108,20 +107,24 @@ def _check(image, assembled) -> bool:
             and psnr(image, assembled) > 30.0)
 
 
-def run_jpeg_p4(platform: str, n_nodes: int, quality: int = 75,
-                seed: int = 1995, trace: bool = False,
-                cluster=None, image=None, p4_params=None) -> AppResult:
-    """Fig 15's pipeline with single-threaded p4 processes."""
+def _nodes(rt) -> tuple:
+    """``(costs, n_nodes)`` of ``rt``'s cluster, whose node count must
+    split into compressor/decompressor pairs."""
+    costs, n_nodes = platform_of(rt.cluster)
     if n_nodes < 2 or n_nodes % 2:
-        raise ValueError("JPEG pipeline needs an even number of nodes >= 2")
+        raise ShapeError(f"JPEG pipeline needs an even number of nodes "
+                         f">= 2, not {n_nodes}")
+    return costs, n_nodes
+
+
+def run_jpeg_p4(rt: P4Runtime, quality: int = 75, seed: int = 1995,
+                image=None) -> AppResult:
+    """Fig 15's pipeline with single-threaded p4 processes."""
+    costs, n_nodes = _nodes(rt)
     code, decode = _band_codec(image, quality, seed)
     image = _source(image, quality, seed)
     half = n_nodes // 2
     slices = band_slices(image.shape[0], half)
-    costs = platform_costs(platform)
-    cluster = cluster or build_platform_cluster(platform, n_nodes + 1,
-                                                trace=trace)
-    rt = P4Runtime(cluster, p4_params)
     assembled = np.zeros_like(image)
 
     def host(p4):
@@ -162,32 +165,24 @@ def run_jpeg_p4(platform: str, n_nodes: int, quality: int = 75,
         procs.append(rt.spawn(i, compressor))
     for i in range(half + 1, n_nodes + 1):
         procs.append(rt.spawn(i, decompressor))
-    makespan = run_p4_programs(cluster, procs)
-    return AppResult("jpeg", "p4", platform, n_nodes, makespan,
+    makespan = run_p4_programs(rt.cluster, procs)
+    return AppResult("jpeg", "p4", costs.platform, n_nodes, makespan,
                      _check(image, assembled),
                      details={"quality": quality,
-                              "image_bytes": image.nbytes},
-                     cluster=cluster)
+                              "image_bytes": image.nbytes})
 
 
-def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
-                 seed: int = 1995, trace: bool = False,
-                 mode: ServiceMode = ServiceMode.P4,
-                 cluster=None, image=None, p4_params=None) -> AppResult:
+def run_jpeg_ncs(rt: NcsRuntime, quality: int = 75, seed: int = 1995,
+                 image=None) -> AppResult:
     """Figs 16-18: two threads per worker; the host's thread 1 parks in
     ``NCS_block()`` until thread 0 has read the image file."""
-    if n_nodes < 2 or n_nodes % 2:
-        raise ValueError("JPEG pipeline needs an even number of nodes >= 2")
+    costs, n_nodes = _nodes(rt)
     code, decode = _band_codec(image, quality, seed)
     image = _source(image, quality, seed)
     half = n_nodes // 2
     T = 2
     # two sub-bands per compressor: index = (node_i - 1) * T + t
     slices = band_slices(image.shape[0], half * T)
-    costs = platform_costs(platform)
-    cluster = cluster or build_platform_cluster(platform, n_nodes + 1,
-                                                trace=trace)
-    rt = NcsRuntime(cluster, mode=mode, p4_params=p4_params)
     assembled = np.zeros_like(image)
     write_ready = ThreadEvent()
 
@@ -261,9 +256,7 @@ def run_jpeg_ncs(platform: str, n_nodes: int, quality: int = 75,
                 i, decompressor_thread, (i, t), name=f"dec{i}-t{t}")
 
     makespan = rt.run(max_events=50_000_000)
-    return AppResult("jpeg", "ncs", platform, n_nodes, makespan,
+    return AppResult("jpeg", "ncs", costs.platform, n_nodes, makespan,
                      _check(image, assembled),
                      details={"quality": quality, "threads": T,
-                              "image_bytes": image.nbytes,
-                              "mode": mode.value},
-                     cluster=cluster)
+                              "image_bytes": image.nbytes})

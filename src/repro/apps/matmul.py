@@ -19,17 +19,13 @@ while charging the calibrated 1995 compute costs to the simulated CPUs.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from ..core import NcsRuntime
-from ..core.mps import ServiceMode
 from ..core.mts.sync import ThreadEvent
 from ..p4 import P4Runtime
-from .common import (
-    AppResult, DATA, RESULT, build_platform_cluster, platform_costs,
-    run_p4_programs,
-)
+from .common import (AppResult, DATA, RESULT, ShapeError, platform_of,
+                     run_p4_programs)
 
 __all__ = ["make_matrices", "run_matmul_p4", "run_matmul_ncs"]
 
@@ -46,11 +42,13 @@ def make_matrices(n: int, seed: int = 7):
     return (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
 
-def _row_slices(n: int, parts: int) -> list[slice]:
+def _row_slices(n: int, parts: int, *params: str) -> list[slice]:
     """Split n rows into ``parts`` equal slices (n must divide evenly,
-    like the paper's 128 rows over 1/2/4/8 nodes)."""
-    if n % parts:
-        raise ValueError(f"{n} rows do not divide into {parts} parts")
+    like the paper's 128 rows over 1/2/4/8 nodes); ``params`` are what
+    a :class:`ShapeError` names besides the node count."""
+    if parts < 1 or n % parts:
+        raise ShapeError(f"{n} rows do not divide into {parts} parts",
+                         *params)
     step = n // parts
     return [slice(i * step, (i + 1) * step) for i in range(parts)]
 
@@ -59,16 +57,12 @@ def _row_slices(n: int, parts: int) -> list[slice]:
 # p4 variant (Fig 13)
 # ---------------------------------------------------------------------------
 
-def run_matmul_p4(platform: str, n_nodes: int, n: int = 128,
-                  seed: int = 7, trace: bool = False,
-                  cluster=None, p4_params=None) -> AppResult:
-    """The Fig 13 program: host + ``n_nodes`` single-threaded processes."""
+def run_matmul_p4(rt: P4Runtime, n: int = 128, seed: int = 7) -> AppResult:
+    """The Fig 13 program: the host and one single-threaded process on
+    every node of ``rt``'s cluster."""
+    costs, n_nodes = platform_of(rt.cluster)
+    slices = _row_slices(n, n_nodes, "n")
     A, B = make_matrices(n, seed)
-    costs = platform_costs(platform)
-    cluster = cluster or build_platform_cluster(platform, n_nodes + 1,
-                                                trace=trace)
-    rt = P4Runtime(cluster, p4_params)
-    slices = _row_slices(n, n_nodes)
     C = np.zeros((n, n))
     b_bytes = n * n * ELEMENT_BYTES
 
@@ -98,41 +92,26 @@ def run_matmul_p4(platform: str, n_nodes: int, n: int = 128,
     procs = [rt.spawn(0, host_process)]
     for i in range(1, n_nodes + 1):
         procs.append(rt.spawn(i, node_process))
-    makespan = run_p4_programs(cluster, procs)
+    makespan = run_p4_programs(rt.cluster, procs)
     correct = bool(np.allclose(C, A @ B))
-    return AppResult("matmul", "p4", platform, n_nodes, makespan, correct,
-                     details={"n": n}, cluster=cluster)
+    return AppResult("matmul", "p4", costs.platform, n_nodes, makespan,
+                     correct, details={"n": n})
 
 
 # ---------------------------------------------------------------------------
 # NCS variant (Fig 14)
 # ---------------------------------------------------------------------------
 
-def run_matmul_ncs(platform: str, n_nodes: int, n: int = 128,
-                   threads_per_node: int = 2, seed: int = 7,
-                   trace: bool = False, mode: ServiceMode = ServiceMode.P4,
-                   cluster=None, p4_params=None,
-                   flow=None, error=None, error_kwargs=None,
-                   runtime_hook=None) -> AppResult:
+def run_matmul_ncs(rt: NcsRuntime, n: int = 128, threads_per_node: int = 2,
+                   seed: int = 7) -> AppResult:
     """The Fig 14 program: ``threads_per_node`` compute threads in the
-    host process and in every node process; thread *t* of the host
-    converses with thread *t* of each node.
-
-    ``flow``/``error``/``error_kwargs`` are forwarded to the runtime
-    (the chaos suite runs with ``error='ack'`` so the EC thread carries
-    the computation across injected faults).  ``runtime_hook(rt)``, if
-    given, is called after thread creation and before the run — the
-    seam for arming a :class:`repro.faults.FaultInjector` that needs
-    the runtime.
-    """
-    A, B = make_matrices(n, seed)
-    costs = platform_costs(platform)
-    cluster = cluster or build_platform_cluster(platform, n_nodes + 1,
-                                                trace=trace)
-    rt = NcsRuntime(cluster, mode=mode, p4_params=p4_params,
-                    flow=flow, error=error, error_kwargs=error_kwargs)
+    host process and in every node process of ``rt``; thread *t* of the
+    host converses with thread *t* of each node.  Its service mode,
+    flow and error control are the runtime's."""
+    costs, n_nodes = platform_of(rt.cluster)
     T = threads_per_node
-    slices = _row_slices(n, n_nodes * T)
+    slices = _row_slices(n, n_nodes * T, "n", "threads_per_node")
+    A, B = make_matrices(n, seed)
 
     def part(node_i: int, t: int) -> slice:
         """A-rows handled by thread t of node node_i (1-based node)."""
@@ -185,10 +164,7 @@ def run_matmul_ncs(platform: str, n_nodes: int, n: int = 128,
             node_tids[(i, t)] = rt.t_create(
                 i, node_thread, (i, t), name=f"n{i}-t{t}")
 
-    if runtime_hook is not None:
-        runtime_hook(rt)
     makespan = rt.run(max_events=50_000_000)
     correct = bool(np.allclose(C, A @ B))
-    return AppResult("matmul", "ncs", platform, n_nodes, makespan, correct,
-                     details={"n": n, "threads": T, "mode": mode.value},
-                     cluster=cluster)
+    return AppResult("matmul", "ncs", costs.platform, n_nodes, makespan,
+                     correct, details={"n": n, "threads": T})

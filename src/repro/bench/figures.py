@@ -11,9 +11,7 @@ import math
 
 import numpy as np
 
-from ..apps import run_jpeg_ncs, run_jpeg_p4
-from ..apps.matmul import run_matmul_ncs, run_matmul_p4
-from ..core import NcsRuntime
+from ..config import ObsSpec, run_scenario
 from ..core.mps import ServiceMode
 from ..core.mps.buffers import BufferPipeline
 from ..core.mps.datapath import (
@@ -22,6 +20,7 @@ from ..core.mps.datapath import (
 from ..hosts import KernelBufferPool, SUN_IPX
 from ..net import build_atm_cluster, nynet_testbed
 from ..sim import Activity
+from .tables import cell_spec
 
 __all__ = [
     "fig1_nynet_paths", "fig2_buffer_sweep", "fig3_datapath",
@@ -138,14 +137,22 @@ def fig3_datapath(nbytes: int = 64 * 1024) -> dict:
 # Fig 4 — matmul overlap timeline
 # ---------------------------------------------------------------------------
 
+def _traced_cell(driver: str, n_nodes: int, **params):
+    """One NYNET table cell run with tracing on; its spans are closed."""
+    result = run_scenario(cell_spec(driver, "nynet", n_nodes, **params)
+                          .replace(obs=ObsSpec(trace=True)))
+    result.cluster.tracer.close_all()
+    return result
+
+
 def fig4_overlap(n: int = 128) -> dict:
     """The Fig 4 experiment: 2 nodes, with and without threads; returns
     makespans plus the threaded run's per-thread Gantt rows."""
-    rp = run_matmul_p4("nynet", 2, n=n, trace=True)
-    rn = run_matmul_ncs("nynet", 2, n=n, trace=True)
-    rn.cluster.tracer.close_all()
+    rp = _traced_cell("matmul-p4", 2, n=n).value
+    ncs = _traced_cell("matmul-ncs", 2, n=n)
+    rn = ncs.value
     gantt = {name: tl.gantt_row()
-             for name, tl in rn.cluster.tracer.timelines.items()
+             for name, tl in ncs.cluster.tracer.timelines.items()
              if "/" in name}
     return {
         "p4_makespan_s": rp.makespan_s,
@@ -250,8 +257,9 @@ def fig6_nsm_vs_hsm(sizes=(1024, 16 * 1024, 64 * 1024, 256 * 1024)) -> dict:
 def fig12_approaches(n: int = 128) -> dict:
     """The paper's promised comparison (§6): the same NCS matmul over
     Approach 1 (p4) and Approach 2 (ATM API)."""
-    r1 = run_matmul_ncs("nynet", 2, n=n, mode=ServiceMode.P4)
-    r2 = run_matmul_ncs("nynet", 2, n=n, mode=ServiceMode.HSM)
+    spec = cell_spec("matmul-ncs", "nynet", 2, n=n)
+    r1 = run_scenario(spec.replace(mode="p4")).value
+    r2 = run_scenario(spec.replace(mode="hsm")).value
     return {
         "approach1_p4_s": r1.makespan_s,
         "approach2_atm_s": r2.makespan_s,
@@ -268,11 +276,10 @@ def fig16_utilization(n_nodes: int = 2) -> dict:
     """Per-host activity fractions for the JPEG pipeline, single- vs
     multi-threaded — the Fig 16 stacked-interval picture as numbers."""
     out = {}
-    for label, runner in (("single-threaded", run_jpeg_p4),
-                          ("multithreaded", run_jpeg_ncs)):
-        r = runner("nynet", n_nodes, trace=True)
-        tracer = r.cluster.tracer
-        tracer.close_all()
+    for label, driver in (("single-threaded", "jpeg-p4"),
+                          ("multithreaded", "jpeg-ncs")):
+        result = _traced_cell(driver, n_nodes)
+        r, tracer = result.value, result.cluster.tracer
         horizon = r.makespan_s
         per_host = {}
         for i in range(n_nodes + 1):

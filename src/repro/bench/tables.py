@@ -14,7 +14,7 @@ Every cell is one declarative scenario: :func:`run_cell` builds a
 
 from __future__ import annotations
 
-from ..config import AppSpec, ScenarioSpec, run_scenario
+from ..config import AppSpec, ClusterSpec, ScenarioSpec, run_scenario
 from . import paper_data as paper
 from .report import ComparisonTable, TableRow
 
@@ -24,11 +24,14 @@ __all__ = ["run_cell", "cell_spec", "table1", "table2", "table3",
 
 def cell_spec(driver: str, platform: str, n_nodes: int,
               **params) -> ScenarioSpec:
-    """The scenario for one table cell."""
+    """The scenario for one table cell: ``driver`` on the
+    ``platform-<platform>`` topology with a host and ``n_nodes`` nodes,
+    ``params`` its ``[app.params]``."""
     return ScenarioSpec(
         name=f"{driver}-{platform}-{n_nodes}n",
-        app=AppSpec(driver, {"platform": platform, "n_nodes": n_nodes,
-                             **params}))
+        cluster=ClusterSpec(topology=f"platform-{platform}",
+                            n_hosts=n_nodes + 1),
+        app=AppSpec(driver, params))
 
 
 def run_cell(driver: str, platform: str, n_nodes: int, **params):

@@ -24,6 +24,7 @@ off it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 from ..registry import (APP_DRIVERS, ERROR_CONTROLS, FLOW_CONTROLS, KERNELS,
@@ -144,29 +145,30 @@ def build_runtime(spec: ScenarioSpec, cluster=None):
 
 class ScenarioRun:
     """What an app driver receives: the spec, its params, and lazy
-    access to the spec-built cluster/runtime.
+    access to the spec-built cluster and runtime.
 
-    Self-contained drivers (the paper's table apps, which build their
-    own platform cluster) just read :attr:`params` and set
-    :attr:`cluster` from their result; runtime drivers access
-    :attr:`runtime`, create threads on it and run it.
+    Every driver runs on them: an NCS program asks for :attr:`runtime`,
+    creates threads on it and runs it; a p4 program builds its
+    procgroup on :attr:`cluster`.  Both are built on first access;
+    :attr:`cluster` may be set first (a caller that times the build, a
+    shard worker), and :attr:`runtime` is then built on it.
     """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.params: dict[str, Any] = (
             dict(spec.app.params) if spec.app is not None else {})
-        self.cluster = None
-        self._runtime = None
 
-    @property
+    @cached_property
+    def cluster(self):
+        """The spec-built cluster."""
+        return build_cluster(self.spec.cluster, self.spec.obs)
+
+    @cached_property
     def runtime(self):
         """The spec-built :class:`~repro.core.api.NcsRuntime` (faults
-        armed, barriers registered), built on first access."""
-        if self._runtime is None:
-            self.cluster, self._runtime = build_runtime(self.spec,
-                                                        self.cluster)
-        return self._runtime
+        armed, barriers registered) on :attr:`cluster`."""
+        return build_runtime(self.spec, self.cluster)[1]
 
 
 @dataclass
@@ -226,10 +228,9 @@ def _run_scenario_single(spec: ScenarioSpec) -> ScenarioResult:
     driver = APP_DRIVERS.get(spec.app.driver)
     run = ScenarioRun(spec)
     value = driver(run)
-    cluster = run.cluster
-    if cluster is None and getattr(value, "cluster", None) is not None:
-        cluster = value.cluster                      # AppResult-shaped
-    result = ScenarioResult(spec, value, cluster, run._runtime)
+    built = vars(run)          # what the driver asked for (cached_property)
+    result = ScenarioResult(spec, value, built.get("cluster"),
+                            built.get("runtime"))
     _export_obs(result)
     return result
 
@@ -241,7 +242,7 @@ def _export_obs(result: ScenarioResult) -> None:
     if result.cluster is None:
         raise SpecError(
             f"scenario {result.spec.name!r}: obs export requested but the "
-            f"driver exposed no cluster (set run.cluster in the driver)")
+            "driver never asked for run.cluster or run.runtime")
     from ..obs import export_chrome_trace, export_jsonl
     tracer = result.cluster.tracer
     tracer.close_all()

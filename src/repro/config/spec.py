@@ -121,7 +121,7 @@ class FaultSpec(Table):
     * ``events`` — a tuple of event tables, each ``{kind = "...", at =
       ..., duration = ..., <kind-specific fields>}`` with ``kind`` in
       :data:`repro.registry.FAULT_KINDS`, read against the kind's
-      dataclass when the plan is built;
+      dataclass when the spec is;
     * ``random`` — ``{seed = ..., n_hosts = ..., t_max = ..., n_events =
       ..., kinds = [...]}``, read against the signature of
       :meth:`repro.faults.FaultPlan.random`.
@@ -145,10 +145,9 @@ class FaultSpec(Table):
             except ValueError as e:
                 raise SpecError(join("faults.random", e)) from None
             object.__setattr__(self, "random", random)
-        for i, ev in enumerate(self.events):
-            if "kind" not in ev:
-                raise SpecError(f"faults.events[{i}].kind is required "
-                                "(e.g. kind = \"link-outage\")")
+        if self.events:
+            from ..faults.plan import FaultPlan
+            FaultPlan.from_dicts(self.events)
 
     def to_plan(self):
         """Materialize into a :class:`repro.faults.FaultPlan`."""

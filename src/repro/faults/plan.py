@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..config.schema import SpecError, build, write
-from ..registry import FAULT_KINDS
+from ..registry import FAULT_KINDS, UnknownNameError
 
 __all__ = [
     "FaultEvent", "LinkOutage", "BerSpike", "HostCrash", "SwitchPortStall",
@@ -91,7 +91,11 @@ class FaultEvent:
         if "kind" not in raw:
             raise SpecError(f"{path}.kind is required; registered kinds: "
                             f"{', '.join(FAULT_KINDS.names())}")
-        return build(FAULT_KINDS.get(raw.pop("kind")), raw, path)
+        try:
+            cls = FAULT_KINDS.get(raw.pop("kind"))
+        except (UnknownNameError, TypeError) as e:   # TypeError: unhashable
+            raise SpecError(f"{path}.kind: {e}") from None
+        return build(cls, raw, path)
 
 
 def _register_kind(name: str):

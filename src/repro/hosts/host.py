@@ -62,9 +62,11 @@ class Host:
     def __init__(self, sim: Simulator, name: str,
                  cpu: Optional[CpuModel] = None,
                  os: Optional[OsCosts] = None,
-                 tracer: Optional[Tracer] = None):
+                 tracer: Optional[Tracer] = None, model: str = "generic"):
         self.sim = sim
         self.name = name
+        #: the workstation model's name (``HostParams.name``)
+        self.model = model
         self.cpu = cpu or CpuModel()
         self.os = os or OsCosts()
         self.tracer = tracer if tracer is not None else NullTracer(sim)

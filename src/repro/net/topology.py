@@ -126,7 +126,7 @@ def _add_host(cluster: Cluster, name: str, params: HostParams, tcp_params,
     (dual-rail), else classical IP over the fabric."""
     sim = cluster.sim
     host = Host(sim, name, cpu=params.cpu, os=params.os,
-                tracer=cluster.tracer)
+                tracer=cluster.tracer, model=params.name)
     nic = atm_api = None
     if cluster.lan is not None:
         nic = EthernetNic(sim, cluster.lan, name)

@@ -43,8 +43,8 @@ Constraints: a shard cut must be a switch-to-switch WAN trunk — host
 TAXI links share a BER rng across both directions and a host can never
 be split from its own adapter/switch, so plans that would cut one raise
 :class:`~repro.config.spec.SpecError`.  Drivers must drive the
-spec-built runtime (``rt.run()``).  Self-contained apps, and the
-drivers whose value no merge can rebuild
+spec-built runtime (``rt.run()``).  The drivers that do not, or whose
+value no merge can rebuild
 (:data:`~repro.sim.sharded.merge.UNMERGEABLE_DRIVERS`), run on the
 single kernel instead, with a :class:`ShardFallbackWarning`.
 """
@@ -56,7 +56,7 @@ import multiprocessing
 import os
 import warnings
 
-from ...config.build import ScenarioResult, ScenarioRun, build_cluster
+from ...config.build import ScenarioResult, ScenarioRun
 from ...config.spec import ScenarioSpec, SpecError
 from ...registry import APP_DRIVERS, KERNELS
 from .merge import UNMERGEABLE_DRIVERS, merged_result
@@ -100,7 +100,7 @@ def _fallback_single(spec: ScenarioSpec, reason: str,
                      detail: str) -> ScenarioResult:
     """Run the single kernel — loudly when ``shards > 1`` degrades.
 
-    ``reason`` is a short slug (``"trivial-plan"``, ``"partial-cluster"``,
+    ``reason`` is a short slug (``"trivial-plan"``,
     ``"unmergeable-driver"``, ``"no-fork"``) stamped as the ``reason=``
     label on the ``kernel.shard_fallback`` counter; ``detail`` is the
     human sentence for the warning.
@@ -140,10 +140,8 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
 
     The coordinator builds the whole cluster and the spec's runtime
     once, plans on the cluster, and forks every worker off them, never
-    running them.  A spec whose cluster table names no complete
-    topology (the self-contained table apps build their own platform
-    cluster) runs on the single kernel, and so do
-    :data:`UNMERGEABLE_DRIVERS`.
+    running them.  :data:`UNMERGEABLE_DRIVERS` run on the single
+    kernel.
     """
     from ...config.build import ensure_components
     ensure_components()
@@ -153,16 +151,6 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
             "(specs without an app can still be built via build_runtime)")
     APP_DRIVERS.get(spec.app.driver)          # fail fast on unknown names
     run = ScenarioRun(spec)
-    try:
-        run.cluster = build_cluster(spec.cluster, spec.obs)
-    except SpecError:
-        # self-contained drivers leave the spec's cluster table partial
-        # — there is nothing to partition, so the single kernel runs
-        # (and re-raises if the spec is genuinely broken)
-        return _fallback_single(
-            spec, "partial-cluster",
-            "the spec's cluster table is partial (self-contained "
-            "drivers build their own cluster)")
     plan = plan_for(spec, run.cluster)
     if plan.n_shards <= 1:
         return _fallback_single(

@@ -105,10 +105,14 @@ def merge_traces(traces: list, plan: ShardPlan, into) -> None:
 
 
 #: drivers whose return value folds cross-pid state into scalars
-#: locally (``collective``'s ok-flags, ``stream``'s mean latency), so no
-#: merge of per-shard values can rebuild it: the sharded kernel runs
-#: them on the single kernel instead
-UNMERGEABLE_DRIVERS = frozenset({"collective", "stream"})
+#: locally (``collective``'s ok-flags, ``stream``'s mean latency, a
+#: Tables 1-3 app's correctness check over arrays one process holds),
+#: or that never call ``rt.advance`` (the p4 programs), so no merge of
+#: per-shard values can rebuild it: the sharded kernel runs them on the
+#: single kernel instead
+UNMERGEABLE_DRIVERS = frozenset({
+    "collective", "stream", "matmul-p4", "matmul-ncs", "jpeg-p4",
+    "jpeg-ncs", "fft-p4", "fft-ncs"})
 
 
 def merge_values(values: list):

@@ -153,8 +153,8 @@ def run_worker(run: ScenarioRun, plan: ShardPlan, shard_id: int,
         if not worker.ran:
             raise SpecError(
                 f"driver {driver!r} never drove the spec-built "
-                "runtime; the sharded kernel requires a runtime driver "
-                "(self-contained apps build their own cluster)")
+                "runtime; the sharded kernel requires a driver that "
+                "runs it")
         worker.cluster.tracer.close_all()
         payload = shard_payload(value, worker.cluster)
         try:

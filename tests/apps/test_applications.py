@@ -1,12 +1,11 @@
 """Integration tests for the three paper applications (small instances)."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.apps.common import DATA, build_platform_cluster, run_p4_programs
+from repro.apps.common import DATA, platform_ethernet, run_p4_programs
 from repro.apps.fft import (
     bit_reverse_indices, dif_fft_reference, make_samples, run_fft_ncs,
     run_fft_p4, DifWorkerState,
@@ -18,44 +17,68 @@ from repro.apps.matmul import (
     _row_slices, make_matrices, run_matmul_ncs, run_matmul_p4,
 )
 from repro.bench.tables import cell_spec
-from repro.config import run_scenario
-from repro.core.mps import ServiceMode
+from repro.config import SpecError, run_scenario
+from repro.core import NcsRuntime
 from repro.p4 import P4Runtime
+from repro.registry import TOPOLOGIES
+
+
+def runtime_for(app, platform, n_nodes, **kw):
+    """The runtime ``app`` (a ``run_*_p4`` or ``run_*_ncs``) takes, on a
+    host and ``n_nodes`` nodes of the named benchmark platform."""
+    cluster = TOPOLOGIES.get(f"platform-{platform}")(n_nodes + 1)
+    p4 = app.__name__.endswith("_p4")
+    return (P4Runtime if p4 else NcsRuntime)(cluster, **kw)
+
+
+def run_on(app, platform, n_nodes, **params):
+    """``app`` on a fresh :func:`runtime_for` it."""
+    return app(runtime_for(app, platform, n_nodes), **params)
+
+
+@pytest.fixture
+def no_spawn(monkeypatch):
+    """Fail the test if a p4 process or an NCS thread is created."""
+    def spawn(*args, **kw):
+        raise AssertionError("spawned before the input was checked")
+    monkeypatch.setattr(P4Runtime, "spawn", spawn)
+    monkeypatch.setattr(NcsRuntime, "t_create", spawn)
 
 
 class TestMatmul:
     @pytest.mark.parametrize("platform", ["ethernet", "nynet"])
     @pytest.mark.parametrize("n_nodes", [1, 2, 4])
     def test_p4_correct(self, platform, n_nodes):
-        r = run_matmul_p4(platform, n_nodes, n=32)
+        r = run_on(run_matmul_p4, platform, n_nodes, n=32)
         assert r.correct
         assert r.makespan_s > 0
 
     @pytest.mark.parametrize("platform", ["ethernet", "nynet"])
     @pytest.mark.parametrize("n_nodes", [1, 2, 4])
     def test_ncs_correct(self, platform, n_nodes):
-        r = run_matmul_ncs(platform, n_nodes, n=32)
+        r = run_on(run_matmul_ncs, platform, n_nodes, n=32)
         assert r.correct
 
     def test_ncs_over_hsm(self):
-        r = run_matmul_ncs("nynet", 2, n=32, mode=ServiceMode.HSM)
+        rt = runtime_for(run_matmul_ncs, "nynet", 2, mode="hsm")
+        r = run_matmul_ncs(rt, n=32)
         assert r.correct
 
     def test_more_nodes_faster(self):
-        t1 = run_matmul_p4("ethernet", 1, n=64).makespan_s
-        t4 = run_matmul_p4("ethernet", 4, n=64).makespan_s
+        t1 = run_on(run_matmul_p4, "ethernet", 1, n=64).makespan_s
+        t4 = run_on(run_matmul_p4, "ethernet", 4, n=64).makespan_s
         assert t4 < t1
 
     def test_nynet_beats_ethernet(self):
         """Every paper table's platform ordering."""
-        te = run_matmul_p4("ethernet", 2, n=64).makespan_s
-        tn = run_matmul_p4("nynet", 2, n=64).makespan_s
+        te = run_on(run_matmul_p4, "ethernet", 2, n=64).makespan_s
+        tn = run_on(run_matmul_p4, "nynet", 2, n=64).makespan_s
         assert tn < te
 
     def test_ncs_never_slower_at_scale(self):
         """The paper's core result, at the full problem size."""
-        rp = run_matmul_p4("ethernet", 4, n=128)
-        rn = run_matmul_ncs("ethernet", 4, n=128)
+        rp = run_on(run_matmul_p4, "ethernet", 4, n=128)
+        rn = run_on(run_matmul_ncs, "ethernet", 4, n=128)
         assert rn.makespan_s < rp.makespan_s
 
     def test_row_slices_validation(self):
@@ -145,24 +168,24 @@ class TestFftAlgorithm:
 class TestFftDistributed:
     @pytest.mark.parametrize("platform", ["ethernet", "nynet"])
     def test_p4_correct(self, platform):
-        r = run_fft_p4(platform, 2, m=64, n_sets=2)
+        r = run_on(run_fft_p4, platform, 2, m=64, n_sets=2)
         assert r.correct
 
     @pytest.mark.parametrize("platform", ["ethernet", "nynet"])
     def test_ncs_correct(self, platform):
-        r = run_fft_ncs(platform, 2, m=64, n_sets=2)
+        r = run_on(run_fft_ncs, platform, 2, m=64, n_sets=2)
         assert r.correct
 
     def test_single_node(self):
-        assert run_fft_p4("ethernet", 1, m=64, n_sets=1).correct
-        assert run_fft_ncs("ethernet", 1, m=64, n_sets=1).correct
+        assert run_on(run_fft_p4, "ethernet", 1, m=64, n_sets=1).correct
+        assert run_on(run_fft_ncs, "ethernet", 1, m=64, n_sets=1).correct
 
     def test_four_nodes(self):
-        assert run_fft_ncs("nynet", 4, m=256, n_sets=1).correct
+        assert run_on(run_fft_ncs, "nynet", 4, m=256, n_sets=1).correct
 
     def test_scaling_direction(self):
-        t1 = run_fft_p4("nynet", 1).makespan_s
-        t4 = run_fft_p4("nynet", 4).makespan_s
+        t1 = run_on(run_fft_p4, "nynet", 1).makespan_s
+        t4 = run_on(run_fft_p4, "nynet", 4).makespan_s
         assert t4 < t1
 
 
@@ -177,18 +200,18 @@ class TestJpegDistributed:
     @pytest.mark.parametrize("platform", ["ethernet", "nynet"])
     def test_p4_pipeline_correct(self, platform):
         img = benchmark_image(64, 96)
-        r = run_jpeg_p4(platform, 2, image=img)
+        r = run_on(run_jpeg_p4, platform, 2, image=img)
         assert r.correct
 
     @pytest.mark.parametrize("platform", ["ethernet", "nynet"])
     def test_ncs_pipeline_correct(self, platform):
         img = benchmark_image(64, 96)
-        r = run_jpeg_ncs(platform, 2, image=img)
+        r = run_on(run_jpeg_ncs, platform, 2, image=img)
         assert r.correct
 
     def test_four_nodes(self):
         img = benchmark_image(64, 96)
-        assert run_jpeg_ncs("ethernet", 4, image=img).correct
+        assert run_on(run_jpeg_ncs, "ethernet", 4, image=img).correct
 
     @pytest.mark.parametrize("parts", [True, 2.0, "2"])
     def test_band_slices_reject_parts_that_are_not_an_int(self, parts):
@@ -210,39 +233,37 @@ class TestJpegDistributed:
         np.zeros((64, 96), np.int16), np.zeros((2, 64, 96), np.uint8)],
         ids=["644x96", "64x92", "int16", "3-D"])
     def test_an_image_the_codec_cannot_take_is_rejected_up_front(
-            self, run, image, monkeypatch):
+            self, run, image, no_spawn):
         """A 644-row image used to run on its first 640 rows and report
         ``correct = False``."""
-        monkeypatch.setattr(distributed, "build_platform_cluster", None)
         with pytest.raises(ValueError, match="^image must be 2-D uint8 "):
-            run("ethernet", 2, image=image)
+            run_on(run, "ethernet", 2, image=image)
 
     @pytest.mark.parametrize("driver", ["jpeg-p4", "jpeg-ncs"])
     @pytest.mark.parametrize("quality", ["75", True, 75.5, 0, 101])
     def test_an_ill_typed_quality_is_rejected_up_front(
-            self, driver, quality, monkeypatch):
+            self, driver, quality, no_spawn):
         """``"75"`` used to end in "p4 programs never finished", ``True``
         ran at quality 1 and reported ``correct = False``, ``75.5`` ran."""
-        monkeypatch.setattr(distributed, "build_platform_cluster", None)
         with pytest.raises(ValueError, match=re.escape(f"got {quality!r}")):
             run_scenario(cell_spec(driver, "ethernet", 2, quality=quality))
 
     def test_odd_node_count_rejected(self):
         with pytest.raises(ValueError):
-            run_jpeg_p4("ethernet", 3)
+            run_on(run_jpeg_p4, "ethernet", 3)
 
     def test_ncs_beats_p4_full_size(self):
         """Table 2's headline: the threaded pipeline wins clearly."""
-        rp = run_jpeg_p4("ethernet", 4)
-        rn = run_jpeg_ncs("ethernet", 4)
+        rp = run_on(run_jpeg_p4, "ethernet", 4)
+        rn = run_on(run_jpeg_ncs, "ethernet", 4)
         assert rn.makespan_s < 0.92 * rp.makespan_s
 
     def test_improvement_largest_of_three_apps(self):
         """The paper's improvement ordering: JPEG >> matmul."""
-        jp = run_jpeg_p4("ethernet", 4)
-        jn = run_jpeg_ncs("ethernet", 4)
-        mp = run_matmul_p4("ethernet", 4, n=128)
-        mn = run_matmul_ncs("ethernet", 4, n=128)
+        jp = run_on(run_jpeg_p4, "ethernet", 4)
+        jn = run_on(run_jpeg_ncs, "ethernet", 4)
+        mp = run_on(run_matmul_p4, "ethernet", 4, n=128)
+        mn = run_on(run_matmul_ncs, "ethernet", 4, n=128)
         jpeg_imp = (jp.makespan_s - jn.makespan_s) / jp.makespan_s
         mm_imp = (mp.makespan_s - mn.makespan_s) / mp.makespan_s
         assert jpeg_imp > mm_imp
@@ -268,18 +289,20 @@ class TestBandCache:
     @pytest.mark.parametrize("run", [run_jpeg_p4, run_jpeg_ncs])
     def test_a_cell_run_again_codes_nothing_and_ends_the_same(
             self, run, calls):
-        first = run("ethernet", 4)
+        first_rt = runtime_for(run, "ethernet", 4)
+        first = run(first_rt)
         calls.update(compress=0, decompress=0)
-        again = run("ethernet", 4)
+        again_rt = runtime_for(run, "ethernet", 4)
+        again = run(again_rt)
         assert calls == {"compress": 0, "decompress": 0}
-        assert replace(again, cluster=None) == replace(first, cluster=None)
-        assert (again.cluster.metrics.snapshot()
-                == first.cluster.metrics.snapshot())
+        assert again == first
+        assert (again_rt.cluster.metrics.snapshot()
+                == first_rt.cluster.metrics.snapshot())
 
     def test_a_callers_image_is_always_coded(self, calls):
         image = benchmark_image()    # the very array the cache codes
         for _ in range(2):
-            assert run_jpeg_p4("ethernet", 4, image=image).correct
+            assert run_on(run_jpeg_p4, "ethernet", 4, image=image).correct
         assert calls == {"compress": 4, "decompress": 4}
 
     def test_only_the_cached_object_gets_the_cached_decode(self, calls):
@@ -309,7 +332,7 @@ class TestP4Programs:
     def test_a_crashed_program_is_raised_before_its_waiting_peers(self):
         """Used to raise "p4 programs never finished: ['p4:1']" for the
         peer still in ``recv``, hiding why it waits."""
-        cluster = build_platform_cluster("ethernet", 2)
+        cluster = platform_ethernet(2)
         rt = P4Runtime(cluster)
 
         def crasher(p4):
@@ -325,3 +348,42 @@ class TestP4Programs:
         assert any(note.startswith("(in simulated process 'p4:0' at t=")
                    for note in info.value.__notes__)
         assert not procs[1].triggered
+
+
+#: table driver -> the params its split depends on, as the error names them
+SPLIT_PARAMS = {
+    "matmul-p4": ", app.params.n = 128",
+    "matmul-ncs": ", app.params.n = 128, app.params.threads_per_node = 2",
+    "jpeg-p4": "", "jpeg-ncs": "",
+    "fft-p4": ", app.params.m = 512",
+    "fft-ncs": ", app.params.m = 512, app.params.threads_per_node = 2"}
+
+
+@pytest.mark.parametrize("driver", SPLIT_PARAMS)
+def test_a_node_count_the_app_cannot_split_over_is_a_spec_error(
+        driver, no_spawn):
+    """Three nodes used to end in a traceback: a ValueError from
+    ``matmul-ncs`` and ``jpeg-ncs``, and ``fft-p4`` failed inside
+    simulated process ``p4:1``.  Each app checks its shape before it
+    spawns anything."""
+    with pytest.raises(SpecError) as exc:
+        run_scenario(cell_spec(driver, "ethernet", 3))
+    assert str(exc.value).startswith(
+        f"app driver {driver!r} cannot run on cluster.n_hosts = 4"
+        f"{SPLIT_PARAMS[driver]}: ")
+
+
+#: Approach 2 (NCS over the ATM API, ``runtime.mode = "hsm"``) on NYNET
+#: at seed 1995, captured when each -ncs driver passed the spec's mode
+#: to an app that built its own cluster and runtime (ROADMAP item 9's
+#: probe numbers)
+APPROACH2 = {("jpeg-ncs", 2): 5.180615542857286,
+             ("jpeg-ncs", 4): 3.2314798142854704,
+             ("matmul-ncs", 4): 6.13146422857225,
+             ("fft-ncs", 4): 2.4217685714283848}
+
+
+@pytest.mark.parametrize("driver,n_nodes", APPROACH2)
+def test_an_approach2_cell_keeps_its_makespan(driver, n_nodes):
+    spec = cell_spec(driver, "nynet", n_nodes, seed=1995).replace(mode="hsm")
+    assert run_scenario(spec).value.makespan_s == APPROACH2[driver, n_nodes]

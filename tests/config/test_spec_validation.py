@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import (
-    AppSpec, ClusterSpec, FaultSpec, ObsSpec, ScenarioSpec, SpecError,
-    build_cluster, build_fault_plan, build_runtime, loads_scenario,
-    run_scenario,
+    AppSpec, ClusterSpec, FaultSpec, ObsSpec, ResilienceSpec, ScenarioSpec,
+    SpecError, build_cluster, build_fault_plan, build_runtime,
+    loads_scenario, run_scenario,
 )
 from repro.registry import UnknownNameError
 
@@ -73,15 +73,13 @@ def test_fault_event_requires_kind():
 
 
 def test_unknown_fault_kind_lists_registered():
-    spec = FaultSpec(events=({"kind": "gremlin", "at": 0.0},))
-    msg = err(spec.to_plan)
+    msg = err(FaultSpec, events=({"kind": "gremlin", "at": 0.0},))
     assert "gremlin" in msg and "link-outage" in msg
 
 
 def test_unknown_fault_field_lists_fields():
-    spec = FaultSpec(events=(
+    msg = err(FaultSpec, events=(
         {"kind": "link-outage", "at": 0.0, "hots": 1},))
-    msg = err(spec.to_plan)
     assert "hots" in msg and "host" in msg
 
 
@@ -140,66 +138,88 @@ def test_unknown_app_param_names_driver_key_and_accepted(driver, accepted):
 
 TABLE_DRIVERS = ("matmul-p4", "matmul-ncs", "jpeg-p4", "jpeg-ncs", "fft-p4",
                  "fft-ncs")
-CELL = {"platform": "ethernet", "n_nodes": 2}
 
 
 @pytest.mark.parametrize("params,key", [
-    ({"n_nodes": 2}, "app.params.platform is required"),
-    ({"platform": "ethernet"}, "app.params.n_nodes is required"),
-    ({**CELL, "bogus": 1}, "app.params.bogus"),
-    ({**CELL, "cluster": 3}, "app.params.cluster"),
-    ({**CELL, "p4_params": "x"}, "app.params.p4_params"),
-    ({**CELL, "image": [[0]]}, "app.params.image"),
-    ({**CELL, "n_nodes": "2"}, "app.params.n_nodes must be int, got '2'"),
-    ({**CELL, "seed": 7.5}, "app.params.seed must be int, got 7.5"),
-    ({**CELL, "trace": 1}, "app.params.trace must be bool, got 1")],
+    ({"n_nodes": 2}, "app.params.n_nodes"),
+    ({"platform": "ethernet"}, "app.params.platform"),
+    ({"bogus": 1}, "app.params.bogus"),
+    ({"cluster": 3}, "app.params.cluster"),
+    ({"p4_params": "x"}, "app.params.p4_params"),
+    ({"image": [[0]]}, "app.params.image"),
+    ({"trace": True}, "app.params.trace"),
+    ({"seed": 7.5}, "app.params.seed must be int, got 7.5")],
     ids=str)
 @pytest.mark.parametrize("driver", TABLE_DRIVERS)
 def test_a_table_driver_names_the_param_it_cannot_take(driver, params, key):
     """The paper's table drivers used to pass [app.params] straight to
-    the app: a missing, unknown or ill-typed key was a TypeError or an
-    AttributeError from inside it."""
+    the app: an unknown or ill-typed key was a TypeError or an
+    AttributeError from inside it.  The node count and platform are
+    the cluster's now (``cluster.n_hosts``, ``cluster.topology``), and
+    tracing is ``obs.trace``: each is an unknown param."""
     msg = err(run_scenario, ScenarioSpec(
         name="x", app=AppSpec(driver=driver, params=params)))
     assert key in msg and repr(driver) in msg
 
 
 P4_DRIVERS = ("matmul-p4", "jpeg-p4", "fft-p4")
-#: (the key a refusal names, the spec fields that set it, the table
-#: drivers that cannot honour it): every one builds its own platform
-#: cluster and synchronizes itself; matmul-ncs honours runtime.flow and
-#: runtime.error, every -ncs driver runtime.mode
+#: (the key a refusal names, the spec fields that set it): a p4 program
+#: runs single-threaded p4 processes, not the spec's NCS runtime
 UNHONOURED = (
-    ("cluster", {"cluster": ClusterSpec(topology="atm-lan", n_hosts=9)},
-     TABLE_DRIVERS),
-    ("cluster", {"cluster": ClusterSpec(seed=7)}, TABLE_DRIVERS),
     ("faults", {"faults": FaultSpec(events=(
-        {"kind": "host-crash", "at": 0.01, "duration": 0.01, "host": 1},))},
-     TABLE_DRIVERS),
-    ("runtime.collectives", {"collectives": "nic"}, TABLE_DRIVERS),
-    ("runtime.barriers", {"barriers": {0: 2}}, TABLE_DRIVERS),
-    ("runtime.mode", {"mode": "hsm"}, P4_DRIVERS),
-    ("runtime.flow", {"flow": "window"}, (*P4_DRIVERS, "jpeg-ncs",
-                                          "fft-ncs")),
-    ("runtime.error", {"error": "ack"}, (*P4_DRIVERS, "jpeg-ncs",
-                                         "fft-ncs")),
+        {"kind": "host-crash", "at": 0.01, "duration": 0.01, "host": 1},))}),
+    ("resilience", {"resilience": ResilienceSpec()}),
+    ("runtime.collectives", {"collectives": "nic"}),
+    ("runtime.barriers", {"barriers": {0: 2}}),
+    ("runtime.mode", {"mode": "hsm"}),
+    ("runtime.flow", {"flow": "window"}),
+    ("runtime.error", {"error": "ack"}),
 )
 
 
-@pytest.mark.parametrize("driver", TABLE_DRIVERS)
+@pytest.mark.parametrize("driver", P4_DRIVERS)
 def test_a_table_driver_refuses_what_it_cannot_honour(driver):
-    """A ``matmul-p4`` cell with an ``atm-lan`` cluster of 9 hosts, HSM
-    and NIC collectives used to run on 2 Ethernet hosts and report
-    ``correct``; ``runtime.flow`` was a bare ValueError (a traceback
-    from ``python -m repro.run``).  Each is a SpecError naming its key."""
-    for key, fields, drivers in UNHONOURED:
-        if driver not in drivers:
-            continue
-        spec = ScenarioSpec(name="x", app=AppSpec(driver, CELL), **fields)
+    """A ``matmul-p4`` cell with HSM and NIC collectives used to run on
+    p4 and report ``correct``; ``runtime.flow`` was a bare ValueError
+    (a traceback from ``python -m repro.run``).  Each is a SpecError
+    naming its key."""
+    for key, fields in UNHONOURED:
+        spec = ScenarioSpec(name="x", app=AppSpec(driver), **fields)
         with pytest.raises(SpecError) as exc:
             run_scenario(spec)
         msg = str(exc.value)
         assert f"cannot honour {key} = " in msg and repr(driver) in msg
+
+
+#: small problems, so each driver runs in well under a second
+SMALL = {"matmul": {"n": 16}, "jpeg": {}, "fft": {"m": 16, "n_sets": 1}}
+
+
+@pytest.mark.parametrize("driver", TABLE_DRIVERS)
+def test_a_table_driver_runs_on_the_spec_built_cluster(driver):
+    """A table driver used to build its own platform cluster and refuse
+    a ``[cluster]`` table; an ``-ncs`` one also refused
+    ``runtime.collectives``, ``runtime.barriers`` and (but for
+    ``matmul-ncs``) ``runtime.flow`` and ``runtime.error``.  Now the
+    app reads its node count and costs off the spec-built cluster, and
+    an ``-ncs`` app runs on the spec-built runtime."""
+    app, variant = driver.split("-")
+    runtime = ({} if variant == "p4" else dict(
+        mode="nsm", flow="window", error="ack", collectives="nic",
+        barriers={0: 3}))
+    result = run_scenario(ScenarioSpec(
+        name="x", cluster=ClusterSpec(topology="atm-lan", n_hosts=3, seed=7),
+        app=AppSpec(driver, SMALL[app]), **runtime))
+    value = result.value
+    assert value.correct
+    assert (value.platform, value.n_nodes) == ("SUN-IPX", 2)
+    assert result.cluster.n_hosts == 3
+    if variant == "ncs":
+        rt = result.runtime
+        assert (rt.mode.value, rt.collectives) == ("nsm", "nic")
+        assert rt.nodes[0].mps.barrier_parties == {0: 3}
+    else:
+        assert result.runtime is None
 
 
 @pytest.mark.parametrize("topology", ["ethernet", "atm-lan"])
@@ -482,6 +502,32 @@ def test_a_removed_table_or_fault_kind_is_refused(doc, named, tmp_path,
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith(f"{path}: ")
     assert named in err_lines[0]
+
+
+@pytest.mark.parametrize("event,named", [
+    ({"kind": "no-such-kind", "at": 0.1},
+     "faults.events[0].kind: unknown fault kind 'no-such-kind'"),
+    ({"kind": ["link-outage"], "at": 0.1}, "faults.events[0].kind: "),
+    ({"kind": "link-outage", "at": 0.1, "hots": 1},
+     "unknown key(s) faults.events[0].hots"),
+    ({"kind": "link-outage", "at": -1.0}, "faults.events[0].at: "),
+], ids=["unknown-kind", "unhashable-kind", "unknown-field", "bad-field"])
+def test_a_fault_event_is_checked_when_the_spec_is_read(event, named,
+                                                        tmp_path, capsys):
+    """``--print-spec`` printed a spec with ``kind = "no-such-kind"``
+    and exited 0; a fleet loaded it and failed the run with an
+    UnknownNameError that named no key."""
+    from repro.config import dumps_json
+    from repro.run import main
+    with pytest.raises(SpecError) as exc:
+        FaultSpec(events=(event,))
+    assert str(exc.value).startswith(named)
+    path = tmp_path / "faulty.json"
+    path.write_text(dumps_json({
+        "name": "faulty", "cluster": {"topology": "ethernet", "n_hosts": 2},
+        "app": {"driver": "pingpong"}, "faults": {"events": [event]}}))
+    assert main(["--print-spec", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [

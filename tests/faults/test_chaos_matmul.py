@@ -3,9 +3,12 @@ under faults — recovery with correct results, or a clean MessageLost."""
 
 import pytest
 
-from repro import MessageLost, ServiceMode, build_atm_cluster
+from repro import MessageLost, NcsRuntime, ServiceMode, build_atm_cluster
 from repro.apps.matmul import run_matmul_ncs
+from repro.config import (AppSpec, ClusterSpec, FaultSpec, ObsSpec,
+                          ScenarioRun, ScenarioSpec, ensure_components)
 from repro.faults import FaultInjector, FaultPlan, LinkOutage, Partition
+from repro.registry import APP_DRIVERS
 
 from ..counts import total
 from .util import FAST_EC
@@ -17,18 +20,17 @@ class TestTransientOutage:
         # distribution; error control carries the exchange across and
         # the product is still correct — at a makespan cost
         baseline = run_matmul_ncs(
-            "atm", n_nodes=2, n=32, threads_per_node=1,
-            mode=ServiceMode.HSM, cluster=build_atm_cluster(3),
-            error="ack")
+            NcsRuntime(build_atm_cluster(3), mode=ServiceMode.HSM,
+                       error="ack"), n=32, threads_per_node=1)
         assert baseline.correct
 
         cluster = build_atm_cluster(3, trace=True)
         injector = FaultInjector(cluster, FaultPlan(
             (LinkOutage(at=0.002, duration=0.05, host=1),)))
         injector.arm()
-        res = run_matmul_ncs("atm", n_nodes=2, n=32, threads_per_node=1,
-                             mode=ServiceMode.HSM, cluster=cluster,
-                             error="ack")
+        res = run_matmul_ncs(
+            NcsRuntime(cluster, mode=ServiceMode.HSM, error="ack"),
+            n=32, threads_per_node=1)
         assert res.correct
         assert res.makespan_s > baseline.makespan_s   # retransmission cost
         # the outage was actually felt on the wire
@@ -40,16 +42,15 @@ class TestPermanentPartition:
     def test_partition_raises_message_lost_not_hang(self):
         # the host is cut off from both nodes forever: the run must fail
         # loudly with MessageLost once retransmission gives up
-        cluster = build_atm_cluster(3, trace=True)
         plan = FaultPlan((Partition(at=0.001, groups=((0,), (1, 2))),))
-
-        def arm(rt):
-            FaultInjector(cluster, plan, runtime=rt).arm()
-
+        run = ScenarioRun(ScenarioSpec(
+            name="partitioned-matmul",
+            cluster=ClusterSpec(topology="atm-lan", n_hosts=3),
+            mode="hsm", error="ack", error_kwargs=dict(FAST_EC),
+            app=AppSpec("matmul-ncs", {"n": 16, "threads_per_node": 1}),
+            faults=FaultSpec.from_plan(plan), obs=ObsSpec(trace=True)))
+        ensure_components()
         with pytest.raises(MessageLost):
-            run_matmul_ncs("atm", n_nodes=2, n=16, threads_per_node=1,
-                           mode=ServiceMode.HSM, cluster=cluster,
-                           error="ack", error_kwargs=dict(FAST_EC),
-                           runtime_hook=arm)
+            APP_DRIVERS.get("matmul-ncs")(run)     # what run_scenario runs
         # the give-up is on the tracer timeline for post-mortems
-        assert cluster.tracer.points(kind="message-lost")
+        assert run.cluster.tracer.points(kind="message-lost")

@@ -182,7 +182,7 @@ class TestCli:
 # ---------------------------------------------------------------------------
 
 def _register_chaos_drivers():
-    """``test-sleepy``, a self-contained driver that sleeps far past any
+    """``test-sleepy``, a driver that builds nothing and sleeps far past any
     test timeout.  Registered once per interpreter."""
     from repro.registry import APP_DRIVERS
     if "test-sleepy" in APP_DRIVERS.names():

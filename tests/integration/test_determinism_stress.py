@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import run_matmul_ncs
+from repro.apps.common import platform_ethernet, platform_nynet
 from repro.apps.fft import run_fft_ncs
 from repro.core import NcsRuntime
 from repro.core.mps import ServiceMode
@@ -21,13 +22,13 @@ from ..counts import count
 
 class TestDeterminism:
     def test_matmul_bit_identical_across_runs(self):
-        a = run_matmul_ncs("ethernet", 2, n=64)
-        b = run_matmul_ncs("ethernet", 2, n=64)
+        a = run_matmul_ncs(NcsRuntime(platform_ethernet(3)), n=64)
+        b = run_matmul_ncs(NcsRuntime(platform_ethernet(3)), n=64)
         assert a.makespan_s == b.makespan_s
 
     def test_fft_bit_identical_across_runs(self):
-        a = run_fft_ncs("nynet", 2, m=128, n_sets=2)
-        b = run_fft_ncs("nynet", 2, m=128, n_sets=2)
+        a = run_fft_ncs(NcsRuntime(platform_nynet(3)), m=128, n_sets=2)
+        b = run_fft_ncs(NcsRuntime(platform_nynet(3)), m=128, n_sets=2)
         assert a.makespan_s == b.makespan_s
 
     def test_seed_changes_lossy_run(self):

@@ -69,11 +69,12 @@ messages = 3
 
 MATMUL = '''
 name = "footprint-matmul"
+[cluster]
+topology = "platform-ethernet"
+n_hosts = 3
 [app]
 driver = "matmul-p4"
 [app.params]
-platform = "ethernet"
-n_nodes = 2
 n = 16
 '''
 

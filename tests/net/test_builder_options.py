@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.apps.common import ELC_TCP, IPX_TCP, build_platform_cluster
+from repro.apps.common import ELC_TCP, IPX_TCP, platform_ethernet, platform_nynet
 from repro.hosts import SUN_ELC, SUN_IPX
 from repro.net import build_atm_cluster, build_ethernet_cluster, build_nynet, SiteSpec
+from repro.registry import TOPOLOGIES, UnknownNameError
 
 
 class TestBuilderOptions:
@@ -25,16 +26,18 @@ class TestBuilderOptions:
         assert c.stack(0).tcp.params is ELC_TCP
 
     def test_platform_builder_defaults(self):
-        eth = build_platform_cluster("ethernet", 2)
-        atm = build_platform_cluster("nynet", 2)
+        eth = platform_ethernet(2)
+        atm = platform_nynet(2)
         assert eth.stack(0).tcp.params == ELC_TCP
         assert atm.stack(0).tcp.params == IPX_TCP
         assert eth.host(0).cpu.clock_hz == SUN_ELC.cpu.clock_hz
         assert atm.host(0).cpu.clock_hz == SUN_IPX.cpu.clock_hz
+        assert (eth.host(0).model, atm.host(0).model) == ("SUN-ELC",
+                                                          "SUN-IPX")
 
     def test_platform_builder_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            build_platform_cluster("token-ring", 2)
+        with pytest.raises(UnknownNameError, match="platform-token-ring"):
+            TOPOLOGIES.get("platform-token-ring")
 
     def test_no_preconnect_option(self):
         c = build_ethernet_cluster(2, preconnect=False)

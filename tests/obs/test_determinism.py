@@ -8,12 +8,14 @@ diffed across commits the way the chaos suite diffs trace signatures.
 
 import json
 
-from repro.apps.matmul import run_matmul_ncs
+from repro.bench.tables import cell_spec
+from repro.config import ObsSpec, run_scenario
 from repro.obs import export_chrome_trace, export_jsonl
 
 
 def _run():
-    return run_matmul_ncs("ethernet", 2, n=32, trace=True)
+    spec = cell_spec("matmul-ncs", "ethernet", 2, n=32)
+    return run_scenario(spec.replace(obs=ObsSpec(trace=True)))
 
 
 def test_metric_snapshots_are_reproducible():

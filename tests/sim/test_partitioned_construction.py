@@ -156,6 +156,33 @@ def test_unmergeable_driver_falls_back_to_the_single_answer(
     assert snap["kernel.shard_fallback"] == {"reason=unmergeable-driver": 1}
 
 
+#: problems small enough to run fast, and split over a 5-site ring's
+#: four nodes
+TABLE_APP_PARAMS = {"matmul": {"n": 16}, "jpeg": {},
+                    "fft": {"m": 16, "n_sets": 1}}
+
+
+@pytest.mark.parametrize("driver", ["matmul-p4", "matmul-ncs", "jpeg-p4",
+                                    "jpeg-ncs", "fft-p4", "fft-ncs"])
+def test_a_table_driver_falls_back_to_the_single_answer(driver):
+    """A Tables 1-3 app runs on the spec-built cluster, so a wan-ring
+    the plan cuts in two reaches the sharded kernel; but a p4 program
+    never calls ``rt.advance`` and an ``AppResult`` checks arrays that
+    live in one process, so it runs on the single kernel, loudly."""
+    doc = {"name": f"wr-{driver}",
+           "cluster": {"topology": "wan-ring", "options": {"n_sites": 5}},
+           "runtime": {"shards": 2},
+           "app": {"driver": driver,
+                   "params": TABLE_APP_PARAMS[driver.split("-")[0]]}}
+    single = KERNELS.get("single")(ScenarioSpec.from_dict(doc))
+    with pytest.warns(ShardFallbackWarning, match="unmergeable-driver"):
+        result = _sharded(doc)
+    assert result.value.correct and result.value.n_nodes == 4
+    assert result.value.makespan_s == single.value.makespan_s
+    snap = result.cluster.metrics.snapshot()
+    assert snap["kernel.shard_fallback"] == {"reason=unmergeable-driver": 1}
+
+
 def test_cli_rejects_nonpositive_shards(capsys):
     """--shards 0 dies immediately with the kernel options spelled out
     (satellite: CLI validation)."""
