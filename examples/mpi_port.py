@@ -19,7 +19,7 @@ Run:  python examples/mpi_port.py
 import numpy as np
 
 from repro.config import ClusterSpec, ScenarioSpec, build_runtime
-from repro.core.mps import MpiFilter
+from repro.core.mps.filters import MpiFilter
 
 N = 64
 RANKS = 4

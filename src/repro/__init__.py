@@ -44,28 +44,26 @@ Quickstart::
     assert rt.thread_result(0, ping_tid) == "pong"
 """
 
-from .core import NcsNode, NcsRuntime
-from .core.mps import (
-    ANY, ANY_THREAD, MessageLost, NcsMessage, QosContract, ServiceMode,
-)
-from .net import (
-    Cluster, build_atm_cluster, build_ethernet_cluster, build_nynet,
-    nynet_testbed,
-)
-from .obs import MetricsRegistry, NULL_REGISTRY
-from .p4 import P4Process, P4Runtime
-from .sim import Simulator
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "NcsNode", "NcsRuntime",
-    "ANY", "ANY_THREAD", "MessageLost", "NcsMessage", "QosContract",
-    "ServiceMode",
-    "Cluster", "build_atm_cluster", "build_ethernet_cluster", "build_nynet",
-    "nynet_testbed",
-    "MetricsRegistry", "NULL_REGISTRY",
-    "P4Process", "P4Runtime",
-    "Simulator",
-    "__version__",
-]
+#: public name -> the module it lives in, imported on first use (PEP 562),
+#: so ``import repro.config`` loads no layer it does not need
+_EXPORTS = {
+    **dict.fromkeys(("NcsNode", "NcsRuntime"), ".core"),
+    **dict.fromkeys(("ANY", "ANY_THREAD", "MessageLost", "NcsMessage",
+                     "QosContract", "ServiceMode"), ".core.mps"),
+    **dict.fromkeys(("Cluster", "build_atm_cluster", "build_ethernet_cluster",
+                     "build_nynet", "nynet_testbed"), ".net"),
+    **dict.fromkeys(("MetricsRegistry", "NULL_REGISTRY"), ".obs"),
+    **dict.fromkeys(("P4Process", "P4Runtime"), ".p4"),
+    "Simulator": ".sim",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(_EXPORTS[name], __name__), name)

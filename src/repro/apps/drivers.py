@@ -27,8 +27,6 @@ from ..config.schema import SCALARS, Field, SpecError, declaration, read
 from ..config.spec import ScenarioSpec
 from ..p4 import P4Runtime
 from ..registry import APP_DRIVERS
-from .. import apps             # each ``run_*`` is imported when it runs
-from .common import ShapeError
 
 __all__ = []  # everything is reached through the APP_DRIVERS registry
 
@@ -104,6 +102,8 @@ def _table_app(driver: str, run):
     keywords.  A node count the app cannot split its problem over is a
     :class:`SpecError` naming ``cluster.n_hosts`` and the params the
     split depends on."""
+    from .. import apps         # each ``run_*`` is imported when it runs
+    from .common import ShapeError
     app, variant = driver.split("-")
     fn = getattr(apps, f"run_{app}_{variant}")
     params = _app_params(run, fn)

@@ -4,7 +4,6 @@ from .aal import AAL34, AAL5, Aal, Aal34, Aal5, AalError
 from .adapter import Sba200Adapter
 from .api import AtmApi, AtmMessage, MAX_PDU_BYTES
 from .cell import AtmCell, CELL_BYTES, CELL_HEADER_BYTES, CELL_PAYLOAD_BYTES, CellBurst
-from .collective import NicCollectiveEngine, NicCollectiveFabric, NicPdu
 from .crc import Crc, crc10_aal34, crc32_aal5
 from .link import Channel, DS3, DuplexLink, LinkSpec, OC3, OC48, TAXI_140
 from .signaling import (AtmFabric, FabricEdge, MulticastChannel,
@@ -18,7 +17,6 @@ __all__ = [
     "AtmApi", "AtmMessage", "MAX_PDU_BYTES",
     "AtmCell", "CELL_BYTES", "CELL_HEADER_BYTES", "CELL_PAYLOAD_BYTES",
     "CellBurst",
-    "NicCollectiveEngine", "NicCollectiveFabric", "NicPdu",
     "Crc", "crc10_aal34", "crc32_aal5",
     "Channel", "DS3", "DuplexLink", "LinkSpec", "OC3", "OC48", "TAXI_140",
     "AtmFabric", "FabricEdge", "MulticastChannel", "NoPathError", "Service",

@@ -30,7 +30,6 @@ from .spec import (
 from .io import (
     dump_scenario, dumps_json, dumps_toml, load_scenario, loads_scenario,
 )
-from .fleet import FleetSpec, MatrixAxis, MatrixSpec, load_fleet
 from .build import (
     ScenarioResult, ScenarioRun, build_cluster, build_fault_plan,
     build_runtime, ensure_components, run_scenario,
@@ -41,7 +40,6 @@ __all__ = [
     "ScenarioSpec", "SpecError",
     "dump_scenario", "dumps_json", "dumps_toml", "load_scenario",
     "loads_scenario",
-    "FleetSpec", "MatrixAxis", "MatrixSpec", "load_fleet",
     "ScenarioResult", "ScenarioRun", "build_cluster", "build_fault_plan",
     "build_runtime", "ensure_components", "run_scenario",
 ]

@@ -36,27 +36,19 @@ __all__ = ["ensure_components", "build_cluster",
            "build_fault_plan", "build_runtime", "control_kwargs",
            "run_scenario", "ScenarioRun", "ScenarioResult"]
 
-_COMPONENT_MODULES = (
-    "repro.core.api",        # transports, flow controls, none/ack/adaptive EC
-    "repro.net",             # topologies
-    "repro.faults.plan",     # fault kinds
-    "repro.resilience",      # hsm-failover transport
-    "repro.apps.drivers",    # app drivers (imports the apps themselves)
-    "repro.core.mps.collectives",  # host/nic collective strategies
-    "repro.sim.sharded",     # the sharded parallel kernel
-)
-
-
 def ensure_components() -> None:
-    """Import every module that self-registers stock components.
+    """Import the stack every run builds: the NCS runtime over its
+    substrates, the LAN topologies and the app drivers.
 
-    Idempotent and cheap after the first call; third-party components
-    only need their own module imported before the spec that names
-    them is built.
+    Idempotent and cheap after the first call.  Everything else (the
+    NYNET and platform topologies, fault kinds, ``hsm-failover``, the
+    sharded kernel) its registry imports on the first lookup of its
+    name; a third-party component only needs its own module imported
+    before the spec that names it is built.
     """
-    import importlib
-    for mod in _COMPONENT_MODULES:
-        importlib.import_module(mod)
+    from ..apps import drivers  # noqa: F401
+    from ..core import api  # noqa: F401
+    from ..net import topology  # noqa: F401
 
 
 def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
@@ -69,7 +61,6 @@ def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
     parameters and forwarded.  Arguments the topology does not take,
     and a plain-typed one of another type, are a :class:`SpecError`.
     """
-    ensure_components()
     builder = TOPOLOGIES.get(cluster.topology)
     kw: dict[str, Any] = read(builder, cluster.options, "cluster.options",
                               partial=True)
@@ -88,7 +79,6 @@ def build_cluster(cluster: ClusterSpec, obs: ObsSpec = ObsSpec()):
 
 def build_fault_plan(spec: ScenarioSpec):
     """The spec's :class:`~repro.faults.FaultPlan`, or None."""
-    ensure_components()
     if spec.faults is None:
         return None
     plan = spec.faults.to_plan()
@@ -98,7 +88,6 @@ def build_fault_plan(spec: ScenarioSpec):
 def control_kwargs(spec: ScenarioSpec, which: str) -> dict:
     """``runtime.<which>_kwargs`` (``which`` is ``"flow"`` or
     ``"error"``) read against the named policy's constructor."""
-    ensure_components()
     name = getattr(spec, which)
     if name is None:
         return {}
@@ -211,7 +200,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     in-process event loop; ``sharded`` partitions it across worker
     kernels (:mod:`repro.sim.sharded`).
     """
-    ensure_components()
     if spec.kernel != "single":
         return KERNELS.get(spec.kernel)(spec)
     return _run_scenario_single(spec)

@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..registry import KERNELS, UnknownNameError
 from .schema import SpecError, Table, join, read, settle
 
 __all__ = ["SpecError", "ClusterSpec", "AppSpec", "FaultSpec", "ObsSpec",
@@ -279,7 +280,8 @@ class ScenarioSpec(Table):
     ``kernel`` names a simulation kernel in
     :data:`repro.registry.KERNELS` (``single`` — the default in-process
     event loop — or ``sharded``); ``shards`` > 1 auto-selects the
-    sharded kernel and sets its worker count.
+    sharded kernel and sets its worker count.  The kernel is resolved
+    when the spec is read, so an unknown name is a :class:`SpecError`.
     """
 
     name: str
@@ -315,6 +317,10 @@ class ScenarioSpec(Table):
             # shards > 1 is meaningless on the single kernel: selecting
             # the shard count selects the sharded kernel
             object.__setattr__(self, "kernel", "sharded")
+        try:        # a kernel other than ``single`` is imported here
+            KERNELS.get(self.kernel)
+        except UnknownNameError as e:
+            raise _err("runtime.kernel", str(e)) from None
         if self.flow_kwargs and self.flow is None:
             raise _err("runtime.flow_kwargs",
                        "given without runtime.flow; name the flow-control "

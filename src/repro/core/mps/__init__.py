@@ -16,7 +16,6 @@ from .error_control import (
     make_error_control,
 )
 from .exceptions import NcsError, RecvTimeout, RemoteException
-from .filters import MpiFilter, MpiStatus, P4Filter, PvmFilter
 from .flow_control import (
     FlowControl,
     NoFlowControl,
@@ -24,7 +23,6 @@ from .flow_control import (
     WindowFlowControl,
     make_flow_control,
 )
-from .group import all_to_all, bcast, gather, reduce, scatter
 from .message import ANY, ANY_THREAD, ControlKind, NCS_HEADER_BYTES, NcsMessage
 from .qos import PDA_PROFILE, QosContract, ServiceMode, VOD_PROFILE, flow_control_for
 from .transports import AtmTransport, NcsTransport, P4Transport, SocketTransport
@@ -36,10 +34,8 @@ __all__ = [
     "AckRetransmitErrorControl", "AdaptiveAckErrorControl", "ErrorControl",
     "MessageLost", "make_error_control",
     "NcsError", "RecvTimeout", "RemoteException",
-    "MpiFilter", "MpiStatus", "P4Filter", "PvmFilter",
     "FlowControl", "NoFlowControl", "RateFlowControl", "WindowFlowControl",
     "make_flow_control",
-    "all_to_all", "bcast", "gather", "reduce", "scatter",
     "ANY", "ANY_THREAD", "ControlKind", "NCS_HEADER_BYTES", "NcsMessage",
     "PDA_PROFILE", "QosContract", "ServiceMode", "VOD_PROFILE",
     "flow_control_for",

@@ -3,20 +3,11 @@
 from . import ops
 from .queues import MultilevelPriorityQueue, N_PRIORITY_LEVELS
 from .scheduler import DEFAULT_PRIORITY, MtsScheduler, SchedulerError, SYSTEM_PRIORITY
-from .sync import (
-    ThreadBarrier,
-    ThreadCondition,
-    ThreadEvent,
-    ThreadMutex,
-    ThreadSemaphore,
-)
 from .thread import NcsThread, ThreadContext, ThreadState
 
 __all__ = [
     "ops",
     "MultilevelPriorityQueue", "N_PRIORITY_LEVELS",
     "MtsScheduler", "SchedulerError", "SYSTEM_PRIORITY", "DEFAULT_PRIORITY",
-    "ThreadBarrier", "ThreadCondition", "ThreadEvent", "ThreadMutex",
-    "ThreadSemaphore",
     "NcsThread", "ThreadContext", "ThreadState",
 ]

@@ -5,7 +5,7 @@ parameter-matrix sweep) into a regression instrument::
 
     python -m repro.run --fleet scenarios/ --jobs 4 --check
 
-:mod:`~repro.fleet.runner` executes a :class:`~repro.config.FleetSpec`
+:mod:`~repro.fleet.runner` executes a :class:`~repro.config.fleet.FleetSpec`
 across a process pool with per-run isolation and deterministic
 ordering; :mod:`~repro.fleet.kpis` reduces each run's metrics snapshot
 to a typed KPI row and renders/persists the resulting document;

@@ -13,8 +13,8 @@ sites hang off an OC-48 backbone switch; the downstate region connects
 through the DS-3 bottleneck.  Every host gets the same dual stack as
 ``atm-lan`` (a classical-IP PVC and a raw HSM PVC to any peer,
 established on first use), so any experiment can run unchanged over the
-WAN.  The registered topologies ``nynet``, ``nynet-testbed`` and
-``wan-ring`` each build their cluster in one call, like the LANs of
+WAN.  The registered topologies ``nynet`` and ``nynet-testbed`` each
+build their cluster in one call, like the LANs and the ``wan-ring`` of
 :mod:`repro.net.topology`.
 """
 
@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..atm import AtmSwitch, DS3, OC3
-from ..config.schema import build
 from ..hosts import HostParams, SUN_IPX
 from ..protocols import TcpParams
 from ..registry import TOPOLOGIES
 from .topology import Cluster, _add_host, _universe
 
-__all__ = ["SiteSpec", "build_nynet", "build_wan_ring", "nynet_testbed"]
+__all__ = ["SiteSpec", "build_nynet", "nynet_testbed"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,7 @@ def build_nynet(sites: list,
     :class:`SiteSpec` rows or plain tables (``{name = ..., n_hosts = ...,
     region = ...}``), so a scenario file can declare the whole WAN.
     """
+    from ..config.schema import build   # a site table from a scenario
     site_specs = [site if isinstance(site, SiteSpec)
                   else build(SiteSpec, site, f"cluster.options.sites[{i}]")
                   for i, site in enumerate(sites)]
@@ -104,46 +104,3 @@ def nynet_testbed(n_upstate: int = 4, n_downstate: int = 2,
         SiteSpec("syr", n_upstate, "upstate"),
         SiteSpec("nyc", n_downstate, "downstate"),
     ], params, tcp_params, seed, trace, metrics, train_cells, preconnect)
-
-
-@TOPOLOGIES.register(
-    "wan-ring",
-    help="N site switches in a DS-3 ring, one shardable site per switch")
-def build_wan_ring(n_sites: int = 8,
-                   hosts_per_site: int = 1,
-                   params: HostParams = SUN_IPX,
-                   tcp_params: Optional[TcpParams] = None,
-                   seed: int = 1995,
-                   trace: bool = False,
-                   metrics: bool = True,
-                   train_cells: int = 256,
-                   preconnect: bool = True) -> Cluster:
-    """A ring of NYNET-style sites for kernel-scaling experiments.
-
-    ``n_sites`` FORE switches sit on a DS-3 ring (each trunk is
-    deterministic and carries the full 2 ms propagation delay), with
-    ``hosts_per_site`` TAXI hosts behind each switch.  Because every
-    inter-site trunk is a switch-to-switch link with non-zero
-    propagation and no error RNG, the sharded kernel can cut the ring
-    anywhere: each site becomes its own shard group and the DS-3 delay
-    is the conservative lookahead.  Hosts get the same dual stack
-    (classical-IP PVCs + raw HSM PVCs) as every other topology.
-    """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if hosts_per_site < 1:
-        raise ValueError("hosts_per_site must be >= 1")
-    cluster = _universe("wan-ring", seed, trace, metrics)
-    sim, fabric = cluster.sim, cluster.fabric
-    switches = [fabric.add_switch(AtmSwitch(sim, f"sw-r{i}"))
-                for i in range(n_sites)]
-    if n_sites == 2:            # a 2-ring would double the single trunk
-        fabric.connect(switches[0], switches[1], DS3)
-    elif n_sites > 2:
-        for i in range(n_sites):
-            fabric.connect(switches[i], switches[(i + 1) % n_sites], DS3)
-    for i, switch in enumerate(switches):
-        for k in range(hosts_per_site):
-            _add_host(cluster, f"r{i}h{k}", params, tcp_params, preconnect,
-                      train_cells, switch)
-    return cluster

@@ -2,8 +2,8 @@
 
 A registered topology (:data:`repro.registry.TOPOLOGIES`) is a function
 that builds and returns a :class:`Cluster` in one call.  The three LANs
-are here; the NYNET WAN of Fig 1 and the ``wan-ring`` are in
-:mod:`repro.net.nynet`.  Every builder starts from :func:`_universe`
+and the ``wan-ring`` of site switches are here; the NYNET WAN of Fig 1
+is in :mod:`repro.net.nynet`.  Every builder starts from :func:`_universe`
 and adds hosts with :func:`_add_host`, so two builds of one topology
 create their objects, RNG streams and metric series in the same order.
 
@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..atm import (AtmApi, AtmFabric, AtmSwitch, LinkSpec, Sba200Adapter,
-                   Service, SignalingController, TAXI_140, VirtualChannel)
+from ..atm import (AtmApi, AtmFabric, AtmSwitch, DS3, LinkSpec,
+                   Sba200Adapter, Service, SignalingController, TAXI_140,
+                   VirtualChannel)
 from ..ethernet import EthernetLan, EthernetNic
 from ..hosts import Host, HostParams, OsProcess, SUN_ELC, SUN_IPX
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
@@ -30,7 +31,7 @@ from ..registry import TOPOLOGIES
 from ..sim import NullTracer, RngRegistry, Simulator, Tracer
 
 __all__ = ["NodeStack", "Cluster", "build_ethernet_cluster",
-           "build_atm_cluster", "build_atm_dual_cluster"]
+           "build_atm_cluster", "build_atm_dual_cluster", "build_wan_ring"]
 
 
 @dataclass
@@ -239,4 +240,47 @@ def build_atm_dual_cluster(n_hosts: int,
     for i in range(n_hosts):
         _add_host(cluster, f"n{i}", params, tcp_params, preconnect,
                   train_cells, switch, link_spec)
+    return cluster
+
+
+@TOPOLOGIES.register(
+    "wan-ring",
+    help="N site switches in a DS-3 ring, one shardable site per switch")
+def build_wan_ring(n_sites: int = 8,
+                   hosts_per_site: int = 1,
+                   params: HostParams = SUN_IPX,
+                   tcp_params: Optional[TcpParams] = None,
+                   seed: int = 1995,
+                   trace: bool = False,
+                   metrics: bool = True,
+                   train_cells: int = 256,
+                   preconnect: bool = True) -> Cluster:
+    """A ring of NYNET-style sites for kernel-scaling experiments.
+
+    ``n_sites`` FORE switches sit on a DS-3 ring (each trunk is
+    deterministic and carries the full 2 ms propagation delay), with
+    ``hosts_per_site`` TAXI hosts behind each switch.  Because every
+    inter-site trunk is a switch-to-switch link with non-zero
+    propagation and no error RNG, the sharded kernel can cut the ring
+    anywhere: each site becomes its own shard group and the DS-3 delay
+    is the conservative lookahead.  Hosts get the same dual stack
+    (classical-IP PVCs + raw HSM PVCs) as every other topology.
+    """
+    if n_sites < 1:
+        raise ValueError("n_sites must be >= 1")
+    if hosts_per_site < 1:
+        raise ValueError("hosts_per_site must be >= 1")
+    cluster = _universe("wan-ring", seed, trace, metrics)
+    sim, fabric = cluster.sim, cluster.fabric
+    switches = [fabric.add_switch(AtmSwitch(sim, f"sw-r{i}"))
+                for i in range(n_sites)]
+    if n_sites == 2:            # a 2-ring would double the single trunk
+        fabric.connect(switches[0], switches[1], DS3)
+    elif n_sites > 2:
+        for i in range(n_sites):
+            fabric.connect(switches[i], switches[(i + 1) % n_sites], DS3)
+    for i, switch in enumerate(switches):
+        for k in range(hosts_per_site):
+            _add_host(cluster, f"r{i}h{k}", params, tcp_params, preconnect,
+                      train_cells, switch)
     return cluster

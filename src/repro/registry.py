@@ -26,7 +26,12 @@ concept:
   (``repro.config.build`` / ``repro.sim.sharded``): the ``single``
   in-process event loop vs the ``sharded`` multi-worker kernel.
 
-Components register themselves at import time::
+Components register themselves at import time, and each registry names
+the stock modules that hold its own components.  A registry imports
+them in order, one at a time, on the first lookup of a name it does not
+hold yet; listing it (:meth:`Registry.names`, ``len``, iteration,
+``--list``, an unknown name's alternatives) imports them all.  So a run
+loads only the components its spec names::
 
     @FLOW_CONTROLS.register("window")
     class WindowFlowControl(FlowControl): ...
@@ -45,7 +50,8 @@ plugins silently fighting over one name is how heisenbugs are born.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from importlib import import_module
+from typing import Any, Iterator
 
 __all__ = [
     "Registry", "UnknownNameError", "DuplicateNameError",
@@ -73,13 +79,21 @@ class Registry:
     """A named map of pluggable components of one ``kind``.
 
     ``kind`` is a human-readable noun phrase ("transport", "topology
-    builder") used in error messages and ``--list`` output.
+    builder") used in error messages and ``--list`` output; ``modules``
+    are the stock modules that register into it, not imported yet.
     """
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, *modules: str):
         self.kind = kind
+        self._modules = list(modules)
         self._items: dict[str, Any] = {}
         self._help: dict[str, str] = {}
+
+    def _load(self, name: Any = None) -> None:
+        """Import stock modules in order until ``name`` is registered
+        (every one of them for ``None``)."""
+        while self._modules and (name is None or name not in self._items):
+            import_module(self._modules.pop(0))
 
     # ------------------------------------------------------------ mutation
     def register(self, name: str, obj: Any = None, *,
@@ -109,36 +123,39 @@ class Registry:
 
     def unregister(self, name: str) -> Any:
         """Remove and return a registration (test seam)."""
-        if name not in self._items:
+        if name not in self:
             raise UnknownNameError(self._unknown_message(name))
         self._help.pop(name, None)
         return self._items.pop(name)
 
     # ------------------------------------------------------------- lookup
     def get(self, name: str) -> Any:
-        try:
-            return self._items[name]
-        except KeyError:
-            raise UnknownNameError(self._unknown_message(name)) from None
+        if name not in self:
+            raise UnknownNameError(self._unknown_message(name))
+        return self._items[name]
 
     def _unknown_message(self, name: Any) -> str:
         known = ", ".join(repr(n) for n in self.names()) or "<none>"
         return (f"unknown {self.kind} {name!r}; registered: {known}")
 
     def help_for(self, name: str) -> str:
+        self._load(name)
         return self._help.get(name, "")
 
     def names(self) -> list[str]:
+        self._load()
         return sorted(self._items)
 
     def items(self) -> list[tuple[str, Any]]:
+        self._load()
         return sorted(self._items.items())
 
     def __contains__(self, name: object) -> bool:
+        self._load(name)
         return name in self._items
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.names())
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
@@ -148,37 +165,41 @@ class Registry:
 
 
 #: service-mode name -> transport factory ``(runtime, pid) -> NcsTransport``
-TRANSPORTS = Registry("transport")
+TRANSPORTS = Registry("transport", "repro.core.mps.transports",
+                      "repro.resilience.failover")
 
 #: topology name -> cluster builder ``(**kwargs) -> Cluster``
-TOPOLOGIES = Registry("topology builder")
+TOPOLOGIES = Registry("topology builder", "repro.net.topology",
+                      "repro.net.nynet", "repro.apps.common")
 
 #: policy name -> :class:`~repro.core.mps.flow_control.FlowControl` class
-FLOW_CONTROLS = Registry("flow-control policy")
+FLOW_CONTROLS = Registry("flow-control policy",
+                         "repro.core.mps.flow_control")
 
 #: policy name -> :class:`~repro.core.mps.error_control.ErrorControl` class
-ERROR_CONTROLS = Registry("error-control policy")
+ERROR_CONTROLS = Registry("error-control policy",
+                          "repro.core.mps.error_control")
 
 #: driver name -> scenario app driver ``(run: ScenarioRun) -> Any``
-APP_DRIVERS = Registry("app driver")
+APP_DRIVERS = Registry("app driver", "repro.apps.drivers")
 
 #: fault kind -> :class:`~repro.faults.plan.FaultEvent` dataclass
-FAULT_KINDS = Registry("fault kind")
+FAULT_KINDS = Registry("fault kind", "repro.faults.plan")
 
 #: strategy name -> :class:`~repro.core.mps.collectives.CollectiveStrategy`
 #: factory ``(runtime, pid) -> CollectiveStrategy``
-COLLECTIVES = Registry("collective strategy")
+COLLECTIVES = Registry("collective strategy",
+                       "repro.core.mps.collectives")
 
 #: kernel name -> scenario executor ``(spec) -> ScenarioResult``
-KERNELS = Registry("simulation kernel")
+KERNELS = Registry("simulation kernel", "repro.config.build",
+                   "repro.sim.sharded")
 
 
 def all_registries() -> dict[str, Registry]:
     """Every registry, keyed by a stable section name (``--list`` order).
 
-    Importing the modules that self-register is the caller's job (see
-    :func:`repro.config.build.ensure_components`) — this function only
-    enumerates.
+    Each registry imports its own stock modules when it is listed.
     """
     return {
         "transports": TRANSPORTS,

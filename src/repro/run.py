@@ -38,8 +38,7 @@ import importlib
 import json
 import sys
 
-from .config import (SpecError, dumps_toml, load_fleet, load_scenario,
-                     run_scenario, ensure_components)
+from .config import SpecError, dumps_toml, load_scenario, run_scenario
 from .core.mps import MessageLost
 from .diagnostics import RESILIENCE_COUNTERS, render_report
 from .registry import UnknownNameError, all_registries
@@ -49,7 +48,6 @@ __all__ = ["main"]
 
 
 def _list_components() -> str:
-    ensure_components()
     lines = []
     for reg_name, reg in all_registries().items():
         lines.append(f"{reg_name}:")
@@ -75,6 +73,7 @@ def _summarize(result) -> str:
 
 
 def _run_fleet_cli(args) -> int:
+    from .config.fleet import load_fleet
     from .fleet import (diff_kpis, load_kpi_doc, render_table, run_fleet,
                         write_kpi_doc)
     try:
@@ -178,7 +177,6 @@ def main(argv=None) -> int:
 
     if args.shards is not None and args.shards < 1:
         from .registry import KERNELS
-        ensure_components()
         parser.error(
             f"--shards must be a positive shard count, got {args.shards}; "
             f"use 1 for the single kernel or N > 1 for the sharded kernel "
@@ -218,8 +216,8 @@ def main(argv=None) -> int:
     for path in args.scenarios:
         try:
             spec = load_scenario(path)
-        except (SpecError, OSError) as e:
-            print(f"{path}: {e}", file=sys.stderr)
+        except (SpecError, OSError) as e:   # the message names the file
+            print(e, file=sys.stderr)
             status = 2
             continue
         if args.seed is not None:

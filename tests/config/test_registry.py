@@ -1,5 +1,7 @@
 """Registry semantics: registration, lookup, duplicates, good errors."""
 
+import sys
+
 import pytest
 
 from repro.registry import (
@@ -103,3 +105,26 @@ def test_third_party_transport_plugs_in():
         assert rt.node(0).transport.name == "socket"
     finally:
         TRANSPORTS.unregister("test-nsm-clone")
+
+
+def test_stock_modules_are_imported_in_order_on_the_first_miss(
+        tmp_path, monkeypatch):
+    """A lookup imports stock modules until the name is there; listing
+    imports the rest."""
+    files = {
+        "widgets_reg": 'from repro.registry import Registry\n'
+                       'REG = Registry("widget", "widgets_a", "widgets_b")\n',
+        "widgets_a": 'from widgets_reg import REG\nREG.register("a", 1)\n',
+        "widgets_b": 'from widgets_reg import REG\nREG.register("b", 2)\n',
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.py").write_text(text)
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from widgets_reg import REG
+    assert "widgets_a" not in sys.modules
+    assert REG.get("a") == 1 and "a" in REG
+    assert "widgets_b" not in sys.modules
+    assert REG.names() == ["a", "b"] and REG.get("b") == 2
+    with pytest.raises(UnknownNameError, match="'a', 'b'"):
+        REG.get("c")

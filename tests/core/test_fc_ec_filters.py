@@ -5,10 +5,11 @@ import pytest
 from repro.atm import LinkSpec
 from repro.core import NcsRuntime
 from repro.core.mps import (
-    AckRetransmitErrorControl, AdaptiveAckErrorControl, MpiFilter, P4Filter,
-    PvmFilter, QosContract, RateFlowControl, ServiceMode, WindowFlowControl,
-    flow_control_for, make_error_control, make_flow_control,
+    AckRetransmitErrorControl, AdaptiveAckErrorControl, QosContract,
+    RateFlowControl, ServiceMode, WindowFlowControl, flow_control_for,
+    make_error_control, make_flow_control,
 )
+from repro.core.mps.filters import MpiFilter, P4Filter, PvmFilter
 from repro.net import build_atm_cluster, build_ethernet_cluster
 
 from ..counts import count
@@ -292,7 +293,7 @@ class TestFilters:
     def test_mpi_filter_send_recv_status(self):
         cluster = build_ethernet_cluster(2)
         rt = NcsRuntime(cluster)
-        from repro.core.mps import MpiStatus
+        from repro.core.mps.filters import MpiStatus
         def rank0(ctx):
             mpi = MpiFilter(ctx, comm_size=2)
             assert mpi.comm_rank() == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NcsRuntime
-from repro.core.mps import MpiFilter
+from repro.core.mps.filters import MpiFilter
 from repro.net import build_ethernet_cluster
 
 

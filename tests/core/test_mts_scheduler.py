@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.mts import (
-    MtsScheduler, SchedulerError, ThreadBarrier, ThreadCondition,
-    ThreadEvent, ThreadMutex, ThreadSemaphore, ThreadState, ops,
+from repro.core.mts import MtsScheduler, SchedulerError, ThreadState, ops
+from repro.core.mts.sync import (
+    ThreadBarrier, ThreadCondition, ThreadEvent, ThreadMutex, ThreadSemaphore,
 )
 from repro.hosts import Host, OsProcess
 from repro.sim import Simulator

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import NcsRuntime
 from repro.core.mts import MtsScheduler, SchedulerError, ThreadState, ops
-from repro.core.mps import PvmFilter
+from repro.core.mps.filters import PvmFilter
 from repro.hosts import Host, OsProcess
 from repro.net import build_ethernet_cluster
 from repro.p4 import P4Runtime

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from repro.core import NcsRuntime
 from repro.core.mps.core import SendRequest
 from repro.core.mps.message import ANY_THREAD, NcsMessage
-from repro.core.mts import (
-    MtsScheduler, SchedulerError, ThreadEvent, ThreadSemaphore, ThreadState,
-    ops,
-)
+from repro.core.mts import MtsScheduler, SchedulerError, ThreadState, ops
+from repro.core.mts.sync import ThreadEvent, ThreadSemaphore
 from repro.hosts import Host, OsProcess
 from repro.net import build_atm_cluster
 from repro.sim import Activity, Simulator, Tracer

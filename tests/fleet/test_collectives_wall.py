@@ -11,8 +11,7 @@ strategies) must be byte-identical across two independent executions.
 import dataclasses
 from pathlib import Path
 
-from repro.config import load_fleet
-from repro.config.fleet import FleetSpec
+from repro.config.fleet import FleetSpec, load_fleet
 from repro.fleet import run_fleet, write_kpi_doc
 
 REPO = Path(__file__).resolve().parents[2]

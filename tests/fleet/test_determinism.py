@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import FleetSpec, load_fleet
+from repro.config.fleet import FleetSpec, load_fleet
 from repro.fleet import run_fleet, write_kpi_doc
 
 REPO = Path(__file__).resolve().parents[2]

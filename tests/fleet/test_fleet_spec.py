@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.config import (FleetSpec, MatrixAxis, MatrixSpec, ScenarioSpec,
-                          SpecError, load_fleet)
+from repro.config import ScenarioSpec, SpecError
+from repro.config.fleet import FleetSpec, MatrixAxis, MatrixSpec, load_fleet
 
 BASE = {
     "name": "base",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import load_fleet
+from repro.config.fleet import load_fleet
 from repro.fleet import diff_kpis, load_kpi_doc, run_fleet
 
 REPO = Path(__file__).resolve().parents[2]

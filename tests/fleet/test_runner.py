@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro import run as run_cli
-from repro.config import load_fleet
+from repro.config.fleet import load_fleet
 from repro.fleet import (load_kpi_doc, render_table, run_fleet,
                          write_kpi_doc)
 

@@ -1,17 +1,21 @@
-"""What a run imports: numpy only where a number is drawn or an app computes.
+"""What a run imports: the stack it builds, and what its spec names.
 
 Every process that imports :mod:`repro` pays for what it pulls in, in
 start-up time and in peak RSS.  A fresh interpreter notes its modules,
-runs one probe and lists every top-level package that was loaded from
-a file and is neither the standard library's nor :mod:`repro` itself:
+runs one probe and lists what it loaded:
 
 * a message-passing run (a 2 x 2 ``wan-ring`` all-to-all: routing,
   circuits, MTS/MPS, telemetry; then a 2-host Ethernet ``pingpong``)
-  draws no random number and imports no third-party package at all;
+  draws no random number and imports no third-party package at all,
+  none of the :data:`OPTIONAL` modules and no ``repro`` module outside
+  :data:`STACK`;
 * a paper application cell (``matmul-p4``) computes with numpy, and
   imports nothing else;
-* registering every component and loading the table harness leaves
-  numpy unimported.
+* importing the run's stack and the table harness leaves numpy
+  unimported;
+* a spec that names an optional component (a fault event,
+  ``hsm-failover``, NIC collectives, the sharded kernel, a table
+  driver) loads its module on demand, and the run goes through.
 """
 
 import json
@@ -19,6 +23,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -37,8 +43,41 @@ new = {name.partition(".")[0] for name in set(sys.modules) - before
 print(json.dumps({
     "summaries": summaries,
     "third_party": sorted(new - set(sys.stdlib_module_names) - {"repro"}),
+    "repro": sorted(name for name in sys.modules
+                    if name.partition(".")[0] == "repro"),
+    "optional": [name for name in OPTIONAL if name in sys.modules],
 }))
 """
+
+#: every ``repro`` module the message-passing probe may load; a change
+#: may take names out of this set, never put one in (as the ceilings of
+#: ``tests/perf_lock/test_event_budget.py`` only come down)
+STACK = {"repro", *(f"repro.{name}" for name in """
+    apps apps.drivers
+    atm atm.aal atm.adapter atm.api atm.cell atm.crc atm.link atm.signaling
+    atm.switch
+    config config.build config.io config.schema config.spec
+    core core.api core.mps core.mps.buffers core.mps.collectives
+    core.mps.core core.mps.datapath core.mps.error_control
+    core.mps.exceptions core.mps.flow_control core.mps.message core.mps.qos
+    core.mps.transports core.mts core.mts.ops core.mts.queues
+    core.mts.scheduler core.mts.thread
+    ethernet ethernet.frame ethernet.lan
+    hosts hosts.cpu hosts.host hosts.oscosts hosts.params
+    net net.topology
+    obs obs.registry
+    p4 p4.api
+    protocols protocols.ip protocols.sockets protocols.tcp protocols.udp
+    registry
+    sim sim.kernel sim.resources sim.rng sim.trace
+    """.split())}
+
+#: what a message-passing run never executes, so never imports
+OPTIONAL = ("repro.sim.sharded", "multiprocessing", "repro.faults",
+            "repro.resilience", "repro.atm.collective",
+            "repro.core.mps.filters", "repro.core.mps.group",
+            "repro.core.mts.sync", "repro.net.nynet", "repro.apps.common",
+            "repro.apps.costs", "repro.config.fleet", "repro.bench.perf")
 
 WAN_RING = '''
 name = "footprint"
@@ -87,14 +126,24 @@ def _probe(code: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _third_party(*docs) -> list:
-    doc = _probe(f"DOCS = {list(docs)!r}\n{PROBE}")
+def _run(*docs) -> dict:
+    doc = _probe(f"DOCS = {list(docs)!r}\nOPTIONAL = {OPTIONAL!r}\n{PROBE}")
     assert all(s["makespan_s"] > 0 for s in doc["summaries"])
-    return doc["third_party"]
+    return doc
+
+
+def _third_party(*docs) -> list:
+    return _run(*docs)["third_party"]
 
 
 def test_a_message_passing_run_imports_no_third_party_package():
     assert _third_party(WAN_RING, PINGPONG) == []
+
+
+def test_a_message_passing_run_loads_only_the_stack_it_builds():
+    doc = _run(WAN_RING, PINGPONG)
+    assert doc["optional"] == []
+    assert sorted(set(doc["repro"]) - STACK) == []
 
 
 def test_a_scenario_run_imports_numpy_and_nothing_else_third_party():
@@ -108,3 +157,57 @@ def test_registering_components_and_the_table_harness_imports_no_numpy():
                  "ensure_components()\n"
                  "print(json.dumps({'numpy': 'numpy' in sys.modules}))")
     assert doc == {"numpy": False}
+
+
+ON_DEMAND = r"""
+import json, sys
+from repro.config import ensure_components, loads_scenario, run_scenario
+ensure_components()
+seen = [MODULE in sys.modules]
+spec = loads_scenario(DOC)
+seen.append(MODULE in sys.modules)
+summary = run_scenario(spec).summary()
+seen.append(MODULE in sys.modules)
+print(json.dumps({"seen": seen, "summary": summary}))
+"""
+
+#: a spec naming one optional component -> (its module, whether reading
+#: the spec resolves it): fault kinds and the kernel are resolved when
+#: the spec is read, the rest when the run builds them
+NAMED = {
+    "fault-event": ("repro.faults", True, PINGPONG + """
+[[faults.events]]
+kind = "link-outage"
+at = 0.5
+duration = 0.01
+host = 1
+"""),
+    "hsm-failover": ("repro.resilience", False, PINGPONG.replace(
+        'topology = "ethernet"', 'topology = "atm-dual"')
+        + '[runtime]\nmode = "hsm-failover"\n'),
+    "nic-collectives": ("repro.atm.collective", False, """
+name = "footprint-nic"
+[cluster]
+topology = "atm-lan"
+n_hosts = 4
+[runtime]
+mode = "nsm"
+collectives = "nic"
+[app]
+driver = "collective"
+[app.params]
+rounds = 1
+"""),
+    "sharded-kernel": ("repro.sim.sharded", True,
+                       WAN_RING.replace('mode = "hsm"',
+                                        'mode = "hsm"\nshards = 2')),
+    "table-driver": ("repro.apps.common", False, MATMUL),
+}
+
+
+@pytest.mark.parametrize("component", NAMED)
+def test_a_spec_naming_an_optional_component_loads_it_on_demand(component):
+    module, at_read, spec = NAMED[component]
+    doc = _probe(f"MODULE = {module!r}\nDOC = {spec!r}\n{ON_DEMAND}")
+    assert doc["seen"] == [False, at_read, True]
+    assert doc["summary"]["makespan_s"] > 0

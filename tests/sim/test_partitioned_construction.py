@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import ensure_components
 from repro.config.spec import ScenarioSpec
-from repro.net.nynet import build_wan_ring
+from repro.net.topology import build_wan_ring
 from repro.registry import KERNELS
 from repro.sim.sharded import ShardFallbackWarning, plan_shards
 from repro.sim.sharded.plan import pid_weights

@@ -36,7 +36,7 @@ import pytest
 
 from repro.core import NcsRuntime
 from repro.net import build_atm_cluster, build_ethernet_cluster
-from repro.net.nynet import build_wan_ring
+from repro.net.topology import build_wan_ring
 
 from .harness import (Wall, assert_same, digest, pin_log, strip_odometers,
                       tap_bursts, tap_frames)

@@ -63,7 +63,7 @@ from repro.atm.signaling import circuit_key
 from repro.faults import (BerSpike, FaultInjector, FaultPlan, LinkOutage,
                           SwitchPortStall)
 from repro.net import build_atm_cluster
-from repro.net.nynet import build_wan_ring
+from repro.net.topology import build_wan_ring
 from repro.sim import Event, Simulator, Store
 
 from .harness import Wall, assert_same, burst_row, tap_bursts

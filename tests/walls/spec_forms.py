@@ -17,7 +17,8 @@ byte.
 
 from pathlib import Path
 
-from repro.config import dumps_toml, load_fleet, load_scenario
+from repro.config import dumps_toml, load_scenario
+from repro.config.fleet import load_fleet
 
 from .harness import Wall, assert_same
 
