@@ -121,9 +121,8 @@ def _execute_one(run_id: str, doc_json: str, artifacts_dir: Optional[str],
     stdlib types.  Never raises: any failure is folded into the result.
     """
     try:
-        from ..config import ScenarioSpec, ensure_components, run_scenario
+        from ..config import ScenarioSpec, run_scenario
         from .kpis import extract_kpis
-        ensure_components()
         spec = ScenarioSpec.from_dict(json.loads(doc_json))
         with _deadline(timeout_s):
             result = run_scenario(spec)

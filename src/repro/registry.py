@@ -93,7 +93,12 @@ class Registry:
         """Import stock modules in order until ``name`` is registered
         (every one of them for ``None``)."""
         while self._modules and (name is None or name not in self._items):
-            import_module(self._modules.pop(0))
+            module = self._modules.pop(0)     # popped first: no re-entry
+            try:
+                import_module(module)
+            except BaseException:
+                self._modules.insert(0, module)   # the next lookup re-raises
+                raise
 
     # ------------------------------------------------------------ mutation
     def register(self, name: str, obj: Any = None, *,
@@ -101,7 +106,10 @@ class Registry:
         """Register ``obj`` under ``name``; usable as a decorator.
 
         ``help`` (or the object's first docstring line) is shown by
-        ``python -m repro.run --list``.
+        ``python -m repro.run --list``.  A third-party name must not
+        match a stock one: a clash raises only once the stock module is
+        imported, and until then the third-party component is the one
+        found.
         """
         if not name or not isinstance(name, str):
             raise ValueError(f"{self.kind} name must be a non-empty string, "

@@ -143,8 +143,6 @@ def run_scenario_sharded(spec: ScenarioSpec) -> ScenarioResult:
     running them.  :data:`UNMERGEABLE_DRIVERS` run on the single
     kernel.
     """
-    from ...config.build import ensure_components
-    ensure_components()
     if spec.app is None:
         raise SpecError(
             f"scenario {spec.name!r} has no [app] table; nothing to run "

@@ -128,3 +128,27 @@ def test_stock_modules_are_imported_in_order_on_the_first_miss(
     assert REG.names() == ["a", "b"] and REG.get("b") == 2
     with pytest.raises(UnknownNameError, match="'a', 'b'"):
         REG.get("c")
+
+
+def test_a_stock_module_that_fails_to_import_fails_every_lookup(
+        tmp_path, monkeypatch):
+    """A failed import stays on the list: the next lookup raises the
+    same error, not an unknown name."""
+    files = {
+        "gadgets_reg": 'from repro.registry import Registry\n'
+                       'REG = Registry("gadget", "gadgets_a", "gadgets_b")\n',
+        "gadgets_a": 'from gadgets_reg import REG\nREG.register("a", 1)\n',
+        "gadgets_b": 'raise ImportError("gadgets_b is broken")\n',
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.py").write_text(text)
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from gadgets_reg import REG
+    for _ in range(2):
+        with pytest.raises(ImportError, match="gadgets_b is broken"):
+            REG.get("b")
+    (tmp_path / "gadgets_b.py").write_text(
+        'from gadgets_reg import REG\nREG.register("b", 2)\n')
+    monkeypatch.delitem(sys.modules, "gadgets_b", raising=False)
+    assert REG.get("b") == 2 and REG.names() == ["a", "b"]

@@ -11,8 +11,8 @@ runs one probe and lists what it loaded:
   :data:`STACK`;
 * a paper application cell (``matmul-p4``) computes with numpy, and
   imports nothing else;
-* importing the run's stack and the table harness leaves numpy
-  unimported;
+* importing the run's stack, every registry's stock modules and the
+  table harness leaves numpy unimported;
 * a spec that names an optional component (a fault event,
   ``hsm-failover``, NIC collectives, the sharded kernel, a table
   driver) loads its module on demand, and the run goes through.
@@ -78,6 +78,14 @@ OPTIONAL = ("repro.sim.sharded", "multiprocessing", "repro.faults",
             "repro.core.mps.filters", "repro.core.mps.group",
             "repro.core.mts.sync", "repro.net.nynet", "repro.apps.common",
             "repro.apps.costs", "repro.config.fleet", "repro.bench.perf")
+
+#: every stock module a registry names, which listing it imports
+REGISTERING = ("repro.core.mps.transports", "repro.resilience.failover",
+               "repro.net.topology", "repro.net.nynet", "repro.apps.common",
+               "repro.core.mps.flow_control", "repro.core.mps.error_control",
+               "repro.apps.drivers", "repro.faults.plan",
+               "repro.core.mps.collectives", "repro.config.build",
+               "repro.sim.sharded")
 
 WAN_RING = '''
 name = "footprint"
@@ -151,12 +159,18 @@ def test_a_scenario_run_imports_numpy_and_nothing_else_third_party():
 
 
 def test_registering_components_and_the_table_harness_imports_no_numpy():
+    # listing every registry imports every stock component module
     doc = _probe("import json, sys\n"
                  "import repro.bench.tables\n"
                  "from repro.config import ensure_components\n"
+                 "from repro.registry import all_registries\n"
                  "ensure_components()\n"
-                 "print(json.dumps({'numpy': 'numpy' in sys.modules}))")
-    assert doc == {"numpy": False}
+                 "for r in all_registries().values(): r.names()\n"
+                 "print(json.dumps({'numpy': 'numpy' in sys.modules,\n"
+                 "                  'optional': [m for m in OPTIONAL\n"
+                 "                               if m in sys.modules]}))"
+                 .replace("OPTIONAL", repr(REGISTERING)))
+    assert doc == {"numpy": False, "optional": list(REGISTERING)}
 
 
 ON_DEMAND = r"""
