@@ -1,8 +1,8 @@
 """Regenerate the data behind the paper's figures.
 
 Each ``figN_*`` function runs the relevant experiment and returns plain
-data (dicts/lists) that the benchmark targets print and assert on; see
-DESIGN.md §4 for the figure-to-module index.
+data (dicts/lists) that ``tests/paper`` asserts on and ``python -m
+repro.bench figs`` prints; see DESIGN.md §4 for the figure-to-module index.
 """
 
 from __future__ import annotations

@@ -208,14 +208,23 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
 @KERNELS.register("single",
                   help="one in-process event loop for the whole cluster")
 def _run_scenario_single(spec: ScenarioSpec) -> ScenarioResult:
-    """Resolve the app driver, run it, export telemetry per the spec."""
+    """Resolve the app driver, run it, export telemetry per the spec.
+
+    An exception the driver raises is re-raised unchanged, with the
+    :class:`ScenarioRun` it failed in as its ``scenario_run`` attribute:
+    the cluster (tracer, metrics) and runtime as the failure left them.
+    """
     if spec.app is None:
         raise SpecError(
             f"scenario {spec.name!r} has no [app] table; nothing to run "
             "(specs without an app can still be built via build_runtime)")
     driver = APP_DRIVERS.get(spec.app.driver)
     run = ScenarioRun(spec)
-    value = driver(run)
+    try:
+        value = driver(run)
+    except Exception as e:
+        e.scenario_run = run
+        raise
     built = vars(run)          # what the driver asked for (cached_property)
     result = ScenarioResult(spec, value, built.get("cluster"),
                             built.get("runtime"))

@@ -234,8 +234,8 @@ class AtmTransport(NcsTransport):
     Uses the cluster's dedicated HSM PVCs, the Fig 2 buffer pipeline
     and the Fig 3b three-access datapath.  This is the implementation the
     paper describes in §4.2 as "not fully operational" at submission
-    time — built out here as designed, and benchmarked against Approach 1
-    in ``benchmarks/bench_fig12_approach2.py``.
+    time — built out here as designed, and checked against Approach 1
+    in ``tests/paper/test_fig12.py``.
     """
 
     name = "atm"

@@ -11,7 +11,7 @@ send, and the symmetric NIC→kernel (1) + kernel→user copy (2) on
 receive, plus the syscall each side pays.
 
 Together those terms reproduce the 5-vs-3 access comparison that
-``benchmarks/bench_fig3_datapath.py`` regenerates.
+``tests/paper/test_fig3.py`` checks.
 """
 
 from __future__ import annotations

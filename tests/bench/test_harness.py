@@ -85,15 +85,16 @@ class TestReport:
         assert "a" in out and "b" in out
 
 
-class TestFigureHelpers:
-    def test_fig20_structure_shapes(self):
-        from repro.bench.figures import fig20_fft_structure
-        d = fig20_fft_structure(256, 4)
-        assert d["computation_steps"] == 8
-        assert d["ncs_comm_steps"] == d["p4_comm_steps"] + 1
-        assert d["ncs_local_steps"] == 1
+def test_figs_prints_a_figures_data(monkeypatch, capsys):
+    """``python -m repro.bench figs NAME``, on a reduced-size Fig 4."""
+    from functools import partial
 
-    def test_fig3_is_pure_model(self):
-        from repro.bench.figures import fig3_datapath
-        a, b = fig3_datapath(1000), fig3_datapath(1000)
-        assert a == b  # no simulation state involved
+    from repro.bench import figures
+    from repro.bench.__main__ import main
+    monkeypatch.setattr(figures, "fig4_overlap",
+                        partial(figures.fig4_overlap, n=32))
+    assert main(["figs", "fig4_overlap"]) == 0
+    out = capsys.readouterr().out
+    assert "p4_makespan_s" in out and "n1/n1-t0" in out
+    with pytest.raises(SystemExit, match="no figure 'fig99'"):
+        main(["figs", "fig99"])

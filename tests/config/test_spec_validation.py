@@ -233,6 +233,18 @@ def test_a_two_host_driver_on_one_host_names_n_hosts(driver, topology):
         run_scenario(spec)
 
 
+def test_a_failed_run_carries_the_run_it_failed_in():
+    """What a driver raises is re-raised as it was, with the run it
+    failed in attached for a post-mortem of the cluster it built."""
+    spec = ScenarioSpec(
+        name="x", cluster=ClusterSpec(topology="atm-lan", n_hosts=1),
+        app=AppSpec(driver="pingpong"))
+    with pytest.raises(SpecError) as exc:
+        run_scenario(spec)
+    run = exc.value.scenario_run
+    assert run.spec is spec and run.cluster.n_hosts == 1
+
+
 #: the payload key the 1024-host scenario once used: alltoall reads nbytes
 A2A_TYPO = """
 name = "a2a-typo"

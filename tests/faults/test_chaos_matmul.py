@@ -6,9 +6,8 @@ import pytest
 from repro import MessageLost, NcsRuntime, ServiceMode, build_atm_cluster
 from repro.apps.matmul import run_matmul_ncs
 from repro.config import (AppSpec, ClusterSpec, FaultSpec, ObsSpec,
-                          ScenarioRun, ScenarioSpec, ensure_components)
+                          ScenarioSpec, run_scenario)
 from repro.faults import FaultInjector, FaultPlan, LinkOutage, Partition
-from repro.registry import APP_DRIVERS
 
 from ..counts import total
 from .util import FAST_EC
@@ -43,14 +42,13 @@ class TestPermanentPartition:
         # the host is cut off from both nodes forever: the run must fail
         # loudly with MessageLost once retransmission gives up
         plan = FaultPlan((Partition(at=0.001, groups=((0,), (1, 2))),))
-        run = ScenarioRun(ScenarioSpec(
-            name="partitioned-matmul",
-            cluster=ClusterSpec(topology="atm-lan", n_hosts=3),
-            mode="hsm", error="ack", error_kwargs=dict(FAST_EC),
-            app=AppSpec("matmul-ncs", {"n": 16, "threads_per_node": 1}),
-            faults=FaultSpec.from_plan(plan), obs=ObsSpec(trace=True)))
-        ensure_components()
-        with pytest.raises(MessageLost):
-            APP_DRIVERS.get("matmul-ncs")(run)     # what run_scenario runs
+        with pytest.raises(MessageLost) as exc:
+            run_scenario(ScenarioSpec(
+                name="partitioned-matmul",
+                cluster=ClusterSpec(topology="atm-lan", n_hosts=3),
+                mode="hsm", error="ack", error_kwargs=dict(FAST_EC),
+                app=AppSpec("matmul-ncs", {"n": 16, "threads_per_node": 1}),
+                faults=FaultSpec.from_plan(plan), obs=ObsSpec(trace=True)))
         # the give-up is on the tracer timeline for post-mortems
-        assert run.cluster.tracer.points(kind="message-lost")
+        cluster = exc.value.scenario_run.cluster
+        assert cluster.tracer.points(kind="message-lost")

@@ -7,21 +7,10 @@ bottleneck with millisecond propagation.
 """
 
 from repro.bench.figures import fig1_nynet_paths
-from repro.bench.report import render_series
 
 
-def test_fig1_nynet_paths(sim_bench, capsys):
-    paths = sim_bench(fig1_nynet_paths)
-    with capsys.disabled():
-        print()
-        print(render_series(
-            "Fig 1: NYNET path properties",
-            "path",
-            "",
-            [(k, v["hops"], v["bottleneck_bps"] / 1e6,
-              v["propagation_s"] * 1e3, v["goodput_bps"] / 1e6)
-             for k, v in paths.items()],
-            labels=["hops", "bottleneck Mbps", "prop ms", "goodput Mbps"]))
+def test_fig1_nynet_paths():
+    paths = fig1_nynet_paths()
     intra, cross = paths["intra-site"], paths["cross-region"]
     # paper §2: sites connect via OC-3, upstate-downstate via DS-3 45 Mbps
     assert cross["bottleneck_bps"] == 45e6
@@ -32,10 +21,9 @@ def test_fig1_nynet_paths(sim_bench, capsys):
     assert cross["propagation_s"] > 100 * intra["propagation_s"]
 
 
-def test_fig1_kleinrock_latency_bandwidth(sim_bench):
+def test_fig1_kleinrock_latency_bandwidth():
     """§3's Kleinrock point: across the WAN, propagation dwarfs the
     serialization of a small message."""
-    paths = sim_bench(fig1_nynet_paths, 1024)
-    cross = paths["cross-region"]
+    cross = fig1_nynet_paths(1024)["cross-region"]
     serialization = 1024 * 8 / cross["bottleneck_bps"]
     assert cross["propagation_s"] > 5 * serialization

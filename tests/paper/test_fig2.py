@@ -9,19 +9,10 @@ while NCS is filling the second").
 """
 
 from repro.bench.figures import fig2_buffer_sweep
-from repro.bench.report import render_series
 
 
-def test_fig2_buffer_sweep(sim_bench, capsys):
-    results = sim_bench(fig2_buffer_sweep)
-    with capsys.disabled():
-        print()
-        print(render_series(
-            "Fig 2: 256 KiB send vs number of I/O buffers",
-            "buffers", "",
-            [(k, v["caller_free"] * 1e3, v["delivered"] * 1e3)
-             for k, v in sorted(results.items())],
-            labels=["caller busy ms", "delivered ms"]))
+def test_fig2_buffer_sweep():
+    results = fig2_buffer_sweep()
     one, two = results[1], results[2]
     # pipelining shortens both the sender-busy time and delivery
     assert two["caller_free"] < 0.75 * one["caller_free"]
@@ -34,8 +25,8 @@ def test_fig2_buffer_sweep(sim_bench, capsys):
         assert results[b]["caller_free"] <= results[a]["caller_free"] * 1.01
 
 
-def test_fig2_small_message_insensitive(sim_bench):
+def test_fig2_small_message_insensitive():
     """Messages that fit one buffer gain nothing — the pipeline matters
     for bulk transfers."""
-    results = sim_bench(fig2_buffer_sweep, 4 * 1024, (1, 4))
+    results = fig2_buffer_sweep(4 * 1024, (1, 4))
     assert results[4]["delivered"] == results[1]["delivered"]

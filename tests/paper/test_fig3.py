@@ -1,32 +1,24 @@
 """Fig 3 — the communication datapath: 5 vs 3 memory-bus accesses/word.
 
 Checks the model numbers (entry costs, per-word accesses, one-way CPU
-time for a 64 KB message) and then measures the end-to-end effect by
-sending the same message over NSM (socket datapath) and HSM (NCS
-datapath) and comparing sender-side CPU consumption.
+time for a message) and then measures the end-to-end effect by sending
+the same message over NSM (socket datapath) and HSM (NCS datapath).
 """
 
 import pytest
 
-from repro.bench.figures import fig3_datapath, _one_way
-from repro.bench.report import render_series
+from repro.bench.figures import _one_way, fig3_datapath
 from repro.core.mps import (
     NCS_DATAPATH, SOCKET_DATAPATH, ServiceMode, ZERO_COPY_DATAPATH,
 )
 from repro.hosts import SUN_IPX
 
 
-def test_fig3_model_numbers(sim_bench, capsys):
-    data = sim_bench(fig3_datapath)
-    with capsys.disabled():
-        print()
-        print(render_series(
-            "Fig 3: datapath cost of one 64 KiB send",
-            "datapath", "",
-            [(name, v["total_accesses_per_word"],
-              v["entry_cost_s"] * 1e6, v["one_way_cpu_s"] * 1e3)
-             for name, v in data.items() if isinstance(v, dict)],
-            labels=["accesses/word", "entry us", "cpu ms"]))
+@pytest.mark.parametrize("nbytes", [64 * 1024, 1000])
+def test_fig3_model_numbers(nbytes):
+    data = fig3_datapath(nbytes)
+    # a pure model: no simulation state involved
+    assert fig3_datapath(nbytes) == data
     # the paper's numbers: 5 accesses on the socket path, 3 on NCS's
     assert data[SOCKET_DATAPATH.name]["total_accesses_per_word"] == 5
     assert data[NCS_DATAPATH.name]["total_accesses_per_word"] == 3
@@ -42,14 +34,9 @@ def test_fig3_model_numbers(sim_bench, capsys):
             == pytest.approx(SUN_IPX.os.trap_time))
 
 
-def test_fig3_end_to_end_latency(sim_bench, capsys):
+def test_fig3_end_to_end_latency():
     """Same 64 KB NCS message over each tier: the HSM (3-access + Fig 2
     pipeline + no TCP) must beat NSM (5-access + TCP) decisively."""
-    def measure():
-        return (_one_way(ServiceMode.NSM, 64 * 1024),
-                _one_way(ServiceMode.HSM, 64 * 1024))
-    nsm, hsm = sim_bench(measure)
-    with capsys.disabled():
-        print(f"\none-way 64 KiB: NSM {nsm*1e3:.2f} ms, HSM {hsm*1e3:.2f} ms "
-              f"({nsm/hsm:.1f}x)")
+    nsm = _one_way(ServiceMode.NSM, 64 * 1024)
+    hsm = _one_way(ServiceMode.HSM, 64 * 1024)
     assert hsm < 0.5 * nsm

@@ -1,25 +1,21 @@
 """Fig 4 — overlap of computation and communication (matmul, 2 nodes).
 
 Reruns the figure's scenario (two node processes, two threads each in
-the NCS variant) with tracing on, prints the threaded run's Gantt rows,
-and asserts the figure's claim: "this overlapping reduces the overall
-execution time".
+the NCS variant) with tracing on and asserts the figure's claim: "this
+overlapping reduces the overall execution time".
 """
 
+import pytest
+
 from repro.bench.figures import fig4_overlap
-from repro.bench.report import render_gantt
 
 
-def test_fig4_overlap(sim_bench, capsys):
-    data = sim_bench(fig4_overlap)
-    with capsys.disabled():
-        print(f"\nFig 4: matmul 2 nodes — no threads {data['p4_makespan_s']:.2f}s, "
-              f"threads {data['ncs_makespan_s']:.2f}s "
-              f"({data['improvement_pct']:.1f}% better)")
-        app_rows = {k: v for k, v in data["ncs_gantt"].items()
-                    if "sys-" not in k}
-        print(render_gantt("NCS run, application threads:", app_rows,
-                           horizon=data["ncs_makespan_s"]))
+@pytest.fixture(scope="module")
+def data():
+    return fig4_overlap()
+
+
+def test_fig4_overlap(data):
     assert data["ncs_makespan_s"] < data["p4_makespan_s"]
     # node threads of one process never compute simultaneously
     # (one CPU per node, QuickThreads semantics)
@@ -33,10 +29,9 @@ def test_fig4_overlap(sim_bench, capsys):
             assert e1 <= s2 + 1e-9, f"overlapping compute on {host}"
 
 
-def test_fig4_threads_fill_wait_time(sim_bench):
+def test_fig4_threads_fill_wait_time(data):
     """While one thread is blocked in NCS_recv, its sibling computes:
     the threaded run's node CPUs must be busier than the single-threaded
     run's during the distribution phase (qualitative Fig 4/Fig 16)."""
-    data = sim_bench(fig4_overlap)
     # the improvement itself is the aggregate evidence
     assert data["improvement_pct"] > 0

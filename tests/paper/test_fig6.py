@@ -7,20 +7,10 @@ the price of NSM's interoperability.
 """
 
 from repro.bench.figures import fig6_nsm_vs_hsm
-from repro.bench.report import render_series
 
 
-def test_fig6_tier_latency(sim_bench, capsys):
-    data = sim_bench(fig6_nsm_vs_hsm)
-    with capsys.disabled():
-        print()
-        print(render_series(
-            "Fig 6: one-way NCS message time per tier (ms)",
-            "bytes", "",
-            [(s, n * 1e3, h * 1e3, p * 1e3)
-             for s, n, h, p in zip(data["sizes"], data["nsm_s"],
-                                   data["hsm_s"], data["p4_s"])],
-            labels=["NSM (TCP/IP)", "HSM (ATM API)", "p4 (Appr.1)"]))
+def test_fig6_tier_latency():
+    data = fig6_nsm_vs_hsm()
     for size, nsm, hsm, p4 in zip(data["sizes"], data["nsm_s"],
                                   data["hsm_s"], data["p4_s"]):
         # the HSM is decisively faster at every size (trap vs syscall,

@@ -1,14 +1,12 @@
 """Fig 9 — the scheduler's queue data structures.
 
-Real micro-benchmarks (host wall-clock, via pytest-benchmark) of the
-operations the paper designed these structures for, on the structures
-the scheduler runs: O(1) round-robin on the multilevel priority queue,
-and O(1) unblock by tid on the blocked queue ("implemented blocked
-queue by doubly linked list to speed up search operation during
-unblocking of threads") — a whole block -> wake -> pick cycle through
-``MtsScheduler.block`` and ``Wake.wake`` / ``_make_runnable``.
-
-Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_fig9_queues.py -q``
+The operations the paper designed these structures for, on the
+structures the scheduler runs: O(1) round-robin on the multilevel
+priority queue, and O(1) unblock by tid on the blocked queue
+("implemented blocked queue by doubly linked list to speed up search
+operation during unblocking of threads") — a whole block -> wake -> pick
+cycle through ``MtsScheduler.block`` and ``Wake.wake`` /
+``_make_runnable``.
 """
 
 import random
@@ -20,17 +18,16 @@ from repro.core.mts import MtsScheduler, MultilevelPriorityQueue
 from repro.hosts import Host, OsProcess
 from repro.sim import Simulator
 
+CYCLES = 1000
 
-def test_priority_queue_round_robin_throughput(benchmark):
+
+def test_priority_queue_round_robin():
     q = MultilevelPriorityQueue()
     for i in range(256):
         q.enqueue(i, i % 16)
-
-    def cycle():
+    for _ in range(CYCLES):
         item = q.dequeue()
         q.enqueue(item, item % 16)
-
-    benchmark(cycle)
     assert len(q) == 256
 
 
@@ -56,10 +53,11 @@ def blocked_population(size):
 
 
 @pytest.mark.parametrize("size", [128, 8192])
-def test_block_wake_cycle_throughput(benchmark, size):
+def test_block_wake_cycle(size):
     sched, threads, cycle = blocked_population(size)
     rng = random.Random(7)
-    benchmark(lambda: cycle(rng.choice(threads)))
+    for _ in range(CYCLES):
+        cycle(rng.choice(threads))
     assert len(sched.blocked) == size and len(sched.runnable) == 0
 
 

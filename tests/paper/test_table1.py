@@ -1,36 +1,29 @@
 """Table 1 — distributed matrix multiplication, p4 vs NCS_MTS/p4.
 
-Regenerates every cell of the paper's Table 1 (both platforms, every
-node count) and checks the reproduction contract:
+Every cell of the paper's Table 1 (both platforms, every node count)
+against the reproduction contract:
 
 * application results are numerically correct,
 * single-node rows match the paper closely (they calibrate the model),
 * NCS_MTS/p4 is never slower than p4 on multi-node runs,
 * the Ethernet-vs-NYNET ordering holds.
 
-Run with ``pytest benchmarks/bench_table1_matmul.py --benchmark-only -s``
-to see the rendered table.
+``python -m repro.bench 1`` prints the table.
 """
 
 import pytest
 
 from repro.bench import paper_data as paper
-from repro.bench.report import ComparisonTable, TableRow
-from repro.bench.tables import run_cell
 
-CELLS = [(p, n) for p in ("ethernet", "nynet")
-         for n in paper.TABLE_NODES["table1"][p]]
+from . import cell_pair, cells, table_rows
+
+CELLS = cells("table1")
 
 
 @pytest.mark.parametrize("platform,n_nodes", CELLS,
                          ids=[f"{p}-{n}n" for p, n in CELLS])
-def test_table1_cell(sim_bench, platform, n_nodes):
-    def run_pair():
-        rp = run_cell("matmul-p4", platform, n_nodes, n=128)
-        rn = run_cell("matmul-ncs", platform, n_nodes, n=128)
-        return rp, rn
-
-    rp, rn = sim_bench(run_pair)
+def test_table1_cell(platform, n_nodes):
+    rp, rn = cell_pair("table1", platform, n_nodes)
     assert rp.correct and rn.correct
     # calibration contract: the single-node rows anchor the model
     if n_nodes == 1:
@@ -44,27 +37,10 @@ def test_table1_cell(sim_bench, platform, n_nodes):
         paper.TABLE1_P4[(platform, n_nodes)], rel=0.45)
 
 
-def test_table1_full(sim_bench, capsys):
-    """The whole table in one run, printed like the paper's."""
-    table = ComparisonTable(
-        "Table 1: Execution times of Matrix Multiplication (seconds)")
-
-    def build():
-        for platform, n in CELLS:
-            rp = run_cell("matmul-p4", platform, n, n=128)
-            rn = run_cell("matmul-ncs", platform, n, n=128)
-            table.add(TableRow(platform, n, rp.makespan_s, rn.makespan_s,
-                               paper.TABLE1_P4[(platform, n)],
-                               paper.TABLE1_NCS[(platform, n)]))
-        return table
-
-    table = sim_bench(build)
-    with capsys.disabled():
-        print()
-        print(table.render())
+def test_table1_orderings():
+    by_key = table_rows("table1")
     # NYNET is faster than Ethernet at every node count (paper's claim:
     # "faster machines and ATM network operates at a faster speed")
-    by_key = {(r.platform, r.n_nodes): r for r in table.rows}
     for n in (1, 2, 4):
         assert by_key[("nynet", n)].p4_s < by_key[("ethernet", n)].p4_s
         assert by_key[("nynet", n)].ncs_s < by_key[("ethernet", n)].ncs_s

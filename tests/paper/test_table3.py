@@ -8,28 +8,24 @@ Contract:
 * the two variants stay within a few percent of each other (the paper's
   own FFT improvements are its smallest, 5.7-11.3%; see EXPERIMENTS.md
   for why our faster small-message transport compresses them further —
-  and ``bench_ablations.py`` for the latency sweep that restores them).
+  and ``test_ablations.py`` for the latency sweep that restores them).
+
+``python -m repro.bench 3`` prints the table.
 """
 
 import pytest
 
 from repro.bench import paper_data as paper
-from repro.bench.report import ComparisonTable, TableRow
-from repro.bench.tables import run_cell
 
-CELLS = [(p, n) for p in ("ethernet", "nynet")
-         for n in paper.TABLE_NODES["table3"][p]]
+from . import cell_pair, cells, table_rows
+
+CELLS = cells("table3")
 
 
 @pytest.mark.parametrize("platform,n_nodes", CELLS,
                          ids=[f"{p}-{n}n" for p, n in CELLS])
-def test_table3_cell(sim_bench, platform, n_nodes):
-    def run_pair():
-        rp = run_cell("fft-p4", platform, n_nodes)
-        rn = run_cell("fft-ncs", platform, n_nodes)
-        return rp, rn
-
-    rp, rn = sim_bench(run_pair)
+def test_table3_cell(platform, n_nodes):
+    rp, rn = cell_pair("table3", platform, n_nodes)
     assert rp.correct and rn.correct
     if n_nodes == 1:
         assert rp.makespan_s == pytest.approx(
@@ -38,23 +34,8 @@ def test_table3_cell(sim_bench, platform, n_nodes):
     assert rn.makespan_s == pytest.approx(rp.makespan_s, rel=0.08)
 
 
-def test_table3_full(sim_bench, capsys):
-    table = ComparisonTable("Table 3: Execution times of FFT (seconds)")
-
-    def build():
-        for platform, n in CELLS:
-            rp = run_cell("fft-p4", platform, n)
-            rn = run_cell("fft-ncs", platform, n)
-            table.add(TableRow(platform, n, rp.makespan_s, rn.makespan_s,
-                               paper.TABLE3_P4[(platform, n)],
-                               paper.TABLE3_NCS[(platform, n)]))
-        return table
-
-    table = sim_bench(build)
-    with capsys.disabled():
-        print()
-        print(table.render())
-    by_key = {(r.platform, r.n_nodes): r for r in table.rows}
+def test_table3_orderings():
+    by_key = table_rows("table3")
     for p, ns in paper.TABLE_NODES["table3"].items():
         for a, b in zip(ns, ns[1:]):
             assert by_key[(p, b)].p4_s < by_key[(p, a)].p4_s
