@@ -73,7 +73,7 @@ def _site(frame, event, sim_dir: str, pkg_dir: str) -> tuple[str, str]:
                 return where(gen.gi_code), "sleep"
             # a process finishing: charge the body that ran to its end
             return where(gen.gi_code), "completion"
-        if code.co_name in ("run", "run_below", "step") \
+        if code.co_name in ("run", "run_below") \
                 and "event" in frame.f_locals:
             # scheduled from a callback with no model frame of its own
             # (a condition firing): name the event the run loop processed

@@ -7,7 +7,7 @@ deterministic discrete-event-simulated system:
 * :mod:`repro.hosts` — 1995 workstation CPU/OS cost models;
 * :mod:`repro.atm` / :mod:`repro.ethernet` — the network substrates
   (cells, AAL5 SAR, switches, SONET/TAXI links; shared 10 Mbps Ethernet);
-* :mod:`repro.protocols` — sockets/TCP/UDP/IP (the traditional stack
+* :mod:`repro.protocols` — sockets/TCP/IP (the traditional stack
   NCS's High Speed Mode bypasses);
 * :mod:`repro.net` — cluster and NYNET-testbed topology builders;
 * :mod:`repro.p4` — the p4 message-passing baseline;

@@ -66,10 +66,6 @@ class AppCosts:
         """Compute time for a rows x inner by inner x cols block product."""
         return rows * inner * cols * self.matmul_op_s
 
-    def fft_compute_time(self, n_butterflies: int) -> float:
-        """Compute time for ``n_butterflies`` DIF butterflies."""
-        return n_butterflies * self.fft_butterfly_s
-
     def jpeg_compress_time(self, n_blocks: int) -> float:
         """Compute time to compress ``n_blocks`` 8x8 blocks."""
         return n_blocks * self.jpeg_compress_block_s

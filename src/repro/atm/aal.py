@@ -1,72 +1,38 @@
-"""ATM Adaptation Layers 5 and 3/4: sizing math and byte-faithful SAR.
+"""ATM Adaptation Layer 5: sizing math and byte-level SAR.
 
-Two levels of fidelity, sharing the same sizing equations:
-
-* **Sizing** (:meth:`Aal.pdu_cells`, :meth:`Aal.wire_bytes`) — how many
-  cells a payload needs; used by the performance model for every
-  transfer.
-* **Byte-faithful SAR** (:meth:`Aal.segment` / :meth:`Aal.reassemble`) —
+* **Sizing** (:meth:`Aal5.pdu_cells`) — how many cells a payload needs;
+  the adapter charges every PDU by it
+  (:meth:`~repro.atm.adapter.Sba200Adapter.send_pdu`).  Every VC carries
+  AAL5, the AAL the paper's NCS traffic uses.
+* **Byte-level SAR** (:meth:`Aal5.segment` / :meth:`Aal5.reassemble`) —
   real segmentation of a ``bytes`` payload into :class:`AtmCell` objects
-  with trailers and CRCs, and reassembly that verifies them.  Used by the
-  cell-accurate mode and by the property-based tests, which round-trip
-  arbitrary payloads and check that the sizing math agrees with the
-  actual cell count.
-
-The paper's stack diagrams (Figs 11/12) show both AAL5 and AAL3/4 under
-the ATM API; AAL5 is the default for NCS traffic.
+  with the CPCS trailer and its CRC-32, and reassembly that verifies
+  them.  The simulated datapath never splits bytes (a PDU travels as
+  cell bursts); the byte SAR serves the benchmark's direct-call loop and
+  the AAL5 tests, which round-trip arbitrary payloads and check that the
+  sizing math agrees with the actual cell count.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from math import ceil
 
 from .cell import AtmCell, CELL_PAYLOAD_BYTES
-from .crc import crc10_aal34, crc32_aal5
+from .crc import crc32_aal5
 
-__all__ = ["Aal", "Aal5", "Aal34", "AalError", "AAL5", "AAL34"]
+__all__ = ["Aal5", "AalError", "AAL5"]
 
 
 class AalError(ValueError):
     """Raised on reassembly failures (bad CRC, bad length, truncation)."""
 
 
-class Aal:
-    """Common interface for adaptation layers."""
-
-    name: str = "aal"
-
-    def pdu_cells(self, payload_bytes: int) -> int:
-        """Number of cells needed for a payload of ``payload_bytes``."""
-        raise NotImplementedError
-
-    def wire_bytes(self, payload_bytes: int) -> int:
-        """Total bytes on the wire (53 per cell)."""
-        return self.pdu_cells(payload_bytes) * 53
-
-    def efficiency(self, payload_bytes: int) -> float:
-        """Payload bytes / wire bytes — the SAR efficiency curve."""
-        if payload_bytes <= 0:
-            return 0.0
-        return payload_bytes / self.wire_bytes(payload_bytes)
-
-    def segment(self, payload: bytes, vpi: int, vci: int) -> list[AtmCell]:
-        """Segment ``payload`` into cells on the given VPI/VCI."""
-        raise NotImplementedError
-
-    def reassemble(self, cells: list[AtmCell]) -> bytes:
-        """Reassemble a PDU from its cells, raising :class:`AalError` on damage."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Aal5(Aal):
+class Aal5:
     """AAL5: pad + 8-byte CPCS trailer (UU, CPI, Length, CRC-32); the last
     cell is flagged through the cell header's payload-type bit."""
 
-    name: str = "aal5"
-    TRAILER_BYTES: int = 8
+    TRAILER_BYTES = 8
 
     def pdu_cells(self, payload_bytes: int) -> int:
         """Cells for a payload: pad + trailer rounded up to 48-byte chunks."""
@@ -115,75 +81,5 @@ class Aal5(Aal):
         return pdu[:length]
 
 
-@dataclass(frozen=True)
-class Aal34(Aal):
-    """AAL3/4: 44 payload bytes per cell behind a 2-byte SAR header
-    (ST/SN/MID) and 2-byte trailer (LI + CRC-10)."""
-
-    name: str = "aal34"
-    SAR_PAYLOAD: int = 44
-
-    def pdu_cells(self, payload_bytes: int) -> int:
-        """Cells for a payload at 44 usable bytes per AAL3/4 cell."""
-        if payload_bytes < 0:
-            raise ValueError("payload_bytes must be non-negative")
-        return max(1, ceil(payload_bytes / self.SAR_PAYLOAD))
-
-    def segment(self, payload: bytes, vpi: int = 0, vci: int = 32,
-                mid: int = 0) -> list[AtmCell]:
-        """Segment ``payload`` into AAL3/4 cells (BOM/COM/EOM/SSM framing)."""
-        n = self.pdu_cells(len(payload))
-        cells = []
-        for i in range(n):
-            chunk = payload[i * self.SAR_PAYLOAD:(i + 1) * self.SAR_PAYLOAD]
-            li = len(chunk)
-            chunk = chunk + b"\x00" * (self.SAR_PAYLOAD - li)
-            if n == 1:
-                st = 0b11        # SSM: single-segment message
-            elif i == 0:
-                st = 0b10        # BOM
-            elif i == n - 1:
-                st = 0b01        # EOM
-            else:
-                st = 0b00        # COM
-            sn = i % 16
-            header = ((st << 14) | (sn << 10) | (mid & 0x3FF))
-            body = struct.pack(">H", header) + chunk
-            crc = crc10_aal34(body + struct.pack(">H", li << 10)[:1])
-            trailer = struct.pack(">H", ((li & 0x3F) << 10) | (crc & 0x3FF))
-            cells.append(AtmCell(vpi=vpi, vci=vci,
-                                 payload=body + trailer,
-                                 pt_last=(i == n - 1)))
-        return cells
-
-    def reassemble(self, cells: list[AtmCell]) -> bytes:
-        """Rebuild an AAL3/4 PDU, checking per-cell CRC-10 and framing."""
-        if not cells:
-            raise AalError("empty cell list")
-        out = bytearray()
-        for i, c in enumerate(cells):
-            (header,) = struct.unpack(">H", c.payload[:2])
-            st = header >> 14
-            sn = (header >> 10) & 0xF
-            if sn != i % 16:
-                raise AalError(f"sequence number gap at cell {i}")
-            chunk = c.payload[2:2 + self.SAR_PAYLOAD]
-            (tr,) = struct.unpack(">H", c.payload[2 + self.SAR_PAYLOAD:])
-            li = (tr >> 10) & 0x3F
-            crc = tr & 0x3FF
-            body = c.payload[:2 + self.SAR_PAYLOAD]
-            expect = crc10_aal34(body + struct.pack(">H", li << 10)[:1])
-            if crc != expect:
-                raise AalError(f"AAL3/4 CRC-10 mismatch at cell {i}")
-            expected_st = (0b11 if len(cells) == 1 else
-                           0b10 if i == 0 else
-                           0b01 if i == len(cells) - 1 else 0b00)
-            if st != expected_st:
-                raise AalError(f"segment-type mismatch at cell {i}")
-            out += chunk[:li]
-        return bytes(out)
-
-
-#: module-level singletons (the classes are frozen/stateless)
+#: module-level singleton (the class is stateless)
 AAL5 = Aal5()
-AAL34 = Aal34()

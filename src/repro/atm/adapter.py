@@ -16,8 +16,10 @@ Model:
 * **SAR engine** — the i960 spends ``i960_per_cell_s`` per cell; the TAXI
   channel is occupied for ``max(serialization, SAR)`` per burst, so the
   adapter can be either line-rate-bound or i960-bound.
-* **AAL CRC hardware** — CRC costs the host nothing (it is only computed
-  bit-faithfully in the cell-accurate mode).
+* **AAL CRC hardware** — CRC costs the host nothing.  The model moves
+  cell bursts and never splits bytes, so no CRC is computed on the
+  datapath (the byte-level SAR of :mod:`repro.atm.aal` computes one for
+  the benchmark's direct-call loop and the AAL5 tests).
 * **Reassembly** — bursts accumulate per ``(vc, msg_id)``; a corrupted
   burst poisons the PDU exactly as a failed AAL5 CRC would.  Completed
   messages are DMA'd to host memory and handed to the receive handler.
@@ -36,7 +38,7 @@ from typing import Any, Callable, Deque, Optional
 
 from ..sim import Event, Simulator, Store, check_param, check_size
 from ..sim.kernel import _run_call
-from .aal import Aal, AAL5
+from .aal import AAL5
 from .cell import CellBurst
 from .link import Channel
 
@@ -177,15 +179,13 @@ class Sba200Adapter:
 
     # ----------------------------------------------------------------- send
     def send_pdu(self, vc: Any, payload_bytes: int, msg_id: int,
-                 is_final: bool = True, payload: Any = None,
-                 aal: Optional[Aal] = None) -> None:
-        """Segment one AAL PDU and stream its cell trains onto the TAXI
+                 is_final: bool = True, payload: Any = None) -> None:
+        """Segment one AAL5 PDU and stream its cell trains onto the TAXI
         uplink.  Non-blocking for the caller: the SAR engine and wire
         proceed in simulated background time."""
         if self.uplink is None:
             raise RuntimeError(f"adapter {self.host_name} has no uplink")
-        aal = aal or getattr(vc, "aal", None) or AAL5
-        n_cells = aal.pdu_cells(payload_bytes)
+        n_cells = AAL5.pdu_cells(payload_bytes)
         self._m_pdus_sent.inc()
         self._m_cells_sent.inc(n_cells)
         remaining_cells = n_cells

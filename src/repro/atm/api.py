@@ -134,10 +134,3 @@ class AtmApi:
             self.adapter.send_pdu(vc, size, msg_id=msg_id, is_final=final,
                                   payload=payload if final else None)
         return msg_id
-
-    def submit_chunk(self, vc: VirtualChannel, nbytes: int, msg_id: int,
-                     is_final: bool, payload: Any = None) -> None:
-        """Low-level hook for the Fig 2 pipeline: hand one already-DMA'd
-        chunk to the SAR engine (no CPU charged here)."""
-        self.adapter.send_pdu(vc, nbytes, msg_id=msg_id, is_final=is_final,
-                              payload=payload)

@@ -1,10 +1,12 @@
 """ATM cells and cell bursts.
 
 An ATM cell is 53 bytes: a 5-byte header (GFC/VPI/VCI/PT/CLP/HEC) and a
-48-byte payload.  The performance model usually moves *bursts* (trains of
-consecutive cells belonging to one AAL PDU) instead of individual cells —
-see DESIGN.md §5.5 — but a faithful byte-level :class:`AtmCell` exists for
-the cell-accurate mode and the AAL unit tests.
+48-byte payload.  The performance model moves *bursts* (trains of
+consecutive cells belonging to one AAL5 PDU) instead of individual cells
+— see DESIGN.md §5.5; its cell-accurate setting is a train of one cell,
+still a :class:`CellBurst` that splits no bytes.  The byte-level
+:class:`AtmCell` is what :mod:`repro.atm.aal`'s byte SAR produces, for
+the benchmark's direct-call loop and the AAL5 tests.
 """
 
 from __future__ import annotations

@@ -1,86 +1,14 @@
-"""CRC generators used by the ATM adaptation layers.
+"""The CRC-32 of the AAL5 CPCS-PDU trailer.
 
-* **CRC-32** (IEEE 802.3 polynomial, reflected, final inversion) protects
-  the AAL5 CPCS-PDU trailer.  The SBA-200 computes it in hardware ("special
-  hardware for AAL CRC" — §2), so it costs the host nothing; we still
-  implement it bit-faithfully for the cell-accurate mode.
-* **CRC-10** (x^10 + x^9 + x^5 + x^4 + x + 1) protects each AAL3/4 cell.
-
-Both are table-driven and pure Python; they are validated against
-``binascii.crc32`` and hand-computed vectors in the tests.
+The IEEE 802.3 polynomial, reflected, with final inversion: the CRC
+zlib computes.  The SBA-200 computes it in hardware ("special hardware
+for AAL CRC" — §2), so the performance model charges the host nothing
+for it; the byte-level SAR of :mod:`repro.atm.aal` computes it for real,
+for the benchmark's direct-call loop and the AAL5 tests.
 """
 
 from __future__ import annotations
 
-__all__ = ["crc32_aal5", "crc10_aal34", "Crc"]
+from zlib import crc32 as crc32_aal5
 
-
-class Crc:
-    """Generic table-driven CRC over msb-first or reflected bit order."""
-
-    def __init__(self, width: int, poly: int, init: int, xor_out: int,
-                 reflect: bool):
-        self.width = width
-        self.poly = poly
-        self.init = init
-        self.xor_out = xor_out
-        self.reflect = reflect
-        self._mask = (1 << width) - 1
-        self._table = self._build_table()
-
-    def _build_table(self) -> list[int]:
-        table = []
-        if self.reflect:
-            poly = _reflect_bits(self.poly, self.width)
-            for byte in range(256):
-                crc = byte
-                for _ in range(8):
-                    crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-                table.append(crc & self._mask)
-        else:
-            top = 1 << (self.width - 1)
-            shift = max(self.width - 8, 0)
-            for byte in range(256):
-                crc = byte << shift if self.width >= 8 else byte
-                for _ in range(8):
-                    crc = ((crc << 1) ^ self.poly) if crc & top else crc << 1
-                    crc &= self._mask
-                table.append(crc)
-        return table
-
-    def compute(self, data: bytes) -> int:
-        """CRC of ``data`` under this parameter set (table-driven)."""
-        if self.reflect:
-            crc = _reflect_bits(self.init, self.width)
-            for byte in data:
-                crc = (crc >> 8) ^ self._table[(crc ^ byte) & 0xFF]
-            return (crc ^ self.xor_out) & self._mask
-        crc = self.init
-        shift = max(self.width - 8, 0)
-        for byte in data:
-            idx = ((crc >> shift) ^ byte) & 0xFF
-            crc = ((crc << 8) ^ self._table[idx]) & self._mask
-        return (crc ^ self.xor_out) & self._mask
-
-
-def _reflect_bits(value: int, width: int) -> int:
-    out = 0
-    for i in range(width):
-        if value & (1 << i):
-            out |= 1 << (width - 1 - i)
-    return out
-
-
-_CRC32 = Crc(width=32, poly=0x04C11DB7, init=0xFFFFFFFF,
-             xor_out=0xFFFFFFFF, reflect=True)
-_CRC10 = Crc(width=10, poly=0x233, init=0, xor_out=0, reflect=False)
-
-
-def crc32_aal5(data: bytes) -> int:
-    """AAL5 CPCS CRC-32 (identical to IEEE 802.3 / zlib CRC-32)."""
-    return _CRC32.compute(data)
-
-
-def crc10_aal34(data: bytes) -> int:
-    """AAL3/4 per-cell CRC-10 (ITU-T I.363 polynomial 0x633's low bits)."""
-    return _CRC10.compute(data)
+__all__ = ["crc32_aal5"]

@@ -284,10 +284,6 @@ class DuplexLink:
         self.fwd = Channel(sim, f"{name}>", spec, rng_a)
         self.rev = Channel(sim, f"{name}<", spec, rng_b)
 
-    def channels(self) -> tuple[Channel, Channel]:
-        """The (forward, reverse) channel pair."""
-        return self.fwd, self.rev
-
     def fail(self) -> None:
         """Cut the fiber: both directions go down."""
         self.fwd.fail()

@@ -28,8 +28,8 @@ label, the id split across the cell header's 8-bit VPI and 16-bit VCI
 (:func:`vc_label`): labels are globally unique, so no two circuits can
 collide on any directed channel.  VPI 0 is left to ad-hoc circuits
 (:meth:`SignalingController.create_pvc` /
-:meth:`~SignalingController.create_multicast` — QoS contracts, AAL3/4
-side channels), whose ids are a plain sequence.
+:meth:`~SignalingController.create_multicast` — QoS contracts beside a
+pair's on-demand circuit), whose ids are a plain sequence.
 
 Two kinds of channel come out of the controller:
 
@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..sim import Simulator
-from .aal import Aal, AAL5
 from .adapter import Sba200Adapter
 from .link import Channel, DuplexLink, LinkSpec
 from .switch import AtmSwitch
@@ -149,7 +148,6 @@ class VirtualChannel:
     src_vci: int
     hops: list[Channel]
     hop_vcis: list[int] = field(default_factory=list)
-    aal: Aal = field(default_factory=lambda: AAL5)
     #: peak cell rate in cells/s (QoS traffic contract; None = best effort)
     pcr_cells_s: Optional[float] = None
     vpi: int = 0
@@ -172,7 +170,7 @@ class MulticastChannel:
 
     Quacks enough like :class:`VirtualChannel` for
     :meth:`repro.atm.adapter.Sba200Adapter.send_pdu` — it has a
-    ``vc_id``, a ``vpi``/``src_vci`` label and an ``aal`` — but fans
+    ``vc_id`` and a ``vpi``/``src_vci`` label — but fans
     out at every switch whose multicast group table carries an entry
     for it, terminating at each adapter in ``leaves``.
     """
@@ -183,7 +181,6 @@ class MulticastChannel:
     leaves: list[Sba200Adapter]
     #: every directed channel in the replication tree
     hops: list[Channel]
-    aal: Aal = field(default_factory=lambda: AAL5)
     #: peak cell rate in cells/s (None = best effort, like PVCs)
     pcr_cells_s: Optional[float] = None
     vpi: int = 0
@@ -377,9 +374,6 @@ class SignalingController:
     """Establishes circuits on first use and programs the switch tables
     along their paths."""
 
-    #: per-hop signaling processing latency for timed setup
-    PER_HOP_SETUP_S = 750e-6
-
     def __init__(self, fabric: AtmFabric):
         self.fabric = fabric
         fabric.signaling = self
@@ -441,30 +435,16 @@ class SignalingController:
 
     # --------------------------------------------------------------- ad hoc
     def create_pvc(self, src_host: str, dst_host: str,
-                   aal: Optional[Aal] = None,
                    pcr_cells_s: Optional[float] = None) -> VirtualChannel:
         """Provision one more VC between two hosts, next to their
-        on-demand circuits — a QoS contract, another AAL."""
+        on-demand circuits — a QoS contract."""
         if self.fabric.host_index(src_host) == \
                 self.fabric.host_index(dst_host):
             raise ValueError("cannot open a VC from a host to itself")
         return self._establish(next(self._adhoc_ids), src_host, dst_host,
-                               aal=aal, pcr_cells_s=pcr_cells_s)
-
-    def setup_vc(self, src_host: str, dst_host: str,
-                 aal: Optional[Aal] = None,
-                 pcr_cells_s: Optional[float] = None):
-        """Generator: timed SVC setup (per-hop signaling latency), returns
-        the established VC."""
-        nodes = self.fabric.path_nodes(src_host, dst_host)
-        # one round trip of per-hop processing, like UNI 3.0 SETUP/CONNECT
-        delay = 2 * len(nodes) * self.PER_HOP_SETUP_S + 2 * sum(
-            ch.spec.prop_delay_s for ch in self.fabric.directed_channels(nodes))
-        yield delay
-        return self.create_pvc(src_host, dst_host, aal, pcr_cells_s)
+                               pcr_cells_s=pcr_cells_s)
 
     def create_multicast(self, src_host: str, dst_hosts: list[str],
-                         aal: Optional[Aal] = None,
                          pcr_cells_s: Optional[float] = None
                          ) -> MulticastChannel:
         """Provision a point-to-multipoint VC from ``src_host`` to every
@@ -486,13 +466,11 @@ class SignalingController:
         for dst in dst_hosts:
             self.fabric.host_index(dst)                 # KeyError if unknown
         return self._establish_tree(next(self._adhoc_ids), src_host,
-                                    dst_hosts, aal=aal,
-                                    pcr_cells_s=pcr_cells_s)
+                                    dst_hosts, pcr_cells_s=pcr_cells_s)
 
     # ------------------------------------------------------------- mechanics
     def _establish(self, vc_id: int, src_host: str, dst_host: str,
                    service: Optional[Service] = None,
-                   aal: Optional[Aal] = None,
                    pcr_cells_s: Optional[float] = None) -> VirtualChannel:
         """Program the switches along the path and open the VC."""
         fabric = self.fabric
@@ -506,8 +484,8 @@ class SignalingController:
         vc = VirtualChannel(
             vc_id=vc_id, src=fabric.adapters[src_host],
             dst=fabric.adapters[dst_host], src_vci=vci, hops=hops,
-            hop_vcis=[vci] * len(hops), aal=aal or AAL5,
-            pcr_cells_s=pcr_cells_s, vpi=vpi, service=service)
+            hop_vcis=[vci] * len(hops), pcr_cells_s=pcr_cells_s, vpi=vpi,
+            service=service)
         self.open_vcs[vc_id] = vc
         self._released.discard(vc_id)
         return vc
@@ -515,7 +493,6 @@ class SignalingController:
     def _establish_tree(self, vc_id: int, src_host: str,
                         dst_hosts: list[str],
                         service: Optional[Service] = None,
-                        aal: Optional[Aal] = None,
                         pcr_cells_s: Optional[float] = None
                         ) -> MulticastChannel:
         """Program the switches of the replication tree and open the
@@ -545,8 +522,7 @@ class SignalingController:
             vc_id=vc_id, src=fabric.adapters[src_host], src_vci=vci,
             leaves=[fabric.adapters[d] for d in dst_hosts],
             hops=[fabric._channels[edge] for edge in edges],
-            aal=aal or AAL5, pcr_cells_s=pcr_cells_s, vpi=vpi,
-            service=service)
+            pcr_cells_s=pcr_cells_s, vpi=vpi, service=service)
         self.open_mcast[vc_id] = mvc
         return mvc
 

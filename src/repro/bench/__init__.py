@@ -3,11 +3,11 @@
 from . import paper_data, tables
 from .report import (ComparisonTable, TableRow, render_gantt,
                      render_series, render_table)
-from .tables import all_tables, table1, table2, table3
+from .tables import table1, table2, table3
 
 __all__ = [
     "paper_data", "tables",
     "ComparisonTable", "TableRow", "render_gantt", "render_series",
     "render_table",
-    "all_tables", "table1", "table2", "table3",
+    "table1", "table2", "table3",
 ]

@@ -35,7 +35,7 @@ def _render_figure(name: str, data: dict) -> str:
     gantt, tables = data.pop("ncs_gantt", {}), {}
     for path, fields in _records(data).items():
         title = " ".join([name, *map(str, path[:-1])])
-        labels = tuple(f" {f}" for f in fields)   # long labels stay apart
+        labels = tuple(fields)
         tables.setdefault((title, labels), []).append(
             (path[-1] if path else "", *fields.values()))
     out = [render_series(title, "", "", rows, labels=labels)

@@ -104,14 +104,15 @@ def render_gantt(title: str, rows: dict, width: int = 72,
 def render_series(title: str, xlabel: str, ylabel: str,
                   points: Sequence[tuple], labels: Sequence[str] = ()
                   ) -> str:
-    """Render figure data as aligned columns (one line per x value)."""
+    """Render figure data as aligned columns (one line per x value):
+    each column right-aligned to its widest cell, one space apart."""
+    table = [[xlabel, *map(str, labels or [ylabel])]]
+    for x, *ys in points:
+        table.append([str(x), *(f"{y:.6g}" if isinstance(y, (int, float))
+                                else str(y) for y in ys)])
+    widths = [max(len(cell) for cell in column)
+              for column in zip(*table)]
     lines = [title, "-" * max(len(title), 20)]
-    head = f"{xlabel:>12}" + "".join(f"{l:>16}" for l in labels) \
-        if labels else f"{xlabel:>12}{ylabel:>16}"
-    lines.append(head)
-    for pt in points:
-        x, *ys = pt
-        lines.append(f"{x!s:>12}" + "".join(
-            f"{y:16.6g}" if isinstance(y, (int, float)) else f"{y!s:>16}"
-            for y in ys))
+    lines += [" ".join(cell.rjust(w) for cell, w in zip(row, widths))
+              for row in table]
     return "\n".join(lines)

@@ -18,8 +18,7 @@ from ..config import AppSpec, ClusterSpec, ScenarioSpec, run_scenario
 from . import paper_data as paper
 from .report import ComparisonTable, TableRow
 
-__all__ = ["run_cell", "cell_spec", "table1", "table2", "table3",
-           "all_tables"]
+__all__ = ["run_cell", "cell_spec", "table1", "table2", "table3"]
 
 
 def cell_spec(driver: str, platform: str, n_nodes: int,
@@ -84,6 +83,3 @@ def table3(m: int = 512, n_sets: int = 8) -> ComparisonTable:
         paper.TABLE3_P4, paper.TABLE3_NCS, paper.TABLE_NODES["table3"],
         m=m, n_sets=n_sets)
 
-
-def all_tables() -> list[ComparisonTable]:
-    return [table1(), table2(), table3()]

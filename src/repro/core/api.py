@@ -131,9 +131,6 @@ class NcsRuntime:
         return make_error_control(spec, **self._error_kwargs)
 
     # --------------------------------------------------------------- threads
-    def node(self, pid: int) -> NcsNode:
-        return self.nodes[pid]
-
     def t_create(self, pid: int, fn: Callable[..., Generator],
                  args: tuple = (), priority: int = DEFAULT_PRIORITY,
                  name: str = "") -> int:

@@ -165,11 +165,6 @@ class ThreadContext:
         return ops.Throw(to_thread, to_process, exc)
 
     @property
-    def sim(self):
-        """The simulator the thread runs on."""
-        return self.scheduler.sim
-
-    @property
     def now(self) -> float:
         """Current simulated time."""
         return self.scheduler.sim.now

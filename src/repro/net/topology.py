@@ -26,7 +26,7 @@ from ..ethernet import EthernetLan, EthernetNic
 from ..hosts import Host, HostParams, OsProcess, SUN_ELC, SUN_IPX
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..protocols import (AtmIpAdapter, EthernetIpAdapter, IpLayer,
-                         SocketLayer, TcpParams, TcpStack, UdpStack)
+                         SocketLayer, TcpParams, TcpStack)
 from ..registry import TOPOLOGIES
 from ..sim import NullTracer, RngRegistry, Simulator, Tracer
 
@@ -43,7 +43,6 @@ class NodeStack:
     ip: IpLayer
     tcp: TcpStack
     socket: SocketLayer
-    udp: UdpStack
     atm_api: Optional[AtmApi] = None
 
 
@@ -146,8 +145,7 @@ def _add_host(cluster: Cluster, name: str, params: HostParams, tcp_params,
     tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
     cluster.stacks.append(NodeStack(
         host=host, process=OsProcess(host, pid=len(cluster.stacks)), ip=ip,
-        tcp=tcp, socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
-        atm_api=atm_api))
+        tcp=tcp, socket=SocketLayer(host, tcp), atm_api=atm_api))
 
 
 # --------------------------------------------------------------------------

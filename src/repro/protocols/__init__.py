@@ -1,4 +1,4 @@
-"""Traditional protocol stack (sockets / TCP / UDP / IP) — the NSM path."""
+"""Traditional protocol stack (sockets / TCP / IP) — the NSM path."""
 
 from .ip import (
     ATM_IP_MTU,
@@ -16,7 +16,6 @@ from .sockets import (
     SocketLayer,
 )
 from .tcp import TCP_HEADER_BYTES, TcpConnection, TcpParams, TcpSegment, TcpStack
-from .udp import UDP_HEADER_BYTES, UdpStack
 
 __all__ = [
     "ATM_IP_MTU", "AtmIpAdapter", "EthernetIpAdapter", "IP_HEADER_BYTES",
@@ -24,5 +23,4 @@ __all__ = [
     "SocketLayer", "SOCKET_SEND_COPY_ACCESSES", "SOCKET_RECV_COPY_ACCESSES",
     "NIC_COPY_ACCESSES",
     "TCP_HEADER_BYTES", "TcpConnection", "TcpParams", "TcpSegment", "TcpStack",
-    "UDP_HEADER_BYTES", "UdpStack",
 ]

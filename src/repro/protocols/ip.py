@@ -34,7 +34,7 @@ class IpPacket:
 
     src: str
     dst: str
-    proto: str                  # "tcp" | "udp"
+    proto: str                  # a registered protocol, e.g. "tcp"
     payload: Any                # upper-layer segment (opaque)
     payload_bytes: int
     ident: int

@@ -233,11 +233,6 @@ class TcpConnection:
         message (socket-layer copy costs are charged by the caller)."""
         return self._rx_msgs.get()
 
-    @property
-    def rx_ready(self) -> int:
-        """Number of complete messages waiting."""
-        return len(self._rx_msgs)
-
     # ---------------------------------------------------------- segment rx
     def handle_segment(self, seg: TcpSegment) -> None:
         if seg.syn:

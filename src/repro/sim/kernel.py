@@ -515,23 +515,6 @@ class KernelCore:
             heapq.heappop(heap)  # cancelled
         return float("inf")
 
-    def step(self) -> None:
-        """Process exactly one event."""
-        heap = self._heap
-        while True:
-            if not heap:
-                raise SimulationError("step(): no scheduled event")
-            t, _, event = heapq.heappop(heap)
-            callbacks = event.callbacks
-            if callbacks is not None:
-                break
-        self._now = t
-        self._m_events.inc()
-        event._processed = True
-        event.callbacks = None
-        for fn in callbacks:
-            fn(event)
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run until the calendar empties, ``until`` (not before now)
@@ -739,12 +722,6 @@ class Simulator(KernelCore):
         timer = self.at(when, (fn, args))
         timer.callbacks.append(_run_call)
         return timer
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # ------------------------------------------------------------------- run
     def run_process(self, gen: Generator[Event, Any, Any], name: str = "",

@@ -1,4 +1,4 @@
-"""Unit & property tests for ATM cells, CRCs and the adaptation layers."""
+"""Unit & property tests for ATM cells, the AAL5 CRC-32 and AAL5 SAR."""
 
 import binascii
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atm import (
-    AAL34, AAL5, AalError, AtmCell, CELL_BYTES, CELL_PAYLOAD_BYTES,
-    crc10_aal34, crc32_aal5,
+    AAL5, AalError, AtmCell, CELL_BYTES, CELL_PAYLOAD_BYTES, crc32_aal5,
 )
 
 
@@ -50,16 +49,6 @@ class TestCrc:
         for data in (b"", b"123456789", b"hello ATM world", bytes(range(256))):
             assert crc32_aal5(data) == binascii.crc32(data)
 
-    def test_crc10_check_value(self):
-        # CRC-10/ATM on "123456789" is 0x199 (standard check value).
-        assert crc10_aal34(b"123456789") == 0x199
-
-    def test_crc10_detects_single_bit_flip(self):
-        data = bytearray(b"some cell payload data..")
-        base = crc10_aal34(bytes(data))
-        data[3] ^= 0x10
-        assert crc10_aal34(bytes(data)) != base
-
     @given(st.binary(min_size=0, max_size=200))
     def test_crc32_always_matches_zlib(self, data):
         assert crc32_aal5(data) == binascii.crc32(data)
@@ -79,14 +68,6 @@ class TestAal5:
     def test_length_cap(self):
         with pytest.raises(ValueError):
             AAL5.pdu_cells(65536)
-
-    def test_wire_bytes(self):
-        assert AAL5.wire_bytes(48 * 10) == AAL5.pdu_cells(480) * 53
-
-    def test_efficiency_peaks_at_cell_boundaries(self):
-        # 40 bytes fits one cell exactly with trailer: best small-PDU case
-        assert AAL5.efficiency(40) == pytest.approx(40 / 53)
-        assert AAL5.efficiency(41) == pytest.approx(41 / 106)
 
     def test_segment_reassemble_roundtrip(self):
         payload = bytes(range(256)) * 3
@@ -124,39 +105,3 @@ class TestAal5:
         cells = AAL5.segment(payload)
         assert len(cells) == AAL5.pdu_cells(len(payload))
         assert AAL5.reassemble(cells) == payload
-
-
-class TestAal34:
-    def test_cells_per_payload(self):
-        assert AAL34.pdu_cells(44) == 1
-        assert AAL34.pdu_cells(45) == 2
-        assert AAL34.pdu_cells(0) == 1
-
-    def test_aal34_less_efficient_than_aal5_for_bulk(self):
-        n = 9180
-        assert AAL34.wire_bytes(n) > AAL5.wire_bytes(n)
-
-    def test_roundtrip(self):
-        payload = b"AAL3/4 multiplexed traffic" * 9
-        cells = AAL34.segment(payload, mid=7)
-        assert AAL34.reassemble(cells) == payload
-
-    def test_crc10_detects_corruption(self):
-        cells = AAL34.segment(b"q" * 100)
-        bad = bytearray(cells[1].payload)
-        bad[5] ^= 0x01
-        cells[1].payload = bytes(bad)
-        with pytest.raises(AalError, match="CRC"):
-            AAL34.reassemble(cells)
-
-    def test_sequence_gap_detected(self):
-        cells = AAL34.segment(b"r" * 200)
-        with pytest.raises(AalError):
-            AAL34.reassemble([cells[0], cells[2], cells[3], cells[4]])
-
-    @given(st.binary(min_size=1, max_size=1500))
-    @settings(max_examples=50)
-    def test_roundtrip_property(self, payload):
-        cells = AAL34.segment(payload)
-        assert len(cells) == AAL34.pdu_cells(len(payload))
-        assert AAL34.reassemble(cells) == payload

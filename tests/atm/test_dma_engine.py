@@ -163,13 +163,12 @@ def test_every_transfer_completes_as_a_fifo_server_recounts(
     handed, fired = [], []
     send_pdu = adapter.send_pdu
 
-    def flaky_send_pdu(vc, nbytes, msg_id, is_final=True, payload=None,
-                       aal=None):
+    def flaky_send_pdu(vc, nbytes, msg_id, is_final=True, payload=None):
         if vc is tx_vc:
             handed.append((msg_id, nbytes, is_final))
             if len(handed) - 1 in chunk_faults:
                 raise RuntimeError("probe: the chunk broke")
-        send_pdu(vc, nbytes, msg_id, is_final, payload, aal)
+        send_pdu(vc, nbytes, msg_id, is_final, payload)
     adapter.send_pdu = flaky_send_pdu
 
     def sender():

@@ -1,9 +1,9 @@
-"""Tests for the ATM-level QoS extensions: per-VC PCR shaping and
-AAL3/4 service on the API."""
+"""Tests for the ATM-level QoS extension, per-VC PCR shaping, and for
+the one AAL every VC carries."""
 
 import pytest
 
-from repro.atm import AAL34, AAL5
+from repro.atm import AAL5
 from repro.net import build_atm_cluster
 
 from ..counts import count
@@ -81,45 +81,20 @@ class TestPcrShaping:
         assert done["fast"] < done["slow"] / 3
 
 
-class TestAalServiceSelection:
-    def test_aal34_vc_uses_more_cells(self):
+class TestEveryVcIsAal5:
+    def test_a_pdu_costs_its_aal5_cells(self):
+        """No VC picks its AAL: an ad-hoc PVC and an on-demand circuit
+        both put a PDU on the wire in the cells AAL5 sizes it at."""
         cluster = build_atm_cluster(2)
-        sig = cluster.signaling
-        vc5 = sig.create_pvc("n0", "n1", aal=AAL5)
-        vc34 = sig.create_pvc("n0", "n1", aal=AAL34)
         sim = cluster.sim
 
         def send(vc):
             yield from cluster.stack(0).atm_api.send(vc, None, 9000)
 
-        def cells_sent():
-            return count(sim.metrics, "atm.cells_sent", host="n0")
-
-        before = cells_sent()
-        sim.process(send(vc5))
-        sim.run(max_events=200_000)
-        aal5_cells = cells_sent() - before
-        before = cells_sent()
-        sim.process(send(vc34))
-        sim.run(max_events=200_000)
-        aal34_cells = cells_sent() - before
-        assert aal5_cells == AAL5.pdu_cells(9000)
-        assert aal34_cells == AAL34.pdu_cells(9000)
-        assert aal34_cells > aal5_cells
-
-    def test_aal34_message_delivered(self):
-        cluster = build_atm_cluster(2)
-        vc = cluster.signaling.create_pvc("n0", "n1", aal=AAL34)
-        sim = cluster.sim
-
-        def sender():
-            yield from cluster.stack(0).atm_api.send(vc, "aal34!", 2000)
-
-        def receiver():
-            msg = yield cluster.stack(1).atm_api.recv(vc)
-            return msg.payload
-
-        sim.process(sender())
-        p = sim.process(receiver())
-        sim.run(max_events=200_000)
-        assert p.value == "aal34!"
+        for vc in (cluster.signaling.create_pvc("n0", "n1"),
+                   cluster.hsm_vc(0, 1)):
+            before = count(sim.metrics, "atm.cells_sent", host="n0")
+            sim.process(send(vc))
+            sim.run(max_events=200_000)
+            sent = count(sim.metrics, "atm.cells_sent", host="n0") - before
+            assert sent == AAL5.pdu_cells(9000) == 188

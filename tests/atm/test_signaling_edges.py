@@ -86,21 +86,6 @@ class TestMultiSwitchSignaling:
         with pytest.raises(ValueError, match="already mapped"):
             sw0.program(vc.hops[0], vc.hop_vcis[0], vc.hops[1], 999)
 
-    def test_svc_setup_cost_scales_with_hops(self):
-        sim, fabric, sig, _ = two_switch_fabric()
-        def setup():
-            vc = yield from sig.setup_vc("h0", "h1")
-            return sim.now
-        t_multi = sim.run_process(setup())
-        # single-switch star for comparison
-        from tests.atm.test_fabric import build_lan
-        sim2, fabric2, sig2, hosts2, apis2 = build_lan()
-        def setup2():
-            yield from sig2.setup_vc("h0", "h1")
-            return sim2.now
-        t_single = sim2.run_process(setup2())
-        assert t_multi > t_single
-
 
 class TestSwitchValidation:
     def test_latency_validation(self):

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness itself (report, paper data, figures)."""
 
+import re
+
 import pytest
 
 from repro.bench import paper_data as paper
@@ -83,6 +85,9 @@ class TestReport:
         out = render_series("T", "size", "", [(1, 2.0, 3.0)],
                             labels=["a", "b"])
         assert "a" in out and "b" in out
+        # a figure's list-valued record labels its columns by index
+        assert render_series("T", "", "", [("x", 1.0)],
+                             labels=[0]).splitlines()[2] == "  0"
 
 
 def test_figs_prints_a_figures_data(monkeypatch, capsys):
@@ -98,3 +103,27 @@ def test_figs_prints_a_figures_data(monkeypatch, capsys):
     assert "p4_makespan_s" in out and "n1/n1-t0" in out
     with pytest.raises(SystemExit, match="no figure 'fig99'"):
         main(["figs", "fig99"])
+
+
+def test_figs_rows_line_up_with_their_header(capsys):
+    """``figs fig3_datapath``: every row's cells end where its header's
+    do, its row keys end in one column, and a blank keeps each cell
+    apart from the next — however long a key or a label is."""
+    from repro.bench import figures
+    from repro.bench.__main__ import main
+    keys = [k for k, v in figures.fig3_datapath().items()
+            if isinstance(v, dict)]
+    assert main(["figs", "fig3_datapath"]) == 0
+    block = capsys.readouterr().out.split("\n\n")[0]
+    _, _, head, *rows = block.splitlines()
+    ends = [m.end() for m in re.finditer(r"\S+", head)]
+    assert len(rows) == len(keys) == 3
+    key_ends = set()
+    for row in rows:
+        key = next(k for k in keys if row.lstrip().startswith(k))
+        key_end = row.index(key) + len(key)
+        key_ends.add(key_end)
+        assert row[key_end] == " " and head[:key_end + 1].strip() == ""
+        assert [key_end + m.end()
+                for m in re.finditer(r"\S+", row[key_end:])] == ends
+    assert len(key_ends) == 1

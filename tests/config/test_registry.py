@@ -102,7 +102,7 @@ def test_third_party_transport_plugs_in():
             cluster=ClusterSpec(topology="ethernet", n_hosts=2),
             mode="test-nsm-clone")
         cluster, rt = build_runtime(spec)
-        assert rt.node(0).transport.name == "socket"
+        assert rt.nodes[0].transport.name == "socket"
     finally:
         TRANSPORTS.unregister("test-nsm-clone")
 

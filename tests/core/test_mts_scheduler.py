@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core.mts import MtsScheduler, SchedulerError, ThreadState, ops
-from repro.core.mts.sync import (
-    ThreadBarrier, ThreadCondition, ThreadEvent, ThreadMutex, ThreadSemaphore,
-)
+from repro.core.mts.sync import ThreadEvent
 from repro.hosts import Host, OsProcess
 from repro.sim import Simulator
 
@@ -234,45 +232,6 @@ class TestBlockUnblock:
 
 
 class TestSyncPrimitives:
-    def test_mutex_mutual_exclusion(self, env):
-        sim, host, sched = env
-        mutex = ThreadMutex()
-        trace = []
-        def body(ctx, tag):
-            yield mutex.acquire()
-            trace.append(("in", tag, ctx.now))
-            yield ctx.compute(1.0)
-            trace.append(("out", tag, ctx.now))
-            mutex.release()
-        sched.t_create(body, ("a",))
-        sched.t_create(body, ("b",))
-        run(sim, sched)
-        # critical sections must not overlap
-        assert trace[0][0] == "in" and trace[1][0] == "out"
-        assert trace[2][0] == "in" and trace[2][2] >= trace[1][2]
-
-    def test_mutex_release_unheld_raises(self, env):
-        sim, host, sched = env
-        with pytest.raises(RuntimeError):
-            ThreadMutex().release()
-
-    def test_semaphore_counts(self, env):
-        sim, host, sched = env
-        sem = ThreadSemaphore(value=2)
-        inside = []
-        peak = []
-        def body(ctx, tag):
-            yield sem.acquire()
-            inside.append(tag)
-            peak.append(len(inside))
-            yield ctx.compute(1.0)
-            inside.remove(tag)
-            sem.release()
-        for t in "abcd":
-            sched.t_create(body, (t,))
-        run(sim, sched)
-        assert max(peak) <= 2
-
     def test_thread_event_wait_signal(self, env):
         sim, host, sched = env
         tev = ThreadEvent()
@@ -289,63 +248,21 @@ class TestSyncPrimitives:
         run(sim, sched)
         assert len(log) == 2 and all(t >= 2.0 for _, t in log)
 
-    def test_condition_variable(self, env):
-        sim, host, sched = env
-        mutex = ThreadMutex()
-        cond = ThreadCondition(mutex)
-        shared = {"items": 0}
-        got = []
-        def consumer(ctx):
-            yield mutex.acquire()
-            while shared["items"] == 0:
-                yield from cond.wait()
-            shared["items"] -= 1
-            got.append(ctx.now)
-            mutex.release()
-        def producer(ctx):
-            yield ctx.compute(1.5)
-            yield mutex.acquire()
-            shared["items"] += 1
-            cond.notify()
-            mutex.release()
-        sched.t_create(consumer)
-        sched.t_create(producer)
-        run(sim, sched)
-        assert got and got[0] >= 1.5
-
-    def test_barrier_releases_together(self, env):
-        sim, host, sched = env
-        bar = ThreadBarrier(parties=3)
-        after = []
-        def body(ctx, delay):
-            yield ctx.compute(delay)
-            yield bar.arrive()
-            after.append(ctx.now)
-        for d in (0.5, 1.0, 2.0):
-            sched.t_create(body, (d,))
-        run(sim, sched)
-        assert len(after) == 3
-        assert min(after) >= 2.0  # nobody passes before the slowest arrives
-
-    @pytest.mark.parametrize("primitive", [
-        "semaphore", "event", "condition", "barrier"])
+    @pytest.mark.parametrize("primitive", ["event", "park"])
     def test_waking_a_waiter_schedules_nothing(self, env, primitive):
-        """A release is a queue operation: the waiter becomes runnable
-        on the spot, and the calendar does not see it."""
+        """A wake is a queue operation: the waiter becomes runnable on
+        the spot, and the calendar does not see it — for ``ThreadEvent``
+        wait/signal and for a system thread's park/``signal``."""
         sim, host, sched = env
-        mutex = ThreadMutex()
-        sem, tev = ThreadSemaphore(value=0), ThreadEvent()
-        cond, bar = ThreadCondition(mutex), ThreadBarrier(parties=2)
-        wait = {"semaphore": lambda: (yield sem.acquire()),
-                "event": lambda: (yield tev.wait()),
-                "condition": lambda: (yield from _locked(mutex, cond)),
-                "barrier": lambda: (yield bar.arrive())}[primitive]
-        release = {"semaphore": sem.release, "event": tev.signal,
-                   "condition": cond.notify, "barrier": bar.arrive}[primitive]
+        tev = ThreadEvent()
+        wait = {"event": lambda ctx: tev.wait(),
+                "park": lambda ctx: ctx.park()}[primitive]
+        release = {"event": tev.signal,
+                   "park": lambda: sched.signal(sched.thread(tid))}[primitive]
         log, scheduled = [], []
 
         def waiter(ctx):
-            yield from wait()
+            yield wait(ctx)
             log.append(ctx.now)
 
         def waker(ctx):
@@ -366,41 +283,6 @@ class TestSyncPrimitives:
         released, resumed = log
         assert scheduled == []
         assert resumed == released + host.os.thread_switch_time
-
-    @pytest.mark.parametrize("primitive", ["semaphore", "condition"])
-    def test_hand_off_is_fifo(self, env, primitive):
-        sim, host, sched = env
-        mutex = ThreadMutex()
-        sem, cond = ThreadSemaphore(value=0), ThreadCondition(mutex)
-        order = []
-
-        def waiter(ctx, tag):
-            if primitive == "semaphore":
-                yield sem.acquire()
-            else:
-                yield from _locked(mutex, cond)
-            order.append(tag)
-
-        def waker(ctx):
-            yield ctx.compute(1.0)
-            for _ in range(4):
-                if primitive == "semaphore":
-                    sem.release()
-                else:
-                    cond.notify()
-                yield ctx.yield_cpu()
-        for tag in (3, 1, 4, 2):
-            sched.t_create(waiter, (tag,), priority=4)
-        sched.t_create(waker, priority=6)
-        run(sim, sched)
-        assert order == [3, 1, 4, 2]            # the order they queued in
-
-
-def _locked(mutex, cond):
-    """Wait on ``cond`` once under ``mutex`` and let go of the mutex."""
-    yield mutex.acquire()
-    yield from cond.wait()
-    mutex.release()
 
 
 class TestNanIsRejected:

@@ -74,7 +74,7 @@ class TestSchedulerEdges:
         """Only an int names a level: anything else used to be accepted
         and fail later, deep in the runnable queue."""
         rt = NcsRuntime(build_ethernet_cluster(1))
-        sched = rt.node(0).scheduler
+        sched = rt.nodes[0].scheduler
         before = (dict(sched.threads), sched._live_users)
         def body(ctx):
             yield ctx.compute(0.001)
@@ -89,7 +89,7 @@ class TestSchedulerEdges:
         """A Spawn with a bad priority fails at the spawner's yield, as an
         MPS op's validation error does, and registers no child."""
         rt = NcsRuntime(build_ethernet_cluster(1))
-        sched = rt.node(0).scheduler
+        sched = rt.nodes[0].scheduler
         def child(ctx):
             yield ctx.compute(0.001)
         def spawner(ctx):

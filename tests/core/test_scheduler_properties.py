@@ -19,7 +19,7 @@ from repro.core import NcsRuntime
 from repro.core.mps.core import SendRequest
 from repro.core.mps.message import ANY_THREAD, NcsMessage
 from repro.core.mts import MtsScheduler, SchedulerError, ThreadState, ops
-from repro.core.mts.sync import ThreadEvent, ThreadSemaphore
+from repro.core.mts.sync import ThreadEvent
 from repro.hosts import Host, OsProcess
 from repro.net import build_atm_cluster
 from repro.sim import Activity, Simulator, Tracer
@@ -194,7 +194,6 @@ class TestDirectSignalLaws:
         "sleep": lambda ctx, other: ctx.sleep(1.0),
         "join": lambda ctx, other: ctx.join(other),
         "ncs-block": lambda ctx, other: ctx.block(),
-        "semaphore": lambda ctx, other: ThreadSemaphore(value=0).acquire(),
         "thread-event": lambda ctx, other: ThreadEvent().wait(),
     }
 

@@ -67,7 +67,7 @@ STACK = {"repro", *(f"repro.{name}" for name in """
     net net.topology
     obs obs.registry
     p4 p4.api
-    protocols protocols.ip protocols.sockets protocols.tcp protocols.udp
+    protocols protocols.ip protocols.sockets protocols.tcp
     registry
     sim sim.kernel sim.resources sim.rng sim.trace
     """.split())}

@@ -26,7 +26,7 @@ from repro.net.topology import Cluster, NodeStack
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.protocols import (
     AtmIpAdapter, EthernetIpAdapter, IpLayer, SocketLayer, TcpParams,
-    TcpStack, UdpStack,
+    TcpStack,
 )
 from repro.sim import NullTracer, RngRegistry, Simulator, Tracer
 
@@ -64,7 +64,7 @@ def reference_ethernet_cluster(
         tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
         stacks.append(NodeStack(
             host=host, process=OsProcess(host, pid=i), ip=ip, tcp=tcp,
-            socket=SocketLayer(host, tcp), udp=UdpStack(host, ip)))
+            socket=SocketLayer(host, tcp)))
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="ethernet", lan=lan)
     return cluster
@@ -106,8 +106,7 @@ def reference_atm_cluster(
         tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
         stacks.append(NodeStack(
             host=host, process=OsProcess(host, pid=i), ip=ip, tcp=tcp,
-            socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
-            atm_api=atm_api))
+            socket=SocketLayer(host, tcp), atm_api=atm_api))
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="atm-lan", fabric=fabric, signaling=sig)
     return cluster
@@ -155,8 +154,7 @@ def reference_atm_dual_cluster(
         tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
         stacks.append(NodeStack(
             host=host, process=OsProcess(host, pid=i), ip=ip, tcp=tcp,
-            socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
-            atm_api=atm_api))
+            socket=SocketLayer(host, tcp), atm_api=atm_api))
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
                       medium="atm-dual", lan=lan, fabric=fabric,
                       signaling=sig)
@@ -207,8 +205,7 @@ def reference_nynet(sites: list[SiteSpec],
             tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
             stacks.append(NodeStack(
                 host=host, process=OsProcess(host, pid=pid), ip=ip, tcp=tcp,
-                socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
-                atm_api=atm_api))
+                socket=SocketLayer(host, tcp), atm_api=atm_api))
             pid += 1
 
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,
@@ -262,8 +259,7 @@ def reference_wan_ring(n_sites: int = 8,
             tcp = TcpStack(host, ip, tcp_params, preconnect=preconnect)
             stacks.append(NodeStack(
                 host=host, process=OsProcess(host, pid=pid), ip=ip, tcp=tcp,
-                socket=SocketLayer(host, tcp), udp=UdpStack(host, ip),
-                atm_api=atm_api))
+                socket=SocketLayer(host, tcp), atm_api=atm_api))
             pid += 1
 
     cluster = Cluster(sim=sim, rngs=rngs, tracer=tracer, stacks=stacks,

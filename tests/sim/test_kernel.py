@@ -283,27 +283,13 @@ class TestCancelAndWakeAt:
 
     def test_cancelled_head_is_skipped_by_every_loop(self, sim):
         for run in (lambda: sim.run(until=10.0), lambda: sim.run_below(10.0),
-                    sim.step, lambda: sim.run(max_events=5)):
+                    lambda: sim.run(max_events=5)):
             sim.cancel(sim.timeout(1.0))
             live = sim.timeout(2.0)
             before = sim.metrics.value("sim.events_processed")
             run()
             assert live.processed
             assert sim.metrics.value("sim.events_processed") == before + 1
-
-    def test_step_with_nothing_to_process_says_so(self, sim):
-        """Empty, or holding only cancelled entries: not heapq's bare
-        ``IndexError: index out of range``."""
-        with pytest.raises(SimulationError, match="no scheduled event"):
-            sim.step()
-        sim.cancel(sim.timeout(1.0))
-        sim.cancel(sim.timeout(2.0))
-        with pytest.raises(SimulationError, match="no scheduled event"):
-            sim.step()
-        assert sim.now == 0.0
-        live = sim.timeout(3.0)
-        sim.step()
-        assert live.processed and sim.now == 3.0
 
     def test_cancelled_timeout_is_not_recycled(self, sim):
         """A pooled object handed out again while its dead calendar entry
@@ -408,7 +394,7 @@ class TestConditions:
     def test_any_of_first_wins(self, sim):
         def proc(sim):
             t1, t2 = sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")
-            result = yield sim.any_of([t1, t2])
+            result = yield AnyOf(sim, [t1, t2])
             return (sim.now, list(result.values()))
         t, vals = sim.run_process(proc(sim))
         assert t == 1.0 and "fast" in vals
@@ -416,7 +402,7 @@ class TestConditions:
     def test_all_of_waits_for_last(self, sim):
         def proc(sim):
             evs = [sim.timeout(d) for d in (1.0, 3.0, 2.0)]
-            yield sim.all_of(evs)
+            yield AllOf(sim, evs)
             return sim.now
         assert sim.run_process(proc(sim)) == 3.0
 
@@ -425,13 +411,13 @@ class TestConditions:
         ev.succeed("pre")
         sim.run()
         def proc(sim):
-            res = yield sim.any_of([ev, sim.timeout(9.0)])
+            res = yield AnyOf(sim, [ev, sim.timeout(9.0)])
             return (sim.now, res[ev])
         assert sim.run_process(proc(sim)) == (0.0, "pre")
 
     def test_empty_all_of_triggers_immediately(self, sim):
         def proc(sim):
-            yield sim.all_of([])
+            yield AllOf(sim, [])
             return sim.now
         assert sim.run_process(proc(sim)) == 0.0
 
