@@ -75,14 +75,15 @@ def export_traces(cluster, out_dir: Path, tag: str) -> None:
 
 
 def main() -> None:
-    out_dir = Path(tempfile.mkdtemp(prefix="repro-telemetry-"))
-    for tag, title, spec in SPECS:
-        cluster, rt, makespan = run_workload(spec)
-        print(f"=== {title} — 8 x 24 KiB in {makespan * 1e3:.1f} ms ===")
-        print(render_report(cluster_report(cluster, rt, scenario=spec)))
-        show_snapshot_excerpt(cluster)
-        export_traces(cluster, out_dir, tag)
-        print()
+    with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
+        for tag, title, spec in SPECS:
+            cluster, rt, makespan = run_workload(spec)
+            print(f"=== {title} — 8 x 24 KiB in {makespan * 1e3:.1f} ms ===")
+            print(render_report(cluster_report(cluster, rt, scenario=spec)))
+            show_snapshot_excerpt(cluster)
+            export_traces(cluster, Path(tmp), tag)
+            print()
+        print(f"(the traces are removed with {tmp} when the example ends)")
 
 
 if __name__ == "__main__":

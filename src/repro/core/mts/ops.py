@@ -24,7 +24,6 @@ and friends.  Thread-management ops mirror §4.1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from ...sim import Activity, check_size
@@ -38,19 +37,25 @@ __all__ = [
 
 
 class Op:
-    """Base class for all thread operations."""
+    """Base class for all thread operations.
+
+    Ops are plain ``__slots__`` records, compared and hashed by
+    identity; a dataclass's class set-up was most of this module's
+    import time.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NoOp(Op):
     """Resume immediately (used by sync primitives on the fast path)."""
 
-    value: Any = None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any = None):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Compute(Op):
     """Consume ``seconds`` of CPU.
 
@@ -59,19 +64,19 @@ class Compute(Op):
     COMMUNICATE so the Fig 16 utilization breakdown comes out right.
     """
 
-    seconds: float
-    label: str = "compute"
-    activity: Any = None  # Activity enum; None -> COMPUTE
+    __slots__ = ("seconds", "label", "activity")
 
-    def __post_init__(self) -> None:
-        if not self.seconds >= 0:  # negative or NaN
-            raise ValueError(
-                f"compute time must be >= 0, got {self.seconds!r}")
+    def __init__(self, seconds: float, label: str = "compute",
+                 activity: Any = None):  # Activity enum; None -> COMPUTE
+        if not seconds >= 0:  # negative or NaN
+            raise ValueError(f"compute time must be >= 0, got {seconds!r}")
+        self.seconds, self.label, self.activity = seconds, label, activity
 
 
-@dataclass(frozen=True)
 class YieldCpu(Op):
     """Voluntarily return to the back of this priority's round-robin."""
+
+    __slots__ = ()
 
 
 class Wake(Op):
@@ -127,32 +132,32 @@ class Sleep(Wake):
         super().__init__("sleep", after=seconds)
 
 
-@dataclass(frozen=True)
 class Unblock(Op):
     """``NCS_unblock(tid)``: make a blocked thread runnable.
 
     ``value`` is delivered as the blocked thread's resume value.
     """
 
-    tid: int
-    value: Any = None
+    __slots__ = ("tid", "value")
+
+    def __init__(self, tid: int, value: Any = None):
+        self.tid, self.value = tid, value
 
 
-@dataclass(frozen=True)
 class Spawn(Op):
     """Create a new thread from inside a thread (resumes with its tid)."""
 
-    fn: Any
-    args: tuple = ()
-    priority: int = 8
-    name: str = ""
+    __slots__ = ("fn", "args", "priority", "name")
+
+    def __init__(self, fn: Any, args: tuple = (), priority: int = 8,
+                 name: str = ""):
+        self.fn, self.args, self.priority, self.name = fn, args, priority, name
 
 
 # --------------------------------------------------------------------------
 # message passing (Fig 7)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Send(Op):
     """``NCS_send``: non-blocking in the paper's sense — blocks only the
     calling thread (until the send system thread has pushed the data into
@@ -164,18 +169,16 @@ class Send(Op):
     service class) instead of burning retries on stale data.
     """
 
-    to_thread: int
-    to_process: int
-    data: Any
-    size: int
-    tag: int = 0
-    deadline: Optional[float] = None
+    __slots__ = ("to_thread", "to_process", "data", "size", "tag",
+                 "deadline")
 
-    def __post_init__(self) -> None:
-        check_size("size", self.size)
+    def __init__(self, to_thread: int, to_process: int, data: Any,
+                 size: int, tag: int = 0, deadline: Optional[float] = None):
+        check_size("size", size)
+        self.to_thread, self.to_process, self.data = to_thread, to_process, data
+        self.size, self.tag, self.deadline = size, tag, deadline
 
 
-@dataclass(frozen=True)
 class Recv(Op):
     """``NCS_recv``: blocks the calling thread until a matching message
     arrives; resumes with an :class:`~repro.core.mps.message.NcsMessage`.
@@ -188,27 +191,28 @@ class Recv(Op):
     need a way to not hang on a dead peer.
     """
 
-    from_thread: int = -1
-    from_process: int = -1
-    tag: int = -1
-    timeout: Optional[float] = None
+    __slots__ = ("from_thread", "from_process", "tag", "timeout")
 
-    def __post_init__(self) -> None:
-        if self.timeout is not None and not self.timeout >= 0:
-            raise ValueError(f"timeout must be >= 0, got {self.timeout!r}")
+    def __init__(self, from_thread: int = -1, from_process: int = -1,
+                 tag: int = -1, timeout: Optional[float] = None):
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be >= 0, got {timeout!r}")
+        self.from_thread, self.from_process = from_thread, from_process
+        self.tag, self.timeout = tag, timeout
 
 
-@dataclass(frozen=True)
 class Probe(Op):
     """Non-blocking test for a matching message (resumes immediately
     with True/False) — the NCS analogue of ``p4_messages_available``."""
 
-    from_thread: int = -1
-    from_process: int = -1
-    tag: int = -1
+    __slots__ = ("from_thread", "from_process", "tag")
+
+    def __init__(self, from_thread: int = -1, from_process: int = -1,
+                 tag: int = -1):
+        self.from_thread, self.from_process, self.tag = \
+            from_thread, from_process, tag
 
 
-@dataclass(frozen=True)
 class Bcast(Op):
     """``NCS_bcast``: send to a list of (thread, process) identifiers.
 
@@ -217,25 +221,26 @@ class Bcast(Op):
     "B matrix is sent to a particular node only once").
     """
 
-    targets: Sequence[tuple[int, int]]
-    data: Any
-    size: int
-    tag: int = 0
-    dedup_processes: bool = False
+    __slots__ = ("targets", "data", "size", "tag", "dedup_processes")
 
-    def __post_init__(self) -> None:
-        check_size("size", self.size)
+    def __init__(self, targets: Sequence[tuple[int, int]], data: Any,
+                 size: int, tag: int = 0, dedup_processes: bool = False):
+        check_size("size", size)
+        self.targets, self.data, self.size = targets, data, size
+        self.tag, self.dedup_processes = tag, dedup_processes
 
 
-@dataclass(frozen=True)
 class Barrier(Op):
-    """Block until every participating thread (cluster-wide) arrives."""
+    """Block until every participating thread (cluster-wide) arrives.
 
-    barrier_id: int = 0
-    parties: int = 0   # 0: every thread registered with the barrier service
+    ``parties`` 0: every thread registered with the barrier service."""
+
+    __slots__ = ("barrier_id", "parties")
+
+    def __init__(self, barrier_id: int = 0, parties: int = 0):
+        self.barrier_id, self.parties = barrier_id, parties
 
 
-@dataclass(frozen=True)
 class CollectiveBcast(Op):
     """Offloaded 1-to-many: hand a broadcast to the process's collective
     strategy (e.g. the NIC engine) instead of per-target ``Send`` s.
@@ -245,31 +250,30 @@ class CollectiveBcast(Op):
     The caller blocks until the strategy confirms cluster-wide delivery.
     """
 
-    targets: Sequence[int]
-    data: Any
-    size: int
-    tag: int = 0
+    __slots__ = ("targets", "data", "size", "tag")
 
-    def __post_init__(self) -> None:
-        check_size("size", self.size)
+    def __init__(self, targets: Sequence[int], data: Any, size: int,
+                 tag: int = 0):
+        check_size("size", size)
+        self.targets, self.data, self.size, self.tag = targets, data, size, tag
 
 
-@dataclass(frozen=True)
 class CollectiveReduce(Op):
     """Offloaded many-to-1 fold: every member contributes ``data``; the
     ``root`` member's thread resumes with the combined value (folded in
     sorted ``(pid, tid)`` member order), every other member's with None.
+    ``root`` is the ``(tid, pid)`` receiving the result, ``op`` the fold
+    ``fn(acc, value) -> acc``.
     """
 
-    root: tuple          # (tid, pid) receiving the result
-    members: Sequence[tuple]
-    data: Any
-    size: int
-    op: Any              # fold fn(acc, value) -> acc
-    tag: int = 0
+    __slots__ = ("root", "members", "data", "size", "op", "tag")
+
+    def __init__(self, root: tuple, members: Sequence[tuple], data: Any,
+                 size: int, op: Any, tag: int = 0):
+        self.root, self.members, self.data = root, members, data
+        self.size, self.op, self.tag = size, op, tag
 
 
-@dataclass(frozen=True)
 class Throw(Op):
     """Exception handling: deliver ``exc`` to a (possibly remote) thread.
 
@@ -277,6 +281,7 @@ class Throw(Op):
     :class:`~repro.core.mps.exceptions.RemoteException`.
     """
 
-    to_thread: int
-    to_process: int
-    exc: BaseException
+    __slots__ = ("to_thread", "to_process", "exc")
+
+    def __init__(self, to_thread: int, to_process: int, exc: BaseException):
+        self.to_thread, self.to_process, self.exc = to_thread, to_process, exc

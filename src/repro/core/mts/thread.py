@@ -96,34 +96,31 @@ class ThreadContext:
         self.my_pid = pid
         self.scheduler = scheduler
 
-    # thin sugar over the op dataclasses --------------------------------
+    # the op classes themselves, where a helper would only forward its
+    # arguments; thin sugar over the others -----------------------------
+    #: Op: ``NCS_send``
+    send = staticmethod(ops.Send)
+    #: Op: ``NCS_recv``
+    recv = staticmethod(ops.Recv)
+    #: Op: is a matching message waiting?
+    probe = staticmethod(ops.Probe)
+    #: Op: cluster-wide barrier
+    barrier = staticmethod(ops.Barrier)
+    #: Op: ``NCS_unblock(tid)``
+    unblock = staticmethod(ops.Unblock)
+    #: Op: block for ``seconds`` of simulated time
+    sleep = staticmethod(ops.Sleep)
+    #: Op: raise ``exc`` in a (possibly remote) thread's receive
+    throw = staticmethod(ops.Throw)
+
     def compute(self, seconds: float, label: str = "compute"):
         """Op: consume ``seconds`` of CPU."""
         return ops.Compute(seconds, label)
-
-    def send(self, to_thread: int, to_process: int, data: Any, size: int,
-             tag: int = 0, deadline=None):
-        """Op: ``NCS_send``."""
-        return ops.Send(to_thread, to_process, data, size, tag, deadline)
-
-    def recv(self, from_thread: int = -1, from_process: int = -1,
-             tag: int = -1, timeout=None):
-        """Op: ``NCS_recv``."""
-        return ops.Recv(from_thread, from_process, tag, timeout)
-
-    def probe(self, from_thread: int = -1, from_process: int = -1,
-              tag: int = -1):
-        """Op: is a matching message waiting?"""
-        return ops.Probe(from_thread, from_process, tag)
 
     def bcast(self, targets, data: Any, size: int, tag: int = 0,
               dedup_processes: bool = False):
         """Op: ``NCS_bcast``."""
         return ops.Bcast(tuple(targets), data, size, tag, dedup_processes)
-
-    def barrier(self, barrier_id: int = 0, parties: int = 0):
-        """Op: cluster-wide barrier."""
-        return ops.Barrier(barrier_id, parties)
 
     def block(self) -> ops.Wake:
         """``NCS_block()``: the handle ``NCS_unblock`` wakes."""
@@ -133,17 +130,9 @@ class ThreadContext:
         """Wait for work: the handle ``MtsScheduler.signal`` wakes."""
         return self.scheduler.threads[self.my_tid].parker
 
-    def unblock(self, tid: int, value: Any = None):
-        """Op: ``NCS_unblock(tid)``."""
-        return ops.Unblock(tid, value)
-
     def yield_cpu(self):
         """Op: go to the back of this priority's round-robin."""
         return _YIELD_CPU
-
-    def sleep(self, seconds: float):
-        """Op: block for ``seconds`` of simulated time."""
-        return ops.Sleep(seconds)
 
     def join(self, tid: int) -> ops.Wake:
         """A handle woken with thread ``tid``'s return value (or its
@@ -159,10 +148,6 @@ class ThreadContext:
     def spawn(self, fn, *args, priority: int = 8, name: str = ""):
         """Op: create a thread; resumes with its tid."""
         return ops.Spawn(fn, args, priority, name)
-
-    def throw(self, to_thread: int, to_process: int, exc: BaseException):
-        """Op: raise ``exc`` in a (possibly remote) thread's receive."""
-        return ops.Throw(to_thread, to_process, exc)
 
     @property
     def now(self) -> float:

@@ -38,7 +38,6 @@ Design rules, in order of importance:
 from __future__ import annotations
 
 import bisect
-from math import isfinite
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 __all__ = [
@@ -160,7 +159,7 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def observe(self, v: int | float) -> None:
-        if not isfinite(v):
+        if v - v != 0:                  # NaN or +-inf
             raise ValueError(f"histogram {self.name!r} cannot observe {v}")
         self.counts[bisect.bisect_left(self.bounds, v)] += 1
         self.sum += v
@@ -221,6 +220,10 @@ class MetricsRegistry:
         self._metrics: dict[str, dict[LabelKey, Any]] = {}
         #: name -> declared kind + help (first registration wins)
         self._meta: dict[str, tuple[str, str]] = {}
+        #: the one copy of each label set's key, shared by every family
+        #: that has it, and of each histogram's bounds (a series costs
+        #: its instrument, not its labels)
+        self._keys: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------ factories
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
@@ -240,6 +243,7 @@ class MetricsRegistry:
         if not self.enabled:
             return _NULL_INSTRUMENT
         key = _label_key(labels)
+        key = self._keys.setdefault(key, key)
         family = self._metrics.get(name)
         if family is None:
             family = self._metrics[name] = {}
@@ -257,6 +261,8 @@ class MetricsRegistry:
                     f"metric {name!r} exceeded {self.max_label_sets} "
                     f"label sets (attempted {_label_str(key) or '<none>'})")
             inst = family[key] = cls(name, key, **kw)
+            if cls is Histogram:
+                inst.bounds = self._keys.setdefault(inst.bounds, inst.bounds)
         return inst
 
     # -------------------------------------------------------------- reading

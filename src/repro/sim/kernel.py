@@ -521,53 +521,54 @@ class KernelCore:
         is reached, or ``max_events`` have been processed (a runaway
         guard for tests: it raises when one more event is due).  Each
         event is processed inline, down to its callback calls, with the
-        heap and telemetry handle bound to locals: this loop runs once
-        per event in every experiment."""
+        heap bound to a local: this loop runs once per event in every
+        experiment.  It counts its events in a local too and adds them
+        to ``sim.events_processed`` once, on every way out."""
         heap = self._heap
         pop = heapq.heappop
-        inc = self._m_events.inc if self.metrics.enabled else None
-        if until is None and max_events is None:
-            # the common full-drain run: the tightest possible loop
+        count = 0
+        try:
+            if until is None and max_events is None:
+                # the common full-drain run: the tightest possible loop
+                while heap:
+                    t, _, event = pop(heap)
+                    callbacks = event.callbacks
+                    if callbacks is None:
+                        continue  # cancelled
+                    self._now = t
+                    count += 1
+                    event._processed = True
+                    event.callbacks = None
+                    for fn in callbacks:
+                        fn(event)
+                return
+            until = math.inf if until is None else until
+            max_events = math.inf if max_events is None else max_events
+            if not (until >= self._now and max_events >= 0):
+                raise SimulationError(
+                    f"cannot run until={until!r}, max_events="
+                    f"{max_events!r}: now is {self._now!r}")
             while heap:
-                t, _, event = pop(heap)
+                t, _, event = entry = pop(heap)
+                if t > until:
+                    heapq.heappush(heap, entry)
+                    self._now = until
+                    return
                 callbacks = event.callbacks
                 if callbacks is None:
                     continue  # cancelled
+                if count >= max_events:
+                    heapq.heappush(heap, entry)
+                    raise SimulationError(f"exceeded max_events={max_events}"
+                                          f" (possible livelock)")
                 self._now = t
-                if inc is not None:
-                    inc()
+                count += 1
                 event._processed = True
                 event.callbacks = None
                 for fn in callbacks:
                     fn(event)
-            return
-        until = math.inf if until is None else until
-        max_events = math.inf if max_events is None else max_events
-        if not (until >= self._now and max_events >= 0):
-            raise SimulationError(f"cannot run until={until!r}, max_events="
-                                  f"{max_events!r}: now is {self._now!r}")
-        count = 0
-        while heap:
-            t, _, event = entry = pop(heap)
-            if t > until:
-                heapq.heappush(heap, entry)
-                self._now = until
-                return
-            callbacks = event.callbacks
-            if callbacks is None:
-                continue  # cancelled
-            if count >= max_events:
-                heapq.heappush(heap, entry)
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (possible livelock)")
-            self._now = t
-            if inc is not None:
-                inc()
-            event._processed = True
-            event.callbacks = None
-            for fn in callbacks:
-                fn(event)
-            count += 1
+        finally:
+            self._m_events.inc(count)
 
     def run_below(self, limit: float) -> int:
         """Process every event strictly before ``limit``; return the count.
@@ -584,21 +585,21 @@ class KernelCore:
             raise SimulationError("cannot run below t=nan")
         heap = self._heap
         pop = heapq.heappop
-        inc = self._m_events.inc if self.metrics.enabled else None
         n = 0
-        while heap and heap[0][0] < limit:
-            t, _, event = pop(heap)
-            callbacks = event.callbacks
-            if callbacks is None:
-                continue  # cancelled
-            self._now = t
-            if inc is not None:
-                inc()
-            event._processed = True
-            event.callbacks = None
-            for fn in callbacks:
-                fn(event)
-            n += 1
+        try:
+            while heap and heap[0][0] < limit:
+                t, _, event = pop(heap)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    continue  # cancelled
+                self._now = t
+                n += 1
+                event._processed = True
+                event.callbacks = None
+                for fn in callbacks:
+                    fn(event)
+        finally:
+            self._m_events.inc(n)
         return n
 
 

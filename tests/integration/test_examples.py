@@ -7,6 +7,7 @@ are deterministic simulations, so this is fast and exact).
 import importlib.util
 import io
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -24,14 +25,18 @@ def load_module(path: Path):
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-def test_example_runs(path):
+def test_example_runs(path, tmp_path, monkeypatch):
+    """... and leaves nothing behind in the temporary directory (the
+    diagnostics example's ``repro-telemetry-*`` trace exports)."""
     if path.stem == "matmul_cluster":
         pytest.skip("covered by test_matmul_small (full size is slow)")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     mod = load_module(path)
     out = io.StringIO()
     with redirect_stdout(out):
         mod.main()
     assert out.getvalue().strip(), f"{path.stem} printed nothing"
+    assert not list(tmp_path.iterdir())
 
 
 def test_matmul_small():
