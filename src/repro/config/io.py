@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-import tomllib
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -112,6 +111,7 @@ def dumps_json(spec: ScenarioSpec | Mapping) -> str:
 def loads_scenario(text: str, format: str = "toml") -> ScenarioSpec:
     """Parse scenario text in the named format ("toml" or "json")."""
     if format == "toml":
+        import tomllib
         try:
             raw = tomllib.loads(text)
         except tomllib.TOMLDecodeError as e:

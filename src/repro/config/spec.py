@@ -30,13 +30,22 @@ orderings, one-of choices) is each class's ``__post_init__``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..registry import KERNELS, UnknownNameError
 from .schema import SpecError, Table, join, read, settle
+
+# the interpreter's own SHA-256, as random.py takes its _sha512: hashlib
+# would map OpenSSL's libcrypto into every run for one digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["SpecError", "ClusterSpec", "AppSpec", "FaultSpec", "ObsSpec",
            "ResilienceSpec", "ScenarioSpec"]
@@ -338,7 +347,7 @@ class ScenarioSpec(Table):
 
     def digest(self) -> str:
         """A short, stable content digest: same spec -> same digest."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+        return sha256(self.canonical_json().encode()).hexdigest()[:12]
 
     # ------------------------------------------------------- derived specs
     def replace(self, **changes) -> "ScenarioSpec":

@@ -29,11 +29,11 @@ no traffic of this universe crosses.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Any, Optional
 
 from ..atm.link import DuplexLink
+from ..config.spec import sha256
 from ..net.topology import Cluster
 from ..sim import Activity, Tracer
 from .plan import (
@@ -258,7 +258,7 @@ def trace_signature(tracer: Tracer) -> str:
     Intervals still open (an unhealed permanent fault) are hashed as
     open, so closing order cannot mask a divergence.
     """
-    h = hashlib.sha256()
+    h = sha256()
     for t, entity, kind, payload in tracer.events:
         h.update(repr((t, entity, kind, payload)).encode())
     for name in sorted(tracer.timelines):

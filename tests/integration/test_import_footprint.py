@@ -9,13 +9,18 @@ runs one probe and lists what it loaded:
   draws no random number and imports no third-party package at all,
   none of the :data:`OPTIONAL` modules and no ``repro`` module outside
   :data:`STACK`;
+* building each run's report (which names the spec by its digest) maps
+  no OpenSSL: ``hashlib`` and ``_hashlib`` stay unimported, and every
+  standard-library module the probe loads is on :data:`STDLIB`; a
+  spec read from JSON text imports no TOML parser;
 * a paper application cell (``matmul-p4``) computes with numpy, and
   imports nothing else;
 * importing the run's stack, every registry's stock modules and the
   table harness leaves numpy unimported;
 * a spec that names an optional component (a fault event,
   ``hsm-failover``, NIC collectives, the sharded kernel, a table
-  driver) loads its module on demand, and the run goes through.
+  driver) loads its module on demand, and the run goes through; so
+  does a spec read from TOML text load ``tomllib``.
 """
 
 import json
@@ -27,6 +32,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.config import dumps_json, loads_scenario
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -35,17 +41,24 @@ import json, sys
 before = set(sys.modules)
 from repro.config import ensure_components, loads_scenario, run_scenario
 ensure_components()
-summaries = [run_scenario(loads_scenario(doc)).summary() for doc in DOCS]
+results = [run_scenario(loads_scenario(doc, FORMAT)) for doc in DOCS]
+loaded = sorted(name for name in sys.modules
+                if name.partition(".")[0] == "repro")
+# taken before the reports: a report also imports ``repro.diagnostics``,
+# which is no part of the stack a run builds
+reports = [result.report() for result in results]
 # modules loaded from a file: no aliases (``__mp_main__``) and no
 # modules an extension makes up at run time (``cython_runtime``)
 new = {name.partition(".")[0] for name in set(sys.modules) - before
        if getattr(sys.modules[name], "__file__", None)}
 print(json.dumps({
-    "summaries": summaries,
+    "summaries": [result.summary() for result in results],
+    "digests": [report["scenario"]["digest"] for report in reports],
     "third_party": sorted(new - set(sys.stdlib_module_names) - {"repro"}),
-    "repro": sorted(name for name in sys.modules
-                    if name.partition(".")[0] == "repro"),
+    "stdlib": sorted(new & set(sys.stdlib_module_names)),
+    "repro": loaded,
     "optional": [name for name in OPTIONAL if name in sys.modules],
+    "absent": [name for name in ABSENT if name in sys.modules],
 }))
 """
 
@@ -71,6 +84,24 @@ STACK = {"repro", *(f"repro.{name}" for name in """
     registry
     sim sim.kernel sim.resources sim.rng sim.trace
     """.split())}
+
+#: every standard-library module (top-level name) the message-passing
+#: probe may load, on Python 3.11 to 3.13; like :data:`STACK`, a change
+#: may take names out of this set, never put one in.  ``hashlib`` is not
+#: here: it maps OpenSSL's libcrypto, and the spec digest and
+#: ``trace_signature`` use the interpreter's own SHA-256 instead
+STDLIB = set("""
+    __future__ _bisect _datetime _heapq _opcode _opcode_metadata _sha2
+    _sha256 _struct _weakrefset
+    ast bisect collections contextlib copy dataclasses datetime dis
+    fnmatch glob grp heapq importlib inspect ipaddress linecache math
+    ntpath numbers opcode pathlib string struct token tokenize tomllib
+    typing urllib warnings weakref zlib
+    """.split())
+
+#: what loading OpenSSL looks like: a message-passing run, its report
+#: and its digest import none of these
+OPENSSL = ("hashlib", "_hashlib")
 
 #: what a message-passing run never executes, so never imports
 OPTIONAL = ("repro.sim.sharded", "multiprocessing", "repro.faults",
@@ -134,9 +165,11 @@ def _probe(code: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _run(*docs) -> dict:
-    doc = _probe(f"DOCS = {list(docs)!r}\nOPTIONAL = {OPTIONAL!r}\n{PROBE}")
+def _run(*docs, format="toml", absent=OPENSSL) -> dict:
+    doc = _probe(f"DOCS = {list(docs)!r}\nFORMAT = {format!r}\n"
+                 f"OPTIONAL = {OPTIONAL!r}\nABSENT = {absent!r}\n{PROBE}")
     assert all(s["makespan_s"] > 0 for s in doc["summaries"])
+    assert all(len(digest) == 12 for digest in doc["digests"])
     return doc
 
 
@@ -152,6 +185,20 @@ def test_a_message_passing_run_loads_only_the_stack_it_builds():
     doc = _run(WAN_RING, PINGPONG)
     assert doc["optional"] == []
     assert sorted(set(doc["repro"]) - STACK) == []
+
+
+def test_a_message_passing_run_and_its_report_map_no_openssl():
+    doc = _run(WAN_RING, PINGPONG)
+    assert doc["absent"] == []
+    assert sorted(set(doc["stdlib"]) - STDLIB) == []
+
+
+def test_a_spec_read_from_json_imports_no_toml_parser():
+    docs = [dumps_json(loads_scenario(doc)) for doc in (WAN_RING, PINGPONG)]
+    doc = _run(*docs, format="json", absent=(*OPENSSL, "tomllib"))
+    assert doc["absent"] == []
+    assert doc["digests"] == [loads_scenario(d).digest()
+                              for d in (WAN_RING, PINGPONG)]
 
 
 def test_a_scenario_run_imports_numpy_and_nothing_else_third_party():
@@ -187,7 +234,8 @@ print(json.dumps({"seen": seen, "summary": summary}))
 
 #: a spec naming one optional component -> (its module, whether reading
 #: the spec resolves it): fault kinds and the kernel are resolved when
-#: the spec is read, the rest when the run builds them
+#: the spec is read, the rest when the run builds them; TOML text loads
+#: its parser when it is read
 NAMED = {
     "fault-event": ("repro.faults", True, PINGPONG + """
 [[faults.events]]
@@ -216,6 +264,7 @@ rounds = 1
                        WAN_RING.replace('mode = "hsm"',
                                         'mode = "hsm"\nshards = 2')),
     "table-driver": ("repro.apps.common", False, MATMUL),
+    "toml-text": ("tomllib", True, PINGPONG),
 }
 
 
