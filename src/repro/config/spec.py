@@ -43,7 +43,7 @@ try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
     try:
-        from _sha256 import sha256  # Python 3.10-3.11
+        from _sha256 import sha256  # Python 3.11
     except ImportError:
         from hashlib import sha256
 

@@ -406,11 +406,7 @@ class SimProcess(Event):
 
 def _attach_context(exc: BaseException, what: str,
                     sim: "KernelCore") -> BaseException:
-    note = f"(in simulated {what} at t={sim.now:.9g})"
-    try:
-        exc.add_note(note)  # Python 3.11+
-    except AttributeError:  # pragma: no cover
-        pass
+    exc.add_note(f"(in simulated {what} at t={sim.now:.9g})")
     return exc
 
 
